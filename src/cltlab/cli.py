@@ -293,11 +293,6 @@ def _schedule_csv(params: SequenceParams, decay: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Scale-index ceiling for the tail-series trend check, which materializes
-# per-scale arrays and is therefore a desk-regime statistic.
-_TAIL_CHECK_KMAX = 24
-
-
 def _run_sequence(cfg: ExperimentConfig):
     decay = _resolve_decay(cfg)
     params = _build_params(cfg, decay)
@@ -309,31 +304,22 @@ def _run_sequence(cfg: ExperimentConfig):
     }
     checks = {}
     for cond in _SCENARIO_CONDITIONS[cfg.scenario]:
-        source = moments
-        entry = {}
-        if cond is Condition.TAIL_SERIES and params.kmax > _TAIL_CHECK_KMAX \
-                and cfg.params_file is None:
-            source = ExactMoments(default_params(
-                kmax=_TAIL_CHECK_KMAX, rho=cfg.rho,
-                mode=_MODE_BY_FLAG[cfg.a_mode],
-                c=None if decay is None else decay[:_TAIL_CHECK_KMAX]))
-            entry["analysis_kmax"] = _TAIL_CHECK_KMAX
         try:
             if cond is Condition.WEIGHTED_NORM_SERIES:
                 if decay is None:
                     checks[cond.value] = {"verdict": "SKIPPED",
                                           "note": "no decay sequence supplied"}
                     continue
-                rep = source.check_condition(cond, grid, c=_c_lookup(decay))
+                rep = moments.check_condition(cond, grid,
+                                              c=_c_lookup(decay))
             else:
-                rep = source.check_condition(cond, grid)
+                rep = moments.check_condition(cond, grid)
         except WorkBudgetError as exc:
             checks[cond.value] = {"verdict": "BUDGET_EXCEEDED",
                                   "note": str(exc)}
             continue
-        entry.update({"verdict": rep.verdict.value,
-                      "grid": rep.grid, "values": rep.values})
-        checks[rep.token] = entry
+        checks[rep.token] = {"verdict": rep.verdict.value,
+                             "grid": rep.grid, "values": rep.values}
     verdicts = {"conditions": checks}
     code = EXIT_OK
     if cfg.samples > 0:

@@ -18,6 +18,13 @@ Three independent routes to the variance are provided:
   large exponent (see ``sigma_sq_over_n``);
 * ``sigma_sq_enumerated`` — dense numpy evaluation, budget-capped.
 
+The condition (2') series tail || sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||
+has the same shape in the lag variable: each scale's term is linear,
+constant or -- on a window of q - p + 1 lags -- nonlinear.  ``SeriesTail``
+sums the affine pieces by the same Faulhaber forms and evaluates only the
+windows densely, from one array over [p, q].  Its cost is counted in
+array elements touched and capped by ``WORK_BUDGET`` per call.
+
 Scale conventions: n_k = 2^k exactly; "log" is the dyadic logarithm;
 [log N] of an integer is ``N.bit_length() - 1``.
 
@@ -31,6 +38,7 @@ far under every tolerance used here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,8 +53,10 @@ K_GUARD = 96
 #: largest horizon the integer-exact desk paths accept
 DESK_N_CAP = 1 << 52
 
-#: default operation budget for series tails (coordinate count)
-WORK_BUDGET = 1 << 27
+#: default budget for one series tail, in array elements touched
+#: (``SeriesTail.work``); bounds the cost of one table cell to about
+#: 0.1 s and a few MB
+WORK_BUDGET = 1 << 23
 
 #: default element budget for dense enumeration
 ENUM_BUDGET = 1 << 25
@@ -328,6 +338,102 @@ def sigma_sq_over_n(params: SequenceParams, log2_n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Series tails in segment form
+
+class SeriesTail:
+    """|| sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||^2 in segment form.
+
+    At lag j >= 0, scale k contributes g_k * F(n_k - j), where
+    g_k = a_k / (k n_k) and
+
+        F(r) = sum_{N'=p..q} min(N', r) / N'^{3/2}   for 1 <= r <= n_k.
+
+    With Zh and Z3 the sums of N'^{-1/2} and N'^{-3/2} over p..q, F is
+    linear below the window (r * Z3 for r < p), constant above it (Zh for
+    r > q) and nonlinear only on p <= r <= q.  Cutting each
+    block's lag range at n_k - q, n_k - p + 1 and n_k leaves intervals
+    on which every scale is affine except the few whose window covers the
+    interval.  Affine intervals are summed by centred Faulhaber closed
+    forms (``Segment``); the others are evaluated densely, gathering from
+    one array of F over [p, q] built once per evaluation.
+
+    ``work`` counts the array elements an evaluation touches: the shared
+    window plus, for each dense interval, its length times the number of
+    windows added into it.  It is known on construction, before anything
+    is allocated.
+    """
+
+    def __init__(self, params: SequenceParams, p: int, q: int):
+        self.p, self.q = p, q
+        # At lag j the scales above any k add at most 2 Zh / max(n_k, j+1)
+        # (a_k / k <= 1, F <= Zh <= 2 sqrt(q)), so dropping those above
+        # k_top moves a block's squared norm by less than
+        # 2^(4 - K_GUARD) * (1 + M), M the block's kept mass.
+        k_top = q.bit_length() + K_GUARD
+        self.blocks = []
+        self.work = q - p + 1
+        for b in params.blocks:
+            if b.k_lo > k_top:
+                # Explicit zero: by the same bound the whole block adds
+                # less than 2^(5 + log2 q - k_lo).  For the astronomically
+                # deep blocks (k_lo in the thousands or millions) that is
+                # under 2^-1074, the smallest positive double, so 0.0 is
+                # the exact float value; nothing beyond k_top is formed.
+                continue
+            ks = np.arange(b.k_lo, min(b.k_hi, k_top) + 1)
+            ns = [1 << int(k) for k in ks]
+            gs = np.ldexp(params.weights.ratio(ks), -ks).tolist()
+            above = [0.0] * (len(gs) + 1)     # above[i] = sum of gs[i:]
+            for i in range(len(gs) - 1, -1, -1):
+                above[i] = above[i + 1] + gs[i]
+            cuts = {0}
+            for n in ns:
+                cuts.update((n - q, n - p + 1, n))
+            cuts = sorted(c for c in cuts if 0 <= c < ns[-1])
+            pieces = []
+            for lo, end in zip(cuts, cuts[1:] + [ns[-1]]):
+                # On lags lo..end-1 the scales i < lin are past their
+                # support, lin <= i < win are linear, win <= i < top are
+                # in their window and i >= top are constant.
+                lin = bisect_right(ns, lo)
+                win = bisect_right(ns, lo + p - 1)
+                top = bisect_right(ns, lo + q)
+                pieces.append((lo, end - 1, lin, win, top))
+                self.work += (end - lo) * (top - win)
+            self.blocks.append((ns, gs, above, pieces))
+
+    def norm_sq(self) -> float:
+        p, q = self.p, self.q
+        r = np.arange(p, q + 1, dtype=float)
+        half = np.cumsum(r ** -0.5)                 # sum_{N'=p..r}
+        down = np.cumsum((r ** -1.5)[::-1])[::-1]   # sum_{N'=r..q}
+        z_half, z_three = float(half[-1]), float(down[0])
+        f = half
+        f[:-1] += r[:-1] * down[1:]
+        parts = []
+        for ns, gs, above, pieces in self.blocks:
+            for lo, hi, lin, win, top in pieces:
+                mid = (lo + hi) // 2
+                v = z_half * above[top]
+                slope = 0.0
+                for i in range(lin, win):
+                    v += z_three * gs[i] * (ns[i] - mid)
+                    slope -= z_three * gs[i]
+                if win == top:
+                    parts.append(Segment(lo, hi, v, slope, mid).sum_pow(2))
+                    continue
+                vals = v + slope * np.arange(lo - mid, hi - mid + 1,
+                                             dtype=float)
+                for i in range(win, top):
+                    # lags lo..hi read F at r = n_k - lo down to n_k - hi
+                    vals += gs[i] * f[ns[i] - hi - p:ns[i] - lo - p + 1][::-1]
+                # pairwise summation, not a BLAS dot: single-threaded and
+                # accurate to O(log n) roundings
+                parts.append(float(np.square(vals, out=vals).sum()))
+        return math.fsum(parts)
+
+
+# ---------------------------------------------------------------------------
 # Condition checking
 
 class Condition(Enum):
@@ -423,8 +529,9 @@ def dyadic_grid(lo_exp: int, hi_exp: int) -> list[int]:
 class ExactMoments:
     """Memoizing front end for the closed-form quantities.
 
-    Results are cached per horizon; cache fills are idempotent, so
-    concurrent readers may race on them harmlessly.
+    Results are cached per horizon (series tails per (p, q)); cache
+    fills are idempotent, so concurrent readers may race on them
+    harmlessly.
     """
 
     def __init__(self, params: SequenceParams,
@@ -557,38 +664,23 @@ class ExactMoments:
     # -- series tails ------------------------------------------------------
 
     def series_tail_norm(self, p: int, q: int) -> float:
-        """Norm of sum_{N'=p..q} (conditional part at N') / N'^{3/2}."""
+        """Norm of sum_{N'=p..q} (conditional part at N') / N'^{3/2}.
+
+        Evaluated exactly in segment form (``SeriesTail``) and memoized
+        per (p, q); a call whose work estimate exceeds the budget raises
+        ``WorkBudgetError`` before allocating anything.
+        """
         if not 1 <= p <= q:
             raise ValueError("need 1 <= p <= q")
-        blocks = []
-        est = q - p + 1
-        for b in self.params.blocks:
-            k_cut = min(b.k_hi, max(_log2_floor(q), b.k_lo) + 40)
-            ks = list(range(b.k_lo, k_cut + 1))
-            blocks.append((b, ks))
-            est += sum(1 << k for k in ks)
-        if est > self.work_budget:
-            raise WorkBudgetError("series tail range too expensive",
-                                  estimated_ops=est, budget=self.work_budget)
-        Np = np.arange(0, q + 1, dtype=float)
-        Np[0] = 1.0
-        z_half = np.concatenate([[0.0], np.cumsum(Np[1:] ** -0.5)])
-        z_3half = np.concatenate([[0.0], np.cumsum(Np[1:] ** -1.5)])
-        total = 0.0
-        for b, ks in blocks:
-            acc = np.zeros(1 << ks[-1])
-            for k in ks:
-                n = 1 << k
-                r = np.arange(1, n + 1)
-                r_hi = np.minimum(r, q)
-                flat = z_half[r_hi] - z_half[p - 1]
-                flat[r < p] = 0.0
-                tail_lo = np.minimum(np.maximum(r, p - 1), q)
-                desc = r * (z_3half[q] - z_3half[tail_lo])
-                contrib = (self.params.weights.ratio(k) / n) * (flat + desc)
-                acc[:n] += contrib[::-1]   # j = n - r
-            total += float(np.dot(acc, acc))
-        return math.sqrt(total)
+        key = ("tail", p, q)
+        if key not in self._cache:
+            tail = SeriesTail(self.params, p, q)
+            if tail.work > self.work_budget:
+                raise WorkBudgetError("series tail range too expensive",
+                                      estimated_ops=tail.work,
+                                      budget=self.work_budget)
+            self._cache[key] = math.sqrt(tail.norm_sq())
+        return self._cache[key]
 
     # -- condition sweeps --------------------------------------------------
 

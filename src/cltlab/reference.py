@@ -8,6 +8,11 @@ the middle — these are the reference answers the fast engine is tested
 against.  Work is capped hard, so only small scales and horizons are
 accepted.
 
+The one float evaluator, ``dense_series_tail_norm``, is a second oracle
+for the series tail at sizes the rational one cannot reach: it
+materializes every lag of every block, structurally unlike the segment
+form it checks.
+
 Model recap: site variable X(l, m) is standard normal for even block l
 and sqrt(N_l) * xi for odd l, where xi is +-1 with probability
 1/(2 N_l) each; either way Var X = 1.  The partial sum over a horizon N
@@ -23,11 +28,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .blocks import BlockParity, SequenceParams
 from .errors import WorkBudgetError
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
+
+#: largest lag-plus-horizon count the dense tail oracle materializes
+DENSE_TAIL_CAP = 1 << 20
 
 
 def exact_fraction(x) -> Fraction:
@@ -186,3 +196,40 @@ class RationalMoments:
                     acc += scale * inner
                 out += acc * acc
         return out
+
+
+def dense_series_tail_norm(params: SequenceParams, p: int, q: int) -> float:
+    """|| sum_{N'=p..q} E(S_N' | past) / N'^{3/2} || on a dense lag array.
+
+    Every lag 0 <= j < n_{k_hi} of every block gets its own array cell,
+    each scale adds its weight (a_k / k) / n_k times
+
+        sum_{N'=p..q} min(N', r) / N'^{3/2},   r = n_k - j,
+
+    read off global prefix sums over N' = 1..q, and all of it runs in
+    numpy's extended precision (longdouble).
+    """
+    if not 1 <= p <= q:
+        raise ValueError("need 1 <= p <= q")
+    est = q + sum(1 << k for b in params.blocks
+                  for k in range(b.k_lo, b.k_hi + 1))
+    if est > DENSE_TAIL_CAP:
+        raise WorkBudgetError("dense tail oracle cap exceeded",
+                              estimated_ops=est, budget=DENSE_TAIL_CAP)
+    ld = np.longdouble
+    Np = np.arange(1, q + 1, dtype=ld)
+    z_half = np.concatenate([[ld(0)], np.cumsum(Np ** ld(-0.5))])
+    z_3half = np.concatenate([[ld(0)], np.cumsum(Np ** ld(-1.5))])
+    total = ld(0)
+    for b in params.blocks:
+        acc = np.zeros(1 << b.k_hi, dtype=ld)
+        for k in range(b.k_lo, b.k_hi + 1):
+            n = 1 << k
+            r = np.arange(1, n + 1)
+            flat = z_half[np.minimum(r, q)] - z_half[p - 1]
+            flat[r < p] = 0
+            desc = r * (z_3half[q] - z_3half[np.clip(r, p - 1, q)])
+            weight = ld(params.weights.ratio(k)) / ld(n)
+            acc[:n] += (weight * (flat + desc))[::-1]   # j = n - r
+        total += np.dot(acc, acc)
+    return float(np.sqrt(total))

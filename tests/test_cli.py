@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,23 @@ def test_custom_run_writes_artifacts(tmp_path, capsys):
     body = (out / "conditions.csv").read_text()
     assert body.startswith("# config: ")
     assert "N,b,cond_norm,sigma" in body
+
+
+def test_deep_tail_judged_on_own_params(tmp_path, capsys):
+    out = tmp_path / "deep"
+    code, doc = run_main(["custom", "--kmax", "40", "--samples", "0",
+                          "--no-timestamp", "--out", str(out)], capsys)
+    assert code == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert not any("analysis_kmax" in entry
+                   for entry in verdict["conditions"].values())
+    assert verdict["conditions"]["SERIES_2PRIME"]["verdict"] == \
+        "TREND_CONFIRMED"
+    lines = [line for line in (out / "conditions.csv").read_text()
+             .splitlines() if not line.startswith("#")]
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 13
+    assert all(math.isfinite(float(r["tail_2prime"])) for r in rows)
 
 
 def test_runs_are_byte_deterministic(tmp_path, capsys, monkeypatch):

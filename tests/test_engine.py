@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
-from cltlab.engine import (BlockProfile, Condition, ExactMoments, TrendKind,
-                           TrendRule, Verdict, dyadic_grid, format_csv,
-                           lag_weight, pair_count, sigma_sq_over_n)
+from cltlab.engine import (WORK_BUDGET, BlockProfile, Condition,
+                           ExactMoments, SeriesTail, TrendKind, TrendRule,
+                           Verdict, dyadic_grid, format_csv, lag_weight,
+                           pair_count, sigma_sq_over_n)
 from cltlab.errors import MemoryBudgetError, WorkBudgetError
-from cltlab.reference import RationalMoments, count_pairs, exact_fraction
+from cltlab.reference import (RationalMoments, count_pairs,
+                              dense_series_tail_norm, exact_fraction)
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -77,12 +80,68 @@ def test_engine_matches_rational_oracle():
 
 
 def test_tail_norm_matches_rational_oracle():
-    params = tiny_params()
-    em = ExactMoments(params)
-    rm = RationalMoments(params, 8)
-    for p, q in ((2, 4), (3, 6), (1, 8)):
-        want = math.sqrt(float(rm.series_tail_norm_sq(p, q)))
-        assert em.series_tail_norm(p, q) == pytest.approx(want, rel=1e-11)
+    for params in (tiny_params(), tiny_params(kmax=5, ends=(2, 5))):
+        em = ExactMoments(params)
+        rm = RationalMoments(params, 8)
+        for p, q in ((2, 4), (3, 6), (1, 8), (1, 1), (5, 5), (3, 7),
+                     (6, 40)):
+            want = math.sqrt(float(rm.series_tail_norm_sq(p, q)))
+            assert em.series_tail_norm(p, q) == pytest.approx(want,
+                                                              rel=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 16), st.integers(1, 16),
+       st.sampled_from([WeightMode.CONST_ONE, WeightMode.INV_LOG]),
+       st.integers(1, 5000), st.integers(0, 5000))
+@example(16, 8, WeightMode.CONST_ONE, 4096, 0)        # p == q
+@example(16, 11, WeightMode.CONST_ONE, 4096, 4096)    # q == 2p
+@example(12, 12, WeightMode.INV_LOG, 1, 0)
+def test_tail_norm_matches_dense_oracle(kmax, split, mode, p, gap):
+    w = build_weights(mode, kmax)
+    ends = sorted({min(split, kmax), kmax})
+    params = SequenceParams(w, split_blocks(w, ends))
+    want = dense_series_tail_norm(params, p, p + gap)
+    assert ExactMoments(params).series_tail_norm(p, p + gap) == \
+        pytest.approx(want, rel=1e-11)
+
+
+def test_tail_norm_is_memoized(monkeypatch):
+    built = []
+
+    class Counting(SeriesTail):
+        def __init__(self, params, p, q):
+            built.append((p, q))
+            super().__init__(params, p, q)
+
+    monkeypatch.setattr(engine, "SeriesTail", Counting)
+    em = ExactMoments(desk_params(kmax=12))
+    grid = dyadic_grid(3, 6)
+    rows = em.table_rows(grid)
+    rep = em.check_condition(Condition.TAIL_SERIES, grid)
+    assert built == [(n, 2 * n) for n in grid]
+    assert rep.values == [row["tail_2prime"] for row in rows]
+    # budget failures are not cached: each call re-estimates and raises
+    tight = ExactMoments(desk_params(kmax=12), work_budget=100)
+    for _ in range(2):
+        with pytest.raises(WorkBudgetError):
+            tight.series_tail_norm(64, 128)
+    assert ("tail", 64, 128) not in tight._cache
+
+
+def test_tail_blocks_beyond_float_range_add_zero():
+    # Second blocks starting at k = 3265 (deep inverse-log schedules) and
+    # k = 37,605,531 (the constant-weight headline schedule) lie far past
+    # 2^1023; they must add exactly 0.0 rather than overflow.
+    for kmax, first in ((5000, 3264), (40_000_000, 37_605_530)):
+        w = build_weights(WeightMode.CONST_ONE, kmax)
+        split = ExactMoments(SequenceParams(w, split_blocks(w, [first,
+                                                                kmax])))
+        whole = ExactMoments(SequenceParams(w, split_blocks(w, [kmax])))
+        for p, q in ((4, 8), (3, 1000), (1 << 12, 1 << 13)):
+            got = split.series_tail_norm(p, q)
+            assert math.isfinite(got) and got > 0.0
+            assert got == whole.series_tail_norm(p, q)
 
 
 # -- internal identities at desk scale -------------------------------------
@@ -135,8 +194,12 @@ def test_astronomic_horizon_variance_is_finite():
         assert math.isfinite(v) and v > 0.0
     em = ExactMoments(params)
     assert math.isfinite(em.sigma_sq(1 << 12))
+    tail = em.series_tail_norm(4, 8)
+    assert math.isfinite(tail) and tail > 0.0
+    p = 1 << 17
+    assert SeriesTail(params, p, 2 * p).work > WORK_BUDGET
     with pytest.raises(WorkBudgetError):
-        em.series_tail_norm(4, 8)
+        em.series_tail_norm(p, 2 * p)
 
 
 def test_enumerated_route_budget():
