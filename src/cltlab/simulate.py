@@ -15,21 +15,23 @@ Two sampling modes:
   affine segment the spike hits are a thinned binomial: the hit count is
   Binomial(L, 1/N_l), the positive share Binomial(hits, 1/2), and on
   constant segments the contribution depends on the signed count alone.
-  Ramp hits additionally draw distinct positions.  Gaussian blocks (and
-  any segment whose expected hit count exceeds ``GAUSSIANIZE_HITS``)
-  contribute one scaled normal with the segment's exact variance; the
-  Berry-Esseen error of that replacement is below 0.6/sqrt(2^40) < 6e-7,
-  far under every sampling tolerance used here.  Horizons beyond the
-  desk cap must be dyadic and are handled entirely through normalized
-  per-block variances, so values stay finite floats.
+  Ramp hits additionally draw distinct positions and signs, in bulk for
+  every sample of a chunk, and are summed per sample by ``bincount``.
+  Gaussian blocks (and any segment whose expected hit count exceeds
+  ``GAUSSIANIZE_HITS``) contribute one scaled normal with the segment's
+  exact variance; the Berry-Esseen error of that replacement is below
+  0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
+  Horizons beyond the desk cap must be dyadic and are handled entirely
+  through normalized per-block variances, so values stay finite floats.
 * ``site`` — literal per-coordinate draws for validation at small
   scales, budget-guarded.
 
 Reproducibility: all randomness comes from counter-based Philox streams
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
 keyed by (seed, lane, fixed-size chunk index) for the per-sample lanes
-and by (seed, absolute sample index, segment) for variable-length hit
-details.  No stream is ever shared across chunks, so batches are
-byte-identical for any worker count.
+and by (seed, chunk index, segment) for the variable-length hit details,
+which each such stream draws in bulk.  No stream is ever shared across
+chunks, so batches are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -74,12 +76,6 @@ def _stream(word0: int, word1: int) -> np.random.Generator:
     key = np.array([word0 & 0xFFFFFFFFFFFFFFFF,
                     word1 & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def trapezoid_weight(k: int, m: int, N: int) -> int:
-    """#{(j, i): 0 <= j < N, 0 <= i < n_k, j - i = m}, n_k = 2^k."""
-    n_k = 1 << k
-    return max(0, min(N - 1, m + n_k - 1) - max(0, m) + 1)
 
 
 class SampleKind(Enum):
@@ -154,26 +150,6 @@ class CoordinateProfile:
             else:
                 var = block_var_over_n(params, b, e)
                 self.layers.append(BlockLayer(b, hit, var, None))
-
-    @property
-    def m_range(self):
-        los = [s.lo for lay in self.layers if lay.segments
-               for s in lay.segments[:1]]
-        return (min(los) if los else 0, self.N - 1)
-
-    def g(self, l: int, m: int) -> float:
-        lay = self.layers[l - 1]
-        if lay.segments is None:
-            raise ParamsError("profile has no site resolution at this "
-                              "horizon", block=l)
-        c = 0.0
-        for seg in lay.segments:
-            if seg.lo <= m <= seg.hi:
-                c = seg.value(m)
-                break
-        scale = (lay.spike_scale
-                 if lay.block.parity is BlockParity.THREE_VALUED else 1.0)
-        return scale * c
 
     def variance_over_n(self) -> float:
         return math.fsum(lay.var_over_n for lay in self.layers)
@@ -357,24 +333,41 @@ def _lane_uniforms(seed: int, lane: int, chunk_idx: int,
     return rng.random(size) + 2.0 ** -54
 
 
-def _distinct_positions(rng: np.random.Generator, length: int,
-                        hits: int) -> np.ndarray:
-    """`hits` distinct offsets in [0, length), order-deterministic."""
-    if hits >= length:
-        return np.arange(length)
-    if hits > length // 2:
-        excl = _distinct_positions(rng, length, length - hits)
-        keep = np.ones(length, dtype=bool)
-        keep[excl] = False
-        return np.nonzero(keep)[0]
-    got = np.unique(rng.integers(0, length, size=hits))
-    while got.size < hits:
-        extra = rng.integers(0, length, size=hits - got.size)
-        got = np.unique(np.concatenate([got, extra]))
-    return got
+def _distinct_offsets(rng: np.random.Generator, length: int,
+                      hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, offset) pairs: hits[i] distinct offsets in [0, length)
+    for every sample i, drawn in bulk from one stream.
+
+    A sample with more than half the segment hit draws the offsets it
+    leaves out instead, so each draw set fills at most half the segment.
+    Duplicates within a sample are redrawn, later slot first, until none
+    are left.  Which slots are redrawn depends only on which draws are
+    equal and on slot order, never on the values, so each sample's set
+    is a uniform subset of its size and the samples are independent.
+    """
+    comp = 2 * hits > length
+    want = np.where(comp, length - hits, hits)
+    owner = np.repeat(np.arange(hits.size), want)
+    offs = rng.integers(0, length, size=owner.size)
+    while True:
+        # lexsort is stable: equal draws of a sample stay in slot order
+        order = np.lexsort((offs, owner))
+        a, b = order[:-1], order[1:]
+        redo = np.sort(b[(owner[b] == owner[a]) & (offs[b] == offs[a])])
+        if not redo.size:
+            break
+        offs[redo] = rng.integers(0, length, size=redo.size)
+    # complement samples: keep every offset their draws left out
+    rows = np.flatnonzero(comp)
+    keep = np.ones((rows.size, length), dtype=bool)
+    drawn = comp[owner]
+    keep[np.searchsorted(rows, owner[drawn]), offs[drawn]] = False
+    r, c = np.nonzero(keep)
+    return (np.concatenate([owner[~drawn], rows[r]]),
+            np.concatenate([offs[~drawn], c]))
 
 
-def _aggregate_chunk(plan, seed, chunk_idx, start, size):
+def _aggregate_chunk(plan, seed, chunk_idx, size):
     out = np.zeros(size)
     for op in plan:
         if op.op == "normal":
@@ -390,18 +383,18 @@ def _aggregate_chunk(plan, seed, chunk_idx, start, size):
             pos = binom.ppf(u2, hits, 0.5)
             out += op.coef * (2.0 * pos - hits)
         else:  # ramp
-            length = op.seg.hi - op.seg.lo + 1
+            seg = op.seg
+            length = seg.hi - seg.lo + 1
             u1 = _lane_uniforms(seed, op.lane, chunk_idx, size)
             hits = binom.ppf(u1, length, op.aux).astype(np.int64)
-            for i in np.nonzero(hits)[0]:
-                h = int(hits[i])
-                rng = _stream(seed ^ _HIT_TAG,
-                              ((start + int(i)) << 24) | op.seg_id)
-                offs = _distinct_positions(rng, length, h)
-                signs = 2.0 * rng.integers(0, 2, size=h) - 1.0
-                vals = (op.seg.v_mid
-                        + op.seg.slope * (op.seg.lo + offs - op.seg.mid))
-                out[i] += op.coef * float(np.dot(vals, signs))
+            if not hits.any():
+                continue
+            rng = _stream(seed ^ _HIT_TAG, (chunk_idx << 24) | op.seg_id)
+            owner, offs = _distinct_offsets(rng, length, hits)
+            signs = 2.0 * rng.integers(0, 2, size=owner.size) - 1.0
+            vals = seg.v_mid + seg.slope * (offs + (seg.lo - seg.mid))
+            out += op.coef * np.bincount(owner, weights=vals * signs,
+                                         minlength=size)
     return out
 
 
@@ -442,8 +435,8 @@ def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
         plan = _build_plan(profile, normalized)
 
         def job(args):
-            ci, start, size = args
-            return _aggregate_chunk(plan, seed, ci, start, size)
+            ci, _, size = args
+            return _aggregate_chunk(plan, seed, ci, size)
     elif mode == "site":
         if any(lay.segments is None for lay in profile.layers):
             raise ParamsError("site mode needs full site resolution")
@@ -499,15 +492,3 @@ def dichotomy_samples(params: SequenceParams, horizons, count: int,
                               normalized=True, mode=mode, workers=workers)
     return out
 
-
-def model_tail_context(params: SequenceParams) -> float:
-    """Weight mass of scales beyond kmax, sum a_k/(k 2^{k/2}).
-
-    The truncated model is exact in itself; this reports how much the
-    infinite model's coefficient mass the truncation ignores, extending
-    the final weight value beyond the grid.
-    """
-    k0 = params.kmax
-    a_last = float(params.weights.a(k0)) if k0 >= 1 else 1.0
-    return math.fsum(a_last / (k0 + j) * 2.0 ** (-0.5 * (k0 + j))
-                     for j in range(1, 129))

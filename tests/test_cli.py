@@ -168,7 +168,7 @@ def test_inconclusive_dichotomy_exits_4(tmp_path, capsys):
     verdict = json.loads((out / "verdict.json").read_text())
     d = verdict["dichotomy"]
     assert d["verdict"] == "INCONCLUSIVE"
-    assert d["required_count_estimate"] == 1428
+    assert d["required_count_estimate"] == 495
     assert d["notes"] == ["gap within sampling noise of the margin"]
 
 

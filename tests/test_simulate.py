@@ -1,25 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.stats import binom, chisquare, kstat, ks_2samp
 
 from cltlab.blocks import BlockParity, default_params
 from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, WorkBudgetError
-from cltlab.reference import count_pairs
-from cltlab.simulate import (SampleKind, derive_seed, dichotomy_samples,
-                             draw_coordinate, sample_batch, trapezoid_weight)
+from cltlab.simulate import (SITE_DRAW_BUDGET, SampleKind, _build_plan,
+                             _distinct_offsets, _lane_uniforms, _stream,
+                             build_profile, derive_seed, dichotomy_samples,
+                             draw_coordinate, sample_batch)
 
 
 def desk_params():
     return default_params(kmax=14, rho=4.0)
-
-
-@given(st.integers(0, 7), st.integers(-300, 300), st.integers(1, 200))
-def test_trapezoid_weight_counts_pairs(k, m, N):
-    assert trapezoid_weight(k, m, N) == count_pairs(1 << k, m, N)
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -47,15 +45,72 @@ def test_draw_coordinate_frequencies():
 
 def test_worker_count_never_changes_bytes():
     params = desk_params()
-    base = sample_batch(params, 1 << 8, 10_000, 745, workers=1)
-    for workers in (2, 8):
-        again = sample_batch(params, 1 << 8, 10_000, 745, workers=workers)
-        assert np.array_equal(base.values, again.values)
+    for N, count in ((1 << 8, 10_000), (1 << 12, 20_000)):
+        base = sample_batch(params, N, count, 745, workers=1)
+        for workers in (2, 8):
+            again = sample_batch(params, N, count, 745, workers=workers)
+            assert np.array_equal(base.values, again.values)
     # count straddling a chunk boundary, still identical
     odd = sample_batch(params, 1 << 8, 4097, 9, workers=3)
     one = sample_batch(params, 1 << 8, 4097, 9, workers=1)
     assert np.array_equal(odd.values, one.values)
     assert odd.count == odd.values.size == 4097
+
+
+def test_worker_count_never_changes_bytes_with_hitless_chunks():
+    params = desk_params()
+    N, count, chunk, seed = 1 << 12, 3000, 64, 5
+    # some ramp segment has chunks with hits and chunks without
+    plan = _build_plan(build_profile(params, N), False)
+    per_chunk = [[int(binom.ppf(_lane_uniforms(seed, op.lane, ci, chunk),
+                                op.seg.hi - op.seg.lo + 1, op.aux).sum())
+                  for ci in range(count // chunk)]
+                 for op in plan if op.op == "ramp"]
+    assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
+    base = sample_batch(params, N, count, seed, chunk=chunk)
+    for workers in (2, 8):
+        again = sample_batch(params, N, count, seed, chunk=chunk,
+                             workers=workers)
+        assert np.array_equal(base.values, again.values)
+
+
+# ---------------------------------------------------------------------------
+# Distinct ramp offsets
+
+@given(st.integers(1, 12), st.lists(st.integers(0, 12), max_size=8),
+       st.integers(0, (1 << 64) - 1))
+@example(5, [5, 0, 5], 1)              # every offset hit
+@example(7, [4, 6, 1, 7], 2)           # more than half hit
+@example(1000, [999, 0, 998, 3], 3)    # near-full long segments
+def test_distinct_offsets_are_distinct_and_deterministic(length, raw, key):
+    hits = np.minimum(np.array(raw, dtype=np.int64), length)
+    owner, offs = _distinct_offsets(_stream(key, 1), length, hits)
+    assert np.array_equal(np.bincount(owner, minlength=hits.size), hits)
+    for i, h in enumerate(hits):
+        mine = offs[owner == i]
+        assert np.unique(mine).size == h
+        assert np.all((0 <= mine) & (mine < length))
+    owner2, offs2 = _distinct_offsets(_stream(key, 1), length, hits)
+    assert np.array_equal(owner, owner2) and np.array_equal(offs, offs2)
+
+
+def test_distinct_offsets_are_uniform_subsets():
+    # length 5: h = 2 takes the redraw path, h = 3 the complement path;
+    # interleaved owners share one stream
+    length, reps = 5, 10_000
+    hits = np.tile(np.array([2, 3], dtype=np.int64), reps)
+    owner, offs = _distinct_offsets(_stream(745, 1), length, hits)
+    order = np.lexsort((offs, owner))
+    owner, offs = owner[order], offs[order]
+    for h in (2, 3):
+        subsets = list(itertools.combinations(range(length), h))
+        index = {s: j for j, s in enumerate(subsets)}
+        counts = np.zeros(len(subsets))
+        for i in np.flatnonzero(hits == h):
+            lo, hi = np.searchsorted(owner, [i, i + 1])
+            counts[index[tuple(offs[lo:hi])]] += 1
+        assert len(subsets) == 10
+        assert chisquare(counts).pvalue > 1e-3
 
 
 def test_full_sum_variance_matches_engine():
@@ -144,3 +199,65 @@ def test_dichotomy_samples_stability():
     assert np.array_equal(one[odd].values, with_more[odd].values)
     with pytest.raises(ParamsError):
         dichotomy_samples(params, [odd * 2], 100, 745)
+
+
+# ---------------------------------------------------------------------------
+# Law-level oracles for the aggregate sampler's ramp path
+
+def _spike_cumulants(p):
+    """kappa_2..kappa_8 of a site that is +-1 w.p. p/2 each, else 0."""
+    return {2: p, 4: p - 3 * p ** 2, 6: p - 15 * p ** 2 + 30 * p ** 3,
+            8: p - 63 * p ** 2 + 420 * p ** 3 - 630 * p ** 4}
+
+
+def _exact_cumulants(profile):
+    """Even cumulants of the horizon sum from the dense coefficients."""
+    out = dict.fromkeys((2, 4, 6, 8), 0.0)
+    for lay in profile.layers:
+        _, g = profile.dense_g(lay.block.index)
+        if lay.block.parity is BlockParity.GAUSSIAN:
+            out[2] += float(np.sum(g * g))
+            continue
+        kap = _spike_cumulants(lay.hit_prob)
+        for r in out:
+            out[r] += kap[r] * math.fsum(g ** r)
+    return out
+
+
+def _k4_statistic_sd(k, n):
+    """Standard deviation of the unbiased k-statistic k_4 of n draws
+    from a symmetric law with cumulants k (odd cumulants zero)."""
+    k2, k4, k6, k8 = k[2], k[4], k[6], k[8]
+    var = (k8 / n + 16 * k2 * k6 / (n - 1) + 34 * k4 ** 2 / (n - 1)
+           + 72 * n * k2 ** 2 * k4 / ((n - 1) * (n - 2))
+           + 24 * n * (n + 1) * k2 ** 4 / ((n - 1) * (n - 2) * (n - 3)))
+    return math.sqrt(var)
+
+
+@pytest.mark.parametrize("e", [6, 8])
+def test_full_sum_fourth_cumulant_matches_engine(e):
+    params = default_params(kmax=12, rho=4.0)
+    em = ExactMoments(params)
+    N, n = 1 << e, 100_000
+    k = _exact_cumulants(build_profile(params, N, moments=em))
+    want = em.fourth_cumulant(N)
+    assert k[4] == pytest.approx(want, rel=1e-12)
+    batch = sample_batch(params, N, n, 745, moments=em)
+    assert abs(kstat(batch.values, 4) - want) < 5.0 * _k4_statistic_sd(k, n)
+
+
+@pytest.mark.parametrize("e", [4, 6])
+def test_aggregate_and_site_modes_agree_two_sample_ks(e):
+    params = default_params(kmax=12, rho=4.0)
+    em = ExactMoments(params)
+    N, n = 1 << e, 10_000
+    profile = build_profile(params, N, moments=em)
+    coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
+                 for lay in profile.layers)
+    assert n * coords <= SITE_DRAW_BUDGET
+    agg = sample_batch(params, N, n, 745, profile=profile)
+    site = sample_batch(params, N, n, 745, mode="site", profile=profile)
+    # the modes key their streams differently, so the samples are
+    # independent; alpha = 1e-3 asymptotic two-sample critical value
+    crit = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
+    assert ks_2samp(agg.values, site.values).statistic < crit
