@@ -9,10 +9,8 @@ site variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import ParamsError
 from .weights import WeightMode, WeightSchedule, build_weights
@@ -205,60 +203,6 @@ class SequenceParams:
 
     def complete_blocks(self) -> tuple[BlockSpec, ...]:
         return tuple(b for b in self.blocks if b.complete)
-
-    def block_mass_below(self, block: BlockSpec, log2_n: float) -> float:
-        """Mass of the block's indices with scale n_k <= 2^log2_n."""
-        k_top = min(block.k_hi, int(np.floor(log2_n + 1e-12)))
-        return self.weights.mass(block.k_lo, k_top)
-
-
-@dataclass
-class ParamsDiagnostics:
-    """Validation summary: structural checks plus reported trends."""
-
-    monotonicity_violations: list = field(default_factory=list)
-    block_rows: list = field(default_factory=list)
-    dominance: list = field(default_factory=list)
-    divergence_proxy: float = 0.0
-    weight_ratio_dev: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.monotonicity_violations
-
-
-def validate_params(params: SequenceParams | None) -> ParamsDiagnostics:
-    """Structural validation plus trend quantities that are only reported.
-
-    Divergence of sum a_k/k and the ratio a_k/a_{k+1} -> 1 are asymptotic
-    statements; over a finite prefix they are summarized, not asserted.
-    """
-    diag = ParamsDiagnostics()
-    if params is None:
-        return diag
-    w = params.weights
-    if w.values is not None:
-        bad = np.nonzero(np.diff(w.values) > 1e-15)[0]
-        diag.monotonicity_violations = [int(i) + 1 for i in bad]
-        half = max(w.kmax // 2, 1)
-        tail = w.values[half - 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = tail[:-1] / tail[1:]
-        ratios = ratios[np.isfinite(ratios)]
-        if ratios.size:
-            diag.weight_ratio_dev = float(np.max(np.abs(ratios - 1.0)))
-    diag.divergence_proxy = w.mass(1, w.kmax)
-    b_sq = 0.0
-    for b in params.blocks:
-        b_sq += b.mass ** 2
-        diag.block_rows.append({
-            "index": b.index, "k_lo": b.k_lo, "k_hi": b.k_hi,
-            "mass": b.mass, "target": b.target,
-            "deviation": b.mass - b.target, "complete": b.complete,
-            "parity": b.parity.value, "horizon_log2": b.horizon_log2,
-        })
-        diag.dominance.append(b.mass / np.sqrt(b_sq) if b_sq > 0 else 0.0)
-    return diag
 
 
 def default_params(kmax: int = 20, rho: float = 4.0,

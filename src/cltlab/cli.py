@@ -482,13 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     name = ns.scenario if ns.command == "validate" else ns.command
     scenario = Scenario(name.upper())
-    a_mode = _FORCED_MODE.get(scenario) or (ns.a_mode or "const")
-    if ns.a_mode is not None and scenario in _FORCED_MODE \
-            and ns.a_mode != _FORCED_MODE[scenario]:
-        raise ParamsError("this preset pins its weight mode",
-                          scenario=scenario.value,
-                          pinned=_FORCED_MODE[scenario],
-                          requested=ns.a_mode)
+    # a preset's pinned mode is checked by ExperimentConfig.validate
+    a_mode = ns.a_mode or _FORCED_MODE.get(scenario) or "const"
     kmax = ns.kmax if ns.kmax is not None else _DEFAULT_KMAX[scenario]
     default_grid = (1, 16) if scenario is Scenario.SPECTRAL else (4, 16)
     grid = _parse_grid(ns.grid) if ns.grid is not None else default_grid

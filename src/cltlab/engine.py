@@ -8,15 +8,16 @@ Every quantity here is a finite sum over site coordinates m of squares
 where w_k is the trapezoidal pair count of the double sum over a horizon
 N.  C_l is piecewise linear in m with integer breakpoints, so all sums
 collapse to Faulhaber closed forms; no per-coordinate enumeration is
-needed (an enumerated path is kept as an independent cross-check).
+needed.
 
-Three independent routes to the variance are provided:
+Three independent routes to the variance exist:
 
 * ``sigma_sq``          — piecewise-linear profile + Faulhaber sums;
 * ``sigma_sq_paircov``  — per-pair covariance closed forms, normalized by
   the horizon so it stays finite for dyadic horizons of astronomically
   large exponent (see ``sigma_sq_over_n``);
-* ``sigma_sq_enumerated`` — dense numpy evaluation, budget-capped.
+* ``reference.sigma_sq_enumerated`` — dense numpy evaluation, capped,
+  kept beside the other test oracles.
 
 The condition (2') series tail || sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||
 has the same shape in the lag variable: each scale's term is linear,
@@ -45,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
-from .errors import MemoryBudgetError, WorkBudgetError
+from .errors import WorkBudgetError
 
 #: extra indices kept beyond the largest scale that can matter
 K_GUARD = 96
@@ -58,25 +59,10 @@ DESK_N_CAP = 1 << 52
 #: 0.1 s and a few MB
 WORK_BUDGET = 1 << 23
 
-#: default element budget for dense enumeration
-ENUM_BUDGET = 1 << 25
-
 
 def pair_count(n_k: int, m: int, N: int) -> int:
     """Trapezoid weight: #{(j, i): 0 <= j < N, 0 <= i < n_k, j - i = m}."""
     return max(0, min(m + n_k, n_k, N, N - m))
-
-
-def lag_weight(n_k: int, j: int, N: int) -> float:
-    """Coefficient of lag j >= 0 in the conditional part at horizon N.
-
-    Equals min(N, n_k - j)/n_k for 0 <= j <= n_k - 1 and 0 beyond; the
-    flat branch N/n_k applies while j <= n_k - N, the descending branch
-    (n_k - j)/n_k afterwards.  At N = 1 every lag carries 1/n_k.
-    """
-    if j < 0 or j > n_k - 1:
-        return 0.0
-    return min(N, n_k - j) / n_k
 
 
 def _log2_floor(N: int) -> int:
@@ -173,7 +159,6 @@ class BlockProfile:
         # leading one; they are dropped, which also keeps the coefficient
         # arithmetic inside float range for astronomically deep blocks.
         k_cut = min(block.k_hi, e + K_GUARD)
-        self.k_cut = k_cut
         ks = list(range(block.k_lo, k_cut + 1))
         w = params.weights
         coeffs = [w.ratio(k) / float(1 << k) for k in ks]
@@ -535,11 +520,9 @@ class ExactMoments:
     """
 
     def __init__(self, params: SequenceParams,
-                 work_budget: int = WORK_BUDGET,
-                 enum_budget: int = ENUM_BUDGET):
+                 work_budget: int = WORK_BUDGET):
         self.params = params
         self.work_budget = work_budget
-        self.enum_budget = enum_budget
         self._profiles: dict[int, list[BlockProfile]] = {}
         self._cache: dict = {}
 
@@ -609,28 +592,6 @@ class ExactMoments:
         if (1 << e) != N:
             raise ValueError("pair-covariance route needs a dyadic horizon")
         return sigma_sq_over_n(self.params, e) * N
-
-    def sigma_sq_enumerated(self, N: int) -> float:
-        """Var by dense per-coordinate evaluation (cross-check route)."""
-        n_top = 1 << min(self.params.kmax,
-                         max(_log2_floor(N), 1) + K_GUARD)
-        length = (n_top - 1) + N
-        if length > self.enum_budget:
-            raise MemoryBudgetError("dense coordinate range too large",
-                                    estimated_bytes=8 * length,
-                                    budget=8 * self.enum_budget)
-        m = np.arange(-(n_top - 1), N, dtype=float)
-        out = 0.0
-        for b in self.params.blocks:
-            acc = np.zeros_like(m)
-            for k in range(b.k_lo, min(b.k_hi, _log2_floor(n_top)) + 1):
-                n = float(1 << k)
-                w = np.minimum(np.minimum(m + n, n),
-                               np.minimum(float(N), float(N) - m))
-                np.clip(w, 0.0, None, out=w)
-                acc += (self.params.weights.ratio(k) / n) * w
-            out += float(np.dot(acc, acc))
-        return out
 
     def iid_approx_error_sq(self, N: int) -> float:
         """Squared distance from the centered horizon sum to N flat shifts

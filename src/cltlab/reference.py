@@ -8,10 +8,10 @@ the middle — these are the reference answers the fast engine is tested
 against.  Work is capped hard, so only small scales and horizons are
 accepted.
 
-The one float evaluator, ``dense_series_tail_norm``, is a second oracle
-for the series tail at sizes the rational one cannot reach: it
-materializes every lag of every block, structurally unlike the segment
-form it checks.
+Two float evaluators reach sizes the rational one cannot, each
+structurally unlike the closed form it checks: ``sigma_sq_enumerated``
+materializes every coordinate coefficient of the horizon sum, and
+``dense_series_tail_norm`` every lag of every block.
 
 Model recap: site variable X(l, m) is standard normal for even block l
 and sqrt(N_l) * xi for odd l, where xi is +-1 with probability
@@ -31,10 +31,13 @@ from fractions import Fraction
 import numpy as np
 
 from .blocks import BlockParity, SequenceParams
-from .errors import WorkBudgetError
+from .errors import MemoryBudgetError, WorkBudgetError
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
+
+#: largest coordinate count the dense variance oracle materializes
+DENSE_SIGMA_CAP = 1 << 25
 
 #: largest lag-plus-horizon count the dense tail oracle materializes
 DENSE_TAIL_CAP = 1 << 20
@@ -196,6 +199,35 @@ class RationalMoments:
                     acc += scale * inner
                 out += acc * acc
         return out
+
+
+def sigma_sq_enumerated(params: SequenceParams, N: int) -> float:
+    """Var of the horizon-N partial sum on a dense coordinate array.
+
+    Every coordinate -(n_kmax - 1) <= m <= N - 1 gets its own cell, and
+    each scale adds (a_k / k) / n_k times its pair count, clipped from
+    the four trapezoid bounds.
+    """
+    # the clamped exponent keeps the estimate a small integer; any kmax
+    # beyond it is over the cap either way
+    n_top = 1 << min(params.kmax, DENSE_SIGMA_CAP.bit_length())
+    length = (n_top - 1) + N
+    if length > DENSE_SIGMA_CAP:
+        raise MemoryBudgetError("dense coordinate range too large",
+                                estimated_bytes=8 * length,
+                                budget=8 * DENSE_SIGMA_CAP)
+    m = np.arange(-(n_top - 1), N, dtype=float)
+    out = 0.0
+    for b in params.blocks:
+        acc = np.zeros_like(m)
+        for k in range(b.k_lo, b.k_hi + 1):
+            n = float(1 << k)
+            w = np.minimum(np.minimum(m + n, n),
+                           np.minimum(float(N), float(N) - m))
+            np.clip(w, 0.0, None, out=w)
+            acc += (params.weights.ratio(k) / n) * w
+        out += float(np.dot(acc, acc))
+    return out
 
 
 def dense_series_tail_norm(params: SequenceParams, p: int, q: int) -> float:

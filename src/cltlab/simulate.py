@@ -38,9 +38,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -81,19 +83,6 @@ def _stream(word0: int, word1: int) -> np.random.Generator:
 class SampleKind(Enum):
     FULL_SN = "FULL_SN"
     APPROX_IID_SUM = "APPROX_IID_SUM"
-
-
-def draw_coordinate(block: BlockSpec, rng: np.random.Generator) -> float:
-    """One raw site variate for the block (spike scale lives in g)."""
-    if block.parity is BlockParity.GAUSSIAN:
-        return float(rng.standard_normal())
-    eps_half = math.ldexp(0.5, -block.horizon_log2)
-    u = rng.random()
-    if u < eps_half:
-        return 1.0
-    if u >= 1.0 - eps_half:
-        return -1.0
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +139,6 @@ class CoordinateProfile:
             else:
                 var = block_var_over_n(params, b, e)
                 self.layers.append(BlockLayer(b, hit, var, None))
-
-    def variance_over_n(self) -> float:
-        return math.fsum(lay.var_over_n for lay in self.layers)
-
-    def variance(self) -> float:
-        return self.variance_over_n() * self.N
 
     def dense_g(self, l: int) -> tuple[int, np.ndarray]:
         """(m_lo, dense coefficient array) for one block; budget-guarded."""
@@ -251,22 +234,10 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 # Aggregate sampler
 
-class _PlanOp:
-    __slots__ = ("op", "lane", "coef", "aux", "seg", "seg_id", "layer")
-
-    def __init__(self, op, lane, coef=0.0, aux=0.0, seg=None, seg_id=-1,
-                 layer=None):
-        self.op = op
-        self.lane = lane
-        self.coef = coef
-        self.aux = aux
-        self.seg = seg
-        self.seg_id = seg_id
-        self.layer = layer
-
-
 def _build_plan(profile: CoordinateProfile, normalized: bool):
-    """Fixed lane layout for the aggregate sampler.
+    """Fixed lane layout for the aggregate sampler: one draw function
+    per op, bound to the values it reads, called as
+    ``draw(seed, chunk_idx, size)``.
 
     Lane ids and segment ids depend only on (params, N, kind), never on
     chunking or worker count.
@@ -297,7 +268,7 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
         if lay.segments is None or gaussian_block:
             std = (math.sqrt(lay.var_over_n / b_sq) if normalized
                    else math.sqrt(lay.var_over_n * N))
-            plan.append(_PlanOp("normal", lane, coef=std))
+            plan.append(partial(_draw_normal, lane=lane, std=std))
             lane += 1
             continue
         if lay.hit_prob == 0.0:
@@ -311,16 +282,17 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
             expect = length * lay.hit_prob
             if expect > GAUSSIANIZE_HITS:
                 std = math.sqrt(seg.sum_pow(2)) * inv_unit
-                plan.append(_PlanOp("normal", lane, coef=std))
+                plan.append(partial(_draw_normal, lane=lane, std=std))
                 lane += 1
             elif seg.slope == 0.0:
-                plan.append(_PlanOp("flat", lane, coef=scale * seg.v_mid,
-                                    aux=lay.hit_prob, seg=seg))
+                plan.append(partial(_draw_flat, lane=lane, length=length,
+                                    hit_prob=lay.hit_prob,
+                                    coef=scale * seg.v_mid))
                 lane += 2
             else:
-                plan.append(_PlanOp("ramp", lane, coef=scale,
-                                    aux=lay.hit_prob, seg=seg,
-                                    seg_id=seg_id, layer=lay))
+                plan.append(partial(_draw_ramp, lane=lane, seg_id=seg_id,
+                                    seg=seg, hit_prob=lay.hit_prob,
+                                    coef=scale))
                 lane += 1
             seg_id += 1
     return plan
@@ -367,34 +339,40 @@ def _distinct_offsets(rng: np.random.Generator, length: int,
             np.concatenate([offs[~drawn], c]))
 
 
+def _draw_normal(seed, chunk_idx, size, *, lane, std):
+    """A Gaussian block, or a segment with too many hits to count."""
+    if std == 0.0:
+        return 0.0
+    return std * ndtri(_lane_uniforms(seed, lane, chunk_idx, size))
+
+
+def _draw_flat(seed, chunk_idx, size, *, lane, length, hit_prob, coef):
+    """A constant spike segment: only the signed hit count matters."""
+    u1 = _lane_uniforms(seed, lane, chunk_idx, size)
+    hits = binom.ppf(u1, length, hit_prob)
+    u2 = _lane_uniforms(seed, lane + 1, chunk_idx, size)
+    pos = binom.ppf(u2, hits, 0.5)
+    return coef * (2.0 * pos - hits)
+
+
+def _draw_ramp(seed, chunk_idx, size, *, lane, seg_id, seg, hit_prob, coef):
+    """A sloped spike segment: hit offsets and signs drawn in bulk."""
+    length = seg.hi - seg.lo + 1
+    u1 = _lane_uniforms(seed, lane, chunk_idx, size)
+    hits = binom.ppf(u1, length, hit_prob).astype(np.int64)
+    if not hits.any():
+        return 0.0
+    rng = _stream(seed ^ _HIT_TAG, (chunk_idx << 24) | seg_id)
+    owner, offs = _distinct_offsets(rng, length, hits)
+    signs = 2.0 * rng.integers(0, 2, size=owner.size) - 1.0
+    vals = seg.v_mid + seg.slope * (offs + (seg.lo - seg.mid))
+    return coef * np.bincount(owner, weights=vals * signs, minlength=size)
+
+
 def _aggregate_chunk(plan, seed, chunk_idx, size):
     out = np.zeros(size)
-    for op in plan:
-        if op.op == "normal":
-            if op.coef == 0.0:
-                continue
-            u = _lane_uniforms(seed, op.lane, chunk_idx, size)
-            out += op.coef * ndtri(u)
-        elif op.op == "flat":
-            length = op.seg.hi - op.seg.lo + 1
-            u1 = _lane_uniforms(seed, op.lane, chunk_idx, size)
-            hits = binom.ppf(u1, length, op.aux)
-            u2 = _lane_uniforms(seed, op.lane + 1, chunk_idx, size)
-            pos = binom.ppf(u2, hits, 0.5)
-            out += op.coef * (2.0 * pos - hits)
-        else:  # ramp
-            seg = op.seg
-            length = seg.hi - seg.lo + 1
-            u1 = _lane_uniforms(seed, op.lane, chunk_idx, size)
-            hits = binom.ppf(u1, length, op.aux).astype(np.int64)
-            if not hits.any():
-                continue
-            rng = _stream(seed ^ _HIT_TAG, (chunk_idx << 24) | op.seg_id)
-            owner, offs = _distinct_offsets(rng, length, hits)
-            signs = 2.0 * rng.integers(0, 2, size=owner.size) - 1.0
-            vals = seg.v_mid + seg.slope * (offs + (seg.lo - seg.mid))
-            out += op.coef * np.bincount(owner, weights=vals * signs,
-                                         minlength=size)
+    for draw in plan:
+        out += draw(seed, chunk_idx, size)
     return out
 
 
@@ -462,8 +440,10 @@ def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
 
     jobs = [(ci, ci * chunk, min(chunk, count - ci * chunk))
             for ci in range((count + chunk - 1) // chunk)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    # threads beyond the cores or the chunks only contend for them
+    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(job, jobs))
     else:
         parts = [job(j) for j in jobs]

@@ -111,16 +111,6 @@ def test_sequence_params_rejects_bad_partitions():
         SequenceParams(w, flipped)
 
 
-def test_block_mass_below_matches_weights():
-    params = default_params(kmax=60, rho=3.0)
-    w = params.weights
-    for b in params.blocks:
-        for e in (0, 3, 12, 60):
-            got = params.block_mass_below(b, e)
-            want = w.mass(b.k_lo, min(b.k_hi, e))
-            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-300)
-
-
 @given(st.integers(8, 400), st.floats(1.5, 8.0))
 def test_default_params_partition_invariants(kmax, rho):
     assume(harmonic(kmax) >= rho - 1.0 + 1e-9)   # first block must close

@@ -48,9 +48,19 @@ def test_scenario_defaults():
         (18, "invlog", (5, 12), 7)
 
 
-def test_preset_pins_weight_mode():
-    with pytest.raises(ParamsError):
-        parse(["theorem1", "--a-mode", "invlog"])
+def test_preset_pins_weight_mode(capsys, tmp_path):
+    want = {"type": "ParamsError",
+            "message": "this preset pins its weight mode",
+            "details": {"scenario": "THEOREM1", "pinned": "const",
+                        "requested": "invlog"}}
+    for argv in (["theorem1", "--a-mode", "invlog",
+                  "--out", str(tmp_path / "out")],
+                 ["validate", "--scenario", "theorem1", "--a-mode",
+                  "invlog"]):
+        code, doc = run_main(argv, capsys)
+        assert code == 2
+        assert doc == {"error": want}
+    assert not (tmp_path / "out").exists()
     # naming the pinned mode explicitly is allowed
     cfg = parse(["theorem1", "--a-mode", "const"])
     assert cfg.a_mode == "const"

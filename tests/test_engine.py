@@ -10,11 +10,12 @@ from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.engine import (WORK_BUDGET, BlockProfile, Condition,
                            ExactMoments, SeriesTail, TrendKind, TrendRule,
-                           Verdict, dyadic_grid, format_csv, lag_weight,
-                           pair_count, sigma_sq_over_n)
+                           Verdict, dyadic_grid, format_csv, pair_count,
+                           sigma_sq_over_n)
 from cltlab.errors import MemoryBudgetError, WorkBudgetError
-from cltlab.reference import (RationalMoments, count_pairs,
-                              dense_series_tail_norm, exact_fraction)
+from cltlab.reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
+                              dense_series_tail_norm, exact_fraction,
+                              sigma_sq_enumerated)
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -33,13 +34,6 @@ def desk_params(kmax=14, rho=4.0):
 def test_pair_count_matches_brute(ke, m, N):
     n_k = 1 << ke
     assert pair_count(n_k, m, N) == count_pairs(n_k, m, N)
-
-
-@given(st.integers(0, 6), st.integers(0, 80), st.integers(1, 70))
-def test_lag_weight_matches_brute(ke, j, N):
-    n_k = 1 << ke
-    want = count_pairs(n_k, -j, N) / n_k
-    assert lag_weight(n_k, j, N) == pytest.approx(want, abs=0.0)
 
 
 def test_block_profile_matches_coefficient_sum():
@@ -165,11 +159,12 @@ def test_orthogonal_decomposition_random_desk():
 
 
 def test_sigma_routes_agree():
-    em = ExactMoments(desk_params())
+    params = desk_params()
+    em = ExactMoments(params)
     for N in (1 << 4, 1 << 8, 1 << 12):
         a = em.sigma_sq(N)
         b = em.sigma_sq_paircov(N)
-        c = em.sigma_sq_enumerated(N)
+        c = sigma_sq_enumerated(params, N)
         assert a == pytest.approx(b, rel=1e-11)
         assert a == pytest.approx(c, rel=1e-11)
     with pytest.raises(ValueError):
@@ -203,9 +198,11 @@ def test_astronomic_horizon_variance_is_finite():
 
 
 def test_enumerated_route_budget():
-    em = ExactMoments(desk_params(), enum_budget=1 << 10)
+    params = desk_params()
     with pytest.raises(MemoryBudgetError):
-        em.sigma_sq_enumerated(1 << 8)
+        sigma_sq_enumerated(params, DENSE_SIGMA_CAP)
+    with pytest.raises(MemoryBudgetError):
+        sigma_sq_enumerated(default_params(kmax=40_000_000), 1 << 4)
 
 
 # -- condition sweeps ------------------------------------------------------

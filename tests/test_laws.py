@@ -122,6 +122,23 @@ def test_mixture_and_doubling_routes_agree(monkeypatch):
     assert ks_distance(a, b) < 1e-11
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0 / 3.0, 1.0 / 64.0, 1.0 / 2048.0])
+def test_doubling_pmf_matches_repeated_convolution(q):
+    step = np.array([q / 2.0, 1.0 - q, q / 2.0])
+    brute = np.array([1.0])
+    trimmed = 0
+    for trials in range(1, 41):
+        brute = np.convolve(brute, step)
+        support, probs, lost = laws._signed_count_pmf_doubling(
+            trials, q, laws.ATOM_MASS_TOL)
+        assert lost <= laws.ATOM_MASS_TOL
+        trimmed += lost > 0.0
+        got = np.zeros(2 * trials + 1)
+        got[support + trials] = probs
+        assert np.max(np.abs(got - brute)) <= 1e-12
+    assert trimmed   # the tail-trimming path is among those compared
+
+
 def test_gauss_merge_certificate_astronomic():
     params = default_params(kmax=40_000_000, rho=4.0)
     N = params.blocks[1].horizon

@@ -1,5 +1,6 @@
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import binom, chisquare, kstat, ks_2samp
 
+import cltlab.simulate as simulate
 from cltlab.blocks import BlockParity, default_params
 from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, WorkBudgetError
 from cltlab.simulate import (SITE_DRAW_BUDGET, SampleKind, _build_plan,
-                             _distinct_offsets, _lane_uniforms, _stream,
-                             build_profile, derive_seed, dichotomy_samples,
-                             draw_coordinate, sample_batch)
+                             _distinct_offsets, _draw_ramp, _lane_uniforms,
+                             _stream, build_profile, derive_seed,
+                             dichotomy_samples, sample_batch)
 
 
 def desk_params():
@@ -24,23 +26,6 @@ def test_derive_seed_is_stable_and_spread():
     assert derive_seed(745, 3) == derive_seed(745, 3)
     seen = {derive_seed(s, salt) for s in range(4) for salt in range(32)}
     assert len(seen) == 128
-
-
-def test_draw_coordinate_frequencies():
-    params = desk_params()
-    spike = params.blocks[0]
-    assert spike.parity is BlockParity.THREE_VALUED
-    rng = np.random.default_rng(11)
-    n = 200_000
-    vals = np.array([draw_coordinate(spike, rng) for _ in range(n)])
-    assert set(np.unique(vals)) <= {-1.0, 0.0, 1.0}
-    p = 0.5 / spike.horizon            # per sign
-    for sign in (1.0, -1.0):
-        freq = float(np.mean(vals == sign))
-        assert abs(freq - p) < 5.0 * math.sqrt(p * (1 - p) / n)
-    gauss = params.blocks[1]
-    g = np.array([draw_coordinate(gauss, rng) for _ in range(20_000)])
-    assert abs(g.mean()) < 0.05 and abs(g.var() - 1.0) < 0.05
 
 
 def test_worker_count_never_changes_bytes():
@@ -62,16 +47,40 @@ def test_worker_count_never_changes_bytes_with_hitless_chunks():
     N, count, chunk, seed = 1 << 12, 3000, 64, 5
     # some ramp segment has chunks with hits and chunks without
     plan = _build_plan(build_profile(params, N), False)
-    per_chunk = [[int(binom.ppf(_lane_uniforms(seed, op.lane, ci, chunk),
-                                op.seg.hi - op.seg.lo + 1, op.aux).sum())
+    ramps = [draw.keywords for draw in plan if draw.func is _draw_ramp]
+    per_chunk = [[int(binom.ppf(_lane_uniforms(seed, op["lane"], ci, chunk),
+                                op["seg"].hi - op["seg"].lo + 1,
+                                op["hit_prob"]).sum())
                   for ci in range(count // chunk)]
-                 for op in plan if op.op == "ramp"]
+                 for op in ramps]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
     base = sample_batch(params, N, count, seed, chunk=chunk)
     for workers in (2, 8):
         again = sample_batch(params, N, count, seed, chunk=chunk,
                              workers=workers)
         assert np.array_equal(base.values, again.values)
+
+
+def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
+    opened = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+    params = desk_params()
+    # 1000 draws: ten chunks of 100, or three of 400
+    for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
+                               (1, 100, []), (None, 100, [])):
+        base = sample_batch(params, 1 << 8, 1000, 745, chunk=chunk)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+        opened.clear()
+        batch = sample_batch(params, 1 << 8, 1000, 745, chunk=chunk,
+                             workers=8)
+        assert opened == want
+        assert np.array_equal(batch.values, base.values)
 
 
 # ---------------------------------------------------------------------------
