@@ -60,9 +60,14 @@ DESK_N_CAP = 1 << 52
 WORK_BUDGET = 1 << 23
 
 
-def pair_count(n_k: int, m: int, N: int) -> int:
-    """Trapezoid weight: #{(j, i): 0 <= j < N, 0 <= i < n_k, j - i = m}."""
-    return max(0, min(m + n_k, n_k, N, N - m))
+def pair_count(n_k, m, N):
+    """Trapezoid weight: #{(j, i): 0 <= j < N, 0 <= i < n_k, j - i = m}.
+
+    Broadcasts over integer arrays: int64 while every m + n_k and N - m
+    fits, exact Python ints in object arrays beyond that.
+    """
+    return np.maximum(0, np.minimum(np.minimum(m + n_k, n_k),
+                                    np.minimum(N, N - m)))
 
 
 def _log2_floor(N: int) -> int:
@@ -145,7 +150,16 @@ class Segment:
 
 
 class BlockProfile:
-    """Piecewise-affine coordinate coefficients of one block at horizon N."""
+    """Piecewise-affine coordinate coefficients of one block at horizon N.
+
+    Each segment's value and slope are sums over the block's scales k of
+    (a_k / k / 2^k) times a trapezoid count, accumulated from 0.0 in
+    increasing k.  ``np.cumsum`` along the scale axis is that sequential
+    accumulation (a pairwise ``np.sum`` would change the last digits), so
+    the bits match a scalar loop over k.  The counts are exact integers:
+    int64 while k_cut + 2 <= 62, exact Python ints (object arrays) above,
+    since the cut points reach -2^k_cut; never floats.
+    """
 
     def __init__(self, params: SequenceParams, block: BlockSpec, N: int):
         if N > DESK_N_CAP:
@@ -174,19 +188,20 @@ class BlockProfile:
                 bounds.append((c, N - 1))
             elif nxt >= c:
                 bounds.append((c, nxt))
-        self.segments = []
-        for lo, hi in bounds:
-            mid = (lo + hi) // 2
-            v = 0.0
-            sl = 0.0
-            probe = mid + 1 if mid + 1 <= hi else mid
-            for k, cf in zip(ks, coeffs):
-                n = 1 << k
-                w0 = pair_count(n, mid, N)
-                v += cf * w0
-                if probe != mid:
-                    sl += cf * (pair_count(n, probe, N) - w0)
-            self.segments.append(Segment(lo, hi, v, sl, mid))
+        dtype = np.int64 if k_cut + 2 <= 62 else object
+        lo_hi = np.array(bounds, dtype=dtype)
+        mid = (lo_hi[:, 0] + lo_hi[:, 1]) // 2
+        probe = np.minimum(mid + 1, lo_hi[:, 1])
+        n = np.array([1 << k for k in ks], dtype=dtype)
+        w_mid = pair_count(n, mid[:, None], N).astype(np.int64)
+        w_probe = pair_count(n, probe[:, None], N).astype(np.int64)
+        # column 0 is the accumulator's 0.0 start, as in v = 0.0; v += ...
+        terms = np.zeros((2, len(bounds), len(ks) + 1))
+        terms[0, :, 1:] = np.multiply(coeffs, w_mid)
+        terms[1, :, 1:] = np.multiply(coeffs, w_probe - w_mid)
+        v_mid, slope = np.cumsum(terms, axis=2)[:, :, -1].tolist()
+        self.segments = [Segment(lo, hi, v, sl, m) for (lo, hi), v, sl, m
+                         in zip(bounds, v_mid, slope, mid.tolist())]
 
     @property
     def m_lo(self) -> int:

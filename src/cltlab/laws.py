@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import ive, ndtr, ndtri
-from scipy.stats import binom, poisson
+from scipy.special import gammaln, ive, ndtr, ndtri, xlogy
+from scipy.special._ufuncs import _binom_pmf
 
 from .blocks import BlockParity, SequenceParams
 from .engine import DESK_N_CAP, ExactMoments
@@ -343,7 +343,7 @@ def _signed_count_pmf_mixture(hit_weights: np.ndarray, h0: int):
         if w <= 0.0:
             continue
         j = np.arange(h + 1)
-        probs[(2 * j - h) + h_hi] += w * binom.pmf(j, h, 0.5)
+        probs[(2 * j - h) + h_hi] += w * _binom_pmf(j, h, 0.5)
     return np.arange(-h_hi, h_hi + 1), probs
 
 
@@ -381,6 +381,11 @@ def _signed_count_pmf_doubling(trials: int, q: float, mass_tol: float):
     return np.arange(off, off + pr.size), pr, lost
 
 
+def _poisson_pmf(h: np.ndarray, lam: float) -> np.ndarray:
+    """``scipy.stats.poisson.pmf`` for counts h >= 0, by the same log form."""
+    return np.exp(xlogy(h, lam) - gammaln(h + 1) - lam)
+
+
 def _count_window(lam: float, cap: int | None):
     lo = max(0, int(lam - 12.0 * math.sqrt(lam) - 25.0))
     hi = int(lam + 12.0 * math.sqrt(lam) + 30.0)
@@ -404,7 +409,7 @@ def _atom_pmf(atom: LatticeAtom, mass_tol: float):
             lo, hi = _count_window(lam, atom.trials)
             for _ in range(5):
                 h = np.arange(lo, hi + 1)
-                w = binom.pmf(h, float(atom.trials), atom.hit_prob)
+                w = _binom_pmf(h, float(atom.trials), atom.hit_prob)
                 mass = float(w.sum())
                 if mass >= 1.0 - 0.25 * mass_tol or hi >= atom.trials:
                     break
@@ -427,7 +432,7 @@ def _atom_pmf(atom: LatticeAtom, mass_tol: float):
         lam = 2.0 ** ll
         lo, hi = _count_window(lam, None)
         h = np.arange(lo, hi + 1)
-        w = poisson.pmf(h, lam)
+        w = _poisson_pmf(h, lam)
         mass = float(w.sum())
         support, probs = _signed_count_pmf_mixture(w, lo)
         tv = 2.0 ** atom.log2_hit if atom.log2_hit > -1074 else 0.0

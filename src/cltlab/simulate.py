@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_ppf
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
 from .engine import (DESK_N_CAP, ExactMoments, Segment, block_var_over_n)
@@ -339,6 +339,18 @@ def _distinct_offsets(rng: np.random.Generator, length: int,
             np.concatenate([offs[~drawn], c]))
 
 
+def _binom_quantile(q: np.ndarray, n, p) -> np.ndarray:
+    """``scipy.stats.binom.ppf`` on valid (n, p), from its ufunc alone.
+
+    The smallest k with cdf(k) >= q, as floats; q == 0 gives -1 and
+    q == 1 gives n, as the scipy.stats wrapper does.  Lane uniforms can
+    round up to exactly 1.0.  Importing ``scipy.stats`` would add about
+    0.7 s to every process start.
+    """
+    k = _binom_ppf(q, n, p)
+    return np.where(q == 0.0, -1.0, np.where(q == 1.0, n, k))
+
+
 def _draw_normal(seed, chunk_idx, size, *, lane, std):
     """A Gaussian block, or a segment with too many hits to count."""
     if std == 0.0:
@@ -349,9 +361,9 @@ def _draw_normal(seed, chunk_idx, size, *, lane, std):
 def _draw_flat(seed, chunk_idx, size, *, lane, length, hit_prob, coef):
     """A constant spike segment: only the signed hit count matters."""
     u1 = _lane_uniforms(seed, lane, chunk_idx, size)
-    hits = binom.ppf(u1, length, hit_prob)
+    hits = _binom_quantile(u1, length, hit_prob)
     u2 = _lane_uniforms(seed, lane + 1, chunk_idx, size)
-    pos = binom.ppf(u2, hits, 0.5)
+    pos = _binom_quantile(u2, hits, 0.5)
     return coef * (2.0 * pos - hits)
 
 
@@ -359,7 +371,7 @@ def _draw_ramp(seed, chunk_idx, size, *, lane, seg_id, seg, hit_prob, coef):
     """A sloped spike segment: hit offsets and signs drawn in bulk."""
     length = seg.hi - seg.lo + 1
     u1 = _lane_uniforms(seed, lane, chunk_idx, size)
-    hits = binom.ppf(u1, length, hit_prob).astype(np.int64)
+    hits = _binom_quantile(u1, length, hit_prob).astype(np.int64)
     if not hits.any():
         return 0.0
     rng = _stream(seed ^ _HIT_TAG, (chunk_idx << 24) | seg_id)

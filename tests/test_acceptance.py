@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.engine import Condition, ExactMoments, dyadic_grid

@@ -5,8 +5,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cltlab.blocks import (BlockParity, MassTarget, SequenceParams,
-                           TargetKind, build_blocks, default_params,
-                           parity_of, split_blocks)
+                           TargetKind, default_params, parity_of,
+                           split_blocks)
 from cltlab.errors import ParamsError
 from cltlab.weights import WeightMode, build_weights, harmonic
 

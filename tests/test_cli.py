@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cltlab.cli import (ExperimentConfig, Scenario, _parse_grid,
-                        build_parser, config_from_args, main)
+import cltlab
+from cltlab.cli import (Scenario, _parse_grid, build_parser,
+                        config_from_args, main)
 from cltlab.config import save_params
 from cltlab.blocks import default_params
 from cltlab.errors import ParamsError
@@ -20,6 +24,16 @@ def run_main(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out.strip()
     return code, json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.7 s of every process start
+    code = ("import sys, cltlab.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    src = str(Path(cltlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_parse_grid():

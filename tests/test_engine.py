@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +13,7 @@ from cltlab.engine import (WORK_BUDGET, BlockProfile, Condition,
                            sigma_sq_over_n)
 from cltlab.errors import MemoryBudgetError, WorkBudgetError
 from cltlab.reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
-                              dense_series_tail_norm, exact_fraction,
-                              sigma_sq_enumerated)
+                              dense_series_tail_norm, sigma_sq_enumerated)
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -36,6 +34,33 @@ def test_pair_count_matches_brute(ke, m, N):
     assert pair_count(n_k, m, N) == count_pairs(n_k, m, N)
 
 
+def pairs_by_lead(n_k, m, N):
+    """count_pairs with the inner loop solved: O(N) for any n_k and m."""
+    return sum(1 for j in range(N) if 0 <= j - m < n_k)
+
+
+def test_pair_count_on_grids():
+    # int64 grid, as the profile evaluates it: scales along axis 1
+    n = np.array([1 << k for k in range(7)])
+    m = np.arange(-70, 40)
+    for N in (1, 17, 32):
+        got = pair_count(n, m[:, None], N)
+        assert got.dtype == np.int64
+        want = [[count_pairs(int(a), int(b), N) for a in n] for b in m]
+        assert (got == np.array(want)).all()
+    # exact-int grid: cut points and scales far beyond int64
+    n = np.array([1 << k for k in (62, 63, 64, 100, 136, 140)], dtype=object)
+    edges = [0, 1, -1, 16, 17]
+    for k in (62, 63, 64, 100, 136, 140):
+        edges += [-(1 << k) + 1, -(1 << k), -(1 << k) + 17, -(1 << k) + 5]
+    m = np.array(edges + [(1 << 140) - 1, 1 << 140], dtype=object)
+    for N in (1, 17):
+        got = pair_count(n, m[:, None], N)
+        assert got.dtype == object
+        want = [[pairs_by_lead(a, b, N) for a in n] for b in m]
+        assert got.tolist() == want
+
+
 def test_block_profile_matches_coefficient_sum():
     params = tiny_params(kmax=5, ends=(2, 5))
     for N in (3, 8, 17):
@@ -49,6 +74,64 @@ def test_block_profile_matches_coefficient_sum():
                 assert prof.value(m) == pytest.approx(want, rel=1e-13)
             assert prof.value(prof.m_lo - 1) == 0.0
             assert prof.value(N) == 0.0
+
+
+def loop_profile(params, block, N):
+    """(lo, hi, mid, v_mid, slope) per segment by one scalar loop over k
+    per segment, in increasing k from 0.0: the order the array profile
+    must reproduce bit for bit."""
+    k_cut = min(block.k_hi, N.bit_length() - 1 + engine.K_GUARD)
+    ks = range(block.k_lo, k_cut + 1)
+    coeffs = [params.weights.ratio(k) / float(1 << k) for k in ks]
+    cuts = {N - 1}
+    for k in ks:
+        cuts.update((-(1 << k) + 1, min(0, N - (1 << k)),
+                     max(0, N - (1 << k))))
+    cuts = sorted(c for c in cuts if -(1 << k_cut) < c <= N - 1)
+    his = [c - 1 for c in cuts[1:]] + [N - 1]
+    rows = []
+    for lo, hi in zip(cuts, his):
+        if hi < lo:
+            continue
+        mid = (lo + hi) // 2
+        probe = mid + 1 if mid + 1 <= hi else mid
+        v = sl = 0.0
+        for k, cf in zip(ks, coeffs):
+            n = 1 << k
+            w0 = max(0, min(mid + n, n, N, N - mid))
+            v += cf * w0
+            if probe != mid:
+                sl += cf * (max(0, min(probe + n, n, N, N - probe)) - w0)
+        rows.append((lo, hi, mid, float(v), float(sl)))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["int64", "exact_int", "dtype_switch",
+                                  "beyond_guard"])
+def test_block_profile_bits_match_scalar_loop(case):
+    deep = tiny_params(kmax=200, ends=(100, 200))
+    params, horizons = {
+        "int64": (desk_params(kmax=14), (1 << 10, 17, (1 << 30) + 3)),
+        "exact_int": (deep, (1 << 40, 17, (1 << 30) + 3)),
+        # k_cut = 60..64 on either side of the int64 limit
+        "dtype_switch": (tiny_params(kmax=64, ends=(60, 61, 62, 63, 64)),
+                         ((1 << 52) - 1, 17)),
+        "beyond_guard": (deep, (1, 2, 3)),
+    }[case]
+    for N in horizons:
+        for b in params.blocks:
+            k_cut = min(b.k_hi, N.bit_length() - 1 + engine.K_GUARD)
+            if case == "exact_int" and b.k_lo == 101:
+                assert k_cut > 62
+            got = [(s.lo, s.hi, s.mid, s.v_mid, s.slope)
+                   for s in BlockProfile(params, b, N).segments]
+            want = loop_profile(params, b, N)
+            assert got == want
+            assert repr(got) == repr(want)     # tells -0.0 from 0.0 too
+            assert all(type(x) is int for row in got for x in row[:3])
+            assert all(type(x) is float for row in got for x in row[3:])
+            if case == "beyond_guard" and b.k_lo == 101:
+                assert got == [(N - 1, N - 1, N - 1, 0.0, 0.0)]
 
 
 # -- float engine vs rational oracle ---------------------------------------

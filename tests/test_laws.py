@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm, poisson, skellam
+from scipy.stats import binom, norm, poisson, skellam
 
 import cltlab.laws as laws
 from cltlab.blocks import BlockParity, SequenceParams, default_params, \
@@ -11,10 +11,10 @@ from cltlab.blocks import BlockParity, SequenceParams, default_params, \
 from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
-                         LatticeAtom, NormalLaw, dichotomy_report,
-                         empirical_law, exact_law, format_ks_csv,
-                         ks_distance, ks_pass_bound, law_to_json,
-                         sym_poisson, tv_distance)
+                         NormalLaw, dichotomy_report, empirical_law,
+                         exact_law, format_ks_csv, ks_distance,
+                         ks_pass_bound, law_to_json, sym_poisson,
+                         tv_distance)
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -137,6 +137,28 @@ def test_doubling_pmf_matches_repeated_convolution(q):
         got[support + trials] = probs
         assert np.max(np.abs(got - brute)) <= 1e-12
     assert trimmed   # the tail-trimming path is among those compared
+
+
+def test_count_pmfs_match_scipy_stats():
+    for h in range(41):                  # signs of h hits
+        j = np.arange(h + 1)
+        np.testing.assert_array_equal(laws._binom_pmf(j, h, 0.5),
+                                      binom.pmf(j, h, 0.5))
+    for trials in (1, 17, 1000, (1 << 20) + 3, (1 << 40) - 1):
+        for e in range(1, 45):           # hit counts of one atom
+            lam = trials * 2.0 ** -e
+            if lam > laws.MIXTURE_LAMBDA:
+                continue
+            lo, hi = laws._count_window(lam, trials)
+            h = np.arange(lo, hi + 1)
+            np.testing.assert_array_equal(
+                laws._binom_pmf(h, float(trials), 2.0 ** -e),
+                binom.pmf(h, float(trials), 2.0 ** -e))
+    for lam in [2.0 ** e for e in range(-44, 12)] + [0.3, 17.5]:
+        lo, hi = laws._count_window(lam, None)
+        h = np.arange(lo, hi + 1)
+        np.testing.assert_array_equal(laws._poisson_pmf(h, lam),
+                                      poisson.pmf(h, lam))
 
 
 def test_gauss_merge_certificate_astronomic():
