@@ -245,19 +245,8 @@ def _json_ready(obj):
 
 
 def _emit_error(exc: Exception) -> None:
-    details = {}
-    if isinstance(exc, ParamsError):
-        details = exc.details
-    elif isinstance(exc, WorkBudgetError):
-        details = {"estimated_ops": exc.estimated_ops, "budget": exc.budget}
-    elif isinstance(exc, MemoryBudgetError):
-        details = {"estimated_bytes": exc.estimated_bytes,
-                   "budget": exc.budget}
-    elif isinstance(exc, TruncationError):
-        details = {"achieved_mass": exc.achieved_mass,
-                   "target_mass": exc.target_mass}
     payload = {"error": {"type": type(exc).__name__, "message": str(exc),
-                         "details": _json_ready(details)}}
+                         "details": _json_ready(exc.details)}}
     print(json.dumps(payload, sort_keys=True, default=str))
 
 

@@ -1,12 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each carries its named context (e.g. the mass accumulated before a block
+construction ran out of indices, or an estimate against its budget) in
+``details``; unset entries stay None.
+"""
 
 
 class ParamsError(ValueError):
-    """Raised when a parameter set is structurally invalid.
-
-    Carries optional context (e.g. the mass accumulated before a block
-    construction ran out of indices) in ``details``.
-    """
+    """Raised when a parameter set is structurally invalid."""
 
     def __init__(self, message, **details):
         super().__init__(message)
@@ -18,8 +19,7 @@ class WorkBudgetError(RuntimeError):
 
     def __init__(self, message, estimated_ops=None, budget=None):
         super().__init__(message)
-        self.estimated_ops = estimated_ops
-        self.budget = budget
+        self.details = {"estimated_ops": estimated_ops, "budget": budget}
 
 
 class MemoryBudgetError(RuntimeError):
@@ -27,8 +27,7 @@ class MemoryBudgetError(RuntimeError):
 
     def __init__(self, message, estimated_bytes=None, budget=None):
         super().__init__(message)
-        self.estimated_bytes = estimated_bytes
-        self.budget = budget
+        self.details = {"estimated_bytes": estimated_bytes, "budget": budget}
 
 
 class TruncationError(RuntimeError):
@@ -36,5 +35,5 @@ class TruncationError(RuntimeError):
 
     def __init__(self, message, achieved_mass=None, target_mass=None):
         super().__init__(message)
-        self.achieved_mass = achieved_mass
-        self.target_mass = target_mass
+        self.details = {"achieved_mass": achieved_mass,
+                        "target_mass": target_mass}

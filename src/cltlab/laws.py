@@ -1,10 +1,15 @@
 """Reference laws for the horizon sums and distances between them.
 
-Four law variants share one small interface (cdf, left-limit cdf, moments,
-quantiles): NORMAL, SYM_POISSON (difference of two independent Poisson
-variables), EXACT_FINITE (the law of the flat-coefficient stand-in sum:
-an independent Gaussian component plus one signed-count lattice component
-per three-valued block), and EMPIRICAL (a sorted sample batch).
+Every law here has one shape: a Gaussian component convolved with a
+weighted lattice table.  A variant only realizes its table (Gaussian
+variance, sorted support, weights, total weight), lazily; ``LawModel``
+alone evaluates cdf, left-limit cdf, moments and quantiles from it.
+NORMAL is one atom at its mean plus its variance; SYM_POISSON (difference
+of two independent Poisson variables) and EMPIRICAL (a sorted sample
+batch, one unit weight per draw) are pure lattice tables; EXACT_FINITE
+(the law of the flat-coefficient stand-in sum) is an independent
+Gaussian component plus the joint table of one signed-count lattice
+component per three-valued block.
 
 EXACT_FINITE components are realized with certified error accounting.  A
 lattice component whose expected hit count exceeds the sampler's
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,6 +55,7 @@ KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
 KS_SNAP = 1e-9               # evaluation nudge around candidate points
 
 _LOG2_GAUSSIANIZE = math.log2(GAUSSIANIZE_HITS)
+_EVAL_CHUNK = 1 << 16        # Gaussian-mixture cdf elements per step
 
 
 class LawVariant(Enum):
@@ -63,38 +69,90 @@ class LawVariant(Enum):
 # Base interface
 
 class LawModel:
-    """Common evaluation surface shared by all variants."""
+    """The one evaluator, over a variant's Gaussian-plus-lattice table.
+
+    ``_realize`` returns (gauss_var, support, weights, total): the
+    support sorted, the weights aligned with it, or None for one unit
+    weight per point (a sample), and total their sum.  The table is
+    realized on first use.
+    """
 
     variant: LawVariant
+    _plan: tuple | None = None
+
+    def _realize(self) -> tuple:
+        raise NotImplementedError
+
+    def _table(self) -> tuple:
+        if self._plan is None:
+            self._plan = self._realize()
+        return self._plan
 
     def cdf(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._cdf(x, "right")
 
     def cdf_left(self, x) -> np.ndarray:
         """P(X < x); differs from cdf only at discontinuities."""
-        return self.cdf(x)
+        return self._cdf(x, "left")
+
+    def _cdf(self, x, side: str) -> np.ndarray:
+        gv, support, weights, total = self._table()
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if gv > 0.0:
+            sd = math.sqrt(gv)
+            out = np.empty(x.size)
+            step = max(1, _EVAL_CHUNK // support.size)
+            for i in range(0, x.size, step):
+                z = (x[i:i + step, None] - support[None, :]) / sd
+                out[i:i + step] = ndtr(z) @ weights
+            return out
+        idx = np.searchsorted(support, x, side=side)
+        if weights is None:
+            return idx / total
+        # weighted tables are read as they are: their mass is 1 up to
+        # the truncation they account for
+        return np.concatenate([[0.0], np.cumsum(weights)])[idx]
 
     def mean(self) -> float:
-        raise NotImplementedError
+        _, support, weights, total = self._table()
+        return float(weights @ support) / total if total > 0 else 0.0
 
     def variance(self) -> float:
-        raise NotImplementedError
+        gv, support, weights, total = self._table()
+        if total <= 0.0:
+            return gv
+        return gv + float(weights @ (support - self.mean()) ** 2) / total
 
     def std(self) -> float:
         return math.sqrt(max(self.variance(), 0.0))
 
     def discontinuities(self) -> np.ndarray:
-        return np.empty(0)
+        gv, support, _, _ = self._table()
+        return np.empty(0) if gv > 0.0 else support
 
     def lattice_table(self):
         """(support, probs) for purely discrete laws, else None."""
-        return None
+        gv, support, weights, total = self._table()
+        if gv > 0.0:
+            return None
+        if weights is None:
+            support, counts = np.unique(support, return_counts=True)
+            return support, counts / total
+        return support, weights
 
     def moment_table(self) -> dict:
-        raise NotImplementedError
+        gv, support, weights, _ = self._table()
+        if weights is None:
+            support, weights = self.lattice_table()
+        return _mixture_moments(gv, support, weights)
 
     def quantile_table(self, probs=(0.01, 0.05, 0.25, 0.5, 0.75, 0.95,
                                     0.99)) -> dict:
+        gv, support, _, _ = self._table()
+        if support.size == 1:           # one Gaussian, or a point mass
+            sd = math.sqrt(gv)
+            return {float(p): float(support[0]) + sd * float(ndtri(p))
+                    for p in probs}
         table = self.lattice_table()
         if table is not None:
             support, pr = table
@@ -158,46 +216,8 @@ class NormalLaw(LawModel):
         if self.var < 0.0:
             raise ParamsError("variance must be nonnegative", var=self.var)
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.var == 0.0:
-            return (x >= self.mu).astype(float)
-        return ndtr((x - self.mu) / math.sqrt(self.var))
-
-    def cdf_left(self, x) -> np.ndarray:
-        if self.var > 0.0:
-            return self.cdf(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (x > self.mu).astype(float)
-
-    def mean(self) -> float:
-        return self.mu
-
-    def variance(self) -> float:
-        return self.var
-
-    def discontinuities(self) -> np.ndarray:
-        if self.var == 0.0:
-            return np.array([self.mu])
-        return np.empty(0)
-
-    def lattice_table(self):
-        if self.var == 0.0:
-            return np.array([self.mu]), np.array([1.0])
-        return None
-
-    def moment_table(self) -> dict:
-        degenerate = self.var == 0.0
-        return {"mean": self.mu, "variance": self.var,
-                "skewness": math.nan if degenerate else 0.0,
-                "excess_kurtosis": math.nan if degenerate else 0.0}
-
-    def quantile_table(self, probs=(0.01, 0.05, 0.25, 0.5, 0.75, 0.95,
-                                    0.99)) -> dict:
-        if self.var == 0.0:
-            return {float(p): self.mu for p in probs}
-        sd = math.sqrt(self.var)
-        return {float(p): self.mu + sd * float(ndtri(p)) for p in probs}
+    def _realize(self):
+        return self.var, np.array([self.mu], dtype=float), np.ones(1), 1.0
 
     def _parameters(self) -> dict:
         return {"mu": self.mu, "var": self.var}
@@ -217,76 +237,43 @@ class SymPoissonLaw(LawModel):
 
     lam: float
     variant = LawVariant.SYM_POISSON
-    _support: np.ndarray | None = field(default=None, repr=False)
-    _probs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise ParamsError("rate must be nonnegative", lam=self.lam)
 
-    def _table(self):
-        if self._probs is None:
-            if self.lam == 0.0:
-                self._support = np.array([0.0])
-                self._probs = np.array([1.0])
-                return self._support, self._probs
-            sd = math.sqrt(2.0 * self.lam)
-            n_max = int(12.0 * sd) + 30
-            for _ in range(6):
-                if n_max > SUPPORT_BUDGET:
-                    raise TruncationError(
-                        "symmetrized-Poisson support exceeds the budget",
-                        target_mass=1.0 - ATOM_MASS_TOL)
-                n = np.arange(n_max + 1)
-                half = ive(n, 2.0 * self.lam)
-                mass = half[0] + 2.0 * half[1:].sum()
-                if mass >= 1.0 - ATOM_MASS_TOL:
-                    break
-                n_max *= 2
-            else:
+    def _realize(self):
+        if self.lam == 0.0:
+            return 0.0, np.zeros(1), np.ones(1), 1.0
+        sd = math.sqrt(2.0 * self.lam)
+        n_max = int(12.0 * sd) + 30
+        for _ in range(6):
+            if n_max > SUPPORT_BUDGET:
                 raise TruncationError(
-                    "symmetrized-Poisson truncation fell short",
-                    achieved_mass=float(mass),
+                    "symmetrized-Poisson support exceeds the budget",
                     target_mass=1.0 - ATOM_MASS_TOL)
-            self._support = np.arange(-n_max, n_max + 1, dtype=float)
-            self._probs = np.concatenate([half[:0:-1], half])
-        return self._support, self._probs
+            n = np.arange(n_max + 1)
+            half = ive(n, 2.0 * self.lam)
+            mass = half[0] + 2.0 * half[1:].sum()
+            if mass >= 1.0 - ATOM_MASS_TOL:
+                break
+            n_max *= 2
+        else:
+            raise TruncationError(
+                "symmetrized-Poisson truncation fell short",
+                achieved_mass=float(mass),
+                target_mass=1.0 - ATOM_MASS_TOL)
+        probs = np.concatenate([half[:0:-1], half])
+        return (0.0, np.arange(-n_max, n_max + 1, dtype=float), probs,
+                float(probs.sum()))
 
     def pmf(self, n) -> np.ndarray:
         n = np.abs(np.atleast_1d(np.asarray(n)))
         return ive(n, 2.0 * self.lam)
 
-    def cdf(self, x) -> np.ndarray:
-        support, pr = self._table()
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        cum = np.concatenate([[0.0], np.cumsum(pr)])
-        return cum[np.searchsorted(support, x, side="right")]
-
-    def cdf_left(self, x) -> np.ndarray:
-        support, pr = self._table()
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        cum = np.concatenate([[0.0], np.cumsum(pr)])
-        return cum[np.searchsorted(support, x, side="left")]
-
-    def mean(self) -> float:
-        return 0.0
-
-    def variance(self) -> float:
-        return 2.0 * self.lam
-
-    def discontinuities(self) -> np.ndarray:
-        return self._table()[0]
-
-    def lattice_table(self):
-        return self._table()
-
-    def moment_table(self) -> dict:
-        support, pr = self._table()
-        return _mixture_moments(0.0, support, pr)
-
     def _parameters(self) -> dict:
         return {"lam": self.lam,
-                "support_radius": int(self._table()[0][-1])}
+                "support_radius": int(self._table()[1][-1])}
 
 
 def sym_poisson(lam: float) -> SymPoissonLaw:
@@ -455,100 +442,50 @@ class ExactFiniteLaw(LawModel):
     atoms: tuple[LatticeAtom, ...] = ()
     mass_tol: float = ATOM_MASS_TOL
     variant = LawVariant.EXACT_FINITE
-    _plan: tuple | None = field(default=None, repr=False)
 
     def _realize(self):
-        if self._plan is None:
-            gv = self.gauss_var
-            err = 0.0
-            lost = 0.0
-            vals = np.zeros(1)
-            pr = np.ones(1)
-            for atom in self.atoms:
-                ll = atom.log2_mean_hits
-                if ll <= -50.0:
-                    # P(any hit) <= expected hits; the component is a
-                    # point mass at 0 up to that much total variation.
-                    err += 2.0 ** max(ll, -1074.0)
-                    continue
-                if ll >= _LOG2_GAUSSIANIZE:
-                    gv += atom.var_share
-                    err += 0.56 * 2.0 ** (-0.5 * ll)
-                    continue
-                support, probs, tv, lo = _atom_pmf(atom, self.mass_tol)
-                err += tv
-                lost += lo
-                if vals.size * support.size > PRODUCT_BUDGET:
-                    raise TruncationError(
-                        "joint lattice support exceeds the budget",
-                        achieved_mass=float(pr.sum()) - lost,
-                        target_mass=1.0 - self.mass_tol)
-                vals = np.add.outer(vals,
-                                    atom.lattice_scale * support).ravel()
-                pr = np.multiply.outer(pr, probs).ravel()
-            order = np.argsort(vals, kind="stable")
-            self._plan = (gv, vals[order], pr[order], err, lost)
-        return self._plan
+        gv = self.gauss_var
+        err = 0.0
+        lost = 0.0
+        vals = np.zeros(1)
+        pr = np.ones(1)
+        for atom in self.atoms:
+            ll = atom.log2_mean_hits
+            if ll <= -50.0:
+                # P(any hit) <= expected hits; the component is a
+                # point mass at 0 up to that much total variation.
+                err += 2.0 ** max(ll, -1074.0)
+                continue
+            if ll >= _LOG2_GAUSSIANIZE:
+                gv += atom.var_share
+                err += 0.56 * 2.0 ** (-0.5 * ll)
+                continue
+            support, probs, tv, lo = _atom_pmf(atom, self.mass_tol)
+            err += tv
+            lost += lo
+            if vals.size * support.size > PRODUCT_BUDGET:
+                raise TruncationError(
+                    "joint lattice support exceeds the budget",
+                    achieved_mass=float(pr.sum()) - lost,
+                    target_mass=1.0 - self.mass_tol)
+            vals = np.add.outer(vals, atom.lattice_scale * support).ravel()
+            pr = np.multiply.outer(pr, probs).ravel()
+        order = np.argsort(vals, kind="stable")
+        pr = pr[order]
+        self._error = err + lost
+        return gv, vals[order], pr, float(pr.sum())
 
     @property
     def cdf_error_bound(self) -> float:
         """Certified sup-CDF error of the realization (gaussianized and
         Poisson-swapped components plus trimmed mass)."""
-        plan = self._realize()
-        return plan[3] + plan[4] + self.mass_tol
-
-    def cdf(self, x) -> np.ndarray:
-        gv, vals, pr, _, _ = self._realize()
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if gv <= 0.0:
-            cum = np.concatenate([[0.0], np.cumsum(pr)])
-            return cum[np.searchsorted(vals, x, side="right")]
-        sd = math.sqrt(gv)
-        out = np.empty(x.size)
-        step = max(1, (1 << 23) // max(vals.size, 1))
-        for i in range(0, x.size, step):
-            z = (x[i:i + step, None] - vals[None, :]) / sd
-            out[i:i + step] = ndtr(z) @ pr
-        return out
-
-    def cdf_left(self, x) -> np.ndarray:
-        gv, vals, pr, _, _ = self._realize()
-        if gv > 0.0:
-            return self.cdf(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        cum = np.concatenate([[0.0], np.cumsum(pr)])
-        return cum[np.searchsorted(vals, x, side="left")]
-
-    def mean(self) -> float:
-        _, vals, pr, _, _ = self._realize()
-        tot = float(pr.sum())
-        return float(pr @ vals) / tot if tot > 0 else 0.0
-
-    def variance(self) -> float:
-        gv, vals, pr, _, _ = self._realize()
-        tot = float(pr.sum())
-        if tot <= 0.0:
-            return gv
-        m1 = float(pr @ vals) / tot
-        return gv + float(pr @ (vals - m1) ** 2) / tot
-
-    def discontinuities(self) -> np.ndarray:
-        gv, vals, _, _, _ = self._realize()
-        return vals if gv <= 0.0 else np.empty(0)
-
-    def lattice_table(self):
-        gv, vals, pr, _, _ = self._realize()
-        return (vals, pr) if gv <= 0.0 else None
-
-    def moment_table(self) -> dict:
-        gv, vals, pr, _, _ = self._realize()
-        return _mixture_moments(gv, vals, pr)
+        self._table()                   # realizing sets _error
+        return self._error + self.mass_tol
 
     def _parameters(self) -> dict:
-        gv, _, _, err, lost = self._realize()
         return {
             "gauss_var": self.gauss_var,
-            "realized_gauss_var": gv,
+            "realized_gauss_var": self._table()[0],
             "cdf_error_bound": self.cdf_error_bound,
             "atoms": [
                 {"lattice_scale": a.lattice_scale,
@@ -608,7 +545,8 @@ def exact_law(params: SequenceParams, N: int,
 
 @dataclass(eq=False)
 class EmpiricalLaw(LawModel):
-    """The empirical measure of a finite sample."""
+    """The empirical measure of a finite sample: its sorted draws, one
+    unit weight each, so the cdf is a count over the sample size."""
 
     samples: np.ndarray
     variant = LawVariant.EMPIRICAL
@@ -619,16 +557,10 @@ class EmpiricalLaw(LawModel):
             raise ParamsError("empirical law needs at least one sample")
         self.samples = s
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.searchsorted(self.samples, x,
-                               side="right") / self.samples.size
+    def _realize(self):
+        return 0.0, self.samples, None, self.samples.size
 
-    def cdf_left(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.searchsorted(self.samples, x,
-                               side="left") / self.samples.size
-
+    # the sample's own moments and jump points, not a tally of its ties
     def mean(self) -> float:
         return float(self.samples.mean())
 
@@ -637,14 +569,6 @@ class EmpiricalLaw(LawModel):
 
     def discontinuities(self) -> np.ndarray:
         return np.unique(self.samples)
-
-    def lattice_table(self):
-        vals, counts = np.unique(self.samples, return_counts=True)
-        return vals, counts / self.samples.size
-
-    def moment_table(self) -> dict:
-        vals, pr = self.lattice_table()
-        return _mixture_moments(0.0, vals, pr)
 
     def _parameters(self) -> dict:
         return {"count": int(self.samples.size)}
@@ -668,13 +592,14 @@ def _mixture_moments(gv: float, vals: np.ndarray, pr: np.ndarray) -> dict:
     m3d = float(pr @ d ** 3) / tot
     m4d = float(pr @ d ** 4) / tot
     var = m2d + gv
-    m4 = m4d + 6.0 * gv * m2d + 3.0 * gv * gv
     if var <= 0.0:
         return {"mean": m1, "variance": var, "skewness": math.nan,
                 "excess_kurtosis": math.nan}
+    # (m4 - 3 var^2) / var^2 with the Gaussian part's terms cancelled
+    # by hand: exactly 0 for a pure Gaussian, m4d / m2d^2 - 3 for none
     return {"mean": m1, "variance": var,
             "skewness": m3d / var ** 1.5,
-            "excess_kurtosis": m4 / var ** 2 - 3.0}
+            "excess_kurtosis": m4d / var ** 2 - 3.0 * (m2d / var) ** 2}
 
 
 # ---------------------------------------------------------------------------

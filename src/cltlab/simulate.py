@@ -46,6 +46,8 @@ from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
+# scipy.stats.binom.ppf on q in (0, 1), where lane uniforms lie, without
+# the ~0.7 s that importing scipy.stats adds to every process start
 from scipy.special._ufuncs import _binom_ppf
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
@@ -298,11 +300,20 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
     return plan
 
 
+def _open_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniforms strictly inside (0, 1), for inversion transforms.
+
+    ``random()`` gives k / 2^53 for k < 2^53; the 2^-54 offset lifts 0
+    off the endpoint, and the top draw, which it rounds up to 1.0, is
+    put back at 1 - 2^-53.  No other draw moves.
+    """
+    return np.minimum(rng.random(size) + 2.0 ** -54, 1.0 - 2.0 ** -53)
+
+
 def _lane_uniforms(seed: int, lane: int, chunk_idx: int,
                    size: int) -> np.ndarray:
-    rng = _stream(seed ^ _LANE_TAG, (lane << 32) | chunk_idx)
-    # offset keeps inversion transforms off the 0/1 endpoints
-    return rng.random(size) + 2.0 ** -54
+    return _open_uniforms(_stream(seed ^ _LANE_TAG, (lane << 32) | chunk_idx),
+                          size)
 
 
 def _distinct_offsets(rng: np.random.Generator, length: int,
@@ -339,18 +350,6 @@ def _distinct_offsets(rng: np.random.Generator, length: int,
             np.concatenate([offs[~drawn], c]))
 
 
-def _binom_quantile(q: np.ndarray, n, p) -> np.ndarray:
-    """``scipy.stats.binom.ppf`` on valid (n, p), from its ufunc alone.
-
-    The smallest k with cdf(k) >= q, as floats; q == 0 gives -1 and
-    q == 1 gives n, as the scipy.stats wrapper does.  Lane uniforms can
-    round up to exactly 1.0.  Importing ``scipy.stats`` would add about
-    0.7 s to every process start.
-    """
-    k = _binom_ppf(q, n, p)
-    return np.where(q == 0.0, -1.0, np.where(q == 1.0, n, k))
-
-
 def _draw_normal(seed, chunk_idx, size, *, lane, std):
     """A Gaussian block, or a segment with too many hits to count."""
     if std == 0.0:
@@ -361,9 +360,9 @@ def _draw_normal(seed, chunk_idx, size, *, lane, std):
 def _draw_flat(seed, chunk_idx, size, *, lane, length, hit_prob, coef):
     """A constant spike segment: only the signed hit count matters."""
     u1 = _lane_uniforms(seed, lane, chunk_idx, size)
-    hits = _binom_quantile(u1, length, hit_prob)
+    hits = _binom_ppf(u1, length, hit_prob)
     u2 = _lane_uniforms(seed, lane + 1, chunk_idx, size)
-    pos = _binom_quantile(u2, hits, 0.5)
+    pos = _binom_ppf(u2, hits, 0.5)
     return coef * (2.0 * pos - hits)
 
 
@@ -371,7 +370,7 @@ def _draw_ramp(seed, chunk_idx, size, *, lane, seg_id, seg, hit_prob, coef):
     """A sloped spike segment: hit offsets and signs drawn in bulk."""
     length = seg.hi - seg.lo + 1
     u1 = _lane_uniforms(seed, lane, chunk_idx, size)
-    hits = _binom_quantile(u1, length, hit_prob).astype(np.int64)
+    hits = _binom_ppf(u1, length, hit_prob).astype(np.int64)
     if not hits.any():
         return 0.0
     rng = _stream(seed ^ _HIT_TAG, (chunk_idx << 24) | seg_id)
@@ -395,10 +394,11 @@ def _site_chunk(profile, denses, seed, chunk_idx, start, size, inv_unit):
         rng = _stream(seed ^ _SITE_TAG, start + i)
         total = 0.0
         for lay, (lo, g) in zip(layers, denses):
-            u = rng.random(g.size)
             if lay.block.parity is BlockParity.GAUSSIAN:
-                total += float(np.dot(g, ndtri(u + 2.0 ** -54)))
+                u = _open_uniforms(rng, g.size)
+                total += float(np.dot(g, ndtri(u)))
             else:
+                u = rng.random(g.size)
                 eps_half = 0.5 * lay.hit_prob
                 x = np.where(u < eps_half, 1.0,
                              np.where(u >= 1.0 - eps_half, -1.0, 0.0))

@@ -108,7 +108,9 @@ def test_missing_input_file_exits_2(capsys):
 def test_spectral_budget_exits_3(capsys):
     code, doc = run_main(["spectral", "--grid", "dyadic:1:31"], capsys)
     assert code == 3
-    assert doc["error"]["type"] == "WorkBudgetError"
+    assert doc == {"error": {
+        "type": "WorkBudgetError", "message": "condition sweep too large",
+        "details": {"estimated_ops": 1 << 34, "budget": 1 << 27}}}
 
 
 def test_custom_run_writes_artifacts(tmp_path, capsys):

@@ -11,16 +11,53 @@ from cltlab.blocks import BlockParity, SequenceParams, default_params, \
 from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
-                         NormalLaw, dichotomy_report, empirical_law,
-                         exact_law, format_ks_csv, ks_distance,
-                         ks_pass_bound, law_to_json, sym_poisson,
-                         tv_distance)
+                         LatticeAtom, NormalLaw, dichotomy_report,
+                         empirical_law, exact_law, format_ks_csv,
+                         ks_distance, ks_pass_bound, law_to_json,
+                         sym_poisson, tv_distance)
 from cltlab.weights import WeightMode, build_weights
 
 
 def single_odd_block(k):
     w = build_weights(WeightMode.CONST_ONE, k)
     return SequenceParams(w, split_blocks(w, [k]))
+
+
+# -- the shared evaluator --------------------------------------------------
+
+SHARED_CASES = {
+    "point_normal": lambda: NormalLaw(0.25, 0.0),
+    "sym_poisson_zero": lambda: sym_poisson(0.0),
+    "empirical_ties": lambda: empirical_law(
+        [0.5, -1.0, 0.5, 2.0, 0.5, -1.0, 3.25]),
+    # one expected hit of a 0.7-step lattice on top of a Gaussian part
+    "gauss_and_atom": lambda: ExactFiniteLaw(0.5, (LatticeAtom(
+        lattice_scale=0.7, trials=64, hit_prob=2.0 ** -6, log2_trials=6.0,
+        log2_hit=-6, var_share=0.49),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_shared_evaluator_on_every_variant(case):
+    law = SHARED_CASES[case]()
+    disc = law.discontinuities()
+    x = np.unique(np.concatenate([disc, np.linspace(-5.0, 5.0, 401),
+                                  [-np.inf, np.inf]]))
+    cdf, left = law.cdf(x), law.cdf_left(x)
+    assert np.all(left <= cdf)
+    away = ~np.isin(x, disc)
+    np.testing.assert_array_equal(left[away], cdf[away])
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+    table = law.lattice_table()
+    if disc.size:
+        assert table[1].sum() == pytest.approx(law.cdf(np.inf)[0],
+                                               abs=1e-12)
+        assert np.all(left[~away] < cdf[~away])
+    else:
+        assert table is None
+    assert math.isclose(law.variance(), law.moment_table()["variance"],
+                        rel_tol=1e-12, abs_tol=0.0)
 
 
 # -- symmetrized Poisson ---------------------------------------------------

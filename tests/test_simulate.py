@@ -12,10 +12,11 @@ import cltlab.simulate as simulate
 from cltlab.blocks import BlockParity, default_params
 from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, WorkBudgetError
-from cltlab.simulate import (SITE_DRAW_BUDGET, SampleKind, _binom_quantile,
-                             _build_plan, _distinct_offsets, _draw_ramp,
-                             _lane_uniforms, _stream, build_profile,
-                             derive_seed, dichotomy_samples, sample_batch)
+from cltlab.simulate import (SITE_DRAW_BUDGET, SampleKind, _binom_ppf,
+                             _build_plan, _distinct_offsets, _draw_normal,
+                             _draw_ramp, _lane_uniforms, _open_uniforms,
+                             _stream, build_profile, derive_seed,
+                             dichotomy_samples, sample_batch)
 
 
 def desk_params():
@@ -83,24 +84,34 @@ def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
         assert np.array_equal(batch.values, base.values)
 
 
+def test_open_uniforms_stay_inside_the_unit_interval(monkeypatch):
+    # random()'s extremes: 1 - 2^-53 plus the 2^-54 offset rounds to 1.0
+    class Stub:
+        def random(self, size):
+            return np.resize([1.0 - 2.0 ** -53, 0.0], size)
+
+    u = _open_uniforms(Stub(), 4)
+    assert np.all((u > 0.0) & (u < 1.0))
+    monkeypatch.setattr(simulate, "_stream", lambda *args: Stub())
+    assert np.all(np.isfinite(_draw_normal(0, 0, 4, lane=0, std=1.0)))
+
+
 # boost cannot bracket q = 1 - 2^-53 at some tiny p; both sides warn alike
 @pytest.mark.filterwarnings("ignore:Error in function boost")
 def test_binom_quantile_matches_scipy_stats():
-    # lane uniforms plus both endpoints: the offset lane uniforms can
-    # round up to exactly 1.0, and the wrapper maps q == 0 to -1
+    # lane uniforms plus the extremes they can take
     u = np.concatenate([_lane_uniforms(7, 3, 0, 100),
-                        [0.0, 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53, 1.0]])
+                        [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]])
     for length in (1, 5, 1000, (1 << 20) + 3, (1 << 40) - 1):
         for j in range(1, 45):
-            got = _binom_quantile(u, length, 2.0 ** -j)
+            got = _binom_ppf(u, length, 2.0 ** -j)
             want = binom.ppf(u, length, 2.0 ** -j)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-    # the signs' trial counts, zeros too; never -1, as lane uniforms
-    # stay >= 2^-54
-    hits = np.maximum(binom.ppf(u, 7, 0.25), 0.0)
+    # the signs' trial counts, zeros too
+    hits = binom.ppf(u, 7, 0.25)
     assert (hits == 0).any()
-    np.testing.assert_array_equal(_binom_quantile(u, hits, 0.5),
+    np.testing.assert_array_equal(_binom_ppf(u, hits, 0.5),
                                   binom.ppf(u, hits, 0.5))
 
 
