@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import SequenceParams, default_params
-from .config import load_params, params_to_dict
+from .config import json_ready, load_params, params_to_dict
 from .engine import Condition, ExactMoments, dyadic_grid, format_csv
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
@@ -218,43 +217,18 @@ def _c_lookup(c: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing
-
-def _json_ready(obj):
-    if isinstance(obj, Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_ready(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int) and obj.bit_length() > 512:
-        # digit counts beyond the json/str conversion limit
-        return "~2^%d" % (obj.bit_length() - 1)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    return obj
-
+# Output plumbing
 
 def _emit_error(exc: Exception) -> None:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc),
-                         "details": _json_ready(exc.details)}}
+                         "details": json_ready(exc.details)}}
     print(json.dumps(payload, sort_keys=True, default=str))
 
 
-def _with_header(cfg: ExperimentConfig, body: str) -> str:
+def _with_header(cfg: ExperimentConfig, body: str, stamp: str | None) -> str:
     lines = [cfg.header_line()]
-    if not cfg.no_timestamp:
-        lines.append("# generated: "
-                     + datetime.now(timezone.utc).isoformat(timespec="seconds"))
+    if stamp is not None:
+        lines.append("# generated: " + stamp)
     return "\n".join(lines) + "\n" + body
 
 
@@ -282,14 +256,14 @@ def _schedule_csv(params: SequenceParams, decay: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_sequence(cfg: ExperimentConfig):
+def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
     decay = _resolve_decay(cfg)
     params = _build_params(cfg, decay)
     moments = ExactMoments(params)
     grid = dyadic_grid(*cfg.grid)
     artifacts = {
-        "conditions.csv": _with_header(cfg,
-                                       format_csv(moments.table_rows(grid))),
+        "conditions.csv": _with_header(
+            cfg, format_csv(moments.table_rows(grid)), stamp),
     }
     checks = {}
     for cond in _SCENARIO_CONDITIONS[cfg.scenario]:
@@ -314,7 +288,8 @@ def _run_sequence(cfg: ExperimentConfig):
     if cfg.samples > 0:
         rep = dichotomy_report(params, cfg.samples, cfg.seed,
                                moments=moments)
-        artifacts["dichotomy.csv"] = _with_header(cfg, format_ks_csv(rep))
+        artifacts["dichotomy.csv"] = _with_header(cfg, format_ks_csv(rep),
+                                                  stamp)
         verdicts["dichotomy"] = {
             "verdict": rep.verdict.value,
             "gap": rep.gap,
@@ -327,7 +302,7 @@ def _run_sequence(cfg: ExperimentConfig):
             code = EXIT_INCONCLUSIVE
     if cfg.scenario is Scenario.THEOREM2 and decay is not None:
         artifacts["schedule.csv"] = _with_header(
-            cfg, _schedule_csv(params, decay))
+            cfg, _schedule_csv(params, decay), stamp)
     return artifacts, verdicts, code
 
 
@@ -337,7 +312,7 @@ def _build_toy(cfg: ExperimentConfig):
     return random_circulant_toy(max(2, cfg.kmax), cfg.seed)
 
 
-def _run_spectral(cfg: ExperimentConfig):
+def _run_spectral(cfg: ExperimentConfig, stamp: str | None):
     toy = _build_toy(cfg)
     rep = evaluate_conditions(toy, 1 << cfg.grid[1])
     probe = sqrt_apply(toy, 1024)
@@ -349,7 +324,7 @@ def _run_spectral(cfg: ExperimentConfig):
         "telescoping_residual_n64": rn_telescoping_check(toy, 64),
         "sqrt_series_error_m1024": probe.error,
     }}
-    artifacts = {"spectral.csv": _with_header(cfg, rep.to_csv())}
+    artifacts = {"spectral.csv": _with_header(cfg, rep.to_csv(), stamp)}
     return artifacts, verdicts, EXIT_OK
 
 
@@ -358,12 +333,15 @@ def _run_spectral(cfg: ExperimentConfig):
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one configuration; write artifacts; return the exit code."""
+    # one stamp for every artifact of the run
+    stamp = (None if cfg.no_timestamp else
+             datetime.now(timezone.utc).isoformat(timespec="seconds"))
     try:
         cfg.validate()
         if cfg.scenario is Scenario.SPECTRAL:
-            artifacts, verdicts, code = _run_spectral(cfg)
+            artifacts, verdicts, code = _run_spectral(cfg, stamp)
         else:
-            artifacts, verdicts, code = _run_sequence(cfg)
+            artifacts, verdicts, code = _run_sequence(cfg, stamp)
     except ParamsError as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
@@ -375,9 +353,8 @@ def run(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     echo = {"config": cfg.to_dict()}
     verdict_doc = dict(echo)
-    verdict_doc.update(_json_ready(verdicts))
-    if not cfg.no_timestamp:
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    verdict_doc.update(json_ready(verdicts))
+    if stamp is not None:
         echo["generated"] = stamp
         verdict_doc["generated"] = stamp
     artifacts["config.json"] = json.dumps(echo, indent=2,
@@ -422,7 +399,7 @@ def validate_only(cfg: ExperimentConfig) -> int:
         _emit_error(exc)
         return EXIT_BUDGET
     print(json.dumps({"valid": True, "config": cfg.to_dict(),
-                      "derived": _json_ready(derived)},
+                      "derived": json_ready(derived)},
                      sort_keys=True))
     return EXIT_OK
 

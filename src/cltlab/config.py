@@ -12,11 +12,19 @@ Flat format, one ``key = value`` pair per line:
 Only the defining data is stored (mode, kmax, c, targets, block ranges);
 derived quantities such as block masses and horizons are recomputed on
 load, which keeps files small even when horizons have millions of digits.
+
+``json_ready`` turns run results into strict JSON values for every
+artifact writer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+from enum import Enum
+
+import numpy as np
 
 from .blocks import (BlockSpec, MassTarget, SequenceParams, TargetKind,
                      parity_of)
@@ -172,3 +180,29 @@ def load_params(path) -> SequenceParams:
     if str(path).endswith(".json"):
         return params_from_json(text)
     return params_from_text(text)
+
+
+def json_ready(obj):
+    """Plain JSON values: enums by value, dataclasses as dicts, keys as
+    str, non-finite floats as None, huge ints as "~2^e"."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return json_ready(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [json_ready(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int) and obj.bit_length() > 512:
+        # digit counts beyond the json/str conversion limit
+        return "~2^%d" % (obj.bit_length() - 1)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    return obj

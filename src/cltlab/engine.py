@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
-from .errors import WorkBudgetError
+from .errors import ParamsError, WorkBudgetError
 
 #: extra indices kept beyond the largest scale that can matter
 K_GUARD = 96
@@ -72,6 +72,18 @@ def pair_count(n_k, m, N):
 
 def _log2_floor(N: int) -> int:
     return N.bit_length() - 1
+
+
+def horizon_exponent(N: int) -> int:
+    """[log N] of a horizon the samplers and laws accept: a positive
+    integer, and dyadic beyond the desk cap."""
+    if N < 1:
+        raise ParamsError("horizon must be positive", N=N)
+    e = _log2_floor(N)
+    if N > DESK_N_CAP and N != 1 << e:
+        raise ParamsError("beyond the desk cap only dyadic horizons are "
+                          "supported", log2=e)
+    return e
 
 
 def _pow2(j: int) -> float:

@@ -39,7 +39,8 @@ from scipy.special import gammaln, ive, ndtr, ndtri, xlogy
 from scipy.special._ufuncs import _binom_pmf
 
 from .blocks import BlockParity, SequenceParams
-from .engine import DESK_N_CAP, ExactMoments
+from .config import json_ready
+from .engine import DESK_N_CAP, ExactMoments, horizon_exponent
 from .errors import ParamsError, TruncationError
 from .simulate import (GAUSSIANIZE_HITS, SampleKind, derive_seed,
                        dichotomy_samples, sample_batch)
@@ -104,7 +105,9 @@ class LawModel:
             step = max(1, _EVAL_CHUNK // support.size)
             for i in range(0, x.size, step):
                 z = (x[i:i + step, None] - support[None, :]) / sd
-                out[i:i + step] = ndtr(z) @ weights
+                # a row sum, not a BLAS product: its rounding must not
+                # depend on how many rows share the step
+                out[i:i + step] = (ndtr(z) * weights).sum(axis=1)
             return out
         idx = np.searchsorted(support, x, side=side)
         if weights is None:
@@ -182,21 +185,12 @@ class LawModel:
         return {
             "variant": self.variant.value,
             "parameters": self._parameters(),
-            "moments": _sanitize(self.moment_table()),
-            "quantiles": _sanitize(self.quantile_table()),
+            "moments": json_ready(self.moment_table()),
+            "quantiles": json_ready(self.quantile_table()),
         }
 
     def _parameters(self) -> dict:
         return {}
-
-
-def _sanitize(obj):
-    """Replace non-finite floats by None so json stays strict."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def law_to_json(law: LawModel, indent: int = 2) -> str:
@@ -505,12 +499,7 @@ def exact_law(params: SequenceParams, N: int,
     block with sub-horizon mass contributes a lattice atom with
     Binomial(N, hit probability) signed counts.
     """
-    if N < 1:
-        raise ParamsError("horizon must be positive", N=N)
-    e = N.bit_length() - 1
-    if N > DESK_N_CAP and N != (1 << e):
-        raise ParamsError("beyond the desk cap only dyadic horizons are "
-                          "supported", log2=e)
+    horizon_exponent(N)
     moments = moments or ExactMoments(params)
     b2 = moments.normalizer_sq(N)
     if b2 <= 0.0:
@@ -695,8 +684,7 @@ _GATE_SALT = 1 << 20
 
 
 def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
-                     margin: float = 0.05, mode: str = "aggregate",
-                     workers: int = 1,
+                     margin: float = 0.05, workers: int = 1,
                      moments: ExactMoments | None = None) -> DichotomyReport:
     """Compare normalized sums against their limit candidates per parity.
 
@@ -721,8 +709,7 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
                                DichotomyVerdict.NO_DICHOTOMY, None,
                                ["no complete block horizons"])
     horizons = [blk.horizon for blk in complete]
-    full = dichotomy_samples(params, horizons, count, seed, mode=mode,
-                             workers=workers)
+    full = dichotomy_samples(params, horizons, count, seed, workers=workers)
     normal = NormalLaw(0.0, 1.0)
     bound = ks_pass_bound(count)
     rows = []
@@ -733,8 +720,8 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         gate_batch = sample_batch(params, N, count,
                                   derive_seed(seed, _GATE_SALT + blk.index),
                                   SampleKind.APPROX_IID_SUM,
-                                  normalized=True, mode=mode,
-                                  workers=workers, moments=moments)
+                                  normalized=True, workers=workers,
+                                  moments=moments)
         gate_emp = empirical_law(gate_batch.values)
         if blk.index == 1:
             residual = 0.0

@@ -11,7 +11,9 @@ accepted.
 Two float evaluators reach sizes the rational one cannot, each
 structurally unlike the closed form it checks: ``sigma_sq_enumerated``
 materializes every coordinate coefficient of the horizon sum, and
-``dense_series_tail_norm`` every lag of every block.
+``dense_series_tail_norm`` every lag of every block.  The sampler's
+oracle, ``site_sample_batch``, draws every site variable of every
+sample literally and sums it against the dense coefficients.
 
 Model recap: site variable X(l, m) is standard normal for even block l
 and sqrt(N_l) * xi for odd l, where xi is +-1 with probability
@@ -29,9 +31,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import ndtri
 
 from .blocks import BlockParity, SequenceParams
-from .errors import MemoryBudgetError, WorkBudgetError
+from .engine import ExactMoments
+from .errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from .simulate import (CoordinateProfile, SampleBatch, SampleKind,
+                       _open_uniforms, _stream, build_profile)
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
@@ -41,6 +47,14 @@ DENSE_SIGMA_CAP = 1 << 25
 
 #: largest lag-plus-horizon count the dense tail oracle materializes
 DENSE_TAIL_CAP = 1 << 20
+
+#: largest site-variable draw count of one site-mode batch
+SITE_DRAW_BUDGET = 1 << 26
+
+#: largest dense coefficient array of one block, in bytes
+DENSE_BYTE_BUDGET = 1 << 28
+
+_SITE_TAG = 0x8EBC6AF09C88C6E3
 
 
 def exact_fraction(x) -> Fraction:
@@ -265,3 +279,66 @@ def dense_series_tail_norm(params: SequenceParams, p: int, q: int) -> float:
             acc[:n] += (weight * (flat + desc))[::-1]   # j = n - r
         total += np.dot(acc, acc)
     return float(np.sqrt(total))
+
+
+def dense_coefficients(profile: CoordinateProfile, l: int) -> np.ndarray:
+    """g_l(m) for block l at every site m of the horizon sum, from the
+    lowest up, spike blocks scaled by sqrt(N_l); budget-guarded."""
+    lay = profile.layers[l - 1]
+    if lay.segments is None:
+        raise ParamsError("no site resolution", block=l)
+    lo = lay.segments[0].lo
+    hi = lay.segments[-1].hi
+    need = 8 * (hi - lo + 1)
+    if need > DENSE_BYTE_BUDGET:
+        raise MemoryBudgetError("dense profile too large",
+                                estimated_bytes=need,
+                                budget=DENSE_BYTE_BUDGET)
+    out = np.empty(hi - lo + 1)
+    for seg in lay.segments:
+        t = np.arange(seg.lo - seg.mid, seg.hi - seg.mid + 1, dtype=float)
+        out[seg.lo - lo: seg.hi - lo + 1] = seg.v_mid + seg.slope * t
+    scale = (lay.spike_scale
+             if lay.block.parity is BlockParity.THREE_VALUED else 1.0)
+    return scale * out
+
+
+def site_sample_batch(params: SequenceParams, N: int, count: int, seed: int,
+                      *, moments: ExactMoments | None = None) -> SampleBatch:
+    """`count` unnormalized values of the full horizon sum S_N from
+    literal site draws.
+
+    Sample i reads its own Philox stream, keyed by (seed, i), one site
+    variable per coefficient: standard normal in Gaussian blocks, +-1
+    with probability 1/(2 N_l) each in spike blocks.  Desk horizons
+    only, and at most ``SITE_DRAW_BUDGET`` draws per batch.
+    """
+    if count < 1:
+        raise ParamsError("count must be positive", count=count)
+    profile = build_profile(params, N, SampleKind.FULL_SN, moments)
+    if any(lay.segments is None for lay in profile.layers):
+        raise ParamsError("site mode needs full site resolution")
+    coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
+                 for lay in profile.layers)
+    if count * coords > SITE_DRAW_BUDGET:
+        raise WorkBudgetError("site mode draw count too large",
+                              estimated_ops=count * coords,
+                              budget=SITE_DRAW_BUDGET)
+    denses = [dense_coefficients(profile, lay.block.index)
+              for lay in profile.layers]
+    values = np.empty(count)
+    for i in range(count):
+        rng = _stream(seed ^ _SITE_TAG, i)
+        total = 0.0
+        for lay, g in zip(profile.layers, denses):
+            if lay.block.parity is BlockParity.GAUSSIAN:
+                total += float(np.dot(g, ndtri(_open_uniforms(rng, g.size))))
+            else:
+                u = rng.random(g.size)
+                eps_half = 0.5 * lay.hit_prob
+                x = np.where(u < eps_half, 1.0,
+                             np.where(u >= 1.0 - eps_half, -1.0, 0.0))
+                total += float(np.dot(g, x))
+        values[i] = total
+    return SampleBatch(seed=seed, N=N, count=count, kind=profile.kind,
+                       normalized=False, values=values)

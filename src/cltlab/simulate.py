@@ -9,22 +9,20 @@ hit probability 1/N_l split evenly between signs; Gaussian-block sites
 are standard normal.  Either way each site contributes unit variance
 times C_l(m)^2, so the batch variance target is exactly sigma_sq(N).
 
-Two sampling modes:
-
-* ``aggregate`` (default) — exact in distribution and fast.  Within an
-  affine segment the spike hits are a thinned binomial: the hit count is
-  Binomial(L, 1/N_l), the positive share Binomial(hits, 1/2), and on
-  constant segments the contribution depends on the signed count alone.
-  Ramp hits additionally draw distinct positions and signs, in bulk for
-  every sample of a chunk, and are summed per sample by ``bincount``.
-  Gaussian blocks (and any segment whose expected hit count exceeds
-  ``GAUSSIANIZE_HITS``) contribute one scaled normal with the segment's
-  exact variance; the Berry-Esseen error of that replacement is below
-  0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
-  Horizons beyond the desk cap must be dyadic and are handled entirely
-  through normalized per-block variances, so values stay finite floats.
-* ``site`` — literal per-coordinate draws for validation at small
-  scales, budget-guarded.
+The sampler aggregates, exactly in distribution.  Within an affine
+segment the spike hits are a thinned binomial: the hit count is
+Binomial(L, 1/N_l), the positive share Binomial(hits, 1/2), and on
+constant segments the contribution depends on the signed count alone.
+Ramp hits additionally draw distinct positions and signs, in bulk for
+every sample of a chunk, and are summed per sample by ``bincount``.
+Gaussian blocks (and any segment whose expected hit count exceeds
+``GAUSSIANIZE_HITS``) contribute one scaled normal with the segment's
+exact variance; the Berry-Esseen error of that replacement is below
+0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
+Horizons beyond the desk cap must be dyadic and are handled entirely
+through normalized per-block variances, so values stay finite floats.
+Its independent oracle, literal per-coordinate draws at small scales,
+is ``reference.site_sample_batch``.
 
 Reproducibility: all randomness comes from counter-based Philox streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
@@ -36,7 +34,6 @@ chunks, so batches are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,17 +48,15 @@ from scipy.special import ndtri
 from scipy.special._ufuncs import _binom_ppf
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
-from .engine import (DESK_N_CAP, ExactMoments, Segment, block_var_over_n)
-from .errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from .engine import (DESK_N_CAP, ExactMoments, Segment, block_var_over_n,
+                     horizon_exponent)
+from .errors import ParamsError
 
 CHUNK = 4096
 GAUSSIANIZE_HITS = float(1 << 40)
-SITE_DRAW_BUDGET = 1 << 26
-DENSE_BYTE_BUDGET = 1 << 28
 
 _LANE_TAG = 0xA0761D6478BD642F
 _HIT_TAG = 0xE7037ED1A0B428DB
-_SITE_TAG = 0x8EBC6AF09C88C6E3
 
 
 def _mix64(x: int) -> int:
@@ -116,11 +111,8 @@ class CoordinateProfile:
         self.params = params
         self.N = N
         self.kind = kind
-        e = N.bit_length() - 1
+        e = horizon_exponent(N)
         desk = N <= DESK_N_CAP
-        if not desk and (1 << e) != N:
-            raise ParamsError("beyond the desk cap only dyadic horizons "
-                              "are supported", log2=e)
         moments = moments or ExactMoments(params)
         self.moments = moments
         self.layers: list[BlockLayer] = []
@@ -142,33 +134,10 @@ class CoordinateProfile:
                 var = block_var_over_n(params, b, e)
                 self.layers.append(BlockLayer(b, hit, var, None))
 
-    def dense_g(self, l: int) -> tuple[int, np.ndarray]:
-        """(m_lo, dense coefficient array) for one block; budget-guarded."""
-        lay = self.layers[l - 1]
-        if lay.segments is None:
-            raise ParamsError("no site resolution", block=l)
-        lo = lay.segments[0].lo
-        hi = lay.segments[-1].hi
-        need = 8 * (hi - lo + 1)
-        if need > DENSE_BYTE_BUDGET:
-            raise MemoryBudgetError("dense profile too large",
-                                    estimated_bytes=need,
-                                    budget=DENSE_BYTE_BUDGET)
-        out = np.empty(hi - lo + 1)
-        for seg in lay.segments:
-            t = np.arange(seg.lo - seg.mid, seg.hi - seg.mid + 1,
-                          dtype=float)
-            out[seg.lo - lo: seg.hi - lo + 1] = seg.v_mid + seg.slope * t
-        scale = (lay.spike_scale
-                 if lay.block.parity is BlockParity.THREE_VALUED else 1.0)
-        return lo, scale * out
-
 
 def build_profile(params: SequenceParams, N: int,
                   kind: SampleKind = SampleKind.FULL_SN,
                   moments: ExactMoments | None = None) -> CoordinateProfile:
-    if N < 1:
-        raise ParamsError("horizon must be positive", N=N)
     return CoordinateProfile(params, N, kind, moments)
 
 
@@ -193,44 +162,6 @@ class SampleBatch:
 
     def variance(self) -> float:
         return float(np.var(self.values, ddof=1))
-
-    def _header(self, params: SequenceParams | None):
-        lines = [f"# seed = {self.seed}",
-                 f"# horizon_log2 = {self.horizon_log2}"]
-        if self.N.bit_length() <= 63:
-            lines.insert(1, f"# horizon = {self.N}")
-        lines += [f"# count = {self.count}",
-                  f"# kind = {self.kind.value}",
-                  f"# normalized = {str(self.normalized).lower()}"]
-        if params is not None:
-            from .config import params_to_dict
-            blob = json.dumps(params_to_dict(params), sort_keys=True)
-            lines.append(f"# params = {blob}")
-        return lines
-
-    def to_csv(self, params: SequenceParams | None = None) -> str:
-        lines = self._header(params)
-        lines.append("sample_index,value")
-        lines.extend(f"{i},{v:.17g}" for i, v in enumerate(self.values))
-        return "\n".join(lines) + "\n"
-
-    def summary(self, params: SequenceParams | None = None,
-                quantiles: int = 21) -> dict:
-        qs = np.linspace(0.0, 1.0, quantiles)
-        out = {
-            "seed": self.seed,
-            "horizon_log2": self.horizon_log2,
-            "count": self.count,
-            "kind": self.kind.value,
-            "normalized": self.normalized,
-            "mean": self.mean(),
-            "variance": self.variance(),
-            "quantile_probs": [float(q) for q in qs],
-            "quantiles": [float(v) for v in np.quantile(self.values, qs)],
-        }
-        if self.N.bit_length() <= 63:
-            out["horizon"] = self.N
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,31 +318,10 @@ def _aggregate_chunk(plan, seed, chunk_idx, size):
     return out
 
 
-def _site_chunk(profile, denses, seed, chunk_idx, start, size, inv_unit):
-    layers = profile.layers
-    out = np.empty(size)
-    for i in range(size):
-        rng = _stream(seed ^ _SITE_TAG, start + i)
-        total = 0.0
-        for lay, (lo, g) in zip(layers, denses):
-            if lay.block.parity is BlockParity.GAUSSIAN:
-                u = _open_uniforms(rng, g.size)
-                total += float(np.dot(g, ndtri(u)))
-            else:
-                u = rng.random(g.size)
-                eps_half = 0.5 * lay.hit_prob
-                x = np.where(u < eps_half, 1.0,
-                             np.where(u >= 1.0 - eps_half, -1.0, 0.0))
-                total += float(np.dot(g, x))
-        out[i] = total * inv_unit
-    return out
-
-
 def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
                  kind: SampleKind = SampleKind.FULL_SN, *,
-                 normalized: bool = False, mode: str = "aggregate",
-                 workers: int = 1, chunk: int = CHUNK,
-                 profile: CoordinateProfile | None = None,
+                 normalized: bool = False, workers: int = 1,
+                 chunk: int = CHUNK,
                  moments: ExactMoments | None = None) -> SampleBatch:
     """Draw `count` values of the horizon sum (or its flat-copy stand-in).
 
@@ -420,53 +330,23 @@ def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
     if count < 1:
         raise ParamsError("count must be positive", count=count)
     kind = SampleKind(kind)
-    profile = profile or build_profile(params, N, kind, moments)
-    if mode == "aggregate":
-        plan = _build_plan(profile, normalized)
-
-        def job(args):
-            ci, _, size = args
-            return _aggregate_chunk(plan, seed, ci, size)
-    elif mode == "site":
-        if any(lay.segments is None for lay in profile.layers):
-            raise ParamsError("site mode needs full site resolution")
-        coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
-                     for lay in profile.layers)
-        if count * coords > SITE_DRAW_BUDGET:
-            raise WorkBudgetError("site mode draw count too large",
-                                  estimated_ops=count * coords,
-                                  budget=SITE_DRAW_BUDGET)
-        denses = [profile.dense_g(lay.block.index)
-                  for lay in profile.layers]
-        b_sq = profile.moments.normalizer_sq(N)
-        if normalized and b_sq <= 0.0:
-            raise ParamsError("normalization needs sub-horizon scales")
-        inv_unit = 1.0 / math.sqrt(b_sq * float(N)) if normalized else 1.0
-
-        def job(args):
-            ci, start, size = args
-            return _site_chunk(profile, denses, seed, ci, start, size,
-                               inv_unit)
-    else:
-        raise ParamsError("unknown sampling mode", mode=mode)
-
-    jobs = [(ci, ci * chunk, min(chunk, count - ci * chunk))
-            for ci in range((count + chunk - 1) // chunk)]
+    plan = _build_plan(build_profile(params, N, kind, moments), normalized)
+    job = partial(_aggregate_chunk, plan, seed)
+    sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
     # threads beyond the cores or the chunks only contend for them
-    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, jobs))
+            parts = list(pool.map(job, range(len(sizes)), sizes))
     else:
-        parts = [job(j) for j in jobs]
-    values = np.concatenate(parts) if parts else np.empty(0)
+        parts = list(map(job, range(len(sizes)), sizes))
+    values = np.concatenate(parts)
     return SampleBatch(seed=seed, N=N, count=count, kind=kind,
                        normalized=normalized, values=values)
 
 
 def dichotomy_samples(params: SequenceParams, horizons, count: int,
-                      seed: int, *, mode: str = "aggregate",
-                      workers: int = 1) -> dict:
+                      seed: int, *, workers: int = 1) -> dict:
     """Normalized full-sum batches at complete-block horizons.
 
     Per-horizon seeds are derived from the shared seed and the block
@@ -481,6 +361,6 @@ def dichotomy_samples(params: SequenceParams, horizons, count: int,
                               horizon_log2=int(N).bit_length() - 1)
         sub = derive_seed(seed, blk.index)
         out[N] = sample_batch(params, N, count, sub, SampleKind.FULL_SN,
-                              normalized=True, mode=mode, workers=workers)
+                              normalized=True, workers=workers)
     return out
 

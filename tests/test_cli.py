@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
 import cltlab
+import cltlab.cli as cli
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
                         config_from_args, main)
 from cltlab.config import save_params
@@ -27,9 +29,11 @@ def run_main(argv, capsys):
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about 0.7 s of every process start
+    # scipy.stats costs about 0.7 s of every process start, and the slow
+    # oracles in cltlab.reference belong to the tests alone
     code = ("import sys, cltlab.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "sys.exit('scipy.stats' in sys.modules"
+            " or 'cltlab.reference' in sys.modules)")
     src = str(Path(cltlab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -169,6 +173,33 @@ def test_runs_are_byte_deterministic(tmp_path, capsys, monkeypatch):
         texts.append({p.name: p.read_bytes()
                       for p in sorted((d / "art").iterdir())})
     assert texts[0] == texts[1]
+
+
+def test_one_stamp_per_run(tmp_path, capsys, monkeypatch):
+    class Clock:
+        """A clock that moves a minute on every reading."""
+        t = datetime(2000, 1, 1, tzinfo=timezone.utc)
+
+        @classmethod
+        def now(cls, tz=None):
+            cls.t += timedelta(minutes=1)
+            return cls.t.astimezone(tz)
+
+    monkeypatch.setattr(cli, "datetime", Clock)
+    out = tmp_path / "run"
+    code, doc = run_main(["custom", "--kmax", "20", "--samples", "300",
+                          "--grid", "dyadic:4:10", "--seed", "11",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    stamps = set()
+    for name in doc["artifacts"]:
+        text = (out / name).read_text()
+        if name.endswith(".json"):
+            stamps.add(json.loads(text)["generated"])
+        else:
+            assert text.splitlines()[1].startswith("# generated: ")
+            stamps.add(text.splitlines()[1][len("# generated: "):])
+    assert len(doc["artifacts"]) == 4 and len(stamps) == 1
 
 
 def test_theorem2_schedule_artifact(tmp_path, capsys):

@@ -8,13 +8,14 @@ from scipy.stats import binom, norm, poisson, skellam
 import cltlab.laws as laws
 from cltlab.blocks import BlockParity, SequenceParams, default_params, \
     split_blocks
-from cltlab.engine import ExactMoments
+from cltlab.engine import ExactMoments, horizon_exponent
 from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          LatticeAtom, NormalLaw, dichotomy_report,
                          empirical_law, exact_law, format_ks_csv,
                          ks_distance, ks_pass_bound, law_to_json,
                          sym_poisson, tv_distance)
+from cltlab.simulate import build_profile
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -272,6 +273,38 @@ def test_empirical_vs_exact_ks_sane():
     emp = empirical_law(rng.standard_normal(20_000))
     d = ks_distance(emp, NormalLaw(0.0, 1.0))
     assert d < ks_pass_bound(20_000)
+
+
+def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
+    # 2^-4 hit probability over 1,134,595 trials: 4,097 signed counts,
+    # every one with positive weight, on top of a Gaussian part
+    trials, log2_hit, scale = 1_134_595, -4, 0.01
+    law = ExactFiniteLaw(0.5, (LatticeAtom(
+        lattice_scale=scale, trials=trials, hit_prob=2.0 ** log2_hit,
+        log2_trials=math.log2(trials), log2_hit=log2_hit,
+        var_share=scale * scale * trials * 2.0 ** log2_hit),))
+    gv, support, weights, _ = law._table()
+    assert gv == 0.5 and support.size == 4097 and np.all(weights > 0.0)
+    xs = np.linspace(-1.5, 1.5, 601) * support[-1]
+    whole = law.cdf(xs)
+    for i, x in enumerate(xs):
+        assert whole[i] == law.cdf([x])[0]
+
+
+@pytest.mark.parametrize("N, message, details", [
+    (0, "horizon must be positive", {"N": 0}),
+    ((1 << 52) + 1, "beyond the desk cap only dyadic horizons are supported",
+     {"log2": 52}),
+])
+def test_sampler_and_oracle_share_horizon_checks(N, message, details):
+    params = default_params(kmax=20, rho=4.0)
+    for build in (build_profile, exact_law):
+        with pytest.raises(ParamsError) as info:
+            build(params, N)
+        assert str(info.value) == message
+        assert info.value.details == details
+    assert horizon_exponent(17) == 4
+    assert horizon_exponent(1 << 900) == 900
 
 
 # -- serialization ---------------------------------------------------------

@@ -12,11 +12,13 @@ import cltlab.simulate as simulate
 from cltlab.blocks import BlockParity, default_params
 from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, WorkBudgetError
-from cltlab.simulate import (SITE_DRAW_BUDGET, SampleKind, _binom_ppf,
-                             _build_plan, _distinct_offsets, _draw_normal,
-                             _draw_ramp, _lane_uniforms, _open_uniforms,
-                             _stream, build_profile, derive_seed,
-                             dichotomy_samples, sample_batch)
+from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
+                              site_sample_batch)
+from cltlab.simulate import (SampleKind, _binom_ppf, _build_plan,
+                             _distinct_offsets, _draw_normal, _draw_ramp,
+                             _lane_uniforms, _open_uniforms, _stream,
+                             build_profile, derive_seed, dichotomy_samples,
+                             sample_batch)
 
 
 def desk_params():
@@ -181,7 +183,7 @@ def test_site_mode_agrees_with_aggregate_in_law():
     em = ExactMoments(params)
     N, n = 1 << 6, 10_000
     agg = sample_batch(params, N, n, 3, moments=em)
-    site = sample_batch(params, N, n, 3, mode="site", moments=em)
+    site = site_sample_batch(params, N, n, 3, moments=em)
     assert not np.array_equal(agg.values, site.values)
     sig2 = em.sigma_sq(N)
     k4 = em.fourth_cumulant(N)
@@ -193,9 +195,7 @@ def test_site_mode_agrees_with_aggregate_in_law():
 def test_site_mode_budget_and_validation():
     params = desk_params()
     with pytest.raises(WorkBudgetError):
-        sample_batch(params, 1 << 8, 1 << 14, 1, mode="site")
-    with pytest.raises(ParamsError):
-        sample_batch(params, 1 << 8, 10, 1, mode="bogus")
+        site_sample_batch(params, 1 << 8, 1 << 14, 1)
     with pytest.raises(ParamsError):
         sample_batch(params, 1 << 8, 0, 1)
 
@@ -208,27 +208,8 @@ def test_astronomic_horizon_sampling():
     assert batch.values.size == 500
     assert np.all(np.isfinite(batch.values))
     assert batch.horizon_log2 == 37_605_530
-    text = batch.to_csv()
-    assert "# horizon_log2 = 37605530" in text
-    assert "# horizon =" not in text
-    assert "horizon" not in batch.summary() or \
-        "horizon_log2" in batch.summary()
     with pytest.raises(ParamsError):
-        sample_batch(params, N, 10, 5, mode="site")
-
-
-def test_csv_round_and_header():
-    params = desk_params()
-    batch = sample_batch(params, 1 << 6, 5, 42, normalized=True)
-    text = batch.to_csv(params)
-    lines = text.strip().split("\n")
-    assert "# seed = 42" in lines
-    assert "# horizon = 64" in lines
-    assert "# normalized = true" in lines
-    assert any(ln.startswith("# params = ") for ln in lines)
-    assert lines[-6] == "sample_index,value"
-    # 1 column line + 5 data rows after the comment header
-    assert len([ln for ln in lines if not ln.startswith("#")]) == 6
+        site_sample_batch(params, N, 10, 5)
 
 
 def test_dichotomy_samples_stability():
@@ -255,7 +236,7 @@ def _exact_cumulants(profile):
     """Even cumulants of the horizon sum from the dense coefficients."""
     out = dict.fromkeys((2, 4, 6, 8), 0.0)
     for lay in profile.layers:
-        _, g = profile.dense_g(lay.block.index)
+        g = dense_coefficients(profile, lay.block.index)
         if lay.block.parity is BlockParity.GAUSSIAN:
             out[2] += float(np.sum(g * g))
             continue
@@ -296,9 +277,9 @@ def test_aggregate_and_site_modes_agree_two_sample_ks(e):
     coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
                  for lay in profile.layers)
     assert n * coords <= SITE_DRAW_BUDGET
-    agg = sample_batch(params, N, n, 745, profile=profile)
-    site = sample_batch(params, N, n, 745, mode="site", profile=profile)
-    # the modes key their streams differently, so the samples are
+    agg = sample_batch(params, N, n, 745, moments=em)
+    site = site_sample_batch(params, N, n, 745, moments=em)
+    # the samplers key their streams differently, so the samples are
     # independent; alpha = 1e-3 asymptotic two-sample critical value
     crit = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
     assert ks_2samp(agg.values, site.values).statistic < crit
