@@ -2,9 +2,11 @@
 
 A schedule assigns a weight ``a_k`` to every dyadic scale index ``k`` and
 knows how to sum the ratios ``a_k / k`` over index ranges.  Those partial
-sums are the block masses everything else is built on, so they get an
-analytic path (digamma) for the constant schedule, which is the only mode
-allowed to exceed the array budget.
+sums are the block masses everything else is built on.  The constant
+schedule gets an analytic path (digamma) and is the only mode allowed to
+exceed the array budget.  The other modes keep an extended-precision
+prefix at every 2^12-th index and rebuild one chunk per lookup, so even
+kmax = 2^22 holds a few kilobytes of checkpoints, not a prefix array.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ from scipy.special import digamma
 
 from .errors import ParamsError
 
-# Largest index for which weight values are materialized as an array.
+# Largest kmax allowed for a non-constant schedule.
 MAX_ARRAY_KMAX = 1 << 25
+
+# Spacing of the stored ratio prefix sums of non-constant schedules.
+_CHUNK = 1 << 12
 
 _EULER = float(np.euler_gamma)
 
@@ -39,13 +44,16 @@ class WeightMode(Enum):
 
 @dataclass(eq=False)
 class WeightSchedule:
-    """Weight values over k = 1..kmax plus cached ratio prefix sums.
+    """Weight values over k = 1..kmax plus checkpointed ratio prefix sums.
 
-    ``values`` is None only for CONST_ONE, where every weight is 1 and
-    partial sums have closed forms, so kmax may be astronomically large.
-    For ADAPTED schedules ``anchors`` records the segment endpoints that
-    were actually placed and ``truncated`` whether the decay sequence ran
-    out before the last segment closed.
+    CONST_ONE stores nothing: every weight is 1 and partial sums have
+    closed forms, so kmax may be astronomically large.  INV_LOG computes
+    a_k = 1/log2 k on demand and ADAPTED keeps its ``values`` array.  Both
+    sum a_j/j in extended precision but store the running prefix only at
+    every multiple of 2^12; a lookup rebuilds the one chunk it needs from
+    its checkpoint.  For ADAPTED schedules ``anchors`` records the segment
+    endpoints that were actually placed and ``truncated`` whether the
+    decay sequence ran out before the last segment closed.
     """
 
     mode: WeightMode
@@ -54,15 +62,16 @@ class WeightSchedule:
     anchors: tuple[int, ...] | None = None
     truncated: bool = False
     decay: np.ndarray | None = None
-    _prefix: np.ndarray | None = field(default=None, repr=False)
+    _checkpoints: np.ndarray | None = field(default=None, init=False,
+                                            repr=False)
 
     def __post_init__(self):
         if self.kmax < 1:
             raise ParamsError("kmax must be >= 1", kmax=self.kmax)
-        if self.values is None:
-            if self.mode is not WeightMode.CONST_ONE:
-                raise ParamsError("only CONST_ONE schedules may be lazy")
-        else:
+        if (self.values is not None) != (self.mode is WeightMode.ADAPTED):
+            raise ParamsError("only ADAPTED schedules take values, "
+                              "and they need them", mode=self.mode.value)
+        if self.values is not None:
             v = np.asarray(self.values, dtype=float)
             if v.shape != (self.kmax,):
                 raise ParamsError("values must have length kmax")
@@ -76,25 +85,62 @@ class WeightSchedule:
 
     def a(self, k):
         """Weight a_k; accepts scalars or integer arrays."""
-        if self.values is None:
-            if np.isscalar(k):
-                return 1.0
-            return np.ones(np.shape(k), dtype=float)
+        if self.mode is WeightMode.CONST_ONE:
+            return 1.0 if np.isscalar(k) else np.ones(np.shape(k))
+        if np.ndim(k) == 0:
+            # scalar fast path: the engine asks for single weights a lot
+            k = int(k)
+            self._check_range(k, k)
+            if self.values is not None:
+                return float(self.values[k - 1])
+            return float(1.0 / np.log2(float(max(k, 2))))
         k = np.asarray(k)
-        return self.values[k - 1] if k.ndim else float(self.values[int(k) - 1])
+        if k.size:
+            self._check_range(int(k.min()), int(k.max()))
+        if self.values is not None:
+            return self.values[k - 1]
+        # a_1 = 1 = 1/log2(2)
+        return 1.0 / np.log2(np.maximum(k, 2).astype(float))
+
+    def _check_range(self, k_min: int, k_max: int):
+        if k_min < 1 or k_max > self.kmax:
+            raise ParamsError("scale index outside the schedule",
+                              k=k_min if k_min < 1 else k_max,
+                              kmax=self.kmax)
 
     def ratio(self, k):
         """a_k / k, the mass carried by index k."""
         return self.a(k) / np.asarray(k, dtype=float)
 
-    def _ratio_prefix(self) -> np.ndarray:
-        # prefix[k] = sum_{j<=k} a_j/j, with prefix[0] = 0, in extended precision
-        if self._prefix is None:
-            j = np.arange(1, self.kmax + 1, dtype=np.longdouble)
-            r = np.asarray(self.values, dtype=np.longdouble) / j
-            self._prefix = np.concatenate(
-                [[0.0], np.cumsum(r)]).astype(float)
-        return self._prefix
+    # -- checkpointed prefix -------------------------------------------------
+    # np.cumsum adds strictly in sequence, so seeding a chunk's cumsum with
+    # the carry gives the same bits as one cumsum over the whole range.
+
+    def _chunk_sums(self, i: int, carry) -> np.ndarray:
+        # extended-precision prefix sums over chunk i, seeded with ``carry``
+        lo = i * _CHUNK + 1
+        hi = min(lo + _CHUNK - 1, self.kmax)
+        r = (np.asarray(self.a(np.arange(lo, hi + 1)), dtype=np.longdouble)
+             / np.arange(lo, hi + 1, dtype=np.longdouble))
+        r[0] += carry
+        return np.cumsum(r)
+
+    def _checkpoint_table(self) -> np.ndarray:
+        # entry i = sum_{j <= min(i * _CHUNK, kmax)} a_j/j
+        if self._checkpoints is None:
+            table = [np.longdouble(0.0)]
+            for i in range(-(-self.kmax // _CHUNK)):
+                table.append(self._chunk_sums(i, table[-1])[-1])
+            self._checkpoints = np.array(table, dtype=np.longdouble)
+        return self._checkpoints
+
+    def _prefix(self, k: int) -> float:
+        # sum_{j <= k} a_j/j rounded to float, 0 for k = 0
+        if k == 0:
+            return 0.0
+        i = (k - 1) // _CHUNK
+        sums = self._chunk_sums(i, self._checkpoint_table()[i])
+        return float(sums[k - 1 - i * _CHUNK])
 
     def mass(self, k_lo: int, k_hi: int) -> float:
         """Sum of a_k / k over k_lo <= k <= k_hi (0 if the range is empty)."""
@@ -104,16 +150,17 @@ class WeightSchedule:
         k_hi = min(int(k_hi), self.kmax)
         if k_hi < k_lo:
             return 0.0
-        if self.values is None:
+        if self.mode is WeightMode.CONST_ONE:
             return harmonic(k_hi) - harmonic(k_lo - 1)
-        p = self._ratio_prefix()
-        return float(p[k_hi] - p[k_lo - 1])
+        return self._prefix(k_hi) - self._prefix(k_lo - 1)
 
     def first_k_reaching(self, k_lo: int, threshold: float) -> int | None:
         """Smallest k >= k_lo with mass(k_lo, k) >= threshold, else None."""
+        if k_lo > self.kmax:
+            return None
         if threshold <= 0.0:
-            return k_lo if k_lo <= self.kmax else None
-        if self.values is None:
+            return k_lo
+        if self.mode is WeightMode.CONST_ONE:
             base = harmonic(k_lo - 1)
             target = base + threshold
             # analytic guess H(k) ~ ln k + gamma, then local bisection
@@ -131,13 +178,18 @@ class WeightSchedule:
                 else:
                     lo = mid + 1
             return lo
-        p = self._ratio_prefix()
-        target = p[k_lo - 1] + threshold
-        k = int(np.searchsorted(p, target, side="left"))
-        # searchsorted can land one early on exact-float boundaries
-        while k <= self.kmax and p[k] < target:
-            k += 1
-        return k if k <= self.kmax else None
+        target = self._prefix(k_lo - 1) + threshold
+        table = self._checkpoint_table()
+        # the first chunk whose end reaches the target holds the answer
+        i = int(np.searchsorted(table.astype(float), target, side="left"))
+        if i == table.size:
+            return None
+        sums = self._chunk_sums(i - 1, table[i - 1]).astype(float)
+        k = (i - 1) * _CHUNK + 1 + int(
+            np.searchsorted(sums, target, side="left"))
+        # a threshold below half an ulp of the prefix leaves the target
+        # on p(k_lo - 1), which can be reached before k_lo
+        return max(k, k_lo)
 
 
 def adapted_schedule(c, kmax: int):
@@ -208,11 +260,7 @@ def build_weights(mode: WeightMode, kmax: int, c=None) -> WeightSchedule:
             "kmax exceeds the array budget for non-constant schedules",
             kmax=kmax, budget=MAX_ARRAY_KMAX)
     if mode is WeightMode.INV_LOG:
-        k = np.arange(1, kmax + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            vals = 1.0 / np.log2(k)
-        vals[0] = 1.0
-        return WeightSchedule(mode=mode, kmax=kmax, values=vals)
+        return WeightSchedule(mode=mode, kmax=kmax)
     if mode is WeightMode.ADAPTED:
         if c is None:
             raise ParamsError("ADAPTED schedules require a decay sequence")

@@ -5,8 +5,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cltlab.blocks import (BlockParity, MassTarget, SequenceParams,
-                           TargetKind, default_params, parity_of,
-                           split_blocks)
+                           TargetKind, build_blocks, default_params,
+                           parity_of, split_blocks)
 from cltlab.errors import ParamsError
 from cltlab.weights import WeightMode, build_weights, harmonic
 
@@ -126,3 +126,16 @@ def test_default_params_partition_invariants(kmax, rho):
         assert b.mass == pytest.approx(
             params.weights.mass(b.k_lo, b.k_hi), rel=1e-12)
     assert all(b.complete for b in blocks[:-1])
+
+
+def test_tiny_explicit_target_gives_a_one_index_block():
+    # block 2 asks for 2^-53 of mass beyond the tolerance, less than half
+    # an ulp of the running prefix; it still needs its first index
+    w = build_weights(WeightMode.INV_LOG, 4096)
+    blocks = build_blocks(w, MassTarget.explicit_targets(
+        [3.0, 0.5 + 2.0 ** -53, 50.0], 0.5))
+    b1, b2, b3 = blocks
+    assert b1.complete and b2.complete and not b3.complete
+    assert (b2.k_lo, b2.k_hi) == (b1.k_hi + 1, b1.k_hi + 1)
+    assert b2.mass == w.mass(b2.k_lo, b2.k_lo)
+    assert (b3.k_lo, b3.k_hi) == (b2.k_hi + 1, 4096)

@@ -102,6 +102,18 @@ def test_invalid_config_exits_2(capsys):
     assert "kmax" in doc["error"]["details"]
 
 
+def test_grid_past_the_schedule_exits_2(tmp_path, capsys):
+    # horizons up to 2^48 ask for weights a_41 .. a_48 of a kmax-40 schedule
+    code, doc = run_main(["custom", "--kmax", "40", "--a-mode", "invlog",
+                          "--rho", "1.5", "--grid", "dyadic:4:48",
+                          "--samples", "0", "--out", str(tmp_path / "o")],
+                         capsys)
+    assert code == 2
+    assert doc["error"] == {"type": "ParamsError",
+                            "message": "scale index outside the schedule",
+                            "details": {"k": 41, "kmax": 40}}
+
+
 def test_missing_input_file_exits_2(capsys):
     code, doc = run_main(["theorem2", "--c-file", "/nonexistent/c.txt"],
                          capsys)

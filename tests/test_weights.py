@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cltlab.blocks import default_params
 from cltlab.errors import ParamsError
 from cltlab.weights import (MAX_ARRAY_KMAX, WeightMode, WeightSchedule,
                             adapted_schedule, build_weights, harmonic,
@@ -73,7 +75,8 @@ def test_inv_log_values():
 def test_mass_matches_longdouble_cumsum():
     w = build_weights(WeightMode.INV_LOG, 500)
     j = np.arange(1, 501, dtype=np.longdouble)
-    ref = np.cumsum(np.asarray(w.values, dtype=np.longdouble) / j)
+    ref = np.cumsum(np.asarray(w.a(np.arange(1, 501)), dtype=np.longdouble)
+                    / j)
     for hi in (1, 2, 77, 500):
         assert w.mass(1, hi) == pytest.approx(float(ref[hi - 1]),
                                               rel=1e-14)
@@ -141,12 +144,17 @@ def test_build_weights_validation():
         build_weights(WeightMode.CONST_ONE, 0)
     with pytest.raises(ParamsError):
         build_weights(WeightMode.INV_LOG, MAX_ARRAY_KMAX + 1)
-    with pytest.raises(ParamsError):
-        WeightSchedule(WeightMode.INV_LOG, 3, values=np.array([1.0, 0.5]))
-    with pytest.raises(ParamsError):
-        WeightSchedule(WeightMode.INV_LOG, 2, values=np.array([0.5, 0.9]))
-    with pytest.raises(ParamsError):
-        WeightSchedule(WeightMode.INV_LOG, 2, values=np.array([1.0, 1.5]))
+    with pytest.raises(ParamsError, match="length kmax"):
+        WeightSchedule(WeightMode.ADAPTED, 3, values=np.array([1.0, 0.5]))
+    with pytest.raises(ParamsError, match="nonincreasing"):
+        WeightSchedule(WeightMode.ADAPTED, 2, values=np.array([0.5, 0.9]))
+    with pytest.raises(ParamsError, match=r"\[0, 1\]"):
+        WeightSchedule(WeightMode.ADAPTED, 2, values=np.array([1.0, 1.5]))
+    # only ADAPTED schedules take values, and they need them
+    with pytest.raises(ParamsError, match="only ADAPTED"):
+        WeightSchedule(WeightMode.INV_LOG, 2, values=np.array([1.0, 1.0]))
+    with pytest.raises(ParamsError, match="only ADAPTED"):
+        WeightSchedule(WeightMode.ADAPTED, 2)
 
 
 def test_weighted_prefix_matches_brute():
@@ -169,3 +177,161 @@ def test_weighted_prefix_validation():
     with pytest.raises(ParamsError):
         weighted_prefix(w, np.ones(5), [0])
     assert weighted_prefix(w, np.ones(5), []).size == 0
+
+
+# -- scale-index bounds ------------------------------------------------------
+
+def _bounded_schedules():
+    yield build_weights(WeightMode.INV_LOG, 40)
+    yield build_weights(WeightMode.ADAPTED, 40,
+                        c=np.exp2(-np.arange(1, 41) / 4.0))
+
+
+@pytest.mark.parametrize("k", [0, -3, 41, 1000])
+def test_weight_index_outside_schedule_raises(k):
+    for w in _bounded_schedules():
+        for probe in (k, np.int64(k), np.array([1, 5, k, 40])):
+            with pytest.raises(ParamsError, match="outside the schedule") \
+                    as exc:
+                w.a(probe)
+            assert exc.value.details == {"k": k, "kmax": 40}
+        with pytest.raises(ParamsError, match="outside the schedule"):
+            w.ratio(k)
+
+
+def test_weight_index_bounds_are_inclusive():
+    for w in _bounded_schedules():
+        assert w.a(1) == 1.0
+        assert 0.0 < w.a(40) <= 1.0
+        assert w.a(np.arange(1, 41)).shape == (40,)
+        assert w.a(np.array([], dtype=np.int64)).shape == (0,)
+    # the constant schedule has no array behind it and stays unbounded
+    assert build_weights(WeightMode.CONST_ONE, 40).a(41) == 1.0
+
+
+def test_first_k_reaching_stays_at_or_above_k_lo():
+    # a threshold below half an ulp of the running prefix cannot move the
+    # target past p(k_lo - 1); the answer is still k_lo itself
+    w = build_weights(WeightMode.INV_LOG, 4096)
+    assert w.first_k_reaching(2000, 1e-17) == 2000
+    assert w.first_k_reaching(2000, 1e-20) == 2000
+    assert w.first_k_reaching(4096, 1e-17) == 4096
+    assert w.first_k_reaching(4097, 1e-17) is None
+    const = build_weights(WeightMode.CONST_ONE, 4096)
+    assert const.first_k_reaching(2000, 1e-17) == 2000
+
+
+# -- bit identity with the former whole-array prefix -----------------------
+# The schedule used to hold every weight and the whole prefix
+# sum_{j<=k} a_j/j as one longdouble cumsum rounded to float; these
+# copies of that path pin the checkpointed prefix to it bit for bit.
+
+CHUNK = 1 << 12
+
+
+def _old_inv_log_values(kmax):
+    with np.errstate(divide="ignore"):
+        vals = 1.0 / np.log2(np.arange(1, kmax + 1, dtype=float))
+    vals[0] = 1.0
+    return vals
+
+
+def _old_prefix(values):
+    # whole-array longdouble cumsum, in place to keep 2^22 affordable
+    r = np.arange(1, values.size + 1, dtype=np.longdouble)
+    np.divide(values, r, out=r)
+    np.cumsum(r, out=r)
+    return np.concatenate([[0.0], r.astype(float)])
+
+
+def _old_mass(p, k_lo, k_hi):
+    return float(p[k_hi] - p[k_lo - 1])
+
+
+def _old_first_k_reaching(p, k_lo, threshold):
+    kmax = p.size - 1
+    target = p[k_lo - 1] + threshold
+    k = int(np.searchsorted(p, target, side="left"))
+    while k <= kmax and p[k] < target:
+        k += 1
+    return k if k <= kmax else None
+
+
+def _schedule_and_old(mode, kmax):
+    if mode is WeightMode.INV_LOG:
+        return build_weights(mode, kmax), _old_inv_log_values(kmax)
+    w = build_weights(mode, kmax, c=np.exp2(-np.arange(1, kmax + 1) / 20.0))
+    return w, w.values
+
+
+THRESHOLDS = (1e-20, 1e-17, 2.0 ** -53, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0,
+              1.5, 2.0, 3.0, 4.0, 8.0, 64.0)
+
+
+@pytest.mark.parametrize("mode", [WeightMode.INV_LOG, WeightMode.ADAPTED])
+@pytest.mark.parametrize("kmax", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1,
+                                  3 * CHUNK + 5])
+def test_checkpointed_prefix_matches_whole_array(mode, kmax):
+    w, vals = _schedule_and_old(mode, kmax)
+    p = _old_prefix(vals)
+    ks = np.arange(1, kmax + 1)
+    assert np.array_equal(w.a(ks), vals)
+    assert all(w.a(int(k)) == vals[k - 1] for k in ks)
+    # every chunk boundary and its neighbours, plus the ends
+    edges = {1, 2, kmax - 1, kmax}
+    for c in range(1, kmax // CHUNK + 1):
+        edges.update((c * CHUNK - 1, c * CHUNK, c * CHUNK + 1))
+    edges = sorted(k for k in edges if 1 <= k <= kmax)
+    rng = np.random.default_rng(kmax)
+    pairs = [(lo, hi) for lo in edges for hi in edges if lo <= hi]
+    pairs += [tuple(sorted(rng.integers(1, kmax + 1, 2)))
+              for _ in range(200)]
+    for lo, hi in pairs:
+        assert w.mass(lo, hi) == _old_mass(p, lo, hi), (lo, hi)
+    for k_lo in edges:
+        # exact masses land the target on a prefix value
+        exact = [_old_mass(p, k_lo, hi) for hi in edges if hi >= k_lo]
+        for thr in THRESHOLDS + tuple(exact):
+            old = _old_first_k_reaching(p, k_lo, thr)
+            want = None if old is None else max(old, k_lo)
+            assert w.first_k_reaching(k_lo, thr) == want, (k_lo, thr)
+
+
+def test_checkpointed_prefix_matches_whole_array_at_2_22():
+    kmax = 1 << 22
+    w = build_weights(WeightMode.INV_LOG, kmax)
+    vals = _old_inv_log_values(kmax)
+    p = _old_prefix(vals)
+    rng = np.random.default_rng(22)
+    ks = rng.integers(1, kmax + 1, 5000)
+    assert np.array_equal(w.a(ks), vals[ks - 1])
+    assert all(w.a(int(k)) == vals[k - 1] for k in ks[:500])
+    los = list(rng.integers(1, kmax + 1, 300)) + [1, CHUNK, CHUNK + 1,
+                                                   kmax - CHUNK, kmax]
+    for lo in los:
+        hi = int(rng.integers(lo, kmax + 1))
+        for a, b in ((lo, hi), (lo, kmax), (1, lo)):
+            assert w.mass(a, b) == _old_mass(p, a, b), (a, b)
+    for k_lo in los[:150]:
+        for thr in (1e-17, float(rng.uniform(0.0, 0.3)), 0.4, 3.0):
+            old = _old_first_k_reaching(p, k_lo, thr)
+            want = None if old is None else max(old, k_lo)
+            assert w.first_k_reaching(k_lo, thr) == want, (k_lo, thr)
+
+
+def test_inv_log_default_params_at_2_22_pinned():
+    params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
+    assert [(b.k_lo, b.k_hi, repr(b.mass)) for b in params.blocks] == [
+        (1, 3264, "3.0000165158895298"),
+        (3265, 1 << 22, "0.43931271607238864")]
+
+
+def test_inv_log_default_params_at_2_22_stays_small():
+    # one kmax-long float array alone would be 32 MB
+    tracemalloc.start()
+    try:
+        default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
