@@ -332,22 +332,19 @@ def _run_spectral(cfg: ExperimentConfig, stamp: str | None):
 # Entry points
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one configuration; write artifacts; return the exit code."""
+    """Execute one configuration; write artifacts; return the exit code.
+
+    Configuration and budget errors propagate; ``main`` maps them to
+    exit codes.
+    """
     # one stamp for every artifact of the run
     stamp = (None if cfg.no_timestamp else
              datetime.now(timezone.utc).isoformat(timespec="seconds"))
-    try:
-        cfg.validate()
-        if cfg.scenario is Scenario.SPECTRAL:
-            artifacts, verdicts, code = _run_spectral(cfg, stamp)
-        else:
-            artifacts, verdicts, code = _run_sequence(cfg, stamp)
-    except ParamsError as exc:
-        _emit_error(exc)
-        return EXIT_VALIDATION
-    except (WorkBudgetError, MemoryBudgetError, TruncationError) as exc:
-        _emit_error(exc)
-        return EXIT_BUDGET
+    cfg.validate()
+    if cfg.scenario is Scenario.SPECTRAL:
+        artifacts, verdicts, code = _run_spectral(cfg, stamp)
+    else:
+        artifacts, verdicts, code = _run_sequence(cfg, stamp)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -372,32 +369,25 @@ def run(cfg: ExperimentConfig) -> int:
 
 def validate_only(cfg: ExperimentConfig) -> int:
     """Check the configuration and its derived inputs without running."""
-    try:
-        cfg.validate()
-        if cfg.scenario is Scenario.SPECTRAL:
-            toy = _build_toy(cfg)
-            derived = {"dim": toy.dim, "tag": toy.tag.value}
-        else:
-            decay = _resolve_decay(cfg)
-            params = _build_params(cfg, decay)
-            derived = {
-                "kmax": params.kmax,
-                "blocks": [{
-                    "index": b.index,
-                    "parity": b.parity.value,
-                    "k_lo": b.k_lo,
-                    "k_hi": b.k_hi,
-                    "complete": b.complete,
-                    "mass": b.mass,
-                } for b in params.blocks],
-                "params": params_to_dict(params),
-            }
-    except ParamsError as exc:
-        _emit_error(exc)
-        return EXIT_VALIDATION
-    except (WorkBudgetError, MemoryBudgetError, TruncationError) as exc:
-        _emit_error(exc)
-        return EXIT_BUDGET
+    cfg.validate()
+    if cfg.scenario is Scenario.SPECTRAL:
+        toy = _build_toy(cfg)
+        derived = {"dim": toy.dim, "tag": toy.tag.value}
+    else:
+        decay = _resolve_decay(cfg)
+        params = _build_params(cfg, decay)
+        derived = {
+            "kmax": params.kmax,
+            "blocks": [{
+                "index": b.index,
+                "parity": b.parity.value,
+                "k_lo": b.k_lo,
+                "k_hi": b.k_hi,
+                "complete": b.complete,
+                "mass": b.mass,
+            } for b in params.blocks],
+            "params": params_to_dict(params),
+        }
     print(json.dumps({"valid": True, "config": cfg.to_dict(),
                       "derived": json_ready(derived)},
                      sort_keys=True))
@@ -464,12 +454,15 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(ns)
+        if ns.command == "validate":
+            return validate_only(cfg)
+        return run(cfg)
     except ParamsError as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
-    if ns.command == "validate":
-        return validate_only(cfg)
-    return run(cfg)
+    except (WorkBudgetError, MemoryBudgetError, TruncationError) as exc:
+        _emit_error(exc)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -522,7 +522,6 @@ class ConditionReport:
     values: list
     verdict: Verdict
     rule: TrendRule
-    notes: dict = field(default_factory=dict)
 
     @property
     def token(self) -> str:
@@ -550,18 +549,19 @@ class ExactMoments:
                  work_budget: int = WORK_BUDGET):
         self.params = params
         self.work_budget = work_budget
-        self._profiles: dict[int, list[BlockProfile]] = {}
         self._cache: dict = {}
+
+    def _memo(self, key, compute):
+        # fill once; a compute that raises stores nothing
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # -- profiles ----------------------------------------------------------
 
     def profiles(self, N: int) -> list[BlockProfile]:
-        got = self._profiles.get(N)
-        if got is None:
-            got = [BlockProfile(self.params, b, N)
-                   for b in self.params.blocks]
-            self._profiles[N] = got
-        return got
+        return self._memo(("profiles", N), lambda: [
+            BlockProfile(self.params, b, N) for b in self.params.blocks])
 
     # -- masses ------------------------------------------------------------
 
@@ -572,11 +572,8 @@ class ExactMoments:
 
     def normalizer_sq(self, N: int) -> float:
         """b^2: squared norm of the sum of sub-horizon scale terms."""
-        key = ("b2", N)
-        if key not in self._cache:
-            self._cache[key] = math.fsum(
-                self.block_mass(b, N) ** 2 for b in self.params.blocks)
-        return self._cache[key]
+        return self._memo(("b2", N), lambda: math.fsum(
+            self.block_mass(b, N) ** 2 for b in self.params.blocks))
 
     def normalizer(self, N: int) -> float:
         return math.sqrt(self.normalizer_sq(N))
@@ -585,11 +582,8 @@ class ExactMoments:
 
     def cond_norm_sq(self, N: int) -> float:
         """Squared norm of the past-conditional part of the horizon sum."""
-        key = ("cond", N)
-        if key not in self._cache:
-            self._cache[key] = math.fsum(
-                p.sum_pow(2, hi=0) for p in self.profiles(N))
-        return self._cache[key]
+        return self._memo(("cond", N), lambda: math.fsum(
+            p.sum_pow(2, hi=0) for p in self.profiles(N)))
 
     def proj_norm_sq(self, l: int, N: int) -> float:
         """Squared norm of the single-coordinate projection at shift l."""
@@ -599,19 +593,13 @@ class ExactMoments:
 
     def proj_total_sq(self, N: int) -> float:
         """Sum of all projection norms, by closed form."""
-        key = ("projtot", N)
-        if key not in self._cache:
-            self._cache[key] = math.fsum(
-                p.sum_pow(2, lo=1, hi=N - 1) for p in self.profiles(N))
-        return self._cache[key]
+        return self._memo(("projtot", N), lambda: math.fsum(
+            p.sum_pow(2, lo=1, hi=N - 1) for p in self.profiles(N)))
 
     def sigma_sq(self, N: int) -> float:
         """Var of the horizon-N partial sum (profile route)."""
-        key = ("sigma", N)
-        if key not in self._cache:
-            self._cache[key] = math.fsum(
-                p.sum_pow(2) for p in self.profiles(N))
-        return self._cache[key]
+        return self._memo(("sigma", N), lambda: math.fsum(
+            p.sum_pow(2) for p in self.profiles(N)))
 
     def sigma_sq_paircov(self, N: int) -> float:
         """Var by the normalized pair-covariance route (independent)."""
@@ -624,30 +612,46 @@ class ExactMoments:
         """Squared distance from the centered horizon sum to N flat shifts
         of the sub-horizon scale sum (includes the coordinate-0 mismatch).
         """
-        key = ("iiderr", N)
-        if key not in self._cache:
+        def compute():
             out = self.normalizer_sq(N)
             for b, p in zip(self.params.blocks, self.profiles(N)):
                 out += p.sum_pow(2, lo=1, hi=N - 1,
                                  shift=self.block_mass(b, N))
-            self._cache[key] = out
-        return self._cache[key]
+            return out
+
+        return self._memo(("iiderr", N), compute)
 
     def iid_approx_ratio(self, N: int) -> float:
         return self.iid_approx_error_sq(N) / (self.normalizer_sq(N) * N)
 
     def fourth_cumulant(self, N: int) -> float:
-        """kappa_4 of the horizon sum; spikes only (Gaussian blocks add 0)."""
-        key = ("k4", N)
-        if key not in self._cache:
+        """kappa_4 of the horizon sum; spikes only (Gaussian blocks add 0).
+
+        A three-valued block with k_lo > [log N] + K_GUARD keeps no scale
+        in its profile.  Its C(m) is at most 2^(e + 2 - k_lo) at each of
+        at most 2^(h + 1) sites (e = [log N], h its horizon exponent), so
+        it adds at most 2^(2h + 4e + 9 - 4 k_lo).  Below 2^-1074, the
+        smallest positive double, that is exactly 0.0, as in
+        ``SeriesTail``; above it the block's term is unresolved and
+        ``ParamsError`` names the block.
+        """
+        def compute():
+            e = _log2_floor(N)
             out = 0.0
             for b, p in zip(self.params.blocks, self.profiles(N)):
-                if b.parity is BlockParity.THREE_VALUED:
-                    spike = (math.inf if b.horizon_log2 > 1023
-                             else float(b.horizon) - 3.0)
-                    out += spike * p.sum_pow(4)
-            self._cache[key] = out
-        return self._cache[key]
+                if b.parity is not BlockParity.THREE_VALUED:
+                    continue
+                h = b.horizon_log2
+                if b.k_lo > e + K_GUARD:
+                    if 2 * h + 4 * e + 9 - 4 * b.k_lo < -1074:
+                        continue
+                    raise ParamsError("fourth cumulant unresolved at this "
+                                      "block", block=b.index, log2_N=e)
+                spike = math.inf if h > 1023 else float(b.horizon) - 3.0
+                out += spike * p.sum_pow(4)
+            return out
+
+        return self._memo(("k4", N), compute)
 
     # -- series tails ------------------------------------------------------
 
@@ -660,15 +664,29 @@ class ExactMoments:
         """
         if not 1 <= p <= q:
             raise ValueError("need 1 <= p <= q")
-        key = ("tail", p, q)
-        if key not in self._cache:
+
+        def compute():
             tail = SeriesTail(self.params, p, q)
             if tail.work > self.work_budget:
                 raise WorkBudgetError("series tail range too expensive",
                                       estimated_ops=tail.work,
                                       budget=self.work_budget)
-            self._cache[key] = math.sqrt(tail.norm_sq())
-        return self._cache[key]
+            return math.sqrt(tail.norm_sq())
+
+        return self._memo(("tail", p, q), compute)
+
+    # -- per-horizon statistics --------------------------------------------
+
+    def _rate5(self, n: int) -> float:
+        """||conditional part|| * log N / sqrt N (RATE_5)."""
+        return math.sqrt(self.cond_norm_sq(n)) * math.log2(n) / math.sqrt(n)
+
+    def _bound9(self, n: int) -> float:
+        """||conditional part||^2 log^2 N / (N a_[log N]^2) (BOUND_9)."""
+        a_e = float(self.params.weights.a(max(_log2_floor(n), 1)))
+        if n > 1 and a_e > 0:
+            return self.cond_norm_sq(n) * math.log2(n) ** 2 / (n * a_e * a_e)
+        return math.inf
 
     # -- condition sweeps --------------------------------------------------
 
@@ -676,6 +694,7 @@ class ExactMoments:
                         rule: TrendRule | None = None) -> ConditionReport:
         """Evaluate one statistic along an increasing grid of horizons.
 
+        Per-horizon statistics are the ones ``table_rows`` tabulates.
         Partial-sum statistics accumulate over the grid itself, each
         point weighted by the gap to its predecessor; on a grid of
         consecutive integers this is the exact series partial sum, on
@@ -685,38 +704,33 @@ class ExactMoments:
         grid = [int(n) for n in grid]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if condition is Condition.WEIGHTED_NORM_SERIES:
-            if c is None:
+        rule = rule or DEFAULT_RULES[condition]
+        if condition is Condition.TAIL_SERIES:
+            values = [self.series_tail_norm(n, 2 * n) for n in grid]
+        elif condition is Condition.LOG_RATE:
+            values = [self._rate5(n) for n in grid]
+        elif condition is Condition.GROWTH_BOUND:
+            values = [self._bound9(n) for n in grid]
+        else:
+            # MW_3PRIME is WEIGHTED_4 with c = 1: gap * 1.0 == float(gap)
+            if condition is Condition.NORM_SERIES:
+                c = [1.0] * len(grid)
+            elif c is None:
                 raise ValueError("weighted series needs its c sequence")
-            c = ([float(c(n)) for n in grid] if callable(c)
-                 else [float(x) for x in c])
+            elif callable(c):
+                c = [float(c(n)) for n in grid]
+            else:
+                c = [float(x) for x in c]
             if len(c) != len(grid):
                 raise ValueError("need one c value per grid point")
-        rule = rule or DEFAULT_RULES[condition]
-        values = []
-        acc = 0.0
-        prev = 0
-        for i, n in enumerate(grid):
-            gap = n - prev
-            prev = n
-            if condition is Condition.TAIL_SERIES:
-                values.append(self.series_tail_norm(n, 2 * n))
-                continue
-            cn = math.sqrt(self.cond_norm_sq(n))
-            e = _log2_floor(n)
-            if condition is Condition.NORM_SERIES:
-                acc += gap * cn / n ** 1.5
+            values = []
+            acc = 0.0
+            prev = 0
+            for weight, n in zip(c, grid):
+                cn = math.sqrt(self.cond_norm_sq(n))
+                acc += (n - prev) * weight * cn / n ** 1.5
                 values.append(acc)
-            elif condition is Condition.WEIGHTED_NORM_SERIES:
-                acc += gap * c[i] * cn / n ** 1.5
-                values.append(acc)
-            elif condition is Condition.LOG_RATE:
-                values.append(cn * math.log2(n) / math.sqrt(n))
-            else:  # GROWTH_BOUND
-                a_e = float(self.params.weights.a(max(e, 1)))
-                denom = n * a_e * a_e
-                values.append((cn * cn) * (math.log2(n) ** 2) / denom
-                              if denom > 0 else math.inf)
+                prev = n
         return ConditionReport(condition=condition, grid=grid,
                                values=values, verdict=rule.apply(values),
                                rule=rule)
@@ -727,20 +741,14 @@ class ExactMoments:
         """Per-horizon summary used by the CSV emitter."""
         rows = []
         for n in grid:
-            e = _log2_floor(n)
             b2 = self.normalizer_sq(n)
-            cond2 = self.cond_norm_sq(n)
-            cn = math.sqrt(cond2)
-            a_e = float(self.params.weights.a(max(e, 1)))
             row = {
                 "N": n,
                 "b": math.sqrt(b2),
-                "cond_norm": cn,
+                "cond_norm": math.sqrt(self.cond_norm_sq(n)),
                 "sigma": math.sqrt(self.sigma_sq(n)),
-                "ratio_bound9": (cond2 * math.log2(n) ** 2
-                                 / (n * a_e * a_e) if n > 1 and a_e > 0
-                                 else math.inf),
-                "ratio_rate5": cn * math.log2(n) / math.sqrt(n),
+                "ratio_bound9": self._bound9(n),
+                "ratio_rate5": self._rate5(n),
                 "lemma5_ratio": (self.iid_approx_ratio(n)
                                  if b2 > 0 else math.inf),
             }

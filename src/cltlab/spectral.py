@@ -233,6 +233,14 @@ class SpectralConditionReport:
         return "\n".join(lines) + "\n"
 
 
+def _eigen_terms(toy: SpectralToy):
+    """(at_one, g / (1 - lambda)) per eigenvalue, 0 where lambda is 1."""
+    lam = toy.eigenvalues
+    at_one = np.abs(lam - 1.0) <= _EIG_ONE_TOL
+    den = np.where(at_one, 1.0, 1.0 - lam)
+    return at_one, np.where(at_one, 0.0, toy.observable / den)
+
+
 def evaluate_conditions(toy: SpectralToy, n_max: int,
                         q: float = 2.0) -> SpectralConditionReport:
     """Accumulate all condition statistics up to n_max steps.
@@ -249,9 +257,7 @@ def evaluate_conditions(toy: SpectralToy, n_max: int,
                               budget=SPECTRAL_WORK_BUDGET)
     lam = toy.eigenvalues
     g = toy.observable
-    at_one = np.abs(lam - 1.0) <= _EIG_ONE_TOL
-    den = np.where(at_one, 1.0, 1.0 - lam)
-    gden = np.where(at_one, 0.0, g / den)
+    at_one, gden = _eigen_terms(toy)
     gap = np.where(at_one, 1.0, np.sqrt(np.abs(1.0 - lam)))
     correspondence = float(np.where(at_one, 0.0, np.abs(g) / gap).max())
 
@@ -311,9 +317,7 @@ def _partial_sums(toy: SpectralToy, n_hi: int) -> np.ndarray:
                               estimated_ops=(n_hi + 1) * toy.dim,
                               budget=SPECTRAL_WORK_BUDGET)
     lam = toy.eigenvalues
-    at_one = np.abs(lam - 1.0) <= _EIG_ONE_TOL
-    den = np.where(at_one, 1.0, 1.0 - lam)
-    gden = np.where(at_one, 0.0, toy.observable / den)
+    gden = _eigen_terms(toy)[1]
     pw = np.empty((n_hi + 1, toy.dim), dtype=complex)
     pw[0] = 1.0
     if n_hi >= 1:

@@ -2,16 +2,18 @@
 
 A schedule assigns a weight ``a_k`` to every dyadic scale index ``k`` and
 knows how to sum the ratios ``a_k / k`` over index ranges.  Those partial
-sums are the block masses everything else is built on.  The constant
-schedule gets an analytic path (digamma) and is the only mode allowed to
-exceed the array budget.  The other modes keep an extended-precision
-prefix at every 2^12-th index and rebuild one chunk per lookup, so even
+sums are the block masses everything else is built on.  Every mode
+answers them from one float prefix sum_{j<=k} a_j/j: masses are
+differences of it, and one bisection over it finds the first index at
+which a block's mass reaches its target.  The constant schedule's prefix
+is analytic (digamma), so it is the only mode allowed to exceed the
+array budget.  The other modes keep an extended-precision prefix at
+every 2^12-th index and rebuild one chunk per lookup, so even
 kmax = 2^22 holds a few kilobytes of checkpoints, not a prefix array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -46,14 +48,16 @@ class WeightMode(Enum):
 class WeightSchedule:
     """Weight values over k = 1..kmax plus checkpointed ratio prefix sums.
 
-    CONST_ONE stores nothing: every weight is 1 and partial sums have
-    closed forms, so kmax may be astronomically large.  INV_LOG computes
+    CONST_ONE stores nothing: every weight is 1 and its prefix is the
+    harmonic number in closed form, which is all that is analytic about
+    it, so kmax may be astronomically large.  INV_LOG computes
     a_k = 1/log2 k on demand and ADAPTED keeps its ``values`` array.  Both
     sum a_j/j in extended precision but store the running prefix only at
     every multiple of 2^12; a lookup rebuilds the one chunk it needs from
-    its checkpoint.  For ADAPTED schedules ``anchors`` records the segment
-    endpoints that were actually placed and ``truncated`` whether the
-    decay sequence ran out before the last segment closed.
+    its checkpoint.  ``mass`` and ``first_k_reaching`` read the prefix
+    the same way in every mode.  For ADAPTED schedules ``anchors`` records
+    the segment endpoints that were actually placed and ``truncated``
+    whether the decay sequence ran out before the last segment closed.
     """
 
     mode: WeightMode
@@ -135,7 +139,9 @@ class WeightSchedule:
         return self._checkpoints
 
     def _prefix(self, k: int) -> float:
-        # sum_{j <= k} a_j/j rounded to float, 0 for k = 0
+        # sum_{j <= k} a_j/j rounded to float, 0 for k = 0; never decreases
+        if self.mode is WeightMode.CONST_ONE:
+            return harmonic(k)
         if k == 0:
             return 0.0
         i = (k - 1) // _CHUNK
@@ -144,52 +150,27 @@ class WeightSchedule:
 
     def mass(self, k_lo: int, k_hi: int) -> float:
         """Sum of a_k / k over k_lo <= k <= k_hi (0 if the range is empty)."""
-        if k_hi < k_lo:
-            return 0.0
         k_lo = max(int(k_lo), 1)
         k_hi = min(int(k_hi), self.kmax)
         if k_hi < k_lo:
             return 0.0
-        if self.mode is WeightMode.CONST_ONE:
-            return harmonic(k_hi) - harmonic(k_lo - 1)
         return self._prefix(k_hi) - self._prefix(k_lo - 1)
 
     def first_k_reaching(self, k_lo: int, threshold: float) -> int | None:
         """Smallest k >= k_lo with mass(k_lo, k) >= threshold, else None."""
         if k_lo > self.kmax:
             return None
-        if threshold <= 0.0:
-            return k_lo
-        if self.mode is WeightMode.CONST_ONE:
-            base = harmonic(k_lo - 1)
-            target = base + threshold
-            # analytic guess H(k) ~ ln k + gamma, then local bisection
-            hi = max(k_lo, int(math.exp(min(target - _EULER, 700.0))) + 2)
-            hi = min(hi, self.kmax)
-            while harmonic(hi) < target:
-                if hi >= self.kmax:
-                    return None
-                hi = min(2 * hi, self.kmax)
-            lo = k_lo
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if harmonic(mid) >= target:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
         target = self._prefix(k_lo - 1) + threshold
-        table = self._checkpoint_table()
-        # the first chunk whose end reaches the target holds the answer
-        i = int(np.searchsorted(table.astype(float), target, side="left"))
-        if i == table.size:
+        if self._prefix(self.kmax) < target:
             return None
-        sums = self._chunk_sums(i - 1, table[i - 1]).astype(float)
-        k = (i - 1) * _CHUNK + 1 + int(
-            np.searchsorted(sums, target, side="left"))
-        # a threshold below half an ulp of the prefix leaves the target
-        # on p(k_lo - 1), which can be reached before k_lo
-        return max(k, k_lo)
+        lo, hi = k_lo, self.kmax
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._prefix(mid) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
 
 def adapted_schedule(c, kmax: int):

@@ -171,6 +171,24 @@ def test_deep_tail_judged_on_own_params(tmp_path, capsys):
     assert all(math.isfinite(float(r["tail_2prime"])) for r in rows)
 
 
+def test_condition_verdicts_read_the_table_columns(tmp_path, capsys):
+    out = tmp_path / "cond"
+    code, _ = run_main(["conditions", "--samples", "0",
+                        "--grid", "dyadic:4:10", "--no-timestamp",
+                        "--out", str(out)], capsys)
+    assert code == 0
+    conds = json.loads((out / "verdict.json").read_text())["conditions"]
+    lines = [line for line in (out / "conditions.csv").read_text()
+             .splitlines() if not line.startswith("#")]
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 7
+    for token, column in (("RATE_5", "ratio_rate5"),
+                          ("BOUND_9", "ratio_bound9"),
+                          ("SERIES_2PRIME", "tail_2prime")):
+        # %.17g and JSON both round-trip a double exactly
+        assert conds[token]["values"] == [float(r[column]) for r in rows]
+
+
 def test_runs_are_byte_deterministic(tmp_path, capsys, monkeypatch):
     argv = ["custom", "--kmax", "20", "--samples", "300",
             "--grid", "dyadic:4:10", "--seed", "11",

@@ -11,7 +11,7 @@ from cltlab.engine import (WORK_BUDGET, BlockProfile, Condition,
                            ExactMoments, SeriesTail, TrendKind, TrendRule,
                            Verdict, dyadic_grid, format_csv, pair_count,
                            sigma_sq_over_n)
-from cltlab.errors import MemoryBudgetError, WorkBudgetError
+from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab.reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
                               dense_series_tail_norm, sigma_sq_enumerated)
 from cltlab.weights import WeightMode, build_weights
@@ -219,6 +219,26 @@ def test_tail_blocks_beyond_float_range_add_zero():
             got = split.series_tail_norm(p, q)
             assert math.isfinite(got) and got > 0.0
             assert got == whole.series_tail_norm(p, q)
+
+
+def test_fourth_cumulant_of_blocks_beyond_the_guard():
+    # theorem1's third block (k_lo = 37,605,531, horizon 2^40,000,000)
+    # keeps no scale at these horizons and adds far under 2^-1074, so
+    # kappa_4 is block 1's own spike term, not inf * 0 = nan
+    em = ExactMoments(default_params(kmax=40_000_000))
+    first = em.params.blocks[0]
+    for e in (4, 11, 20):
+        N = 1 << e
+        own = (float(first.horizon) - 3.0) * em.profiles(N)[0].sum_pow(4)
+        assert math.isfinite(own)
+        assert em.fourth_cumulant(N) == own
+    # block 3 (k_lo = 101, horizon 2^300) is beyond the guard at N = 16
+    # but may add up to 2^221: it is refused rather than dropped
+    w = build_weights(WeightMode.CONST_ONE, 300)
+    deep = ExactMoments(SequenceParams(w, split_blocks(w, [1, 100, 300])))
+    with pytest.raises(ParamsError) as info:
+        deep.fourth_cumulant(16)
+    assert info.value.details["block"] == 3
 
 
 # -- internal identities at desk scale -------------------------------------

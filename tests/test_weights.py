@@ -49,6 +49,22 @@ def test_const_one_first_k_reaching_frozen():
     assert w.first_k_reaching(1, 0.0) == 1
 
 
+def test_const_one_first_k_reaching_matches_harmonic_scan():
+    kmax = 5000
+    w = build_weights(WeightMode.CONST_ONE, kmax)
+    h = [harmonic(k) for k in range(kmax + 1)]
+    for k_lo in (1, 2, 17, 4000):
+        masses = [w.mass(k_lo, min(k_lo + d, kmax)) for d in (0, 1, 37)]
+        masses.append(w.mass(k_lo, kmax))
+        for thr in [0.0, 1e-17, 0.5, 3.0] + masses:
+            target = h[k_lo - 1] + thr
+            want = next((k for k in range(k_lo, kmax + 1)
+                         if h[k] >= target), None)
+            assert w.first_k_reaching(k_lo, thr) == want, (k_lo, thr)
+    # the scan above did reach past the schedule: mass(4000, 5000) < 0.5
+    assert w.first_k_reaching(4000, 0.5) is None
+
+
 def test_first_k_reaching_matches_scan_on_arrays():
     w = build_weights(WeightMode.INV_LOG, 300)
     for k_lo in (1, 2, 17):
