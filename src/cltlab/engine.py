@@ -684,7 +684,7 @@ class ExactMoments:
     def _bound9(self, n: int) -> float:
         """||conditional part||^2 log^2 N / (N a_[log N]^2) (BOUND_9)."""
         a_e = float(self.params.weights.a(max(_log2_floor(n), 1)))
-        if n > 1 and a_e > 0:
+        if a_e > 0:
             return self.cond_norm_sq(n) * math.log2(n) ** 2 / (n * a_e * a_e)
         return math.inf
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, ive, ndtr, ndtri, xlogy
+from scipy.special import ive, ndtr, ndtri
 from scipy.special._ufuncs import _binom_pmf
 
 from .blocks import BlockParity, SequenceParams
@@ -362,16 +362,9 @@ def _signed_count_pmf_doubling(trials: int, q: float, mass_tol: float):
     return np.arange(off, off + pr.size), pr, lost
 
 
-def _poisson_pmf(h: np.ndarray, lam: float) -> np.ndarray:
-    """``scipy.stats.poisson.pmf`` for counts h >= 0, by the same log form."""
-    return np.exp(xlogy(h, lam) - gammaln(h + 1) - lam)
-
-
-def _count_window(lam: float, cap: int | None):
+def _count_window(lam: float, cap: int):
     lo = max(0, int(lam - 12.0 * math.sqrt(lam) - 25.0))
-    hi = int(lam + 12.0 * math.sqrt(lam) + 30.0)
-    if cap is not None:
-        hi = min(hi, cap)
+    hi = min(int(lam + 12.0 * math.sqrt(lam) + 30.0), cap)
     return lo, hi
 
 
@@ -410,12 +403,9 @@ def _atom_pmf(atom: LatticeAtom, mass_tol: float):
             "gaussianize (expected hits 2^%.1f)" % ll,
             achieved_mass=0.0, target_mass=1.0 - mass_tol)
     if ll <= math.log2(MIXTURE_LAMBDA):
-        lam = 2.0 ** ll
-        lo, hi = _count_window(lam, None)
-        h = np.arange(lo, hi + 1)
-        w = _poisson_pmf(h, lam)
-        mass = float(w.sum())
-        support, probs = _signed_count_pmf_mixture(w, lo)
+        # Poisson(lam) hits with fair signs: two independent
+        # Poisson(lam / 2) counts of opposite sign
+        _, support, probs, mass = SymPoissonLaw(0.5 * 2.0 ** ll)._table()
         tv = 2.0 ** atom.log2_hit if atom.log2_hit > -1074 else 0.0
         return support, probs, tv, 1.0 - mass
     raise TruncationError(

@@ -255,7 +255,7 @@ def test_inconclusive_dichotomy_exits_4(tmp_path, capsys):
     verdict = json.loads((out / "verdict.json").read_text())
     d = verdict["dichotomy"]
     assert d["verdict"] == "INCONCLUSIVE"
-    assert d["required_count_estimate"] == 495
+    assert d["required_count_estimate"] == 4341
     assert d["notes"] == ["gap within sampling noise of the margin"]
 
 

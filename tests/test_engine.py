@@ -339,6 +339,14 @@ def test_growth_bound_holds_on_desk():
     assert max(rep.values) > 0.0
 
 
+def test_growth_bound_is_zero_at_horizon_one():
+    # log^2 1 = 0, so the statistic vanishes there rather than blowing up
+    em = ExactMoments(desk_params(kmax=16))
+    rep = em.check_condition(Condition.GROWTH_BOUND, [1, 2, 4, 8])
+    assert rep.values[0] == 0.0
+    assert rep.verdict is Verdict.TREND_CONFIRMED
+
+
 def test_weighted_series_plateaus_with_fast_decay():
     em = ExactMoments(desk_params(kmax=16))
     grid = dyadic_grid(2, 13)

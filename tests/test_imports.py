@@ -1,7 +1,9 @@
-"""No module imports a name it never reads.
+"""No module imports a name it never reads, and the package defines no
+private module-level name that it never reads.
 
-No linter is a dependency, so this is a small AST scan of the package,
-the tests and the demos.  The package ``__init__`` is exempt: its
+No linter is a dependency, so these are small AST scans: of the package,
+the tests and the demos for imports, of the package alone for private
+names.  The package ``__init__`` is exempt from the import scan: its
 imports are the public re-exports.
 """
 
@@ -14,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(path for folder in ("src/cltlab", "tests", "demos")
                for path in (ROOT / folder).glob("*.py")
                if path.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src/cltlab").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +48,58 @@ def test_scan_catches_unused_names():
                          ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` definitions no module of the set reads.
+
+    A read is a loaded name, an attribute or a ``from`` import of it;
+    the import scan above makes sure every such import is read in turn.
+    """
+    defined, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node.lineno) for name in names
+                        if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return ["%s: %s (line %d)" % item for item in defined
+            if item[1] not in read]
+
+
+def test_scan_catches_unused_private_names():
+    sources = {
+        "a": ("_LIMIT = 3\n_OLD: int = 4\n__all__ = []\n"
+              "def _draw_old(x):\n    return x\n"
+              "def _helper():\n    return _LIMIT\n"),
+        "b": "from .a import _helper\nclass _Unused:\n    pass\n",
+        "c": "import a\n_TAG = a._OLD\nprint(_TAG, _helper())\n",
+    }
+    assert unused_private_names(sources) == [
+        "a: _draw_old (line 4)", "b: _Unused (line 2)"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE}
+    assert unused_private_names(sources) == []

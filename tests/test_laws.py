@@ -192,11 +192,18 @@ def test_count_pmfs_match_scipy_stats():
             np.testing.assert_array_equal(
                 laws._binom_pmf(h, float(trials), 2.0 ** -e),
                 binom.pmf(h, float(trials), 2.0 ** -e))
+    # beyond the desk cap Poisson(lam) hits carry fair signs: the signed
+    # count of two independent Poisson(lam / 2) counts
     for lam in [2.0 ** e for e in range(-44, 12)] + [0.3, 17.5]:
-        lo, hi = laws._count_window(lam, None)
-        h = np.arange(lo, hi + 1)
-        np.testing.assert_array_equal(laws._poisson_pmf(h, lam),
-                                      poisson.pmf(h, lam))
+        atom = LatticeAtom(lattice_scale=1.0, trials=1 << 60,
+                           hit_prob=2.0 ** -60,
+                           log2_trials=60 + math.log2(lam), log2_hit=-60,
+                           var_share=1.0)
+        support, probs, tv, lost = laws._atom_pmf(atom, laws.ATOM_MASS_TOL)
+        np.testing.assert_allclose(
+            probs, skellam.pmf(support, 0.5 * lam, 0.5 * lam),
+            rtol=1e-12, atol=1e-15)
+        assert tv == 2.0 ** -60 and abs(lost) < laws.ATOM_MASS_TOL
 
 
 def test_gauss_merge_certificate_astronomic():

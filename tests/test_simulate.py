@@ -14,11 +14,11 @@ from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, WorkBudgetError
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
-from cltlab.simulate import (SampleKind, _binom_ppf, _build_plan,
-                             _distinct_offsets, _draw_normal, _draw_ramp,
-                             _lane_uniforms, _open_uniforms, _stream,
-                             build_profile, derive_seed, dichotomy_samples,
-                             sample_batch)
+from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _binom_ppf,
+                             _build_plan, _distinct_offsets, _draw_flat,
+                             _draw_normal, _draw_pool, _lane_uniforms,
+                             _open_uniforms, _stream, build_profile,
+                             derive_seed, dichotomy_samples, sample_batch)
 
 
 def desk_params():
@@ -47,15 +47,15 @@ def test_worker_count_never_changes_bytes():
 
 def test_worker_count_never_changes_bytes_with_hitless_chunks():
     params = desk_params()
-    N, count, chunk, seed = 1 << 12, 3000, 64, 5
-    # some ramp segment has chunks with hits and chunks without
+    N, count, chunk, seed = 1 << 12, 3000, 1, 5
+    # some pooled op has chunks with hits and chunks without
     plan = _build_plan(build_profile(params, N), False)
-    ramps = [draw.keywords for draw in plan if draw.func is _draw_ramp]
+    pools = [draw.keywords for draw in plan if draw.func is _draw_pool]
     per_chunk = [[int(binom.ppf(_lane_uniforms(seed, op["lane"], ci, chunk),
-                                op["seg"].hi - op["seg"].lo + 1,
+                                sum(s.hi - s.lo + 1 for s in op["segs"]),
                                 op["hit_prob"]).sum())
                   for ci in range(count // chunk)]
-                 for op in ramps]
+                 for op in pools]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
     base = sample_batch(params, N, count, seed, chunk=chunk)
     for workers in (2, 8):
@@ -118,7 +118,7 @@ def test_binom_quantile_matches_scipy_stats():
 
 
 # ---------------------------------------------------------------------------
-# Distinct ramp offsets
+# Distinct hit offsets
 
 @given(st.integers(1, 12), st.lists(st.integers(0, 12), max_size=8),
        st.integers(0, (1 << 64) - 1))
@@ -156,16 +156,61 @@ def test_distinct_offsets_are_uniform_subsets():
         assert chisquare(counts).pvalue > 1e-3
 
 
-def test_full_sum_variance_matches_engine():
-    params = desk_params()
+def _variance_within_band(params, N, n, seed):
+    """The batch variance lies within four standard errors of sigma_sq;
+    returns the batch and sigma_sq."""
     em = ExactMoments(params)
-    N, n = 1 << 8, 40_000
-    batch = sample_batch(params, N, n, 745, moments=em)
+    batch = sample_batch(params, N, n, seed, moments=em)
     sig2 = em.sigma_sq(N)
     k4 = em.fourth_cumulant(N)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
     assert abs(batch.variance() - sig2) < band
+    return batch, sig2
+
+
+def test_full_sum_variance_matches_engine():
+    n = 40_000
+    batch, sig2 = _variance_within_band(desk_params(), 1 << 8, n, 745)
     assert abs(batch.mean()) < 4.0 * math.sqrt(sig2 / n)
+
+
+def test_plan_pools_each_layers_sloped_segments():
+    # theorem1's parameters at its first complete-block horizon
+    params = default_params(kmax=40_000_000, rho=4.0)
+    plan = _build_plan(build_profile(params, 1 << 11), True)
+    kinds = [draw.func for draw in plan]
+    assert len(plan) == 5
+    assert kinds.count(_draw_flat) == 3
+    assert kinds.count(_draw_pool) == 1
+    assert kinds.count(_draw_normal) == 1
+
+
+def test_heavy_flat_segment_keeps_its_signed_count():
+    # block 1's central flat segment expects 2^30 hits per sample: a
+    # positional draw would cost that much, the signed count O(1)
+    params = default_params(kmax=48, rho=2.0)
+    N = 1 << 31
+    plan = _build_plan(build_profile(params, N), False)
+    expect = [op.keywords["length"] * op.keywords["hit_prob"]
+              for op in plan if op.func is _draw_flat]
+    assert max(expect) == pytest.approx(2.0 ** 30, rel=1e-6)
+    _variance_within_band(params, N, 4_000, 745)
+
+
+def test_gaussianized_segments_join_their_layers_normal():
+    params = default_params(kmax=48, rho=2.0)
+    N = 1 << 45
+    profile = build_profile(params, N)
+    spikes = [lay for lay in profile.layers
+              if lay.block.parity is BlockParity.THREE_VALUED]
+    heavy = [lay for lay in spikes
+             if any((seg.hi - seg.lo + 1) * lay.hit_prob > GAUSSIANIZE_HITS
+                    for seg in lay.segments)]
+    assert heavy
+    plan = _build_plan(profile, False)
+    normals = sum(draw.func is _draw_normal for draw in plan)
+    assert normals == len(profile.layers) - len(spikes) + len(heavy)
+    _variance_within_band(params, N, 40_000, 745)
 
 
 def test_normalized_iid_sum_has_unit_variance():
@@ -224,7 +269,7 @@ def test_dichotomy_samples_stability():
 
 
 # ---------------------------------------------------------------------------
-# Law-level oracles for the aggregate sampler's ramp path
+# Law-level oracles for the aggregate sampler's pooled path
 
 def _spike_cumulants(p):
     """kappa_2..kappa_8 of a site that is +-1 w.p. p/2 each, else 0."""
