@@ -6,8 +6,12 @@ blocks.  Closed-form second moments and summability diagnostics live in
 ``engine``; Monte Carlo draws in ``simulate``; limit-law construction
 and distance tests in ``laws``; a finite spectral calculus for the
 square-root membership question in ``spectral``; batch presets in
-``cli``.
+``cli``.  ``laws`` and ``simulate`` import ``scipy.special``, which costs
+about 0.3 s, so the package root loads them, and re-exports their names,
+on first use: runs that draw no sample never pay for it.
 """
+
+import importlib
 
 from .blocks import (BlockParity, BlockSpec, MassTarget, SequenceParams,
                      TargetKind, build_blocks, default_params, parity_of,
@@ -19,13 +23,6 @@ from .engine import (Condition, ConditionReport, ExactMoments, TrendKind,
                      sigma_sq_over_n)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
-from .laws import (DichotomyReport, DichotomyRow, DichotomyVerdict,
-                   EmpiricalLaw, ExactFiniteLaw, LawVariant, NormalLaw,
-                   SymPoissonLaw, dichotomy_report, empirical_law, exact_law,
-                   format_ks_csv, ks_distance, ks_pass_bound, law_to_json,
-                   sym_poisson, tv_distance)
-from .simulate import (SampleBatch, SampleKind, dichotomy_samples,
-                       sample_batch)
 from .spectral import (SpectralTag, SpectralToy, binom_coeffs, circulant_toy,
                        evaluate_conditions, explicit_toy,
                        random_circulant_toy, rn_identity_check,
@@ -34,3 +31,28 @@ from .weights import (WeightMode, WeightSchedule, build_weights, harmonic,
                       weighted_prefix)
 
 __version__ = "0.1.0"
+
+# name -> submodule it lives in; a submodule maps to itself
+_LAZY = {
+    **dict.fromkeys(
+        ("laws", "DichotomyReport", "DichotomyRow", "DichotomyVerdict",
+         "EmpiricalLaw", "ExactFiniteLaw", "LawVariant", "NormalLaw",
+         "SymPoissonLaw", "dichotomy_report", "empirical_law", "exact_law",
+         "format_ks_csv", "ks_distance", "ks_pass_bound", "law_to_json",
+         "sym_poisson", "tv_distance"), "laws"),
+    **dict.fromkeys(
+        ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
+         "sample_batch"), "simulate"),
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + home, __name__)
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

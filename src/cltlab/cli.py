@@ -33,7 +33,6 @@ from .config import json_ready, load_params, params_to_dict
 from .engine import Condition, ExactMoments, dyadic_grid, format_csv
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
-from .laws import DichotomyVerdict, dichotomy_report, format_ks_csv
 from .spectral import (evaluate_conditions, random_circulant_toy,
                        rn_identity_check, rn_telescoping_check, sqrt_apply,
                        toy_from_json)
@@ -286,6 +285,8 @@ def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
     verdicts = {"conditions": checks}
     code = EXIT_OK
     if cfg.samples > 0:
+        # laws loads scipy.special (~0.3 s): only runs that sample pay it
+        from .laws import DichotomyVerdict, dichotomy_report, format_ks_csv
         rep = dichotomy_report(params, cfg.samples, cfg.seed,
                                moments=moments)
         artifacts["dichotomy.csv"] = _with_header(cfg, format_ks_csv(rep),

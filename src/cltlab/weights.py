@@ -6,19 +6,20 @@ sums are the block masses everything else is built on.  Every mode
 answers them from one float prefix sum_{j<=k} a_j/j: masses are
 differences of it, and one bisection over it finds the first index at
 which a block's mass reaches its target.  The constant schedule's prefix
-is analytic (digamma), so it is the only mode allowed to exceed the
-array budget.  The other modes keep an extended-precision prefix at
-every 2^12-th index and rebuild one chunk per lookup, so even
-kmax = 2^22 holds a few kilobytes of checkpoints, not a prefix array.
+is analytic, a port of the cephes digamma ``psi`` that needs no scipy,
+so it is the only mode allowed to exceed the array budget.  The other
+modes keep an extended-precision prefix at every 2^12-th index and
+rebuild one chunk per lookup, so even kmax = 2^22 holds a few kilobytes
+of checkpoints, not a prefix array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import ParamsError
 
@@ -31,11 +32,35 @@ _CHUNK = 1 << 12
 _EULER = float(np.euler_gamma)
 
 
+# cephes psi's asymptotic-series coefficients, highest power first
+_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2,
+          7.57575757575757575758E-3, -4.16666666666666666667E-3,
+          3.96825396825396825397E-3, -8.33333333333333333333E-3,
+          8.33333333333333333333E-2)
+
+
 def harmonic(n) -> float:
-    """Partial harmonic sum 1 + 1/2 + ... + 1/n, analytic in n."""
+    """Partial harmonic sum 1 + 1/2 + ... + 1/n, analytic in n.
+
+    This is psi(n + 1) + gamma with cephes ``psi`` ported for integer
+    arguments, bit for bit ``scipy.special.digamma``: the exact sum up to
+    psi(10), the asymptotic series above it.  ``n`` must fit a float.
+    """
     if n <= 0:
         return 0.0
-    return float(digamma(float(n) + 1.0)) + _EULER
+    x = float(n) + 1.0
+    if x <= 10.0:
+        y = 0.0
+        for i in range(1, n + 1):
+            y += 1.0 / i
+        # psi rounds y - gamma first; adding gamma back keeps its bits
+        return (y - _EULER) + _EULER
+    # cephes skips the series from x = 1e17, where it is below half an ulp
+    z = 1.0 / (x * x)
+    y = 0.0
+    for c in _PSI_A:
+        y = y * z + c
+    return (math.log(x) - 0.5 / x - y * z) + _EULER
 
 
 class WeightMode(Enum):
@@ -72,6 +97,11 @@ class WeightSchedule:
     def __post_init__(self):
         if self.kmax < 1:
             raise ParamsError("kmax must be >= 1", kmax=self.kmax)
+        try:
+            float(self.kmax)      # the harmonic prefix reads k as a float
+        except OverflowError:
+            raise ParamsError("kmax too large for a float",
+                              kmax=self.kmax) from None
         if (self.values is not None) != (self.mode is WeightMode.ADAPTED):
             raise ParamsError("only ADAPTED schedules take values, "
                               "and they need them", mode=self.mode.value)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -28,16 +29,57 @@ def run_main(argv, capsys):
     return code, json.loads(out.splitlines()[-1])
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about 0.7 s of every process start, and the slow
-    # oracles in cltlab.reference belong to the tests alone
-    code = ("import sys, cltlab.cli; "
-            "sys.exit('scipy.stats' in sys.modules"
-            " or 'cltlab.reference' in sys.modules)")
+# scipy.stats costs about 0.7 s of every process start and scipy.special
+# about 0.3 s; the slow oracles in cltlab.reference belong to the tests
+_STARTUP_BANNED = ("scipy.special", "scipy.stats", "cltlab.reference")
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout."""
     src = str(Path(cltlab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = ("import sys, cltlab, cltlab.cli; "
+            "sys.exit(', '.join(m for m in %r if m in sys.modules) or None)"
+            % (_STARTUP_BANNED,))
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_that_draw_no_sample_leave_scipy_special_out(tmp_path):
+    runs = [["conditions", "--samples", "0"], ["spectral"],
+            ["validate", "--scenario", "theorem1"]]
+    argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
+    code = ("import json, sys\n"
+            "from cltlab.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded = [m for m in %r if m in sys.modules]\n"
+            "    assert not loaded, (argv, loaded)\n" % (_STARTUP_BANNED,))
+    proc = fresh_python(code, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "conditions" / "conditions.csv").is_file()
+    assert (tmp_path / "spectral" / "spectral.csv").is_file()
+
+
+def test_package_root_loads_laws_and_simulate_lazily():
+    table = cltlab._LAZY
+    assert {"laws", "simulate"} <= set(table.values())
+    for name, home in table.items():
+        module = importlib.import_module("cltlab." + home)
+        want = module if name == home else vars(module)[name]
+        assert getattr(cltlab, name) is want, name
+    assert set(table) <= set(dir(cltlab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cltlab.no_such_name
+    proc = fresh_python("from cltlab import dichotomy_report, laws; "
+                        "assert dichotomy_report is laws.dichotomy_report")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_parse_grid():
@@ -296,6 +338,19 @@ def test_astronomic_kmax_in_validate(capsys):
     blocks = doc["derived"]["blocks"]
     assert blocks[1]["k_hi"] == 37_605_530
     assert blocks[1]["parity"] == "gaussian"
+
+
+def test_kmax_beyond_float_exits_2(tmp_path, capsys):
+    # 2^1000 still runs; a constant schedule reads k as a float
+    code, _ = run_main(["validate", "--kmax", str(1 << 1000)], capsys)
+    assert code == 0
+    for argv in (["validate", "--scenario", "custom"],
+                 ["conditions", "--samples", "0", "--out", str(tmp_path)]):
+        code, doc = run_main(argv + ["--kmax", str(10 ** 400)], capsys)
+        assert code == 2
+        assert doc["error"]["type"] == "ParamsError"
+        assert doc["error"]["message"] == "kmax too large for a float"
+        assert "kmax" in doc["error"]["details"]
 
 
 def test_unknown_subcommand_is_usage_error():

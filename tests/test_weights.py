@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from cltlab.blocks import default_params
 from cltlab.errors import ParamsError
@@ -28,6 +29,28 @@ def test_harmonic_edge_cases():
     n = 10 ** 12
     assert harmonic(n) == pytest.approx(math.log(n) + np.euler_gamma,
                                         rel=1e-12)
+
+
+def test_harmonic_is_scipy_digamma_bit_for_bit():
+    # harmonic ports cephes psi so that no run needs scipy.special; the
+    # port must give the bits the scipy call gave
+    rng = np.random.default_rng(12)
+    ns = [*range(1, 11), *range(11, 100_001),
+          *(int(n) for n in rng.integers(1, 1 << 53, size=20_000)),
+          *((1 << e) + 1 for e in range(53, 1000)),
+          *((1 << 1000) + d for d in (-3, -1, 0, 1, 12345)),
+          (1 << 1000) * 3 // 2]
+    bad = [n for n in ns
+           if harmonic(n) != float(digamma(n + 1.0)) + np.euler_gamma]
+    assert bad == []
+    assert harmonic(0) == 0.0
+
+
+def test_const_one_kmax_beyond_float_is_a_params_error():
+    build_weights(WeightMode.CONST_ONE, 1 << 1000)
+    for kmax in (10 ** 400, 1 << 1024, (1 << 1024) - 1):
+        with pytest.raises(ParamsError, match="too large for a float"):
+            build_weights(WeightMode.CONST_ONE, kmax)
 
 
 def test_const_one_schedule_is_lazy_and_astronomic():
