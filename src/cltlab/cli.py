@@ -30,7 +30,8 @@ import numpy as np
 
 from .blocks import SequenceParams, default_params
 from .config import json_ready, load_params, params_to_dict
-from .engine import Condition, ExactMoments, dyadic_grid, format_csv
+from .engine import (DESK_N_CAP, Condition, ExactMoments, dyadic_grid,
+                     format_csv)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
 from .spectral import (evaluate_conditions, random_circulant_toy,
@@ -95,9 +96,11 @@ def _parse_grid(text: str) -> tuple[int, int]:
         lo, hi = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParamsError("grid bounds must be integers", grid=text)
-    if lo < 1 or hi < lo or hi > 62:
-        raise ParamsError("grid exponents must satisfy 1 <= lo <= hi <= 62",
-                          grid=text)
+    # the exact moment paths stop at the desk cap, 2^52
+    top = DESK_N_CAP.bit_length() - 1
+    if lo < 1 or hi < lo or hi > top:
+        raise ParamsError(f"grid exponents must satisfy 1 <= lo <= hi <= "
+                          f"{top}", grid=text)
     return lo, hi
 
 

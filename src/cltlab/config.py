@@ -111,43 +111,55 @@ def params_to_dict(params: SequenceParams) -> dict:
     return d
 
 
+def _entry(d: dict, key: str, convert, *default):
+    """``convert(d[key])``, or ``default`` when given and the key is
+    absent; a missing or unreadable entry raises ``ParamsError``."""
+    if default and key not in d:
+        return default[0]
+    try:
+        return convert(d[key])
+    except ParamsError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParamsError("params entry missing or malformed",
+                          key=key) from exc
+
+
 def params_from_dict(d: dict) -> SequenceParams:
+    if not isinstance(d, dict):
+        raise ParamsError("params must be a mapping of keys to values")
     if d.get("schema") != SCHEMA_VERSION:
         raise ParamsError("unknown config schema", schema=d.get("schema"))
-    mode = WeightMode(d["weight_mode"])
-    c = d.get("c")
-    if c is not None and not isinstance(c, list):
-        c = [c]
-    weights = build_weights(mode, int(d["kmax"]), c=c)
+
+    def each(cast):
+        return lambda v: [cast(x) for x in (v if isinstance(v, list)
+                                            else [v])]
+
+    mode = _entry(d, "weight_mode", WeightMode)
+    c = _entry(d, "c", each(float), None)
+    weights = build_weights(mode, _entry(d, "kmax", int), c=c)
     target = None
-    kind = d.get("target_kind")
+    kind = _entry(d, "target_kind", TargetKind, None)
     if kind is not None:
-        tol = float(d.get("target_tolerance", 1.0))
-        kind = TargetKind(kind)
+        tol = _entry(d, "target_tolerance", float, 1.0)
         if kind is TargetKind.GEOMETRIC:
-            target = MassTarget.geometric(float(d["target_rho"]), tol)
+            target = MassTarget.geometric(_entry(d, "target_rho", float), tol)
         elif kind is TargetKind.EXPLICIT:
-            ex = d["target_explicit"]
-            if not isinstance(ex, list):
-                ex = [ex]
-            target = MassTarget.explicit_targets(ex, tol)
+            target = MassTarget.explicit_targets(
+                _entry(d, "target_explicit", each(float)), tol)
         else:
             target = MassTarget.double_exp(tol)
-
-    def as_list(key):
-        v = d[key]
-        return v if isinstance(v, list) else [v]
-
-    los, his = as_list("block_k_lo"), as_list("block_k_hi")
-    targets, completes = as_list("block_target"), as_list("block_complete")
+    los = _entry(d, "block_k_lo", each(int))
+    his = _entry(d, "block_k_hi", each(int))
+    targets = _entry(d, "block_target", each(float))
+    completes = _entry(d, "block_complete", each(bool))
     if not len(los) == len(his) == len(targets) == len(completes):
         raise ParamsError("block arrays must share one length")
     blocks = []
     for i, (lo, hi) in enumerate(zip(los, his)):
         l = i + 1
-        blocks.append(BlockSpec(l, int(lo), int(hi),
-                                weights.mass(int(lo), int(hi)), parity_of(l),
-                                float(targets[i]), bool(completes[i])))
+        blocks.append(BlockSpec(l, lo, hi, weights.mass(lo, hi),
+                                parity_of(l), targets[i], completes[i]))
     return SequenceParams(weights, tuple(blocks), mass_target=target)
 
 
@@ -164,7 +176,12 @@ def params_to_json(params: SequenceParams) -> str:
 
 
 def params_from_json(text: str) -> SequenceParams:
-    return params_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParamsError("params file is not valid JSON", line=exc.lineno,
+                          column=exc.colno) from exc
+    return params_from_dict(d)
 
 
 def save_params(params: SequenceParams, path) -> None:

@@ -8,7 +8,8 @@ Every quantity here is a finite sum over site coordinates m of squares
 where w_k is the trapezoidal pair count of the double sum over a horizon
 N.  C_l is piecewise linear in m with integer breakpoints, so all sums
 collapse to Faulhaber closed forms; no per-coordinate enumeration is
-needed.
+needed.  ``BlockProfile`` finds each piece's value and slope from exact
+integer prefix sums over k, in O(1) per piece, and rounds each once.
 
 Three independent routes to the variance exist:
 
@@ -58,16 +59,6 @@ DESK_N_CAP = 1 << 52
 #: (``SeriesTail.work``); bounds the cost of one table cell to about
 #: 0.1 s and a few MB
 WORK_BUDGET = 1 << 23
-
-
-def pair_count(n_k, m, N):
-    """Trapezoid weight: #{(j, i): 0 <= j < N, 0 <= i < n_k, j - i = m}.
-
-    Broadcasts over integer arrays: int64 while every m + n_k and N - m
-    fits, exact Python ints in object arrays beyond that.
-    """
-    return np.maximum(0, np.minimum(np.minimum(m + n_k, n_k),
-                                    np.minimum(N, N - m)))
 
 
 def _log2_floor(N: int) -> int:
@@ -164,13 +155,14 @@ class Segment:
 class BlockProfile:
     """Piecewise-affine coordinate coefficients of one block at horizon N.
 
-    Each segment's value and slope are sums over the block's scales k of
-    (a_k / k / 2^k) times a trapezoid count, accumulated from 0.0 in
-    increasing k.  ``np.cumsum`` along the scale axis is that sequential
-    accumulation (a pairwise ``np.sum`` would change the last digits), so
-    the bits match a scalar loop over k.  The counts are exact integers:
-    int64 while k_cut + 2 <= 62, exact Python ints (object arrays) above,
-    since the cut points reach -2^k_cut; never floats.
+    C(m) = sum_k c_k w_k(m, N) over the block's kept scales, with
+    c_k = a_k / k / 2^k and the trapezoid count
+    w_k(m, N) = max(0, min(m + n_k, n_k, N, N - m)).  Between two cuts
+    each count is 0, n_k, N, m + n_k or N - m, and since n_k grows with k
+    each regime holds a contiguous range of scales.  A segment's value
+    and slope are then differences of two exact integer prefix sums over
+    k (the c_k share one power-of-two denominator), read in O(1) and
+    rounded once, so every ``v_mid`` and ``slope`` is correctly rounded.
     """
 
     def __init__(self, params: SequenceParams, block: BlockSpec, N: int):
@@ -179,45 +171,48 @@ class BlockProfile:
                                   estimated_ops=N, budget=DESK_N_CAP)
         self.block = block
         self.N = N
-        e = _log2_floor(N)
         # Scales more than K_GUARD doublings above the horizon carry a
         # per-coordinate coefficient below 2^-K_GUARD of the block's
         # leading one; they are dropped, which also keeps the coefficient
         # arithmetic inside float range for astronomically deep blocks.
-        k_cut = min(block.k_hi, e + K_GUARD)
-        ks = list(range(block.k_lo, k_cut + 1))
-        w = params.weights
-        coeffs = [w.ratio(k) / float(1 << k) for k in ks]
+        k_cut = min(block.k_hi, _log2_floor(N) + K_GUARD)
+        ks = range(block.k_lo, k_cut + 1)
+        # a double is a multiple of 2^-1074, so 2^F c_k is an integer;
+        # rise[j] = 2^F sum_{i<j} c_i and flat[j] = 2^F sum_{i<j} c_i n_i
+        F = k_cut + 1074
+        one = 1 << F
+        rise, flat = [0], [0]
+        for k in ks:
+            num, den = float(params.weights.ratio(k)).as_integer_ratio()
+            c = num << (F - k - den.bit_length() + 1)
+            rise.append(rise[-1] + c)
+            flat.append(flat[-1] + (c << k))
+
+        def below(x):
+            # number of kept scales with n_k <= x, for x >= 0
+            return min(max(x.bit_length() - block.k_lo, 0), len(ks))
+
         cuts = {N - 1}
         for k in ks:
             n = 1 << k
             cuts.update((-n + 1, min(0, N - n), max(0, N - n)))
         cuts = sorted(c for c in cuts if -(1 << k_cut) < c <= N - 1)
-        bounds = []
-        for i, c in enumerate(cuts):
-            nxt = cuts[i + 1] - 1 if i + 1 < len(cuts) else N - 1
-            if i + 1 == len(cuts):
-                bounds.append((c, N - 1))
-            elif nxt >= c:
-                bounds.append((c, nxt))
-        dtype = np.int64 if k_cut + 2 <= 62 else object
-        lo_hi = np.array(bounds, dtype=dtype)
-        mid = (lo_hi[:, 0] + lo_hi[:, 1]) // 2
-        probe = np.minimum(mid + 1, lo_hi[:, 1])
-        n = np.array([1 << k for k in ks], dtype=dtype)
-        w_mid = pair_count(n, mid[:, None], N).astype(np.int64)
-        w_probe = pair_count(n, probe[:, None], N).astype(np.int64)
-        # column 0 is the accumulator's 0.0 start, as in v = 0.0; v += ...
-        terms = np.zeros((2, len(bounds), len(ks) + 1))
-        terms[0, :, 1:] = np.multiply(coeffs, w_mid)
-        terms[1, :, 1:] = np.multiply(coeffs, w_probe - w_mid)
-        v_mid, slope = np.cumsum(terms, axis=2)[:, :, -1].tolist()
-        self.segments = [Segment(lo, hi, v, sl, m) for (lo, hi), v, sl, m
-                         in zip(bounds, v_mid, slope, mid.tolist())]
-
-    @property
-    def m_lo(self) -> int:
-        return self.segments[0].lo
+        self.segments = []
+        for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
+            # 0 is a cut, so a segment lies in m <= -1 or in m >= 0; the
+            # regimes hold on (mid, mid + 1), and the slope is that step
+            mid = (lo + hi) // 2
+            j2 = below(N - mid - 1)      # scales below j2 are not capped
+            capped = rise[-1] - rise[j2]  # w_k = N (m < 0) or N - m
+            if mid < 0:
+                j1 = below(-mid - 1)     # scales below j1 have w_k = 0
+                slope = rise[j2] - rise[j1]
+                v = mid * slope + flat[j2] - flat[j1] + N * capped
+            else:
+                slope = -capped
+                v = flat[j2] + (N - mid) * capped
+            self.segments.append(Segment(
+                lo, hi, v / one, slope / one if hi > lo else 0.0, mid))
 
     def value(self, m: int) -> float:
         for seg in self.segments:
@@ -545,10 +540,8 @@ class ExactMoments:
     harmlessly.
     """
 
-    def __init__(self, params: SequenceParams,
-                 work_budget: int = WORK_BUDGET):
+    def __init__(self, params: SequenceParams):
         self.params = params
-        self.work_budget = work_budget
         self._cache: dict = {}
 
     def _memo(self, key, compute):
@@ -667,10 +660,10 @@ class ExactMoments:
 
         def compute():
             tail = SeriesTail(self.params, p, q)
-            if tail.work > self.work_budget:
+            if tail.work > WORK_BUDGET:
                 raise WorkBudgetError("series tail range too expensive",
                                       estimated_ops=tail.work,
-                                      budget=self.work_budget)
+                                      budget=WORK_BUDGET)
             return math.sqrt(tail.norm_sq())
 
         return self._memo(("tail", p, q), compute)

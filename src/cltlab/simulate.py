@@ -331,7 +331,6 @@ def _aggregate_chunk(plan, seed, chunk_idx, size):
 def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
                  kind: SampleKind = SampleKind.FULL_SN, *,
                  normalized: bool = False, workers: int = 1,
-                 chunk: int = CHUNK,
                  moments: ExactMoments | None = None) -> SampleBatch:
     """Draw `count` values of the horizon sum (or its flat-copy stand-in).
 
@@ -342,7 +341,7 @@ def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
     kind = SampleKind(kind)
     plan = _build_plan(build_profile(params, N, kind, moments), normalized)
     job = partial(_aggregate_chunk, plan, seed)
-    sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
+    sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
     # threads beyond the cores or the chunks only contend for them
     threads = min(workers, len(sizes), os.cpu_count() or 1)
     if threads > 1:

@@ -121,32 +121,41 @@ def toy_from_json(text: str) -> SpectralToy:
     Accepts either {"kernel_row": [...], "observable": [...]} or
     {"eigenvalues": [...], "observable": [...]}; complex entries are
     written as [re, im] pairs, real entries as numbers.  An optional
-    "dim" field is checked against the vector lengths.
+    "dim" field is checked against the vector lengths.  A spec that is
+    not JSON, or an entry that is not a number, raises ``ParamsError``.
     """
-    spec = json.loads(text)
-    obs = _parse_complex_list(spec.get("observable"))
+    try:
+        spec = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParamsError("toy spec is not valid JSON", line=exc.lineno,
+                          column=exc.colno) from exc
+    if not isinstance(spec, dict) or spec.get("observable") is None:
+        raise ParamsError("toy spec needs an observable")
+    obs = _parse_list(spec, "observable", complex)
     if "kernel_row" in spec:
-        toy = circulant_toy(np.asarray(spec["kernel_row"], dtype=float),
-                            obs)
+        toy = circulant_toy(_parse_list(spec, "kernel_row", float), obs)
     elif "eigenvalues" in spec:
-        toy = explicit_toy(_parse_complex_list(spec["eigenvalues"]), obs)
+        toy = explicit_toy(_parse_list(spec, "eigenvalues", complex), obs)
     else:
         raise ParamsError("toy spec needs kernel_row or eigenvalues")
-    if "dim" in spec and int(spec["dim"]) != toy.dim:
+    if "dim" in spec and _parse_list(spec, "dim", int).tolist() != [toy.dim]:
         raise ParamsError("declared dimension does not match the vectors",
-                          declared=int(spec["dim"]), found=toy.dim)
+                          declared=spec["dim"], found=toy.dim)
     return toy
 
 
-def _parse_complex_list(values) -> np.ndarray:
-    if values is None:
-        raise ParamsError("toy spec needs an observable")
-    out = np.empty(len(values), dtype=complex)
+def _parse_list(spec: dict, key: str, kind) -> np.ndarray:
+    """spec[key] as a vector of ``kind`` (a complex entry may be an
+    [re, im] pair); a bad entry raises ``ParamsError`` naming it."""
+    values = spec[key] if isinstance(spec[key], list) else [spec[key]]
+    out = np.empty(len(values), dtype=kind)
     for i, v in enumerate(values):
-        if isinstance(v, (list, tuple)):
-            out[i] = complex(v[0], v[1])
-        else:
-            out[i] = complex(v)
+        pair = kind is complex and isinstance(v, list) and len(v) == 2
+        try:
+            out[i] = complex(*v) if pair else kind(v)
+        except (TypeError, ValueError) as exc:
+            raise ParamsError("toy spec entry is not a number", key=key,
+                              index=i) from exc
     return out
 
 

@@ -85,7 +85,7 @@ def test_package_root_loads_laws_and_simulate_lazily():
 def test_parse_grid():
     assert _parse_grid("dyadic:4:16") == (4, 16)
     for bad in ("linear:4:16", "dyadic:4", "dyadic:a:16", "dyadic:0:16",
-                "dyadic:8:4", "dyadic:1:63"):
+                "dyadic:8:4", "dyadic:1:63", "dyadic:1:53"):
         with pytest.raises(ParamsError):
             _parse_grid(bad)
 
@@ -154,6 +154,53 @@ def test_grid_past_the_schedule_exits_2(tmp_path, capsys):
     assert doc["error"] == {"type": "ParamsError",
                             "message": "scale index outside the schedule",
                             "details": {"k": 41, "kmax": 40}}
+
+
+def test_grid_beyond_the_desk_cap_exits_2(tmp_path, capsys):
+    # no budget can run a horizon past 2^52, so the grid itself is invalid
+    for argv in (["validate", "--scenario", "custom"],
+                 ["custom", "--samples", "0", "--out", str(tmp_path / "o")]):
+        code, doc = run_main(argv + ["--grid", "dyadic:4:55"], capsys)
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParamsError",
+            "message": "grid exponents must satisfy 1 <= lo <= hi <= 52",
+            "details": {"grid": "dyadic:4:55"}}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["truncated_toy", "toy_entry",
+                                  "weight_mode", "no_kmax"])
+def test_malformed_input_file_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    save_params(default_params(kmax=20), path)
+    params = json.loads(path.read_text())
+    toy = {"kernel_row": [0.5, 0.25, 0.25], "observable": [0.0, 1.0, 2.0]}
+    if case == "truncated_toy":
+        flag, text = "--toy-file", json.dumps(toy)[:-7]
+        want = {"line": 1, "column": len(text) + 1}
+    elif case == "toy_entry":
+        toy["observable"][1] = "one"
+        flag, text = "--toy-file", json.dumps(toy)
+        want = {"key": "observable", "index": 1}
+    elif case == "weight_mode":
+        params["weight_mode"] = "bogus"
+        flag, text = "--params-file", json.dumps(params)
+        want = {"key": "weight_mode"}
+    else:
+        del params["kmax"]
+        flag, text = "--params-file", json.dumps(params)
+        want = {"key": "kmax"}
+    path.write_text(text)
+    scenario = "spectral" if flag == "--toy-file" else "custom"
+    out = tmp_path / "out"
+    for argv in (["validate", "--scenario", scenario],
+                 [scenario, "--samples", "0", "--out", str(out)]):
+        code, doc = run_main(argv + [flag, str(path)], capsys)
+        assert code == 2
+        assert doc["error"]["type"] == "ParamsError"
+        assert doc["error"]["details"] == want
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_2(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.engine import (WORK_BUDGET, BlockProfile, Condition,
                            ExactMoments, SeriesTail, TrendKind, TrendRule,
-                           Verdict, dyadic_grid, format_csv, pair_count,
+                           Verdict, dyadic_grid, format_csv,
                            sigma_sq_over_n)
 from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab.reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
@@ -26,12 +27,11 @@ def desk_params(kmax=14, rho=4.0):
     return default_params(kmax=kmax, rho=rho)
 
 
-# -- elementary counts -----------------------------------------------------
+# -- block profiles --------------------------------------------------------
 
-@given(st.integers(0, 6), st.integers(-80, 80), st.integers(1, 70))
-def test_pair_count_matches_brute(ke, m, N):
-    n_k = 1 << ke
-    assert pair_count(n_k, m, N) == count_pairs(n_k, m, N)
+def trapezoid(n_k, m, N):
+    """#{(j, i): 0 <= j < N, 0 <= i < n_k, j - i = m} in closed form."""
+    return max(0, min(m + n_k, n_k, N, N - m))
 
 
 def pairs_by_lead(n_k, m, N):
@@ -39,26 +39,56 @@ def pairs_by_lead(n_k, m, N):
     return sum(1 for j in range(N) if 0 <= j - m < n_k)
 
 
-def test_pair_count_on_grids():
-    # int64 grid, as the profile evaluates it: scales along axis 1
-    n = np.array([1 << k for k in range(7)])
-    m = np.arange(-70, 40)
-    for N in (1, 17, 32):
-        got = pair_count(n, m[:, None], N)
-        assert got.dtype == np.int64
-        want = [[count_pairs(int(a), int(b), N) for a in n] for b in m]
-        assert (got == np.array(want)).all()
-    # exact-int grid: cut points and scales far beyond int64
-    n = np.array([1 << k for k in (62, 63, 64, 100, 136, 140)], dtype=object)
-    edges = [0, 1, -1, 16, 17]
-    for k in (62, 63, 64, 100, 136, 140):
+@given(st.integers(0, 6), st.integers(-80, 80), st.integers(1, 70))
+def test_trapezoid_formula_matches_brute(ke, m, N):
+    assert trapezoid(1 << ke, m, N) == count_pairs(1 << ke, m, N)
+
+
+def test_trapezoid_formula_matches_pairs_by_lead():
+    # cut points and scales far beyond 64 bits
+    ks = (62, 63, 64, 100, 136, 140)
+    edges = [0, 1, -1, 16, 17, (1 << 140) - 1, 1 << 140]
+    for k in ks:
         edges += [-(1 << k) + 1, -(1 << k), -(1 << k) + 17, -(1 << k) + 5]
-    m = np.array(edges + [(1 << 140) - 1, 1 << 140], dtype=object)
     for N in (1, 17):
-        got = pair_count(n, m[:, None], N)
-        assert got.dtype == object
-        want = [[pairs_by_lead(a, b, N) for a in n] for b in m]
-        assert got.tolist() == want
+        for k in ks:
+            for m in edges:
+                assert trapezoid(1 << k, m, N) == pairs_by_lead(1 << k, m, N)
+
+
+def exact_segments(params, block, N):
+    """(lo, hi, mid, v_mid, slope) per segment, the value and slope as
+    exact Fractions of the literal per-scale sums, on the engine's cuts."""
+    k_cut = min(block.k_hi, N.bit_length() - 1 + engine.K_GUARD)
+    cs = [(1 << k, Fraction(float(params.weights.ratio(k))) / (1 << k))
+          for k in range(block.k_lo, k_cut + 1)]
+    cuts = {N - 1}
+    for n, _ in cs:
+        cuts.update((-n + 1, min(0, N - n), max(0, N - n)))
+    cuts = sorted(c for c in cuts if -(1 << k_cut) < c <= N - 1)
+    rows = []
+    for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
+        mid = (lo + hi) // 2
+        v = sum((c * trapezoid(n, mid, N) for n, c in cs), Fraction(0))
+        slope = Fraction(0)
+        if hi > lo:
+            slope = sum((c * (trapezoid(n, mid + 1, N) - trapezoid(n, mid, N))
+                         for n, c in cs), Fraction(0))
+        rows.append((lo, hi, mid, v, slope))
+    return rows
+
+
+def assert_profile_exact(params, block, N):
+    """Every segment is the correctly rounded exact one; returns them."""
+    got = [(s.lo, s.hi, s.mid, s.v_mid, s.slope)
+           for s in BlockProfile(params, block, N).segments]
+    want = [(lo, hi, mid, float(v), float(slope))
+            for lo, hi, mid, v, slope in exact_segments(params, block, N)]
+    assert got == want
+    assert repr(got) == repr(want)     # tells -0.0 from 0.0 too
+    assert all(type(x) is int for row in got for x in row[:3])
+    assert all(type(x) is float for row in got for x in row[3:])
+    return got
 
 
 def test_block_profile_matches_coefficient_sum():
@@ -72,66 +102,66 @@ def test_block_profile_matches_coefficient_sum():
                     * count_pairs(1 << k, m, N)
                     for k in range(b.k_lo, b.k_hi + 1))
                 assert prof.value(m) == pytest.approx(want, rel=1e-13)
-            assert prof.value(prof.m_lo - 1) == 0.0
+            assert prof.value(prof.segments[0].lo - 1) == 0.0
             assert prof.value(N) == 0.0
 
 
-def loop_profile(params, block, N):
-    """(lo, hi, mid, v_mid, slope) per segment by one scalar loop over k
-    per segment, in increasing k from 0.0: the order the array profile
-    must reproduce bit for bit."""
-    k_cut = min(block.k_hi, N.bit_length() - 1 + engine.K_GUARD)
-    ks = range(block.k_lo, k_cut + 1)
-    coeffs = [params.weights.ratio(k) / float(1 << k) for k in ks]
-    cuts = {N - 1}
-    for k in ks:
-        cuts.update((-(1 << k) + 1, min(0, N - (1 << k)),
-                     max(0, N - (1 << k))))
-    cuts = sorted(c for c in cuts if -(1 << k_cut) < c <= N - 1)
-    his = [c - 1 for c in cuts[1:]] + [N - 1]
-    rows = []
-    for lo, hi in zip(cuts, his):
-        if hi < lo:
-            continue
-        mid = (lo + hi) // 2
-        probe = mid + 1 if mid + 1 <= hi else mid
-        v = sl = 0.0
-        for k, cf in zip(ks, coeffs):
-            n = 1 << k
-            w0 = max(0, min(mid + n, n, N, N - mid))
-            v += cf * w0
-            if probe != mid:
-                sl += cf * (max(0, min(probe + n, n, N, N - probe)) - w0)
-        rows.append((lo, hi, mid, float(v), float(sl)))
-    return rows
-
-
-@pytest.mark.parametrize("case", ["int64", "exact_int", "dtype_switch",
+@pytest.mark.parametrize("case", ["desk", "deep", "k_cut_60_64",
                                   "beyond_guard"])
-def test_block_profile_bits_match_scalar_loop(case):
+def test_block_profile_is_exact(case):
     deep = tiny_params(kmax=200, ends=(100, 200))
     params, horizons = {
-        "int64": (desk_params(kmax=14), (1 << 10, 17, (1 << 30) + 3)),
-        "exact_int": (deep, (1 << 40, 17, (1 << 30) + 3)),
-        # k_cut = 60..64 on either side of the int64 limit
-        "dtype_switch": (tiny_params(kmax=64, ends=(60, 61, 62, 63, 64)),
-                         ((1 << 52) - 1, 17)),
+        "desk": (desk_params(kmax=14), (1 << 10, 17, (1 << 30) + 3)),
+        "deep": (deep, (1 << 40, 17, (1 << 30) + 3)),
+        # cut points from -2^60 to -2^64
+        "k_cut_60_64": (tiny_params(kmax=64, ends=(60, 61, 62, 63, 64)),
+                        ((1 << 52) - 1, 17)),
         "beyond_guard": (deep, (1, 2, 3)),
     }[case]
     for N in horizons:
         for b in params.blocks:
-            k_cut = min(b.k_hi, N.bit_length() - 1 + engine.K_GUARD)
-            if case == "exact_int" and b.k_lo == 101:
-                assert k_cut > 62
-            got = [(s.lo, s.hi, s.mid, s.v_mid, s.slope)
-                   for s in BlockProfile(params, b, N).segments]
-            want = loop_profile(params, b, N)
-            assert got == want
-            assert repr(got) == repr(want)     # tells -0.0 from 0.0 too
-            assert all(type(x) is int for row in got for x in row[:3])
-            assert all(type(x) is float for row in got for x in row[3:])
+            got = assert_profile_exact(params, b, N)
             if case == "beyond_guard" and b.k_lo == 101:
                 assert got == [(N - 1, N - 1, N - 1, 0.0, 0.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from([WeightMode.CONST_ONE, WeightMode.INV_LOG]),
+       st.integers(1, 1 << 12))
+@example(12, 6, WeightMode.INV_LOG, 1 << 12)
+@example(12, 12, WeightMode.CONST_ONE, (1 << 11) + 1)
+def test_block_profile_exact_and_affine(kmax, split, mode, N):
+    w = build_weights(mode, kmax)
+    params = SequenceParams(w, split_blocks(w, sorted({min(split, kmax),
+                                                       kmax})))
+    for b in params.blocks:
+        assert_profile_exact(params, b, N)
+        # the exact coefficient at both ends lies on the segment's line
+        for lo, hi, mid, v, slope in exact_segments(params, b, N):
+            for m in (lo, hi):
+                at = sum((Fraction(float(w.ratio(k))) / (1 << k)
+                          * trapezoid(1 << k, m, N)
+                          for k in range(b.k_lo, b.k_hi + 1)), Fraction(0))
+                assert at == v + slope * (m - mid)
+
+
+def test_theorem3_iid_error_at_2_33_is_accurate():
+    # exact-rational recomputation from exact segment values; the only
+    # rounding left is the engine's Faulhaber accumulation
+    params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
+    N = 1 << 33
+    em = ExactMoments(params)
+    want = Fraction(em.normalizer_sq(N))
+    for b in params.blocks:
+        shift = Fraction(em.block_mass(b, N))
+        for lo, hi, mid, v, slope in exact_segments(params, b, N):
+            s0, s1, s2, _, _ = engine._power_sums(max(lo, 1) - mid,
+                                                  min(hi, N - 1) - mid)
+            v -= shift
+            want += v * v * s0 + 2 * v * slope * s1 + slope * slope * s2
+    got = em.iid_approx_error_sq(N)
+    assert abs(got - float(want)) <= 1e-14 * float(want)
 
 
 # -- float engine vs rational oracle ---------------------------------------
@@ -199,7 +229,8 @@ def test_tail_norm_is_memoized(monkeypatch):
     assert built == [(n, 2 * n) for n in grid]
     assert rep.values == [row["tail_2prime"] for row in rows]
     # budget failures are not cached: each call re-estimates and raises
-    tight = ExactMoments(desk_params(kmax=12), work_budget=100)
+    monkeypatch.setattr(engine, "WORK_BUDGET", 100)
+    tight = ExactMoments(desk_params(kmax=12))
     for _ in range(2):
         with pytest.raises(WorkBudgetError):
             tight.series_tail_norm(64, 128)

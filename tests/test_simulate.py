@@ -45,9 +45,10 @@ def test_worker_count_never_changes_bytes():
     assert odd.count == odd.values.size == 4097
 
 
-def test_worker_count_never_changes_bytes_with_hitless_chunks():
+def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
     params = desk_params()
     N, count, chunk, seed = 1 << 12, 3000, 1, 5
+    monkeypatch.setattr(simulate, "CHUNK", chunk)
     # some pooled op has chunks with hits and chunks without
     plan = _build_plan(build_profile(params, N), False)
     pools = [draw.keywords for draw in plan if draw.func is _draw_pool]
@@ -57,10 +58,9 @@ def test_worker_count_never_changes_bytes_with_hitless_chunks():
                   for ci in range(count // chunk)]
                  for op in pools]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
-    base = sample_batch(params, N, count, seed, chunk=chunk)
+    base = sample_batch(params, N, count, seed)
     for workers in (2, 8):
-        again = sample_batch(params, N, count, seed, chunk=chunk,
-                             workers=workers)
+        again = sample_batch(params, N, count, seed, workers=workers)
         assert np.array_equal(base.values, again.values)
 
 
@@ -77,11 +77,11 @@ def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
     # 1000 draws: ten chunks of 100, or three of 400
     for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
                                (1, 100, []), (None, 100, [])):
-        base = sample_batch(params, 1 << 8, 1000, 745, chunk=chunk)
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        base = sample_batch(params, 1 << 8, 1000, 745)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
         opened.clear()
-        batch = sample_batch(params, 1 << 8, 1000, 745, chunk=chunk,
-                             workers=8)
+        batch = sample_batch(params, 1 << 8, 1000, 745, workers=8)
         assert opened == want
         assert np.array_equal(batch.values, base.values)
 
