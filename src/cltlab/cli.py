@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import SequenceParams, default_params
-from .config import json_ready, load_params, params_to_dict
+from .config import json_ready, load_params, params_to_dict, read_input
 from .engine import (DESK_N_CAP, Condition, ExactMoments, dyadic_grid,
                      format_csv)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
@@ -169,7 +169,7 @@ class ExperimentConfig:
 
 def _load_decay(path: str, kmax: int) -> np.ndarray:
     """Decay sequence file: floats separated by whitespace/commas; # comments."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input(path)
     body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     tokens = [t for t in re.split(r"[\s,]+", body) if t]
     try:
@@ -288,7 +288,8 @@ def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
     verdicts = {"conditions": checks}
     code = EXIT_OK
     if cfg.samples > 0:
-        # laws loads scipy.special (~0.3 s): only runs that sample pay it
+        # laws loads numpy.random and the law tables: only runs that
+        # sample pay for them
         from .laws import DichotomyVerdict, dichotomy_report, format_ks_csv
         rep = dichotomy_report(params, cfg.samples, cfg.seed,
                                moments=moments)
@@ -312,7 +313,7 @@ def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
 
 def _build_toy(cfg: ExperimentConfig):
     if cfg.toy_file is not None:
-        return toy_from_json(Path(cfg.toy_file).read_text(encoding="utf-8"))
+        return toy_from_json(read_input(cfg.toy_file))
     return random_circulant_toy(max(2, cfg.kmax), cfg.seed)
 
 

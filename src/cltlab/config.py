@@ -191,9 +191,18 @@ def save_params(params: SequenceParams, path) -> None:
         fh.write(text)
 
 
+def read_input(path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParamsError("input file is not UTF-8 text", path=str(path),
+                          byte=exc.start) from exc
+
+
 def load_params(path) -> SequenceParams:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_input(path)
     if str(path).endswith(".json"):
         return params_from_json(text)
     return params_from_text(text)

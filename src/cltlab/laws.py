@@ -33,10 +33,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ive, ndtr, ndtri
-from scipy.special._ufuncs import _binom_pmf
 
 from .blocks import BlockParity, SequenceParams
 from .config import json_ready
@@ -57,6 +56,168 @@ KS_SNAP = 1e-9               # evaluation nudge around candidate points
 
 _LOG2_GAUSSIANIZE = math.log2(GAUSSIANIZE_HITS)
 _EVAL_CHUNK = 1 << 16        # Gaussian-mixture cdf elements per step
+
+
+# ---------------------------------------------------------------------------
+# Special functions
+#
+# Ports, so that no run needs scipy.special.  The normal cdf rounds its
+# exp, and the binomial pmf and the signs' Pascal rows do all their work,
+# in numpy's longdouble: x87 extended precision on x86-64, plain double
+# where the platform has no wider type (there the pmf's far tails lose
+# digits to cancellation).
+
+# cephes ndtr/erfc rational approximations, highest power first; the
+# denominators' leading 1 is written out
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2     # erfc(z) is 0 once z^2 exceeds it
+
+_STD_NORMAL = NormalDist()
+
+
+def _rational(num, den, x, scale):
+    """scale * num(x) / den(x) by Horner, in cephes' operation order."""
+    p = np.full_like(x, num[0])
+    for c in num[1:]:
+        p *= x
+        p += c
+    p *= scale
+    q = np.full_like(x, den[0])
+    for c in den[1:]:
+        q *= x
+        q += c
+    p /= q
+    return p
+
+
+def _norm_cdf(a) -> np.ndarray:
+    """Standard normal cdf, cephes ``ndtr`` vectorized.
+
+    With x = a / sqrt(2): 0.5 + 0.5 erf(x) for |x| < sqrt(1/2), else
+    half of erfc(|x|), reflected for x > 0.  erf is x T(x^2) / U(x^2),
+    and erfc is 1 - erf below 1, then exp(-x^2) P/Q below 8 and
+    exp(-x^2) R/S above.  exp is taken in extended precision and rounded
+    once, so the port gives scipy's bits at all but about 3 in 10^4
+    points of a grid over [-40, 40].
+    """
+    x = np.multiply(a, math.sqrt(0.5), dtype=float)
+    out = np.empty_like(x)
+    mid = np.abs(x) < 1.0
+    xm = x[mid]
+    erf = _rational(_ERF_T, _ERF_U, xm * xm, xm)
+    y = 0.5 * erf + 0.5
+    low = np.abs(xm) >= math.sqrt(0.5)
+    erf = erf[low]
+    half_erfc = 0.5 * (1.0 - np.abs(erf))
+    y[low] = np.where(erf > 0.0, 1.0 - half_erfc, half_erfc)
+    out[mid] = y
+    tail = ~mid
+    xt = x[tail]
+    zt = np.abs(xt)
+    sq = zt * zt
+    g = np.exp(-sq.astype(np.longdouble)).astype(float)
+    near = zt < 8.0
+    with np.errstate(invalid="ignore"):      # inf / inf at |a| = inf
+        g[near] = _rational(_ERFC_P, _ERFC_Q, zt[near], g[near])
+        far = ~near
+        g[far] = _rational(_ERFC_R, _ERFC_S, zt[far], g[far])
+    g *= 0.5
+    g[sq > _MAXLOG] = 0.0
+    out[tail] = np.where(xt > 0.0, 1.0 - g, g)
+    return out
+
+
+def _sym_poisson_half(n_hi: int, lam: float) -> np.ndarray:
+    """e^{-2 lam} I_n(2 lam) for n = 0..n_hi: the pmf of the difference
+    of two independent Poisson(lam) counts at +-n.
+
+    Miller's backward recurrence in ratio form: r_n = I_n / I_{n-1}
+    = x / (2n + x r_{n+1}), x = 2 lam, from r = 0 at a start index whose
+    error, exp(-2 * integral of asinh(t / x) dt from n_hi), is below 1e-17;
+    the identity e^{-x} (I_0 + 2 sum_{n>=1} I_n) = 1 fixes the scale.
+    """
+    x = 2.0 * lam
+    top = n_hi + int(math.sqrt(40.0 * x)) + 25
+    ratios = []
+    r = 0.0
+    for n in range(top, 0, -1):
+        r = x / (2 * n + x * r)
+        ratios.append(r)
+    rel = np.cumprod(ratios[::-1])          # I_n / I_0 for n = 1..top
+    return np.concatenate(([1.0], rel[:n_hi])) / (1.0 + 2.0 * rel.sum())
+
+
+# stirlerr(n) = log(n!) - (n + 1/2) log n + n - log sqrt(2 pi) at n <= 15,
+# and the coefficients of its asymptotic series above
+_STIRLERR = np.array(
+    (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+     0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+     0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+     0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801),
+    dtype=np.longdouble)
+_STIRLING = tuple(np.longdouble(1) / d for d in (12, 360, 1260, 1680, 1188))
+_LN_2PI = np.longdouble(math.log(2.0 * math.pi))
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """Stirling's-formula error of log(n!) at integer n >= 1."""
+    s0, s1, s2, s3, s4 = _STIRLING
+    nn = n * n
+    series = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
+    table = _STIRLERR[np.minimum(n, 15).astype(np.int64)]
+    return np.where(n <= 15, table, series)
+
+
+def _bd0(x: np.ndarray, m) -> np.ndarray:
+    """x log(x / m) + m - x, as x log1p(d / m) - d with d = x - m exact."""
+    d = x - m
+    return x * np.log1p(d / m) - d
+
+
+def _binom_pmf(x, n, p: float) -> np.ndarray:
+    """P(X = x) for X ~ Binomial(n, p), at integer x, by Loader's
+    saddle-point form (R's ``dbinom_raw``):
+
+        exp(stirlerr(n) - stirlerr(x) - stirlerr(n - x)
+            - bd0(x, n p) - bd0(n - x, n q)) / sqrt(2 pi x (n - x) / n)
+
+    in extended precision, where n p and n q stay exact for the
+    power-of-two probabilities used here up to n = 2^52.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    n, p = np.longdouble(n), np.longdouble(p)
+    y = n - x
+    out = np.zeros(x.shape)
+    inner = (x > 0) & (y > 0)
+    if inner.any():
+        xi, yi = x[inner], y[inner]
+        lc = (_stirlerr(n) - _stirlerr(xi) - _stirlerr(yi)
+              - _bd0(xi, n * p) - _bd0(yi, n * (1 - p)))
+        out[inner] = np.exp(lc - 0.5 * (_LN_2PI + np.log(xi * yi / n)))
+    out[x == 0] = np.exp(n * np.log1p(-p))
+    out[y == 0] = np.exp(n * np.log(p))
+    return out
 
 
 class LawVariant(Enum):
@@ -107,7 +268,7 @@ class LawModel:
                 z = (x[i:i + step, None] - support[None, :]) / sd
                 # a row sum, not a BLAS product: its rounding must not
                 # depend on how many rows share the step
-                out[i:i + step] = (ndtr(z) * weights).sum(axis=1)
+                out[i:i + step] = (_norm_cdf(z) * weights).sum(axis=1)
             return out
         idx = np.searchsorted(support, x, side=side)
         if weights is None:
@@ -154,7 +315,8 @@ class LawModel:
         gv, support, _, _ = self._table()
         if support.size == 1:           # one Gaussian, or a point mass
             sd = math.sqrt(gv)
-            return {float(p): float(support[0]) + sd * float(ndtri(p))
+            return {float(p): float(support[0])
+                    + sd * _STD_NORMAL.inv_cdf(p)
                     for p in probs}
         table = self.lattice_table()
         if table is not None:
@@ -224,9 +386,9 @@ class NormalLaw(LawModel):
 class SymPoissonLaw(LawModel):
     """Difference of two independent Poisson(lam) counts.
 
-    pmf p(n) = e^{-2 lam} I_{|n|}(2 lam) on the integers, evaluated via
-    the exponentially scaled Bessel function; the truncated table keeps
-    total mass within 1e-12 of 1 and is left unnormalized.
+    pmf p(n) = e^{-2 lam} I_{|n|}(2 lam) on the integers, from Miller's
+    recurrence (``_sym_poisson_half``); the truncated table keeps total
+    mass within 1e-12 of 1 and is left unnormalized.
     """
 
     lam: float
@@ -246,8 +408,7 @@ class SymPoissonLaw(LawModel):
                 raise TruncationError(
                     "symmetrized-Poisson support exceeds the budget",
                     target_mass=1.0 - ATOM_MASS_TOL)
-            n = np.arange(n_max + 1)
-            half = ive(n, 2.0 * self.lam)
+            half = _sym_poisson_half(n_max, self.lam)
             mass = half[0] + 2.0 * half[1:].sum()
             if mass >= 1.0 - ATOM_MASS_TOL:
                 break
@@ -262,8 +423,8 @@ class SymPoissonLaw(LawModel):
                 float(probs.sum()))
 
     def pmf(self, n) -> np.ndarray:
-        n = np.abs(np.atleast_1d(np.asarray(n)))
-        return ive(n, 2.0 * self.lam)
+        n = np.abs(np.atleast_1d(np.asarray(n, dtype=np.int64)))
+        return _sym_poisson_half(int(n.max(initial=0)), self.lam)[n]
 
     def _parameters(self) -> dict:
         return {"lam": self.lam,
@@ -315,16 +476,20 @@ def _signed_count_pmf_mixture(hit_weights: np.ndarray, h0: int):
     """pmf of a sum of H fair signs with H distributed per hit_weights.
 
     hit_weights[i] is the probability of H = h0 + i; the result is a
-    (support, probs) pair over the integer lattice.
+    (support, probs) pair over the integer lattice.  The Binomial(h, 1/2)
+    rows come from Pascal's rule, halved at each step, in extended
+    precision: row h carries at most h roundings of 2^-64 relative.
     """
     h_hi = h0 + hit_weights.size - 1
     probs = np.zeros(2 * h_hi + 1)
-    for i, w in enumerate(hit_weights):
-        h = h0 + i
-        if w <= 0.0:
-            continue
-        j = np.arange(h + 1)
-        probs[(2 * j - h) + h_hi] += w * _binom_pmf(j, h, 0.5)
+    row = np.ones(1, dtype=np.longdouble)          # Binomial(0, 1/2)
+    for h in range(h_hi + 1):
+        if h:
+            row = 0.5 * (np.append(row, 0.0) + np.append(0.0, row))
+        w = hit_weights[h - h0] if h >= h0 else 0.0
+        if w > 0.0:
+            # j positive signs of h put the sum at 2j - h
+            probs[h_hi - h:h_hi + h + 1:2] += w * row.astype(float)
     return np.arange(-h_hi, h_hi + 1), probs
 
 

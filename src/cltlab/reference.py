@@ -36,8 +36,8 @@ from scipy.special import ndtri
 from .blocks import BlockParity, SequenceParams
 from .engine import ExactMoments
 from .errors import MemoryBudgetError, ParamsError, WorkBudgetError
-from .simulate import (CoordinateProfile, SampleBatch, SampleKind,
-                       _open_uniforms, _stream, build_profile)
+from .simulate import (CoordinateProfile, SampleBatch, SampleKind, _stream,
+                       build_profile)
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
@@ -303,15 +303,27 @@ def dense_coefficients(profile: CoordinateProfile, l: int) -> np.ndarray:
     return scale * out
 
 
+def _open_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniforms strictly inside (0, 1), for inversion transforms.
+
+    ``random()`` gives k / 2^53 for k < 2^53; the 2^-54 offset lifts 0
+    off the endpoint, and the top draw, which it rounds up to 1.0, is
+    put back at 1 - 2^-53.  No other draw moves.
+    """
+    return np.minimum(rng.random(size) + 2.0 ** -54, 1.0 - 2.0 ** -53)
+
+
 def site_sample_batch(params: SequenceParams, N: int, count: int, seed: int,
                       *, moments: ExactMoments | None = None) -> SampleBatch:
     """`count` unnormalized values of the full horizon sum S_N from
     literal site draws.
 
     Sample i reads its own Philox stream, keyed by (seed, i), one site
-    variable per coefficient: standard normal in Gaussian blocks, +-1
-    with probability 1/(2 N_l) each in spike blocks.  Desk horizons
-    only, and at most ``SITE_DRAW_BUDGET`` draws per batch.
+    variable per coefficient: standard normal in Gaussian blocks, by
+    scipy's ``ndtri`` of open uniforms rather than the aggregate
+    sampler's Generator draws, and +-1 with probability 1/(2 N_l) each in
+    spike blocks.  Desk horizons only, and at most ``SITE_DRAW_BUDGET``
+    draws per batch.
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)

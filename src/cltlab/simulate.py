@@ -29,11 +29,16 @@ Its independent oracle, literal per-coordinate draws at small scales,
 is ``reference.site_sample_batch``.
 
 Reproducibility: all randomness comes from counter-based Philox streams
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
-keyed by (seed, lane, fixed-size chunk index) for the per-sample lanes
-and by (seed, chunk index, block) for a layer's pooled hit offsets and
-signs, which each such stream draws in bulk.  No stream is ever shared
-across chunks, so batches are byte-identical for any worker count.
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+one per plan op and fixed-size chunk, keyed by (seed, op's lane, chunk
+index).  Each op takes exact draws from its stream through numpy's
+Generator: ``standard_normal`` for a normal, ``binomial`` (BTPE or
+inversion, Kachitvichyanukul & Schmeiser 1988) for hit and sign counts,
+``integers`` for a pool's hit offsets and signs.  The one departure
+from the exact laws is numpy's inversion branch (means below 30), which
+redraws counts beyond ten standard deviations above the mean: under
+4e-13 in total variation per count.  No stream is ever shared across
+chunks, so batches are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -46,10 +51,6 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
-# scipy.stats.binom.ppf on q in (0, 1), where lane uniforms lie, without
-# the ~0.7 s that importing scipy.stats adds to every process start
-from scipy.special._ufuncs import _binom_ppf
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
 from .engine import (DESK_N_CAP, ExactMoments, Segment, block_var_over_n,
@@ -60,7 +61,6 @@ CHUNK = 4096
 GAUSSIANIZE_HITS = float(1 << 40)
 
 _LANE_TAG = 0xA0761D6478BD642F
-_HIT_TAG = 0xE7037ED1A0B428DB
 
 
 def _mix64(x: int) -> int:
@@ -172,12 +172,12 @@ class SampleBatch:
 # Aggregate sampler
 
 def _build_plan(profile: CoordinateProfile, normalized: bool):
-    """Fixed lane layout for the aggregate sampler: one draw function
-    per op, bound to the values it reads, called as
-    ``draw(seed, chunk_idx, size)``.
+    """Fixed op layout for the aggregate sampler: one draw function per
+    op, bound to the values it reads, called as ``draw(rng, size)`` on
+    the op's own stream.
 
-    Lane ids and hit-stream keys depend only on (params, N, kind), never
-    on chunking or worker count.
+    An op's lane is its place in the plan, which depends only on
+    (params, N, kind), never on chunking or worker count.
     """
     N = profile.N
     b_sq = profile.moments.normalizer_sq(N)
@@ -198,14 +198,12 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
         e = N.bit_length() - 1
         inv_unit = 2.0 ** (-0.5 * e) / math.sqrt(b_sq)
     plan = []
-    lane = 0
     for lay in profile.layers:
         gaussian_block = lay.block.parity is BlockParity.GAUSSIAN
         if lay.segments is None or gaussian_block:
             std = (math.sqrt(lay.var_over_n / b_sq) if normalized
                    else math.sqrt(lay.var_over_n * N))
-            plan.append(partial(_draw_normal, lane=lane, std=std))
-            lane += 1
+            plan.append(partial(_draw_normal, std=std))
             continue
         if lay.hit_prob == 0.0:
             # The hit probability underflowed (horizon exponent beyond
@@ -219,38 +217,22 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
             if length * lay.hit_prob > GAUSSIANIZE_HITS:
                 heavy.append(seg.sum_pow(2))
             elif seg.slope == 0.0:
-                plan.append(partial(_draw_flat, lane=lane, length=length,
+                plan.append(partial(_draw_flat, length=length,
                                     hit_prob=lay.hit_prob,
                                     coef=scale * seg.v_mid))
-                lane += 2
             else:
                 sloped.append(seg)
         if sloped:
-            plan.append(partial(_draw_pool, lane=lane, key=lay.block.index,
-                                segs=sloped, hit_prob=lay.hit_prob,
-                                coef=scale))
-            lane += 1
+            plan.append(partial(_draw_pool, segs=sloped,
+                                hit_prob=lay.hit_prob, coef=scale))
         if heavy:
-            plan.append(partial(_draw_normal, lane=lane,
+            plan.append(partial(_draw_normal,
                                 std=math.sqrt(math.fsum(heavy)) * inv_unit))
-            lane += 1
     return plan
 
 
-def _open_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniforms strictly inside (0, 1), for inversion transforms.
-
-    ``random()`` gives k / 2^53 for k < 2^53; the 2^-54 offset lifts 0
-    off the endpoint, and the top draw, which it rounds up to 1.0, is
-    put back at 1 - 2^-53.  No other draw moves.
-    """
-    return np.minimum(rng.random(size) + 2.0 ** -54, 1.0 - 2.0 ** -53)
-
-
-def _lane_uniforms(seed: int, lane: int, chunk_idx: int,
-                   size: int) -> np.ndarray:
-    return _open_uniforms(_stream(seed ^ _LANE_TAG, (lane << 32) | chunk_idx),
-                          size)
+def _lane_stream(seed: int, lane: int, chunk_idx: int) -> np.random.Generator:
+    return _stream(seed ^ _LANE_TAG, (lane << 32) | chunk_idx)
 
 
 def _distinct_offsets(rng: np.random.Generator, length: int,
@@ -268,12 +250,16 @@ def _distinct_offsets(rng: np.random.Generator, length: int,
     comp = 2 * hits > length
     want = np.where(comp, length - hits, hits)
     owner = np.repeat(np.arange(hits.size), want)
+    # (owner, offset) as one key: below 2^64 for a chunk of at most 2^12
+    # samples on a desk horizon of at most 2^52 sites
+    row = owner.astype(np.uint64) * np.uint64(length)
     offs = rng.integers(0, length, size=owner.size)
     while True:
-        # lexsort is stable: equal draws of a sample stay in slot order
-        order = np.lexsort((offs, owner))
+        key = row + offs.astype(np.uint64)
+        # a stable sort keeps equal draws of a sample in slot order
+        order = np.argsort(key, kind="stable")
         a, b = order[:-1], order[1:]
-        redo = np.sort(b[(owner[b] == owner[a]) & (offs[b] == offs[a])])
+        redo = np.sort(b[key[b] == key[a]])
         if not redo.size:
             break
         offs[redo] = rng.integers(0, length, size=redo.size)
@@ -287,31 +273,27 @@ def _distinct_offsets(rng: np.random.Generator, length: int,
             np.concatenate([offs[~drawn], c]))
 
 
-def _draw_normal(seed, chunk_idx, size, *, lane, std):
+def _draw_normal(rng, size, *, std):
     """A Gaussian block, or a layer's segments too heavy to count."""
     if std == 0.0:
         return 0.0
-    return std * ndtri(_lane_uniforms(seed, lane, chunk_idx, size))
+    return std * rng.standard_normal(size)
 
 
-def _draw_flat(seed, chunk_idx, size, *, lane, length, hit_prob, coef):
+def _draw_flat(rng, size, *, length, hit_prob, coef):
     """A constant spike segment: only the signed hit count matters."""
-    u1 = _lane_uniforms(seed, lane, chunk_idx, size)
-    hits = _binom_ppf(u1, length, hit_prob)
-    u2 = _lane_uniforms(seed, lane + 1, chunk_idx, size)
-    pos = _binom_ppf(u2, hits, 0.5)
+    hits = rng.binomial(length, hit_prob, size)
+    pos = rng.binomial(hits, 0.5)
     return coef * (2.0 * pos - hits)
 
 
-def _draw_pool(seed, chunk_idx, size, *, lane, key, segs, hit_prob, coef):
-    """A layer's light sloped spike segments as one pool: hit offsets
-    into their concatenated sites, and signs, drawn in bulk."""
+def _draw_pool(rng, size, *, segs, hit_prob, coef):
+    """A layer's light sloped spike segments as one pool: hit counts,
+    then hit offsets into their concatenated sites and signs, in bulk."""
     starts = np.cumsum([0] + [seg.hi - seg.lo + 1 for seg in segs])
-    u1 = _lane_uniforms(seed, lane, chunk_idx, size)
-    hits = _binom_ppf(u1, starts[-1], hit_prob).astype(np.int64)
+    hits = rng.binomial(starts[-1], hit_prob, size)
     if not hits.any():
         return 0.0
-    rng = _stream(seed ^ _HIT_TAG, (chunk_idx << 24) | key)
     owner, offs = _distinct_offsets(rng, starts[-1], hits)
     signs = 2.0 * rng.integers(0, 2, size=owner.size) - 1.0
     j = np.searchsorted(starts, offs, side="right") - 1
@@ -323,8 +305,8 @@ def _draw_pool(seed, chunk_idx, size, *, lane, key, segs, hit_prob, coef):
 
 def _aggregate_chunk(plan, seed, chunk_idx, size):
     out = np.zeros(size)
-    for draw in plan:
-        out += draw(seed, chunk_idx, size)
+    for lane, draw in enumerate(plan):
+        out += draw(_lane_stream(seed, lane, chunk_idx), size)
     return out
 
 

@@ -67,6 +67,19 @@ def test_runs_that_draw_no_sample_leave_scipy_special_out(tmp_path):
     assert (tmp_path / "spectral" / "spectral.csv").is_file()
 
 
+def test_sampling_runs_load_no_scipy(tmp_path):
+    code = ("import sys\n"
+            "from cltlab.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, sorted(loaded)\n")
+    out = tmp_path / "theorem1"
+    proc = fresh_python(code, "theorem1", "--samples", "2000",
+                        "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "dichotomy.csv").is_file()
+
+
 def test_package_root_loads_laws_and_simulate_lazily():
     table = cltlab._LAZY
     assert {"laws", "simulate"} <= set(table.values())
@@ -200,6 +213,23 @@ def test_malformed_input_file_exits_2(case, tmp_path, capsys):
         assert code == 2
         assert doc["error"]["type"] == "ParamsError"
         assert doc["error"]["details"] == want
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,scenario", [("--c-file", "theorem2"),
+                                           ("--toy-file", "spectral"),
+                                           ("--params-file", "theorem2")])
+def test_non_utf8_input_file_exits_2(flag, scenario, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe1,2")
+    out = tmp_path / "out"
+    for argv in (["validate", "--scenario", scenario],
+                 [scenario, "--samples", "0", "--out", str(out)]):
+        code, doc = run_main(argv + [flag, str(path)], capsys)
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParamsError", "message": "input file is not UTF-8 text",
+            "details": {"path": str(path), "byte": 0}}
     assert not out.exists()
 
 
@@ -337,14 +367,14 @@ def test_theorem2_schedule_artifact(tmp_path, capsys):
 
 def test_inconclusive_dichotomy_exits_4(tmp_path, capsys):
     out = tmp_path / "inc"
-    code, doc = run_main(["theorem1", "--samples", "25", "--seed", "8",
+    code, doc = run_main(["theorem1", "--samples", "25", "--seed", "1",
                           "--grid", "dyadic:4:8", "--no-timestamp",
                           "--out", str(out)], capsys)
     assert code == 4
     verdict = json.loads((out / "verdict.json").read_text())
     d = verdict["dichotomy"]
     assert d["verdict"] == "INCONCLUSIVE"
-    assert d["required_count_estimate"] == 4341
+    assert d["required_count_estimate"] == 5386
     assert d["notes"] == ["gap within sampling noise of the margin"]
 
 

@@ -1,10 +1,11 @@
-"""No module imports a name it never reads, and the package defines no
-private module-level name that it never reads.
+"""No module imports a name it never reads, the package defines no
+private module-level name that it never reads, and no package module but
+the ``reference`` oracles imports scipy.
 
 No linter is a dependency, so these are small AST scans: of the package,
 the tests and the demos for imports, of the package alone for private
-names.  The package ``__init__`` is exempt from the import scan: its
-imports are the public re-exports.
+names and scipy.  The package ``__init__`` is exempt from the import
+scan: its imports are the public re-exports.
 """
 
 import ast
@@ -103,3 +104,29 @@ def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in PACKAGE}
     assert unused_private_names(sources) == []
+
+
+def imported_roots(source: str) -> set[str]:
+    """Top-level packages a module imports by absolute name."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_scan_catches_scipy_imports():
+    source = ("import numpy as np\nfrom .laws import x\n"
+              "def f():\n    from scipy.special._ufuncs import g\n")
+    assert imported_roots(source) == {"numpy", "scipy"}
+    assert imported_roots("import scipy.stats as st\n") == {"scipy"}
+
+
+def test_only_the_reference_oracles_import_scipy():
+    # the runtime ports its few special functions; scipy stays the
+    # independent oracle of reference.py and the tests
+    users = [path.name for path in PACKAGE
+             if "scipy" in imported_roots(path.read_text(encoding="utf-8"))]
+    assert users == ["reference.py"]

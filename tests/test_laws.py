@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import binom, norm, poisson, skellam
 
 import cltlab.laws as laws
@@ -177,11 +178,30 @@ def test_doubling_pmf_matches_repeated_convolution(q):
     assert trimmed   # the tail-trimming path is among those compared
 
 
+def test_norm_cdf_matches_scipy_ndtr():
+    # the port of cephes ndtr against the scipy ufunc it replaced
+    x = np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                        [-np.inf, -0.0, np.inf]])
+    got, want = laws._norm_cdf(x), ndtr(x)
+    assert np.max(np.abs(got - want)) <= 1e-16
+    big = want > 1e-300
+    assert np.max(np.abs(got - want)[big] / want[big]) <= 1e-14
+    assert got[-3:].tolist() == [0.0, 0.5, 1.0]
+    assert np.isnan(laws._norm_cdf([np.nan]))[0]
+
+
+def _rel_err(got, want):
+    """Largest relative error over the entries of ``want`` above 1e-300."""
+    big = want > 1e-300
+    return float(np.max(np.abs(got - want)[big] / want[big]))
+
+
 def test_count_pmfs_match_scipy_stats():
-    for h in range(41):                  # signs of h hits
-        j = np.arange(h + 1)
-        np.testing.assert_array_equal(laws._binom_pmf(j, h, 0.5),
-                                      binom.pmf(j, h, 0.5))
+    for h in list(range(41)) + [1000, 2600]:   # signs of h hits, exactly
+        support, probs = laws._signed_count_pmf_mixture(np.ones(1), h)
+        exact = np.array([math.comb(h, j) / 2 ** h for j in range(h + 1)])
+        assert np.all(probs[1::2] == 0.0)
+        assert _rel_err(probs[::2], exact) <= 1e-15
     for trials in (1, 17, 1000, (1 << 20) + 3, (1 << 40) - 1):
         for e in range(1, 45):           # hit counts of one atom
             lam = trials * 2.0 ** -e
@@ -189,9 +209,12 @@ def test_count_pmfs_match_scipy_stats():
                 continue
             lo, hi = laws._count_window(lam, trials)
             h = np.arange(lo, hi + 1)
-            np.testing.assert_array_equal(
-                laws._binom_pmf(h, float(trials), 2.0 ** -e),
-                binom.pmf(h, float(trials), 2.0 ** -e))
+            got = laws._binom_pmf(h, trials, 2.0 ** -e)
+            # boost's pdf, not the port, is what strays in the window's
+            # far tails: up to 1.9e-13 against 50-digit values, where the
+            # port stays within 3e-16
+            assert _rel_err(got, binom.pmf(h, trials, 2.0 ** -e)) <= 2e-13
+            assert abs(got.sum() - 1.0) <= 1e-15
     # beyond the desk cap Poisson(lam) hits carry fair signs: the signed
     # count of two independent Poisson(lam / 2) counts
     for lam in [2.0 ** e for e in range(-44, 12)] + [0.3, 17.5]:
@@ -200,9 +223,9 @@ def test_count_pmfs_match_scipy_stats():
                            log2_trials=60 + math.log2(lam), log2_hit=-60,
                            var_share=1.0)
         support, probs, tv, lost = laws._atom_pmf(atom, laws.ATOM_MASS_TOL)
-        np.testing.assert_allclose(
-            probs, skellam.pmf(support, 0.5 * lam, 0.5 * lam),
-            rtol=1e-12, atol=1e-15)
+        assert _rel_err(probs, skellam.pmf(support, 0.5 * lam,
+                                           0.5 * lam)) <= 1e-13
+        assert abs(probs.sum() - 1.0) <= 1e-15
         assert tv == 2.0 ** -60 and abs(lost) < laws.ATOM_MASS_TOL
 
 

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from cltlab.blocks import SequenceParams, split_blocks
 from cltlab.errors import WorkBudgetError
-from cltlab.reference import (RationalMoments, cond_weight, count_pairs,
-                              exact_fraction)
+from cltlab.reference import (RationalMoments, _open_uniforms, cond_weight,
+                              count_pairs, exact_fraction)
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -88,3 +90,14 @@ def test_work_caps():
         rm.series_tail_norm_sq(2, 4096)
     with pytest.raises(ValueError):
         rm.series_tail_norm_sq(3, 2)
+
+
+def test_open_uniforms_stay_inside_the_unit_interval():
+    # random()'s extremes: 1 - 2^-53 plus the 2^-54 offset rounds to 1.0
+    class Stub:
+        def random(self, size):
+            return np.resize([1.0 - 2.0 ** -53, 0.0], size)
+
+    u = _open_uniforms(Stub(), 4)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.all(np.isfinite(ndtri(u)))

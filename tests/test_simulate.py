@@ -10,15 +10,15 @@ from scipy.stats import binom, chisquare, kstat, ks_2samp
 
 import cltlab.simulate as simulate
 from cltlab.blocks import BlockParity, default_params
-from cltlab.engine import ExactMoments
+from cltlab.engine import DESK_N_CAP, ExactMoments, Segment
 from cltlab.errors import ParamsError, WorkBudgetError
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
-from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _binom_ppf,
-                             _build_plan, _distinct_offsets, _draw_flat,
-                             _draw_normal, _draw_pool, _lane_uniforms,
-                             _open_uniforms, _stream, build_profile,
-                             derive_seed, dichotomy_samples, sample_batch)
+from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
+                             _distinct_offsets, _draw_flat, _draw_normal,
+                             _draw_pool, _lane_stream, _stream,
+                             build_profile, derive_seed, dichotomy_samples,
+                             sample_batch)
 
 
 def desk_params():
@@ -51,12 +51,14 @@ def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
     monkeypatch.setattr(simulate, "CHUNK", chunk)
     # some pooled op has chunks with hits and chunks without
     plan = _build_plan(build_profile(params, N), False)
-    pools = [draw.keywords for draw in plan if draw.func is _draw_pool]
-    per_chunk = [[int(binom.ppf(_lane_uniforms(seed, op["lane"], ci, chunk),
-                                sum(s.hi - s.lo + 1 for s in op["segs"]),
-                                op["hit_prob"]).sum())
+    pools = [(lane, draw.keywords) for lane, draw in enumerate(plan)
+             if draw.func is _draw_pool]
+    # a pool's hit counts are the first draw of its lane's stream
+    per_chunk = [[int(_lane_stream(seed, lane, ci).binomial(
+                      sum(s.hi - s.lo + 1 for s in op["segs"]),
+                      op["hit_prob"], chunk).sum())
                   for ci in range(count // chunk)]
-                 for op in pools]
+                 for lane, op in pools]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
     base = sample_batch(params, N, count, seed)
     for workers in (2, 8):
@@ -86,35 +88,71 @@ def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
         assert np.array_equal(batch.values, base.values)
 
 
-def test_open_uniforms_stay_inside_the_unit_interval(monkeypatch):
-    # random()'s extremes: 1 - 2^-53 plus the 2^-54 offset rounds to 1.0
-    class Stub:
-        def random(self, size):
-            return np.resize([1.0 - 2.0 ** -53, 0.0], size)
+class _Recording:
+    """A Generator that keeps every ``binomial`` draw it hands out."""
 
-    u = _open_uniforms(Stub(), 4)
-    assert np.all((u > 0.0) & (u < 1.0))
-    monkeypatch.setattr(simulate, "_stream", lambda *args: Stub())
-    assert np.all(np.isfinite(_draw_normal(0, 0, 4, lane=0, std=1.0)))
+    def __init__(self, rng):
+        self.rng = rng
+        self.binomials = []
+
+    def binomial(self, *args):
+        out = self.rng.binomial(*args)
+        self.binomials.append(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
-# boost cannot bracket q = 1 - 2^-53 at some tiny p; both sides warn alike
-@pytest.mark.filterwarnings("ignore:Error in function boost")
-def test_binom_quantile_matches_scipy_stats():
-    # lane uniforms plus the extremes they can take
-    u = np.concatenate([_lane_uniforms(7, 3, 0, 100),
-                        [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]])
-    for length in (1, 5, 1000, (1 << 20) + 3, (1 << 40) - 1):
-        for j in range(1, 45):
-            got = _binom_ppf(u, length, 2.0 ** -j)
-            want = binom.ppf(u, length, 2.0 ** -j)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-    # the signs' trial counts, zeros too
-    hits = binom.ppf(u, 7, 0.25)
-    assert (hits == 0).any()
-    np.testing.assert_array_equal(_binom_ppf(u, hits, 0.5),
-                                  binom.ppf(u, hits, 0.5))
+def _chisquare_vs_binom(hits, n, p):
+    """p-value of the hit counts against Binomial(n, p), with the upper
+    tail pooled into its last bin and bins of under 5 expected merged
+    into their lower neighbour."""
+    top = int(hits.max())
+    pmf = binom.pmf(np.arange(top + 1), n, p)
+    pmf[-1] += binom.sf(top, n, p)
+    observed = np.bincount(hits, minlength=top + 1).astype(float)
+    expected = pmf * hits.size
+    obs, exp = [], []
+    for o, e in zip(observed, expected):
+        if exp and exp[-1] < 5.0:
+            obs[-1] += o
+            exp[-1] += e
+        else:
+            obs.append(o)
+            exp.append(e)
+    if len(exp) > 1 and exp[-1] < 5.0:
+        o, e = obs.pop(), exp.pop()
+        obs[-1] += o
+        exp[-1] += e
+    return chisquare(obs, exp).pvalue
+
+
+# (length, hit probability): one site, a short segment, a long one
+HIT_CASES = [(1, 0.3), (1000, 2.0 ** -7), ((1 << 40) - 1, 2.0 ** -37)]
+
+
+@pytest.mark.parametrize("length,hit_prob", HIT_CASES)
+def test_flat_hit_counts_are_binomial(length, hit_prob):
+    rng = _Recording(_lane_stream(745, 3, 0))
+    signed = _draw_flat(rng, 20_000, length=length, hit_prob=hit_prob,
+                        coef=1.0)
+    hits, pos = rng.binomials
+    assert _chisquare_vs_binom(hits, length, hit_prob) > 1e-3
+    # the positive ones of each count, and the signed count they give
+    assert np.all((0 <= pos) & (pos <= hits))
+    np.testing.assert_array_equal(signed, 2 * pos - hits)
+
+
+@pytest.mark.parametrize("length,hit_prob", HIT_CASES)
+def test_pool_hit_counts_are_binomial(length, hit_prob):
+    # one sloped segment whose sites carry the values 1..length
+    mid = (length - 1) // 2
+    seg = Segment(0, length - 1, 1.0 + mid, 1.0, mid)
+    rng = _Recording(_lane_stream(745, 4, 0))
+    _draw_pool(rng, 20_000, segs=[seg], hit_prob=hit_prob, coef=1.0)
+    hits, = rng.binomials
+    assert _chisquare_vs_binom(hits, length, hit_prob) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +173,30 @@ def test_distinct_offsets_are_distinct_and_deterministic(length, raw, key):
         assert np.all((0 <= mine) & (mine < length))
     owner2, offs2 = _distinct_offsets(_stream(key, 1), length, hits)
     assert np.array_equal(owner, owner2) and np.array_equal(offs, offs2)
+
+
+def _redrawn_by_two_key_sort(rng, length, owner):
+    """The redraw loop over a lexsort of (owner, offset): the reference
+    for the one-key sort in ``_distinct_offsets``."""
+    offs = rng.integers(0, length, size=owner.size)
+    while True:
+        order = np.lexsort((offs, owner))
+        a, b = order[:-1], order[1:]
+        redo = np.sort(b[(owner[b] == owner[a]) & (offs[b] == offs[a])])
+        if not redo.size:
+            return offs
+        offs[redo] = rng.integers(0, length, size=redo.size)
+
+
+@pytest.mark.parametrize("length", [50, DESK_N_CAP])
+def test_distinct_offsets_match_the_two_key_sort(length):
+    # a full chunk; fewer than half of 50 sites hit, so nothing takes
+    # the complement path, and at 50 sites many draws collide
+    hits = _stream(9, 2).integers(0, 25, size=simulate.CHUNK)
+    owner = np.repeat(np.arange(hits.size), hits)
+    want = _redrawn_by_two_key_sort(_stream(9, 1), length, owner)
+    got_owner, got = _distinct_offsets(_stream(9, 1), length, hits)
+    assert np.array_equal(got_owner, owner) and np.array_equal(got, want)
 
 
 def test_distinct_offsets_are_uniform_subsets():
