@@ -7,10 +7,13 @@ answers them from one float prefix sum_{j<=k} a_j/j: masses are
 differences of it, and one bisection over it finds the first index at
 which a block's mass reaches its target.  The constant schedule's prefix
 is analytic, a port of the cephes digamma ``psi`` that needs no scipy,
-so it is the only mode allowed to exceed the array budget.  The other
-modes keep an extended-precision prefix at every 2^12-th index and
-rebuild one chunk per lookup, so even kmax = 2^22 holds a few kilobytes
-of checkpoints, not a prefix array.
+so it is the only mode allowed to exceed the array budget.  The
+inverse-log prefix is an exact extended-precision cumsum up to 2^12 and
+an Euler-Maclaurin tail beyond it, so every lookup costs O(1) and even
+kmax = 2^22 reads only 2^12 weights.  The adapted schedule keeps its
+extended-precision prefix at every 2^12-th index and rebuilds one chunk
+per lookup, so it holds a few kilobytes of checkpoints, not a prefix
+array.
 """
 
 from __future__ import annotations
@@ -26,10 +29,32 @@ from .errors import ParamsError
 # Largest kmax allowed for a non-constant schedule.
 MAX_ARRAY_KMAX = 1 << 25
 
-# Spacing of the stored ratio prefix sums of non-constant schedules.
+# Spacing of the stored ratio prefix sums of adapted schedules, and the
+# length of the inverse-log schedule's exact head.
 _CHUNK = 1 << 12
 
 _EULER = float(np.euler_gamma)
+
+_LN2 = np.log(np.longdouble(2.0))
+
+
+def _inv_log_em(x: int):
+    """ln2 (ln ln x + f/2 + f'/12 - f'''/720) for f(x) = 1/(x ln x).
+
+    In extended precision.  Its rise from 2^12 to k is the Euler-Maclaurin
+    sum ln2 * sum_{2^12 < j <= k} f(j) through the B4 term.  Every
+    derivative of f alternates in sign on x > 1, so the remainder lies
+    below the first omitted term, B6/6! |f^(5)(2^12)| < 1e-25.
+    """
+    x = np.longdouble(x)
+    lg = np.log(x)
+    xl = x * lg
+    f1 = -(lg + 1.0) / (xl * xl)
+    f3 = -(((6.0 * lg + 11.0) * lg + 12.0) * lg + 6.0) / (xl * xl) ** 2
+    return _LN2 * (np.log(lg) + 0.5 / xl + f1 / 12.0 - f3 / 720.0)
+
+
+_EM_HEAD = _inv_log_em(_CHUNK)
 
 
 # cephes psi's asymptotic-series coefficients, highest power first
@@ -71,16 +96,18 @@ class WeightMode(Enum):
 
 @dataclass(eq=False)
 class WeightSchedule:
-    """Weight values over k = 1..kmax plus checkpointed ratio prefix sums.
+    """Weight values over k = 1..kmax plus their ratio prefix sums.
 
     CONST_ONE stores nothing: every weight is 1 and its prefix is the
     harmonic number in closed form, which is all that is analytic about
     it, so kmax may be astronomically large.  INV_LOG computes
-    a_k = 1/log2 k on demand and ADAPTED keeps its ``values`` array.  Both
-    sum a_j/j in extended precision but store the running prefix only at
-    every multiple of 2^12; a lookup rebuilds the one chunk it needs from
-    its checkpoint.  ``mass`` and ``first_k_reaching`` read the prefix
-    the same way in every mode.  For ADAPTED schedules ``anchors`` records
+    a_k = 1/log2 k on demand; its prefix is an extended-precision cumsum
+    over k <= 2^12, kept once, plus an Euler-Maclaurin tail beyond.
+    ADAPTED keeps its ``values`` array and sums a_j/j in extended
+    precision, but stores the running prefix only at every multiple of
+    2^12; a lookup rebuilds the one chunk it needs from its checkpoint.
+    ``mass`` and ``first_k_reaching`` read the prefix the same way in
+    every mode.  For ADAPTED schedules ``anchors`` records
     the segment endpoints that were actually placed and ``truncated``
     whether the decay sequence ran out before the last segment closed.
     """
@@ -93,6 +120,7 @@ class WeightSchedule:
     decay: np.ndarray | None = None
     _checkpoints: np.ndarray | None = field(default=None, init=False,
                                             repr=False)
+    _head: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kmax < 1:
@@ -118,16 +146,19 @@ class WeightSchedule:
     # -- accessors ---------------------------------------------------------
 
     def a(self, k):
-        """Weight a_k; accepts scalars or integer arrays."""
+        """Weight a_k; accepts integers or integer arrays."""
+        scalar = isinstance(k, (int, np.integer))
         if self.mode is WeightMode.CONST_ONE:
-            return 1.0 if np.isscalar(k) else np.ones(np.shape(k))
-        if np.ndim(k) == 0:
-            # scalar fast path: the engine asks for single weights a lot
+            return 1.0 if scalar else np.ones(np.shape(k))
+        if scalar:
+            # the engine reads single weights ~10^4 times a run, so plain
+            # integers skip numpy dispatch; np.log2, not math.log2, keeps
+            # the array path's bits
             k = int(k)
             self._check_range(k, k)
             if self.values is not None:
                 return float(self.values[k - 1])
-            return float(1.0 / np.log2(float(max(k, 2))))
+            return 1.0 / float(np.log2(float(max(k, 2))))
         k = np.asarray(k)
         if k.size:
             self._check_range(int(k.min()), int(k.max()))
@@ -144,9 +175,11 @@ class WeightSchedule:
 
     def ratio(self, k):
         """a_k / k, the mass carried by index k."""
+        if isinstance(k, (int, np.integer)):
+            return self.a(k) / float(k)
         return self.a(k) / np.asarray(k, dtype=float)
 
-    # -- checkpointed prefix -------------------------------------------------
+    # -- prefix sums ---------------------------------------------------------
     # np.cumsum adds strictly in sequence, so seeding a chunk's cumsum with
     # the carry gives the same bits as one cumsum over the whole range.
 
@@ -174,6 +207,12 @@ class WeightSchedule:
             return harmonic(k)
         if k == 0:
             return 0.0
+        if self.mode is WeightMode.INV_LOG:
+            if self._head is None:
+                self._head = self._chunk_sums(0, 0.0)
+            if k <= _CHUNK:
+                return float(self._head[k - 1])
+            return float(self._head[-1] + (_inv_log_em(k) - _EM_HEAD))
         i = (k - 1) // _CHUNK
         sums = self._chunk_sums(i, self._checkpoint_table()[i])
         return float(sums[k - 1 - i * _CHUNK])
@@ -188,6 +227,8 @@ class WeightSchedule:
 
     def first_k_reaching(self, k_lo: int, threshold: float) -> int | None:
         """Smallest k >= k_lo with mass(k_lo, k) >= threshold, else None."""
+        if k_lo < 1:
+            raise ParamsError("k_lo must be >= 1", k_lo=k_lo)
         if k_lo > self.kmax:
             return None
         target = self._prefix(k_lo - 1) + threshold

@@ -11,8 +11,8 @@ from scipy.special import digamma
 from cltlab.blocks import default_params
 from cltlab.errors import ParamsError
 from cltlab.weights import (MAX_ARRAY_KMAX, WeightMode, WeightSchedule,
-                            adapted_schedule, build_weights, harmonic,
-                            weighted_prefix)
+                            _inv_log_em, adapted_schedule, build_weights,
+                            harmonic, weighted_prefix)
 
 
 def test_harmonic_matches_exact_fractions():
@@ -260,10 +260,75 @@ def test_first_k_reaching_stays_at_or_above_k_lo():
     assert const.first_k_reaching(2000, 1e-17) == 2000
 
 
-# -- bit identity with the former whole-array prefix -----------------------
+def test_first_k_reaching_rejects_k_lo_below_one():
+    schedules = [build_weights(WeightMode.CONST_ONE, 100),
+                 build_weights(WeightMode.INV_LOG, 100),
+                 build_weights(WeightMode.ADAPTED, 100,
+                               c=np.exp2(-np.arange(1, 101) / 4.0))]
+    for w in schedules:
+        for k_lo, thr in ((0, 0.0), (-5, 1.0), (-1, 0.5)):
+            with pytest.raises(ParamsError, match="k_lo") as exc:
+                w.first_k_reaching(k_lo, thr)
+            assert exc.value.details == {"k_lo": k_lo}
+        assert w.first_k_reaching(1, 0.0) == 1
+
+
+# -- scalar reads --------------------------------------------------------------
+
+def _log2_disagreements(kmax):
+    # indices where math.log2 and np.log2 round differently, the reason
+    # the scalar path keeps np.log2
+    out = []
+    for s in range(2, kmax + 1, 1 << 18):
+        k = np.arange(s, min(s + (1 << 18), kmax + 1), dtype=float)
+        m = np.fromiter(map(math.log2, k.tolist()), float, k.size)
+        out += k[m != np.log2(k)].astype(np.int64).tolist()
+    return out
+
+
+def test_scalar_reads_match_the_array_path_bitwise():
+    kmax = 1 << 22
+    rng = np.random.default_rng(2022)
+    ks = np.unique(np.concatenate([
+        rng.integers(1, kmax + 1, 20_000), _log2_disagreements(kmax),
+        [1, 2, 3, 1621, 3242, 4096, 4097, kmax]]))
+    c = np.exp2(-np.arange(1, (1 << 16) + 1) / 2.0 ** 12)
+    for w in (build_weights(WeightMode.CONST_ONE, kmax),
+              build_weights(WeightMode.INV_LOG, kmax),
+              build_weights(WeightMode.ADAPTED, 1 << 16, c=c)):
+        mine = ks[ks <= w.kmax]
+        for read in (w.a, w.ratio):
+            want = np.asarray(read(mine), dtype=float).view(np.uint64)
+            for cast in (int, np.int64):
+                got = np.array([read(cast(k)) for k in mine.tolist()])
+                assert np.array_equal(got.view(np.uint64), want), read
+
+
+def test_inv_log_blocks_at_2_22_read_only_the_head():
+    # the Euler-Maclaurin tail reads no weights: building the default
+    # blocks touches the 2^12 head, not all 2^22 indices
+    touched = 0
+    a = WeightSchedule.a
+
+    def counting_a(self, k):
+        nonlocal touched
+        touched += np.size(k)
+        return a(self, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WeightSchedule, "a", counting_a)
+        default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
+    assert 0 < touched <= CHUNK + 64
+
+
+# -- the prefix against the former whole-array prefix and exact sums ---------
 # The schedule used to hold every weight and the whole prefix
 # sum_{j<=k} a_j/j as one longdouble cumsum rounded to float; these
-# copies of that path pin the checkpointed prefix to it bit for bit.
+# copies of that path pin every ADAPTED prefix and the INV_LOG prefix up
+# to its 2^12 head to it bit for bit.  Beyond the head the INV_LOG prefix
+# is an Euler-Maclaurin tail: it must lie within 1 ulp of the exact sum
+# of the float terms a_j/j (what math.fsum returns) and within 1 ulp of
+# the old cumsum, which is itself up to 1 ulp off the exact sum.
 
 CHUNK = 1 << 12
 
@@ -281,6 +346,36 @@ def _old_prefix(values):
     np.divide(values, r, out=r)
     np.cumsum(r, out=r)
     return np.concatenate([[0.0], r.astype(float)])
+
+
+def _fsum_prefix(values):
+    """k -> math.fsum(values[j-1] / j for j <= k), from one exact pass.
+
+    Each float term is at least 2^-27, so it is a whole multiple of
+    2^-80: its top 40 bits sum exactly in float, its bottom 40 in int64.
+    """
+    t = values / np.arange(1, values.size + 1)
+    np.ldexp(t, 40, out=t)
+    top = np.floor(t)
+    t -= top
+    np.ldexp(t, 40, out=t)
+    assert np.array_equal(t, np.floor(t))
+    low = t.astype(np.int64)
+    del t
+    np.cumsum(top, out=top)
+    np.cumsum(low, out=low)
+
+    def prefix(k):
+        if k == 0:
+            return 0.0
+        return ((int(top[k - 1]) << 40) + int(low[k - 1])) / (1 << 80)
+    return prefix
+
+
+def _ulp_gap(x, y):
+    # distance in representable steps between two nonnegative floats
+    return abs(int(np.float64(x).view(np.int64))
+               - int(np.float64(y).view(np.int64)))
 
 
 def _old_mass(p, k_lo, k_hi):
@@ -316,6 +411,19 @@ def test_checkpointed_prefix_matches_whole_array(mode, kmax):
     ks = np.arange(1, kmax + 1)
     assert np.array_equal(w.a(ks), vals)
     assert all(w.a(int(k)) == vals[k - 1] for k in ks)
+    if mode is WeightMode.INV_LOG and kmax > CHUNK:
+        # past the exact head: within 1 ulp of the exact and the old
+        # prefix; masses and thresholds below then read the new prefix
+        new = np.array([w._prefix(k) for k in range(kmax + 1)])
+        assert np.array_equal(new[:CHUNK + 1], p[:CHUNK + 1])
+        assert np.all(np.diff(new) >= 0.0)
+        exact = _fsum_prefix(vals)
+        for k in (CHUNK + 1, kmax):
+            assert exact(k) == math.fsum(vals[:k] / np.arange(1, k + 1))
+        for k in range(CHUNK + 1, kmax + 1):
+            assert _ulp_gap(new[k], exact(k)) <= 1, k
+            assert _ulp_gap(new[k], p[k]) <= 1, k
+        p = new
     # every chunk boundary and its neighbours, plus the ends
     edges = {1, 2, kmax - 1, kmax}
     for c in range(1, kmax // CHUNK + 1):
@@ -341,6 +449,8 @@ def test_checkpointed_prefix_matches_whole_array_at_2_22():
     w = build_weights(WeightMode.INV_LOG, kmax)
     vals = _old_inv_log_values(kmax)
     p = _old_prefix(vals)
+    exact = _fsum_prefix(vals)
+    assert exact(kmax) == math.fsum(vals / np.arange(1, kmax + 1))
     rng = np.random.default_rng(22)
     ks = rng.integers(1, kmax + 1, 5000)
     assert np.array_equal(w.a(ks), vals[ks - 1])
@@ -350,12 +460,61 @@ def test_checkpointed_prefix_matches_whole_array_at_2_22():
     for lo in los:
         hi = int(rng.integers(lo, kmax + 1))
         for a, b in ((lo, hi), (lo, kmax), (1, lo)):
-            assert w.mass(a, b) == _old_mass(p, a, b), (a, b)
+            if b <= CHUNK:
+                assert w.mass(a, b) == _old_mass(p, a, b), (a, b)
+            for k in (a - 1, b):
+                got = w._prefix(k)
+                assert _ulp_gap(got, exact(k)) <= 1, k
+                assert _ulp_gap(got, p[k]) <= 1, k
+            assert w.mass(a, b) == w._prefix(b) - w._prefix(a - 1)
+    # the prefix never decreases, across the head's end and at the top
+    # (so a bisection over it returns what a scan would)
+    probe = np.unique(np.concatenate([
+        np.arange(CHUNK - 64, CHUNK + 2048), np.arange(kmax - 2048, kmax + 1),
+        rng.integers(1, kmax + 1, 4000)]))
+    assert np.all(np.diff([w._prefix(int(k)) for k in probe]) >= 0.0)
     for k_lo in los[:150]:
         for thr in (1e-17, float(rng.uniform(0.0, 0.3)), 0.4, 3.0):
-            old = _old_first_k_reaching(p, k_lo, thr)
-            want = None if old is None else max(old, k_lo)
-            assert w.first_k_reaching(k_lo, thr) == want, (k_lo, thr)
+            k = w.first_k_reaching(k_lo, thr)
+            target = w._prefix(k_lo - 1) + thr
+            if k is None:
+                assert w._prefix(kmax) < target, (k_lo, thr)
+            else:
+                # the first index at or past k_lo that reaches the target
+                assert k_lo <= k and w._prefix(k) >= target, (k_lo, thr)
+                assert k == k_lo or w._prefix(k - 1) < target, (k_lo, thr)
+
+
+def test_inv_log_tail_matches_exact_sums():
+    import mpmath
+    import sympy
+
+    mpmath.mp.prec = 128
+    ln2 = mpmath.log(2)
+    x = sympy.symbols("x", positive=True)
+    f = 1 / (x * sympy.log(x))
+    # Euler-Maclaurin remainder after the B4 term: every derivative of f
+    # alternates in sign, so it lies below the B6 term at a = 2^12
+    bound = (sympy.log(2) * sympy.Rational(1, 42) / 720
+             * abs(sympy.diff(f, x, 5).subs(x, CHUNK)))
+    assert bound < sympy.Rational(1, 2 ** 70)
+    # the boundary terms use the closed forms of f' and f'''
+    em = sympy.log(2) * (sympy.log(sympy.log(x)) + f / 2
+                         + sympy.diff(f, x) / 12 - sympy.diff(f, x, 3) / 720)
+    for k in (CHUNK, 10 ** 5, 1 << 22, MAX_ARRAY_KMAX):
+        want = mpmath.mpf(sympy.N(em.subs(x, k), 40))
+        n, d = _inv_log_em(k).as_integer_ratio()
+        assert abs(mpmath.mpf(n) / d - want) < 2.0 ** -62 * want, k
+    # and its rise from 2^12 matches the plain sum of ln2 / (j ln j), up
+    # to the extended-precision rounding of the two ends: a few 2^-63,
+    # far below the 2^-51 ulp of the prefix it feeds
+    acc = mpmath.mpf(0)
+    for j in range(CHUNK + 1, 12_001):
+        acc += ln2 / (j * mpmath.log(j))
+        if j in (CHUNK + 1, CHUNK + 2, 5000, 12_000):
+            tail = _inv_log_em(j) - _inv_log_em(CHUNK)
+            n, d = tail.as_integer_ratio()
+            assert abs(mpmath.mpf(n) / d - acc) < 2.0 ** -60, j
 
 
 def test_inv_log_default_params_at_2_22_pinned():
