@@ -7,10 +7,11 @@ blocks.  Closed-form second moments and summability diagnostics live in
 and distance tests in ``laws``; a finite spectral calculus for the
 square-root membership question in ``spectral``; batch presets in
 ``cli``.  ``laws`` and ``simulate`` load ``numpy.random`` and the law
-tables, about 0.04 s of a 0.23 s start, so the package root loads them,
-and re-exports their names, on first use: runs that draw no sample never
-pay for them.  No runtime path imports scipy; only the test oracles in
-``reference`` do.
+tables, about 0.04 s of a 0.23 s start, and ``spectral`` about 7 ms, so
+the package root loads them, and re-exports their names, on first use:
+runs that draw no sample never pay for the first two, and only the
+spectral preset pays for the third.  No runtime path imports scipy;
+only the test oracles in ``reference`` do.
 """
 
 import importlib
@@ -25,10 +26,6 @@ from .engine import (Condition, ConditionReport, ExactMoments, TrendKind,
                      sigma_sq_over_n)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
-from .spectral import (SpectralTag, SpectralToy, binom_coeffs, circulant_toy,
-                       evaluate_conditions, explicit_toy,
-                       random_circulant_toy, rn_identity_check,
-                       rn_telescoping_check, sqrt_apply, toy_from_json)
 from .weights import (WeightMode, WeightSchedule, build_weights, harmonic,
                       weighted_prefix)
 
@@ -45,6 +42,11 @@ _LAZY = {
     **dict.fromkeys(
         ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
          "sample_batch"), "simulate"),
+    **dict.fromkeys(
+        ("spectral", "SpectralTag", "SpectralToy", "binom_coeffs",
+         "circulant_toy", "evaluate_conditions", "explicit_toy",
+         "random_circulant_toy", "rn_identity_check", "rn_telescoping_check",
+         "sqrt_apply", "toy_from_json"), "spectral"),
 }
 
 

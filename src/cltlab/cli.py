@@ -34,9 +34,6 @@ from .engine import (DESK_N_CAP, Condition, ExactMoments, dyadic_grid,
                      format_csv)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
-from .spectral import (evaluate_conditions, random_circulant_toy,
-                       rn_identity_check, rn_telescoping_check, sqrt_apply,
-                       toy_from_json)
 from .weights import WeightMode, weighted_prefix
 
 EXIT_OK = 0
@@ -312,12 +309,16 @@ def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
 
 
 def _build_toy(cfg: ExperimentConfig):
+    from .spectral import random_circulant_toy, toy_from_json
     if cfg.toy_file is not None:
         return toy_from_json(read_input(cfg.toy_file))
     return random_circulant_toy(max(2, cfg.kmax), cfg.seed)
 
 
 def _run_spectral(cfg: ExperimentConfig, stamp: str | None):
+    # only the spectral preset loads the spectral toys
+    from .spectral import (evaluate_conditions, rn_identity_check,
+                           rn_telescoping_check, sqrt_apply)
     toy = _build_toy(cfg)
     rep = evaluate_conditions(toy, 1 << cfg.grid[1])
     probe = sqrt_apply(toy, 1024)

@@ -77,38 +77,34 @@ def horizon_exponent(N: int) -> int:
     return e
 
 
-def _pow2(j: int) -> float:
-    """2^j as a float; underflows to 0 for very negative j (j <= 0 only)."""
-    if j < -1074:
-        return 0.0
-    if j > 1023:
-        raise OverflowError(f"2^{j} requested in normalized arithmetic")
-    return math.ldexp(1.0, j)
+def _pow2(j):
+    """2^j elementwise for integer j <= 0, and 0 below 2^-1074.
+
+    Exponents above 0 arise only in the pair-form regimes that
+    ``np.where`` discards; clipping them keeps those finite.
+    """
+    return np.ldexp(1.0, np.clip(j, -1100, 0))
 
 
 # ---------------------------------------------------------------------------
 # Faulhaber power sums (exact integers)
 
-def _power_sums(lo: int, hi: int):
-    """(S0..S4) with Sp = sum_{t=lo}^{hi} t^p, exact Python integers."""
+# F_p(x) = sum_{t=1}^{x} t^p as a polynomial, so F_p(hi) - F_p(lo - 1)
+# sums t^p over lo..hi for any integers lo <= hi + 1
+_FAULHABER = (
+    lambda x: x * (x + 1) // 2,
+    lambda x: x * (x + 1) * (2 * x + 1) // 6,
+    lambda x: (x * (x + 1) // 2) ** 2,
+    lambda x: x * (x + 1) * (2 * x + 1) * (3 * x * x + 3 * x - 1) // 30,
+)
+
+
+def _power_sums(lo: int, hi: int, top: int = 4) -> list[int]:
+    """[S0, .., S_top] with Sp = sum_{t=lo}^{hi} t^p, exact Python integers."""
     if hi < lo:
-        return 0, 0, 0, 0, 0
-
-    def f1(x):
-        return x * (x + 1) // 2
-
-    def f2(x):
-        return x * (x + 1) * (2 * x + 1) // 6
-
-    def f3(x):
-        return (x * (x + 1) // 2) ** 2
-
-    def f4(x):
-        return x * (x + 1) * (2 * x + 1) * (3 * x * x + 3 * x - 1) // 30
-
+        return [0] * (top + 1)
     a = lo - 1
-    return (hi - lo + 1, f1(hi) - f1(a), f2(hi) - f2(a),
-            f3(hi) - f3(a), f4(hi) - f4(a))
+    return [hi - lo + 1] + [f(hi) - f(a) for f in _FAULHABER[:top]]
 
 
 @dataclass
@@ -129,27 +125,26 @@ class Segment:
     def value(self, m: int) -> float:
         return self.v_mid + self.slope * (m - self.mid)
 
-    def _sums(self, lo, hi):
-        t_lo, t_hi = lo - self.mid, hi - self.mid
-        return _power_sums(t_lo, t_hi)
-
     def sum_pow(self, power: int, lo=None, hi=None, shift: float = 0.0):
         """Sum of (value(m) - shift)^power over the clipped interval."""
+        if power not in (1, 2, 4):
+            raise ValueError(f"unsupported power {power}")
         lo = self.lo if lo is None else max(lo, self.lo)
         hi = self.hi if hi is None else min(hi, self.hi)
         if hi < lo:
             return 0.0
-        s0, s1, s2, s3, s4 = self._sums(lo, hi)
+        # only the sums the power reads
+        s0, s1, s2, *s34 = _power_sums(lo - self.mid, hi - self.mid,
+                                       4 if power == 4 else 2)
         v, s = self.v_mid - shift, self.slope
         if power == 1:
             return v * s0 + s * float(s1)
         if power == 2:
             return v * v * s0 + 2.0 * v * s * float(s1) + s * s * float(s2)
-        if power == 4:
-            return (v ** 4 * s0 + 4.0 * v ** 3 * s * float(s1)
-                    + 6.0 * v * v * s * s * float(s2)
-                    + 4.0 * v * s ** 3 * float(s3) + s ** 4 * float(s4))
-        raise ValueError(f"unsupported power {power}")
+        s3, s4 = s34
+        return (v ** 4 * s0 + 4.0 * v ** 3 * s * float(s1)
+                + 6.0 * v * v * s * s * float(s2)
+                + 4.0 * v * s ** 3 * float(s3) + s ** 4 * float(s4))
 
 
 class BlockProfile:
@@ -198,6 +193,10 @@ class BlockProfile:
             cuts.update((-n + 1, min(0, N - n), max(0, N - n)))
         cuts = sorted(c for c in cuts if -(1 << k_cut) < c <= N - 1)
         self.segments = []
+        # the power-sum table, one row per segment: value, slope and the
+        # exact S0, S1, S2 of its centred range [lo - mid, hi - mid],
+        # which is [-b, b] or [1 - b, b] with b = hi - mid
+        rows = []
         for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
             # 0 is a cut, so a segment lies in m <= -1 or in m >= 0; the
             # regimes hold on (mid, mid + 1), and the slope is that step
@@ -211,8 +210,17 @@ class BlockProfile:
             else:
                 slope = -capped
                 v = flat[j2] + (N - mid) * capped
-            self.segments.append(Segment(
-                lo, hi, v / one, slope / one if hi > lo else 0.0, mid))
+            seg = Segment(lo, hi, v / one, slope / one if hi > lo else 0.0,
+                          mid)
+            self.segments.append(seg)
+            b = hi - mid
+            s2 = b * (b + 1) * (2 * b + 1) // 3     # twice 1^2 + .. + b^2
+            if (lo + hi) & 1:
+                rows.append((seg.v_mid, seg.slope, hi - lo + 1, b, s2 - b * b))
+            else:
+                rows.append((seg.v_mid, seg.slope, hi - lo + 1, 0, s2))
+        self._v, self._slope, self._s0, self._s1, self._s2 = np.array(
+            rows, dtype=float).T
 
     def value(self, m: int) -> float:
         for seg in self.segments:
@@ -221,40 +229,80 @@ class BlockProfile:
         return 0.0
 
     def sum_pow(self, power: int, lo=None, hi=None, shift: float = 0.0):
-        return math.fsum(seg.sum_pow(power, lo, hi, shift)
-                         for seg in self.segments)
+        """Sum of (C(m) - shift)^power over m in [lo, hi], exactly as the
+        ``math.fsum`` of the segments' own ``Segment.sum_pow``.
+
+        Squares read the power-sum table: one array expression over the
+        segments the bounds cover whole, and ``Segment.sum_pow`` for the
+        at most two that they clip.
+        """
+        segs = self.segments
+        if power != 2:
+            return math.fsum(seg.sum_pow(power, lo, hi, shift)
+                             for seg in segs)
+        # segments i..j-1 meet [lo, hi]
+        i = 0 if lo is None else max(
+            bisect_right(segs, lo, key=lambda seg: seg.lo) - 1, 0)
+        j = len(segs) if hi is None else bisect_right(
+            segs, hi, key=lambda seg: seg.lo)
+        edges = []
+        if i < j and lo is not None and segs[i].lo < lo:
+            edges.append(segs[i].sum_pow(2, lo, hi, shift))
+            i += 1
+        if i < j and hi is not None and segs[j - 1].hi > hi:
+            edges.append(segs[j - 1].sum_pow(2, lo, hi, shift))
+            j -= 1
+        v, s = self._v[i:j] - shift, self._slope[i:j]
+        whole = (v * v * self._s0[i:j] + 2.0 * v * s * self._s1[i:j]
+                 + s * s * self._s2[i:j])
+        return math.fsum(whole.tolist() + edges)
 
 
 # ---------------------------------------------------------------------------
 # Normalized pair covariances (valid for any dyadic horizon exponent)
 
-def _pair_dot_over_n(e: int, ka: int, kb: int) -> float:
-    """sum_m w_{ka}(m) w_{kb}(m) / (n_ka n_kb N) for N = 2^e.
+def _pair_dot_over_n(e: int, ka, kb) -> np.ndarray:
+    """sum_m w_{ka}(m) w_{kb}(m) / (n_ka n_kb N) for N = 2^e, elementwise
+    over broadcast integer arrays of scales.
 
     Exact closed forms per regime, written in powers 2^(j) with j <= 0 so
     the result stays normalized no matter how large e is.
     """
-    k, kp = min(ka, kb), max(ka, kb)
+    k, kp = np.minimum(ka, kb), np.maximum(ka, kb)
     inv_n = _pow2(-e)
-    if kp <= e:                       # both scales within the horizon
-        # 1 + (n - n')/2N - (n^2 - 1)/(3 n' N)
-        return (1.0
-                + 0.5 * (_pow2(k - e) - _pow2(kp - e))
-                - (_pow2(2 * k - kp - e) - _pow2(-kp - e)) / 3.0)
+    # both scales within the horizon: 1 + (n - n')/2N - (n^2 - 1)/(3 n' N)
+    inside = (1.0
+              + 0.5 * (_pow2(k - e) - _pow2(kp - e))
+              - (_pow2(2 * k - kp - e) - _pow2(-kp - e)) / 3.0)
     xp = _pow2(e - kp)
-    if k <= e:                        # mixed: n <= N < n'
-        return xp * (0.5 * (1.0 - inv_n)
-                     + 0.5 * (_pow2(k - e) + inv_n)
-                     - 0.5 * (_pow2(2 * k - 2 * e) - _pow2(k - 2 * e))
-                     + (2.0 * _pow2(2 * k - 2 * e) - 3.0 * _pow2(k - 2 * e)
-                        + _pow2(-2 * e)) / 6.0)
+    # mixed: n <= N < n'
+    mixed = xp * (0.5 * (1.0 - inv_n)
+                  + 0.5 * (_pow2(k - e) + inv_n)
+                  - 0.5 * (_pow2(2 * k - 2 * e) - _pow2(k - 2 * e))
+                  + (2.0 * _pow2(2 * k - 2 * e) - 3.0 * _pow2(k - 2 * e)
+                     + _pow2(-2 * e)) / 6.0)
     x = _pow2(e - k)                  # both beyond the horizon
     one = 1.0 - inv_n
-    if k == kp:
-        ramps = 2.0 * one * (2.0 - inv_n) / 6.0
-    else:
-        ramps = 0.5 * one + one * (2.0 - inv_n) / 6.0
-    return xp * (1.0 - x * one) + x * xp * ramps
+    ramps = np.where(k == kp, 2.0 * one * (2.0 - inv_n) / 6.0,
+                     0.5 * one + one * (2.0 - inv_n) / 6.0)
+    beyond = xp * (1.0 - x * one) + x * xp * ramps
+    return np.where(kp <= e, inside, np.where(k <= e, mixed, beyond))
+
+
+def _chain(*parts) -> float:
+    """0.0 + t_1 + t_2 + ... strictly in order, as a scalar += loop adds.
+
+    np.cumsum accumulates in sequence; np.sum adds pairwise and would
+    round differently.
+    """
+    return float(np.cumsum(np.concatenate([[0.0], *parts]))[-1])
+
+
+def _pair_terms(w, e: int, ks: np.ndarray) -> np.ndarray:
+    """r_a r_b pair(a, b) over ks x ks, in row-major (double loop) order."""
+    r = w.ratio(ks)
+    return ((r[:, None] * r[None, :])
+            * _pair_dot_over_n(e, ks[:, None], ks[None, :])).ravel()
 
 
 def block_var_over_n(params: SequenceParams, block: BlockSpec,
@@ -266,7 +314,8 @@ def block_var_over_n(params: SequenceParams, block: BlockSpec,
     astronomically many indices, the sum splits into the exact square of
     the sub-horizon mass plus corrections that decay geometrically away
     from the horizon scale, evaluated over index windows with certified
-    tails below 2^-90 relative.
+    tails below 2^-90 relative.  Every sum is one ordered chain
+    (``_chain``) over numpy grids of pair forms.
     """
     e = int(log2_n)
     w = params.weights
@@ -276,34 +325,27 @@ def block_var_over_n(params: SequenceParams, block: BlockSpec,
     small_hi = min(hi, e)
     n_small = small_hi - lo + 1
 
-    total = 0.0
+    parts = []
     if n_small > 0 and n_small <= 2 * K_GUARD:
-        ks = range(lo, small_hi + 1)
-        for ka in ks:
-            ra = w.ratio(ka)
-            for kb in ks:
-                total += ra * w.ratio(kb) * _pair_dot_over_n(e, ka, kb)
+        parts.append(_pair_terms(w, e, np.arange(lo, small_hi + 1)))
     elif n_small > 0:
-        total += _wide_small_var(params, block, e, small_hi)
+        parts.append([_wide_small_var(params, block, e, small_hi)])
     if big_lo <= big_hi:
-        bigs = range(big_lo, big_hi + 1)
-        for ka in bigs:
-            ra = w.ratio(ka)
-            for kb in bigs:
-                total += ra * w.ratio(kb) * _pair_dot_over_n(e, ka, kb)
+        bigs = np.arange(big_lo, big_hi + 1)
+        parts.append(_pair_terms(w, e, bigs))
         if n_small > 0:
-            win_lo = max(lo, small_hi - K_GUARD + 1)
-            mass_rest = w.mass(lo, win_lo - 1)
-            for kb in bigs:
-                rb = w.ratio(kb)
-                acc = 0.0
-                for ka in range(win_lo, small_hi + 1):
-                    acc += w.ratio(ka) * _pair_dot_over_n(e, ka, kb)
-                if mass_rest:
-                    # far-below scales see the limiting flat form
-                    acc += mass_rest * _pair_dot_over_n(e, 0, kb)
-                total += 2.0 * rb * acc
-    return total
+            win = np.arange(max(lo, small_hi - K_GUARD + 1), small_hi + 1)
+            mass_rest = w.mass(lo, win[0] - 1)
+            # acc[kb]: a chain over the window's ka, one row per kb
+            grid = w.ratio(win)[None, :] * _pair_dot_over_n(
+                e, win[None, :], bigs[:, None])
+            acc = np.cumsum(np.hstack([np.zeros((bigs.size, 1)), grid]),
+                            axis=1)[:, -1]
+            if mass_rest:
+                # far-below scales see the limiting flat form
+                acc += mass_rest * _pair_dot_over_n(e, 0, bigs)
+            parts.append(2.0 * w.ratio(bigs) * acc)
+    return _chain(*parts)
 
 
 def _wide_small_var(params: SequenceParams, block: BlockSpec,
@@ -318,24 +360,25 @@ def _wide_small_var(params: SequenceParams, block: BlockSpec,
     w = params.weights
     lo = block.k_lo
     mass = w.mass(lo, small_hi)
-    win_lo = max(lo, small_hi - K_GUARD + 1)
-    corr = 0.0
-    for kp in range(win_lo, small_hi + 1):
-        rp = w.ratio(kp)
-        pm = w.mass(lo, kp - 1)
-        # inner n- and n^2-weighted prefixes: dominated by their own top
-        pmn = 0.0
-        pmn2_over_np = 0.0
-        for k in range(max(lo, kp - K_GUARD), kp):
-            r = w.ratio(k)
-            pmn += r * _pow2(k - e)
-            pmn2_over_np += r * (_pow2(2 * k - kp - e) - _pow2(-kp - e))
-        # ordered off-diagonal pairs (k < kp), both-within-horizon form
-        corr += 2.0 * rp * (0.5 * (pmn - pm * _pow2(kp - e))
-                            - pmn2_over_np / 3.0)
-        # diagonal
-        corr -= rp * rp * (_pow2(kp - e) - _pow2(-kp - e)) / 3.0
-    return mass * mass + corr
+    kp = np.arange(max(lo, small_hi - K_GUARD + 1), small_hi + 1)
+    rp = w.ratio(kp)
+    pm = np.array([w.mass(lo, int(k) - 1) for k in kp])
+    # inner n- and n^2-weighted prefixes over k = kp - K_GUARD .. kp - 1,
+    # dominated by their own top; scales below lo are leading zeros of
+    # each row's chain
+    col = kp[:, None]
+    k = col + np.arange(-K_GUARD, 0)
+    r = np.where(k >= lo, w.ratio(np.maximum(k, lo)), 0.0)
+    zero = np.zeros((kp.size, 1))
+    pmn = np.cumsum(np.hstack([zero, r * _pow2(k - e)]), axis=1)[:, -1]
+    pmn2_over_np = np.cumsum(np.hstack(
+        [zero, r * (_pow2(2 * k - col - e) - _pow2(-col - e))]),
+        axis=1)[:, -1]
+    # ordered off-diagonal pairs (k < kp), both-within-horizon form
+    off = 2.0 * rp * (0.5 * (pmn - pm * _pow2(kp - e)) - pmn2_over_np / 3.0)
+    # diagonal, subtracted
+    diag = rp * rp * (_pow2(kp - e) - _pow2(-kp - e)) / 3.0
+    return mass * mass + _chain(np.column_stack([off, -diag]).ravel())
 
 
 def sigma_sq_over_n(params: SequenceParams, log2_n: int) -> float:
@@ -366,22 +409,37 @@ class SeriesTail:
 
     ``work`` counts the array elements an evaluation touches: the shared
     window plus, for each dense interval, its length times the number of
-    windows added into it.  It is known on construction, before anything
-    is allocated.
+    windows added into it.  Scale k's window covers the lags
+    [n_k - q, n_k - p], so ``work`` is counted in closed form on
+    construction, one term per scale; the pieces themselves are built
+    only when ``norm_sq`` runs.
     """
 
     def __init__(self, params: SequenceParams, p: int, q: int):
-        self.p, self.q = p, q
+        self.params, self.p, self.q = params, p, q
         # At lag j the scales above any k add at most 2 Zh / max(n_k, j+1)
         # (a_k / k <= 1, F <= Zh <= 2 sqrt(q)), so dropping those above
         # k_top moves a block's squared norm by less than
         # 2^(4 - K_GUARD) * (1 + M), M the block's kept mass.
-        k_top = q.bit_length() + K_GUARD
-        self.blocks = []
+        self.k_top = q.bit_length() + K_GUARD
         self.work = q - p + 1
         for b in params.blocks:
+            if b.k_lo > self.k_top:
+                continue
+            k_hi = min(b.k_hi, self.k_top)
+            last = (1 << k_hi) - 1           # the block's last lag
+            for k in range(b.k_lo, k_hi + 1):
+                n = 1 << k
+                self.work += max(0, min(last, n - p) - max(0, n - q) + 1)
+
+    def blocks(self) -> list[tuple]:
+        """(ns, gs, above, pieces) per kept block; a piece is
+        (lo, hi, lin, win, top) over the lags lo..hi."""
+        p, q, k_top = self.p, self.q, self.k_top
+        out = []
+        for b in self.params.blocks:
             if b.k_lo > k_top:
-                # Explicit zero: by the same bound the whole block adds
+                # Explicit zero: by the bound above the whole block adds
                 # less than 2^(5 + log2 q - k_lo).  For the astronomically
                 # deep blocks (k_lo in the thousands or millions) that is
                 # under 2^-1074, the smallest positive double, so 0.0 is
@@ -389,7 +447,7 @@ class SeriesTail:
                 continue
             ks = np.arange(b.k_lo, min(b.k_hi, k_top) + 1)
             ns = [1 << int(k) for k in ks]
-            gs = np.ldexp(params.weights.ratio(ks), -ks).tolist()
+            gs = np.ldexp(self.params.weights.ratio(ks), -ks).tolist()
             above = [0.0] * (len(gs) + 1)     # above[i] = sum of gs[i:]
             for i in range(len(gs) - 1, -1, -1):
                 above[i] = above[i + 1] + gs[i]
@@ -406,8 +464,8 @@ class SeriesTail:
                 win = bisect_right(ns, lo + p - 1)
                 top = bisect_right(ns, lo + q)
                 pieces.append((lo, end - 1, lin, win, top))
-                self.work += (end - lo) * (top - win)
-            self.blocks.append((ns, gs, above, pieces))
+            out.append((ns, gs, above, pieces))
+        return out
 
     def norm_sq(self) -> float:
         p, q = self.p, self.q
@@ -418,7 +476,7 @@ class SeriesTail:
         f = half
         f[:-1] += r[:-1] * down[1:]
         parts = []
-        for ns, gs, above, pieces in self.blocks:
+        for ns, gs, above, pieces in self.blocks():
             for lo, hi, lin, win, top in pieces:
                 mid = (lo + hi) // 2
                 v = z_half * above[top]
@@ -565,7 +623,9 @@ class ExactMoments:
 
     def normalizer_sq(self, N: int) -> float:
         """b^2: squared norm of the sum of sub-horizon scale terms."""
-        return self._memo(("b2", N), lambda: math.fsum(
+        # it reads N only through [log N]: keying on that keeps the
+        # megabytes of an astronomic horizon's digits out of every hash
+        return self._memo(("b2", _log2_floor(N)), lambda: math.fsum(
             self.block_mass(b, N) ** 2 for b in self.params.blocks))
 
     def normalizer(self, N: int) -> float:

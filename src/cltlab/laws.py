@@ -33,7 +33,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 
 import numpy as np
 
@@ -91,8 +90,6 @@ _ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
            1.20489539808096656605E1, 1.70814450747565897222E1,
            9.60896809063285878198E0, 3.36907645100081516050E0)
 _MAXLOG = 7.09782712893383996843E2     # erfc(z) is 0 once z^2 exceeds it
-
-_STD_NORMAL = NormalDist()
 
 
 def _rational(num, den, x, scale):
@@ -314,9 +311,11 @@ class LawModel:
                                     0.99)) -> dict:
         gv, support, _, _ = self._table()
         if support.size == 1:           # one Gaussian, or a point mass
+            # statistics costs ~4 ms of start-up; only this branch reads it
+            from statistics import NormalDist
             sd = math.sqrt(gv)
             return {float(p): float(support[0])
-                    + sd * _STD_NORMAL.inv_cdf(p)
+                    + sd * NormalDist().inv_cdf(p)
                     for p in probs}
         table = self.lattice_table()
         if table is not None:
@@ -752,16 +751,35 @@ def _mixture_moments(gv: float, vals: np.ndarray, pr: np.ndarray) -> dict:
 def ks_distance(a: LawModel, b: LawModel) -> float:
     """Sup-norm distance between two CDFs.
 
-    Candidates are both laws' discontinuities plus a dense grid spanning
-    8 standard deviations around each mean.  Evaluation happens a hair
-    below and above every candidate rather than at it, so lattice points
-    that float rounding landed on slightly different representations
-    still line up; the nudge is far below any genuine lattice spacing.
+    Both sides tolerate float jitter below ``KS_SNAP`` times the larger
+    standard deviation (at least 1): lattice points that rounding landed
+    on slightly different representations still line up.  That is far
+    below any genuine lattice spacing.
+
+    Against an empirical law F_n, with F the other law, the distance is
+    exact and takes one pass.  Samples within the tolerance of one of
+    F's jumps are snapped onto it.  F_n is a step function and F is
+    right-continuous and monotone, so the supremum is reached at a
+    sample value or at a jump of F, from the right or from the left:
+    the max of |F_n - F| and of the left-limit difference there, each
+    cdf evaluated once per point (Dimitrova, Kaishev and Tan, J. Stat.
+    Softw. 2020).  For a continuous F this is the textbook
+    max(i/n - F(x_(i)), F(x_(i)) - (i - 1)/n).
+
+    Between two other laws the candidates are both laws'
+    discontinuities plus a dense grid spanning 8 standard deviations
+    around each mean, and both cdfs are evaluated a hair below and above
+    every candidate rather than at it.
     """
+    sd_a, sd_b = a.std(), b.std()
+    delta = KS_SNAP * max(1.0, sd_a if math.isfinite(sd_a) else 1.0,
+                          sd_b if math.isfinite(sd_b) else 1.0)
+    if isinstance(a, EmpiricalLaw) or isinstance(b, EmpiricalLaw):
+        emp, law = (a, b) if isinstance(a, EmpiricalLaw) else (b, a)
+        return _ks_empirical(emp.samples, law, delta)
     pts = [np.asarray(a.discontinuities(), dtype=float),
            np.asarray(b.discontinuities(), dtype=float)]
-    for law in (a, b):
-        sd = law.std()
+    for law, sd in ((a, sd_a), (b, sd_b)):
         if sd > 0.0 and math.isfinite(sd):
             mu = law.mean()
             pts.append(np.linspace(mu - GRID_SPAN * sd, mu + GRID_SPAN * sd,
@@ -769,11 +787,45 @@ def ks_distance(a: LawModel, b: LawModel) -> float:
     x = np.unique(np.concatenate([p for p in pts if p.size]))
     if x.size == 0:
         return 0.0
-    delta = KS_SNAP * max(1.0, a.std() if math.isfinite(a.std()) else 1.0,
-                          b.std() if math.isfinite(b.std()) else 1.0)
     hi = np.abs(a.cdf(x + delta) - b.cdf(x + delta)).max()
     lo = np.abs(a.cdf(x - delta) - b.cdf(x - delta)).max()
     return float(max(hi, lo))
+
+
+def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
+    """sup |F_n - F| for the sorted ``samples`` against ``law``."""
+    n = samples.size
+    jumps = np.asarray(law.discontinuities(), dtype=float)
+    x = samples
+    if jumps.size:
+        # snap onto the nearest jump (the one whose midpoint interval
+        # holds the sample) within delta; the nearest-point map is
+        # monotone, so the samples stay sorted
+        near = jumps[np.searchsorted(0.5 * (jumps[1:] + jumps[:-1]), x)]
+        x = np.where(np.abs(x - near) <= delta, near, x)
+        del near
+    # distinct values: F_n is the count up to the last of each run of
+    # equal samples, and its left limit the count before the run; one
+    # sample-sized work array, updated in place, keeps the peak memory
+    # at the grid path's
+    count = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)
+    at = x[count]
+    count += 1
+    f = law.cdf(at)
+    gap = count / n
+    gap -= f
+    d = np.abs(gap, out=gap).max()
+    if jumps.size:
+        f = law.cdf_left(at)
+    gap[0] = 0.0
+    np.divide(count[:-1], n, out=gap[1:])
+    gap -= f
+    d = max(d, np.abs(gap, out=gap).max())
+    if jumps.size:
+        for side, cdf in (("right", law.cdf), ("left", law.cdf_left)):
+            f_n = np.searchsorted(x, jumps, side=side) / n
+            d = max(d, np.abs(f_n - cdf(jumps)).max())
+    return float(d)
 
 
 def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:

@@ -68,10 +68,13 @@ def test_runs_that_draw_no_sample_leave_scipy_special_out(tmp_path):
 
 
 def test_sampling_runs_load_no_scipy(tmp_path):
+    # nor the spectral toys (~7 ms) and statistics (~4 ms), which only
+    # the spectral preset and a Gaussian law's quantiles read
     code = ("import sys\n"
             "from cltlab.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "          or m in ('cltlab.spectral', 'statistics')]\n"
             "assert not loaded, sorted(loaded)\n")
     out = tmp_path / "theorem1"
     proc = fresh_python(code, "theorem1", "--samples", "2000",
@@ -82,7 +85,7 @@ def test_sampling_runs_load_no_scipy(tmp_path):
 
 def test_package_root_loads_laws_and_simulate_lazily():
     table = cltlab._LAZY
-    assert {"laws", "simulate"} <= set(table.values())
+    assert {"laws", "simulate", "spectral"} <= set(table.values())
     for name, home in table.items():
         module = importlib.import_module("cltlab." + home)
         want = module if name == home else vars(module)[name]
@@ -92,6 +95,12 @@ def test_package_root_loads_laws_and_simulate_lazily():
         cltlab.no_such_name
     proc = fresh_python("from cltlab import dichotomy_report, laws; "
                         "assert dichotomy_report is laws.dichotomy_report")
+    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python("import sys, cltlab\n"
+                        "assert 'SpectralToy' in dir(cltlab)\n"
+                        "assert 'cltlab.spectral' not in sys.modules\n"
+                        "from cltlab import SpectralToy, spectral\n"
+                        "assert SpectralToy is spectral.SpectralToy\n")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -446,3 +447,154 @@ def test_table_rows_and_csv():
     assert format_csv(rows) == body  # deterministic
     nan_row = [{"N": 2, "b": math.nan}]
     assert "nan" in format_csv(nan_row)
+
+
+# -- array paths against their scalar loops ----------------------------------
+
+@functools.lru_cache(maxsize=None)
+def preset(name):
+    """A preset's parameters and the grid exponents its bench run uses."""
+    if name == "conditions":
+        return default_params(kmax=24, rho=4.0), (4, 16)
+    if name == "theorem1":
+        return default_params(kmax=40_000_000, rho=4.0), (4, 16)
+    if name == "theorem2":
+        decay = np.ldexp(1.0, -np.arange(1, 1025))
+        return default_params(kmax=1024, rho=4.0, mode=WeightMode.ADAPTED,
+                              c=decay), (4, 16)
+    return default_params(kmax=1 << 22, rho=4.0,
+                          mode=WeightMode.INV_LOG), (4, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["theorem1", "theorem3"]), st.integers(4, 40),
+       st.sampled_from([-1, 0, 1]), st.data())
+@example("theorem3", 40, 1, None)
+@example("theorem1", 4, -1, None)
+def test_profile_square_sums_read_the_table(name, e, odd, data):
+    # the power-sum table gives the fsum of the per-segment sums exactly,
+    # at the engine's clip points 0, 1 and N - 1 and inside a segment
+    params, _ = preset(name)
+    N = (1 << e) + odd
+    for b in params.blocks:
+        prof = BlockProfile(params, b, N)
+        segs = prof.segments
+        inner = [segs[len(segs) // 2], segs[-1]]
+        if data is not None:
+            inner.append(segs[data.draw(st.integers(0, len(segs) - 1))])
+        points = [None, 0, 1, N - 1]
+        for seg in inner:
+            points += [seg.lo, seg.hi, (seg.lo + seg.hi) // 2 + 1]
+        pairs = [(lo, hi) for lo in points for hi in points]
+        if data is not None:
+            pairs = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                       max_size=8))
+        for lo, hi in pairs:
+            for shift in (0.0, segs[-1].v_mid, 0.375):
+                want = math.fsum(seg.sum_pow(2, lo, hi, shift)
+                                 for seg in segs)
+                assert prof.sum_pow(2, lo, hi, shift) == want
+
+
+def scalar_pow2(j):
+    return 0.0 if j < -1074 else math.ldexp(1.0, j)
+
+
+def scalar_pair_dot_over_n(e, ka, kb):
+    k, kp = min(ka, kb), max(ka, kb)
+    inv_n = scalar_pow2(-e)
+    if kp <= e:
+        return (1.0
+                + 0.5 * (scalar_pow2(k - e) - scalar_pow2(kp - e))
+                - (scalar_pow2(2 * k - kp - e) - scalar_pow2(-kp - e)) / 3.0)
+    xp = scalar_pow2(e - kp)
+    if k <= e:
+        return xp * (0.5 * (1.0 - inv_n)
+                     + 0.5 * (scalar_pow2(k - e) + inv_n)
+                     - 0.5 * (scalar_pow2(2 * k - 2 * e)
+                              - scalar_pow2(k - 2 * e))
+                     + (2.0 * scalar_pow2(2 * k - 2 * e)
+                        - 3.0 * scalar_pow2(k - 2 * e)
+                        + scalar_pow2(-2 * e)) / 6.0)
+    x = scalar_pow2(e - k)
+    one = 1.0 - inv_n
+    if k == kp:
+        ramps = 2.0 * one * (2.0 - inv_n) / 6.0
+    else:
+        ramps = 0.5 * one + one * (2.0 - inv_n) / 6.0
+    return xp * (1.0 - x * one) + x * xp * ramps
+
+
+def scalar_block_var_over_n(params, block, e):
+    """``engine.block_var_over_n`` as scalar double loops of += chains."""
+    w, K = params.weights, engine.K_GUARD
+    lo, hi = block.k_lo, block.k_hi
+    big_lo = max(lo, e + 1)
+    big_hi = min(hi, big_lo + K)
+    small_hi = min(hi, e)
+    n_small = small_hi - lo + 1
+    total = 0.0
+    if 0 < n_small <= 2 * K:
+        for ka in range(lo, small_hi + 1):
+            for kb in range(lo, small_hi + 1):
+                total += (w.ratio(ka) * w.ratio(kb)
+                          * scalar_pair_dot_over_n(e, ka, kb))
+    elif n_small > 0:
+        mass = w.mass(lo, small_hi)
+        corr = 0.0
+        for kp in range(max(lo, small_hi - K + 1), small_hi + 1):
+            rp = w.ratio(kp)
+            pm = w.mass(lo, kp - 1)
+            pmn = pmn2_over_np = 0.0
+            for k in range(max(lo, kp - K), kp):
+                r = w.ratio(k)
+                pmn += r * scalar_pow2(k - e)
+                pmn2_over_np += r * (scalar_pow2(2 * k - kp - e)
+                                     - scalar_pow2(-kp - e))
+            corr += 2.0 * rp * (0.5 * (pmn - pm * scalar_pow2(kp - e))
+                                - pmn2_over_np / 3.0)
+            corr -= (rp * rp * (scalar_pow2(kp - e) - scalar_pow2(-kp - e))
+                     / 3.0)
+        total += mass * mass + corr
+    if big_lo <= big_hi:
+        bigs = range(big_lo, big_hi + 1)
+        for ka in bigs:
+            for kb in bigs:
+                total += (w.ratio(ka) * w.ratio(kb)
+                          * scalar_pair_dot_over_n(e, ka, kb))
+        if n_small > 0:
+            win_lo = max(lo, small_hi - K + 1)
+            mass_rest = w.mass(lo, win_lo - 1)
+            for kb in bigs:
+                acc = 0.0
+                for ka in range(win_lo, small_hi + 1):
+                    acc += w.ratio(ka) * scalar_pair_dot_over_n(e, ka, kb)
+                if mass_rest:
+                    acc += mass_rest * scalar_pair_dot_over_n(e, 0, kb)
+                total += 2.0 * w.ratio(kb) * acc
+    return total
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem2", "theorem3"])
+def test_block_variance_grids_equal_the_scalar_loops(name):
+    params, _ = preset(name)
+    beyond = [b.horizon_log2 for b in params.blocks
+              if b.horizon_log2 > engine.DESK_N_CAP.bit_length() - 1]
+    for e in [4, 11, 17, 40, 100, 1000, 10_000] + beyond:
+        for b in params.blocks:
+            got = engine.block_var_over_n(params, b, e)
+            assert type(got) is float
+            assert repr(got) == repr(scalar_block_var_over_n(params, b, e))
+
+
+@pytest.mark.parametrize("name", ["conditions", "theorem1", "theorem2",
+                                  "theorem3"])
+def test_tail_work_closed_form_is_the_piece_sum(name):
+    params, (lo, hi) = preset(name)
+    for e in range(lo, hi + 1):
+        p = 1 << e
+        tail = SeriesTail(params, p, 2 * p)
+        pieces = sum((last - first + 1) * (top - win)
+                     for _, _, _, rows in tail.blocks()
+                     for first, last, _, win, top in rows)
+        assert tail.work == p + 1 + pieces

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -18,6 +19,11 @@ from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          sym_poisson, tv_distance)
 from cltlab.simulate import build_profile
 from cltlab.weights import WeightMode, build_weights
+
+
+@functools.lru_cache(maxsize=None)
+def theorem1_params():
+    return default_params(kmax=40_000_000, rho=4.0)
 
 
 def single_odd_block(k):
@@ -303,6 +309,68 @@ def test_empirical_vs_exact_ks_sane():
     emp = empirical_law(rng.standard_normal(20_000))
     d = ks_distance(emp, NormalLaw(0.0, 1.0))
     assert d < ks_pass_bound(20_000)
+
+
+def brute_ks(samples, law, points):
+    """max of |F_n - F| and of the left-limit gap over the given points."""
+    x = np.sort(samples)
+    f_n = np.searchsorted(x, points, side="right") / x.size
+    f_n_left = np.searchsorted(x, points, side="left") / x.size
+    return float(max(np.abs(f_n - law.cdf(points)).max(),
+                     np.abs(f_n_left - law.cdf_left(points)).max()))
+
+
+def test_one_pass_ks_against_normal_is_the_textbook_formula():
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.normal(0.1, 1.0, 20_000))
+    law = NormalLaw(0.0, 1.0)
+    f = law.cdf(x)
+    i = np.arange(1, x.size + 1)
+    want = float(max((i / x.size - f).max(), (f - (i - 1) / x.size).max()))
+    assert ks_distance(empirical_law(x), law) == want
+    assert ks_distance(law, empirical_law(x[::-1])) == want
+    assert brute_ks(x, law, x) == want
+
+
+def test_one_pass_ks_against_a_lattice_law_is_brute_force():
+    law = exact_law(single_odd_block(6), 1 << 6)
+    support, probs = law.lattice_table()
+    rng = np.random.default_rng(3)
+    x = rng.choice(support, size=20_000, p=probs / probs.sum())
+    emp = empirical_law(x)
+    got = ks_distance(emp, law)
+    # every point where either cdf jumps, and points between them
+    points = np.union1d(support, (support[1:] + support[:-1]) / 2)
+    assert got == brute_ks(x, law, points) > 0.0
+    # jitter of a few ulps is snapped back onto the lattice: the distance
+    # is the integer-count value
+    signs = rng.choice([-1.0, 1.0], size=x.size)
+    assert ks_distance(empirical_law(x * (1.0 + signs * 2.0 ** -50)),
+                       law) == got
+
+
+def test_law_against_law_ks_is_unchanged():
+    # grid-path values, frozen bit for bit
+    params = default_params(kmax=20, rho=4.0)
+    law = exact_law(params, 1 << 11, ExactMoments(params))
+    mixed = ExactFiniteLaw(0.5, (LatticeAtom(
+        lattice_scale=0.25, trials=64, hit_prob=1 / 64, log2_trials=6.0,
+        log2_hit=-6.0, var_share=0.0625),))
+    normal = NormalLaw(0.0, 1.0)
+    assert ks_distance(sym_poisson(0.5), normal) == 0.23287980339787795
+    assert ks_distance(NormalLaw(0.5, 1.0), normal) == 0.19741126574522527
+    assert ks_distance(law, normal) == 0.23284222460176762
+    assert ks_distance(law, sym_poisson(0.5)) == 3.7578796110437906e-05
+    assert ks_distance(mixed, normal) == 0.06932980801005151
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_theorem1_oracle_gates_pass(seed):
+    params = theorem1_params()
+    rep = dichotomy_report(params, 100_000, seed,
+                           moments=ExactMoments(params))
+    assert [r.oracle_pass for r in rep.rows] == [True, True]
+    assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
 
 
 def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
