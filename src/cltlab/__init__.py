@@ -37,8 +37,8 @@ _LAZY = {
         ("laws", "DichotomyReport", "DichotomyRow", "DichotomyVerdict",
          "EmpiricalLaw", "ExactFiniteLaw", "LawVariant", "NormalLaw",
          "SymPoissonLaw", "dichotomy_report", "empirical_law", "exact_law",
-         "format_ks_csv", "ks_distance", "ks_pass_bound", "law_to_json",
-         "sym_poisson", "tv_distance"), "laws"),
+         "format_ks_csv", "ks_distance", "ks_pass_bound", "sym_poisson",
+         "tv_distance"), "laws"),
     **dict.fromkeys(
         ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
          "sample_batch"), "simulate"),

@@ -23,9 +23,9 @@ Three independent routes to the variance exist:
 The condition (2') series tail || sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||
 has the same shape in the lag variable: each scale's term is linear,
 constant or -- on a window of q - p + 1 lags -- nonlinear.  ``SeriesTail``
-sums the affine pieces by the same Faulhaber forms and evaluates only the
-windows densely, from one array over [p, q].  Its cost is counted in
-array elements touched and capped by ``WORK_BUDGET`` per call.
+sums the affine pieces by the same Faulhaber forms, a whole window from
+four sums over [p, q], and only overlapping or clipped windows densely.
+``WORK_BUDGET`` caps each call's dense-evaluation bound.
 
 Scale conventions: n_k = 2^k exactly; "log" is the dyadic logarithm;
 [log N] of an integer is ``N.bit_length() - 1``.
@@ -55,9 +55,8 @@ K_GUARD = 96
 #: largest horizon the integer-exact desk paths accept
 DESK_N_CAP = 1 << 52
 
-#: default budget for one series tail, in array elements touched
-#: (``SeriesTail.work``); bounds the cost of one table cell to about
-#: 0.1 s and a few MB
+#: default budget for one series tail, in the array elements a dense
+#: evaluation would touch (``SeriesTail.work``)
 WORK_BUDGET = 1 << 23
 
 
@@ -107,6 +106,24 @@ def _power_sums(lo: int, hi: int, top: int = 4) -> list[int]:
     return [hi - lo + 1] + [f(hi) - f(a) for f in _FAULHABER[:top]]
 
 
+def _centred(lo: int, hi: int) -> tuple:
+    """(mid, S0, S1, S2) of lo..hi: the power sums of t = m - mid over
+    [lo - mid, hi - mid], which is [-b, b] or [1 - b, b] with
+    b = hi - mid, each exact and then rounded once."""
+    mid = (lo + hi) // 2
+    b = hi - mid
+    s2 = b * (b + 1) * (2 * b + 1) // 3     # twice 1^2 + .. + b^2
+    if (lo + hi) & 1:
+        return mid, float(hi - lo + 1), float(b), float(s2 - b * b)
+    return mid, float(hi - lo + 1), 0.0, float(s2)
+
+
+def _affine_sq(v, s, s0, s1, s2):
+    """Sum of (v + s t)^2 from the power sums S0, S1, S2 of t;
+    elementwise over arrays."""
+    return v * v * s0 + 2.0 * v * s * s1 + s * s * s2
+
+
 @dataclass
 class Segment:
     """An integer interval on which a block coefficient is affine.
@@ -127,7 +144,7 @@ class Segment:
 
     def sum_pow(self, power: int, lo=None, hi=None, shift: float = 0.0):
         """Sum of (value(m) - shift)^power over the clipped interval."""
-        if power not in (1, 2, 4):
+        if power not in (2, 4):
             raise ValueError(f"unsupported power {power}")
         lo = self.lo if lo is None else max(lo, self.lo)
         hi = self.hi if hi is None else min(hi, self.hi)
@@ -137,14 +154,47 @@ class Segment:
         s0, s1, s2, *s34 = _power_sums(lo - self.mid, hi - self.mid,
                                        4 if power == 4 else 2)
         v, s = self.v_mid - shift, self.slope
-        if power == 1:
-            return v * s0 + s * float(s1)
         if power == 2:
-            return v * v * s0 + 2.0 * v * s * float(s1) + s * s * float(s2)
+            return _affine_sq(v, s, s0, float(s1), float(s2))
         s3, s4 = s34
         return (v ** 4 * s0 + 4.0 * v ** 3 * s * float(s1)
                 + 6.0 * v * v * s * s * float(s2)
                 + 4.0 * v * s ** 3 * float(s3) + s ** 4 * float(s4))
+
+
+class ScaleSums:
+    """Exact prefix sums over one block's scales, kept across horizons.
+
+    With c_k = a_k / k / 2^k, ``rise[j]`` is 2^F sum_{i<j} c_i and
+    ``flat[j]`` is 2^F sum_{i<j} c_i n_i over the block's first scales,
+    as Python integers.  F is the smallest exponent that makes every
+    2^F c_k an integer: a double a_k / k is num / 2^d, so F is the
+    largest k + d.  ``upto`` extends both sums to deeper scales only when
+    a horizon keeps them, reading each weight once, and rescales the
+    kept entries if F grows.
+    """
+
+    def __init__(self, weights, k_lo: int):
+        self.weights, self.k_lo = weights, k_lo
+        self.sums = (0, [0], [0])          # F, rise, flat
+
+    def upto(self, k_cut: int) -> tuple:
+        """(F, rise, flat) covering at least the scales k_lo..k_cut."""
+        F, rise, flat = self.sums
+        new = [(k, *float(self.weights.ratio(k)).as_integer_ratio())
+               for k in range(self.k_lo + len(rise) - 1, k_cut + 1)]
+        if not new:
+            return self.sums
+        top = max(F, *(k + den.bit_length() - 1 for k, _, den in new))
+        rise = [x << (top - F) for x in rise]
+        flat = [x << (top - F) for x in flat]
+        for k, num, den in new:
+            c = num << (top - k - den.bit_length() + 1)
+            rise.append(rise[-1] + c)
+            flat.append(flat[-1] + (c << k))
+        # one assignment, so a concurrent reader sees old or new sums
+        self.sums = (top, rise, flat)
+        return self.sums
 
 
 class BlockProfile:
@@ -156,11 +206,14 @@ class BlockProfile:
     each count is 0, n_k, N, m + n_k or N - m, and since n_k grows with k
     each regime holds a contiguous range of scales.  A segment's value
     and slope are then differences of two exact integer prefix sums over
-    k (the c_k share one power-of-two denominator), read in O(1) and
-    rounded once, so every ``v_mid`` and ``slope`` is correctly rounded.
+    k (``ScaleSums``), read in O(1) and rounded once, so every ``v_mid``
+    and ``slope`` is correctly rounded.  ``ExactMoments`` passes one
+    ``ScaleSums`` per block to every horizon; built alone, a profile
+    makes its own.
     """
 
-    def __init__(self, params: SequenceParams, block: BlockSpec, N: int):
+    def __init__(self, params: SequenceParams, block: BlockSpec, N: int,
+                 sums: ScaleSums | None = None):
         if N > DESK_N_CAP:
             raise WorkBudgetError("horizon exceeds the integer-exact cap",
                                   estimated_ops=N, budget=DESK_N_CAP)
@@ -170,57 +223,66 @@ class BlockProfile:
         # per-coordinate coefficient below 2^-K_GUARD of the block's
         # leading one; they are dropped, which also keeps the coefficient
         # arithmetic inside float range for astronomically deep blocks.
+        k_lo = block.k_lo
         k_cut = min(block.k_hi, _log2_floor(N) + K_GUARD)
-        ks = range(block.k_lo, k_cut + 1)
-        # a double is a multiple of 2^-1074, so 2^F c_k is an integer;
-        # rise[j] = 2^F sum_{i<j} c_i and flat[j] = 2^F sum_{i<j} c_i n_i
-        F = k_cut + 1074
+        kept = max(k_cut - k_lo + 1, 0)
+        if sums is None:
+            sums = ScaleSums(params.weights, k_lo)
+        F, rise, flat = sums.upto(k_cut)
         one = 1 << F
-        rise, flat = [0], [0]
-        for k in ks:
-            num, den = float(params.weights.ratio(k)).as_integer_ratio()
-            c = num << (F - k - den.bit_length() + 1)
-            rise.append(rise[-1] + c)
-            flat.append(flat[-1] + (c << k))
+        total = rise[kept]
 
-        def below(x):
-            # number of kept scales with n_k <= x, for x >= 0
-            return min(max(x.bit_length() - block.k_lo, 0), len(ks))
-
-        cuts = {N - 1}
-        for k in ks:
-            n = 1 << k
-            cuts.update((-n + 1, min(0, N - n), max(0, N - n)))
-        cuts = sorted(c for c in cuts if -(1 << k_cut) < c <= N - 1)
-        self.segments = []
-        # the power-sum table, one row per segment: value, slope and the
-        # exact S0, S1, S2 of its centred range [lo - mid, hi - mid],
-        # which is [-b, b] or [1 - b, b] with b = hi - mid
+        # rows (lo, hi, v_mid, slope, mid, S0, S1, S2): a segment, then
+        # the exact power sums of its centred range for the table
         rows = []
+        # A scale with n_{k-1} >= N below it in the block owns the two
+        # segments under all cuts of smaller scales: on [1 - n_k, N - n_k)
+        # scale k alone is linear and those above are capped at N; on
+        # [N - n_k, -n_{k-1}] the coefficient is N times the mass from k
+        # up.  Both follow from one prefix difference, without a search.
+        k_far = (max(k_lo + 1, (N - 1).bit_length() + 1) if N > 1
+                 else k_cut + 1)
+        if k_far <= k_cut:
+            half = N >> 1
+            _, *linear = _centred(1, N - 1)
+            above = 0                # 2^F N sum_{i > k} c_i
+            for k in range(k_cut, k_far - 1, -1):
+                n = 1 << k
+                c = rise[k - k_lo + 1] - rise[k - k_lo]
+                rows.append((1 - n, N - n - 1, (c * half + above) / one,
+                             c / one if N > 2 else 0.0, half - n, *linear))
+                above += N * c
+                lo, hi = N - n, -(n >> 1)
+                mid, *power = _centred(lo, hi)
+                rows.append((lo, hi, above / one, 0.0, mid, *power))
+        # the other scales cut at 1 - n_k, N - n_k and 0, all within
+        # (-n_{k_far - 1}, N - 1]
+        ns = [1 << k for k in range(k_lo, min(k_far, k_cut + 1))]
+        cuts = sorted({N - 1, *([0] if ns else []), *[1 - n for n in ns],
+                       *[N - n for n in ns]})
         for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
             # 0 is a cut, so a segment lies in m <= -1 or in m >= 0; the
-            # regimes hold on (mid, mid + 1), and the slope is that step
-            mid = (lo + hi) // 2
-            j2 = below(N - mid - 1)      # scales below j2 are not capped
-            capped = rise[-1] - rise[j2]  # w_k = N (m < 0) or N - m
+            # regimes hold on (mid, mid + 1), and the slope is that step.
+            # Scales below j2 are not capped, those below j1 have w_k = 0.
+            mid, *power = _centred(lo, hi)
+            j2 = (N - mid - 1).bit_length() - k_lo
+            j2 = 0 if j2 < 0 else kept if j2 > kept else j2
+            capped = total - rise[j2]     # w_k = N (m < 0) or N - m
             if mid < 0:
-                j1 = below(-mid - 1)     # scales below j1 have w_k = 0
+                j1 = (-mid - 1).bit_length() - k_lo
+                j1 = 0 if j1 < 0 else kept if j1 > kept else j1
                 slope = rise[j2] - rise[j1]
-                v = mid * slope + flat[j2] - flat[j1] + N * capped
+                v = (mid * slope + flat[j2] - flat[j1] + N * capped) / one
             else:
                 slope = -capped
-                v = flat[j2] + (N - mid) * capped
-            seg = Segment(lo, hi, v / one, slope / one if hi > lo else 0.0,
-                          mid)
-            self.segments.append(seg)
-            b = hi - mid
-            s2 = b * (b + 1) * (2 * b + 1) // 3     # twice 1^2 + .. + b^2
-            if (lo + hi) & 1:
-                rows.append((seg.v_mid, seg.slope, hi - lo + 1, b, s2 - b * b))
-            else:
-                rows.append((seg.v_mid, seg.slope, hi - lo + 1, 0, s2))
+                v = (flat[j2] + (N - mid) * capped) / one
+            rows.append((lo, hi, v, slope / one if hi > lo else 0.0, mid,
+                         *power))
+        cols = list(zip(*rows))
+        self.segments = list(map(Segment, *cols[:5]))
+        # the power-sum table, one column per segment
         self._v, self._slope, self._s0, self._s1, self._s2 = np.array(
-            rows, dtype=float).T
+            cols[2:4] + cols[5:], dtype=float)
 
     def value(self, m: int) -> float:
         for seg in self.segments:
@@ -400,19 +462,22 @@ class SeriesTail:
 
     With Zh and Z3 the sums of N'^{-1/2} and N'^{-3/2} over p..q, F is
     linear below the window (r * Z3 for r < p), constant above it (Zh for
-    r > q) and nonlinear only on p <= r <= q.  Cutting each
-    block's lag range at n_k - q, n_k - p + 1 and n_k leaves intervals
-    on which every scale is affine except the few whose window covers the
-    interval.  Affine intervals are summed by centred Faulhaber closed
-    forms (``Segment``); the others are evaluated densely, gathering from
-    one array of F over [p, q] built once per evaluation.
+    r > q) and nonlinear only on p <= r <= q.  Cutting each block's lag
+    range at n_k - q, n_k - p + 1 and n_k leaves pieces on which every
+    scale is affine except those whose window covers the piece.  Once
+    n_{k-1} >= q, scale k owns three pieces, laid out as arrays over k:
+    the constant run [n_{k-1}, n_k - q), its window [n_k - q, n_k - p]
+    and its linear run (n_k - p, n_k); only the lags below 2q are cut
+    one by one (``_head``).  Affine pieces take the centred Faulhaber
+    square, all in one array expression.  A piece holding one whole
+    window adds the cross and square terms of g F, from the sums of F,
+    (r - r_c) F and F^2 over [p, q] (r_c = (p + q)/2), taken once per
+    evaluation.  Only pieces with two windows or a clipped one are summed
+    densely, from one array of F over [p, q].
 
-    ``work`` counts the array elements an evaluation touches: the shared
-    window plus, for each dense interval, its length times the number of
-    windows added into it.  Scale k's window covers the lags
-    [n_k - q, n_k - p], so ``work`` is counted in closed form on
-    construction, one term per scale; the pieces themselves are built
-    only when ``norm_sq`` runs.
+    ``work`` is the dense-evaluation bound the ``WORK_BUDGET`` gate reads:
+    the window plus, per scale, the lags its window covers, clipped to
+    the block, counted in closed form on construction.
     """
 
     def __init__(self, params: SequenceParams, p: int, q: int):
@@ -422,21 +487,35 @@ class SeriesTail:
         # k_top moves a block's squared norm by less than
         # 2^(4 - K_GUARD) * (1 + M), M the block's kept mass.
         self.k_top = q.bit_length() + K_GUARD
+        # a window covers q - p + 1 lags once n_k >= q, n_k - p + 1 below
+        k_q = (q - 1).bit_length()           # the least k with n_k >= q
         self.work = q - p + 1
         for b in params.blocks:
-            if b.k_lo > self.k_top:
-                continue
             k_hi = min(b.k_hi, self.k_top)
-            last = (1 << k_hi) - 1           # the block's last lag
-            for k in range(b.k_lo, k_hi + 1):
-                n = 1 << k
-                self.work += max(0, min(last, n - p) - max(0, n - q) + 1)
+            self.work += max(k_hi - max(b.k_lo, k_q) + 1, 0) * (q - p + 1)
+            self.work += sum(max(0, (1 << k) - p + 1)
+                             for k in range(b.k_lo, min(k_hi, k_q - 1) + 1))
 
-    def blocks(self) -> list[tuple]:
-        """(ns, gs, above, pieces) per kept block; a piece is
-        (lo, hi, lin, win, top) over the lags lo..hi."""
+    def norm_sq(self) -> float:
         p, q, k_top = self.p, self.q, self.k_top
-        out = []
+        r = np.arange(p, q + 1, dtype=float)
+        half = np.cumsum(r ** -0.5)                 # sum_{N'=p..r}
+        down = np.cumsum((r ** -1.5)[::-1])[::-1]   # sum_{N'=r..q}
+        z_half, z_three = float(half[-1]), float(down[0])
+        f = half
+        f[:-1] += r[:-1] * down[1:]
+        r_c = 0.5 * (p + q)
+        r -= r_c
+        sum_f, sum_tf = float(f.sum()), float(np.multiply(r, f, out=r).sum())
+        sum_ff = float(np.square(f, out=r).sum())
+        # past the head, the offset n_k - mid and the power sums of a
+        # scale's window and of its linear run do not depend on k
+        mid_w, *sums_w = _centred(-q, -p)
+        mid_l, *sums_l = _centred(1 - p, -1)
+        # column tuples, scalars broadcast: (v, slope, S0, S1, S2) per
+        # affine piece and (.., g, n_k - mid - r_c) per one-window piece
+        affine, windows = [np.empty((5, 0))], [np.empty((7, 0))]
+        parts = []
         for b in self.params.blocks:
             if b.k_lo > k_top:
                 # Explicit zero: by the bound above the whole block adds
@@ -446,47 +525,68 @@ class SeriesTail:
                 # the exact float value; nothing beyond k_top is formed.
                 continue
             ks = np.arange(b.k_lo, min(b.k_hi, k_top) + 1)
-            ns = [1 << int(k) for k in ks]
-            gs = np.ldexp(self.params.weights.ratio(ks), -ks).tolist()
-            above = [0.0] * (len(gs) + 1)     # above[i] = sum of gs[i:]
-            for i in range(len(gs) - 1, -1, -1):
-                above[i] = above[i + 1] + gs[i]
-            cuts = {0}
-            for n in ns:
-                cuts.update((n - q, n - p + 1, n))
-            cuts = sorted(c for c in cuts if 0 <= c < ns[-1])
-            pieces = []
-            for lo, end in zip(cuts, cuts[1:] + [ns[-1]]):
-                # On lags lo..end-1 the scales i < lin are past their
-                # support, lin <= i < win are linear, win <= i < top are
-                # in their window and i >= top are constant.
-                lin = bisect_right(ns, lo)
-                win = bisect_right(ns, lo + p - 1)
-                top = bisect_right(ns, lo + q)
-                pieces.append((lo, end - 1, lin, win, top))
-            out.append((ns, gs, above, pieces))
-        return out
+            gs = np.ldexp(self.params.weights.ratio(ks), -ks)
+            zg = z_three * gs
+            # above[i] = sum of gs[i:], added from the top down
+            above = np.append(np.cumsum(gs[::-1])[::-1], 0.0)
+            # the head: the scales below q and the first one at or above
+            h = int(np.count_nonzero(ks < (q - 1).bit_length()))
+            h = min(h + 1, ks.size) if h else 0
+            if h:
+                flat, wins, dense = self._head(
+                    [1 << k for k in range(b.k_lo, b.k_lo + h)],
+                    gs.tolist(), zg.tolist(), above.tolist(), z_half, f)
+                affine.append(flat)
+                windows.append(wins)
+                parts += dense
+            if h == ks.size:
+                continue
+            # scale k from h on: its window, its linear run, and the
+            # constant run [n_{k-1}, n_k - q) (from 0 for a block's first
+            # scale), whose slope 0 leaves only the S0 term
+            v = z_half * above[h + 1:]
+            windows.append((v, 0.0, *sums_w, gs[h:], -mid_w - r_c))
+            if p > 1:
+                affine.append((v + zg[h:] * float(-mid_l), -zg[h:],
+                               *sums_l))
+            n = np.ldexp(1.0, ks[h:])
+            length = np.append(n[0] if h == 0 else n[0] / 2, n[:-1]) - q
+            const = z_half * above[h:-1]
+            parts += (const * const * length)[length > 0].tolist()
+        parts += _affine_sq(*_columns(affine)).tolist()
+        v, s, s0, s1, s2, g, d = _columns(windows)
+        cross = v * sum_f + s * (d * sum_f - sum_tf)
+        parts += (_affine_sq(v, s, s0, s1, s2) + 2.0 * g * cross
+                  + g * g * sum_ff).tolist()
+        return math.fsum(parts)
 
-    def norm_sq(self) -> float:
-        p, q = self.p, self.q
-        r = np.arange(p, q + 1, dtype=float)
-        half = np.cumsum(r ** -0.5)                 # sum_{N'=p..r}
-        down = np.cumsum((r ** -1.5)[::-1])[::-1]   # sum_{N'=r..q}
-        z_half, z_three = float(half[-1]), float(down[0])
-        f = half
-        f[:-1] += r[:-1] * down[1:]
-        parts = []
-        for ns, gs, above, pieces in self.blocks():
-            for lo, hi, lin, win, top in pieces:
-                mid = (lo + hi) // 2
-                v = z_half * above[top]
-                slope = 0.0
-                for i in range(lin, win):
-                    v += z_three * gs[i] * (ns[i] - mid)
-                    slope -= z_three * gs[i]
-                if win == top:
-                    parts.append(Segment(lo, hi, v, slope, mid).sum_pow(2))
-                    continue
+    def _head(self, ns, gs, zg, above, z_half, f) -> tuple:
+        """The lags below ``ns[-1]``, where windows overlap or are clipped
+        at lag 0, cut one by one: the column arrays of the affine and of
+        the one-window pieces, and the squares of the dense ones."""
+        p, q, end = self.p, self.q, ns[-1]
+        cuts = sorted({0, *[c for n in ns for c in (n - q, n - p + 1, n)
+                            if 0 <= c < end]})
+        flat, wins, dense = [], [], []
+        for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [end - 1]):
+            # On lags lo..hi the scales i < lin are past their support,
+            # lin <= i < win are linear, win <= i < top are in their
+            # window and i >= top are constant.
+            lin = bisect_right(ns, lo)
+            win = bisect_right(ns, lo + p - 1)
+            top = bisect_right(ns, lo + q)
+            mid, *power = _centred(lo, hi)
+            v = z_half * above[top]
+            slope = 0.0
+            for i in range(lin, win):
+                v += zg[i] * (ns[i] - mid)
+                slope -= zg[i]
+            if win == top:
+                flat.append((v, slope, *power))
+            elif top == win + 1 and (lo, hi) == (ns[win] - q, ns[win] - p):
+                wins.append((v, slope, *power, gs[win],
+                             ns[win] - mid - 0.5 * (p + q)))
+            else:
                 vals = v + slope * np.arange(lo - mid, hi - mid + 1,
                                              dtype=float)
                 for i in range(win, top):
@@ -494,8 +594,15 @@ class SeriesTail:
                     vals += gs[i] * f[ns[i] - hi - p:ns[i] - lo - p + 1][::-1]
                 # pairwise summation, not a BLAS dot: single-threaded and
                 # accurate to O(log n) roundings
-                parts.append(float(np.square(vals, out=vals).sum()))
-        return math.fsum(parts)
+                dense.append(float(np.square(vals, out=vals).sum()))
+        return (np.array(flat).reshape(-1, 5).T,
+                np.array(wins).reshape(-1, 7).T, dense)
+
+
+def _columns(rows) -> list:
+    """Concatenate column tuples whose entries are arrays or scalars."""
+    return [np.concatenate(col)
+            for col in zip(*(np.broadcast_arrays(*row) for row in rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +719,13 @@ class ExactMoments:
 
     def profiles(self, N: int) -> list[BlockProfile]:
         return self._memo(("profiles", N), lambda: [
-            BlockProfile(self.params, b, N) for b in self.params.blocks])
+            BlockProfile(self.params, b, N, self._sums(b))
+            for b in self.params.blocks])
+
+    def _sums(self, block: BlockSpec) -> ScaleSums:
+        # one exact prefix table per block, extended as horizons grow
+        return self._memo(("sums", block.index),
+                          lambda: ScaleSums(self.params.weights, block.k_lo))
 
     # -- masses ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Every law here has one shape: a Gaussian component convolved with a
 weighted lattice table.  A variant only realizes its table (Gaussian
 variance, sorted support, weights, total weight), lazily; ``LawModel``
-alone evaluates cdf, left-limit cdf, moments and quantiles from it.
+alone evaluates cdf, left-limit cdf, mean and variance from it.
 NORMAL is one atom at its mean plus its variance; SYM_POISSON (difference
 of two independent Poisson variables) and EMPIRICAL (a sorted sample
 batch, one unit weight per draw) are pure lattice tables; EXACT_FINITE
@@ -29,7 +29,6 @@ idempotently, so concurrent readers can race on them harmlessly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,6 @@ from enum import Enum
 import numpy as np
 
 from .blocks import BlockParity, SequenceParams
-from .config import json_ready
 from .engine import DESK_N_CAP, ExactMoments, horizon_exponent
 from .errors import ParamsError, TruncationError
 from .simulate import (GAUSSIANIZE_HITS, SampleKind, derive_seed,
@@ -301,62 +299,6 @@ class LawModel:
             return support, counts / total
         return support, weights
 
-    def moment_table(self) -> dict:
-        gv, support, weights, _ = self._table()
-        if weights is None:
-            support, weights = self.lattice_table()
-        return _mixture_moments(gv, support, weights)
-
-    def quantile_table(self, probs=(0.01, 0.05, 0.25, 0.5, 0.75, 0.95,
-                                    0.99)) -> dict:
-        gv, support, _, _ = self._table()
-        if support.size == 1:           # one Gaussian, or a point mass
-            # statistics costs ~4 ms of start-up; only this branch reads it
-            from statistics import NormalDist
-            sd = math.sqrt(gv)
-            return {float(p): float(support[0])
-                    + sd * NormalDist().inv_cdf(p)
-                    for p in probs}
-        table = self.lattice_table()
-        if table is not None:
-            support, pr = table
-            cum = np.cumsum(pr)
-            idx = np.searchsorted(cum, np.asarray(probs) * cum[-1],
-                                  side="left")
-            vals = support[np.minimum(idx, support.size - 1)]
-            return {float(p): float(v) for p, v in zip(probs, vals)}
-        return {float(p): self._bisect_quantile(float(p)) for p in probs}
-
-    def _bisect_quantile(self, p: float, iters: int = 120) -> float:
-        mu, sd = self.mean(), max(self.std(), 1e-300)
-        lo, hi = mu - 16.0 * sd, mu + 16.0 * sd
-        while float(self.cdf(lo)[0]) > p:
-            lo -= 16.0 * sd
-        while float(self.cdf(hi)[0]) < p:
-            hi += 16.0 * sd
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if float(self.cdf(mid)[0]) < p:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def summary(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "parameters": self._parameters(),
-            "moments": json_ready(self.moment_table()),
-            "quantiles": json_ready(self.quantile_table()),
-        }
-
-    def _parameters(self) -> dict:
-        return {}
-
-
-def law_to_json(law: LawModel, indent: int = 2) -> str:
-    return json.dumps(law.summary(), indent=indent, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # Normal
@@ -373,9 +315,6 @@ class NormalLaw(LawModel):
 
     def _realize(self):
         return self.var, np.array([self.mu], dtype=float), np.ones(1), 1.0
-
-    def _parameters(self) -> dict:
-        return {"mu": self.mu, "var": self.var}
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +363,6 @@ class SymPoissonLaw(LawModel):
     def pmf(self, n) -> np.ndarray:
         n = np.abs(np.atleast_1d(np.asarray(n, dtype=np.int64)))
         return _sym_poisson_half(int(n.max(initial=0)), self.lam)[n]
-
-    def _parameters(self) -> dict:
-        return {"lam": self.lam,
-                "support_radius": int(self._table()[1][-1])}
 
 
 def sym_poisson(lam: float) -> SymPoissonLaw:
@@ -713,36 +648,9 @@ class EmpiricalLaw(LawModel):
     def discontinuities(self) -> np.ndarray:
         return np.unique(self.samples)
 
-    def _parameters(self) -> dict:
-        return {"count": int(self.samples.size)}
-
 
 def empirical_law(values) -> EmpiricalLaw:
     return EmpiricalLaw(np.asarray(values))
-
-
-# ---------------------------------------------------------------------------
-# Moments helper
-
-def _mixture_moments(gv: float, vals: np.ndarray, pr: np.ndarray) -> dict:
-    tot = float(pr.sum())
-    if tot <= 0.0:
-        return {"mean": 0.0, "variance": gv, "skewness": math.nan,
-                "excess_kurtosis": math.nan}
-    m1 = float(pr @ vals) / tot
-    d = vals - m1
-    m2d = float(pr @ d ** 2) / tot
-    m3d = float(pr @ d ** 3) / tot
-    m4d = float(pr @ d ** 4) / tot
-    var = m2d + gv
-    if var <= 0.0:
-        return {"mean": m1, "variance": var, "skewness": math.nan,
-                "excess_kurtosis": math.nan}
-    # (m4 - 3 var^2) / var^2 with the Gaussian part's terms cancelled
-    # by hand: exactly 0 for a pure Gaussian, m4d / m2d^2 - 3 for none
-    return {"mean": m1, "variance": var,
-            "skewness": m3d / var ** 1.5,
-            "excess_kurtosis": m4d / var ** 2 - 3.0 * (m2d / var) ** 2}
 
 
 # ---------------------------------------------------------------------------

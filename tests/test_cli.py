@@ -68,8 +68,8 @@ def test_runs_that_draw_no_sample_leave_scipy_special_out(tmp_path):
 
 
 def test_sampling_runs_load_no_scipy(tmp_path):
-    # nor the spectral toys (~7 ms) and statistics (~4 ms), which only
-    # the spectral preset and a Gaussian law's quantiles read
+    # nor the spectral toys (~7 ms), which only the spectral preset
+    # reads, nor statistics (~4 ms), which no runtime path reads
     code = ("import sys\n"
             "from cltlab.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"

@@ -1,5 +1,7 @@
 import functools
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.engine import (WORK_BUDGET, BlockProfile, Condition,
-                           ExactMoments, SeriesTail, TrendKind, TrendRule,
-                           Verdict, dyadic_grid, format_csv,
+                           ExactMoments, Segment, SeriesTail, TrendKind,
+                           TrendRule, Verdict, dyadic_grid, format_csv,
                            sigma_sq_over_n)
 from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab.reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
@@ -79,10 +81,11 @@ def exact_segments(params, block, N):
     return rows
 
 
-def assert_profile_exact(params, block, N):
-    """Every segment is the correctly rounded exact one; returns them."""
-    got = [(s.lo, s.hi, s.mid, s.v_mid, s.slope)
-           for s in BlockProfile(params, block, N).segments]
+def assert_profile_exact(params, block, N, prof=None):
+    """Every segment of ``prof`` (a fresh profile by default) is the
+    correctly rounded exact one; returns them."""
+    prof = prof or BlockProfile(params, block, N)
+    got = [(s.lo, s.hi, s.mid, s.v_mid, s.slope) for s in prof.segments]
     want = [(lo, hi, mid, float(v), float(slope))
             for lo, hi, mid, v, slope in exact_segments(params, block, N)]
     assert got == want
@@ -587,14 +590,152 @@ def test_block_variance_grids_equal_the_scalar_loops(name):
             assert repr(got) == repr(scalar_block_var_over_n(params, b, e))
 
 
+# -- the series tail against its piece-by-piece loop -----------------------
+
+def scalar_tail_blocks(params, p, q):
+    """(ns, gs, above, pieces) per kept block, with every lag piece
+    (lo, hi, lin, win, top) cut one by one."""
+    k_top = q.bit_length() + engine.K_GUARD
+    out = []
+    for b in params.blocks:
+        if b.k_lo > k_top:
+            continue
+        ks = np.arange(b.k_lo, min(b.k_hi, k_top) + 1)
+        ns = [1 << int(k) for k in ks]
+        gs = np.ldexp(params.weights.ratio(ks), -ks).tolist()
+        above = [0.0] * (len(gs) + 1)
+        for i in range(len(gs) - 1, -1, -1):
+            above[i] = above[i + 1] + gs[i]
+        cuts = {0}
+        for n in ns:
+            cuts.update((n - q, n - p + 1, n))
+        cuts = sorted(c for c in cuts if 0 <= c < ns[-1])
+        pieces = []
+        for lo, end in zip(cuts, cuts[1:] + [ns[-1]]):
+            pieces.append((lo, end - 1, bisect_right(ns, lo),
+                           bisect_right(ns, lo + p - 1),
+                           bisect_right(ns, lo + q)))
+        out.append((ns, gs, above, pieces))
+    return out
+
+
+def scalar_tail_norm_sq(params, p, q):
+    """``SeriesTail.norm_sq`` as a loop over the pieces: a ``Segment``
+    per affine piece, a dense array per piece holding a window."""
+    r = np.arange(p, q + 1, dtype=float)
+    half = np.cumsum(r ** -0.5)
+    down = np.cumsum((r ** -1.5)[::-1])[::-1]
+    z_half, z_three = float(half[-1]), float(down[0])
+    f = half
+    f[:-1] += r[:-1] * down[1:]
+    parts = []
+    for ns, gs, above, pieces in scalar_tail_blocks(params, p, q):
+        for lo, hi, lin, win, top in pieces:
+            mid = (lo + hi) // 2
+            v = z_half * above[top]
+            slope = 0.0
+            for i in range(lin, win):
+                v += z_three * gs[i] * (ns[i] - mid)
+                slope -= z_three * gs[i]
+            if win == top:
+                parts.append(Segment(lo, hi, v, slope, mid).sum_pow(2))
+                continue
+            vals = v + slope * np.arange(lo - mid, hi - mid + 1, dtype=float)
+            for i in range(win, top):
+                vals += gs[i] * f[ns[i] - hi - p:ns[i] - lo - p + 1][::-1]
+            parts.append(float(np.square(vals, out=vals).sum()))
+    return math.fsum(parts)
+
+
 @pytest.mark.parametrize("name", ["conditions", "theorem1", "theorem2",
                                   "theorem3"])
 def test_tail_work_closed_form_is_the_piece_sum(name):
     params, (lo, hi) = preset(name)
     for e in range(lo, hi + 1):
         p = 1 << e
-        tail = SeriesTail(params, p, 2 * p)
         pieces = sum((last - first + 1) * (top - win)
-                     for _, _, _, rows in tail.blocks()
+                     for _, _, _, rows in scalar_tail_blocks(params, p, 2 * p)
                      for first, last, _, win, top in rows)
-        assert tail.work == p + 1 + pieces
+        assert SeriesTail(params, p, 2 * p).work == p + 1 + pieces
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem2", "theorem3"])
+def test_work_gate_keeps_the_preset_rows(name):
+    # the budget admits 2^4..2^16 on every preset grid and refuses each
+    # row from 2^17 on: theorem3's 4:40 grid keeps 13 rows, 24 are NaN
+    params, (lo, hi) = preset(name)
+    kept = [e for e in range(lo, max(hi, 17) + 1)
+            if SeriesTail(params, 1 << e, 2 << e).work <= WORK_BUDGET]
+    assert kept == list(range(4, 17))
+    if name == "theorem3":
+        rows = ExactMoments(params).table_rows(dyadic_grid(15, 18))
+        assert [math.isnan(row["tail_2prime"]) for row in rows] == [
+            False, False, True, True]
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem2", "theorem3"])
+def test_tail_norm_equals_the_piece_loop(name):
+    params, _ = preset(name)
+    for e in range(4, 17):
+        p = 1 << e
+        got = SeriesTail(params, p, 2 * p).norm_sq()
+        assert repr(got) == repr(scalar_tail_norm_sq(params, p, 2 * p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["conditions", "theorem1", "theorem2", "theorem3",
+                        "tiny"]),
+       st.integers(1, 3000), st.integers(0, 3000))
+@example("theorem1", 3, 1)        # windows of two lags
+@example("theorem3", 4, 0)        # p == q
+@example("tiny", 1, 0)            # p == q == 1, no linear runs
+@example("theorem2", 1000, 999)   # q = 2p - 1
+def test_tail_norm_matches_the_piece_loop_off_the_grid(name, p, gap):
+    # the closed-form windows round differently from a dense sum of
+    # squares, so off the preset rows the two agree to a few ulps
+    params = tiny_params(kmax=5, ends=(2, 5)) if name == "tiny" else \
+        preset(name)[0]
+    want = scalar_tail_norm_sq(params, p, p + gap)
+    assert abs(SeriesTail(params, p, p + gap).norm_sq() - want) <= \
+        1e-15 * want
+
+
+# -- the per-block prefix table --------------------------------------------
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem3"])
+def test_profiles_share_one_prefix_table(name):
+    # one ExactMoments extends each block's table as horizons deepen and
+    # reads the kept rows when they shallow again; the exact-rational
+    # check, costly here, runs before the first extension and after the
+    # deepest one
+    params, _ = preset(name)
+    em = ExactMoments(params)
+    for e in (4, 17, 40, 33, 9, 5):
+        for N in ((1 << e) - 1, 1 << e, (1 << e) + 1):
+            for b, prof in zip(params.blocks, em.profiles(N)):
+                fresh = BlockProfile(params, b, N)
+                assert repr(prof.segments) == repr(fresh.segments)
+                for col in ("_v", "_slope", "_s0", "_s1", "_s2"):
+                    assert repr(getattr(prof, col).tolist()) == \
+                        repr(getattr(fresh, col).tolist())
+                if e in (4, 5):
+                    assert_profile_exact(params, b, N, prof)
+
+
+def test_profiles_read_each_weight_once(monkeypatch):
+    params, (lo, hi) = preset("theorem3")
+    w = params.weights
+    reads = Counter()
+    ratio = w.ratio
+
+    def counting(k):
+        reads.update(np.atleast_1d(k).tolist())
+        return ratio(k)
+
+    monkeypatch.setattr(w, "ratio", counting)
+    em = ExactMoments(params)
+    for e in range(lo, hi + 1):
+        em.profiles(1 << e)
+    kept = [k for b in params.blocks
+            for k in range(b.k_lo, min(b.k_hi, hi + engine.K_GUARD) + 1)]
+    assert sorted(reads.elements()) == kept

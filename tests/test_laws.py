@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 
 import numpy as np
@@ -15,10 +14,22 @@ from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          LatticeAtom, NormalLaw, dichotomy_report,
                          empirical_law, exact_law, format_ks_csv,
-                         ks_distance, ks_pass_bound, law_to_json,
-                         sym_poisson, tv_distance)
+                         ks_distance, ks_pass_bound, sym_poisson,
+                         tv_distance)
 from cltlab.simulate import build_profile
 from cltlab.weights import WeightMode, build_weights
+
+
+def table_moments(table):
+    """Mean, variance and excess kurtosis of a (support, probs) table."""
+    support, probs = table
+    tot = probs.sum()
+    mean = probs @ support / tot
+    d = support - mean
+    var = probs @ d ** 2 / tot
+    if var == 0.0:
+        return mean, var, math.nan
+    return mean, var, probs @ d ** 4 / tot / var ** 2 - 3.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,10 +73,12 @@ def test_shared_evaluator_on_every_variant(case):
         assert table[1].sum() == pytest.approx(law.cdf(np.inf)[0],
                                                abs=1e-12)
         assert np.all(left[~away] < cdf[~away])
+        assert math.isclose(law.variance(), table_moments(table)[1],
+                            rel_tol=1e-12, abs_tol=0.0)
     else:
         assert table is None
-    assert math.isclose(law.variance(), law.moment_table()["variance"],
-                        rel_tol=1e-12, abs_tol=0.0)
+        # the Gaussian 0.5 plus one expected hit of the 0.7 step
+        assert law.variance() == pytest.approx(0.5 + 0.49, rel=1e-9)
 
 
 # -- symmetrized Poisson ---------------------------------------------------
@@ -90,12 +103,15 @@ def test_sym_poisson_pmf_by_double_sum():
 
 def test_sym_poisson_moments_and_table():
     sp = sym_poisson(0.5)
-    mt = sp.moment_table()
-    assert mt["mean"] == pytest.approx(0.0, abs=1e-12)
-    assert mt["variance"] == pytest.approx(1.0, rel=1e-10)
-    assert mt["skewness"] == pytest.approx(0.0, abs=1e-12)
-    assert mt["excess_kurtosis"] == pytest.approx(1.0, rel=1e-9)
+    assert sp.mean() == pytest.approx(0.0, abs=1e-12)
+    assert sp.variance() == pytest.approx(1.0, rel=1e-10)
+    _, var, excess = table_moments(sp.lattice_table())
+    assert var == pytest.approx(1.0, rel=1e-10)
+    assert excess == pytest.approx(1.0, rel=1e-9)
     support, probs = sp.lattice_table()
+    # symmetric about 0
+    np.testing.assert_array_equal(support, -support[::-1])
+    np.testing.assert_array_equal(probs, probs[::-1])
     assert probs.sum() == pytest.approx(1.0, abs=1e-11)
     assert np.all(np.diff(support) == 1.0)
     zero = sym_poisson(0.0)
@@ -116,8 +132,8 @@ def test_normal_law_basics():
     x = np.linspace(-3, 3, 13)
     assert np.allclose(nl.cdf(x), norm.cdf(x), atol=1e-14)
     assert nl.discontinuities().size == 0
-    for p, v in nl.quantile_table().items():
-        assert norm.cdf(v) == pytest.approx(p, abs=1e-9)
+    assert nl.lattice_table() is None
+    assert (nl.mean(), nl.variance()) == (0.0, 1.0)
     point = NormalLaw(0.0, 0.0)
     assert ks_distance(point, nl) == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(ParamsError):
@@ -152,9 +168,9 @@ def test_exact_law_variance_and_kurtosis_desk():
     em = ExactMoments(params)
     law = exact_law(params, 1 << 11, em)
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
-    mt = law.moment_table()
-    assert mt["excess_kurtosis"] == pytest.approx(0.9985351562500018,
-                                                  rel=1e-12)
+    _, var, excess = table_moments(law.lattice_table())
+    assert var == pytest.approx(1.0, rel=1e-12)
+    assert excess == pytest.approx(0.9985351562500018, rel=1e-12)
     assert law.cdf_error_bound < 1e-9
 
 
@@ -403,18 +419,6 @@ def test_sampler_and_oracle_share_horizon_checks(N, message, details):
         assert info.value.details == details
     assert horizon_exponent(17) == 4
     assert horizon_exponent(1 << 900) == 900
-
-
-# -- serialization ---------------------------------------------------------
-
-def test_law_to_json():
-    for law in (NormalLaw(0.0, 1.0), sym_poisson(0.5),
-                exact_law(single_odd_block(6), 1 << 6)):
-        doc = json.loads(law_to_json(law))
-        assert doc["variant"] == law.variant.value
-        assert "parameters" in doc and "moments" in doc
-        assert doc["moments"]["variance"] == pytest.approx(law.variance(),
-                                                           rel=1e-9)
 
 
 # -- dichotomy report ------------------------------------------------------
