@@ -235,29 +235,8 @@ class BlockProfile:
         # rows (lo, hi, v_mid, slope, mid, S0, S1, S2): a segment, then
         # the exact power sums of its centred range for the table
         rows = []
-        # A scale with n_{k-1} >= N below it in the block owns the two
-        # segments under all cuts of smaller scales: on [1 - n_k, N - n_k)
-        # scale k alone is linear and those above are capped at N; on
-        # [N - n_k, -n_{k-1}] the coefficient is N times the mass from k
-        # up.  Both follow from one prefix difference, without a search.
-        k_far = (max(k_lo + 1, (N - 1).bit_length() + 1) if N > 1
-                 else k_cut + 1)
-        if k_far <= k_cut:
-            half = N >> 1
-            _, *linear = _centred(1, N - 1)
-            above = 0                # 2^F N sum_{i > k} c_i
-            for k in range(k_cut, k_far - 1, -1):
-                n = 1 << k
-                c = rise[k - k_lo + 1] - rise[k - k_lo]
-                rows.append((1 - n, N - n - 1, (c * half + above) / one,
-                             c / one if N > 2 else 0.0, half - n, *linear))
-                above += N * c
-                lo, hi = N - n, -(n >> 1)
-                mid, *power = _centred(lo, hi)
-                rows.append((lo, hi, above / one, 0.0, mid, *power))
-        # the other scales cut at 1 - n_k, N - n_k and 0, all within
-        # (-n_{k_far - 1}, N - 1]
-        ns = [1 << k for k in range(k_lo, min(k_far, k_cut + 1))]
+        # every kept scale cuts at 1 - n_k, N - n_k and 0
+        ns = [1 << k for k in range(k_lo, k_cut + 1)]
         cuts = sorted({N - 1, *([0] if ns else []), *[1 - n for n in ns],
                        *[N - n for n in ns]})
         for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
@@ -467,12 +446,12 @@ class SeriesTail:
     scale is affine except those whose window covers the piece.  Once
     n_{k-1} >= q, scale k owns three pieces, laid out as arrays over k:
     the constant run [n_{k-1}, n_k - q), its window [n_k - q, n_k - p]
-    and its linear run (n_k - p, n_k); only the lags below 2q are cut
-    one by one (``_head``).  Affine pieces take the centred Faulhaber
-    square, all in one array expression.  A piece holding one whole
-    window adds the cross and square terms of g F, from the sums of F,
-    (r - r_c) F and F^2 over [p, q] (r_c = (p + q)/2), taken once per
-    evaluation.  Only pieces with two windows or a clipped one are summed
+    and its linear run (n_k - p, n_k); only the lags below the first
+    n_k >= q are cut one by one (``_head``).  Affine pieces take the
+    centred Faulhaber square, all in one array expression.  On a whole
+    window the other scales are constant, so it adds the cross and
+    square terms of g F from the sums of F and F^2 over [p, q], taken
+    once per evaluation.  Head pieces that hold a window are summed
     densely, from one array of F over [p, q].
 
     ``work`` is the dense-evaluation bound the ``WORK_BUDGET`` gate reads:
@@ -504,17 +483,15 @@ class SeriesTail:
         z_half, z_three = float(half[-1]), float(down[0])
         f = half
         f[:-1] += r[:-1] * down[1:]
-        r_c = 0.5 * (p + q)
-        r -= r_c
-        sum_f, sum_tf = float(f.sum()), float(np.multiply(r, f, out=r).sum())
-        sum_ff = float(np.square(f, out=r).sum())
-        # past the head, the offset n_k - mid and the power sums of a
-        # scale's window and of its linear run do not depend on k
-        mid_w, *sums_w = _centred(-q, -p)
+        sum_f, sum_ff = float(f.sum()), float(np.square(f, out=r).sum())
+        # past the head, the power sums of a scale's window and of its
+        # linear run, and the offset n_k - mid of the latter, do not
+        # depend on k
+        _, *sums_w = _centred(-q, -p)
         mid_l, *sums_l = _centred(1 - p, -1)
         # column tuples, scalars broadcast: (v, slope, S0, S1, S2) per
-        # affine piece and (.., g, n_k - mid - r_c) per one-window piece
-        affine, windows = [np.empty((5, 0))], [np.empty((7, 0))]
+        # affine piece and (v, S0, S1, S2, g) per window
+        affine, windows = [np.empty((5, 0))], [np.empty((5, 0))]
         parts = []
         for b in self.params.blocks:
             if b.k_lo > k_top:
@@ -533,11 +510,10 @@ class SeriesTail:
             h = int(np.count_nonzero(ks < (q - 1).bit_length()))
             h = min(h + 1, ks.size) if h else 0
             if h:
-                flat, wins, dense = self._head(
+                flat, dense = self._head(
                     [1 << k for k in range(b.k_lo, b.k_lo + h)],
                     gs.tolist(), zg.tolist(), above.tolist(), z_half, f)
                 affine.append(flat)
-                windows.append(wins)
                 parts += dense
             if h == ks.size:
                 continue
@@ -545,7 +521,7 @@ class SeriesTail:
             # constant run [n_{k-1}, n_k - q) (from 0 for a block's first
             # scale), whose slope 0 leaves only the S0 term
             v = z_half * above[h + 1:]
-            windows.append((v, 0.0, *sums_w, gs[h:], -mid_w - r_c))
+            windows.append((v, *sums_w, gs[h:]))
             if p > 1:
                 affine.append((v + zg[h:] * float(-mid_l), -zg[h:],
                                *sums_l))
@@ -554,20 +530,19 @@ class SeriesTail:
             const = z_half * above[h:-1]
             parts += (const * const * length)[length > 0].tolist()
         parts += _affine_sq(*_columns(affine)).tolist()
-        v, s, s0, s1, s2, g, d = _columns(windows)
-        cross = v * sum_f + s * (d * sum_f - sum_tf)
-        parts += (_affine_sq(v, s, s0, s1, s2) + 2.0 * g * cross
+        v, s0, s1, s2, g = _columns(windows)
+        parts += (_affine_sq(v, 0.0, s0, s1, s2) + 2.0 * g * (v * sum_f)
                   + g * g * sum_ff).tolist()
         return math.fsum(parts)
 
     def _head(self, ns, gs, zg, above, z_half, f) -> tuple:
         """The lags below ``ns[-1]``, where windows overlap or are clipped
-        at lag 0, cut one by one: the column arrays of the affine and of
-        the one-window pieces, and the squares of the dense ones."""
+        at lag 0, cut one by one: the column arrays of the affine pieces
+        and the squares of the dense ones."""
         p, q, end = self.p, self.q, ns[-1]
         cuts = sorted({0, *[c for n in ns for c in (n - q, n - p + 1, n)
                             if 0 <= c < end]})
-        flat, wins, dense = [], [], []
+        flat, dense = [], []
         for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [end - 1]):
             # On lags lo..hi the scales i < lin are past their support,
             # lin <= i < win are linear, win <= i < top are in their
@@ -583,9 +558,6 @@ class SeriesTail:
                 slope -= zg[i]
             if win == top:
                 flat.append((v, slope, *power))
-            elif top == win + 1 and (lo, hi) == (ns[win] - q, ns[win] - p):
-                wins.append((v, slope, *power, gs[win],
-                             ns[win] - mid - 0.5 * (p + q)))
             else:
                 vals = v + slope * np.arange(lo - mid, hi - mid + 1,
                                              dtype=float)
@@ -595,8 +567,7 @@ class SeriesTail:
                 # pairwise summation, not a BLAS dot: single-threaded and
                 # accurate to O(log n) roundings
                 dense.append(float(np.square(vals, out=vals).sum()))
-        return (np.array(flat).reshape(-1, 5).T,
-                np.array(wins).reshape(-1, 7).T, dense)
+        return np.array(flat).reshape(-1, 5).T, dense
 
 
 def _columns(rows) -> list:
