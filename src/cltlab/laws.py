@@ -19,8 +19,10 @@ sup-CDF error is bounded by 0.56/sqrt(expected hits) and tracked in
 the sampler and the two stay comparable.  Components with astronomically
 many trials but a modest expected count swap the binomial count for a
 Poisson count (total-variation cost at most the per-trial hit
-probability).  Everything else is enumerated exactly; enumerations that
-cannot reach the target mass within budget raise TruncationError rather
+probability).  Everything else is tabulated exactly, from one inverse
+FFT of the signed count's characteristic function, with every mass the
+table misses counted; a component whose table would not fit the joint
+support budget (about 2^34 expected hits) raises TruncationError rather
 than degrade silently.
 
 Laws are immutable after construction; realization caches are filled
@@ -44,8 +46,6 @@ from .simulate import (GAUSSIANIZE_HITS, SampleKind, derive_seed,
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
 GRID_POINTS = 2048           # continuous grid size per law in distances
 GRID_SPAN = 8.0              # grid half-width in standard deviations
-MIXTURE_LAMBDA = float(1 << 11)   # count-mixture enumeration ceiling
-DOUBLE_LAMBDA = float(1 << 22)    # doubling-convolution ceiling
 PRODUCT_BUDGET = 1 << 22     # joint support budget across components
 SUPPORT_BUDGET = 1 << 26     # single-law support budget
 KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
@@ -59,10 +59,13 @@ _EVAL_CHUNK = 1 << 16        # Gaussian-mixture cdf elements per step
 # Special functions
 #
 # Ports, so that no run needs scipy.special.  The normal cdf rounds its
-# exp, and the binomial pmf and the signs' Pascal rows do all their work,
-# in numpy's longdouble: x87 extended precision on x86-64, plain double
-# where the platform has no wider type (there the pmf's far tails lose
-# digits to cancellation).
+# exp, and the signed-count pmf samples its characteristic function and
+# inverts it, in numpy's longdouble: x87 extended precision on x86-64,
+# plain double where the platform has no wider type (there the pmf's
+# rounding bound, M eps, is 2^11 times larger).
+
+_EPS = float(np.finfo(np.longdouble).eps)
+_PI = 4.0 * np.arctan(np.longdouble(1.0))
 
 # cephes ndtr/erfc rational approximations, highest power first; the
 # denominators' leading 1 is written out
@@ -160,59 +163,6 @@ def _sym_poisson_half(n_hi: int, lam: float) -> np.ndarray:
         ratios.append(r)
     rel = np.cumprod(ratios[::-1])          # I_n / I_0 for n = 1..top
     return np.concatenate(([1.0], rel[:n_hi])) / (1.0 + 2.0 * rel.sum())
-
-
-# stirlerr(n) = log(n!) - (n + 1/2) log n + n - log sqrt(2 pi) at n <= 15,
-# and the coefficients of its asymptotic series above
-_STIRLERR = np.array(
-    (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-     0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-     0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-     0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801),
-    dtype=np.longdouble)
-_STIRLING = tuple(np.longdouble(1) / d for d in (12, 360, 1260, 1680, 1188))
-_LN_2PI = np.longdouble(math.log(2.0 * math.pi))
-
-
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """Stirling's-formula error of log(n!) at integer n >= 1."""
-    s0, s1, s2, s3, s4 = _STIRLING
-    nn = n * n
-    series = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
-    table = _STIRLERR[np.minimum(n, 15).astype(np.int64)]
-    return np.where(n <= 15, table, series)
-
-
-def _bd0(x: np.ndarray, m) -> np.ndarray:
-    """x log(x / m) + m - x, as x log1p(d / m) - d with d = x - m exact."""
-    d = x - m
-    return x * np.log1p(d / m) - d
-
-
-def _binom_pmf(x, n, p: float) -> np.ndarray:
-    """P(X = x) for X ~ Binomial(n, p), at integer x, by Loader's
-    saddle-point form (R's ``dbinom_raw``):
-
-        exp(stirlerr(n) - stirlerr(x) - stirlerr(n - x)
-            - bd0(x, n p) - bd0(n - x, n q)) / sqrt(2 pi x (n - x) / n)
-
-    in extended precision, where n p and n q stay exact for the
-    power-of-two probabilities used here up to n = 2^52.
-    """
-    x = np.asarray(x, dtype=np.longdouble)
-    n, p = np.longdouble(n), np.longdouble(p)
-    y = n - x
-    out = np.zeros(x.shape)
-    inner = (x > 0) & (y > 0)
-    if inner.any():
-        xi, yi = x[inner], y[inner]
-        lc = (_stirlerr(n) - _stirlerr(xi) - _stirlerr(yi)
-              - _bd0(xi, n * p) - _bd0(yi, n * (1 - p)))
-        out[inner] = np.exp(lc - 0.5 * (_LN_2PI + np.log(xi * yi / n)))
-    out[x == 0] = np.exp(n * np.log1p(-p))
-    out[y == 0] = np.exp(n * np.log(p))
-    return out
 
 
 class LawVariant(Enum):
@@ -395,122 +345,73 @@ class LatticeAtom:
         return self.log2_trials + self.log2_hit
 
 
-def _trim_tails(offset, probs, side_tol):
-    """Drop leading/trailing mass below side_tol; returns lost mass too."""
-    cum = np.cumsum(probs)
-    lo = int(np.searchsorted(cum, side_tol, side="right"))
-    rcum = np.cumsum(probs[::-1])
-    hi = probs.size - int(np.searchsorted(rcum, side_tol, side="right"))
-    lo = min(lo, hi - 1)
-    lost = float(cum[-1] - cum[hi - 1] + (cum[lo - 1] if lo else 0.0))
-    return offset + lo, probs[lo:hi], lost
+def _window(trials: int, lam: float) -> tuple[int, int]:
+    """Half-width W and transform size M of a signed-count table: 12
+    standard deviations plus 40 steps, at most the trials, and M the
+    power of two above 2W + 1.  A table that does not fit the joint
+    support budget raises TruncationError."""
+    w = min(trials, int(12.0 * math.sqrt(lam) + 40.0))
+    size = 1 << (2 * w + 1).bit_length()
+    if size > PRODUCT_BUDGET:
+        raise TruncationError(
+            "lattice component too heavy to enumerate and too light to "
+            "gaussianize (expected hits 2^%.1f)" % math.log2(lam),
+            achieved_mass=0.0, target_mass=1.0 - ATOM_MASS_TOL)
+    return w, size
 
 
-def _signed_count_pmf_mixture(hit_weights: np.ndarray, h0: int):
-    """pmf of a sum of H fair signs with H distributed per hit_weights.
+def _signed_count_pmf(trials: int, q: float):
+    """(support, probs, lost) for the sum S of ``trials`` independent
+    steps of -1, 0, +1 with probabilities q/2, 1 - q, q/2.
 
-    hit_weights[i] is the probability of H = h0 + i; the result is a
-    (support, probs) pair over the integer lattice.  The Binomial(h, 1/2)
-    rows come from Pascal's rule, halved at each step, in extended
-    precision: row h carries at most h roundings of 2^-64 relative.
+    Fourier-series inversion (Abate and Whitt, Queueing Systems 1992):
+    the characteristic function phi(t) = (1 - q + q cos t)^n
+    = exp(n log1p(-2q sin^2(t/2))), sampled at t = 2 pi j / M, goes
+    through one inverse real FFT in extended precision.  That is the pmf
+    aliased modulo M; the table keeps |k| <= W < M/2, mirrored from
+    k >= 0 so that it is exactly symmetric.  ``lost`` bounds all it
+    misses: the mass beyond W and the mass aliased onto the window, each
+    at most Bernstein's P(|S| > W) <= 2 exp(-t^2 / (2 (lam + t/3))) with
+    t = W + 1 (none when W = n), the transform's rounding, M eps, and
+    the rounding noise clipped below 0 and trimmed below eps.
     """
-    h_hi = h0 + hit_weights.size - 1
-    probs = np.zeros(2 * h_hi + 1)
-    row = np.ones(1, dtype=np.longdouble)          # Binomial(0, 1/2)
-    for h in range(h_hi + 1):
-        if h:
-            row = 0.5 * (np.append(row, 0.0) + np.append(0.0, row))
-        w = hit_weights[h - h0] if h >= h0 else 0.0
-        if w > 0.0:
-            # j positive signs of h put the sum at 2j - h
-            probs[h_hi - h:h_hi + h + 1:2] += w * row.astype(float)
-    return np.arange(-h_hi, h_hi + 1), probs
+    lam = trials * q
+    w, size = _window(trials, lam)
+    s = np.sin(np.arange(size // 2 + 1, dtype=np.longdouble) * (_PI / size))
+    with np.errstate(divide="ignore"):       # log1p(-1) at q = 1/2
+        phi = np.exp(np.longdouble(trials)
+                     * np.log1p(-2.0 * np.longdouble(q) * s * s))
+    half = np.fft.irfft(phi, size)[:w + 1]
+    lost = size * _EPS
+    if w < trials:
+        t = w + 1.0
+        lost += 4.0 * math.exp(-t * t / (2.0 * (lam + t / 3.0)))
+    clipped = -np.minimum(half, 0.0).sum()      # p(0) is never noise
+    half = np.maximum(half, 0.0)
+    top = int(np.flatnonzero(half > _EPS)[-1])
+    lost += float(2.0 * (clipped + half[top + 1:].sum()))
+    probs = np.concatenate([half[top:0:-1], half[:top + 1]]).astype(float)
+    return np.arange(-top, top + 1), probs, lost
 
 
-def _signed_count_pmf_doubling(trials: int, q: float, mass_tol: float):
-    """Exact signed three-valued sum pmf by convolution doubling.
-
-    Each trial contributes -1/0/+1 with probabilities q/2, 1-q, q/2.
-    Tail mass below a per-step budget is trimmed and accounted; returns
-    (support, probs, lost_mass).
-    """
-    steps = 2 * max(trials.bit_length(), 1) + 2
-    side_tol = mass_tol / (4.0 * steps)
-    lost = 0.0
-    acc = None       # (offset of first support point, probs)
-    cur = (-1, np.array([q / 2.0, 1.0 - q, q / 2.0]))
-    t = trials
-    while t:
-        if t & 1:
-            if acc is None:
-                acc = cur
-            else:
-                off = acc[0] + cur[0]
-                pr = np.maximum(np.convolve(acc[1], cur[1]), 0.0)
-                o, pr, lo = _trim_tails(off, pr, side_tol)
-                lost += lo
-                acc = (o, pr)
-        t >>= 1
-        if t:
-            off = 2 * cur[0]
-            pr = np.maximum(np.convolve(cur[1], cur[1]), 0.0)
-            o, pr, lo = _trim_tails(off, pr, side_tol)
-            lost += lo
-            cur = (o, pr)
-    off, pr = acc
-    return np.arange(off, off + pr.size), pr, lost
-
-
-def _count_window(lam: float, cap: int):
-    lo = max(0, int(lam - 12.0 * math.sqrt(lam) - 25.0))
-    hi = min(int(lam + 12.0 * math.sqrt(lam) + 30.0), cap)
-    return lo, hi
-
-
-def _atom_pmf(atom: LatticeAtom, mass_tol: float):
+def _atom_pmf(atom: LatticeAtom):
     """(support, probs, tv_error, lost_mass) for the signed count.
 
     Exact at desk trial counts; astronomically many trials with a modest
     expected count use a Poisson count instead, certified by the Le Cam
-    style bound TV <= hit probability.
+    style bound TV <= hit probability.  Both share one support cap.
     """
-    ll = atom.log2_mean_hits
-    desk = atom.trials <= DESK_N_CAP
-    if desk:
-        lam = float(atom.trials) * atom.hit_prob
-        if lam <= MIXTURE_LAMBDA:
-            lo, hi = _count_window(lam, atom.trials)
-            for _ in range(5):
-                h = np.arange(lo, hi + 1)
-                w = _binom_pmf(h, float(atom.trials), atom.hit_prob)
-                mass = float(w.sum())
-                if mass >= 1.0 - 0.25 * mass_tol or hi >= atom.trials:
-                    break
-                hi = min(atom.trials, 2 * hi + 10)
-            else:
-                raise TruncationError("count window failed to close",
-                                      achieved_mass=mass,
-                                      target_mass=1.0 - mass_tol)
-            support, probs = _signed_count_pmf_mixture(w, lo)
-            return support, probs, 0.0, 1.0 - mass
-        if lam <= DOUBLE_LAMBDA:
-            support, probs, lost = _signed_count_pmf_doubling(
-                atom.trials, atom.hit_prob, mass_tol)
-            return support, probs, 0.0, lost
-        raise TruncationError(
-            "lattice component too heavy to enumerate and too light to "
-            "gaussianize (expected hits 2^%.1f)" % ll,
-            achieved_mass=0.0, target_mass=1.0 - mass_tol)
-    if ll <= math.log2(MIXTURE_LAMBDA):
-        # Poisson(lam) hits with fair signs: two independent
-        # Poisson(lam / 2) counts of opposite sign
-        _, support, probs, mass = SymPoissonLaw(0.5 * 2.0 ** ll)._table()
-        tv = 2.0 ** atom.log2_hit if atom.log2_hit > -1074 else 0.0
-        return support, probs, tv, 1.0 - mass
-    raise TruncationError(
-        "lattice component beyond the desk cap with expected hits "
-        "2^%.1f cannot be enumerated" % ll,
-        achieved_mass=0.0, target_mass=1.0 - mass_tol)
+    if atom.trials <= DESK_N_CAP:
+        support, probs, lost = _signed_count_pmf(atom.trials, atom.hit_prob)
+        return support, probs, 0.0, lost
+    lam = 2.0 ** atom.log2_mean_hits
+    _window(atom.trials, lam)
+    # Poisson(lam) hits with fair signs: two independent Poisson(lam / 2)
+    # counts of opposite sign; Miller's recurrence keeps its far tails
+    # to relative precision, which a transform's noise floor cannot
+    _, support, probs, mass = SymPoissonLaw(0.5 * lam)._table()
+    tv = 2.0 ** atom.log2_hit if atom.log2_hit > -1074 else 0.0
+    return support, probs, tv, 1.0 - mass
 
 
 @dataclass(eq=False)
@@ -543,7 +444,7 @@ class ExactFiniteLaw(LawModel):
                 gv += atom.var_share
                 err += 0.56 * 2.0 ** (-0.5 * ll)
                 continue
-            support, probs, tv, lo = _atom_pmf(atom, self.mass_tol)
+            support, probs, tv, lo = _atom_pmf(atom)
             err += tv
             lost += lo
             if vals.size * support.size > PRODUCT_BUDGET:

@@ -23,8 +23,11 @@ Gaussian blocks, and the spike segments expecting more than
 ``GAUSSIANIZE_HITS`` hits, give one scaled normal per layer with the
 exact variance; the Berry-Esseen error of that replacement is below
 0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
-Horizons beyond the desk cap must be dyadic and are handled entirely
-through normalized per-block variances, so values stay finite floats.
+Horizons beyond the desk cap must be dyadic and are handled through
+normalized per-block variances, so values stay finite floats; only the
+flat copy of a spike block that expects a countable number of hits
+there draws them, as a Poisson count (the limit of its binomial count,
+within its hit probability in total variation) with fair signs.
 Its independent oracle, literal per-coordinate draws at small scales,
 is ``reference.site_sample_batch``.
 
@@ -33,12 +36,13 @@ Reproducibility: all randomness comes from counter-based Philox streams
 one per plan op and fixed-size chunk, keyed by (seed, op's lane, chunk
 index).  Each op takes exact draws from its stream through numpy's
 Generator: ``standard_normal`` for a normal, ``binomial`` (BTPE or
-inversion, Kachitvichyanukul & Schmeiser 1988) for hit and sign counts,
-``integers`` for a pool's hit offsets and signs.  The one departure
-from the exact laws is numpy's inversion branch (means below 30), which
-redraws counts beyond ten standard deviations above the mean: under
-4e-13 in total variation per count.  No stream is ever shared across
-chunks, so batches are byte-identical for any worker count.
+inversion, Kachitvichyanukul & Schmeiser 1988) and ``poisson`` for hit
+and sign counts, ``integers`` for a pool's hit offsets and signs.  The
+one departure from the exact laws is numpy's binomial inversion branch
+(means below 30), which redraws counts beyond ten standard deviations
+above the mean: under 4e-13 in total variation per count.  No stream
+is ever shared across chunks, so batches are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -201,6 +205,18 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
     for lay in profile.layers:
         gaussian_block = lay.block.parity is BlockParity.GAUSSIAN
         if lay.segments is None or gaussian_block:
+            # a flat copy beyond the cap that expects a countable number
+            # of hits, 2^(e - h), draws them: the normal would be wrong
+            # in law, and exact_law pins the same count with the same step
+            e, h = N.bit_length() - 1, lay.block.horizon_log2
+            if (not gaussian_block and lay.var_over_n > 0.0
+                    and profile.kind is SampleKind.APPROX_IID_SUM
+                    and -50 < e - h <= 40):
+                mass = profile.moments.block_mass(lay.block, N)
+                plan.append(partial(
+                    _draw_poisson, lam=2.0 ** (e - h),
+                    coef=(mass / math.sqrt(b_sq)) * 2.0 ** (0.5 * (h - e))))
+                continue
             std = (math.sqrt(lay.var_over_n / b_sq) if normalized
                    else math.sqrt(lay.var_over_n * N))
             plan.append(partial(_draw_normal, std=std))
@@ -283,6 +299,14 @@ def _draw_normal(rng, size, *, std):
 def _draw_flat(rng, size, *, length, hit_prob, coef):
     """A constant spike segment: only the signed hit count matters."""
     hits = rng.binomial(length, hit_prob, size)
+    pos = rng.binomial(hits, 0.5)
+    return coef * (2.0 * pos - hits)
+
+
+def _draw_poisson(rng, size, *, lam, coef):
+    """A beyond-cap spike layer's flat copy: Poisson(lam) hits, the limit
+    of its binomial count, each with a fair sign."""
+    hits = rng.poisson(lam, size)
     pos = rng.binomial(hits, 0.5)
     return coef * (2.0 * pos - hits)
 

@@ -174,15 +174,6 @@ def test_exact_law_variance_and_kurtosis_desk():
     assert law.cdf_error_bound < 1e-9
 
 
-def test_mixture_and_doubling_routes_agree(monkeypatch):
-    params = single_odd_block(6)
-    a = exact_law(params, 1 << 6)
-    monkeypatch.setattr(laws, "MIXTURE_LAMBDA", 0.25)
-    b = exact_law(params, 1 << 6)
-    assert tv_distance(a, b) < 1e-11
-    assert ks_distance(a, b) < 1e-11
-
-
 @pytest.mark.parametrize("q", [0.5, 1.0 / 3.0, 1.0 / 64.0, 1.0 / 2048.0])
 def test_doubling_pmf_matches_repeated_convolution(q):
     step = np.array([q / 2.0, 1.0 - q, q / 2.0])
@@ -190,10 +181,11 @@ def test_doubling_pmf_matches_repeated_convolution(q):
     trimmed = 0
     for trials in range(1, 41):
         brute = np.convolve(brute, step)
-        support, probs, lost = laws._signed_count_pmf_doubling(
-            trials, q, laws.ATOM_MASS_TOL)
+        support, probs, lost = laws._signed_count_pmf(trials, q)
         assert lost <= laws.ATOM_MASS_TOL
-        trimmed += lost > 0.0
+        # the table never puts mass outside the reachable -trials..trials
+        assert -trials <= support[0] and support[-1] <= trials
+        trimmed += support[-1] < trials
         got = np.zeros(2 * trials + 1)
         got[support + trials] = probs
         assert np.max(np.abs(got - brute)) <= 1e-12
@@ -218,25 +210,45 @@ def _rel_err(got, want):
     return float(np.max(np.abs(got - want)[big] / want[big]))
 
 
+def signed_count_by_hits(trials, q):
+    """The signed count's pmf on -top..top as a mixture over its hit
+    count: Binomial(trials, q) hits, each with a fair sign.  Hit counts
+    beyond 12 standard deviations and 40 of the mean are left out."""
+    lam = trials * q
+    spread = 12.0 * math.sqrt(lam) + 40.0
+    top = min(trials, int(lam + spread))
+    h = np.arange(max(0, int(lam - spread)), top + 1)[:, None]
+    j = np.arange(top + 1)[None, :]
+    mass = binom.pmf(h, trials, q) * binom.pmf(j, h, 0.5)
+    # j positive signs of h put the sum at 2j - h
+    at = np.broadcast_to(2 * j - h + top, mass.shape)
+    probs = np.bincount(at.ravel(), mass.ravel())[:2 * top + 1]
+    return np.arange(-top, top + 1), probs
+
+
 def test_count_pmfs_match_scipy_stats():
-    for h in list(range(41)) + [1000, 2600]:   # signs of h hits, exactly
-        support, probs = laws._signed_count_pmf_mixture(np.ones(1), h)
-        exact = np.array([math.comb(h, j) / 2 ** h for j in range(h + 1)])
-        assert np.all(probs[1::2] == 0.0)
-        assert _rel_err(probs[::2], exact) <= 1e-15
     for trials in (1, 17, 1000, (1 << 20) + 3, (1 << 40) - 1):
         for e in range(1, 45):           # hit counts of one atom
             lam = trials * 2.0 ** -e
-            if lam > laws.MIXTURE_LAMBDA:
+            if not 2.0 ** -3 <= lam <= 2.0 ** 11:
                 continue
-            lo, hi = laws._count_window(lam, trials)
-            h = np.arange(lo, hi + 1)
-            got = laws._binom_pmf(h, trials, 2.0 ** -e)
-            # boost's pdf, not the port, is what strays in the window's
-            # far tails: up to 1.9e-13 against 50-digit values, where the
-            # port stays within 3e-16
-            assert _rel_err(got, binom.pmf(h, trials, 2.0 ** -e)) <= 2e-13
-            assert abs(got.sum() - 1.0) <= 1e-15
+            support, probs, lost = laws._signed_count_pmf(trials, 2.0 ** -e)
+            ref_support, want = signed_count_by_hits(trials, 2.0 ** -e)
+            got = np.zeros(want.size)
+            got[support - ref_support[0]] = probs
+            # an absolute noise floor: the transform rounds every entry
+            # to within a few float ulps of the largest
+            assert np.max(np.abs(got - want)) <= 5e-16
+            assert np.array_equal(probs, probs[::-1])
+            assert abs(probs.sum() - 1.0) <= 1e-15 and lost <= 1e-15
+    # the Poisson limit, where the window spans thousands of steps;
+    # scipy's skellam takes seconds for every point, so every 7th
+    for e in (15, 22):
+        support, probs, lost = laws._signed_count_pmf(1 << 52,
+                                                      2.0 ** (e - 52))
+        want = skellam.pmf(support[::7], 2.0 ** (e - 1), 2.0 ** (e - 1))
+        assert np.max(np.abs(probs[::7] - want)) <= 1e-16
+        assert abs(probs.sum() - 1.0) <= lost <= 1e-14
     # beyond the desk cap Poisson(lam) hits carry fair signs: the signed
     # count of two independent Poisson(lam / 2) counts
     for lam in [2.0 ** e for e in range(-44, 12)] + [0.3, 17.5]:
@@ -244,7 +256,7 @@ def test_count_pmfs_match_scipy_stats():
                            hit_prob=2.0 ** -60,
                            log2_trials=60 + math.log2(lam), log2_hit=-60,
                            var_share=1.0)
-        support, probs, tv, lost = laws._atom_pmf(atom, laws.ATOM_MASS_TOL)
+        support, probs, tv, lost = laws._atom_pmf(atom)
         assert _rel_err(probs, skellam.pmf(support, 0.5 * lam,
                                            0.5 * lam)) <= 1e-13
         assert abs(probs.sum() - 1.0) <= 1e-15
@@ -263,12 +275,28 @@ def test_gauss_merge_certificate_astronomic():
 
 
 def test_truncation_gap_raises():
-    # atom count rate 2^23: too heavy to enumerate, too light to merge;
-    # the failure surfaces on first use of the law
+    # atom count rate 2^36: its window does not fit the support budget,
+    # and it is too light to merge; the failure surfaces on first use of
+    # the law
     params = default_params(kmax=20, rho=4.0)
-    law = exact_law(params, 1 << 34)
+    law = exact_law(params, 1 << 47)
     with pytest.raises(TruncationError):
         law.cdf([0.0])
+    # rate 2^23 is enumerated exactly, within its certified bound
+    law = exact_law(params, 1 << 34)
+    mass = law._table()[3]
+    assert abs(mass - 1.0) <= law.cdf_error_bound < 1e-11
+    assert law.variance() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_signed_count_pmf_counts_what_it_loses():
+    # at n = 2^52 any rounding of 1 - q compounds like (1 + eps)^n, so
+    # the table's mass is the check that lost counts all it misses
+    support, probs, lost = laws._signed_count_pmf(1 << 52, 2.0 ** -30)
+    assert abs(probs.sum() - 1.0) <= lost <= laws.ATOM_MASS_TOL
+    assert support.size > 1 << 15
+    law = exact_law(default_params(kmax=48, rho=4.0), 1 << 33)
+    assert abs(law._table()[3] - 1.0) <= law.cdf_error_bound
 
 
 def test_exact_law_validation():
@@ -389,8 +417,20 @@ def test_theorem1_oracle_gates_pass(seed):
     assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_theorem3_oracle_gate_passes(seed):
+    # the one complete block ends at 2^3264 with about one expected hit;
+    # a normal stand-in for its flat copy misses the exact law by 0.23
+    params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
+    rep = dichotomy_report(params, 20_000, seed,
+                           moments=ExactMoments(params))
+    assert [(r.horizon_log2, r.oracle_pass) for r in rep.rows] == [(3264,
+                                                                    True)]
+    assert rep.verdict is DichotomyVerdict.NO_DICHOTOMY
+
+
 def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
-    # 2^-4 hit probability over 1,134,595 trials: 4,097 signed counts,
+    # 2^-4 hit probability over 1,134,595 trials: 4,591 signed counts,
     # every one with positive weight, on top of a Gaussian part
     trials, log2_hit, scale = 1_134_595, -4, 0.01
     law = ExactFiniteLaw(0.5, (LatticeAtom(
@@ -398,7 +438,7 @@ def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
         log2_trials=math.log2(trials), log2_hit=log2_hit,
         var_share=scale * scale * trials * 2.0 ** log2_hit),))
     gv, support, weights, _ = law._table()
-    assert gv == 0.5 and support.size == 4097 and np.all(weights > 0.0)
+    assert gv == 0.5 and support.size == 4591 and np.all(weights > 0.0)
     xs = np.linspace(-1.5, 1.5, 601) * support[-1]
     whole = law.cdf(xs)
     for i, x in enumerate(xs):

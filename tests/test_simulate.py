@@ -12,13 +12,15 @@ import cltlab.simulate as simulate
 from cltlab.blocks import BlockParity, default_params
 from cltlab.engine import DESK_N_CAP, ExactMoments, Segment
 from cltlab.errors import ParamsError, WorkBudgetError
+from cltlab.laws import exact_law
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
                              _distinct_offsets, _draw_flat, _draw_normal,
-                             _draw_pool, _lane_stream, _stream,
-                             build_profile, derive_seed, dichotomy_samples,
-                             sample_batch)
+                             _draw_poisson, _draw_pool, _lane_stream,
+                             _stream, build_profile, derive_seed,
+                             dichotomy_samples, sample_batch)
+from cltlab.weights import WeightMode
 
 
 def desk_params():
@@ -317,6 +319,27 @@ def test_astronomic_horizon_sampling():
     assert batch.horizon_log2 == 37_605_530
     with pytest.raises(ParamsError):
         site_sample_batch(params, N, 10, 5)
+
+
+def test_flat_copy_beyond_the_cap_counts_its_hits():
+    # theorem3's spike block ends at 2^3264 and expects one hit there:
+    # its flat copy draws a signed Poisson count on exact_law's lattice
+    params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
+    h = params.blocks[0].horizon_log2
+    for shift in (0, 3, -7):
+        N = 1 << (h + shift)
+        plan = _build_plan(
+            build_profile(params, N, SampleKind.APPROX_IID_SUM), True)
+        assert [op.func for op in plan] == [_draw_poisson, _draw_normal]
+        step = exact_law(params, N).atoms[0].lattice_scale
+        assert plan[0].keywords == {"lam": 2.0 ** shift, "coef": step}
+    # theorem1's spike block expects 2^37605519 hits at 2^37605530 and
+    # keeps its normal
+    params = default_params(kmax=40_000_000, rho=4.0)
+    N = params.blocks[1].horizon
+    plan = _build_plan(build_profile(params, N, SampleKind.APPROX_IID_SUM),
+                       True)
+    assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
 
 
 def test_dichotomy_samples_stability():
