@@ -35,10 +35,9 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         ("laws", "DichotomyReport", "DichotomyRow", "DichotomyVerdict",
-         "EmpiricalLaw", "ExactFiniteLaw", "LawVariant", "NormalLaw",
-         "SymPoissonLaw", "dichotomy_report", "empirical_law", "exact_law",
-         "format_ks_csv", "ks_distance", "ks_pass_bound", "sym_poisson",
-         "tv_distance"), "laws"),
+         "EmpiricalLaw", "ExactFiniteLaw", "NormalLaw", "SymPoissonLaw",
+         "dichotomy_report", "empirical_law", "exact_law", "format_ks_csv",
+         "ks_distance", "ks_pass_bound", "tv_distance"), "laws"),
     **dict.fromkeys(
         ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
          "sample_batch"), "simulate"),

@@ -195,12 +195,6 @@ class SequenceParams:
     def kmax(self) -> int:
         return self.weights.kmax
 
-    def block_of_scale(self, k: int) -> BlockSpec:
-        for b in self.blocks:
-            if b.k_lo <= k <= b.k_hi:
-                return b
-        raise KeyError(k)
-
     def complete_blocks(self) -> tuple[BlockSpec, ...]:
         return tuple(b for b in self.blocks if b.complete)
 

@@ -192,7 +192,6 @@ class ScaleSums:
             c = num << (top - k - den.bit_length() + 1)
             rise.append(rise[-1] + c)
             flat.append(flat[-1] + (c << k))
-        # one assignment, so a concurrent reader sees old or new sums
         self.sums = (top, rise, flat)
         return self.sums
 
@@ -671,9 +670,9 @@ def dyadic_grid(lo_exp: int, hi_exp: int) -> list[int]:
 class ExactMoments:
     """Memoizing front end for the closed-form quantities.
 
-    Results are cached per horizon (series tails per (p, q)); cache
-    fills are idempotent, so concurrent readers may race on them
-    harmlessly.
+    Results are cached per horizon (series tails per (p, q)).  The cache
+    is not locked: no two threads read one instance, since the worker
+    threads of ``sample_batch`` only run plan ops built beforehand.
     """
 
     def __init__(self, params: SequenceParams):
@@ -712,9 +711,6 @@ class ExactMoments:
         return self._memo(("b2", _log2_floor(N)), lambda: math.fsum(
             self.block_mass(b, N) ** 2 for b in self.params.blocks))
 
-    def normalizer(self, N: int) -> float:
-        return math.sqrt(self.normalizer_sq(N))
-
     # -- second moments ----------------------------------------------------
 
     def cond_norm_sq(self, N: int) -> float:
@@ -727,11 +723,6 @@ class ExactMoments:
         if l < 1 or l > N - 1:
             return 0.0
         return math.fsum(p.value(l) ** 2 for p in self.profiles(N))
-
-    def proj_total_sq(self, N: int) -> float:
-        """Sum of all projection norms, by closed form."""
-        return self._memo(("projtot", N), lambda: math.fsum(
-            p.sum_pow(2, lo=1, hi=N - 1) for p in self.profiles(N)))
 
     def sigma_sq(self, N: int) -> float:
         """Var of the horizon-N partial sum (profile route)."""

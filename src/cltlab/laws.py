@@ -1,32 +1,33 @@
 """Reference laws for the horizon sums and distances between them.
 
 Every law here has one shape: a Gaussian component convolved with a
-weighted lattice table.  A variant only realizes its table (Gaussian
+weighted lattice table.  A law class only realizes its table (Gaussian
 variance, sorted support, weights, total weight), lazily; ``LawModel``
 alone evaluates cdf, left-limit cdf, mean and variance from it.
-NORMAL is one atom at its mean plus its variance; SYM_POISSON (difference
-of two independent Poisson variables) and EMPIRICAL (a sorted sample
-batch, one unit weight per draw) are pure lattice tables; EXACT_FINITE
-(the law of the flat-coefficient stand-in sum) is an independent
-Gaussian component plus the joint table of one signed-count lattice
-component per three-valued block.
+``NormalLaw`` is one atom at its mean plus its variance;
+``SymPoissonLaw`` (difference of two independent Poisson variables) and
+``EmpiricalLaw`` (a sorted sample batch, one unit weight per draw) are
+pure lattice tables; ``ExactFiniteLaw`` (the law of the flat-coefficient
+stand-in sum) is an independent Gaussian component plus the joint table
+of one signed-count lattice component per three-valued block.
 
-EXACT_FINITE components are realized with certified error accounting.  A
-lattice component whose expected hit count exceeds the sampler's
-gaussianization threshold is folded into the Gaussian part; the induced
-sup-CDF error is bounded by 0.56/sqrt(expected hits) and tracked in
-``cdf_error_bound``, so the oracle makes exactly the same approximation as
-the sampler and the two stay comparable.  Components with astronomically
-many trials but a modest expected count swap the binomial count for a
-Poisson count (total-variation cost at most the per-trial hit
-probability).  Everything else is tabulated exactly, from one inverse
-FFT of the signed count's characteristic function, with every mass the
-table misses counted; a component whose table would not fit the joint
-support budget (about 2^34 expected hits) raises TruncationError rather
-than degrade silently.
+``ExactFiniteLaw`` components are realized with certified error
+accounting.  A lattice component whose expected hit count exceeds the
+sampler's gaussianization threshold is folded into the Gaussian part;
+the induced sup-CDF error is bounded by 0.56/sqrt(expected hits) and
+tracked in ``cdf_error_bound``, so the oracle makes exactly the same
+approximation as the sampler and the two stay comparable.  Components
+with astronomically many trials but a modest expected count swap the
+binomial count for a Poisson count (total-variation cost at most the
+per-trial hit probability).  Everything else is tabulated exactly, from
+one inverse FFT of the signed count's characteristic function, with
+every mass the table misses counted; a component whose table would not
+fit the joint support budget (about 2^34 expected hits) raises
+TruncationError rather than degrade silently.
 
-Laws are immutable after construction; realization caches are filled
-idempotently, so concurrent readers can race on them harmlessly.
+Laws are immutable after construction; each realizes its table on
+first use and caches it, unlocked, since no law is shared across
+threads.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 from .blocks import BlockParity, SequenceParams
 from .engine import DESK_N_CAP, ExactMoments, horizon_exponent
 from .errors import ParamsError, TruncationError
-from .simulate import (GAUSSIANIZE_HITS, SampleKind, derive_seed,
-                       dichotomy_samples, sample_batch)
+from .simulate import (GAUSSIANIZE_LOG2, NEGLIGIBLE_LOG2, SampleKind,
+                       derive_seed, dichotomy_samples, sample_batch)
 
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
 GRID_POINTS = 2048           # continuous grid size per law in distances
@@ -51,7 +52,6 @@ SUPPORT_BUDGET = 1 << 26     # single-law support budget
 KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
 KS_SNAP = 1e-9               # evaluation nudge around candidate points
 
-_LOG2_GAUSSIANIZE = math.log2(GAUSSIANIZE_HITS)
 _EVAL_CHUNK = 1 << 16        # Gaussian-mixture cdf elements per step
 
 
@@ -165,18 +165,11 @@ def _sym_poisson_half(n_hi: int, lam: float) -> np.ndarray:
     return np.concatenate(([1.0], rel[:n_hi])) / (1.0 + 2.0 * rel.sum())
 
 
-class LawVariant(Enum):
-    NORMAL = "normal"
-    SYM_POISSON = "sym_poisson"
-    EXACT_FINITE = "exact_finite"
-    EMPIRICAL = "empirical"
-
-
 # ---------------------------------------------------------------------------
 # Base interface
 
 class LawModel:
-    """The one evaluator, over a variant's Gaussian-plus-lattice table.
+    """The one evaluator, over a law's Gaussian-plus-lattice table.
 
     ``_realize`` returns (gauss_var, support, weights, total): the
     support sorted, the weights aligned with it, or None for one unit
@@ -184,7 +177,6 @@ class LawModel:
     realized on first use.
     """
 
-    variant: LawVariant
     _plan: tuple | None = None
 
     def _realize(self) -> tuple:
@@ -257,7 +249,6 @@ class LawModel:
 class NormalLaw(LawModel):
     mu: float = 0.0
     var: float = 1.0
-    variant = LawVariant.NORMAL
 
     def __post_init__(self):
         if self.var < 0.0:
@@ -280,7 +271,6 @@ class SymPoissonLaw(LawModel):
     """
 
     lam: float
-    variant = LawVariant.SYM_POISSON
 
     def __post_init__(self):
         if self.lam < 0.0:
@@ -289,23 +279,19 @@ class SymPoissonLaw(LawModel):
     def _realize(self):
         if self.lam == 0.0:
             return 0.0, np.zeros(1), np.ones(1), 1.0
-        sd = math.sqrt(2.0 * self.lam)
-        n_max = int(12.0 * sd) + 30
-        for _ in range(6):
-            if n_max > SUPPORT_BUDGET:
-                raise TruncationError(
-                    "symmetrized-Poisson support exceeds the budget",
-                    target_mass=1.0 - ATOM_MASS_TOL)
-            half = _sym_poisson_half(n_max, self.lam)
-            mass = half[0] + 2.0 * half[1:].sum()
-            if mass >= 1.0 - ATOM_MASS_TOL:
-                break
-            n_max *= 2
-        else:
+        # 12 standard deviations plus 30: by Bernstein at most 2 e^-45 of
+        # the mass lies beyond n_max, so one pass reaches 1 - ATOM_MASS_TOL
+        n_max = int(12.0 * math.sqrt(2.0 * self.lam)) + 30
+        if n_max > SUPPORT_BUDGET:
+            raise TruncationError(
+                "symmetrized-Poisson support exceeds the budget",
+                target_mass=1.0 - ATOM_MASS_TOL)
+        half = _sym_poisson_half(n_max, self.lam)
+        mass = half[0] + 2.0 * half[1:].sum()
+        if mass < 1.0 - ATOM_MASS_TOL:
             raise TruncationError(
                 "symmetrized-Poisson truncation fell short",
-                achieved_mass=float(mass),
-                target_mass=1.0 - ATOM_MASS_TOL)
+                achieved_mass=float(mass), target_mass=1.0 - ATOM_MASS_TOL)
         probs = np.concatenate([half[:0:-1], half])
         return (0.0, np.arange(-n_max, n_max + 1, dtype=float), probs,
                 float(probs.sum()))
@@ -313,10 +299,6 @@ class SymPoissonLaw(LawModel):
     def pmf(self, n) -> np.ndarray:
         n = np.abs(np.atleast_1d(np.asarray(n, dtype=np.int64)))
         return _sym_poisson_half(int(n.max(initial=0)), self.lam)[n]
-
-
-def sym_poisson(lam: float) -> SymPoissonLaw:
-    return SymPoissonLaw(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +393,9 @@ def _atom_pmf(atom: LatticeAtom):
     # to relative precision, which a transform's noise floor cannot
     _, support, probs, mass = SymPoissonLaw(0.5 * lam)._table()
     tv = 2.0 ** atom.log2_hit if atom.log2_hit > -1074 else 0.0
-    return support, probs, tv, 1.0 - mass
+    # the table's mass misses 1 by |1 - mass|, up to the rounding of its
+    # sum: at most n u for n nonnegative terms summing to about 1
+    return support, probs, tv, abs(1.0 - mass) + probs.size * 2.0 ** -53
 
 
 @dataclass(eq=False)
@@ -424,8 +408,6 @@ class ExactFiniteLaw(LawModel):
 
     gauss_var: float
     atoms: tuple[LatticeAtom, ...] = ()
-    mass_tol: float = ATOM_MASS_TOL
-    variant = LawVariant.EXACT_FINITE
 
     def _realize(self):
         gv = self.gauss_var
@@ -435,12 +417,12 @@ class ExactFiniteLaw(LawModel):
         pr = np.ones(1)
         for atom in self.atoms:
             ll = atom.log2_mean_hits
-            if ll <= -50.0:
+            if ll <= NEGLIGIBLE_LOG2:
                 # P(any hit) <= expected hits; the component is a
                 # point mass at 0 up to that much total variation.
                 err += 2.0 ** max(ll, -1074.0)
                 continue
-            if ll >= _LOG2_GAUSSIANIZE:
+            if ll >= GAUSSIANIZE_LOG2:
                 gv += atom.var_share
                 err += 0.56 * 2.0 ** (-0.5 * ll)
                 continue
@@ -451,7 +433,7 @@ class ExactFiniteLaw(LawModel):
                 raise TruncationError(
                     "joint lattice support exceeds the budget",
                     achieved_mass=float(pr.sum()) - lost,
-                    target_mass=1.0 - self.mass_tol)
+                    target_mass=1.0 - ATOM_MASS_TOL)
             vals = np.add.outer(vals, atom.lattice_scale * support).ravel()
             pr = np.multiply.outer(pr, probs).ravel()
         order = np.argsort(vals, kind="stable")
@@ -464,7 +446,7 @@ class ExactFiniteLaw(LawModel):
         """Certified sup-CDF error of the realization (gaussianized and
         Poisson-swapped components plus trimmed mass)."""
         self._table()                   # realizing sets _error
-        return self._error + self.mass_tol
+        return self._error + ATOM_MASS_TOL
 
     def _parameters(self) -> dict:
         return {
@@ -528,7 +510,6 @@ class EmpiricalLaw(LawModel):
     unit weight each, so the cdf is a count over the sample size."""
 
     samples: np.ndarray
-    variant = LawVariant.EMPIRICAL
 
     def __post_init__(self):
         s = np.sort(np.asarray(self.samples, dtype=float))
@@ -648,7 +629,7 @@ def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:
         table = law.lattice_table()
         if table is None:
             raise ParamsError("total variation needs purely discrete laws",
-                              variant=law.variant.value)
+                              law=type(law).__name__)
         vals, pr = table
         for key, p in zip(np.round(vals / unit).astype(np.int64), pr):
             masses[int(key)] = masses.get(int(key), 0.0) + sign * float(p)

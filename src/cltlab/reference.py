@@ -28,6 +28,7 @@ m <= 0; the m-th projection keeps the single coordinate m.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -298,7 +299,8 @@ def dense_coefficients(profile: CoordinateProfile, l: int) -> np.ndarray:
     for seg in lay.segments:
         t = np.arange(seg.lo - seg.mid, seg.hi - seg.mid + 1, dtype=float)
         out[seg.lo - lo: seg.hi - lo + 1] = seg.v_mid + seg.slope * t
-    scale = (lay.spike_scale
+    h = lay.block.horizon_log2
+    scale = (math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2)
              if lay.block.parity is BlockParity.THREE_VALUED else 1.0)
     return scale * out
 

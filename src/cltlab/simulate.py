@@ -19,6 +19,9 @@ affine value and a fair sign, summed per sample by ``bincount``.  Light
 flat segments keep their signed count (hits, then Binomial(hits, 1/2)
 positive ones), O(1) per sample where a positional draw costs O(hits):
 at kmax 48, rho 2 and N = 2^31 one flat segment expects 2^30 hits.
+A flat segment past numpy's 2^63 - 1 binomial trials draws a Poisson
+count instead (the limit of its binomial count, within its hit
+probability, below 2^-62, in total variation).
 Gaussian blocks, and the spike segments expecting more than
 ``GAUSSIANIZE_HITS`` hits, give one scaled normal per layer with the
 exact variance; the Berry-Esseen error of that replacement is below
@@ -26,8 +29,8 @@ exact variance; the Berry-Esseen error of that replacement is below
 Horizons beyond the desk cap must be dyadic and are handled through
 normalized per-block variances, so values stay finite floats; only the
 flat copy of a spike block that expects a countable number of hits
-there draws them, as a Poisson count (the limit of its binomial count,
-within its hit probability in total variation) with fair signs.
+there draws them, as a Poisson count with fair signs, and one that
+expects at most 2^NEGLIGIBLE_LOG2 hits is 0, as in ``laws.exact_law``.
 Its independent oracle, literal per-coordinate draws at small scales,
 is ``reference.site_sample_batch``.
 
@@ -62,7 +65,10 @@ from .engine import (DESK_N_CAP, ExactMoments, Segment, block_var_over_n,
 from .errors import ParamsError
 
 CHUNK = 4096
-GAUSSIANIZE_HITS = float(1 << 40)
+GAUSSIANIZE_LOG2 = 40
+GAUSSIANIZE_HITS = float(1 << GAUSSIANIZE_LOG2)
+# a spike layer expecting at most 2^NEGLIGIBLE_LOG2 hits is taken as 0
+NEGLIGIBLE_LOG2 = -50
 
 _LANE_TAG = 0xA0761D6478BD642F
 
@@ -101,14 +107,6 @@ class BlockLayer:
     hit_prob: float            # 1/N_l for spikes, 0 for Gaussian sites
     var_over_n: float          # contribution variance divided by N
     segments: list | None      # None when only the variance is available
-
-    @property
-    def spike_scale(self) -> float:
-        h = self.block.horizon_log2
-        if h > 1023:
-            raise ParamsError("spike scale overflows at this block",
-                              block=self.block.index)
-        return math.sqrt(math.ldexp(1.0, h))
 
 
 class CoordinateProfile:
@@ -161,16 +159,6 @@ class SampleBatch:
     normalized: bool
     values: np.ndarray
 
-    @property
-    def horizon_log2(self) -> int:
-        return self.N.bit_length() - 1
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def variance(self) -> float:
-        return float(np.var(self.values, ddof=1))
-
 
 # ---------------------------------------------------------------------------
 # Aggregate sampler
@@ -191,27 +179,23 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
     if not normalized and N > DESK_N_CAP:
         raise ParamsError("raw values overflow beyond the desk cap; "
                           "request normalized output")
-    if not normalized:
-        inv_unit = 1.0
-    elif N <= DESK_N_CAP:
-        inv_unit = 1.0 / math.sqrt(b_sq * float(N))
-    else:
-        # Astronomic horizons are dyadic and reach this plan only through
-        # per-layer variances, so the (underflowing) unit is never used
-        # by an op; keep the exponent arithmetic in log2 space anyway.
-        e = N.bit_length() - 1
-        inv_unit = 2.0 ** (-0.5 * e) / math.sqrt(b_sq)
+    # beyond the cap no layer has segments, so only desk plans read it
+    inv_unit = (1.0 / math.sqrt(b_sq * float(N))
+                if normalized and N <= DESK_N_CAP else 1.0)
+    e = N.bit_length() - 1
     plan = []
     for lay in profile.layers:
         gaussian_block = lay.block.parity is BlockParity.GAUSSIAN
+        h = lay.block.horizon_log2
         if lay.segments is None or gaussian_block:
-            # a flat copy beyond the cap that expects a countable number
-            # of hits, 2^(e - h), draws them: the normal would be wrong
-            # in law, and exact_law pins the same count with the same step
-            e, h = N.bit_length() - 1, lay.block.horizon_log2
+            # a flat copy beyond the cap takes exact_law's regimes by its
+            # expected hits 2^(e - h): a point mass at 0, a counted number
+            # of hits with exact_law's step, or the normal
             if (not gaussian_block and lay.var_over_n > 0.0
                     and profile.kind is SampleKind.APPROX_IID_SUM
-                    and -50 < e - h <= 40):
+                    and e - h < GAUSSIANIZE_LOG2):
+                if e - h <= NEGLIGIBLE_LOG2:
+                    continue
                 mass = profile.moments.block_mass(lay.block, N)
                 plan.append(partial(
                     _draw_poisson, lam=2.0 ** (e - h),
@@ -226,12 +210,20 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
             # 1074): no feasible batch ever sees a spike from this block,
             # so it contributes exactly zero to every sample.
             continue
-        scale = lay.spike_scale * inv_unit
+        # sqrt(2^h), finite for every h with a nonzero hit probability
+        scale = (math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2)
+                 * inv_unit)
         heavy, sloped = [], []
         for seg in lay.segments:
             length = seg.hi - seg.lo + 1
             if length * lay.hit_prob > GAUSSIANIZE_HITS:
                 heavy.append(seg.sum_pow(2))
+            elif seg.slope == 0.0 and length >> 63:
+                # past numpy's 2^63 - 1 trials the hit probability is below
+                # 2^-62, and the Poisson count is within it in total variation
+                plan.append(partial(_draw_poisson,
+                                    lam=length * lay.hit_prob,
+                                    coef=scale * seg.v_mid))
             elif seg.slope == 0.0:
                 plan.append(partial(_draw_flat, length=length,
                                     hit_prob=lay.hit_prob,

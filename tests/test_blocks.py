@@ -71,10 +71,8 @@ def test_block_scale_helpers():
     assert b1.horizon_log2 == 11
     assert b1.horizon == 2048
     assert b1.hit_prob_log2 == -11
-    assert params.block_of_scale(5) is b1
-    assert params.block_of_scale(12) is params.blocks[1]
-    with pytest.raises(KeyError):
-        params.block_of_scale(21)
+    # the blocks partition the scales 1..kmax
+    assert [(b.k_lo, b.k_hi) for b in params.blocks] == [(1, 11), (12, 20)]
 
 
 def test_split_blocks_and_validation():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -331,6 +332,41 @@ def test_runs_are_byte_deterministic(tmp_path, capsys, monkeypatch):
         texts.append({p.name: p.read_bytes()
                       for p in sorted((d / "art").iterdir())})
     assert texts[0] == texts[1]
+
+
+# sha256 of every artifact of two fixed runs.  A change that moves a byte
+# on purpose updates these pins and names the change.
+PINNED_ARTIFACTS = {
+    ("custom", "--samples", "2000"): {
+        "conditions.csv": "88468da575775324bb99e51015cf292d"
+                          "11a489ef963b497bc48e1deb7317ccb2",
+        "config.json": "62703f8ab53aa16445c2ccb85d7e171a"
+                       "d88deffa227c0daaac2a71e50f663ded",
+        "dichotomy.csv": "0eccb30b232dfd3715e38265e4a77dd5"
+                         "57bc008b8a5b9978b5fddb4fbeab95c8",
+        "verdict.json": "90eda62a7261fea53cafd0d427a31eb8"
+                        "e1c436cf6b453ac85bc51f9288cb9202",
+    },
+    ("conditions", "--samples", "0"): {
+        "conditions.csv": "69aee486023b0d2da2cac5f10ad5afd1"
+                          "0a6398c848162ee4d1dbbd5bc42a98fe",
+        "config.json": "59acb842afe1dbfff642ae23aadffe2b"
+                       "707fc342f6158223e09f4a5de28eb46f",
+        "verdict.json": "ea9c69cc7c6ef14195668e0a482b5381"
+                        "ee3b891a7e4f41a2c18366bdf69e7e64",
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_ARTIFACTS))
+def test_preset_artifact_bytes_are_pinned(args, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--no-timestamp", "--out", "run"]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted((tmp_path / "run").iterdir())}
+    assert got == PINNED_ARTIFACTS[args]
 
 
 def test_one_stamp_per_run(tmp_path, capsys, monkeypatch):

@@ -292,7 +292,9 @@ def test_orthogonal_decomposition_random_desk():
         em = ExactMoments(params)
         N = int(rng.integers(2, 1 << 13))
         lhs = em.sigma_sq(N)
-        rhs = em.cond_norm_sq(N) + em.proj_total_sq(N)
+        proj_total = math.fsum(p.sum_pow(2, lo=1, hi=N - 1)
+                               for p in em.profiles(N))
+        rhs = em.cond_norm_sq(N) + proj_total
         assert abs(lhs - rhs) <= 1e-10 * lhs
 
 

@@ -12,9 +12,9 @@ from cltlab.blocks import BlockParity, SequenceParams, default_params, \
 from cltlab.engine import ExactMoments, horizon_exponent
 from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
-                         LatticeAtom, NormalLaw, dichotomy_report,
-                         empirical_law, exact_law, format_ks_csv,
-                         ks_distance, ks_pass_bound, sym_poisson,
+                         LatticeAtom, NormalLaw, SymPoissonLaw,
+                         dichotomy_report, empirical_law, exact_law,
+                         format_ks_csv, ks_distance, ks_pass_bound,
                          tv_distance)
 from cltlab.simulate import build_profile
 from cltlab.weights import WeightMode, build_weights
@@ -46,7 +46,7 @@ def single_odd_block(k):
 
 SHARED_CASES = {
     "point_normal": lambda: NormalLaw(0.25, 0.0),
-    "sym_poisson_zero": lambda: sym_poisson(0.0),
+    "sym_poisson_zero": lambda: SymPoissonLaw(0.0),
     "empirical_ties": lambda: empirical_law(
         [0.5, -1.0, 0.5, 2.0, 0.5, -1.0, 3.25]),
     # one expected hit of a 0.7-step lattice on top of a Gaussian part
@@ -85,7 +85,7 @@ def test_shared_evaluator_on_every_variant(case):
 
 def test_sym_poisson_pmf_against_skellam():
     for lam in (0.5, 2.0, 17.5):
-        sp = sym_poisson(lam)
+        sp = SymPoissonLaw(lam)
         n = np.arange(-40, 41)
         want = skellam(lam, lam).pmf(n)
         assert np.allclose(sp.pmf(n), want, rtol=1e-12, atol=1e-300)
@@ -93,7 +93,7 @@ def test_sym_poisson_pmf_against_skellam():
 
 def test_sym_poisson_pmf_by_double_sum():
     lam = 0.5
-    sp = sym_poisson(lam)
+    sp = SymPoissonLaw(lam)
     for n in range(4):
         want = sum(poisson(lam).pmf(j + n) * poisson(lam).pmf(j)
                    for j in range(80))
@@ -102,7 +102,7 @@ def test_sym_poisson_pmf_by_double_sum():
 
 
 def test_sym_poisson_moments_and_table():
-    sp = sym_poisson(0.5)
+    sp = SymPoissonLaw(0.5)
     assert sp.mean() == pytest.approx(0.0, abs=1e-12)
     assert sp.variance() == pytest.approx(1.0, rel=1e-10)
     _, var, excess = table_moments(sp.lattice_table())
@@ -114,14 +114,25 @@ def test_sym_poisson_moments_and_table():
     np.testing.assert_array_equal(probs, probs[::-1])
     assert probs.sum() == pytest.approx(1.0, abs=1e-11)
     assert np.all(np.diff(support) == 1.0)
-    zero = sym_poisson(0.0)
+    zero = SymPoissonLaw(0.0)
     assert zero.cdf([-0.5, 0.0, 0.5]).tolist() == [0.0, 1.0, 1.0]
     with pytest.raises(ParamsError):
-        sym_poisson(-1.0)
+        SymPoissonLaw(-1.0)
+
+
+def test_sym_poisson_table_takes_one_pass():
+    # the window n_max = [12 sd] + 30 leaves at most 2 e^-45 of the mass
+    # out (Bernstein), so one pass reaches the mass target at every rate
+    # a lattice atom can ask for
+    for e in range(-51, 31):
+        lam = 2.0 ** e
+        _, support, probs, total = SymPoissonLaw(lam)._table()
+        assert support[-1] == int(12.0 * math.sqrt(2.0 * lam)) + 30
+        assert total >= 1.0 - laws.ATOM_MASS_TOL
 
 
 def test_sym_poisson_vs_normal_frozen():
-    got = ks_distance(sym_poisson(0.5), NormalLaw(0.0, 1.0))
+    got = ks_distance(SymPoissonLaw(0.5), NormalLaw(0.0, 1.0))
     assert got == pytest.approx(0.2328798034, abs=1e-8)
 
 
@@ -157,7 +168,7 @@ def test_single_block_law_approaches_sym_poisson():
     got = {}
     for k, w in want.items():
         law = exact_law(single_odd_block(k), 1 << k)
-        got[k] = tv_distance(law, sym_poisson(0.5))
+        got[k] = tv_distance(law, SymPoissonLaw(0.5))
         assert got[k] == pytest.approx(w, rel=1e-6)
     vals = [got[k] for k in sorted(got)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -299,6 +310,17 @@ def test_signed_count_pmf_counts_what_it_loses():
     assert abs(law._table()[3] - 1.0) <= law.cdf_error_bound
 
 
+def test_poisson_atom_counts_its_rounding_as_lost():
+    # the table's float sum can round above 1; the mass it misses is
+    # still nonnegative, and bounded by |1 - sum| plus the sum's rounding
+    for e in (-44, 0, 11, 28):
+        atom = LatticeAtom(lattice_scale=1.0, trials=1 << 60,
+                           hit_prob=2.0 ** -60, log2_trials=60 + e,
+                           log2_hit=-60, var_share=1.0)
+        _, probs, _, lost = laws._atom_pmf(atom)
+        assert 0.0 <= abs(probs.sum() - 1.0) <= lost < 1e-10
+
+
 def test_exact_law_validation():
     params = default_params(kmax=20, rho=4.0)
     with pytest.raises(ParamsError):
@@ -308,7 +330,7 @@ def test_exact_law_validation():
 # -- distances -------------------------------------------------------------
 
 def test_ks_is_symmetric_and_zero_on_self():
-    a = sym_poisson(0.5)
+    a = SymPoissonLaw(0.5)
     b = NormalLaw(0.1, 1.1)
     assert ks_distance(a, b) == ks_distance(b, a)
     assert ks_distance(a, a) == 0.0
@@ -325,8 +347,8 @@ def test_ks_normal_shift_analytic():
 
 def test_tv_needs_lattices():
     with pytest.raises(ParamsError):
-        tv_distance(NormalLaw(0.0, 1.0), sym_poisson(1.0))
-    assert tv_distance(sym_poisson(0.5), sym_poisson(0.5)) == 0.0
+        tv_distance(NormalLaw(0.0, 1.0), SymPoissonLaw(1.0))
+    assert tv_distance(SymPoissonLaw(0.5), SymPoissonLaw(0.5)) == 0.0
 
 
 def test_ks_pass_bound():
@@ -401,10 +423,10 @@ def test_law_against_law_ks_is_unchanged():
         lattice_scale=0.25, trials=64, hit_prob=1 / 64, log2_trials=6.0,
         log2_hit=-6.0, var_share=0.0625),))
     normal = NormalLaw(0.0, 1.0)
-    assert ks_distance(sym_poisson(0.5), normal) == 0.23287980339787795
+    assert ks_distance(SymPoissonLaw(0.5), normal) == 0.23287980339787795
     assert ks_distance(NormalLaw(0.5, 1.0), normal) == 0.19741126574522527
     assert ks_distance(law, normal) == 0.23284222460176762
-    assert ks_distance(law, sym_poisson(0.5)) == 3.7578796110437906e-05
+    assert ks_distance(law, SymPoissonLaw(0.5)) == 3.7578796110437906e-05
     assert ks_distance(mixed, normal) == 0.06932980801005151
 
 

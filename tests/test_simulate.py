@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.stats import binom, chisquare, kstat, ks_2samp
 
 import cltlab.simulate as simulate
-from cltlab.blocks import BlockParity, default_params
+from cltlab.blocks import (BlockParity, SequenceParams, default_params,
+                           split_blocks)
 from cltlab.engine import DESK_N_CAP, ExactMoments, Segment
 from cltlab.errors import ParamsError, WorkBudgetError
-from cltlab.laws import exact_law
+from cltlab.laws import empirical_law, exact_law, ks_distance, ks_pass_bound
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
@@ -20,7 +21,7 @@ from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
                              _draw_poisson, _draw_pool, _lane_stream,
                              _stream, build_profile, derive_seed,
                              dichotomy_samples, sample_batch)
-from cltlab.weights import WeightMode
+from cltlab.weights import WeightMode, build_weights
 
 
 def desk_params():
@@ -228,14 +229,14 @@ def _variance_within_band(params, N, n, seed):
     sig2 = em.sigma_sq(N)
     k4 = em.fourth_cumulant(N)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
-    assert abs(batch.variance() - sig2) < band
+    assert abs(np.var(batch.values, ddof=1) - sig2) < band
     return batch, sig2
 
 
 def test_full_sum_variance_matches_engine():
     n = 40_000
     batch, sig2 = _variance_within_band(desk_params(), 1 << 8, n, 745)
-    assert abs(batch.mean()) < 4.0 * math.sqrt(sig2 / n)
+    assert abs(np.mean(batch.values)) < 4.0 * math.sqrt(sig2 / n)
 
 
 def test_plan_pools_each_layers_sloped_segments():
@@ -283,8 +284,8 @@ def test_normalized_iid_sum_has_unit_variance():
                          kind=SampleKind.APPROX_IID_SUM, normalized=True)
     # flat-copy sum: normalized variance is exactly 1, so only the
     # estimator noise is in play
-    assert abs(batch.variance() - 1.0) < 0.05
-    assert abs(batch.mean()) < 0.05
+    assert abs(np.var(batch.values, ddof=1) - 1.0) < 0.05
+    assert abs(np.mean(batch.values)) < 0.05
 
 
 def test_site_mode_agrees_with_aggregate_in_law():
@@ -298,7 +299,7 @@ def test_site_mode_agrees_with_aggregate_in_law():
     k4 = em.fourth_cumulant(N)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
     for batch in (agg, site):
-        assert abs(batch.variance() - sig2) < band
+        assert abs(np.var(batch.values, ddof=1) - sig2) < band
 
 
 def test_site_mode_budget_and_validation():
@@ -316,7 +317,7 @@ def test_astronomic_horizon_sampling():
     batch = sample_batch(params, N, 500, 5, normalized=True)
     assert batch.values.size == 500
     assert np.all(np.isfinite(batch.values))
-    assert batch.horizon_log2 == 37_605_530
+    assert batch.N == N
     with pytest.raises(ParamsError):
         site_sample_batch(params, N, 10, 5)
 
@@ -340,6 +341,52 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     plan = _build_plan(build_profile(params, N, SampleKind.APPROX_IID_SUM),
                        True)
     assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
+
+
+def test_flat_copy_beyond_the_cap_takes_the_oracles_regimes():
+    # spike block 3 ends at 2^2000; at N = 2^(2000 + ll) its flat copy
+    # expects 2^ll hits: none up to 2^-50, a count below 2^40, a normal
+    # from there, as exact_law has it
+    w = build_weights(WeightMode.CONST_ONE, 2000)
+    params = SequenceParams(w, split_blocks(w, [1, 100, 2000]))
+    want = {-51: [], -50: [], -49: [_draw_poisson], 39: [_draw_poisson],
+            40: [_draw_normal]}
+    for ll, tail in want.items():
+        plan = _build_plan(build_profile(params, 1 << (2000 + ll),
+                                         SampleKind.APPROX_IID_SUM), True)
+        assert [op.func for op in plan] == [_draw_normal] * 2 + tail
+    N, count = 1 << 1950, 100_000
+    batch = sample_batch(params, N, count, 1, SampleKind.APPROX_IID_SUM,
+                         normalized=True)
+    ks = ks_distance(empirical_law(batch.values), exact_law(params, N))
+    assert ks <= ks_pass_bound(count)
+
+
+def _op_variance(op):
+    """Variance of one spike op's draw: hits times coefficient squared."""
+    kw = op.keywords
+    if op.func is _draw_poisson:
+        return (kw["coef"] * math.sqrt(kw["lam"])) ** 2
+    unit = (kw["coef"] * math.sqrt(kw["hit_prob"])) ** 2
+    if op.func is _draw_flat:
+        return unit * kw["length"]
+    return unit * math.fsum(seg.sum_pow(2) for seg in kw["segs"])
+
+
+@pytest.mark.parametrize("kmax", [100, 1040, 1073])
+def test_desk_horizon_under_a_deep_spike_block(kmax):
+    # a spike block ending at 2^kmax seen at 2^20: its flat segments run
+    # past numpy's 2^63 trials, and its spike scale sqrt(2^kmax) past the
+    # square root of the largest double
+    w = build_weights(WeightMode.CONST_ONE, kmax)
+    params = SequenceParams(w, split_blocks(w, [kmax]))
+    em = ExactMoments(params)
+    N = 1 << 20
+    plan = _build_plan(build_profile(params, N, moments=em), False)
+    assert math.fsum(map(_op_variance, plan)) == pytest.approx(
+        em.sigma_sq(N), rel=1e-12)
+    batch = sample_batch(params, N, 1000, 1, moments=em)
+    assert np.all(np.isfinite(batch.values))
 
 
 def test_dichotomy_samples_stability():
