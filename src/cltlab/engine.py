@@ -23,9 +23,12 @@ Three independent routes to the variance exist:
 The condition (2') series tail || sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||
 has the same shape in the lag variable: each scale's term is linear,
 constant or -- on a window of q - p + 1 lags -- nonlinear.  ``SeriesTail``
-sums the affine pieces by the same Faulhaber forms, a whole window from
-four sums over [p, q], and only overlapping or clipped windows densely.
-``WORK_BUDGET`` caps each call's dense-evaluation bound.
+sums the affine pieces by the same Faulhaber forms.  The pieces that hold
+a window are lattice sums on the smooth extension of the window function,
+written with the Hurwitz zeta (``lattice``): short ones and their lags
+near r = 0 directly, the rest by Euler-Maclaurin with a Gauss-Legendre
+integral, so a tail costs O(scales) at any horizon.  ``WORK_BUDGET`` caps
+what each call touches.
 
 Scale conventions: n_k = 2^k exactly; "log" is the dyadic logarithm;
 [log N] of an integer is ``N.bit_length() - 1``.
@@ -48,6 +51,7 @@ import numpy as np
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
 from .errors import ParamsError, WorkBudgetError
+from .lattice import GL_ORDER, lattice_rule, lattice_sums, lattice_terms
 
 #: extra indices kept beyond the largest scale that can matter
 K_GUARD = 96
@@ -55,8 +59,8 @@ K_GUARD = 96
 #: largest horizon the integer-exact desk paths accept
 DESK_N_CAP = 1 << 52
 
-#: default budget for one series tail, in the array elements a dense
-#: evaluation would touch (``SeriesTail.work``)
+#: default budget for one series tail, in the pieces, quadrature nodes and
+#: directly summed lags its evaluation touches (``SeriesTail.work``)
 WORK_BUDGET = 1 << 23
 
 
@@ -446,53 +450,48 @@ class SeriesTail:
     n_{k-1} >= q, scale k owns three pieces, laid out as arrays over k:
     the constant run [n_{k-1}, n_k - q), its window [n_k - q, n_k - p]
     and its linear run (n_k - p, n_k); only the lags below the first
-    n_k >= q are cut one by one (``_head``).  Affine pieces take the
-    centred Faulhaber square, all in one array expression.  On a whole
-    window the other scales are constant, so it adds the cross and
-    square terms of g F from the sums of F and F^2 over [p, q], taken
-    once per evaluation.  Head pieces that hold a window are summed
-    densely, from one array of F over [p, q].
+    n_k >= q are cut one by one (the head), as arrays over the pieces.
+    Affine pieces take the centred Faulhaber square, all in one array
+    expression.  On a whole window the other scales are constant, so it
+    adds the cross and square terms of g F from the sums of F and F^2
+    over [p, q].
 
-    ``work`` is the dense-evaluation bound the ``WORK_BUDGET`` gate reads:
-    the window plus, per scale, the lags its window covers, clipped to
-    the block, counted in closed form on construction.
+    Those two sums and every head piece that holds a window are lattice
+    sums of (v + s t + sum_i g_i F(n_i - j))^2 on the smooth extension
+    of F (``lattice.tail_f``), evaluated through the Hurwitz zeta, as are
+    Zh = F(q) and Z3 = F(p) / p.  Short pieces and the lags that read F
+    below ``lattice.DIRECT`` are summed directly; the rest take
+    Euler-Maclaurin through the fifth derivative, its integral by
+    Gauss-Legendre on dyadic panels (``lattice.lattice_rule``).  Each
+    tail thus costs O(scales) at any horizon, all of it in one batch of
+    array expressions.
+
+    ``work``, which the ``WORK_BUDGET`` gate reads, counts what
+    ``norm_sq`` touches, laid out on construction: the pieces (three
+    per scale past the head), plus the quadrature nodes and direct lags
+    of every windowed head piece and of the shared window [p, q].
     """
 
     def __init__(self, params: SequenceParams, p: int, q: int):
+        if q > 2 * DESK_N_CAP:
+            # lags and scales must stay exact in a double and an int64
+            raise WorkBudgetError("series tail beyond the integer-exact cap",
+                                  estimated_ops=q, budget=2 * DESK_N_CAP)
         self.params, self.p, self.q = params, p, q
         # At lag j the scales above any k add at most 2 Zh / max(n_k, j+1)
         # (a_k / k <= 1, F <= Zh <= 2 sqrt(q)), so dropping those above
         # k_top moves a block's squared norm by less than
         # 2^(4 - K_GUARD) * (1 + M), M the block's kept mass.
-        self.k_top = q.bit_length() + K_GUARD
-        # a window covers q - p + 1 lags once n_k >= q, n_k - p + 1 below
+        k_top = q.bit_length() + K_GUARD
         k_q = (q - 1).bit_length()           # the least k with n_k >= q
-        self.work = q - p + 1
+        # The kept blocks' scales in one row, each block closed by a pad of
+        # weight 0 so that the sums over a block's scales above an index
+        # stop there; which scales are past their block's head or open a
+        # block; and the heads' lag pieces as int64 rows (lo, hi, lin, win,
+        # top), their scales indexed into that row.
+        ks, past, opens = [np.empty(0, dtype=np.int64)], [], []
+        heads = [np.empty((5, 0), dtype=np.int64)]
         for b in params.blocks:
-            k_hi = min(b.k_hi, self.k_top)
-            self.work += max(k_hi - max(b.k_lo, k_q) + 1, 0) * (q - p + 1)
-            self.work += sum(max(0, (1 << k) - p + 1)
-                             for k in range(b.k_lo, min(k_hi, k_q - 1) + 1))
-
-    def norm_sq(self) -> float:
-        p, q, k_top = self.p, self.q, self.k_top
-        r = np.arange(p, q + 1, dtype=float)
-        half = np.cumsum(r ** -0.5)                 # sum_{N'=p..r}
-        down = np.cumsum((r ** -1.5)[::-1])[::-1]   # sum_{N'=r..q}
-        z_half, z_three = float(half[-1]), float(down[0])
-        f = half
-        f[:-1] += r[:-1] * down[1:]
-        sum_f, sum_ff = float(f.sum()), float(np.square(f, out=r).sum())
-        # past the head, the power sums of a scale's window and of its
-        # linear run, and the offset n_k - mid of the latter, do not
-        # depend on k
-        _, *sums_w = _centred(-q, -p)
-        mid_l, *sums_l = _centred(1 - p, -1)
-        # column tuples, scalars broadcast: (v, slope, S0, S1, S2) per
-        # affine piece and (v, S0, S1, S2, g) per window
-        affine, windows = [np.empty((5, 0))], [np.empty((5, 0))]
-        parts = []
-        for b in self.params.blocks:
             if b.k_lo > k_top:
                 # Explicit zero: by the bound above the whole block adds
                 # less than 2^(5 + log2 q - k_lo).  For the astronomically
@@ -500,79 +499,122 @@ class SeriesTail:
                 # under 2^-1074, the smallest positive double, so 0.0 is
                 # the exact float value; nothing beyond k_top is formed.
                 continue
-            ks = np.arange(b.k_lo, min(b.k_hi, k_top) + 1)
-            gs = np.ldexp(self.params.weights.ratio(ks), -ks)
-            zg = z_three * gs
-            # above[i] = sum of gs[i:], added from the top down
-            above = np.append(np.cumsum(gs[::-1])[::-1], 0.0)
+            kb = np.arange(b.k_lo, min(b.k_hi, k_top) + 1)
             # the head: the scales below q and the first one at or above
-            h = int(np.count_nonzero(ks < (q - 1).bit_length()))
-            h = min(h + 1, ks.size) if h else 0
-            if h:
-                flat, dense = self._head(
-                    [1 << k for k in range(b.k_lo, b.k_lo + h)],
-                    gs.tolist(), zg.tolist(), above.tolist(), z_half, f)
-                affine.append(flat)
-                parts += dense
-            if h == ks.size:
-                continue
-            # scale k from h on: its window, its linear run, and the
+            h = min(max(k_q - b.k_lo, 0), kb.size)
+            h = min(h + 1, kb.size) if h else 0
+            cuts = self._cuts(np.left_shift(1, kb[:h]))
+            cuts[2:] += sum(k.size for k in ks)
+            heads.append(cuts)
+            ks.append(np.append(kb, kb[-1]))
+            past.append(np.append(np.arange(kb.size) >= h, False))
+            opens.append(np.arange(kb.size + 1) == 0)
+        self.ks = np.concatenate(ks)
+        self.pads = np.cumsum([k.size for k in ks])[1:] - 1
+        self.past = np.concatenate(past + [np.empty(0, dtype=bool)])
+        self.opens = np.concatenate(opens + [np.empty(0, dtype=bool)])
+        self.head = np.concatenate(heads, axis=1)
+        # the windowed pieces: the heads', then the window [p, q] at n = q,
+        # whose lattice sums all whole windows past the heads share
+        lo, hi, _, win, top = self.head[:, self.head[3] < self.head[4]]
+        n = np.left_shift(1, self.ks[win])
+        self.shared = bool(self.past.any())
+        if self.shared:
+            lo, hi, n = np.append(lo, 0), np.append(hi, q - p), np.append(n, q)
+        self.lattice = (lo, hi, n, *lattice_rule(lo, hi, n))
+        e, panels = self.lattice[3:]
+        self.work = int(self.head.shape[1] + 3 * self.past.sum()
+                        + self.shared + GL_ORDER * panels.sum()
+                        + (hi - e).sum())
+
+    def _cuts(self, ns) -> np.ndarray:
+        """The head's lag pieces below ``ns[-1]``, where windows overlap
+        or are clipped at lag 0, cut one by one: rows lo, hi, lin, win,
+        top.  On lags lo..hi the scales i < lin are past their support,
+        lin <= i < win are linear, win <= i < top are in their window and
+        i >= top are constant."""
+        p, q = self.p, self.q
+        if not ns.size:
+            return np.empty((5, 0), dtype=np.int64)
+        cuts = np.concatenate([[0], ns - q, ns - p + 1, ns])
+        cuts = np.sort(cuts[(cuts >= 0) & (cuts < ns[-1])])
+        lo = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+        return np.array([lo, np.append(lo[1:], ns[-1]) - 1,
+                         *(np.searchsorted(ns, lo + d, side="right")
+                           for d in (0, p - 1, q))])
+
+    def norm_sq(self) -> float:
+        p, q, ks = self.p, self.q, self.ks
+        gs = np.ldexp(self.params.weights.ratio(ks), -ks)
+        gs[self.pads] = 0.0
+        # above[i] = the sum of the g of i's block from i up, added from
+        # the top down
+        above = np.empty_like(gs)
+        for a, b in zip(np.append(0, self.pads[:-1] + 1), self.pads + 1):
+            above[a:b] = np.cumsum(gs[a:b][::-1])[::-1]
+        # the windows of each windowed piece, its scales win..top-1
+        _, _, _, win, top = self.head[:, self.head[3] < self.head[4]]
+        count = top - win
+        i = np.repeat(win - np.cumsum(count) + count, count) + \
+            np.arange(count.sum())
+        windows = [(count, gs[i], np.ldexp(1.0, ks[i]))]
+        if self.shared:
+            windows.append(([1], [1.0], [float(q)]))
+        terms, z_half, z_three = lattice_terms(
+            p, q, self.lattice, *_columns(windows))
+        flat, held = self._head(self.head, ks, gs, above, z_half, z_three)
+        if self.shared:
+            held = [np.append(c, 0.0) for c in held]
+        sums = lattice_sums(terms, *held)
+        parts = _affine_sq(*flat).tolist()
+        if self.shared:
+            # scale k past its head: its window, its linear run and the
             # constant run [n_{k-1}, n_k - q) (from 0 for a block's first
-            # scale), whose slope 0 leaves only the S0 term
-            v = z_half * above[h + 1:]
-            windows.append((v, *sums_w, gs[h:]))
+            # scale), whose slope 0 leaves only the S0 term.  Their power
+            # sums, and the offset n_k - mid of a linear run, do not
+            # depend on k.
+            (sum_f, sum_ff), sums = sums[:, -1], sums[:, :-1]
+            _, *sums_w = _centred(-q, -p)
+            mid_l, *sums_l = _centred(1 - p, -1)
+            i = np.flatnonzero(self.past)
+            g, zg = gs[i], z_three * gs[i]
+            v = z_half * above[i + 1]
+            parts += (_affine_sq(v, 0.0, *sums_w) + 2.0 * g * (v * sum_f)
+                      + g * g * sum_ff).tolist()
             if p > 1:
-                affine.append((v + zg[h:] * float(-mid_l), -zg[h:],
-                               *sums_l))
-            n = np.ldexp(1.0, ks[h:])
-            length = np.append(n[0] if h == 0 else n[0] / 2, n[:-1]) - q
-            const = z_half * above[h:-1]
+                parts += _affine_sq(v + zg * float(-mid_l), -zg,
+                                    *sums_l).tolist()
+            n = np.ldexp(1.0, ks[i])
+            length = np.where(self.opens[i], n, n / 2) - q
+            const = z_half * above[i]
             parts += (const * const * length)[length > 0].tolist()
-        parts += _affine_sq(*_columns(affine)).tolist()
-        v, s0, s1, s2, g = _columns(windows)
-        parts += (_affine_sq(v, 0.0, s0, s1, s2) + 2.0 * g * (v * sum_f)
-                  + g * g * sum_ff).tolist()
+        parts += sums[1].tolist()
         return math.fsum(parts)
 
-    def _head(self, ns, gs, zg, above, z_half, f) -> tuple:
-        """The lags below ``ns[-1]``, where windows overlap or are clipped
-        at lag 0, cut one by one: the column arrays of the affine pieces
-        and the squares of the dense ones."""
-        p, q, end = self.p, self.q, ns[-1]
-        cuts = sorted({0, *[c for n in ns for c in (n - q, n - p + 1, n)
-                            if 0 <= c < end]})
-        flat, dense = [], []
-        for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [end - 1]):
-            # On lags lo..hi the scales i < lin are past their support,
-            # lin <= i < win are linear, win <= i < top are in their
-            # window and i >= top are constant.
-            lin = bisect_right(ns, lo)
-            win = bisect_right(ns, lo + p - 1)
-            top = bisect_right(ns, lo + q)
-            mid, *power = _centred(lo, hi)
-            v = z_half * above[top]
-            slope = 0.0
-            for i in range(lin, win):
-                v += zg[i] * (ns[i] - mid)
-                slope -= zg[i]
-            if win == top:
-                flat.append((v, slope, *power))
-            else:
-                vals = v + slope * np.arange(lo - mid, hi - mid + 1,
-                                             dtype=float)
-                for i in range(win, top):
-                    # lags lo..hi read F at r = n_k - lo down to n_k - hi
-                    vals += gs[i] * f[ns[i] - hi - p:ns[i] - lo - p + 1][::-1]
-                # pairwise summation, not a BLAS dot: single-threaded and
-                # accurate to O(log n) roundings
-                dense.append(float(np.square(vals, out=vals).sum()))
-        return np.array(flat).reshape(-1, 5).T, dense
-
+    @staticmethod
+    def _head(head, ks, gs, above, z_half, z_three) -> tuple:
+        """The head pieces' columns: (v, slope, S0, S1, S2) of the affine
+        ones and (v, slope, mid) of those holding a window."""
+        lo, hi, lin, win, top = head
+        # the power sums of t = j - mid over each piece, as in _centred
+        mid = (lo + hi) // 2
+        b = (hi - mid).astype(float)
+        odd = (lo + hi) & 1
+        power = (hi - lo + 1.0, odd * b,
+                 b * (b + 1.0) * (2.0 * b + 1.0) / 3.0 - odd * b * b)
+        # the scales lin <= i < win are linear, g_i Z3 (n_i - j) at lag j
+        i = np.arange(ks.size)
+        gl = np.where((lin[:, None] <= i) & (i < win[:, None]), gs, 0.0)
+        v = z_half * above[top] + z_three * (
+            gl * (np.ldexp(1.0, ks) - mid[:, None])).sum(axis=1)
+        slope = -z_three * gl.sum(axis=1)
+        held = win < top
+        return ((v[~held], slope[~held], *(s[~held] for s in power)),
+                (v[held], slope[held], mid[held]))
 
 def _columns(rows) -> list:
-    """Concatenate column tuples whose entries are arrays or scalars."""
-    return [np.concatenate(col)
-            for col in zip(*(np.broadcast_arrays(*row) for row in rows))]
+    """Concatenate tuples of column arrays."""
+    return [np.concatenate(col) for col in zip(*rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -786,9 +828,9 @@ class ExactMoments:
     def series_tail_norm(self, p: int, q: int) -> float:
         """Norm of sum_{N'=p..q} (conditional part at N') / N'^{3/2}.
 
-        Evaluated exactly in segment form (``SeriesTail``) and memoized
-        per (p, q); a call whose work estimate exceeds the budget raises
-        ``WorkBudgetError`` before allocating anything.
+        Evaluated in segment form (``SeriesTail``) and memoized per
+        (p, q); a call whose work count exceeds the budget raises
+        ``WorkBudgetError`` before evaluating anything.
         """
         if not 1 <= p <= q:
             raise ValueError("need 1 <= p <= q")

@@ -300,6 +300,20 @@ def test_deep_tail_judged_on_own_params(tmp_path, capsys):
     assert all(math.isfinite(float(r["tail_2prime"])) for r in rows)
 
 
+def test_theorem3_deep_grid_writes_no_nan(tmp_path, capsys):
+    # every row through 2^40 has its series tail
+    out = tmp_path / "t3"
+    code, _ = run_main(["theorem3", "--grid", "dyadic:4:40", "--samples", "0",
+                        "--no-timestamp", "--out", str(out)], capsys)
+    assert code == 0
+    for path in out.iterdir():
+        assert "nan" not in path.read_text().lower()
+    lines = [line for line in (out / "conditions.csv").read_text()
+             .splitlines() if not line.startswith("#")]
+    tails = [float(r["tail_2prime"]) for r in csv.DictReader(lines)]
+    assert len(tails) == 37 and min(tails) > 0.0
+
+
 def test_condition_verdicts_read_the_table_columns(tmp_path, capsys):
     out = tmp_path / "cond"
     code, _ = run_main(["conditions", "--samples", "0",
@@ -338,22 +352,22 @@ def test_runs_are_byte_deterministic(tmp_path, capsys, monkeypatch):
 # on purpose updates these pins and names the change.
 PINNED_ARTIFACTS = {
     ("custom", "--samples", "2000"): {
-        "conditions.csv": "88468da575775324bb99e51015cf292d"
-                          "11a489ef963b497bc48e1deb7317ccb2",
+        "conditions.csv": "34af98e9ab5492ef3844f5b5e0048b8f"
+                          "c43e046f10530c779dedabc6c9491f42",
         "config.json": "62703f8ab53aa16445c2ccb85d7e171a"
                        "d88deffa227c0daaac2a71e50f663ded",
         "dichotomy.csv": "0eccb30b232dfd3715e38265e4a77dd5"
                          "57bc008b8a5b9978b5fddb4fbeab95c8",
-        "verdict.json": "90eda62a7261fea53cafd0d427a31eb8"
-                        "e1c436cf6b453ac85bc51f9288cb9202",
+        "verdict.json": "c1e2e48451a25f676e431ca9a336a2cd"
+                        "9a2dab9d929e7c162a274325818fa843",
     },
     ("conditions", "--samples", "0"): {
-        "conditions.csv": "69aee486023b0d2da2cac5f10ad5afd1"
-                          "0a6398c848162ee4d1dbbd5bc42a98fe",
+        "conditions.csv": "ec8b4c78187702a7954a79455a176e74"
+                          "f5f3113dbb41b242fd2a37abcd5f73e0",
         "config.json": "59acb842afe1dbfff642ae23aadffe2b"
                        "707fc342f6158223e09f4a5de28eb46f",
-        "verdict.json": "ea9c69cc7c6ef14195668e0a482b5381"
-                        "ee3b891a7e4f41a2c18366bdf69e7e64",
+        "verdict.json": "27f997c9b7282b5da4ca2c630f918fb5"
+                        "aa17291368f1472d198b05f3efb22254",
     },
 }
 

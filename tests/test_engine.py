@@ -4,6 +4,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
-from cltlab.engine import (WORK_BUDGET, BlockProfile, Condition,
-                           ExactMoments, Segment, SeriesTail, TrendKind,
-                           TrendRule, Verdict, dyadic_grid, format_csv,
-                           sigma_sq_over_n)
+from cltlab.engine import (DESK_N_CAP, WORK_BUDGET, BlockProfile, Condition,
+                           ExactMoments, SeriesTail, TrendKind, TrendRule,
+                           Verdict, dyadic_grid, format_csv, sigma_sq_over_n)
 from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from cltlab import lattice
+from cltlab.lattice import hurwitz_zeta, zeta_diff
 from cltlab.reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
                               dense_series_tail_norm, sigma_sq_enumerated)
 from cltlab.weights import WeightMode, build_weights
@@ -329,12 +331,12 @@ def test_astronomic_horizon_variance_is_finite():
         assert math.isfinite(v) and v > 0.0
     em = ExactMoments(params)
     assert math.isfinite(em.sigma_sq(1 << 12))
-    tail = em.series_tail_norm(4, 8)
-    assert math.isfinite(tail) and tail > 0.0
-    p = 1 << 17
-    assert SeriesTail(params, p, 2 * p).work > WORK_BUDGET
+    for p in (4, 1 << 17, 1 << 40, DESK_N_CAP):
+        tail = em.series_tail_norm(p, 2 * p)
+        assert math.isfinite(tail) and tail > 0.0
+    # lags past twice the desk cap would not be exact in a double
     with pytest.raises(WorkBudgetError):
-        em.series_tail_norm(p, 2 * p)
+        em.series_tail_norm(DESK_N_CAP, 4 * DESK_N_CAP)
 
 
 def test_enumerated_route_budget():
@@ -621,58 +623,105 @@ def scalar_tail_blocks(params, p, q):
     return out
 
 
+def long_double_f(p, q):
+    """F over p..q in long double, from sequential partial sums, and Z3;
+    in place, three arrays at a time."""
+    r = np.arange(p, q + 1, dtype=np.longdouble)
+    f = np.sqrt(r)
+    down = f * r
+    np.reciprocal(f, out=f)
+    np.reciprocal(down, out=down)
+    np.cumsum(f, out=f)
+    np.cumsum(down[::-1], out=down[::-1])
+    z_three = down[0]
+    down[1:] *= r[:-1]
+    f[:-1] += down[1:]
+    return f, z_three
+
+
 def scalar_tail_norm_sq(params, p, q):
-    """``SeriesTail.norm_sq`` as a loop over the pieces: a ``Segment``
-    per affine piece, a dense array per piece holding a window."""
-    r = np.arange(p, q + 1, dtype=float)
-    half = np.cumsum(r ** -0.5)
-    down = np.cumsum((r ** -1.5)[::-1])[::-1]
-    z_half, z_three = float(half[-1]), float(down[0])
-    f = half
-    f[:-1] += r[:-1] * down[1:]
+    """``SeriesTail.norm_sq`` as a loop over the pieces in long double: the
+    exact power sums of each affine piece, and a dense array per piece
+    holding a window."""
+    ld = np.longdouble
+    f, z_three = long_double_f(p, q)
+    z_half = f[-1]
     parts = []
-    for ns, gs, above, pieces in scalar_tail_blocks(params, p, q):
+    for ns, gs, _, pieces in scalar_tail_blocks(params, p, q):
+        gs = [ld(g) for g in gs]
         for lo, hi, lin, win, top in pieces:
             mid = (lo + hi) // 2
-            v = z_half * above[top]
-            slope = 0.0
+            v = z_half * sum(gs[top:], ld(0))
+            slope = ld(0)
             for i in range(lin, win):
-                v += z_three * gs[i] * (ns[i] - mid)
+                v += z_three * gs[i] * ld(ns[i] - mid)
                 slope -= z_three * gs[i]
             if win == top:
-                parts.append(Segment(lo, hi, v, slope, mid).sum_pow(2))
+                s0, s1, s2 = map(ld, engine._power_sums(lo - mid, hi - mid,
+                                                        2))
+                parts.append(v * v * s0 + 2 * v * slope * s1
+                             + slope * slope * s2)
                 continue
-            vals = v + slope * np.arange(lo - mid, hi - mid + 1, dtype=float)
+            vals = v + slope * np.arange(lo - mid, hi - mid + 1, dtype=ld)
             for i in range(win, top):
                 vals += gs[i] * f[ns[i] - hi - p:ns[i] - lo - p + 1][::-1]
-            parts.append(float(np.square(vals, out=vals).sum()))
-    return math.fsum(parts)
+            parts.append(np.sum(vals * vals))
+    return np.sum(np.array(parts, dtype=ld))
+
+
+def rule_points(lo, hi, n):
+    """Quadrature nodes plus direct lags of a windowed piece whose least
+    window scale is n: the lags that read F at r = n - j below _DIRECT,
+    and all of a piece whose other lags are no more, are direct; the rest
+    take _GL_ORDER nodes per panel over which r at most doubles."""
+    e = min(hi, n - lattice.DIRECT)
+    if e - lo + 1 <= lattice.DIRECT:
+        return hi - lo + 1
+    return hi - e + lattice.GL_ORDER * math.ceil(math.log2((n - lo)
+                                                           / (n - e)))
+
+
+def tail_work(params, p, q):
+    """``SeriesTail.work`` from the pieces cut one by one: each head piece
+    and three per scale past the head, plus the points of each windowed
+    head piece and, if a scale is past a head, of the window [p, q]."""
+    work, shared = 0, False
+    for ns, _, _, pieces in scalar_tail_blocks(params, p, q):
+        below = sum(n < q for n in ns)
+        h = min(below + 1, len(ns)) if below else 0
+        head = [piece for piece in pieces if h and piece[1] < ns[h - 1]]
+        work += len(head) + 3 * (len(ns) - h) + sum(
+            rule_points(lo, hi, ns[win])
+            for lo, hi, _, win, top in head if win < top)
+        shared |= h < len(ns)
+    return work + (1 + rule_points(0, q - p, q) if shared else 0)
 
 
 @pytest.mark.parametrize("name", ["conditions", "theorem1", "theorem2",
                                   "theorem3"])
 def test_tail_work_closed_form_is_the_piece_sum(name):
-    params, (lo, hi) = preset(name)
-    for e in range(lo, hi + 1):
+    params, _ = preset(name)
+    for e in range(4, 41):
         p = 1 << e
-        pieces = sum((last - first + 1) * (top - win)
-                     for _, _, _, rows in scalar_tail_blocks(params, p, 2 * p)
-                     for first, last, _, win, top in rows)
-        assert SeriesTail(params, p, 2 * p).work == p + 1 + pieces
+        assert SeriesTail(params, p, 2 * p).work == tail_work(params, p,
+                                                               2 * p)
+    for p, gap in ((1, 0), (3, 1), (5, 5000), (700, 3), (1 << 20, 1 << 30)):
+        assert SeriesTail(params, p, p + gap).work == tail_work(params, p,
+                                                                 p + gap)
 
 
 @pytest.mark.parametrize("name", ["theorem1", "theorem2", "theorem3"])
 def test_work_gate_keeps_the_preset_rows(name):
-    # the budget admits 2^4..2^16 on every preset grid and refuses each
-    # row from 2^17 on: theorem3's 4:40 grid keeps 13 rows, 24 are NaN
-    params, (lo, hi) = preset(name)
-    kept = [e for e in range(lo, max(hi, 17) + 1)
-            if SeriesTail(params, 1 << e, 2 << e).work <= WORK_BUDGET]
-    assert kept == list(range(4, 17))
+    # each row costs O(scales): the budget admits every dyadic row
+    # through 2^40 on every preset, 2^10 times over
+    params, _ = preset(name)
+    assert max(SeriesTail(params, 1 << e, 2 << e).work
+               for e in range(4, 41)) <= WORK_BUDGET >> 10
     if name == "theorem3":
-        rows = ExactMoments(params).table_rows(dyadic_grid(15, 18))
-        assert [math.isnan(row["tail_2prime"]) for row in rows] == [
-            False, False, True, True]
+        rows = ExactMoments(params).table_rows(dyadic_grid(4, 40))
+        tails = [row["tail_2prime"] for row in rows]
+        assert len(tails) == 37
+        assert all(math.isfinite(t) and t > 0.0 for t in tails)
 
 
 @pytest.mark.parametrize("name", ["theorem1", "theorem2", "theorem3"])
@@ -681,7 +730,8 @@ def test_tail_norm_equals_the_piece_loop(name):
     for e in range(4, 17):
         p = 1 << e
         got = SeriesTail(params, p, 2 * p).norm_sq()
-        assert repr(got) == repr(scalar_tail_norm_sq(params, p, 2 * p))
+        want = scalar_tail_norm_sq(params, p, 2 * p)
+        assert abs(got - want) <= 1e-14 * want
 
 
 @settings(max_examples=40, deadline=None)
@@ -692,14 +742,153 @@ def test_tail_norm_equals_the_piece_loop(name):
 @example("theorem3", 4, 0)        # p == q
 @example("tiny", 1, 0)            # p == q == 1, no linear runs
 @example("theorem2", 1000, 999)   # q = 2p - 1
+@example("theorem3", 300, 2700)   # multi-window pieces on panels
 def test_tail_norm_matches_the_piece_loop_off_the_grid(name, p, gap):
-    # the closed-form windows round differently from a dense sum of
-    # squares, so off the preset rows the two agree to a few ulps
     params = tiny_params(kmax=5, ends=(2, 5)) if name == "tiny" else \
         preset(name)[0]
     want = scalar_tail_norm_sq(params, p, p + gap)
     assert abs(SeriesTail(params, p, p + gap).norm_sq() - want) <= \
-        1e-15 * want
+        1e-14 * want
+
+
+# -- the Hurwitz zeta and the lattice sums against their oracles -----------
+
+ZETA_ARGS = sorted({1.0, 1.5, 2.0, 3.7, 15.5, 16.0, 16.25, 17.0, 63.5,
+                    100.75, 2.0 ** 20 + 1 / 3, 2.0 ** 52 + 1, 2.0 ** 53,
+                    *np.exp2(np.random.default_rng(7).uniform(0, 53, 40))})
+
+
+@pytest.mark.parametrize("s", [k + 0.5 for k in range(8)])
+def test_hurwitz_zeta_matches_mpmath(s):
+    got = hurwitz_zeta(s, ZETA_ARGS)
+    with mpmath.workdps(40):
+        want = [mpmath.zeta(s, a) for a in ZETA_ARGS]
+    assert max(abs(float(g / w - 1)) for g, w in zip(got, want)) <= 1e-15
+
+
+def test_zeta_diff_matches_mpmath():
+    # differences far below either value, at small and huge arguments
+    pairs = [(1, 2), (4, 5), (3, 1000), (15, 17), (16, 16), (64, 64.5),
+             (2 ** 40, 2 ** 40 + 1), (2 ** 40 + 0.5, 2 ** 41),
+             (2 ** 52, 2 ** 52 + 3), (1000.25, 1001.75)]
+    a, b = np.array(pairs).T
+    for s in (0.5, 1.5):
+        got = zeta_diff(s, a, b)
+        with mpmath.workdps(60):
+            want = [mpmath.zeta(s, x) - mpmath.zeta(s, y) for x, y in pairs]
+        for g, w in zip(got, want):
+            assert g == w == 0 or abs(float(g / w - 1)) <= 1e-15
+
+
+def window_sums(p, q):
+    """(sum F, sum F^2) over p..q, the lattice sums of the window [p, q]
+    that ``SeriesTail`` shares between whole windows."""
+    lo, hi, n = np.array([0]), np.array([q - p]), np.array([q])
+    terms, _, _ = lattice.lattice_terms(
+        p, q, (lo, hi, n, *lattice.lattice_rule(lo, hi, n)), np.array([1]),
+        np.array([1.0]), n.astype(float))
+    return lattice.lattice_sums(terms, *np.zeros((3, 1)))[:, 0]
+
+
+@pytest.mark.parametrize("p, q", [(1, 5000), (64, 128), (300, 100_000),
+                                  *[(1 << e, 2 << e)
+                                    for e in range(6, 23, 4)]])
+def test_window_sums_match_long_double_arrays(p, q):
+    f, _ = long_double_f(p, q)
+    want = np.sum(f), np.sum(f * f)
+    del f
+    for g, w in zip(window_sums(p, q), want):
+        assert abs(float(g / w - 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("e", [30, 40, 52])
+def test_window_sums_match_mpmath_sumem(e):
+    # mpmath's own Euler-Maclaurin on its extension of F, its integrals by
+    # mpmath's Gauss-Legendre; the two sums share their evaluations
+    p, q = 1 << e, 2 << e
+
+    @functools.lru_cache(maxsize=None)
+    def f_at(x, prec):
+        return mpmath.zeta(0.5, p) - mpmath.zeta(0.5, x + 1) + x * (
+            mpmath.zeta(1.5, x + 1) - mpmath.zeta(1.5, q + 1))
+
+    def f(x):
+        return f_at(x, mpmath.mp.prec)
+
+    def f2(x):
+        return f(x) ** 2
+
+    with mpmath.workdps(20):
+        want = [mpmath.sumem(g, [p, q], integral=mpmath.quad(
+            g, [p, q], method="gauss-legendre", maxdegree=4))
+            for g in (f, f2)]
+    for g, w in zip(window_sums(p, q), want):
+        assert abs(float(g / w - 1)) <= 1e-15
+
+
+def panels(lo, e, n, count):
+    """The Gauss-Legendre panels of lags lo..e, r = n - j doubling from
+    n - e on, as ``_lattice_rule`` counts them."""
+    edges = [e] + [n - ((n - e) << t) for t in range(1, count)] + [lo]
+    return list(zip(edges[1:], edges[:-1]))
+
+
+def test_em_remainder_is_below_1e16():
+    # |R| <= 2 zeta(6) / (2 pi)^6 * the integral of |phi^(6)| bounds the
+    # Euler-Maclaurin remainder after the fifth derivative; on every
+    # theorem3 row it stays below 1e-16 of each piece's own sum
+    bound = 2 * (math.pi ** 6 / 945) / (2 * math.pi) ** 6
+    x_gl, w_gl = lattice.gauss_legendre()
+    signs = (-1.0) ** np.arange(7)[:, None]
+
+    def f_derivs(x, p, q):
+        return np.vstack([lattice.tail_f(x, p, q), lattice.tail_df(x, q, 6)])
+
+    def sixth(u):
+        return sum(math.comb(6, m) * u[m] * u[6 - m] for m in range(7))
+
+    params, _ = preset("theorem3")
+    worst = 0.0
+    for e in range(4, 41):
+        p, q = 1 << e, 2 << e
+        tail = SeriesTail(params, p, q)
+        z_half, z_three = (float(zeta_diff(s, p, q + 1.0))
+                           for s in (0.5, 1.5))
+        gs = np.ldexp(params.weights.ratio(tail.ks), -tail.ks)
+        gs[tail.pads] = 0.0
+        ns = np.ldexp(1.0, tail.ks)
+        # (lags lo..e, least window scale, panel count, u and its
+        # derivatives in j at lags j) per Euler-Maclaurin piece, and
+        # whether it is the shared window, whose sum of F is used too
+        pieces = []
+        held = tail.head[:, tail.head[3] < tail.head[4]].T
+        for (lo, _, lin, win, top), *rule in zip(held, *tail.lattice[2:]):
+            def u(j, lin=lin, win=win, top=top):
+                out = np.zeros((7, j.size))
+                pad = tail.pads[np.searchsorted(tail.pads, top)]
+                out[0] += z_half * gs[top:pad].sum()
+                for i in range(lin, win):
+                    out[0] += z_three * gs[i] * (ns[i] - j)
+                    out[1] -= z_three * gs[i]
+                for i in range(win, top):
+                    out += gs[i] * signs * f_derivs(ns[i] - j, p, q)
+                return out
+            pieces.append((lo, *rule, u, False))
+        if tail.shared:
+            pieces.append((0, *(c[-1] for c in tail.lattice[2:]),
+                           lambda j: signs * f_derivs(q - j, p, q), True))
+        for lo, n, e_em, count, u, shared in pieces:
+            if not count:
+                continue
+            a, b = np.array(panels(lo, e_em, n, count), dtype=float).T
+            half = 0.5 * (b - a)
+            j = ((a + half)[:, None] + half[:, None] * x_gl).ravel()
+            w = (half[:, None] * w_gl).ravel()
+            d = u(j)
+            worst = max(worst, bound * w @ abs(sixth(d)) / (w @ d[0] ** 2))
+            if shared:
+                worst = max(worst, bound * w @ abs(d[6]) / (w @ d[0]))
+    assert 0.0 < worst <= 1e-16
 
 
 # -- the per-block prefix table --------------------------------------------

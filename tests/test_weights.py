@@ -489,32 +489,34 @@ def test_inv_log_tail_matches_exact_sums():
     import mpmath
     import sympy
 
-    mpmath.mp.prec = 128
-    ln2 = mpmath.log(2)
-    x = sympy.symbols("x", positive=True)
-    f = 1 / (x * sympy.log(x))
-    # Euler-Maclaurin remainder after the B4 term: every derivative of f
-    # alternates in sign, so it lies below the B6 term at a = 2^12
-    bound = (sympy.log(2) * sympy.Rational(1, 42) / 720
-             * abs(sympy.diff(f, x, 5).subs(x, CHUNK)))
-    assert bound < sympy.Rational(1, 2 ** 70)
-    # the boundary terms use the closed forms of f' and f'''
-    em = sympy.log(2) * (sympy.log(sympy.log(x)) + f / 2
-                         + sympy.diff(f, x) / 12 - sympy.diff(f, x, 3) / 720)
-    for k in (CHUNK, 10 ** 5, 1 << 22, MAX_ARRAY_KMAX):
-        want = mpmath.mpf(sympy.N(em.subs(x, k), 40))
-        n, d = _inv_log_em(k).as_integer_ratio()
-        assert abs(mpmath.mpf(n) / d - want) < 2.0 ** -62 * want, k
-    # and its rise from 2^12 matches the plain sum of ln2 / (j ln j), up
-    # to the extended-precision rounding of the two ends: a few 2^-63,
-    # far below the 2^-51 ulp of the prefix it feeds
-    acc = mpmath.mpf(0)
-    for j in range(CHUNK + 1, 12_001):
-        acc += ln2 / (j * mpmath.log(j))
-        if j in (CHUNK + 1, CHUNK + 2, 5000, 12_000):
-            tail = _inv_log_em(j) - _inv_log_em(CHUNK)
-            n, d = tail.as_integer_ratio()
-            assert abs(mpmath.mpf(n) / d - acc) < 2.0 ** -60, j
+    # a local precision, so later tests see mpmath's default
+    with mpmath.workprec(128):
+        ln2 = mpmath.log(2)
+        x = sympy.symbols("x", positive=True)
+        f = 1 / (x * sympy.log(x))
+        # Euler-Maclaurin remainder after the B4 term: every derivative of f
+        # alternates in sign, so it lies below the B6 term at a = 2^12
+        bound = (sympy.log(2) * sympy.Rational(1, 42) / 720
+                 * abs(sympy.diff(f, x, 5).subs(x, CHUNK)))
+        assert bound < sympy.Rational(1, 2 ** 70)
+        # the boundary terms use the closed forms of f' and f'''
+        em = sympy.log(2) * (sympy.log(sympy.log(x)) + f / 2
+                             + sympy.diff(f, x) / 12
+                             - sympy.diff(f, x, 3) / 720)
+        for k in (CHUNK, 10 ** 5, 1 << 22, MAX_ARRAY_KMAX):
+            want = mpmath.mpf(sympy.N(em.subs(x, k), 40))
+            n, d = _inv_log_em(k).as_integer_ratio()
+            assert abs(mpmath.mpf(n) / d - want) < 2.0 ** -62 * want, k
+        # and its rise from 2^12 matches the plain sum of ln2 / (j ln j), up
+        # to the extended-precision rounding of the two ends: a few 2^-63,
+        # far below the 2^-51 ulp of the prefix it feeds
+        acc = mpmath.mpf(0)
+        for j in range(CHUNK + 1, 12_001):
+            acc += ln2 / (j * mpmath.log(j))
+            if j in (CHUNK + 1, CHUNK + 2, 5000, 12_000):
+                tail = _inv_log_em(j) - _inv_log_em(CHUNK)
+                n, d = tail.as_integer_ratio()
+                assert abs(mpmath.mpf(n) / d - acc) < 2.0 ** -60, j
 
 
 def test_inv_log_default_params_at_2_22_pinned():
