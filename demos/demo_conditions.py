@@ -26,7 +26,7 @@ def main():
     print("flat weights, kmax=%d, rho=%g" % (args.kmax, args.rho))
     print("%8s %10s %10s %10s %10s %10s"
           % ("N", "b", "cond_norm", "sigma", "rate(log)", "flat_err"))
-    for row in em.table_rows(grid, with_tail=False):
+    for row in em.table_rows(grid):
         print("%8d %10.4f %10.4f %10.4f %10.4f %10.6f"
               % (row["N"], row["b"], row["cond_norm"], row["sigma"],
                  row["ratio_rate5"], row["lemma5_ratio"]))

@@ -76,9 +76,9 @@ class MassTarget:
 class BlockSpec:
     """One consecutive range of scale indices.
 
-    ``horizon_log2`` is the dyadic exponent of the block horizon, i.e. the
-    horizon equals 2^horizon_log2 == n_{k_hi}.  The integer itself can be
-    astronomically large, so it is materialized on demand.
+    The block horizon is n_{k_hi} = 2^horizon_log2.  Callers carry the
+    exponent alone: theorem1's second horizon, 2^37605530, would be a
+    4.7 MB integer.
     """
 
     index: int
@@ -97,15 +97,6 @@ class BlockSpec:
     @property
     def horizon_log2(self) -> int:
         return self.k_hi
-
-    @property
-    def horizon(self) -> int:
-        return 1 << self.k_hi
-
-    @property
-    def hit_prob_log2(self) -> int:
-        """log2 of the three-valued hit probability 1/horizon."""
-        return -self.k_hi
 
 
 def build_blocks(weights: WeightSchedule, mass_target: MassTarget):

@@ -68,16 +68,13 @@ def _log2_floor(N: int) -> int:
     return N.bit_length() - 1
 
 
-def horizon_exponent(N: int) -> int:
-    """[log N] of a horizon the samplers and laws accept: a positive
-    integer, and dyadic beyond the desk cap."""
-    if N < 1:
-        raise ParamsError("horizon must be positive", N=N)
-    e = _log2_floor(N)
-    if N > DESK_N_CAP and N != 1 << e:
-        raise ParamsError("beyond the desk cap only dyadic horizons are "
-                          "supported", log2=e)
-    return e
+def desk_horizon(log2_n: int) -> int | None:
+    """The horizon 2^log2_n as an integer up to the desk cap, and None
+    beyond it, where the samplers and laws carry only the exponent."""
+    if log2_n < 0:
+        raise ParamsError("horizon exponent must be nonnegative",
+                          log2_n=log2_n)
+    return 1 << log2_n if log2_n <= _log2_floor(DESK_N_CAP) else None
 
 
 def _pow2(j):
@@ -741,17 +738,16 @@ class ExactMoments:
 
     # -- masses ------------------------------------------------------------
 
-    def block_mass(self, block: BlockSpec, N: int) -> float:
-        """Mass of the block's scales not exceeding the horizon."""
-        return self.params.weights.mass(block.k_lo,
-                                        min(block.k_hi, _log2_floor(N)))
+    def block_mass(self, block: BlockSpec, log2_n: int) -> float:
+        """Mass of the block's scales not exceeding a horizon N, from
+        log2_n = [log N]."""
+        return self.params.weights.mass(block.k_lo, min(block.k_hi, log2_n))
 
-    def normalizer_sq(self, N: int) -> float:
-        """b^2: squared norm of the sum of sub-horizon scale terms."""
-        # it reads N only through [log N]: keying on that keeps the
-        # megabytes of an astronomic horizon's digits out of every hash
-        return self._memo(("b2", _log2_floor(N)), lambda: math.fsum(
-            self.block_mass(b, N) ** 2 for b in self.params.blocks))
+    def normalizer_sq(self, log2_n: int) -> float:
+        """b^2: squared norm of the sum of the scale terms not exceeding
+        a horizon N, from log2_n = [log N]."""
+        return self._memo(("b2", log2_n), lambda: math.fsum(
+            self.block_mass(b, log2_n) ** 2 for b in self.params.blocks))
 
     # -- second moments ----------------------------------------------------
 
@@ -783,16 +779,18 @@ class ExactMoments:
         of the sub-horizon scale sum (includes the coordinate-0 mismatch).
         """
         def compute():
-            out = self.normalizer_sq(N)
+            e = _log2_floor(N)
+            out = self.normalizer_sq(e)
             for b, p in zip(self.params.blocks, self.profiles(N)):
                 out += p.sum_pow(2, lo=1, hi=N - 1,
-                                 shift=self.block_mass(b, N))
+                                 shift=self.block_mass(b, e))
             return out
 
         return self._memo(("iiderr", N), compute)
 
     def iid_approx_ratio(self, N: int) -> float:
-        return self.iid_approx_error_sq(N) / (self.normalizer_sq(N) * N)
+        return self.iid_approx_error_sq(N) / (
+            self.normalizer_sq(_log2_floor(N)) * N)
 
     def fourth_cumulant(self, N: int) -> float:
         """kappa_4 of the horizon sum; spikes only (Gaussian blocks add 0).
@@ -817,7 +815,7 @@ class ExactMoments:
                         continue
                     raise ParamsError("fourth cumulant unresolved at this "
                                       "block", block=b.index, log2_N=e)
-                spike = math.inf if h > 1023 else float(b.horizon) - 3.0
+                spike = math.inf if h > 1023 else math.ldexp(1.0, h) - 3.0
                 out += spike * p.sum_pow(4)
             return out
 
@@ -907,11 +905,11 @@ class ExactMoments:
 
     # -- tabulation --------------------------------------------------------
 
-    def table_rows(self, grid, with_tail: bool = True) -> list[dict]:
+    def table_rows(self, grid) -> list[dict]:
         """Per-horizon summary used by the CSV emitter."""
         rows = []
         for n in grid:
-            b2 = self.normalizer_sq(n)
+            b2 = self.normalizer_sq(_log2_floor(n))
             row = {
                 "N": n,
                 "b": math.sqrt(b2),
@@ -922,11 +920,10 @@ class ExactMoments:
                 "lemma5_ratio": (self.iid_approx_ratio(n)
                                  if b2 > 0 else math.inf),
             }
-            if with_tail:
-                try:
-                    row["tail_2prime"] = self.series_tail_norm(n, 2 * n)
-                except WorkBudgetError:
-                    row["tail_2prime"] = math.nan
+            try:
+                row["tail_2prime"] = self.series_tail_norm(n, 2 * n)
+            except WorkBudgetError:
+                row["tail_2prime"] = math.nan
             rows.append(row)
         return rows
 
@@ -935,12 +932,12 @@ CSV_COLUMNS = ("N", "b", "cond_norm", "sigma", "ratio_bound9",
                "ratio_rate5", "lemma5_ratio", "tail_2prime")
 
 
-def format_csv(rows, columns=CSV_COLUMNS) -> str:
+def format_csv(rows) -> str:
     """Deterministic CSV body: 17 significant digits for reals."""
-    out = [",".join(columns)]
+    out = [",".join(CSV_COLUMNS)]
     for row in rows:
         cells = []
-        for col in columns:
+        for col in CSV_COLUMNS:
             v = row.get(col, math.nan)
             cells.append(str(v) if isinstance(v, int) else f"{v:.17g}")
         out.append(",".join(cells))

@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .blocks import BlockParity, SequenceParams
-from .engine import DESK_N_CAP, ExactMoments, horizon_exponent
+from .engine import ExactMoments, desk_horizon
 from .errors import ParamsError, TruncationError
 from .simulate import (GAUSSIANIZE_LOG2, NEGLIGIBLE_LOG2, SampleKind,
                        derive_seed, dichotomy_samples, sample_batch)
@@ -310,13 +310,14 @@ class LatticeAtom:
 
     ``trials`` sites each spike with probability ``hit_prob`` and carry a
     fair sign; each spike moves the sum by one ``lattice_scale`` step.
-    ``lattice_scale`` and ``hit_prob`` may underflow to 0.0 (or overflow
-    to inf) at extreme horizons; the log2 fields carry the exact sizes
-    and ``var_share`` the component's normalized variance.
+    ``trials`` is None beyond the desk cap, where only ``log2_trials``
+    is kept.  ``lattice_scale`` and ``hit_prob`` may underflow to 0.0
+    (or overflow to inf) at extreme horizons; the log2 fields carry the
+    exact sizes and ``var_share`` the component's normalized variance.
     """
 
     lattice_scale: float
-    trials: int
+    trials: int | None
     hit_prob: float
     log2_trials: float
     log2_hit: int
@@ -327,12 +328,14 @@ class LatticeAtom:
         return self.log2_trials + self.log2_hit
 
 
-def _window(trials: int, lam: float) -> tuple[int, int]:
+def _window(trials: int | None, lam: float) -> tuple[int, int]:
     """Half-width W and transform size M of a signed-count table: 12
-    standard deviations plus 40 steps, at most the trials, and M the
-    power of two above 2W + 1.  A table that does not fit the joint
-    support budget raises TruncationError."""
-    w = min(trials, int(12.0 * math.sqrt(lam) + 40.0))
+    standard deviations plus 40 steps, at most the trials if they are
+    known, and M the power of two above 2W + 1.  A table that does not
+    fit the joint support budget raises TruncationError."""
+    w = int(12.0 * math.sqrt(lam) + 40.0)
+    if trials is not None:
+        w = min(trials, w)
     size = 1 << (2 * w + 1).bit_length()
     if size > PRODUCT_BUDGET:
         raise TruncationError(
@@ -379,15 +382,16 @@ def _signed_count_pmf(trials: int, q: float):
 def _atom_pmf(atom: LatticeAtom):
     """(support, probs, tv_error, lost_mass) for the signed count.
 
-    Exact at desk trial counts; astronomically many trials with a modest
-    expected count use a Poisson count instead, certified by the Le Cam
-    style bound TV <= hit probability.  Both share one support cap.
+    Exact at desk trial counts; beyond the cap, where the trials are
+    not kept, a modest expected count uses a Poisson count instead,
+    certified by the Le Cam style bound TV <= hit probability, and a
+    window sized from that count alone.  Both share one support cap.
     """
-    if atom.trials <= DESK_N_CAP:
+    if atom.trials is not None:
         support, probs, lost = _signed_count_pmf(atom.trials, atom.hit_prob)
         return support, probs, 0.0, lost
     lam = 2.0 ** atom.log2_mean_hits
-    _window(atom.trials, lam)
+    _window(None, lam)
     # Poisson(lam) hits with fair signs: two independent Poisson(lam / 2)
     # counts of opposite sign; Miller's recurrence keeps its far tails
     # to relative precision, which a transform's noise floor cannot
@@ -463,40 +467,41 @@ class ExactFiniteLaw(LawModel):
         }
 
 
-def exact_law(params: SequenceParams, N: int,
+def exact_law(params: SequenceParams, log2_n: int,
               moments: ExactMoments | None = None) -> ExactFiniteLaw:
-    """Law of the normalized flat-coefficient stand-in sum at horizon N.
+    """Law of the normalized flat-coefficient stand-in sum at the horizon
+    N = 2^log2_n.
 
     Gaussian blocks pool into the Gaussian component; each three-valued
     block with sub-horizon mass contributes a lattice atom with
-    Binomial(N, hit probability) signed counts.
+    Binomial(N, hit probability) signed counts, whose trial count is
+    kept as an integer up to the desk cap only.
     """
-    horizon_exponent(N)
+    N = desk_horizon(log2_n)
     moments = moments or ExactMoments(params)
-    b2 = moments.normalizer_sq(N)
+    b2 = moments.normalizer_sq(log2_n)
     if b2 <= 0.0:
-        raise ParamsError("normalization needs sub-horizon scales", N=N)
+        raise ParamsError("normalization needs sub-horizon scales",
+                          log2_n=log2_n)
     b = math.sqrt(b2)
-    log2_n = math.log2(N)
     gv = 0.0
     atoms = []
     for blk in params.blocks:
-        mass = moments.block_mass(blk, N)
+        mass = moments.block_mass(blk, log2_n)
         if mass <= 0.0:
             continue
         share = mass * mass / b2
         if blk.parity is BlockParity.GAUSSIAN:
             gv += share
             continue
-        x = 0.5 * (blk.horizon_log2 - log2_n)
+        h = blk.horizon_log2
         try:
-            scale = (mass / b) * 2.0 ** x
+            scale = (mass / b) * 2.0 ** (0.5 * (h - log2_n))
         except OverflowError:
             scale = math.inf
-        hit = 2.0 ** blk.hit_prob_log2 if blk.hit_prob_log2 > -1074 else 0.0
         atoms.append(LatticeAtom(lattice_scale=scale, trials=N,
-                                 hit_prob=hit, log2_trials=log2_n,
-                                 log2_hit=blk.hit_prob_log2,
+                                 hit_prob=2.0 ** -h if h < 1074 else 0.0,
+                                 log2_trials=float(log2_n), log2_hit=-h,
                                  var_share=share))
     return ExactFiniteLaw(gauss_var=gv, atoms=tuple(atoms))
 
@@ -705,16 +710,16 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         return DichotomyReport([], margin, math.nan,
                                DichotomyVerdict.NO_DICHOTOMY, None,
                                ["no complete block horizons"])
-    horizons = [blk.horizon for blk in complete]
-    full = dichotomy_samples(params, horizons, count, seed, workers=workers)
+    full = dichotomy_samples(params, [blk.horizon_log2 for blk in complete],
+                             count, seed, workers=workers)
     normal = NormalLaw(0.0, 1.0)
     bound = ks_pass_bound(count)
     rows = []
     for blk in complete:
-        N = blk.horizon
-        law = exact_law(params, N, moments)
-        emp = empirical_law(full[N].values)
-        gate_batch = sample_batch(params, N, count,
+        e = blk.horizon_log2
+        law = exact_law(params, e, moments)
+        emp = empirical_law(full[e].values)
+        gate_batch = sample_batch(params, e, count,
                                   derive_seed(seed, _GATE_SALT + blk.index),
                                   SampleKind.APPROX_IID_SUM,
                                   normalized=True, workers=workers,
@@ -724,14 +729,14 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
             residual = 0.0
         else:
             prev = params.blocks[blk.index - 2]
-            residual = (moments.normalizer_sq(prev.horizon)
-                        / moments.normalizer_sq(N))
+            residual = (moments.normalizer_sq(prev.horizon_log2)
+                        / moments.normalizer_sq(e))
         note = ""
         if law.cdf_error_bound > 1e-6:
             note = "oracle error bound %.3g" % law.cdf_error_bound
         ks_gate = ks_distance(gate_emp, law)
         rows.append(DichotomyRow(
-            horizon_log2=blk.horizon_log2, block_index=blk.index,
+            horizon_log2=e, block_index=blk.index,
             parity=blk.parity, count=count,
             ks_vs_oracle=ks_distance(emp, law),
             ks_vs_normal=ks_distance(emp, normal),

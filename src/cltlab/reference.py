@@ -151,7 +151,7 @@ class RationalMoments:
         out = Fraction(0)
         for b in self.params.blocks:
             if b.parity is BlockParity.THREE_VALUED:
-                horizon = Fraction(b.horizon)
+                horizon = Fraction(1 << b.horizon_log2)
                 for v in self.coeff[b.index].values():
                     out += (horizon - 3) * v ** 4
         return out
@@ -315,10 +315,11 @@ def _open_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.minimum(rng.random(size) + 2.0 ** -54, 1.0 - 2.0 ** -53)
 
 
-def site_sample_batch(params: SequenceParams, N: int, count: int, seed: int,
-                      *, moments: ExactMoments | None = None) -> SampleBatch:
-    """`count` unnormalized values of the full horizon sum S_N from
-    literal site draws.
+def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
+                      seed: int, *,
+                      moments: ExactMoments | None = None) -> SampleBatch:
+    """`count` unnormalized values of the full horizon sum S_N,
+    N = 2^log2_n, from literal site draws.
 
     Sample i reads its own Philox stream, keyed by (seed, i), one site
     variable per coefficient: standard normal in Gaussian blocks, by
@@ -329,7 +330,7 @@ def site_sample_batch(params: SequenceParams, N: int, count: int, seed: int,
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
-    profile = build_profile(params, N, SampleKind.FULL_SN, moments)
+    profile = build_profile(params, log2_n, SampleKind.FULL_SN, moments)
     if any(lay.segments is None for lay in profile.layers):
         raise ParamsError("site mode needs full site resolution")
     coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
@@ -354,5 +355,5 @@ def site_sample_batch(params: SequenceParams, N: int, count: int, seed: int,
                              np.where(u >= 1.0 - eps_half, -1.0, 0.0))
                 total += float(np.dot(g, x))
         values[i] = total
-    return SampleBatch(seed=seed, N=N, count=count, kind=profile.kind,
-                       normalized=False, values=values)
+    return SampleBatch(seed=seed, log2_n=log2_n, count=count,
+                       kind=profile.kind, normalized=False, values=values)

@@ -26,7 +26,8 @@ Gaussian blocks, and the spike segments expecting more than
 ``GAUSSIANIZE_HITS`` hits, give one scaled normal per layer with the
 exact variance; the Berry-Esseen error of that replacement is below
 0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
-Horizons beyond the desk cap must be dyadic and are handled through
+Every horizon is dyadic and passed as its exponent log2_n; 2^log2_n is
+built only up to the desk cap.  Beyond it the sampler works from
 normalized per-block variances, so values stay finite floats; only the
 flat copy of a spike block that expects a countable number of hits
 there draws them, as a Poisson count with fair signs, and one that
@@ -60,8 +61,7 @@ from functools import partial
 import numpy as np
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
-from .engine import (DESK_N_CAP, ExactMoments, Segment, block_var_over_n,
-                     horizon_exponent)
+from .engine import ExactMoments, Segment, block_var_over_n, desk_horizon
 from .errors import ParamsError
 
 CHUNK = 4096
@@ -110,15 +110,15 @@ class BlockLayer:
 
 
 class CoordinateProfile:
-    """Per-(params, N, kind) coefficient layout used by the samplers."""
+    """Per-(params, horizon, kind) coefficient layout used by the
+    samplers, at the horizon N = 2^log2_n."""
 
-    def __init__(self, params: SequenceParams, N: int, kind: SampleKind,
+    def __init__(self, params: SequenceParams, log2_n: int, kind: SampleKind,
                  moments: ExactMoments | None = None):
         self.params = params
-        self.N = N
+        self.log2_n = log2_n
         self.kind = kind
-        e = horizon_exponent(N)
-        desk = N <= DESK_N_CAP
+        N = desk_horizon(log2_n)
         moments = moments or ExactMoments(params)
         self.moments = moments
         self.layers: list[BlockLayer] = []
@@ -126,25 +126,25 @@ class CoordinateProfile:
             hit = (math.ldexp(1.0, -b.horizon_log2)
                    if b.parity is BlockParity.THREE_VALUED else 0.0)
             if kind is SampleKind.APPROX_IID_SUM:
-                mass = moments.block_mass(b, N)
+                mass = moments.block_mass(b, log2_n)
                 segs = None
-                if desk:
+                if N is not None:
                     segs = [Segment(0, N - 1, mass, 0.0, (N - 1) // 2)]
                 self.layers.append(BlockLayer(b, hit, mass * mass, segs))
                 continue
-            if desk:
+            if N is not None:
                 prof = moments.profiles(N)[b.index - 1]
                 var = prof.sum_pow(2) / N
                 self.layers.append(BlockLayer(b, hit, var, prof.segments))
             else:
-                var = block_var_over_n(params, b, e)
+                var = block_var_over_n(params, b, log2_n)
                 self.layers.append(BlockLayer(b, hit, var, None))
 
 
-def build_profile(params: SequenceParams, N: int,
+def build_profile(params: SequenceParams, log2_n: int,
                   kind: SampleKind = SampleKind.FULL_SN,
                   moments: ExactMoments | None = None) -> CoordinateProfile:
-    return CoordinateProfile(params, N, kind, moments)
+    return CoordinateProfile(params, log2_n, kind, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def build_profile(params: SequenceParams, N: int,
 @dataclass
 class SampleBatch:
     seed: int
-    N: int
+    log2_n: int
     count: int
     kind: SampleKind
     normalized: bool
@@ -169,20 +169,20 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
     the op's own stream.
 
     An op's lane is its place in the plan, which depends only on
-    (params, N, kind), never on chunking or worker count.
+    (params, horizon, kind), never on chunking or worker count.
     """
-    N = profile.N
-    b_sq = profile.moments.normalizer_sq(N)
+    e = profile.log2_n
+    N = desk_horizon(e)
+    b_sq = profile.moments.normalizer_sq(e)
     if normalized and b_sq <= 0.0:
         raise ParamsError("normalization needs a horizon with at least "
-                          "one sub-horizon scale", N=N)
-    if not normalized and N > DESK_N_CAP:
+                          "one sub-horizon scale", log2_n=e)
+    if not normalized and N is None:
         raise ParamsError("raw values overflow beyond the desk cap; "
                           "request normalized output")
     # beyond the cap no layer has segments, so only desk plans read it
     inv_unit = (1.0 / math.sqrt(b_sq * float(N))
-                if normalized and N <= DESK_N_CAP else 1.0)
-    e = N.bit_length() - 1
+                if normalized and N is not None else 1.0)
     plan = []
     for lay in profile.layers:
         gaussian_block = lay.block.parity is BlockParity.GAUSSIAN
@@ -196,7 +196,7 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
                     and e - h < GAUSSIANIZE_LOG2):
                 if e - h <= NEGLIGIBLE_LOG2:
                     continue
-                mass = profile.moments.block_mass(lay.block, N)
+                mass = profile.moments.block_mass(lay.block, e)
                 plan.append(partial(
                     _draw_poisson, lam=2.0 ** (e - h),
                     coef=(mass / math.sqrt(b_sq)) * 2.0 ** (0.5 * (h - e))))
@@ -326,18 +326,20 @@ def _aggregate_chunk(plan, seed, chunk_idx, size):
     return out
 
 
-def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
+def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
                  kind: SampleKind = SampleKind.FULL_SN, *,
                  normalized: bool = False, workers: int = 1,
                  moments: ExactMoments | None = None) -> SampleBatch:
-    """Draw `count` values of the horizon sum (or its flat-copy stand-in).
+    """Draw `count` values of the sum (or its flat-copy stand-in) at the
+    horizon N = 2^log2_n.
 
     Identical arguments give byte-identical batches for any `workers`.
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
     kind = SampleKind(kind)
-    plan = _build_plan(build_profile(params, N, kind, moments), normalized)
+    plan = _build_plan(build_profile(params, log2_n, kind, moments),
+                       normalized)
     job = partial(_aggregate_chunk, plan, seed)
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
     # threads beyond the cores or the chunks only contend for them
@@ -348,26 +350,27 @@ def sample_batch(params: SequenceParams, N: int, count: int, seed: int,
     else:
         parts = list(map(job, range(len(sizes)), sizes))
     values = np.concatenate(parts)
-    return SampleBatch(seed=seed, N=N, count=count, kind=kind,
+    return SampleBatch(seed=seed, log2_n=log2_n, count=count, kind=kind,
                        normalized=normalized, values=values)
 
 
-def dichotomy_samples(params: SequenceParams, horizons, count: int,
+def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
                       seed: int, *, workers: int = 1) -> dict:
-    """Normalized full-sum batches at complete-block horizons.
+    """Normalized full-sum batches at complete-block horizons, given and
+    keyed by their exponents.
 
     Per-horizon seeds are derived from the shared seed and the block
     index, so adding horizons never perturbs existing batches.
     """
-    complete = {b.horizon: b for b in params.blocks if b.complete}
+    complete = {b.horizon_log2: b for b in params.blocks if b.complete}
     out = {}
-    for N in horizons:
-        blk = complete.get(N)
+    for e in horizons_log2:
+        blk = complete.get(e)
         if blk is None:
             raise ParamsError("horizon is not a complete block endpoint",
-                              horizon_log2=int(N).bit_length() - 1)
+                              horizon_log2=e)
         sub = derive_seed(seed, blk.index)
-        out[N] = sample_batch(params, N, count, sub, SampleKind.FULL_SN,
+        out[e] = sample_batch(params, e, count, sub, SampleKind.FULL_SN,
                               normalized=True, workers=workers)
     return out
 

@@ -197,7 +197,7 @@ def test_criterion_7_sample_variance_and_workers(capsys):
     identical = True
     for e in (8, 12):
         N = 1 << e
-        batches = [sample_batch(params, N, count, 745, workers=w,
+        batches = [sample_batch(params, e, count, 745, workers=w,
                                 moments=em) for w in (1, 2, 8)]
         identical = identical and all(
             np.array_equal(batches[0].values, b.values)
@@ -221,12 +221,12 @@ def test_criterion_8_flat_copy_law_gate(capsys):
     t0 = time.time()
     params = default_params(kmax=20, rho=4.0)
     em = ExactMoments(params)
-    N = params.blocks[0].horizon            # first three-valued horizon
+    e = params.blocks[0].horizon_log2       # first three-valued horizon
     count = 100_000
-    batch = sample_batch(params, N, count, 745,
+    batch = sample_batch(params, e, count, 745,
                          kind=SampleKind.APPROX_IID_SUM, normalized=True,
                          moments=em)
-    ks = ks_distance(empirical_law(batch.values), exact_law(params, N, em))
+    ks = ks_distance(empirical_law(batch.values), exact_law(params, e, em))
     bound = ks_pass_bound(count)
     dt = time.time() - t0
     ok = ks <= bound and dt < 120.0

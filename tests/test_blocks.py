@@ -69,8 +69,6 @@ def test_block_scale_helpers():
     params = default_params(kmax=20, rho=4.0)
     b1 = params.blocks[0]
     assert b1.horizon_log2 == 11
-    assert b1.horizon == 2048
-    assert b1.hit_prob_log2 == -11
     # the blocks partition the scales 1..kmax
     assert [(b.k_lo, b.k_hi) for b in params.blocks] == [(1, 11), (12, 20)]
 

@@ -158,9 +158,9 @@ def test_theorem3_iid_error_at_2_33_is_accurate():
     params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
     N = 1 << 33
     em = ExactMoments(params)
-    want = Fraction(em.normalizer_sq(N))
+    want = Fraction(em.normalizer_sq(33))
     for b in params.blocks:
-        shift = Fraction(em.block_mass(b, N))
+        shift = Fraction(em.block_mass(b, 33))
         for lo, hi, mid, v, slope in exact_segments(params, b, N):
             s0, s1, s2, _, _ = engine._power_sums(max(lo, 1) - mid,
                                                   min(hi, N - 1) - mid)
@@ -181,7 +181,7 @@ def test_engine_matches_rational_oracle():
             float(rm.cond_norm_sq()), rel=1e-12)
         assert em.sigma_sq(N) == pytest.approx(
             float(rm.sigma_sq()), rel=1e-12)
-        assert em.normalizer_sq(N) == pytest.approx(
+        assert em.normalizer_sq(N.bit_length() - 1) == pytest.approx(
             float(rm.b_sq()), rel=1e-12)
         assert em.fourth_cumulant(N) == pytest.approx(
             float(rm.fourth_cumulant()), rel=1e-12)
@@ -266,7 +266,8 @@ def test_fourth_cumulant_of_blocks_beyond_the_guard():
     first = em.params.blocks[0]
     for e in (4, 11, 20):
         N = 1 << e
-        own = (float(first.horizon) - 3.0) * em.profiles(N)[0].sum_pow(4)
+        own = ((float(1 << first.horizon_log2) - 3.0)
+               * em.profiles(N)[0].sum_pow(4))
         assert math.isfinite(own)
         assert em.fourth_cumulant(N) == own
     # block 3 (k_lo = 101, horizon 2^300) is beyond the guard at N = 16
@@ -317,10 +318,10 @@ def test_normalizer_is_sum_of_block_masses():
     params = desk_params()
     em = ExactMoments(params)
     for N in (1 << 3, 1 << 9, (1 << 12) + 5):
-        want = math.fsum(em.block_mass(b, N) ** 2 for b in params.blocks)
-        assert em.normalizer_sq(N) == pytest.approx(want, rel=1e-14)
         e = int(math.log2(N))
-        assert em.block_mass(params.blocks[0], N) == pytest.approx(
+        want = math.fsum(em.block_mass(b, e) ** 2 for b in params.blocks)
+        assert em.normalizer_sq(e) == pytest.approx(want, rel=1e-14)
+        assert em.block_mass(params.blocks[0], e) == pytest.approx(
             params.weights.mass(1, min(e, params.blocks[0].k_hi)), rel=1e-14)
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import binom, norm, poisson, skellam
 import cltlab.laws as laws
 from cltlab.blocks import BlockParity, SequenceParams, default_params, \
     split_blocks
-from cltlab.engine import ExactMoments, horizon_exponent
+from cltlab.engine import ExactMoments
 from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          LatticeAtom, NormalLaw, SymPoissonLaw,
@@ -167,7 +168,7 @@ def test_single_block_law_approaches_sym_poisson():
             10: 0.0001702682384, 12: 4.255379727e-05}
     got = {}
     for k, w in want.items():
-        law = exact_law(single_odd_block(k), 1 << k)
+        law = exact_law(single_odd_block(k), k)
         got[k] = tv_distance(law, SymPoissonLaw(0.5))
         assert got[k] == pytest.approx(w, rel=1e-6)
     vals = [got[k] for k in sorted(got)]
@@ -177,7 +178,7 @@ def test_single_block_law_approaches_sym_poisson():
 def test_exact_law_variance_and_kurtosis_desk():
     params = default_params(kmax=20, rho=4.0)
     em = ExactMoments(params)
-    law = exact_law(params, 1 << 11, em)
+    law = exact_law(params, 11, em)
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
     _, var, excess = table_moments(law.lattice_table())
     assert var == pytest.approx(1.0, rel=1e-12)
@@ -263,7 +264,7 @@ def test_count_pmfs_match_scipy_stats():
     # beyond the desk cap Poisson(lam) hits carry fair signs: the signed
     # count of two independent Poisson(lam / 2) counts
     for lam in [2.0 ** e for e in range(-44, 12)] + [0.3, 17.5]:
-        atom = LatticeAtom(lattice_scale=1.0, trials=1 << 60,
+        atom = LatticeAtom(lattice_scale=1.0, trials=None,
                            hit_prob=2.0 ** -60,
                            log2_trials=60 + math.log2(lam), log2_hit=-60,
                            var_share=1.0)
@@ -276,8 +277,7 @@ def test_count_pmfs_match_scipy_stats():
 
 def test_gauss_merge_certificate_astronomic():
     params = default_params(kmax=40_000_000, rho=4.0)
-    N = params.blocks[1].horizon
-    law = exact_law(params, N)
+    law = exact_law(params, params.blocks[1].horizon_log2)
     # the odd-block atom merges into the Gaussian with a tiny certified
     # Berry-Esseen charge; nothing else survives
     assert law.discontinuities().size == 0
@@ -290,11 +290,11 @@ def test_truncation_gap_raises():
     # and it is too light to merge; the failure surfaces on first use of
     # the law
     params = default_params(kmax=20, rho=4.0)
-    law = exact_law(params, 1 << 47)
+    law = exact_law(params, 47)
     with pytest.raises(TruncationError):
         law.cdf([0.0])
     # rate 2^23 is enumerated exactly, within its certified bound
-    law = exact_law(params, 1 << 34)
+    law = exact_law(params, 34)
     mass = law._table()[3]
     assert abs(mass - 1.0) <= law.cdf_error_bound < 1e-11
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
@@ -306,7 +306,7 @@ def test_signed_count_pmf_counts_what_it_loses():
     support, probs, lost = laws._signed_count_pmf(1 << 52, 2.0 ** -30)
     assert abs(probs.sum() - 1.0) <= lost <= laws.ATOM_MASS_TOL
     assert support.size > 1 << 15
-    law = exact_law(default_params(kmax=48, rho=4.0), 1 << 33)
+    law = exact_law(default_params(kmax=48, rho=4.0), 33)
     assert abs(law._table()[3] - 1.0) <= law.cdf_error_bound
 
 
@@ -314,7 +314,7 @@ def test_poisson_atom_counts_its_rounding_as_lost():
     # the table's float sum can round above 1; the mass it misses is
     # still nonnegative, and bounded by |1 - sum| plus the sum's rounding
     for e in (-44, 0, 11, 28):
-        atom = LatticeAtom(lattice_scale=1.0, trials=1 << 60,
+        atom = LatticeAtom(lattice_scale=1.0, trials=None,
                            hit_prob=2.0 ** -60, log2_trials=60 + e,
                            log2_hit=-60, var_share=1.0)
         _, probs, _, lost = laws._atom_pmf(atom)
@@ -323,6 +323,7 @@ def test_poisson_atom_counts_its_rounding_as_lost():
 
 def test_exact_law_validation():
     params = default_params(kmax=20, rho=4.0)
+    # the horizon 2^0 keeps no scale to normalize by
     with pytest.raises(ParamsError):
         exact_law(params, 0)
 
@@ -399,7 +400,7 @@ def test_one_pass_ks_against_normal_is_the_textbook_formula():
 
 
 def test_one_pass_ks_against_a_lattice_law_is_brute_force():
-    law = exact_law(single_odd_block(6), 1 << 6)
+    law = exact_law(single_odd_block(6), 6)
     support, probs = law.lattice_table()
     rng = np.random.default_rng(3)
     x = rng.choice(support, size=20_000, p=probs / probs.sum())
@@ -418,7 +419,7 @@ def test_one_pass_ks_against_a_lattice_law_is_brute_force():
 def test_law_against_law_ks_is_unchanged():
     # grid-path values, frozen bit for bit
     params = default_params(kmax=20, rho=4.0)
-    law = exact_law(params, 1 << 11, ExactMoments(params))
+    law = exact_law(params, 11, ExactMoments(params))
     mixed = ExactFiniteLaw(0.5, (LatticeAtom(
         lattice_scale=0.25, trials=64, hit_prob=1 / 64, log2_trials=6.0,
         log2_hit=-6.0, var_share=0.0625),))
@@ -467,20 +468,13 @@ def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
         assert whole[i] == law.cdf([x])[0]
 
 
-@pytest.mark.parametrize("N, message, details", [
-    (0, "horizon must be positive", {"N": 0}),
-    ((1 << 52) + 1, "beyond the desk cap only dyadic horizons are supported",
-     {"log2": 52}),
-])
-def test_sampler_and_oracle_share_horizon_checks(N, message, details):
+def test_sampler_and_oracle_share_horizon_checks():
     params = default_params(kmax=20, rho=4.0)
     for build in (build_profile, exact_law):
         with pytest.raises(ParamsError) as info:
-            build(params, N)
-        assert str(info.value) == message
-        assert info.value.details == details
-    assert horizon_exponent(17) == 4
-    assert horizon_exponent(1 << 900) == 900
+            build(params, -1)
+        assert str(info.value) == "horizon exponent must be nonnegative"
+        assert info.value.details == {"log2_n": -1}
 
 
 # -- dichotomy report ------------------------------------------------------
@@ -518,6 +512,20 @@ def test_dichotomy_astronomic_verdicts():
     # an unreachable margin far beyond noise is a clean rejection
     wide = dichotomy_report(params, 2_000, 745, workers=2, margin=0.9)
     assert wide.verdict is DichotomyVerdict.NO_DICHOTOMY
+
+
+def test_astronomic_report_builds_no_horizon_integer():
+    # 2^37605530 as an integer is 4.7 MB; the report carries exponents,
+    # so its own allocations peak far below one such integer
+    params = theorem1_params()
+    tracemalloc.start()
+    try:
+        rep = dichotomy_report(params, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
+    assert peak < 4 << 20
 
 
 def test_format_ks_csv_huge_horizon():

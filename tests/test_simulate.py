@@ -36,24 +36,24 @@ def test_derive_seed_is_stable_and_spread():
 
 def test_worker_count_never_changes_bytes():
     params = desk_params()
-    for N, count in ((1 << 8, 10_000), (1 << 12, 20_000)):
-        base = sample_batch(params, N, count, 745, workers=1)
+    for e, count in ((8, 10_000), (12, 20_000)):
+        base = sample_batch(params, e, count, 745, workers=1)
         for workers in (2, 8):
-            again = sample_batch(params, N, count, 745, workers=workers)
+            again = sample_batch(params, e, count, 745, workers=workers)
             assert np.array_equal(base.values, again.values)
     # count straddling a chunk boundary, still identical
-    odd = sample_batch(params, 1 << 8, 4097, 9, workers=3)
-    one = sample_batch(params, 1 << 8, 4097, 9, workers=1)
+    odd = sample_batch(params, 8, 4097, 9, workers=3)
+    one = sample_batch(params, 8, 4097, 9, workers=1)
     assert np.array_equal(odd.values, one.values)
     assert odd.count == odd.values.size == 4097
 
 
 def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
     params = desk_params()
-    N, count, chunk, seed = 1 << 12, 3000, 1, 5
+    e, count, chunk, seed = 12, 3000, 1, 5
     monkeypatch.setattr(simulate, "CHUNK", chunk)
     # some pooled op has chunks with hits and chunks without
-    plan = _build_plan(build_profile(params, N), False)
+    plan = _build_plan(build_profile(params, e), False)
     pools = [(lane, draw.keywords) for lane, draw in enumerate(plan)
              if draw.func is _draw_pool]
     # a pool's hit counts are the first draw of its lane's stream
@@ -63,9 +63,9 @@ def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
                   for ci in range(count // chunk)]
                  for lane, op in pools]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
-    base = sample_batch(params, N, count, seed)
+    base = sample_batch(params, e, count, seed)
     for workers in (2, 8):
-        again = sample_batch(params, N, count, seed, workers=workers)
+        again = sample_batch(params, e, count, seed, workers=workers)
         assert np.array_equal(base.values, again.values)
 
 
@@ -83,10 +83,10 @@ def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
     for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
                                (1, 100, []), (None, 100, [])):
         monkeypatch.setattr(simulate, "CHUNK", chunk)
-        base = sample_batch(params, 1 << 8, 1000, 745)
+        base = sample_batch(params, 8, 1000, 745)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
         opened.clear()
-        batch = sample_batch(params, 1 << 8, 1000, 745, workers=8)
+        batch = sample_batch(params, 8, 1000, 745, workers=8)
         assert opened == want
         assert np.array_equal(batch.values, base.values)
 
@@ -221,11 +221,12 @@ def test_distinct_offsets_are_uniform_subsets():
         assert chisquare(counts).pvalue > 1e-3
 
 
-def _variance_within_band(params, N, n, seed):
-    """The batch variance lies within four standard errors of sigma_sq;
-    returns the batch and sigma_sq."""
+def _variance_within_band(params, e, n, seed):
+    """The batch variance at the horizon N = 2^e lies within four
+    standard errors of sigma_sq; returns the batch and sigma_sq."""
     em = ExactMoments(params)
-    batch = sample_batch(params, N, n, seed, moments=em)
+    N = 1 << e
+    batch = sample_batch(params, e, n, seed, moments=em)
     sig2 = em.sigma_sq(N)
     k4 = em.fourth_cumulant(N)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
@@ -235,14 +236,14 @@ def _variance_within_band(params, N, n, seed):
 
 def test_full_sum_variance_matches_engine():
     n = 40_000
-    batch, sig2 = _variance_within_band(desk_params(), 1 << 8, n, 745)
+    batch, sig2 = _variance_within_band(desk_params(), 8, n, 745)
     assert abs(np.mean(batch.values)) < 4.0 * math.sqrt(sig2 / n)
 
 
 def test_plan_pools_each_layers_sloped_segments():
     # theorem1's parameters at its first complete-block horizon
     params = default_params(kmax=40_000_000, rho=4.0)
-    plan = _build_plan(build_profile(params, 1 << 11), True)
+    plan = _build_plan(build_profile(params, 11), True)
     kinds = [draw.func for draw in plan]
     assert len(plan) == 5
     assert kinds.count(_draw_flat) == 3
@@ -254,18 +255,16 @@ def test_heavy_flat_segment_keeps_its_signed_count():
     # block 1's central flat segment expects 2^30 hits per sample: a
     # positional draw would cost that much, the signed count O(1)
     params = default_params(kmax=48, rho=2.0)
-    N = 1 << 31
-    plan = _build_plan(build_profile(params, N), False)
+    plan = _build_plan(build_profile(params, 31), False)
     expect = [op.keywords["length"] * op.keywords["hit_prob"]
               for op in plan if op.func is _draw_flat]
     assert max(expect) == pytest.approx(2.0 ** 30, rel=1e-6)
-    _variance_within_band(params, N, 4_000, 745)
+    _variance_within_band(params, 31, 4_000, 745)
 
 
 def test_gaussianized_segments_join_their_layers_normal():
     params = default_params(kmax=48, rho=2.0)
-    N = 1 << 45
-    profile = build_profile(params, N)
+    profile = build_profile(params, 45)
     spikes = [lay for lay in profile.layers
               if lay.block.parity is BlockParity.THREE_VALUED]
     heavy = [lay for lay in spikes
@@ -275,12 +274,12 @@ def test_gaussianized_segments_join_their_layers_normal():
     plan = _build_plan(profile, False)
     normals = sum(draw.func is _draw_normal for draw in plan)
     assert normals == len(profile.layers) - len(spikes) + len(heavy)
-    _variance_within_band(params, N, 40_000, 745)
+    _variance_within_band(params, 45, 40_000, 745)
 
 
 def test_normalized_iid_sum_has_unit_variance():
     params = desk_params()
-    batch = sample_batch(params, 1 << 8, 40_000, 7,
+    batch = sample_batch(params, 8, 40_000, 7,
                          kind=SampleKind.APPROX_IID_SUM, normalized=True)
     # flat-copy sum: normalized variance is exactly 1, so only the
     # estimator noise is in play
@@ -292,8 +291,8 @@ def test_site_mode_agrees_with_aggregate_in_law():
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
     N, n = 1 << 6, 10_000
-    agg = sample_batch(params, N, n, 3, moments=em)
-    site = site_sample_batch(params, N, n, 3, moments=em)
+    agg = sample_batch(params, 6, n, 3, moments=em)
+    site = site_sample_batch(params, 6, n, 3, moments=em)
     assert not np.array_equal(agg.values, site.values)
     sig2 = em.sigma_sq(N)
     k4 = em.fourth_cumulant(N)
@@ -305,21 +304,21 @@ def test_site_mode_agrees_with_aggregate_in_law():
 def test_site_mode_budget_and_validation():
     params = desk_params()
     with pytest.raises(WorkBudgetError):
-        site_sample_batch(params, 1 << 8, 1 << 14, 1)
+        site_sample_batch(params, 8, 1 << 14, 1)
     with pytest.raises(ParamsError):
-        sample_batch(params, 1 << 8, 0, 1)
+        sample_batch(params, 8, 0, 1)
 
 
 def test_astronomic_horizon_sampling():
     params = default_params(kmax=40_000_000, rho=4.0)
-    N = params.blocks[1].horizon           # far beyond float range
-    assert N.bit_length() - 1 == 37_605_530
-    batch = sample_batch(params, N, 500, 5, normalized=True)
+    e = params.blocks[1].horizon_log2      # 2^e is far beyond float range
+    assert e == 37_605_530
+    batch = sample_batch(params, e, 500, 5, normalized=True)
     assert batch.values.size == 500
     assert np.all(np.isfinite(batch.values))
-    assert batch.N == N
+    assert batch.log2_n == e
     with pytest.raises(ParamsError):
-        site_sample_batch(params, N, 10, 5)
+        site_sample_batch(params, e, 10, 5)
 
 
 def test_flat_copy_beyond_the_cap_counts_its_hits():
@@ -328,18 +327,16 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
     h = params.blocks[0].horizon_log2
     for shift in (0, 3, -7):
-        N = 1 << (h + shift)
         plan = _build_plan(
-            build_profile(params, N, SampleKind.APPROX_IID_SUM), True)
+            build_profile(params, h + shift, SampleKind.APPROX_IID_SUM), True)
         assert [op.func for op in plan] == [_draw_poisson, _draw_normal]
-        step = exact_law(params, N).atoms[0].lattice_scale
+        step = exact_law(params, h + shift).atoms[0].lattice_scale
         assert plan[0].keywords == {"lam": 2.0 ** shift, "coef": step}
     # theorem1's spike block expects 2^37605519 hits at 2^37605530 and
     # keeps its normal
     params = default_params(kmax=40_000_000, rho=4.0)
-    N = params.blocks[1].horizon
-    plan = _build_plan(build_profile(params, N, SampleKind.APPROX_IID_SUM),
-                       True)
+    plan = _build_plan(build_profile(params, params.blocks[1].horizon_log2,
+                                     SampleKind.APPROX_IID_SUM), True)
     assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
 
 
@@ -352,13 +349,13 @@ def test_flat_copy_beyond_the_cap_takes_the_oracles_regimes():
     want = {-51: [], -50: [], -49: [_draw_poisson], 39: [_draw_poisson],
             40: [_draw_normal]}
     for ll, tail in want.items():
-        plan = _build_plan(build_profile(params, 1 << (2000 + ll),
+        plan = _build_plan(build_profile(params, 2000 + ll,
                                          SampleKind.APPROX_IID_SUM), True)
         assert [op.func for op in plan] == [_draw_normal] * 2 + tail
-    N, count = 1 << 1950, 100_000
-    batch = sample_batch(params, N, count, 1, SampleKind.APPROX_IID_SUM,
+    e, count = 1950, 100_000
+    batch = sample_batch(params, e, count, 1, SampleKind.APPROX_IID_SUM,
                          normalized=True)
-    ks = ks_distance(empirical_law(batch.values), exact_law(params, N))
+    ks = ks_distance(empirical_law(batch.values), exact_law(params, e))
     assert ks <= ks_pass_bound(count)
 
 
@@ -381,23 +378,22 @@ def test_desk_horizon_under_a_deep_spike_block(kmax):
     w = build_weights(WeightMode.CONST_ONE, kmax)
     params = SequenceParams(w, split_blocks(w, [kmax]))
     em = ExactMoments(params)
-    N = 1 << 20
-    plan = _build_plan(build_profile(params, N, moments=em), False)
+    plan = _build_plan(build_profile(params, 20, moments=em), False)
     assert math.fsum(map(_op_variance, plan)) == pytest.approx(
-        em.sigma_sq(N), rel=1e-12)
-    batch = sample_batch(params, N, 1000, 1, moments=em)
+        em.sigma_sq(1 << 20), rel=1e-12)
+    batch = sample_batch(params, 20, 1000, 1, moments=em)
     assert np.all(np.isfinite(batch.values))
 
 
 def test_dichotomy_samples_stability():
     params = default_params(kmax=20, rho=4.0)
-    odd = params.blocks[0].horizon
+    odd = params.blocks[0].horizon_log2
     assert params.blocks[0].complete
     one = dichotomy_samples(params, [odd], 2_000, 745)
     with_more = dichotomy_samples(params, [odd], 2_000, 745, workers=4)
     assert np.array_equal(one[odd].values, with_more[odd].values)
     with pytest.raises(ParamsError):
-        dichotomy_samples(params, [odd * 2], 100, 745)
+        dichotomy_samples(params, [odd + 1], 100, 745)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +433,11 @@ def _k4_statistic_sd(k, n):
 def test_full_sum_fourth_cumulant_matches_engine(e):
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
-    N, n = 1 << e, 100_000
-    k = _exact_cumulants(build_profile(params, N, moments=em))
-    want = em.fourth_cumulant(N)
+    n = 100_000
+    k = _exact_cumulants(build_profile(params, e, moments=em))
+    want = em.fourth_cumulant(1 << e)
     assert k[4] == pytest.approx(want, rel=1e-12)
-    batch = sample_batch(params, N, n, 745, moments=em)
+    batch = sample_batch(params, e, n, 745, moments=em)
     assert abs(kstat(batch.values, 4) - want) < 5.0 * _k4_statistic_sd(k, n)
 
 
@@ -449,13 +445,13 @@ def test_full_sum_fourth_cumulant_matches_engine(e):
 def test_aggregate_and_site_modes_agree_two_sample_ks(e):
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
-    N, n = 1 << e, 10_000
-    profile = build_profile(params, N, moments=em)
+    n = 10_000
+    profile = build_profile(params, e, moments=em)
     coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
                  for lay in profile.layers)
     assert n * coords <= SITE_DRAW_BUDGET
-    agg = sample_batch(params, N, n, 745, moments=em)
-    site = site_sample_batch(params, N, n, 745, moments=em)
+    agg = sample_batch(params, e, n, 745, moments=em)
+    site = site_sample_batch(params, e, n, 745, moments=em)
     # the samplers key their streams differently, so the samples are
     # independent; alpha = 1e-3 asymptotic two-sample critical value
     crit = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
