@@ -293,9 +293,8 @@ class BlockProfile:
         if i < j and hi is not None and segs[j - 1].hi > hi:
             edges.append(segs[j - 1].sum_pow(2, lo, hi, shift))
             j -= 1
-        v, s = self._v[i:j] - shift, self._slope[i:j]
-        whole = (v * v * self._s0[i:j] + 2.0 * v * s * self._s1[i:j]
-                 + s * s * self._s2[i:j])
+        whole = _affine_sq(self._v[i:j] - shift, self._slope[i:j],
+                           self._s0[i:j], self._s1[i:j], self._s2[i:j])
         return math.fsum(whole.tolist() + edges)
 
 

@@ -12,7 +12,7 @@ stand-in sum) is an independent Gaussian component plus the joint table
 of one signed-count lattice component per three-valued block.
 
 ``ExactFiniteLaw`` components are realized with certified error
-accounting.  A lattice component whose expected hit count exceeds the
+accounting.  A lattice component whose expected hit count reaches the
 sampler's gaussianization threshold is folded into the Gaussian part;
 the induced sup-CDF error is bounded by 0.56/sqrt(expected hits) and
 tracked in ``cdf_error_bound``, so the oracle makes exactly the same
@@ -41,8 +41,8 @@ import numpy as np
 from .blocks import BlockParity, SequenceParams
 from .engine import ExactMoments, desk_horizon
 from .errors import ParamsError, TruncationError
-from .simulate import (GAUSSIANIZE_LOG2, NEGLIGIBLE_LOG2, SampleKind,
-                       derive_seed, dichotomy_samples, sample_batch)
+from .simulate import (FlatRegime, SampleKind, derive_seed,
+                       dichotomy_samples, flat_regime, sample_batch)
 
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
 GRID_POINTS = 2048           # continuous grid size per law in distances
@@ -396,7 +396,7 @@ def _atom_pmf(atom: LatticeAtom):
     # counts of opposite sign; Miller's recurrence keeps its far tails
     # to relative precision, which a transform's noise floor cannot
     _, support, probs, mass = SymPoissonLaw(0.5 * lam)._table()
-    tv = 2.0 ** atom.log2_hit if atom.log2_hit > -1074 else 0.0
+    tv = math.ldexp(1.0, atom.log2_hit)
     # the table's mass misses 1 by |1 - mass|, up to the rounding of its
     # sum: at most n u for n nonnegative terms summing to about 1
     return support, probs, tv, abs(1.0 - mass) + probs.size * 2.0 ** -53
@@ -421,12 +421,13 @@ class ExactFiniteLaw(LawModel):
         pr = np.ones(1)
         for atom in self.atoms:
             ll = atom.log2_mean_hits
-            if ll <= NEGLIGIBLE_LOG2:
+            regime = flat_regime(ll)
+            if regime is FlatRegime.ZERO:
                 # P(any hit) <= expected hits; the component is a
                 # point mass at 0 up to that much total variation.
                 err += 2.0 ** max(ll, -1074.0)
                 continue
-            if ll >= GAUSSIANIZE_LOG2:
+            if regime is FlatRegime.NORMAL:
                 gv += atom.var_share
                 err += 0.56 * 2.0 ** (-0.5 * ll)
                 continue
@@ -500,7 +501,7 @@ def exact_law(params: SequenceParams, log2_n: int,
         except OverflowError:
             scale = math.inf
         atoms.append(LatticeAtom(lattice_scale=scale, trials=N,
-                                 hit_prob=2.0 ** -h if h < 1074 else 0.0,
+                                 hit_prob=math.ldexp(1.0, -h),
                                  log2_trials=float(log2_n), log2_hit=-h,
                                  var_share=share))
     return ExactFiniteLaw(gauss_var=gv, atoms=tuple(atoms))

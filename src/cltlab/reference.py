@@ -35,10 +35,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .blocks import BlockParity, SequenceParams
-from .engine import ExactMoments
+from .engine import BlockProfile, ExactMoments, desk_horizon
 from .errors import MemoryBudgetError, ParamsError, WorkBudgetError
-from .simulate import (CoordinateProfile, SampleBatch, SampleKind, _stream,
-                       build_profile)
+from .simulate import SampleBatch, SampleKind, _stream
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
@@ -282,26 +281,23 @@ def dense_series_tail_norm(params: SequenceParams, p: int, q: int) -> float:
     return float(np.sqrt(total))
 
 
-def dense_coefficients(profile: CoordinateProfile, l: int) -> np.ndarray:
-    """g_l(m) for block l at every site m of the horizon sum, from the
-    lowest up, spike blocks scaled by sqrt(N_l); budget-guarded."""
-    lay = profile.layers[l - 1]
-    if lay.segments is None:
-        raise ParamsError("no site resolution", block=l)
-    lo = lay.segments[0].lo
-    hi = lay.segments[-1].hi
+def dense_coefficients(prof: BlockProfile) -> np.ndarray:
+    """g_l(m) for the profile's block at every site m of the horizon sum,
+    from the lowest up, spike blocks scaled by sqrt(N_l); budget-guarded."""
+    lo = prof.segments[0].lo
+    hi = prof.segments[-1].hi
     need = 8 * (hi - lo + 1)
     if need > DENSE_BYTE_BUDGET:
         raise MemoryBudgetError("dense profile too large",
                                 estimated_bytes=need,
                                 budget=DENSE_BYTE_BUDGET)
     out = np.empty(hi - lo + 1)
-    for seg in lay.segments:
+    for seg in prof.segments:
         t = np.arange(seg.lo - seg.mid, seg.hi - seg.mid + 1, dtype=float)
         out[seg.lo - lo: seg.hi - lo + 1] = seg.v_mid + seg.slope * t
-    h = lay.block.horizon_log2
+    h = prof.block.horizon_log2
     scale = (math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2)
-             if lay.block.parity is BlockParity.THREE_VALUED else 1.0)
+             if prof.block.parity is BlockParity.THREE_VALUED else 1.0)
     return scale * out
 
 
@@ -330,30 +326,30 @@ def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
-    profile = build_profile(params, log2_n, SampleKind.FULL_SN, moments)
-    if any(lay.segments is None for lay in profile.layers):
+    N = desk_horizon(log2_n)
+    if N is None:
         raise ParamsError("site mode needs full site resolution")
-    coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
-                 for lay in profile.layers)
+    profs = (moments or ExactMoments(params)).profiles(N)
+    coords = sum(p.segments[-1].hi - p.segments[0].lo + 1 for p in profs)
     if count * coords > SITE_DRAW_BUDGET:
         raise WorkBudgetError("site mode draw count too large",
                               estimated_ops=count * coords,
                               budget=SITE_DRAW_BUDGET)
-    denses = [dense_coefficients(profile, lay.block.index)
-              for lay in profile.layers]
+    denses = [dense_coefficients(p) for p in profs]
     values = np.empty(count)
     for i in range(count):
         rng = _stream(seed ^ _SITE_TAG, i)
         total = 0.0
-        for lay, g in zip(profile.layers, denses):
-            if lay.block.parity is BlockParity.GAUSSIAN:
+        for p, g in zip(profs, denses):
+            if p.block.parity is BlockParity.GAUSSIAN:
                 total += float(np.dot(g, ndtri(_open_uniforms(rng, g.size))))
             else:
                 u = rng.random(g.size)
-                eps_half = 0.5 * lay.hit_prob
+                eps_half = 0.5 * math.ldexp(1.0, -p.block.horizon_log2)
                 x = np.where(u < eps_half, 1.0,
                              np.where(u >= 1.0 - eps_half, -1.0, 0.0))
                 total += float(np.dot(g, x))
         values[i] = total
     return SampleBatch(seed=seed, log2_n=log2_n, count=count,
-                       kind=profile.kind, normalized=False, values=values)
+                       kind=SampleKind.FULL_SN, normalized=False,
+                       values=values)

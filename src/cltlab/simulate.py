@@ -26,14 +26,20 @@ Gaussian blocks, and the spike segments expecting more than
 ``GAUSSIANIZE_HITS`` hits, give one scaled normal per layer with the
 exact variance; the Berry-Esseen error of that replacement is below
 0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
-Every horizon is dyadic and passed as its exponent log2_n; 2^log2_n is
-built only up to the desk cap.  Beyond it the sampler works from
-normalized per-block variances, so values stay finite floats; only the
-flat copy of a spike block that expects a countable number of hits
-there draws them, as a Poisson count with fair signs, and one that
-expects at most 2^NEGLIGIBLE_LOG2 hits is 0, as in ``laws.exact_law``.
-Its independent oracle, literal per-coordinate draws at small scales,
-is ``reference.site_sample_batch``.
+
+The plan reads each block's source directly.  Every horizon is dyadic
+and passed as its exponent log2_n, and 2^log2_n is built only up to the
+desk cap.  There a full sum reads the block's ``ExactMoments.profiles``
+entry segment by segment; beyond it, one normal per block with the
+normalized ``block_var_over_n``, so values stay finite floats.  The
+flat copy (``APPROX_IID_SUM``, normalized only) gives every site of a
+block the block's sub-horizon mass: it is the stand-in sum whose law
+``laws.exact_law`` realizes, and both take a spike block's regime from
+``flat_regime`` of its expected hits: nothing up to 2^NEGLIGIBLE_LOG2,
+a signed count on exact_law's lattice step below 2^GAUSSIANIZE_LOG2
+(binomial on the desk, its Poisson limit beyond), one normal from there.
+The sampler's independent oracle, literal per-coordinate draws at small
+scales, is ``reference.site_sample_batch``.
 
 Reproducibility: all randomness comes from counter-based Philox streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
@@ -60,8 +66,9 @@ from functools import partial
 
 import numpy as np
 
-from .blocks import BlockParity, BlockSpec, SequenceParams
-from .engine import ExactMoments, Segment, block_var_over_n, desk_horizon
+from .blocks import BlockParity, SequenceParams
+from .engine import (BlockProfile, ExactMoments, block_var_over_n,
+                     desk_horizon)
 from .errors import ParamsError
 
 CHUNK = 4096
@@ -97,57 +104,6 @@ class SampleKind(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Profiles
-
-@dataclass
-class BlockLayer:
-    """Sampling view of one block at a fixed horizon."""
-
-    block: BlockSpec
-    hit_prob: float            # 1/N_l for spikes, 0 for Gaussian sites
-    var_over_n: float          # contribution variance divided by N
-    segments: list | None      # None when only the variance is available
-
-
-class CoordinateProfile:
-    """Per-(params, horizon, kind) coefficient layout used by the
-    samplers, at the horizon N = 2^log2_n."""
-
-    def __init__(self, params: SequenceParams, log2_n: int, kind: SampleKind,
-                 moments: ExactMoments | None = None):
-        self.params = params
-        self.log2_n = log2_n
-        self.kind = kind
-        N = desk_horizon(log2_n)
-        moments = moments or ExactMoments(params)
-        self.moments = moments
-        self.layers: list[BlockLayer] = []
-        for b in params.blocks:
-            hit = (math.ldexp(1.0, -b.horizon_log2)
-                   if b.parity is BlockParity.THREE_VALUED else 0.0)
-            if kind is SampleKind.APPROX_IID_SUM:
-                mass = moments.block_mass(b, log2_n)
-                segs = None
-                if N is not None:
-                    segs = [Segment(0, N - 1, mass, 0.0, (N - 1) // 2)]
-                self.layers.append(BlockLayer(b, hit, mass * mass, segs))
-                continue
-            if N is not None:
-                prof = moments.profiles(N)[b.index - 1]
-                var = prof.sum_pow(2) / N
-                self.layers.append(BlockLayer(b, hit, var, prof.segments))
-            else:
-                var = block_var_over_n(params, b, log2_n)
-                self.layers.append(BlockLayer(b, hit, var, None))
-
-
-def build_profile(params: SequenceParams, log2_n: int,
-                  kind: SampleKind = SampleKind.FULL_SN,
-                  moments: ExactMoments | None = None) -> CoordinateProfile:
-    return CoordinateProfile(params, log2_n, kind, moments)
-
-
-# ---------------------------------------------------------------------------
 # Batches
 
 @dataclass
@@ -163,7 +119,26 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 # Aggregate sampler
 
-def _build_plan(profile: CoordinateProfile, normalized: bool):
+class FlatRegime(Enum):
+    """How a spike block's flat copy is drawn, and its law realized."""
+
+    ZERO = "ZERO"        # at most 2^NEGLIGIBLE_LOG2 expected hits
+    COUNT = "COUNT"      # a signed hit count
+    NORMAL = "NORMAL"    # from 2^GAUSSIANIZE_LOG2 expected hits
+
+
+def flat_regime(log2_hits: float) -> FlatRegime:
+    """The regime of a flat copy expecting 2^log2_hits hits, shared by
+    the sampler and ``laws.ExactFiniteLaw``."""
+    if log2_hits <= NEGLIGIBLE_LOG2:
+        return FlatRegime.ZERO
+    if log2_hits < GAUSSIANIZE_LOG2:
+        return FlatRegime.COUNT
+    return FlatRegime.NORMAL
+
+
+def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
+                normalized: bool, moments: ExactMoments):
     """Fixed op layout for the aggregate sampler: one draw function per
     op, bound to the values it reads, called as ``draw(rng, size)`` on
     the op's own stream.
@@ -171,72 +146,91 @@ def _build_plan(profile: CoordinateProfile, normalized: bool):
     An op's lane is its place in the plan, which depends only on
     (params, horizon, kind), never on chunking or worker count.
     """
-    e = profile.log2_n
+    e = log2_n
     N = desk_horizon(e)
-    b_sq = profile.moments.normalizer_sq(e)
+    b_sq = moments.normalizer_sq(e)
     if normalized and b_sq <= 0.0:
         raise ParamsError("normalization needs a horizon with at least "
                           "one sub-horizon scale", log2_n=e)
-    if not normalized and N is None:
-        raise ParamsError("raw values overflow beyond the desk cap; "
-                          "request normalized output")
-    # beyond the cap no layer has segments, so only desk plans read it
-    inv_unit = (1.0 / math.sqrt(b_sq * float(N))
-                if normalized and N is not None else 1.0)
+    if not normalized and (N is None or kind is SampleKind.APPROX_IID_SUM):
+        raise ParamsError("raw values are drawn for full sums within the "
+                          "desk cap only; request normalized output")
     plan = []
-    for lay in profile.layers:
-        gaussian_block = lay.block.parity is BlockParity.GAUSSIAN
-        h = lay.block.horizon_log2
-        if lay.segments is None or gaussian_block:
-            # a flat copy beyond the cap takes exact_law's regimes by its
-            # expected hits 2^(e - h): a point mass at 0, a counted number
-            # of hits with exact_law's step, or the normal
-            if (not gaussian_block and lay.var_over_n > 0.0
-                    and profile.kind is SampleKind.APPROX_IID_SUM
-                    and e - h < GAUSSIANIZE_LOG2):
-                if e - h <= NEGLIGIBLE_LOG2:
-                    continue
-                mass = profile.moments.block_mass(lay.block, e)
-                plan.append(partial(
-                    _draw_poisson, lam=2.0 ** (e - h),
-                    coef=(mass / math.sqrt(b_sq)) * 2.0 ** (0.5 * (h - e))))
-                continue
-            std = (math.sqrt(lay.var_over_n / b_sq) if normalized
-                   else math.sqrt(lay.var_over_n * N))
-            plan.append(partial(_draw_normal, std=std))
-            continue
-        if lay.hit_prob == 0.0:
-            # The hit probability underflowed (horizon exponent beyond
-            # 1074): no feasible batch ever sees a spike from this block,
-            # so it contributes exactly zero to every sample.
-            continue
-        # sqrt(2^h), finite for every h with a nonzero hit probability
-        scale = (math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2)
-                 * inv_unit)
-        heavy, sloped = [], []
-        for seg in lay.segments:
-            length = seg.hi - seg.lo + 1
-            if length * lay.hit_prob > GAUSSIANIZE_HITS:
-                heavy.append(seg.sum_pow(2))
-            elif seg.slope == 0.0 and length >> 63:
-                # past numpy's 2^63 - 1 trials the hit probability is below
-                # 2^-62, and the Poisson count is within it in total variation
-                plan.append(partial(_draw_poisson,
-                                    lam=length * lay.hit_prob,
-                                    coef=scale * seg.v_mid))
-            elif seg.slope == 0.0:
-                plan.append(partial(_draw_flat, length=length,
-                                    hit_prob=lay.hit_prob,
-                                    coef=scale * seg.v_mid))
-            else:
-                sloped.append(seg)
-        if sloped:
-            plan.append(partial(_draw_pool, segs=sloped,
-                                hit_prob=lay.hit_prob, coef=scale))
-        if heavy:
+    for b in params.blocks:
+        h = b.horizon_log2
+        spike = b.parity is BlockParity.THREE_VALUED
+        if kind is SampleKind.APPROX_IID_SUM:
+            mass = moments.block_mass(b, e)
+            # a block without sub-horizon mass gives a normal of std 0,
+            # which draws nothing
+            regime = (flat_regime(e - h) if spike and mass > 0.0
+                      else FlatRegime.NORMAL)
+            if regime is FlatRegime.NORMAL:
+                plan.append(partial(_draw_normal,
+                                    std=math.sqrt(mass * mass / b_sq)))
+            elif regime is FlatRegime.COUNT:
+                # exact_law's lattice step; Binomial(N, 2^-h) hits on the
+                # desk, their Poisson limit beyond it
+                step = (mass / math.sqrt(b_sq)) * 2.0 ** (0.5 * (h - e))
+                plan.append(
+                    partial(_draw_poisson, lam=2.0 ** (e - h), coef=step)
+                    if N is None else
+                    partial(_draw_flat, length=N,
+                            hit_prob=math.ldexp(1.0, -h), coef=step))
+        elif N is None:
+            var = block_var_over_n(params, b, e)
+            plan.append(partial(_draw_normal, std=math.sqrt(var / b_sq)))
+        elif spike:
+            plan.extend(_spike_ops(moments.profiles(N)[b.index - 1],
+                                   1.0 / math.sqrt(b_sq * float(N))
+                                   if normalized else 1.0))
+        else:
+            var = moments.profiles(N)[b.index - 1].sum_pow(2) / N
             plan.append(partial(_draw_normal,
-                                std=math.sqrt(math.fsum(heavy)) * inv_unit))
+                                std=math.sqrt(var / b_sq) if normalized
+                                else math.sqrt(var * N)))
     return plan
+
+
+def _spike_ops(prof: BlockProfile, inv_unit: float) -> list:
+    """A spike block's ops at a desk horizon: signed counts for its
+    light flat segments, one pool for its light sloped ones, one normal
+    for those too heavy to count; values in units of 1/inv_unit."""
+    h = prof.block.horizon_log2
+    hit_prob = math.ldexp(1.0, -h)
+    if hit_prob == 0.0:
+        # The hit probability underflowed (horizon exponent beyond
+        # 1074): no feasible batch ever sees a spike from this block,
+        # so it contributes exactly zero to every sample.
+        return []
+    # sqrt(2^h), finite for every h with a nonzero hit probability
+    scale = math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2) * inv_unit
+    ops, heavy, sloped = [], [], []
+    for seg in prof.segments:
+        length = seg.hi - seg.lo + 1
+        if length * hit_prob > GAUSSIANIZE_HITS:
+            heavy.append(seg.sum_pow(2))
+        elif seg.slope == 0.0 and length >> 63:
+            # past numpy's 2^63 - 1 trials the hit probability is below
+            # 2^-62, and the Poisson count is within it in total variation
+            ops.append(partial(_draw_poisson, lam=length * hit_prob,
+                               coef=scale * seg.v_mid))
+        elif seg.slope == 0.0:
+            ops.append(partial(_draw_flat, length=length, hit_prob=hit_prob,
+                               coef=scale * seg.v_mid))
+        else:
+            sloped.append(seg)
+    if sloped:
+        starts = np.cumsum([0] + [seg.hi - seg.lo + 1 for seg in sloped])
+        ops.append(partial(
+            _draw_pool, starts=starts, hit_prob=hit_prob, coef=scale,
+            affine=np.array([(seg.v_mid, seg.slope) for seg in sloped]),
+            shift=np.array([seg.lo - seg.mid for seg in sloped])
+            - starts[:-1]))
+    if heavy:
+        ops.append(partial(_draw_normal,
+                           std=math.sqrt(math.fsum(heavy)) * inv_unit))
+    return ops
 
 
 def _lane_stream(seed: int, lane: int, chunk_idx: int) -> np.random.Generator:
@@ -303,18 +297,17 @@ def _draw_poisson(rng, size, *, lam, coef):
     return coef * (2.0 * pos - hits)
 
 
-def _draw_pool(rng, size, *, segs, hit_prob, coef):
+def _draw_pool(rng, size, *, starts, affine, shift, hit_prob, coef):
     """A layer's light sloped spike segments as one pool: hit counts,
-    then hit offsets into their concatenated sites and signs, in bulk."""
-    starts = np.cumsum([0] + [seg.hi - seg.lo + 1 for seg in segs])
+    then hit offsets into their concatenated sites and signs, in bulk.
+    Segment j holds the sites starts[j] <= i < starts[j + 1], with the
+    value affine[j, 0] + affine[j, 1] * (i + shift[j])."""
     hits = rng.binomial(starts[-1], hit_prob, size)
     if not hits.any():
         return 0.0
     owner, offs = _distinct_offsets(rng, starts[-1], hits)
     signs = 2.0 * rng.integers(0, 2, size=owner.size) - 1.0
     j = np.searchsorted(starts, offs, side="right") - 1
-    affine = np.array([(seg.v_mid, seg.slope) for seg in segs])
-    shift = np.array([seg.lo - seg.mid for seg in segs]) - starts[:-1]
     vals = affine[j, 0] + affine[j, 1] * (offs + shift[j])
     return coef * np.bincount(owner, weights=vals * signs, minlength=size)
 
@@ -338,8 +331,8 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
     if count < 1:
         raise ParamsError("count must be positive", count=count)
     kind = SampleKind(kind)
-    plan = _build_plan(build_profile(params, log2_n, kind, moments),
-                       normalized)
+    plan = _build_plan(params, log2_n, kind, normalized,
+                       moments or ExactMoments(params))
     job = partial(_aggregate_chunk, plan, seed)
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
     # threads beyond the cores or the chunks only contend for them

@@ -348,7 +348,7 @@ def test_runs_are_byte_deterministic(tmp_path, capsys, monkeypatch):
     assert texts[0] == texts[1]
 
 
-# sha256 of every artifact of two fixed runs.  A change that moves a byte
+# sha256 of every artifact of four fixed runs.  A change that moves a byte
 # on purpose updates these pins and names the change.
 PINNED_ARTIFACTS = {
     ("custom", "--samples", "2000"): {
@@ -368,6 +368,28 @@ PINNED_ARTIFACTS = {
                        "707fc342f6158223e09f4a5de28eb46f",
         "verdict.json": "27f997c9b7282b5da4ca2c630f918fb5"
                         "aa17291368f1472d198b05f3efb22254",
+    },
+    # the desk flat copy: the oracle gate at 2^11
+    ("theorem1", "--samples", "2000"): {
+        "conditions.csv": "46c088fa348f7172f0c74a70252800c8"
+                          "35380757a7b8a0a7f39602b7fef2e4e9",
+        "config.json": "50df193b9f9ba70e711075288d9ba32e"
+                       "c61dfbe8e1c8716d1b87ec98bc0dec03",
+        "dichotomy.csv": "2ba4dd9a4daf1c589915932455dcdc78"
+                         "cbc8ecca05c448f4b71f2e5adbffefa0",
+        "verdict.json": "4eb9e42d1da774e7fe183c5092964da0"
+                        "26892cc0c72b445d6469ea5d4845c98c",
+    },
+    # the beyond-cap Poisson flat copy: the oracle gate at 2^3264
+    ("theorem3", "--samples", "2000", "--grid", "dyadic:4:8"): {
+        "conditions.csv": "4ac3f3ef0eb8329cbfdda7cc0658636d"
+                          "04759b86d8f3144f7f4efa7613850b6f",
+        "config.json": "39dc20195754bbd7e253334857031d85"
+                       "55259a337e4b3683d0d0ee8207dc2d91",
+        "dichotomy.csv": "3812b7f53fddf779cffc4fdb38142848"
+                         "b0ed171643f8c37c827bdfd8dbeccbc8",
+        "verdict.json": "c12200f80370d10934dbf8b0107c84a7"
+                        "7157736d40c1d11129bc3d59d6242902",
     },
 }
 

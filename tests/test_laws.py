@@ -17,7 +17,7 @@ from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          dichotomy_report, empirical_law, exact_law,
                          format_ks_csv, ks_distance, ks_pass_bound,
                          tv_distance)
-from cltlab.simulate import build_profile
+from cltlab.simulate import sample_batch
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -321,6 +321,16 @@ def test_poisson_atom_counts_its_rounding_as_lost():
         assert 0.0 <= abs(probs.sum() - 1.0) <= lost < 1e-10
 
 
+def test_hit_probability_at_horizon_exponent_1074_is_not_zero():
+    # 2^-1074 is the smallest positive double; only past it do the
+    # sampler and the oracle take a block's hit probability as 0
+    w = build_weights(WeightMode.CONST_ONE, 1074)
+    params = SequenceParams(w, split_blocks(w, [1074]))
+    atom = exact_law(params, 20).atoms[0]
+    assert atom.hit_prob == math.ldexp(1.0, -1074) > 0.0
+    assert laws._atom_pmf(atom)[2] == 0.0
+
+
 def test_exact_law_validation():
     params = default_params(kmax=20, rho=4.0)
     # the horizon 2^0 keeps no scale to normalize by
@@ -470,7 +480,7 @@ def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
 
 def test_sampler_and_oracle_share_horizon_checks():
     params = default_params(kmax=20, rho=4.0)
-    for build in (build_profile, exact_law):
+    for build in (lambda p, e: sample_batch(p, e, 1, 0), exact_law):
         with pytest.raises(ParamsError) as info:
             build(params, -1)
         assert str(info.value) == "horizon exponent must be nonnegative"

@@ -19,13 +19,19 @@ from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
                              _distinct_offsets, _draw_flat, _draw_normal,
                              _draw_poisson, _draw_pool, _lane_stream,
-                             _stream, build_profile, derive_seed,
-                             dichotomy_samples, sample_batch)
+                             _stream, derive_seed, dichotomy_samples,
+                             sample_batch)
 from cltlab.weights import WeightMode, build_weights
 
 
 def desk_params():
     return default_params(kmax=14, rho=4.0)
+
+
+def plan_of(params, e, kind=SampleKind.FULL_SN, normalized=False,
+            moments=None):
+    return _build_plan(params, e, kind, normalized,
+                       moments or ExactMoments(params))
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -53,13 +59,12 @@ def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
     e, count, chunk, seed = 12, 3000, 1, 5
     monkeypatch.setattr(simulate, "CHUNK", chunk)
     # some pooled op has chunks with hits and chunks without
-    plan = _build_plan(build_profile(params, e), False)
-    pools = [(lane, draw.keywords) for lane, draw in enumerate(plan)
+    pools = [(lane, draw.keywords)
+             for lane, draw in enumerate(plan_of(params, e))
              if draw.func is _draw_pool]
     # a pool's hit counts are the first draw of its lane's stream
     per_chunk = [[int(_lane_stream(seed, lane, ci).binomial(
-                      sum(s.hi - s.lo + 1 for s in op["segs"]),
-                      op["hit_prob"], chunk).sum())
+                      op["starts"][-1], op["hit_prob"], chunk).sum())
                   for ci in range(count // chunk)]
                  for lane, op in pools]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
@@ -151,9 +156,10 @@ def test_flat_hit_counts_are_binomial(length, hit_prob):
 def test_pool_hit_counts_are_binomial(length, hit_prob):
     # one sloped segment whose sites carry the values 1..length
     mid = (length - 1) // 2
-    seg = Segment(0, length - 1, 1.0 + mid, 1.0, mid)
     rng = _Recording(_lane_stream(745, 4, 0))
-    _draw_pool(rng, 20_000, segs=[seg], hit_prob=hit_prob, coef=1.0)
+    _draw_pool(rng, 20_000, starts=np.array([0, length]),
+               affine=np.array([[1.0 + mid, 1.0]]), shift=np.array([-mid]),
+               hit_prob=hit_prob, coef=1.0)
     hits, = rng.binomials
     assert _chisquare_vs_binom(hits, length, hit_prob) > 1e-3
 
@@ -243,7 +249,7 @@ def test_full_sum_variance_matches_engine():
 def test_plan_pools_each_layers_sloped_segments():
     # theorem1's parameters at its first complete-block horizon
     params = default_params(kmax=40_000_000, rho=4.0)
-    plan = _build_plan(build_profile(params, 11), True)
+    plan = plan_of(params, 11, normalized=True)
     kinds = [draw.func for draw in plan]
     assert len(plan) == 5
     assert kinds.count(_draw_flat) == 3
@@ -255,7 +261,7 @@ def test_heavy_flat_segment_keeps_its_signed_count():
     # block 1's central flat segment expects 2^30 hits per sample: a
     # positional draw would cost that much, the signed count O(1)
     params = default_params(kmax=48, rho=2.0)
-    plan = _build_plan(build_profile(params, 31), False)
+    plan = plan_of(params, 31)
     expect = [op.keywords["length"] * op.keywords["hit_prob"]
               for op in plan if op.func is _draw_flat]
     assert max(expect) == pytest.approx(2.0 ** 30, rel=1e-6)
@@ -264,16 +270,16 @@ def test_heavy_flat_segment_keeps_its_signed_count():
 
 def test_gaussianized_segments_join_their_layers_normal():
     params = default_params(kmax=48, rho=2.0)
-    profile = build_profile(params, 45)
-    spikes = [lay for lay in profile.layers
-              if lay.block.parity is BlockParity.THREE_VALUED]
-    heavy = [lay for lay in spikes
-             if any((seg.hi - seg.lo + 1) * lay.hit_prob > GAUSSIANIZE_HITS
-                    for seg in lay.segments)]
+    profs = ExactMoments(params).profiles(1 << 45)
+    spikes = [p for p in profs
+              if p.block.parity is BlockParity.THREE_VALUED]
+    heavy = [p for p in spikes
+             if any((seg.hi - seg.lo + 1)
+                    * math.ldexp(1.0, -p.block.horizon_log2)
+                    > GAUSSIANIZE_HITS for seg in p.segments)]
     assert heavy
-    plan = _build_plan(profile, False)
-    normals = sum(draw.func is _draw_normal for draw in plan)
-    assert normals == len(profile.layers) - len(spikes) + len(heavy)
+    normals = sum(draw.func is _draw_normal for draw in plan_of(params, 45))
+    assert normals == len(profs) - len(spikes) + len(heavy)
     _variance_within_band(params, 45, 40_000, 745)
 
 
@@ -327,16 +333,15 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
     h = params.blocks[0].horizon_log2
     for shift in (0, 3, -7):
-        plan = _build_plan(
-            build_profile(params, h + shift, SampleKind.APPROX_IID_SUM), True)
+        plan = plan_of(params, h + shift, SampleKind.APPROX_IID_SUM, True)
         assert [op.func for op in plan] == [_draw_poisson, _draw_normal]
         step = exact_law(params, h + shift).atoms[0].lattice_scale
         assert plan[0].keywords == {"lam": 2.0 ** shift, "coef": step}
     # theorem1's spike block expects 2^37605519 hits at 2^37605530 and
     # keeps its normal
     params = default_params(kmax=40_000_000, rho=4.0)
-    plan = _build_plan(build_profile(params, params.blocks[1].horizon_log2,
-                                     SampleKind.APPROX_IID_SUM), True)
+    plan = plan_of(params, params.blocks[1].horizon_log2,
+                   SampleKind.APPROX_IID_SUM, True)
     assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
 
 
@@ -349,14 +354,25 @@ def test_flat_copy_beyond_the_cap_takes_the_oracles_regimes():
     want = {-51: [], -50: [], -49: [_draw_poisson], 39: [_draw_poisson],
             40: [_draw_normal]}
     for ll, tail in want.items():
-        plan = _build_plan(build_profile(params, 2000 + ll,
-                                         SampleKind.APPROX_IID_SUM), True)
+        plan = plan_of(params, 2000 + ll, SampleKind.APPROX_IID_SUM, True)
         assert [op.func for op in plan] == [_draw_normal] * 2 + tail
     e, count = 1950, 100_000
     batch = sample_batch(params, e, count, 1, SampleKind.APPROX_IID_SUM,
                          normalized=True)
     ks = ks_distance(empirical_law(batch.values), exact_law(params, e))
     assert ks <= ks_pass_bound(count)
+
+
+def test_flat_copy_at_2_40_expected_hits_is_all_normals():
+    # block 1 ends at 2^11, so at 2^51 its flat copy expects exactly 2^40
+    # hits: exact_law folds it into its Gaussian part, and so does the plan
+    params = default_params(kmax=20, rho=4.0)
+    plan = plan_of(params, 51, SampleKind.APPROX_IID_SUM, True)
+    assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
+    gauss_var, support, _, _ = exact_law(params, 51)._table()
+    assert support.tolist() == [0.0]
+    assert math.fsum(op.keywords["std"] ** 2 for op in plan) == \
+        pytest.approx(gauss_var, rel=1e-12)
 
 
 def _op_variance(op):
@@ -367,10 +383,14 @@ def _op_variance(op):
     unit = (kw["coef"] * math.sqrt(kw["hit_prob"])) ** 2
     if op.func is _draw_flat:
         return unit * kw["length"]
-    return unit * math.fsum(seg.sum_pow(2) for seg in kw["segs"])
+    # segment j over its sites i, centred: t = i + shift[j]
+    lo = (kw["starts"][:-1] + kw["shift"]).tolist()
+    hi = (kw["starts"][1:] - 1 + kw["shift"]).tolist()
+    return unit * math.fsum(Segment(a, b, v, s, 0).sum_pow(2) for a, b, (v, s)
+                            in zip(lo, hi, kw["affine"].tolist()))
 
 
-@pytest.mark.parametrize("kmax", [100, 1040, 1073])
+@pytest.mark.parametrize("kmax", [100, 1040, 1073, 1074])
 def test_desk_horizon_under_a_deep_spike_block(kmax):
     # a spike block ending at 2^kmax seen at 2^20: its flat segments run
     # past numpy's 2^63 trials, and its spike scale sqrt(2^kmax) past the
@@ -378,7 +398,7 @@ def test_desk_horizon_under_a_deep_spike_block(kmax):
     w = build_weights(WeightMode.CONST_ONE, kmax)
     params = SequenceParams(w, split_blocks(w, [kmax]))
     em = ExactMoments(params)
-    plan = _build_plan(build_profile(params, 20, moments=em), False)
+    plan = plan_of(params, 20, moments=em)
     assert math.fsum(map(_op_variance, plan)) == pytest.approx(
         em.sigma_sq(1 << 20), rel=1e-12)
     batch = sample_batch(params, 20, 1000, 1, moments=em)
@@ -405,15 +425,15 @@ def _spike_cumulants(p):
             8: p - 63 * p ** 2 + 420 * p ** 3 - 630 * p ** 4}
 
 
-def _exact_cumulants(profile):
+def _exact_cumulants(profs):
     """Even cumulants of the horizon sum from the dense coefficients."""
     out = dict.fromkeys((2, 4, 6, 8), 0.0)
-    for lay in profile.layers:
-        g = dense_coefficients(profile, lay.block.index)
-        if lay.block.parity is BlockParity.GAUSSIAN:
+    for prof in profs:
+        g = dense_coefficients(prof)
+        if prof.block.parity is BlockParity.GAUSSIAN:
             out[2] += float(np.sum(g * g))
             continue
-        kap = _spike_cumulants(lay.hit_prob)
+        kap = _spike_cumulants(math.ldexp(1.0, -prof.block.horizon_log2))
         for r in out:
             out[r] += kap[r] * math.fsum(g ** r)
     return out
@@ -434,7 +454,7 @@ def test_full_sum_fourth_cumulant_matches_engine(e):
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
     n = 100_000
-    k = _exact_cumulants(build_profile(params, e, moments=em))
+    k = _exact_cumulants(em.profiles(1 << e))
     want = em.fourth_cumulant(1 << e)
     assert k[4] == pytest.approx(want, rel=1e-12)
     batch = sample_batch(params, e, n, 745, moments=em)
@@ -446,9 +466,8 @@ def test_aggregate_and_site_modes_agree_two_sample_ks(e):
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
     n = 10_000
-    profile = build_profile(params, e, moments=em)
-    coords = sum(lay.segments[-1].hi - lay.segments[0].lo + 1
-                 for lay in profile.layers)
+    coords = sum(p.segments[-1].hi - p.segments[0].lo + 1
+                 for p in em.profiles(1 << e))
     assert n * coords <= SITE_DRAW_BUDGET
     agg = sample_batch(params, e, n, 745, moments=em)
     site = site_sample_batch(params, e, n, 745, moments=em)
