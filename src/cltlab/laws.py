@@ -53,6 +53,7 @@ KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
 KS_SNAP = 1e-9               # evaluation nudge around candidate points
 
 _EVAL_CHUNK = 1 << 16        # Gaussian-mixture cdf elements per step
+_KS_BLOCK = 1 << 13          # samples per step of the one-sample KS pass
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +539,7 @@ class EmpiricalLaw(LawModel):
 
 
 def empirical_law(values) -> EmpiricalLaw:
+    """The empirical law of a copy of ``values``; they stay as given."""
     return EmpiricalLaw(np.asarray(values))
 
 
@@ -589,38 +591,68 @@ def ks_distance(a: LawModel, b: LawModel) -> float:
 
 
 def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
-    """sup |F_n - F| for the sorted ``samples`` against ``law``."""
+    """sup |F_n - F| for the sorted ``samples`` against ``law``.
+
+    One pass in blocks of ``_KS_BLOCK`` samples, so the work arrays stay
+    block-sized at any sample count.  Each block is snapped with one
+    look-ahead sample, which tells whether its last run of equal values
+    ends there; the count before the current run is carried across
+    blocks.  The sample counts at F's jumps are filled in as the blocks
+    pass them, each jump once, in O(count + support) in total.
+    """
     n = samples.size
     jumps = np.asarray(law.discontinuities(), dtype=float)
-    x = samples
+    # snap onto the nearest jump (the one whose midpoint interval holds
+    # the sample) within delta; the nearest-point map is monotone, so
+    # the samples stay sorted
+    mids = 0.5 * (jumps[1:] + jumps[:-1])
+    # samples below and up to each jump; a jump no block reaches has all
+    below = np.full(jumps.size, n)
+    upto = np.full(jumps.size, n)
+    n_below = n_upto = 0            # jumps whose counts are final
+    before = 0                      # samples before the current run
+    d = 0.0
+    for start in range(0, n, _KS_BLOCK):
+        stop = min(start + _KS_BLOCK, n)
+        x = samples[start:stop + 1]
+        if jumps.size:
+            near = jumps[np.searchsorted(mids, x)]
+            x = np.where(np.abs(x - near) <= delta, near, x)
+        # distinct values: F_n is the count up to the last of each run of
+        # equal samples, and its left limit the count before the run
+        ends = np.flatnonzero(x[1:] != x[:-1])
+        if stop == n:
+            ends = np.append(ends, x.size - 1)
+        if ends.size:
+            at = x[ends]
+            count = ends + (start + 1)
+            f = law.cdf(at)
+            gap = count / n
+            gap -= f
+            d = max(d, np.abs(gap, out=gap).max())
+            if jumps.size:
+                f = law.cdf_left(at)
+            left = np.concatenate(([before], count[:-1]))
+            before = int(count[-1])
+            np.divide(left, n, out=gap)
+            gap -= f
+            d = max(d, np.abs(gap, out=gap).max())
+        if jumps.size:
+            # a jump's count below it is final at the first block that
+            # reaches it, and its count up to it at the first that passes
+            # it: every earlier sample counts, plus the block's own
+            x = x[:stop - start]
+            top = np.searchsorted(jumps, x[-1], side="right")
+            below[n_below:top] = start + np.searchsorted(
+                x, jumps[n_below:top], side="left")
+            n_below = top
+            top = np.searchsorted(jumps, x[-1], side="left")
+            upto[n_upto:top] = start + np.searchsorted(
+                x, jumps[n_upto:top], side="right")
+            n_upto = top
     if jumps.size:
-        # snap onto the nearest jump (the one whose midpoint interval
-        # holds the sample) within delta; the nearest-point map is
-        # monotone, so the samples stay sorted
-        near = jumps[np.searchsorted(0.5 * (jumps[1:] + jumps[:-1]), x)]
-        x = np.where(np.abs(x - near) <= delta, near, x)
-        del near
-    # distinct values: F_n is the count up to the last of each run of
-    # equal samples, and its left limit the count before the run; one
-    # sample-sized work array, updated in place, keeps the peak memory
-    # at the grid path's
-    count = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)
-    at = x[count]
-    count += 1
-    f = law.cdf(at)
-    gap = count / n
-    gap -= f
-    d = np.abs(gap, out=gap).max()
-    if jumps.size:
-        f = law.cdf_left(at)
-    gap[0] = 0.0
-    np.divide(count[:-1], n, out=gap[1:])
-    gap -= f
-    d = max(d, np.abs(gap, out=gap).max())
-    if jumps.size:
-        for side, cdf in (("right", law.cdf), ("left", law.cdf_left)):
-            f_n = np.searchsorted(x, jumps, side=side) / n
-            d = max(d, np.abs(f_n - cdf(jumps)).max())
+        for f_n, cdf in ((upto, law.cdf), (below, law.cdf_left)):
+            d = max(d, np.abs(f_n / n - cdf(jumps)).max())
     return float(d)
 
 
@@ -686,6 +718,16 @@ class DichotomyReport:
 _GATE_SALT = 1 << 20
 
 
+def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
+    """KS distances from the empirical law of a float batch nothing else
+    reads to each of ``others``.  The batch is sorted in place and not
+    copied, and it is dropped on return."""
+    values.sort()
+    emp = EmpiricalLaw.__new__(EmpiricalLaw)
+    emp.samples = values
+    return [ks_distance(emp, law) for law in others]
+
+
 def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
                      margin: float = 0.05, workers: int = 1,
                      moments: ExactMoments | None = None) -> DichotomyReport:
@@ -697,7 +739,12 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
     to the exact law to pass the 1% KS bound, which validates the whole
     sampling/oracle chain at that horizon.  The verdict compares the
     smallest three-valued-horizon normal distance against the largest
-    Gaussian-horizon one.
+    Gaussian-horizon one; a failed gate at any horizon makes it
+    INCONCLUSIVE, with one parity complete or both.
+
+    Horizons are taken one at a time, and each batch is sorted in place,
+    scored and dropped before the next is drawn, so the report holds one
+    batch, plus ``np.var``'s one batch-sized temporary, at a time.
     """
     moments = moments or ExactMoments(params)
     complete = params.complete_blocks()
@@ -711,21 +758,19 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         return DichotomyReport([], margin, math.nan,
                                DichotomyVerdict.NO_DICHOTOMY, None,
                                ["no complete block horizons"])
-    full = dichotomy_samples(params, [blk.horizon_log2 for blk in complete],
-                             count, seed, workers=workers)
     normal = NormalLaw(0.0, 1.0)
     bound = ks_pass_bound(count)
     rows = []
     for blk in complete:
         e = blk.horizon_log2
         law = exact_law(params, e, moments)
-        emp = empirical_law(full[e].values)
-        gate_batch = sample_batch(params, e, count,
-                                  derive_seed(seed, _GATE_SALT + blk.index),
-                                  SampleKind.APPROX_IID_SUM,
-                                  normalized=True, workers=workers,
-                                  moments=moments)
-        gate_emp = empirical_law(gate_batch.values)
+        ks_vs_oracle, ks_vs_normal = _batch_ks(dichotomy_samples(
+            params, [e], count, seed, workers=workers)[e].values,
+            law, normal)
+        ks_gate, = _batch_ks(sample_batch(
+            params, e, count, derive_seed(seed, _GATE_SALT + blk.index),
+            SampleKind.APPROX_IID_SUM, normalized=True, workers=workers,
+            moments=moments).values, law)
         if blk.index == 1:
             residual = 0.0
         else:
@@ -735,12 +780,11 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         note = ""
         if law.cdf_error_bound > 1e-6:
             note = "oracle error bound %.3g" % law.cdf_error_bound
-        ks_gate = ks_distance(gate_emp, law)
         rows.append(DichotomyRow(
             horizon_log2=e, block_index=blk.index,
             parity=blk.parity, count=count,
-            ks_vs_oracle=ks_distance(emp, law),
-            ks_vs_normal=ks_distance(emp, normal),
+            ks_vs_oracle=ks_vs_oracle,
+            ks_vs_normal=ks_vs_normal,
             ks_gate=ks_gate,
             gate_bound=bound,
             residual_fraction=residual,
@@ -748,26 +792,29 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
             note=note))
     odd = [r for r in rows if r.parity is BlockParity.THREE_VALUED]
     even = [r for r in rows if r.parity is BlockParity.GAUSSIAN]
-    if not odd or not even:
+    bad = [r.horizon_log2 for r in rows if not r.oracle_pass]
+    gap = math.nan
+    if odd and even:
+        gap = float(min(r.ks_vs_normal for r in odd)
+                    - max(r.ks_vs_normal for r in even))
+    else:
         notes.append("both parities need a complete horizon")
-        return DichotomyReport(rows, margin, math.nan,
-                               DichotomyVerdict.NO_DICHOTOMY, None, notes)
-    gap = (min(r.ks_vs_normal for r in odd)
-           - max(r.ks_vs_normal for r in even))
-    gate_ok = all(r.oracle_pass for r in rows)
-    if gate_ok and gap >= margin:
-        verdict, req = DichotomyVerdict.DIFFERENT_LIMITS, None
-    elif not gate_ok:
-        bad = [r.horizon_log2 for r in rows if not r.oracle_pass]
+    req = None
+    if bad:
+        # a failed gate voids the comparison, with one parity or two
         notes.append("oracle gate failed at log2 horizons %s" % bad)
-        verdict, req = DichotomyVerdict.INCONCLUSIVE, None
+        verdict = DichotomyVerdict.INCONCLUSIVE
+    elif math.isnan(gap):
+        verdict = DichotomyVerdict.NO_DICHOTOMY
+    elif gap >= margin:
+        verdict = DichotomyVerdict.DIFFERENT_LIMITS
     elif margin - gap <= 2.0 * bound:
         req = math.ceil((2.0 * KS_ONE_PCT_COEF / (margin - gap)) ** 2)
         notes.append("gap within sampling noise of the margin")
         verdict = DichotomyVerdict.INCONCLUSIVE
     else:
-        verdict, req = DichotomyVerdict.NO_DICHOTOMY, None
-    return DichotomyReport(rows, margin, float(gap), verdict, req, notes)
+        verdict = DichotomyVerdict.NO_DICHOTOMY
+    return DichotomyReport(rows, margin, gap, verdict, req, notes)
 
 
 KS_CSV_COLUMNS = ("horizon", "ks_vs_oracle", "ks_vs_normal",

@@ -52,7 +52,9 @@ one departure from the exact laws is numpy's binomial inversion branch
 (means below 30), which redraws counts beyond ten standard deviations
 above the mean: under 4e-13 in total variation per count.  No stream
 is ever shared across chunks, so batches are byte-identical for any
-worker count.
+worker count.  Batches are written in place: each chunk sums its ops
+straight into its own slice of one preallocated array, so a batch
+holds 8 bytes per sample plus one chunk's work arrays per thread.
 """
 
 from __future__ import annotations
@@ -312,11 +314,18 @@ def _draw_pool(rng, size, *, starts, affine, shift, hit_prob, coef):
     return coef * np.bincount(owner, weights=vals * signs, minlength=size)
 
 
-def _aggregate_chunk(plan, seed, chunk_idx, size):
-    out = np.zeros(size)
+def _aggregate_chunk(plan, seed, values, chunk_idx):
+    """Sum the plan's draws for one chunk into its slice of ``values``."""
+    out = values[chunk_idx * CHUNK:(chunk_idx + 1) * CHUNK]
     for lane, draw in enumerate(plan):
-        out += draw(_lane_stream(seed, lane, chunk_idx), size)
-    return out
+        out += draw(_lane_stream(seed, lane, chunk_idx), out.size)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
@@ -333,16 +342,18 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
     kind = SampleKind(kind)
     plan = _build_plan(params, log2_n, kind, normalized,
                        moments or ExactMoments(params))
-    job = partial(_aggregate_chunk, plan, seed)
-    sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
+    values = np.zeros(count)
+    job = partial(_aggregate_chunk, plan, seed, values)
+    chunks = range(-(-count // CHUNK))
     # threads beyond the cores or the chunks only contend for them
-    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    threads = min(workers, len(chunks), _usable_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, range(len(sizes)), sizes))
+            # chunks write disjoint slices; list() surfaces any exception
+            list(pool.map(job, chunks))
     else:
-        parts = list(map(job, range(len(sizes)), sizes))
-    values = np.concatenate(parts)
+        for chunk_idx in chunks:
+            job(chunk_idx)
     return SampleBatch(seed=seed, log2_n=log2_n, count=count, kind=kind,
                        normalized=normalized, values=values)
 

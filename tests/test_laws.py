@@ -1,9 +1,12 @@
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom, norm, poisson, skellam
 
@@ -426,6 +429,59 @@ def test_one_pass_ks_against_a_lattice_law_is_brute_force():
                        law) == got
 
 
+KS_LAWS = {
+    "sym_poisson": lambda: SymPoissonLaw(0.7),
+    "lattice": lambda: exact_law(single_odd_block(4), 4),
+    "mixture": lambda: ExactFiniteLaw(0.5, (LatticeAtom(
+        lattice_scale=0.25, trials=64, hit_prob=1 / 64, log2_trials=6.0,
+        log2_hit=-6.0, var_share=0.0625),)),
+    "normal": lambda: NormalLaw(0.1, 1.3),
+}
+
+
+def snap_each(x, jumps, delta):
+    """Every sample moved onto its nearest jump within delta, one by one."""
+    out = np.array(x, dtype=float)
+    for i, v in enumerate(out):
+        dist = np.abs(v - jumps)
+        if dist.size and dist.min() <= delta:
+            out[i] = jumps[np.argmin(dist)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(KS_LAWS)),
+       block=st.sampled_from([1, 2, 3, 7]),
+       delta=st.sampled_from([laws.KS_SNAP, 1e-3]))
+def test_blocked_ks_is_the_dense_brute_force(data, name, block, delta):
+    law = KS_LAWS[name]()
+    support = law._table()[1]
+    # ties (repeated anchors), samples within delta of a jump and just
+    # beyond it, and values off every anchor
+    offset = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5])
+    central = support[np.argsort(np.abs(support - law.mean()))[:12]]
+    anchored = st.builds(lambda a, o: a + o * delta,
+                         st.sampled_from(sorted(central)), offset)
+    free = st.floats(-4.0, 4.0, allow_nan=False)
+    x = np.sort(np.array(data.draw(
+        st.lists(st.one_of(anchored, free), min_size=1, max_size=40))))
+    jumps = np.asarray(law.discontinuities(), dtype=float)
+    snapped = snap_each(x, jumps, delta)
+    want = brute_ks(snapped, law, np.union1d(snapped, jumps))
+    with mock.patch.object(laws, "_KS_BLOCK", block):
+        assert laws._ks_empirical(x, law, delta) == want
+
+
+def test_empirical_law_leaves_its_input_untouched():
+    x = np.random.default_rng(5).standard_normal(1000)
+    for values in (x, x[::-1]):
+        kept = values.copy()
+        emp = empirical_law(values)
+        assert np.array_equal(values, kept)
+        assert emp.samples is not values
+        assert np.array_equal(emp.samples, np.sort(kept))
+
+
 def test_law_against_law_ks_is_unchanged():
     # grid-path values, frozen bit for bit
     params = default_params(kmax=20, rho=4.0)
@@ -504,6 +560,16 @@ def test_dichotomy_single_parity_is_no_dichotomy():
     assert rep.rows[0].parity is BlockParity.THREE_VALUED
 
 
+def test_dichotomy_single_parity_failed_gate_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(laws, "ks_pass_bound", lambda count: 0.0)
+    rep = dichotomy_report(default_params(kmax=20, rho=4.0), 400, 3)
+    assert [r.oracle_pass for r in rep.rows] == [False]
+    assert rep.verdict is DichotomyVerdict.INCONCLUSIVE
+    assert rep.notes == ["both parities need a complete horizon",
+                         "oracle gate failed at log2 horizons [%d]"
+                         % rep.rows[0].horizon_log2]
+
+
 def test_dichotomy_astronomic_verdicts():
     params = default_params(kmax=40_000_000, rho=4.0)
     rep = dichotomy_report(params, 2_000, 745, workers=2)
@@ -536,6 +602,24 @@ def test_astronomic_report_builds_no_horizon_integer():
         tracemalloc.stop()
     assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
     assert peak < 4 << 20
+
+
+def test_report_holds_one_batch_at_a_time():
+    # each batch is sorted in place and scored in fixed-size blocks, so
+    # the peak is the batch, np.var's one temporary and block-sized
+    # work arrays: 16 bytes a sample, against about 96 with every batch
+    # of the report alive at once
+    params = theorem1_params()
+    moments = ExactMoments(params)
+    count = 200_000
+    tracemalloc.start()
+    try:
+        rep = dichotomy_report(params, count, 0, moments=moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
+    assert peak < 5 * 8 * count
 
 
 def test_format_ks_csv_huge_horizon():

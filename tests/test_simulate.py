@@ -54,6 +54,18 @@ def test_worker_count_never_changes_bytes():
     assert odd.count == odd.values.size == 4097
 
 
+def test_worker_count_never_changes_bytes_over_many_chunks():
+    # three full chunks and a short one, each written into its slice
+    params = desk_params()
+    count = 3 * simulate.CHUNK + 5
+    for e in (8, 12):
+        base = sample_batch(params, e, count, 31, workers=1).values
+        assert base.size == count and np.all(base[-5:] != 0.0)
+        for workers in (2, 4):
+            again = sample_batch(params, e, count, 31, workers=workers)
+            assert again.values.tobytes() == base.tobytes()
+
+
 def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
     params = desk_params()
     e, count, chunk, seed = 12, 3000, 1, 5
@@ -84,16 +96,30 @@ def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
     params = desk_params()
-    # 1000 draws: ten chunks of 100, or three of 400
-    for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
-                               (1, 100, []), (None, 100, [])):
+
+    def threads_opened(chunk):
         monkeypatch.setattr(simulate, "CHUNK", chunk)
         base = sample_batch(params, 8, 1000, 745)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
         opened.clear()
         batch = sample_batch(params, 8, 1000, 745, workers=8)
-        assert opened == want
         assert np.array_equal(batch.values, base.values)
+        return list(opened)
+
+    # 1000 draws: ten chunks of 100, or three of 400; the CPUs the
+    # process may run on bound the threads, not those of the machine
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+    if hasattr(simulate.os, "sched_getaffinity"):
+        for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
+                                   (1, 100, [])):
+            monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                                lambda pid: set(range(cores)))
+            assert threads_opened(chunk) == want
+        monkeypatch.delattr(simulate.os, "sched_getaffinity")
+    # where the platform cannot say, the machine's CPUs, or one
+    for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
+                               (1, 100, []), (None, 100, [])):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+        assert threads_opened(chunk) == want
 
 
 class _Recording:
