@@ -708,9 +708,12 @@ def dyadic_grid(lo_exp: int, hi_exp: int) -> list[int]:
 class ExactMoments:
     """Memoizing front end for the closed-form quantities.
 
-    Results are cached per horizon (series tails per (p, q)).  The cache
-    is not locked: no two threads read one instance, since the worker
-    threads of ``sample_batch`` only run plan ops built beforehand.
+    What it keeps does not grow with the grid: the per-horizon scalars
+    (b^2, conditional norm, variance, Lemma 5 error, fourth cumulant),
+    the series tails per (p, q), one ``ScaleSums`` per block, and the
+    profiles of the last horizon asked for only.  The cache is not
+    locked: no two threads read one instance, since the worker threads
+    of ``sample_batch`` only run plan ops built beforehand.
     """
 
     def __init__(self, params: SequenceParams):
@@ -726,9 +729,19 @@ class ExactMoments:
     # -- profiles ----------------------------------------------------------
 
     def profiles(self, N: int) -> list[BlockProfile]:
-        return self._memo(("profiles", N), lambda: [
-            BlockProfile(self.params, b, N, self._sums(b))
-            for b in self.params.blocks])
+        """Every block's profile at horizon N.
+
+        Only the last horizon's profiles are kept: the per-horizon
+        scalars read them once and are memoized themselves, so a grid
+        holds one horizon's segments at a time, not all of them.
+        """
+        if self._cache.get("profiles", (None,))[0] != N:
+            # drop the last horizon's before this one's are built
+            self._cache.pop("profiles", None)
+            self._cache["profiles"] = (N, [
+                BlockProfile(self.params, b, N, self._sums(b))
+                for b in self.params.blocks])
+        return self._cache["profiles"][1]
 
     def _sums(self, block: BlockSpec) -> ScaleSums:
         # one exact prefix table per block, extended as horizons grow

@@ -33,7 +33,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -517,6 +517,8 @@ class EmpiricalLaw(LawModel):
     unit weight each, so the cdf is a count over the sample size."""
 
     samples: np.ndarray
+    # np.var of the samples, taken once: every distance reads it
+    _var: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         s = np.sort(np.asarray(self.samples, dtype=float))
@@ -532,7 +534,9 @@ class EmpiricalLaw(LawModel):
         return float(self.samples.mean())
 
     def variance(self) -> float:
-        return float(self.samples.var())
+        if self._var is None:
+            self._var = float(self.samples.var())
+        return self._var
 
     def discontinuities(self) -> np.ndarray:
         return np.unique(self.samples)
@@ -765,8 +769,8 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         e = blk.horizon_log2
         law = exact_law(params, e, moments)
         ks_vs_oracle, ks_vs_normal = _batch_ks(dichotomy_samples(
-            params, [e], count, seed, workers=workers)[e].values,
-            law, normal)
+            params, [e], count, seed, workers=workers,
+            moments=moments)[e].values, law, normal)
         ks_gate, = _batch_ks(sample_batch(
             params, e, count, derive_seed(seed, _GATE_SALT + blk.index),
             SampleKind.APPROX_IID_SUM, normalized=True, workers=workers,

@@ -359,12 +359,15 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
 
 
 def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
-                      seed: int, *, workers: int = 1) -> dict:
+                      seed: int, *, workers: int = 1,
+                      moments: ExactMoments | None = None) -> dict:
     """Normalized full-sum batches at complete-block horizons, given and
     keyed by their exponents.
 
     Per-horizon seeds are derived from the shared seed and the block
-    index, so adding horizons never perturbs existing batches.
+    index, so adding horizons never perturbs existing batches.  Each
+    batch plans from ``moments`` as ``sample_batch`` does; its values do
+    not depend on what the engine has cached.
     """
     complete = {b.horizon_log2: b for b in params.blocks if b.complete}
     out = {}
@@ -375,6 +378,7 @@ def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
                               horizon_log2=e)
         sub = derive_seed(seed, blk.index)
         out[e] = sample_batch(params, e, count, sub, SampleKind.FULL_SN,
-                              normalized=True, workers=workers)
+                              normalized=True, workers=workers,
+                              moments=moments)
     return out
 

@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -931,3 +933,67 @@ def test_profiles_read_each_weight_once(monkeypatch):
     kept = [k for b in params.blocks
             for k in range(b.k_lo, min(b.k_hi, hi + engine.K_GUARD) + 1)]
     assert sorted(reads.elements()) == kept
+
+
+# -- what a grid keeps alive -----------------------------------------------
+
+def reachable_profiles(root):
+    """Every BlockProfile reachable from ``root`` through containers."""
+    seen, found, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, BlockProfile):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.items())
+        elif isinstance(obj, (list, tuple, set)):
+            todo.extend(obj)
+    return found
+
+
+def held_by_table(params, grid):
+    """(engine, bytes still traced) after one ``table_rows``, rows
+    included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        em = ExactMoments(params)
+        rows = em.table_rows(grid)
+        assert len(rows) == len(grid)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return em, held
+
+
+def test_table_rows_hold_one_horizons_profiles():
+    # each row's profiles fill its memoized scalars and go when the next
+    # row asks for its own, so what the engine keeps does not grow with
+    # the grid (2.75 MB when every row's profiles stayed cached)
+    grid = dyadic_grid(4, 40)
+    em, held = held_by_table(preset("theorem3")[0], grid)
+    assert held < 0.25e6
+    # the last row's profiles stay, and asking for them again reuses them
+    kept = sorted(map(id, reachable_profiles(em._cache)))
+    assert kept == sorted(map(id, em.profiles(grid[-1])))
+    _, short = held_by_table(preset("theorem3")[0], dyadic_grid(4, 20))
+    assert abs(held - short) < 0.1e6
+
+
+def test_streamed_rows_equal_one_horizon_at_a_time():
+    params, (lo, hi) = preset("theorem3")
+    em = ExactMoments(params)
+    grid = dyadic_grid(lo, hi)
+    em.table_rows(grid)
+    for n in grid:
+        fresh = ExactMoments(params)
+        assert em.cond_norm_sq(n).hex() == fresh.cond_norm_sq(n).hex()
+        assert em.sigma_sq(n).hex() == fresh.sigma_sq(n).hex()
+        assert em.iid_approx_ratio(n).hex() == \
+            fresh.iid_approx_ratio(n).hex()
+

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom, norm, poisson, skellam
 
+import cltlab.engine as engine
 import cltlab.laws as laws
 from cltlab.blocks import BlockParity, SequenceParams, default_params, \
     split_blocks
-from cltlab.engine import ExactMoments
+from cltlab.engine import ExactMoments, dyadic_grid
 from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          LatticeAtom, NormalLaw, SymPoissonLaw,
@@ -620,6 +621,44 @@ def test_report_holds_one_batch_at_a_time():
         tracemalloc.stop()
     assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
     assert peak < 5 * 8 * count
+
+
+def test_report_plans_from_its_own_engine(monkeypatch):
+    # the full-sum batches read the report's prefix tables: one
+    # ScaleSums per block for the grid and the report together
+    built = []
+    init = engine.ScaleSums.__init__
+
+    def counting(self, weights, k_lo):
+        built.append(k_lo)
+        init(self, weights, k_lo)
+
+    monkeypatch.setattr(engine.ScaleSums, "__init__", counting)
+    params = theorem1_params()
+    moments = ExactMoments(params)
+    moments.table_rows(dyadic_grid(4, 16))
+    rep = dichotomy_report(params, 1_000, 0, moments=moments)
+    assert len(rep.rows) == 2
+    assert sorted(built) == [b.k_lo for b in params.blocks]
+
+
+def test_batch_ks_takes_the_variance_once():
+    # both distances read the empirical standard deviation for their
+    # snap tolerance; the law keeps np.var's value, bits and all
+    class Counting(np.ndarray):
+        calls = 0
+
+        def var(self, *args, **kwargs):
+            Counting.calls += 1
+            return super().var(*args, **kwargs)
+
+    values = np.random.default_rng(7).standard_normal(5_000) * 3.0
+    wide, normal = NormalLaw(0.0, 9.0), NormalLaw(0.0, 1.0)
+    expect = [ks_distance(empirical_law(values), law)
+              for law in (wide, normal)]
+    got = laws._batch_ks(values.copy().view(Counting), wide, normal)
+    assert Counting.calls == 1
+    assert got == expect
 
 
 def test_format_ks_csv_huge_horizon():

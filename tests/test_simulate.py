@@ -11,7 +11,7 @@ from scipy.stats import binom, chisquare, kstat, ks_2samp
 import cltlab.simulate as simulate
 from cltlab.blocks import (BlockParity, SequenceParams, default_params,
                            split_blocks)
-from cltlab.engine import DESK_N_CAP, ExactMoments, Segment
+from cltlab.engine import DESK_N_CAP, ExactMoments, Segment, dyadic_grid
 from cltlab.errors import ParamsError, WorkBudgetError
 from cltlab.laws import empirical_law, exact_law, ks_distance, ks_pass_bound
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
@@ -440,6 +440,19 @@ def test_dichotomy_samples_stability():
     assert np.array_equal(one[odd].values, with_more[odd].values)
     with pytest.raises(ParamsError):
         dichotomy_samples(params, [odd + 1], 100, 745)
+
+
+def test_dichotomy_samples_on_a_shared_engine_keep_their_bits():
+    # an engine warm with a grid's scalars, prefix tables and last
+    # profiles plans the same batches as a fresh one
+    params = default_params(kmax=40_000_000, rho=4.0)
+    horizons = [b.horizon_log2 for b in params.complete_blocks()]
+    em = ExactMoments(params)
+    em.table_rows(dyadic_grid(4, 16))
+    shared = dichotomy_samples(params, horizons, 2_000, 745, moments=em)
+    fresh = dichotomy_samples(params, horizons, 2_000, 745)
+    for e in horizons:
+        assert shared[e].values.tobytes() == fresh[e].values.tobytes()
 
 
 # ---------------------------------------------------------------------------
