@@ -10,6 +10,8 @@ N.  C_l is piecewise linear in m with integer breakpoints, so all sums
 collapse to Faulhaber closed forms; no per-coordinate enumeration is
 needed.  ``BlockProfile`` finds each piece's value and slope from exact
 integer prefix sums over k, in O(1) per piece, and rounds each once.
+It keeps each piece once, as a table row, and every sum of squares is
+one ``math.fsum`` over whole rows.
 
 Three independent routes to the variance exist:
 
@@ -43,7 +45,7 @@ far under every tolerance used here.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,81 +88,25 @@ def _pow2(j):
     return np.ldexp(1.0, np.clip(j, -1100, 0))
 
 
-# ---------------------------------------------------------------------------
-# Faulhaber power sums (exact integers)
-
-# F_p(x) = sum_{t=1}^{x} t^p as a polynomial, so F_p(hi) - F_p(lo - 1)
-# sums t^p over lo..hi for any integers lo <= hi + 1
-_FAULHABER = (
-    lambda x: x * (x + 1) // 2,
-    lambda x: x * (x + 1) * (2 * x + 1) // 6,
-    lambda x: (x * (x + 1) // 2) ** 2,
-    lambda x: x * (x + 1) * (2 * x + 1) * (3 * x * x + 3 * x - 1) // 30,
-)
-
-
-def _power_sums(lo: int, hi: int, top: int = 4) -> list[int]:
-    """[S0, .., S_top] with Sp = sum_{t=lo}^{hi} t^p, exact Python integers."""
-    if hi < lo:
-        return [0] * (top + 1)
-    a = lo - 1
-    return [hi - lo + 1] + [f(hi) - f(a) for f in _FAULHABER[:top]]
-
-
-def _centred(lo: int, hi: int) -> tuple:
-    """(mid, S0, S1, S2) of lo..hi: the power sums of t = m - mid over
-    [lo - mid, hi - mid], which is [-b, b] or [1 - b, b] with
-    b = hi - mid, each exact and then rounded once."""
+def _centred(lo: int, hi: int, top: int = 2) -> tuple:
+    """(mid, S0, .., S_top) of lo..hi, top 2 or 4: the exact integer
+    power sums of t = m - mid over [lo - mid, hi - mid], which is [-b, b]
+    or, without t = -b, [1 - b, b], with b = hi - mid."""
     mid = (lo + hi) // 2
     b = hi - mid
     s2 = b * (b + 1) * (2 * b + 1) // 3     # twice 1^2 + .. + b^2
+    sums = [2 * b + 1, 0, s2]
+    if top == 4:
+        sums += [0, s2 * (3 * b * b + 3 * b - 1) // 5]   # twice 1^4 + ..
     if (lo + hi) & 1:
-        return mid, float(hi - lo + 1), float(b), float(s2 - b * b)
-    return mid, float(hi - lo + 1), 0.0, float(s2)
+        sums = [s - (-b) ** p for p, s in enumerate(sums)]
+    return (mid, *sums)
 
 
 def _affine_sq(v, s, s0, s1, s2):
     """Sum of (v + s t)^2 from the power sums S0, S1, S2 of t;
     elementwise over arrays."""
     return v * v * s0 + 2.0 * v * s * s1 + s * s * s2
-
-
-@dataclass
-class Segment:
-    """An integer interval on which a block coefficient is affine.
-
-    The value is anchored at the interval midpoint (v(m) = v_mid +
-    slope * (m - mid)), which keeps the Faulhaber accumulations centered
-    and free of cancellation.
-    """
-
-    lo: int
-    hi: int
-    v_mid: float
-    slope: float
-    mid: int
-
-    def value(self, m: int) -> float:
-        return self.v_mid + self.slope * (m - self.mid)
-
-    def sum_pow(self, power: int, lo=None, hi=None, shift: float = 0.0):
-        """Sum of (value(m) - shift)^power over the clipped interval."""
-        if power not in (2, 4):
-            raise ValueError(f"unsupported power {power}")
-        lo = self.lo if lo is None else max(lo, self.lo)
-        hi = self.hi if hi is None else min(hi, self.hi)
-        if hi < lo:
-            return 0.0
-        # only the sums the power reads
-        s0, s1, s2, *s34 = _power_sums(lo - self.mid, hi - self.mid,
-                                       4 if power == 4 else 2)
-        v, s = self.v_mid - shift, self.slope
-        if power == 2:
-            return _affine_sq(v, s, s0, float(s1), float(s2))
-        s3, s4 = s34
-        return (v ** 4 * s0 + 4.0 * v ** 3 * s * float(s1)
-                + 6.0 * v * v * s * s * float(s2)
-                + 4.0 * v * s ** 3 * float(s3) + s ** 4 * float(s4))
 
 
 class ScaleSums:
@@ -206,10 +152,19 @@ class BlockProfile:
     each count is 0, n_k, N, m + n_k or N - m, and since n_k grows with k
     each regime holds a contiguous range of scales.  A segment's value
     and slope are then differences of two exact integer prefix sums over
-    k (``ScaleSums``), read in O(1) and rounded once, so every ``v_mid``
-    and ``slope`` is correctly rounded.  ``ExactMoments`` passes one
+    k (``ScaleSums``), read in O(1) and rounded once, so every value
+    and slope is correctly rounded.  ``ExactMoments`` passes one
     ``ScaleSums`` per block to every horizon; built alone, a profile
     makes its own.
+
+    ``segments`` holds each segment's exact (lo, hi, mid).  The table
+    beside it has the columns v, slope, S0, S1, S2: C(m) = v + slope t
+    with t = m - mid, and Sp the exact power sums of t over the segment,
+    rounded once.  ``v`` and ``slope`` are views of its first two
+    columns.  Two rows follow the segments': the segment from 0 split
+    at m = 1 into site 0 and its sites 1..hi, with the same value, slope
+    and midpoint.  So the row sets ``past`` (m <= 0) and ``future``
+    (1 <= m <= N - 1) cover their sites with whole rows.
     """
 
     def __init__(self, params: SequenceParams, block: BlockSpec, N: int,
@@ -232,8 +187,8 @@ class BlockProfile:
         one = 1 << F
         total = rise[kept]
 
-        # rows (lo, hi, v_mid, slope, mid, S0, S1, S2): a segment, then
-        # the exact power sums of its centred range for the table
+        # rows (lo, hi, mid, v, slope, S0, S1, S2): a segment and the
+        # exact power sums of its centred range
         rows = []
         # every kept scale cuts at 1 - n_k, N - n_k and 0
         ns = [1 << k for k in range(k_lo, k_cut + 1)]
@@ -255,47 +210,56 @@ class BlockProfile:
             else:
                 slope = -capped
                 v = (flat[j2] + (N - mid) * capped) / one
-            rows.append((lo, hi, v, slope / one if hi > lo else 0.0, mid,
+            rows.append((lo, hi, mid, v, slope / one if hi > lo else 0.0,
                          *power))
-        cols = list(zip(*rows))
-        self.segments = list(map(Segment, *cols[:5]))
-        # the power-sum table, one column per segment
-        self._v, self._slope, self._s0, self._s1, self._s2 = np.array(
-            cols[2:4] + cols[5:], dtype=float)
+        # the split rows; zero if no segment starts at 0 (no scale is kept)
+        n = len(rows)
+        left = bisect_left(rows, (0,))      # the segments in m <= -1
+        right = bisect_left(rows, (1,))     # and the one from 0, if any
+        split = [(0.0,) * 5] * 2
+        if right > left:
+            _, _, mid, v, slope, s0, s1, s2 = rows[left]
+            split = [(v, slope, 1, -mid, mid * mid),
+                     (v, slope, s0 - 1, s1 + mid, s2 - mid * mid)]
+        self.segments = [row[:3] for row in rows]
+        self._table = np.array([row[3:] for row in rows] + split,
+                               dtype=float).T
+        self.v, self.slope = self._table[:2, :n]
+        self.past = np.r_[:left, n]
+        self.future = np.r_[right:n, n + 1]
 
     def value(self, m: int) -> float:
-        for seg in self.segments:
-            if seg.lo <= m <= seg.hi:
-                return seg.value(m)
-        return 0.0
+        """C(m), and 0.0 off the segments."""
+        i = bisect_right(self.segments, m, key=lambda seg: seg[0]) - 1
+        if i < 0 or m > self.segments[i][1]:
+            return 0.0
+        return float(self.v[i]) + float(self.slope[i]) * (
+            m - self.segments[i][2])
 
-    def sum_pow(self, power: int, lo=None, hi=None, shift: float = 0.0):
-        """Sum of (C(m) - shift)^power over m in [lo, hi], exactly as the
-        ``math.fsum`` of the segments' own ``Segment.sum_pow``.
+    def sum_pow(self, power: int, sites=None, shift: float = 0.0) -> float:
+        """Sum of (C(m) - shift)^power over all sites, or over the table
+        rows ``sites``: ``past`` (m <= 0), ``future`` (1 <= m <= N - 1)
+        or segment indices.
 
-        Squares read the power-sum table: one array expression over the
-        segments the bounds cover whole, and ``Segment.sum_pow`` for the
-        at most two that they clip.
+        Squares are one ``math.fsum`` over the table rows.  Fourth
+        powers, over all sites only, read each segment's exact centred
+        S0..S4.
         """
-        segs = self.segments
+        if power == 4 and sites is None:
+            out = []
+            for (lo, hi, _), v, s in zip(self.segments, self.v.tolist(),
+                                         self.slope.tolist()):
+                s0, s1, s2, s3, s4 = map(float, _centred(lo, hi, 4)[1:])
+                v -= shift
+                out.append(v ** 4 * s0 + 4.0 * v ** 3 * s * s1
+                           + 6.0 * v * v * s * s * s2
+                           + 4.0 * v * s ** 3 * s3 + s ** 4 * s4)
+            return math.fsum(out)
         if power != 2:
-            return math.fsum(seg.sum_pow(power, lo, hi, shift)
-                             for seg in segs)
-        # segments i..j-1 meet [lo, hi]
-        i = 0 if lo is None else max(
-            bisect_right(segs, lo, key=lambda seg: seg.lo) - 1, 0)
-        j = len(segs) if hi is None else bisect_right(
-            segs, hi, key=lambda seg: seg.lo)
-        edges = []
-        if i < j and lo is not None and segs[i].lo < lo:
-            edges.append(segs[i].sum_pow(2, lo, hi, shift))
-            i += 1
-        if i < j and hi is not None and segs[j - 1].hi > hi:
-            edges.append(segs[j - 1].sum_pow(2, lo, hi, shift))
-            j -= 1
-        whole = _affine_sq(self._v[i:j] - shift, self._slope[i:j],
-                           self._s0[i:j], self._s1[i:j], self._s2[i:j])
-        return math.fsum(whole.tolist() + edges)
+            raise ValueError(f"unsupported power {power} on these sites")
+        v, s, *sums = self._table[:, slice(None, -2) if sites is None
+                                  else sites]
+        return math.fsum(_affine_sq(v - shift, s, *sums).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +534,15 @@ class SeriesTail:
             # sums, and the offset n_k - mid of a linear run, do not
             # depend on k.
             (sum_f, sum_ff), sums = sums[:, -1], sums[:, :-1]
-            _, *sums_w = _centred(-q, -p)
-            mid_l, *sums_l = _centred(1 - p, -1)
+            _, *sums_w = map(float, _centred(-q, -p))
+            mid_l, *sums_l = map(float, _centred(1 - p, -1))
             i = np.flatnonzero(self.past)
             g, zg = gs[i], z_three * gs[i]
             v = z_half * above[i + 1]
             parts += (_affine_sq(v, 0.0, *sums_w) + 2.0 * g * (v * sum_f)
                       + g * g * sum_ff).tolist()
             if p > 1:
-                parts += _affine_sq(v + zg * float(-mid_l), -zg,
+                parts += _affine_sq(v + zg * -mid_l, -zg,
                                     *sums_l).tolist()
             n = np.ldexp(1.0, ks[i])
             length = np.where(self.opens[i], n, n / 2) - q
@@ -708,7 +672,9 @@ def dyadic_grid(lo_exp: int, hi_exp: int) -> list[int]:
 class ExactMoments:
     """Memoizing front end for the closed-form quantities.
 
-    What it keeps does not grow with the grid: the per-horizon scalars
+    ``sigma_sq``, ``cond_norm_sq`` and ``iid_approx_error_sq`` sum the
+    profiles' rows of all sites, ``past`` and ``future``.  What it keeps
+    does not grow with the grid: the per-horizon scalars
     (b^2, conditional norm, variance, Lemma 5 error, fourth cumulant),
     the series tails per (p, q), one ``ScaleSums`` per block, and the
     profiles of the last horizon asked for only.  The cache is not
@@ -766,7 +732,7 @@ class ExactMoments:
     def cond_norm_sq(self, N: int) -> float:
         """Squared norm of the past-conditional part of the horizon sum."""
         return self._memo(("cond", N), lambda: math.fsum(
-            p.sum_pow(2, hi=0) for p in self.profiles(N)))
+            p.sum_pow(2, p.past) for p in self.profiles(N)))
 
     def proj_norm_sq(self, l: int, N: int) -> float:
         """Squared norm of the single-coordinate projection at shift l."""
@@ -794,8 +760,7 @@ class ExactMoments:
             e = _log2_floor(N)
             out = self.normalizer_sq(e)
             for b, p in zip(self.params.blocks, self.profiles(N)):
-                out += p.sum_pow(2, lo=1, hi=N - 1,
-                                 shift=self.block_mass(b, e))
+                out += p.sum_pow(2, p.future, self.block_mass(b, e))
             return out
 
         return self._memo(("iiderr", N), compute)

@@ -284,17 +284,18 @@ def dense_series_tail_norm(params: SequenceParams, p: int, q: int) -> float:
 def dense_coefficients(prof: BlockProfile) -> np.ndarray:
     """g_l(m) for the profile's block at every site m of the horizon sum,
     from the lowest up, spike blocks scaled by sqrt(N_l); budget-guarded."""
-    lo = prof.segments[0].lo
-    hi = prof.segments[-1].hi
+    lo = prof.segments[0][0]
+    hi = prof.segments[-1][1]
     need = 8 * (hi - lo + 1)
     if need > DENSE_BYTE_BUDGET:
         raise MemoryBudgetError("dense profile too large",
                                 estimated_bytes=need,
                                 budget=DENSE_BYTE_BUDGET)
     out = np.empty(hi - lo + 1)
-    for seg in prof.segments:
-        t = np.arange(seg.lo - seg.mid, seg.hi - seg.mid + 1, dtype=float)
-        out[seg.lo - lo: seg.hi - lo + 1] = seg.v_mid + seg.slope * t
+    for (a, b, mid), v, s in zip(prof.segments, prof.v.tolist(),
+                                 prof.slope.tolist()):
+        t = np.arange(a - mid, b - mid + 1, dtype=float)
+        out[a - lo: b - lo + 1] = v + s * t
     h = prof.block.horizon_log2
     scale = (math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2)
              if prof.block.parity is BlockParity.THREE_VALUED else 1.0)
@@ -330,7 +331,7 @@ def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
     if N is None:
         raise ParamsError("site mode needs full site resolution")
     profs = (moments or ExactMoments(params)).profiles(N)
-    coords = sum(p.segments[-1].hi - p.segments[0].lo + 1 for p in profs)
+    coords = sum(p.segments[-1][1] - p.segments[0][0] + 1 for p in profs)
     if count * coords > SITE_DRAW_BUDGET:
         raise WorkBudgetError("site mode draw count too large",
                               estimated_ops=count * coords,

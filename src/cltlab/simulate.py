@@ -208,30 +208,33 @@ def _spike_ops(prof: BlockProfile, inv_unit: float) -> list:
     # sqrt(2^h), finite for every h with a nonzero hit probability
     scale = math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2) * inv_unit
     ops, heavy, sloped = [], [], []
-    for seg in prof.segments:
-        length = seg.hi - seg.lo + 1
+    for i, ((lo, hi, _), v, slope) in enumerate(zip(
+            prof.segments, prof.v.tolist(), prof.slope.tolist())):
+        length = hi - lo + 1
         if length * hit_prob > GAUSSIANIZE_HITS:
-            heavy.append(seg.sum_pow(2))
-        elif seg.slope == 0.0 and length >> 63:
+            heavy.append(i)
+        elif slope == 0.0 and length >> 63:
             # past numpy's 2^63 - 1 trials the hit probability is below
             # 2^-62, and the Poisson count is within it in total variation
             ops.append(partial(_draw_poisson, lam=length * hit_prob,
-                               coef=scale * seg.v_mid))
-        elif seg.slope == 0.0:
+                               coef=scale * v))
+        elif slope == 0.0:
             ops.append(partial(_draw_flat, length=length, hit_prob=hit_prob,
-                               coef=scale * seg.v_mid))
+                               coef=scale * v))
         else:
-            sloped.append(seg)
+            sloped.append(i)
     if sloped:
-        starts = np.cumsum([0] + [seg.hi - seg.lo + 1 for seg in sloped])
+        # lengths and offsets only: a far-left segment's ends may pass
+        # int64
+        segs = [prof.segments[i] for i in sloped]
+        starts = np.cumsum([0] + [hi - lo + 1 for lo, hi, _ in segs])
         ops.append(partial(
             _draw_pool, starts=starts, hit_prob=hit_prob, coef=scale,
-            affine=np.array([(seg.v_mid, seg.slope) for seg in sloped]),
-            shift=np.array([seg.lo - seg.mid for seg in sloped])
-            - starts[:-1]))
+            affine=np.column_stack([prof.v[sloped], prof.slope[sloped]]),
+            shift=np.array([lo - mid for lo, _, mid in segs]) - starts[:-1]))
     if heavy:
         ops.append(partial(_draw_normal,
-                           std=math.sqrt(math.fsum(heavy)) * inv_unit))
+                           std=math.sqrt(prof.sum_pow(2, heavy)) * inv_unit))
     return ops
 
 

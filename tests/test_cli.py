@@ -348,7 +348,7 @@ def test_runs_are_byte_deterministic(tmp_path, capsys, monkeypatch):
     assert texts[0] == texts[1]
 
 
-# sha256 of every artifact of four fixed runs.  A change that moves a byte
+# sha256 of every artifact of five fixed runs.  A change that moves a byte
 # on purpose updates these pins and names the change.
 PINNED_ARTIFACTS = {
     ("custom", "--samples", "2000"): {
@@ -379,6 +379,20 @@ PINNED_ARTIFACTS = {
                          "cbc8ecca05c448f4b71f2e5adbffefa0",
         "verdict.json": "4eb9e42d1da774e7fe183c5092964da0"
                         "26892cc0c72b445d6469ea5d4845c98c",
+    },
+    # the adapted schedule: schedule.csv, and full sums of mostly ramp
+    # segments drawn from the block profiles
+    ("theorem2", "--samples", "2000"): {
+        "conditions.csv": "3594053fb6c5bb00e3d8536abe371694"
+                          "32e59917c31a623008ce839aba90b5a0",
+        "config.json": "9a776fd64914beb2114a826cf93e066a"
+                       "16eccbb869c730d4e7fd822bb0087141",
+        "dichotomy.csv": "245b4a62d6e6f3cc116ab8285cc06e55"
+                         "9bcf984783b34de9821f45d1c4f3e36f",
+        "schedule.csv": "6a447474aaa4c8de4956c73729537ed2"
+                        "3b6094f77c12e095455797179b2af99b",
+        "verdict.json": "735d24b9ded4b473e0c759db9a4e9fe6"
+                        "4c8043fa512546235fb842f406f09db8",
     },
     # the beyond-cap Poisson flat copy: the oracle gate at 2^3264
     ("theorem3", "--samples", "2000", "--grid", "dyadic:4:8"): {

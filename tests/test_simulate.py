@@ -11,7 +11,7 @@ from scipy.stats import binom, chisquare, kstat, ks_2samp
 import cltlab.simulate as simulate
 from cltlab.blocks import (BlockParity, SequenceParams, default_params,
                            split_blocks)
-from cltlab.engine import DESK_N_CAP, ExactMoments, Segment, dyadic_grid
+from cltlab.engine import DESK_N_CAP, ExactMoments, dyadic_grid
 from cltlab.errors import ParamsError, WorkBudgetError
 from cltlab.laws import empirical_law, exact_law, ks_distance, ks_pass_bound
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
@@ -22,6 +22,7 @@ from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
                              _stream, derive_seed, dichotomy_samples,
                              sample_batch)
 from cltlab.weights import WeightMode, build_weights
+from conftest import power_sums
 
 
 def desk_params():
@@ -300,9 +301,9 @@ def test_gaussianized_segments_join_their_layers_normal():
     spikes = [p for p in profs
               if p.block.parity is BlockParity.THREE_VALUED]
     heavy = [p for p in spikes
-             if any((seg.hi - seg.lo + 1)
+             if any((hi - lo + 1)
                     * math.ldexp(1.0, -p.block.horizon_log2)
-                    > GAUSSIANIZE_HITS for seg in p.segments)]
+                    > GAUSSIANIZE_HITS for lo, hi, _ in p.segments)]
     assert heavy
     normals = sum(draw.func is _draw_normal for draw in plan_of(params, 45))
     assert normals == len(profs) - len(spikes) + len(heavy)
@@ -412,8 +413,11 @@ def _op_variance(op):
     # segment j over its sites i, centred: t = i + shift[j]
     lo = (kw["starts"][:-1] + kw["shift"]).tolist()
     hi = (kw["starts"][1:] - 1 + kw["shift"]).tolist()
-    return unit * math.fsum(Segment(a, b, v, s, 0).sum_pow(2) for a, b, (v, s)
-                            in zip(lo, hi, kw["affine"].tolist()))
+    squares = []
+    for a, b, (v, s) in zip(lo, hi, kw["affine"].tolist()):
+        s0, s1, s2 = power_sums(a, b, 2)
+        squares.append(v * v * s0 + 2.0 * v * s * s1 + s * s * s2)
+    return unit * math.fsum(squares)
 
 
 @pytest.mark.parametrize("kmax", [100, 1040, 1073, 1074])
@@ -505,7 +509,7 @@ def test_aggregate_and_site_modes_agree_two_sample_ks(e):
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
     n = 10_000
-    coords = sum(p.segments[-1].hi - p.segments[0].lo + 1
+    coords = sum(p.segments[-1][1] - p.segments[0][0] + 1
                  for p in em.profiles(1 << e))
     assert n * coords <= SITE_DRAW_BUDGET
     agg = sample_batch(params, e, n, 745, moments=em)
