@@ -6,12 +6,13 @@ blocks.  Closed-form second moments and summability diagnostics live in
 ``engine``; Monte Carlo draws in ``simulate``; limit-law construction
 and distance tests in ``laws``; a finite spectral calculus for the
 square-root membership question in ``spectral``; batch presets in
-``cli``.  ``laws`` and ``simulate`` load ``numpy.random`` and the law
-tables, about 0.04 s of a 0.23 s start, and ``spectral`` about 7 ms, so
-the package root loads them, and re-exports their names, on first use:
-runs that draw no sample never pay for the first two, and only the
-spectral preset pays for the third.  No runtime path imports scipy;
-only the test oracles in ``reference`` do.
+``cli``.  ``laws``, ``simulate`` and ``spectral`` load on first use
+from the package root, which re-exports their names: runs that draw no
+sample never import the first two, and only the spectral preset the
+third.  Neither sampling module loads ``numpy.random`` on import, nor a
+thread pool: the first Philox stream loads the one, and a run with more
+than one worker the other.  No runtime path imports scipy; only the
+test oracles in ``reference`` do.
 """
 
 import importlib

@@ -285,8 +285,8 @@ def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
     verdicts = {"conditions": checks}
     code = EXIT_OK
     if cfg.samples > 0:
-        # laws loads numpy.random and the law tables: only runs that
-        # sample pay for them
+        # laws, and numpy.random with the first stream drawn, load
+        # only in runs that sample
         from .laws import DichotomyVerdict, dichotomy_report, format_ks_csv
         rep = dichotomy_report(params, cfg.samples, cfg.seed,
                                moments=moments)

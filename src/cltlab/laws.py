@@ -41,7 +41,7 @@ import numpy as np
 from .blocks import BlockParity, SequenceParams
 from .engine import ExactMoments, desk_horizon
 from .errors import ParamsError, TruncationError
-from .simulate import (FlatRegime, SampleKind, derive_seed,
+from .simulate import (CHUNK, FlatRegime, SampleKind, derive_seed,
                        dichotomy_samples, flat_regime, sample_batch)
 
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
@@ -53,7 +53,10 @@ KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
 KS_SNAP = 1e-9               # evaluation nudge around candidate points
 
 _EVAL_CHUNK = 1 << 16        # Gaussian-mixture cdf elements per step
-_KS_BLOCK = 1 << 13          # samples per step of the one-sample KS pass
+# samples per step of the one-sample KS pass: the sampler's chunk, so
+# neither holds more than a chunk's work arrays
+_KS_BLOCK = CHUNK
+_VAR_LEAF = 1 << 13          # samples per leaf of the blocked variance
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +538,34 @@ class EmpiricalLaw(LawModel):
 
     def variance(self) -> float:
         if self._var is None:
-            self._var = float(self.samples.var())
+            self._var = _variance(self.samples)
         return self._var
 
     def discontinuities(self) -> np.ndarray:
         return np.unique(self.samples)
+
+
+def _variance(x: np.ndarray) -> float:
+    """``np.var(x)``, bit for bit, without its x-sized temporary."""
+    return float(_sq_dev_sum(x, x.mean()) / x.size)
+
+
+def _sq_dev_sum(x: np.ndarray, mean):
+    """The sum of (x - mean)^2 as np.var takes it, in leaf-sized pieces.
+
+    np.var sums the squared deviations with numpy's pairwise sum, which
+    splits n summands at n // 2 rounded down to a multiple of 8.  This
+    walks the same tree and sums each subtree of at most ``_VAR_LEAF``
+    summands whole, so every addition is the one np.var makes.
+    """
+    n = x.size
+    if n <= _VAR_LEAF:
+        d = x - mean
+        d *= d
+        return d.sum()
+    half = n // 2
+    half -= half % 8
+    return _sq_dev_sum(x[:half], mean) + _sq_dev_sum(x[half:], mean)
 
 
 def empirical_law(values) -> EmpiricalLaw:
@@ -722,14 +748,34 @@ class DichotomyReport:
 _GATE_SALT = 1 << 20
 
 
+def _same_table(a: LawModel, b: LawModel) -> bool:
+    """Whether every distance reads ``a`` and ``b`` alike: their tables
+    are equal, and neither is an empirical law, the one class that reads
+    its own moments and jumps rather than its table's."""
+    if isinstance(a, EmpiricalLaw) or isinstance(b, EmpiricalLaw):
+        return False
+    (ga, sa, wa, ta), (gb, sb, wb, tb) = a._table(), b._table()
+    return (ga == gb and ta == tb and np.array_equal(sa, sb)
+            and np.array_equal(wa, wb))
+
+
 def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
     """KS distances from the empirical law of a float batch nothing else
-    reads to each of ``others``.  The batch is sorted in place and not
-    copied, and it is dropped on return."""
+    reads to each of ``others``, each distinct law table scored once.
+    The batch is sorted in place and not copied, and it is dropped on
+    return."""
     values.sort()
     emp = EmpiricalLaw.__new__(EmpiricalLaw)
     emp.samples = values
-    return [ks_distance(emp, law) for law in others]
+    scored: list[tuple[LawModel, float]] = []
+    out = []
+    for law in others:
+        d = next((d for seen, d in scored if _same_table(seen, law)), None)
+        if d is None:
+            d = ks_distance(emp, law)
+            scored.append((law, d))
+        out.append(d)
+    return out
 
 
 def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
@@ -748,7 +794,7 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
 
     Horizons are taken one at a time, and each batch is sorted in place,
     scored and dropped before the next is drawn, so the report holds one
-    batch, plus ``np.var``'s one batch-sized temporary, at a time.
+    batch, and work arrays of a sampler chunk or a KS block, at a time.
     """
     moments = moments or ExactMoments(params)
     complete = params.complete_blocks()

@@ -44,24 +44,28 @@ scales, is ``reference.site_sample_batch``.
 Reproducibility: all randomness comes from counter-based Philox streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 one per plan op and fixed-size chunk, keyed by (seed, op's lane, chunk
-index).  Each op takes exact draws from its stream through numpy's
-Generator: ``standard_normal`` for a normal, ``binomial`` (BTPE or
-inversion, Kachitvichyanukul & Schmeiser 1988) and ``poisson`` for hit
-and sign counts, ``integers`` for a pool's hit offsets and signs.  The
+index).  A stream is its key and a counter from zero, so each chunk
+builds one Generator and re-keys it for every op: the bits of a fresh
+stream, without a fresh Generator per op.  numpy.random is first loaded
+by the first stream, and the thread pool only when one opens.  Each op
+takes exact draws from its stream through numpy's Generator:
+``standard_normal`` for a normal, ``binomial`` (BTPE or inversion,
+Kachitvichyanukul & Schmeiser 1988) and ``poisson`` for hit and sign
+counts, ``integers`` for a pool's hit offsets and signs.  The
 one departure from the exact laws is numpy's binomial inversion branch
 (means below 30), which redraws counts beyond ten standard deviations
 above the mean: under 4e-13 in total variation per count.  No stream
 is ever shared across chunks, so batches are byte-identical for any
 worker count.  Batches are written in place: each chunk sums its ops
 straight into its own slice of one preallocated array, so a batch
-holds 8 bytes per sample plus one chunk's work arrays per thread.
+holds 8 bytes per sample plus one chunk's work arrays and generator per
+thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -98,6 +102,20 @@ def _stream(word0: int, word1: int) -> np.random.Generator:
     key = np.array([word0 & 0xFFFFFFFFFFFFFFFF,
                     word1 & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(rng: np.random.Generator, word0: int, word1: int) -> None:
+    """Restart ``rng`` as a fresh ``_stream(word0, word1)``: the new key,
+    a zero counter, an empty buffer and no spare 32-bit half.  All else
+    the Generator keeps is its binomial set-up, a function of the
+    binomial's (n, p) alone."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (word0 & 0xFFFFFFFFFFFFFFFF,
+                          word1 & 0xFFFFFFFFFFFFFFFF)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
 
 
 class SampleKind(Enum):
@@ -238,8 +256,13 @@ def _spike_ops(prof: BlockProfile, inv_unit: float) -> list:
     return ops
 
 
+def _lane_key(seed: int, lane: int, chunk_idx: int) -> tuple[int, int]:
+    """The two key words of one op's stream in one chunk."""
+    return seed ^ _LANE_TAG, (lane << 32) | chunk_idx
+
+
 def _lane_stream(seed: int, lane: int, chunk_idx: int) -> np.random.Generator:
-    return _stream(seed ^ _LANE_TAG, (lane << 32) | chunk_idx)
+    return _stream(*_lane_key(seed, lane, chunk_idx))
 
 
 def _distinct_offsets(rng: np.random.Generator, length: int,
@@ -318,10 +341,16 @@ def _draw_pool(rng, size, *, starts, affine, shift, hit_prob, coef):
 
 
 def _aggregate_chunk(plan, seed, values, chunk_idx):
-    """Sum the plan's draws for one chunk into its slice of ``values``."""
+    """Sum the plan's draws for one chunk into its slice of ``values``.
+
+    The chunk's one generator is its own, so concurrent chunks never
+    share one; each op re-keys it to the op's lane stream."""
     out = values[chunk_idx * CHUNK:(chunk_idx + 1) * CHUNK]
+    rng = _lane_stream(seed, 0, chunk_idx)
     for lane, draw in enumerate(plan):
-        out += draw(_lane_stream(seed, lane, chunk_idx), out.size)
+        if lane:
+            _rekey(rng, *_lane_key(seed, lane, chunk_idx))
+        out += draw(rng, out.size)
 
 
 def _usable_cpus() -> int:
@@ -351,6 +380,8 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
     # threads beyond the cores or the chunks only contend for them
     threads = min(workers, len(chunks), _usable_cpus())
     if threads > 1:
+        # imported here: one worker never pays for the pool's modules
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # chunks write disjoint slices; list() surfaces any exception
             list(pool.map(job, chunks))

@@ -5,10 +5,14 @@ the ``reference`` oracles imports scipy.
 No linter is a dependency, so these are small AST scans: of the package,
 the tests and the demos for imports, of the package alone for private
 names and scipy.  The package ``__init__`` is exempt from the import
-scan: its imports are the public re-exports.
+scan: its imports are the public re-exports.  One subprocess checks
+what importing the sampling modules loads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,3 +134,17 @@ def test_only_the_reference_oracles_import_scipy():
     users = [path.name for path in PACKAGE
              if "scipy" in imported_roots(path.read_text(encoding="utf-8"))]
     assert users == ["reference.py"]
+
+
+def test_importing_the_sampler_loads_no_pool_or_random():
+    # one worker never opens a thread pool, and numpy.random loads with
+    # the first stream drawn, not with the modules that draw them
+    code = ("import sys\n"
+            "import cltlab.cli, cltlab.laws, cltlab.simulate\n"
+            "print(sorted(m for m in ('concurrent.futures', 'numpy.random')"
+            " if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

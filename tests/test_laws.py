@@ -606,10 +606,11 @@ def test_astronomic_report_builds_no_horizon_integer():
 
 
 def test_report_holds_one_batch_at_a_time():
-    # each batch is sorted in place and scored in fixed-size blocks, so
-    # the peak is the batch, np.var's one temporary and block-sized
-    # work arrays: 16 bytes a sample, against about 96 with every batch
-    # of the report alive at once
+    # each batch is sorted in place, its variance taken in leaves and
+    # its KS pass in blocks, so the peak is the batch's 8 bytes a sample
+    # plus about 0.7 MB of chunk- and block-sized work arrays at any
+    # count: against 16 bytes a sample with np.var's temporary, and about
+    # 96 with every batch of the report alive at once
     params = theorem1_params()
     moments = ExactMoments(params)
     count = 200_000
@@ -620,7 +621,7 @@ def test_report_holds_one_batch_at_a_time():
     finally:
         tracemalloc.stop()
     assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
-    assert peak < 5 * 8 * count
+    assert peak < 8 * count + (1 << 20)
 
 
 def test_report_plans_from_its_own_engine(monkeypatch):
@@ -642,23 +643,64 @@ def test_report_plans_from_its_own_engine(monkeypatch):
     assert sorted(built) == [b.k_lo for b in params.blocks]
 
 
-def test_batch_ks_takes_the_variance_once():
+def test_batch_ks_takes_the_variance_once(monkeypatch):
     # both distances read the empirical standard deviation for their
     # snap tolerance; the law keeps np.var's value, bits and all
-    class Counting(np.ndarray):
-        calls = 0
+    taken = []
 
-        def var(self, *args, **kwargs):
-            Counting.calls += 1
-            return super().var(*args, **kwargs)
+    def counting(x):
+        taken.append(variance(x))
+        return taken[-1]
 
+    variance = laws._variance
     values = np.random.default_rng(7).standard_normal(5_000) * 3.0
     wide, normal = NormalLaw(0.0, 9.0), NormalLaw(0.0, 1.0)
     expect = [ks_distance(empirical_law(values), law)
               for law in (wide, normal)]
-    got = laws._batch_ks(values.copy().view(Counting), wide, normal)
-    assert Counting.calls == 1
+    monkeypatch.setattr(laws, "_variance", counting)
+    got = laws._batch_ks(values.copy(), wide, normal)
+    assert len(taken) == 1
+    assert np.float64(taken[0]).tobytes() == np.var(np.sort(values)).tobytes()
     assert got == expect
+
+
+VARIANCE_SIZES = (1, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097, 8191, 8192,
+                  8193, 10 ** 5, 10 ** 6)
+
+
+@pytest.mark.parametrize("n", VARIANCE_SIZES)
+def test_blocked_variance_is_np_var_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    lattice = rng.poisson(2.0, n) - 2.0
+    for values in (x, np.sort(x), x * 1e7 + 3e9, np.sort(x) * 1e-5 - 7.0,
+                   lattice, np.sort(lattice)):
+        got = np.float64(laws._variance(values))
+        assert got.tobytes() == np.var(values).tobytes()
+    assert laws._variance(np.full(n, 0.1)) == np.var(np.full(n, 0.1))
+
+
+def test_batch_ks_scores_each_table_once(monkeypatch):
+    # the exact law at theorem1's top horizon is NORMAL(0, 1)'s table:
+    # one KS pass serves both; a law one ulp away is scored on its own
+    params = theorem1_params()
+    top = exact_law(params, params.complete_blocks()[-1].horizon_log2,
+                    ExactMoments(params))
+    values = np.random.default_rng(11).standard_normal(3_000)
+    normal, near = NormalLaw(0.0, 1.0), NormalLaw(0.0, 1.0 + 2.0 ** -52)
+    others = (top, normal, near, NormalLaw(0.0, 1.0), empirical_law(values))
+    expect = [ks_distance(empirical_law(values), law) for law in others]
+    scored = []
+
+    def counting(a, b):
+        scored.append(b)
+        return ks_distance(a, b)
+
+    monkeypatch.setattr(laws, "ks_distance", counting)
+    got = laws._batch_ks(values.copy(), *others)
+    assert got == expect
+    assert scored == [top, near, others[-1]]
+    assert got[0] == got[1] == got[3]
 
 
 def test_format_ks_csv_huge_horizon():

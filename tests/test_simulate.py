@@ -1,6 +1,6 @@
+import concurrent.futures
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,9 +18,9 @@ from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
                              _distinct_offsets, _draw_flat, _draw_normal,
-                             _draw_poisson, _draw_pool, _lane_stream,
-                             _stream, derive_seed, dichotomy_samples,
-                             sample_batch)
+                             _draw_poisson, _draw_pool, _lane_key,
+                             _lane_stream, _rekey, _stream, derive_seed,
+                             dichotomy_samples, sample_batch)
 from cltlab.weights import WeightMode, build_weights
 from conftest import power_sums
 
@@ -90,12 +90,13 @@ def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
 def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
     opened = []
 
-    class Pool(ThreadPoolExecutor):
+    class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             opened.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+    # sample_batch looks the pool up where it opens one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     params = desk_params()
 
     def threads_opened(chunk):
@@ -121,6 +122,55 @@ def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
                                (1, 100, []), (None, 100, [])):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
         assert threads_opened(chunk) == want
+
+
+REKEYED_DRAWS = {
+    "standard_normal": lambda rng: rng.standard_normal(1001),
+    "binomial_btpe": lambda rng: rng.binomial(1000, 0.3, 501),
+    "binomial_inversion": lambda rng: rng.binomial(50, 0.1, 501),
+    "poisson": lambda rng: rng.poisson(7.5, 333),
+    "integers": lambda rng: rng.integers(0, 25, 777),
+    "integers_sign": lambda rng: rng.integers(0, 2, 777),
+}
+
+
+@pytest.mark.parametrize("draw", REKEYED_DRAWS.values(),
+                         ids=list(REKEYED_DRAWS))
+def test_rekeyed_generator_draws_a_fresh_streams_bits(draw):
+    rng = _lane_stream(745, 0, 2)
+    # three 32-bit draws leave half a word and a part-used buffer behind
+    rng.integers(0, 1 << 32, size=3, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    for seed, lane, chunk in ((745, 3, 2), (-1, 0, 0), (1 << 64, 7, 9)):
+        _rekey(rng, *_lane_key(seed, lane, chunk))
+        want = draw(_lane_stream(seed, lane, chunk))
+        assert draw(rng).tobytes() == want.tobytes()
+
+
+def test_one_generator_per_chunk(monkeypatch):
+    built = []
+    generator = np.random.Generator
+
+    def counting(bit_generator):
+        built.append(bit_generator)
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", counting)
+    params = desk_params()
+    count = 3 * simulate.CHUNK + 5
+    lanes = len(plan_of(params, 12))
+    assert lanes > 1
+    base = sample_batch(params, 12, count, 31)
+    assert len(built) == 4
+    monkeypatch.undo()
+    # the lane streams, drawn one fresh Generator at a time
+    want = np.zeros(count)
+    for ci in range(4):
+        out = want[ci * simulate.CHUNK:(ci + 1) * simulate.CHUNK]
+        for lane, draw in enumerate(plan_of(params, 12)):
+            out += draw(_lane_stream(31, lane, ci), out.size)
+    assert base.values.tobytes() == want.tobytes()
 
 
 class _Recording:
