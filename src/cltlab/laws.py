@@ -33,7 +33,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -56,7 +56,6 @@ _EVAL_CHUNK = 1 << 16        # Gaussian-mixture cdf elements per step
 # samples per step of the one-sample KS pass: the sampler's chunk, so
 # neither holds more than a chunk's work arrays
 _KS_BLOCK = CHUNK
-_VAR_LEAF = 1 << 13          # samples per leaf of the blocked variance
 
 
 # ---------------------------------------------------------------------------
@@ -517,17 +516,18 @@ def exact_law(params: SequenceParams, log2_n: int,
 @dataclass(eq=False)
 class EmpiricalLaw(LawModel):
     """The empirical measure of a finite sample: its sorted draws, one
-    unit weight each, so the cdf is a count over the sample size."""
+    unit weight each, so the cdf is a count over the sample size.
+
+    The law owns the float array it is given and sorts it in place;
+    ``empirical_law`` hands it a copy."""
 
     samples: np.ndarray
-    # np.var of the samples, taken once: every distance reads it
-    _var: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        s = np.sort(np.asarray(self.samples, dtype=float))
-        if s.size == 0:
+        self.samples = np.asarray(self.samples, dtype=float)
+        if self.samples.size == 0:
             raise ParamsError("empirical law needs at least one sample")
-        self.samples = s
+        self.samples.sort()
 
     def _realize(self):
         return 0.0, self.samples, None, self.samples.size
@@ -537,40 +537,15 @@ class EmpiricalLaw(LawModel):
         return float(self.samples.mean())
 
     def variance(self) -> float:
-        if self._var is None:
-            self._var = _variance(self.samples)
-        return self._var
+        return float(self.samples.var())
 
     def discontinuities(self) -> np.ndarray:
         return np.unique(self.samples)
 
 
-def _variance(x: np.ndarray) -> float:
-    """``np.var(x)``, bit for bit, without its x-sized temporary."""
-    return float(_sq_dev_sum(x, x.mean()) / x.size)
-
-
-def _sq_dev_sum(x: np.ndarray, mean):
-    """The sum of (x - mean)^2 as np.var takes it, in leaf-sized pieces.
-
-    np.var sums the squared deviations with numpy's pairwise sum, which
-    splits n summands at n // 2 rounded down to a multiple of 8.  This
-    walks the same tree and sums each subtree of at most ``_VAR_LEAF``
-    summands whole, so every addition is the one np.var makes.
-    """
-    n = x.size
-    if n <= _VAR_LEAF:
-        d = x - mean
-        d *= d
-        return d.sum()
-    half = n // 2
-    half -= half % 8
-    return _sq_dev_sum(x[:half], mean) + _sq_dev_sum(x[half:], mean)
-
-
 def empirical_law(values) -> EmpiricalLaw:
     """The empirical law of a copy of ``values``; they stay as given."""
-    return EmpiricalLaw(np.asarray(values))
+    return EmpiricalLaw(np.array(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +554,14 @@ def empirical_law(values) -> EmpiricalLaw:
 def ks_distance(a: LawModel, b: LawModel) -> float:
     """Sup-norm distance between two CDFs.
 
-    Both sides tolerate float jitter below ``KS_SNAP`` times the larger
-    standard deviation (at least 1): lattice points that rounding landed
-    on slightly different representations still line up.  That is far
-    below any genuine lattice spacing.
+    Float jitter below ``KS_SNAP`` times the standard deviation (at
+    least 1) of the law whose jumps are matched is forgiven: lattice
+    points that rounding landed on slightly different representations
+    still line up, and no sample batch sets how leniently it is scored.
 
     Against an empirical law F_n, with F the other law, the distance is
-    exact and takes one pass.  Samples within the tolerance of one of
-    F's jumps are snapped onto it.  F_n is a step function and F is
+    exact and takes one pass.  Samples within F's tolerance of one of
+    its jumps are snapped onto it.  F_n is a step function and F is
     right-continuous and monotone, so the supremum is reached at a
     sample value or at a jump of F, from the right or from the left:
     the max of |F_n - F| and of the left-limit difference there, each
@@ -594,17 +569,17 @@ def ks_distance(a: LawModel, b: LawModel) -> float:
     Softw. 2020).  For a continuous F this is the textbook
     max(i/n - F(x_(i)), F(x_(i)) - (i - 1)/n).
 
-    Between two other laws the candidates are both laws'
-    discontinuities plus a dense grid spanning 8 standard deviations
-    around each mean, and both cdfs are evaluated a hair below and above
-    every candidate rather than at it.
+    Between two other laws the tolerance takes the larger standard
+    deviation.  The candidates are both laws' discontinuities plus a
+    dense grid spanning 8 standard deviations around each mean, and both
+    cdfs are evaluated a hair below and above every candidate rather
+    than at it.
     """
-    sd_a, sd_b = a.std(), b.std()
-    delta = KS_SNAP * max(1.0, sd_a if math.isfinite(sd_a) else 1.0,
-                          sd_b if math.isfinite(sd_b) else 1.0)
     if isinstance(a, EmpiricalLaw) or isinstance(b, EmpiricalLaw):
         emp, law = (a, b) if isinstance(a, EmpiricalLaw) else (b, a)
-        return _ks_empirical(emp.samples, law, delta)
+        return _ks_empirical(emp.samples, law, _snap(law.std()))
+    sd_a, sd_b = a.std(), b.std()
+    delta = _snap(sd_a, sd_b)
     pts = [np.asarray(a.discontinuities(), dtype=float),
            np.asarray(b.discontinuities(), dtype=float)]
     for law, sd in ((a, sd_a), (b, sd_b)):
@@ -618,6 +593,12 @@ def ks_distance(a: LawModel, b: LawModel) -> float:
     hi = np.abs(a.cdf(x + delta) - b.cdf(x + delta)).max()
     lo = np.abs(a.cdf(x - delta) - b.cdf(x - delta)).max()
     return float(max(hi, lo))
+
+
+def _snap(*sds: float) -> float:
+    """The snap tolerance: ``KS_SNAP`` times the largest finite standard
+    deviation given, or times 1 if that is larger."""
+    return KS_SNAP * max([1.0, *(sd for sd in sds if math.isfinite(sd))])
 
 
 def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
@@ -750,10 +731,7 @@ _GATE_SALT = 1 << 20
 
 def _same_table(a: LawModel, b: LawModel) -> bool:
     """Whether every distance reads ``a`` and ``b`` alike: their tables
-    are equal, and neither is an empirical law, the one class that reads
-    its own moments and jumps rather than its table's."""
-    if isinstance(a, EmpiricalLaw) or isinstance(b, EmpiricalLaw):
-        return False
+    are equal."""
     (ga, sa, wa, ta), (gb, sb, wb, tb) = a._table(), b._table()
     return (ga == gb and ta == tb and np.array_equal(sa, sb)
             and np.array_equal(wa, wb))
@@ -762,11 +740,9 @@ def _same_table(a: LawModel, b: LawModel) -> bool:
 def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
     """KS distances from the empirical law of a float batch nothing else
     reads to each of ``others``, each distinct law table scored once.
-    The batch is sorted in place and not copied, and it is dropped on
-    return."""
-    values.sort()
-    emp = EmpiricalLaw.__new__(EmpiricalLaw)
-    emp.samples = values
+    The law takes the batch as it is and sorts it in place, so no copy
+    is made, and it is dropped on return."""
+    emp = EmpiricalLaw(values)
     scored: list[tuple[LawModel, float]] = []
     out = []
     for law in others:

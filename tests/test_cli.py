@@ -258,6 +258,20 @@ def test_spectral_budget_exits_3(capsys):
         "details": {"estimated_ops": 1 << 34, "budget": 1 << 27}}}
 
 
+def test_huge_sample_count_exits_3(tmp_path, capsys):
+    # a batch past the sampler's budget fails before it is allocated, and
+    # before any artifact is written
+    out = tmp_path / "run"
+    code, doc = run_main(["theorem1", "--samples", str(10 ** 15),
+                          "--no-timestamp", "--out", str(out)], capsys)
+    assert code == 3
+    assert doc == {"error": {
+        "type": "MemoryBudgetError",
+        "message": "sample batch exceeds the memory budget",
+        "details": {"estimated_bytes": 8 * 10 ** 15, "budget": 8 << 28}}}
+    assert not out.exists()
+
+
 def test_custom_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     code, doc = run_main(["custom", "--kmax", "20", "--samples", "400",

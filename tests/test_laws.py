@@ -473,6 +473,26 @@ def test_blocked_ks_is_the_dense_brute_force(data, name, block, delta):
         assert laws._ks_empirical(x, law, delta) == want
 
 
+def test_snap_tolerance_is_the_law_scale():
+    # ten far outliers give the batch a standard deviation near 1e6: a
+    # tolerance on the batch's scale (about 1e-3) would snap a batch 2e-4
+    # off the lattice onto it, scoring 0.00099.  The law's is 1e-9, so
+    # the shifted batch fails the 1% gate
+    law = SymPoissonLaw(0.5)
+    support, probs = law.lattice_table()
+    rng = np.random.default_rng(1)
+    x = rng.choice(support, size=100_000, p=probs / probs.sum()) + 2e-4
+    x[:10] = 1e8
+    got = ks_distance(empirical_law(x), law)
+    assert got > ks_pass_bound(x.size)
+    # the dense brute force, snapping each distinct value on its own
+    delta = laws.KS_SNAP * max(1.0, law.std())
+    jumps = law.discontinuities()
+    vals, inverse = np.unique(x, return_inverse=True)
+    snapped = snap_each(vals, jumps, delta)[inverse]
+    assert got == brute_ks(snapped, law, np.union1d(snapped, jumps))
+
+
 def test_empirical_law_leaves_its_input_untouched():
     x = np.random.default_rng(5).standard_normal(1000)
     for values in (x, x[::-1]):
@@ -481,6 +501,11 @@ def test_empirical_law_leaves_its_input_untouched():
         assert np.array_equal(values, kept)
         assert emp.samples is not values
         assert np.array_equal(emp.samples, np.sort(kept))
+    # the law itself owns its float array and sorts it in place
+    values = x[::-1].copy()
+    emp = laws.EmpiricalLaw(values)
+    assert emp.samples is values
+    assert np.array_equal(values, np.sort(x))
 
 
 def test_law_against_law_ks_is_unchanged():
@@ -606,11 +631,12 @@ def test_astronomic_report_builds_no_horizon_integer():
 
 
 def test_report_holds_one_batch_at_a_time():
-    # each batch is sorted in place, its variance taken in leaves and
-    # its KS pass in blocks, so the peak is the batch's 8 bytes a sample
-    # plus about 0.7 MB of chunk- and block-sized work arrays at any
-    # count: against 16 bytes a sample with np.var's temporary, and about
-    # 96 with every batch of the report alive at once
+    # each batch is sorted in place and scored in KS blocks, and no
+    # statistic of it takes a batch-sized temporary, so the peak is the
+    # batch's 8 bytes a sample plus about 0.7 MB of chunk- and
+    # block-sized work arrays at any count: against 16 bytes a sample
+    # with a copy of the batch, and about 96 with every batch of the
+    # report alive at once
     params = theorem1_params()
     moments = ExactMoments(params)
     count = 200_000
@@ -643,41 +669,20 @@ def test_report_plans_from_its_own_engine(monkeypatch):
     assert sorted(built) == [b.k_lo for b in params.blocks]
 
 
-def test_batch_ks_takes_the_variance_once(monkeypatch):
-    # both distances read the empirical standard deviation for their
-    # snap tolerance; the law keeps np.var's value, bits and all
-    taken = []
-
-    def counting(x):
-        taken.append(variance(x))
-        return taken[-1]
-
-    variance = laws._variance
+def test_batch_ks_takes_no_variance_of_the_batch(monkeypatch):
+    # the snap tolerance is the law's scale, so no distance reads the
+    # batch's moments
     values = np.random.default_rng(7).standard_normal(5_000) * 3.0
     wide, normal = NormalLaw(0.0, 9.0), NormalLaw(0.0, 1.0)
-    expect = [ks_distance(empirical_law(values), law)
-              for law in (wide, normal)]
-    monkeypatch.setattr(laws, "_variance", counting)
-    got = laws._batch_ks(values.copy(), wide, normal)
-    assert len(taken) == 1
-    assert np.float64(taken[0]).tobytes() == np.var(np.sort(values)).tobytes()
-    assert got == expect
+    lattice = exact_law(single_odd_block(6), 6)
+    others = (wide, normal, lattice)
+    expect = [ks_distance(empirical_law(values), law) for law in others]
 
+    def forbidden(self):
+        raise AssertionError("the batch's variance was taken")
 
-VARIANCE_SIZES = (1, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097, 8191, 8192,
-                  8193, 10 ** 5, 10 ** 6)
-
-
-@pytest.mark.parametrize("n", VARIANCE_SIZES)
-def test_blocked_variance_is_np_var_bit_for_bit(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal(n)
-    lattice = rng.poisson(2.0, n) - 2.0
-    for values in (x, np.sort(x), x * 1e7 + 3e9, np.sort(x) * 1e-5 - 7.0,
-                   lattice, np.sort(lattice)):
-        got = np.float64(laws._variance(values))
-        assert got.tobytes() == np.var(values).tobytes()
-    assert laws._variance(np.full(n, 0.1)) == np.var(np.full(n, 0.1))
+    monkeypatch.setattr(laws.EmpiricalLaw, "variance", forbidden)
+    assert laws._batch_ks(values.copy(), *others) == expect
 
 
 def test_batch_ks_scores_each_table_once(monkeypatch):

@@ -12,15 +12,15 @@ import cltlab.simulate as simulate
 from cltlab.blocks import (BlockParity, SequenceParams, default_params,
                            split_blocks)
 from cltlab.engine import DESK_N_CAP, ExactMoments, dyadic_grid
-from cltlab.errors import ParamsError, WorkBudgetError
+from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab.laws import empirical_law, exact_law, ks_distance, ks_pass_bound
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
-from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind, _build_plan,
-                             _distinct_offsets, _draw_flat, _draw_normal,
-                             _draw_poisson, _draw_pool, _lane_key,
-                             _lane_stream, _rekey, _stream, derive_seed,
-                             dichotomy_samples, sample_batch)
+from cltlab.simulate import (BATCH_BUDGET, GAUSSIANIZE_HITS, SampleKind,
+                             _build_plan, _distinct_offsets, _draw_flat,
+                             _draw_normal, _draw_poisson, _draw_pool,
+                             _lane_key, _lane_stream, _rekey, _stream,
+                             derive_seed, dichotomy_samples, sample_batch)
 from cltlab.weights import WeightMode, build_weights
 from conftest import power_sums
 
@@ -390,6 +390,19 @@ def test_site_mode_budget_and_validation():
         site_sample_batch(params, 8, 1 << 14, 1)
     with pytest.raises(ParamsError):
         sample_batch(params, 8, 0, 1)
+
+
+def test_batch_budget_fails_before_planning(monkeypatch):
+    # one sample past the budget raises before the plan is built or the
+    # batch allocated
+    def forbidden(*args):
+        raise AssertionError("planned past the budget")
+
+    monkeypatch.setattr(simulate, "_build_plan", forbidden)
+    with pytest.raises(MemoryBudgetError) as err:
+        sample_batch(desk_params(), 8, BATCH_BUDGET + 1, 1)
+    assert err.value.details == {"estimated_bytes": 8 * (BATCH_BUDGET + 1),
+                                 "budget": 8 * BATCH_BUDGET}
 
 
 def test_astronomic_horizon_sampling():
