@@ -419,6 +419,15 @@ PINNED_ARTIFACTS = {
         "verdict.json": "c12200f80370d10934dbf8b0107c84a7"
                         "7157736d40c1d11129bc3d59d6242902",
     },
+    # the bench's grid: 37 tails and profiles through 2^40
+    ("theorem3", "--samples", "0", "--grid", "dyadic:4:40"): {
+        "conditions.csv": "ba6fc122d18c72d9af61db2572eb682e"
+                          "89027c741595d49e13074d658fc2a767",
+        "config.json": "9bdafb7223b0afb9f318575c8d36c617"
+                       "107e55cd6a6b30cd2ab54063113c22bd",
+        "verdict.json": "12e8433d38bdeee1739818f94d7ffe8e"
+                        "5f45917cdf2a50c69b9dcd48f86e044f",
+    },
 }
 
 

@@ -509,6 +509,22 @@ def test_engine_scalars_are_pinned_bit_for_bit():
                                   "bfbc930014a3ee634343dbb9eb91931c")
 
 
+def test_profile_tables_are_pinned_bit_for_bit():
+    # sha256 over every profile's segments, table bytes and row sets on
+    # the sweep: it sees the S1 and S2 of slope-0 rows, which the scalars
+    # above do not read but the sampler and the oracles do
+    digest = hashlib.sha256()
+    for params, horizons in scalar_sweep():
+        em = ExactMoments(params)
+        for N in horizons:
+            for prof in em.profiles(N):
+                digest.update(repr(prof.segments).encode())
+                digest.update(prof._table.tobytes())
+                digest.update(prof.past.tobytes() + prof.future.tobytes())
+    assert digest.hexdigest() == ("4672d6016d671722ee5aa3709353ab26"
+                                  "fcc776b0df972cddd2fec7fafa721d21")
+
+
 # -- array paths against their scalar loops ----------------------------------
 
 @functools.lru_cache(maxsize=None)
