@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import re
 import sys
@@ -33,7 +34,7 @@ from .config import json_ready, load_params, params_to_dict, read_input
 from .engine import (DESK_N_CAP, Condition, ExactMoments, dyadic_grid,
                      format_csv)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
-                     WorkBudgetError)
+                     WorkBudgetError, check_batch_budget)
 from .weights import WeightMode, weighted_prefix
 
 EXIT_OK = 0
@@ -144,6 +145,9 @@ class ExperimentConfig:
             raise ParamsError("kmax must be >= 1", kmax=self.kmax)
         if self.samples < 0:
             raise ParamsError("samples must be >= 0", samples=self.samples)
+        if self.scenario is not Scenario.SPECTRAL:
+            # a run draws each horizon's samples as one batch
+            check_batch_budget(self.samples)
         if self.seed < 0:
             raise ParamsError("seed must be >= 0", seed=self.seed)
         if not self.rho > 1.0:
@@ -472,4 +476,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # Every artifact is written and closed, and nothing left needs a
+    # finalizer: moving the heap to the permanent generation spares the
+    # interpreter's full collections over numpy's objects at exit.
+    gc.freeze()
+    sys.exit(code)

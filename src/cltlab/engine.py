@@ -65,6 +65,9 @@ DESK_N_CAP = 1 << 52
 #: directly summed lags its evaluation touches (``SeriesTail.work``)
 WORK_BUDGET = 1 << 23
 
+#: most work one batch of series tails evaluates at once
+TAIL_BATCH = 1 << 13
+
 
 def _log2_floor(N: int) -> int:
     return N.bit_length() - 1
@@ -101,6 +104,11 @@ def _centred(lo: int, hi: int, top: int = 2) -> tuple:
     if (lo + hi) & 1:
         sums = [s - (-b) ** p for p, s in enumerate(sums)]
     return (mid, *sums)
+
+
+def _interleave(a: list, b: list) -> list:
+    """a[0], b[0], a[1], b[1], ..."""
+    return [x for pair in zip(a, b) for x in pair]
 
 
 def _affine_sq(v, s, s0, s1, s2):
@@ -187,18 +195,49 @@ class BlockProfile:
         one = 1 << F
         total = rise[kept]
 
-        # rows (lo, hi, mid, v, slope, S0, S1, S2): a segment and the
-        # exact power sums of its centred range
-        rows = []
-        # every kept scale cuts at 1 - n_k, N - n_k and 0
-        ns = [1 << k for k in range(k_lo, k_cut + 1)]
-        cuts = sorted({N - 1, *([0] if ns else []), *[1 - n for n in ns],
+        # A scale past the horizon (n_{k-1} >= N, from k0 on) owns two
+        # segments: [1 - n_k, N - n_k - 1], where scale k is linear and
+        # those above it are capped, and [N - n_k, -n_{k-1}] (to -1 for
+        # the block's first scale), flat at N times the mass from k up.
+        # Their rows come first, deepest scale first, built as columns.
+        k0 = max(k_lo, (N - 1).bit_length() + 1)
+        deep = range(k_cut, k0 - 1, -1)
+        segments = [(N - (1 << k), -1 if k == k_lo else -(1 << k - 1))
+                    for k in deep]
+        # _centred's power sums, from b = hi - mid and the parity of hi - lo
+        b = [(hi - lo + 1) >> 1 for lo, hi in segments]
+        odd = [(hi - lo) & 1 for lo, hi in segments]
+        cols = [[N * (total - rise[k - k_lo]) / one for k in deep],
+                [0.0] * len(deep),
+                [2 * x + 1 - o for x, o in zip(b, odd)],
+                [x * o for x, o in zip(b, odd)],
+                [x * (x + 1) * (2 * x + 1) // 3 - x * x * o
+                 for x, o in zip(b, odd)]]
+        segments = [(lo, hi, hi - x) for (lo, hi), x in zip(segments, b)]
+        if N > 1:
+            # the linear segment of each scale precedes its flat one; its
+            # mid + n_k is N // 2 and its power sums are those of [1 - N, -1]
+            c = [rise[k - k_lo + 1] - rise[k - k_lo] for k in deep]
+            linear = [
+                [(ck * (N // 2) + N * (total - rise[k - k_lo + 1])) / one
+                 for k, ck in zip(deep, c)],
+                [ck / one if N > 2 else 0.0 for ck in c],
+                *([s] * len(c) for s in _centred(1 - N, -1)[1:])]
+            segments = _interleave([(1 - (1 << k), N - (1 << k) - 1,
+                                     N // 2 - (1 << k)) for k in deep],
+                                   segments)
+            cols = [_interleave(a, b) for a, b in zip(linear, cols)]
+
+        # The other scales cut at 1 - n_k and N - n_k, and 0 is a cut if
+        # any scale is kept.
+        ns = [1 << k for k in range(k_lo, min(k0, k_cut + 1))]
+        cuts = sorted({N - 1, *([0] if kept else []), *[1 - n for n in ns],
                        *[N - n for n in ns]})
         for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
             # 0 is a cut, so a segment lies in m <= -1 or in m >= 0; the
             # regimes hold on (mid, mid + 1), and the slope is that step.
             # Scales below j2 are not capped, those below j1 have w_k = 0.
-            mid, *power = _centred(lo, hi)
+            mid, *sums = _centred(lo, hi)
             j2 = (N - mid - 1).bit_length() - k_lo
             j2 = 0 if j2 < 0 else kept if j2 > kept else j2
             capped = total - rise[j2]     # w_k = N (m < 0) or N - m
@@ -210,23 +249,27 @@ class BlockProfile:
             else:
                 slope = -capped
                 v = (flat[j2] + (N - mid) * capped) / one
-            rows.append((lo, hi, mid, v, slope / one if hi > lo else 0.0,
-                         *power))
+            segments.append((lo, hi, mid))
+            for col, x in zip(cols, (v, slope / one if hi > lo else 0.0,
+                                     *sums)):
+                col.append(x)
         # the split rows; zero if no segment starts at 0 (no scale is kept)
-        n = len(rows)
-        left = bisect_left(rows, (0,))      # the segments in m <= -1
-        right = bisect_left(rows, (1,))     # and the one from 0, if any
+        n = len(segments)
+        left = bisect_left(segments, (0,))     # the segments in m <= -1
+        right = bisect_left(segments, (1,))    # and the one from 0, if any
         split = [(0.0,) * 5] * 2
         if right > left:
-            _, _, mid, v, slope, s0, s1, s2 = rows[left]
+            mid = segments[left][2]
+            v, slope, s0, s1, s2 = (col[left] for col in cols)
             split = [(v, slope, 1, -mid, mid * mid),
                      (v, slope, s0 - 1, s1 + mid, s2 - mid * mid)]
-        self.segments = [row[:3] for row in rows]
-        self._table = np.array([row[3:] for row in rows] + split,
-                               dtype=float).T
+        for col, x in zip(cols, zip(*split)):
+            col.extend(x)
+        self.segments = segments
+        self._table = np.array(cols, dtype=float)
         self.v, self.slope = self._table[:2, :n]
-        self.past = np.r_[:left, n]
-        self.future = np.r_[right:n, n + 1]
+        self.past = np.append(np.arange(left), n)
+        self.future = np.append(np.arange(right, n), n + 1)
 
     def value(self, m: int) -> float:
         """C(m), and 0.0 off the segments."""
@@ -395,7 +438,8 @@ def sigma_sq_over_n(params: SequenceParams, log2_n: int) -> float:
 # Series tails in segment form
 
 class SeriesTail:
-    """|| sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||^2 in segment form.
+    """|| sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||^2 in segment form,
+    for one (p, q) or for a batch of rows (p, q given as int sequences).
 
     At lag j >= 0, scale k contributes g_k * F(n_k - j), where
     g_k = a_k / (k n_k) and
@@ -423,158 +467,243 @@ class SeriesTail:
     below ``lattice.DIRECT`` are summed directly; the rest take
     Euler-Maclaurin through the fifth derivative, its integral by
     Gauss-Legendre on dyadic panels (``lattice.lattice_rule``).  Each
-    tail thus costs O(scales) at any horizon, all of it in one batch of
-    array expressions.
+    tail thus costs O(scales) at any horizon.
 
-    ``work``, which the ``WORK_BUDGET`` gate reads, counts what
+    The rows of a batch are laid out one after another in the same
+    arrays: ``ks`` (each kept block's scales closed by a pad), ``head``
+    (int64 rows lo, hi, lin, win, top over the head pieces, scales
+    indexed into ``ks``) and ``lattice`` (each row's windowed head pieces,
+    then its shared window [p, q] if ``shared``), so that every step runs
+    once over all of them.  Only what a row reduces in one piece runs
+    row by row: its reversed cumulative sums over each block, its head
+    sums over all its scales and its ``math.fsum``; so a row's value is
+    bit for bit the one it has alone.
+
+    ``work``, which the ``WORK_BUDGET`` gate reads, counts per row what
     ``norm_sq`` touches, laid out on construction: the pieces (three
     per scale past the head), plus the quadrature nodes and direct lags
     of every windowed head piece and of the shared window [p, q].
+    ``work`` and ``norm_sq()`` are scalars for scalar p and q.
     """
 
-    def __init__(self, params: SequenceParams, p: int, q: int):
-        if q > 2 * DESK_N_CAP:
+    def __init__(self, params: SequenceParams, p, q):
+        self.params, self.scalar = params, np.ndim(p) == 0
+        self.p, self.q = np.atleast_1d(p), np.atleast_1d(q)
+        if self.q.max(initial=0) > 2 * DESK_N_CAP:
             # lags and scales must stay exact in a double and an int64
             raise WorkBudgetError("series tail beyond the integer-exact cap",
-                                  estimated_ops=q, budget=2 * DESK_N_CAP)
-        self.params, self.p, self.q = params, p, q
+                                  estimated_ops=int(self.q.max()),
+                                  budget=2 * DESK_N_CAP)
+        rows = self.p.size
+        # (row, k_lo, scales, head scales) of each kept block of each row.
         # At lag j the scales above any k add at most 2 Zh / max(n_k, j+1)
         # (a_k / k <= 1, F <= Zh <= 2 sqrt(q)), so dropping those above
         # k_top moves a block's squared norm by less than
-        # 2^(4 - K_GUARD) * (1 + M), M the block's kept mass.
-        k_top = q.bit_length() + K_GUARD
-        k_q = (q - 1).bit_length()           # the least k with n_k >= q
-        # The kept blocks' scales in one row, each block closed by a pad of
-        # weight 0 so that the sums over a block's scales above an index
-        # stop there; which scales are past their block's head or open a
-        # block; and the heads' lag pieces as int64 rows (lo, hi, lin, win,
-        # top), their scales indexed into that row.
-        ks, past, opens = [np.empty(0, dtype=np.int64)], [], []
-        heads = [np.empty((5, 0), dtype=np.int64)]
-        for b in params.blocks:
-            if b.k_lo > k_top:
-                # Explicit zero: by the bound above the whole block adds
-                # less than 2^(5 + log2 q - k_lo).  For the astronomically
-                # deep blocks (k_lo in the thousands or millions) that is
-                # under 2^-1074, the smallest positive double, so 0.0 is
-                # the exact float value; nothing beyond k_top is formed.
-                continue
-            kb = np.arange(b.k_lo, min(b.k_hi, k_top) + 1)
-            # the head: the scales below q and the first one at or above
-            h = min(max(k_q - b.k_lo, 0), kb.size)
-            h = min(h + 1, kb.size) if h else 0
-            cuts = self._cuts(np.left_shift(1, kb[:h]))
-            cuts[2:] += sum(k.size for k in ks)
-            heads.append(cuts)
-            ks.append(np.append(kb, kb[-1]))
-            past.append(np.append(np.arange(kb.size) >= h, False))
-            opens.append(np.arange(kb.size + 1) == 0)
-        self.ks = np.concatenate(ks)
-        self.pads = np.cumsum([k.size for k in ks])[1:] - 1
-        self.past = np.concatenate(past + [np.empty(0, dtype=bool)])
-        self.opens = np.concatenate(opens + [np.empty(0, dtype=bool)])
-        self.head = np.concatenate(heads, axis=1)
-        # the windowed pieces: the heads', then the window [p, q] at n = q,
-        # whose lattice sums all whole windows past the heads share
+        # 2^(4 - K_GUARD) * (1 + M), M the block's kept mass.  The head is
+        # the scales below q and the first one at or above.
+        groups = []
+        for r, q in enumerate(self.q.tolist()):
+            k_top = q.bit_length() + K_GUARD
+            k_q = (q - 1).bit_length()       # the least k with n_k >= q
+            for b in params.blocks:
+                if b.k_lo > k_top:
+                    # Explicit zero: by the bound above the whole block
+                    # adds less than 2^(5 + log2 q - k_lo).  For the
+                    # astronomically deep blocks (k_lo in the thousands
+                    # or millions) that is under 2^-1074, the smallest
+                    # positive double, so 0.0 is the exact float value;
+                    # nothing beyond k_top is formed.
+                    continue
+                size = min(b.k_hi, k_top) - b.k_lo + 1
+                h = min(max(k_q - b.k_lo, 0), size)
+                groups.append((r, b.k_lo, size, min(h + 1, size) if h else 0))
+        g_row, g_lo, g_size, g_head = np.array(
+            groups, dtype=np.int64).reshape(-1, 4).T
+        # the kept blocks' scales, each block closed by a pad of weight 0
+        # so that the sums over a block's scales above an index stop
+        # there; which scales are past their block's head or open a block
+        span = g_size + 1
+        self._start = np.cumsum(span) - span
+        self._group = np.arange(span.size).repeat(span)
+        pos = np.arange(span.sum()) - self._start[self._group]
+        size = g_size[self._group]
+        self.ks = g_lo[self._group] + np.minimum(pos, size - 1)
+        self.pads = self._start + g_size
+        self.past = (pos >= g_head[self._group]) & (pos < size)
+        self.opens = pos == 0
+        self._row = g_row[self._group]
+        self.head, head_group = self._cuts(g_row, g_lo, g_head)
+        self._head_row = g_row[head_group]
+        # each row's ks and head pieces, as slices
+        self._ks_at = np.append(self._start, self.ks.size)[
+            np.searchsorted(g_row, np.arange(rows + 1))]
+        self._head_at = np.searchsorted(self._head_row, np.arange(rows + 1))
+        # the windowed pieces: the heads', then each row's window [p, q]
+        # at n = q, whose lattice sums all its whole windows past the
+        # heads share
         lo, hi, _, win, top = self.head[:, self.head[3] < self.head[4]]
-        n = np.left_shift(1, self.ks[win])
-        self.shared = bool(self.past.any())
-        if self.shared:
-            lo, hi, n = np.append(lo, 0), np.append(hi, q - p), np.append(n, q)
+        self.shared = np.bincount(self._row[self.past], minlength=rows) > 0
+        own = np.flatnonzero(self.shared)
+        lat_row = np.concatenate([self._head_row[self.head[3] < self.head[4]],
+                                  own])
+        order = np.argsort(lat_row, kind="stable")
+        self._lattice_at = np.empty_like(order)
+        self._lattice_at[order] = np.arange(order.size)
+        self._lattice_row = lat_row[order]
+        lo = np.append(lo, np.zeros_like(own))[order]
+        hi = np.append(hi, self.q[own] - self.p[own])[order]
+        n = np.append(np.left_shift(1, self.ks[win]), self.q[own])[order]
         self.lattice = (lo, hi, n, *lattice_rule(lo, hi, n))
         e, panels = self.lattice[3:]
-        self.work = int(self.head.shape[1] + 3 * self.past.sum()
-                        + self.shared + GL_ORDER * panels.sum()
-                        + (hi - e).sum())
+        work = (np.bincount(self._head_row, minlength=rows)
+                + 3 * np.bincount(self._row[self.past], minlength=rows)
+                + self.shared + np.bincount(
+                    self._lattice_row, GL_ORDER * panels + (hi - e),
+                    minlength=rows).astype(np.int64))
+        self.work = int(work[0]) if self.scalar else work
 
-    def _cuts(self, ns) -> np.ndarray:
-        """The head's lag pieces below ``ns[-1]``, where windows overlap
-        or are clipped at lag 0, cut one by one: rows lo, hi, lin, win,
-        top.  On lags lo..hi the scales i < lin are past their support,
+    def _cuts(self, row, k_lo, h) -> tuple:
+        """The head's lag pieces below its top scale n, where windows
+        overlap or are clipped at lag 0, cut one by one, for every block
+        of every row: rows lo, hi, lin, win, top, and each piece's block.
+        On lags lo..hi the scales i < lin are past their support,
         lin <= i < win are linear, win <= i < top are in their window and
         i >= top are constant."""
-        p, q = self.p, self.q
-        if not ns.size:
-            return np.empty((5, 0), dtype=np.int64)
-        cuts = np.concatenate([[0], ns - q, ns - p + 1, ns])
-        cuts = np.sort(cuts[(cuts >= 0) & (cuts < ns[-1])])
-        lo = cuts[np.append(True, cuts[1:] != cuts[:-1])]
-        return np.array([lo, np.append(lo[1:], ns[-1]) - 1,
-                         *(np.searchsorted(ns, lo + d, side="right")
-                           for d in (0, p - 1, q))])
+        blocks = np.flatnonzero(h)
+        at = blocks.repeat(h[blocks])                    # per head scale
+        ns = np.left_shift(1, k_lo[at] + np.arange(at.size)
+                           - (np.cumsum(h[blocks]) - h[blocks]).repeat(
+                               h[blocks]))
+        top = np.zeros_like(h)
+        top[blocks] = ns[np.cumsum(h[blocks]) - 1]
+        p, q = self.p[row[at]], self.q[row[at]]
+        cut = np.concatenate([np.zeros_like(blocks), ns - q, ns - p + 1, ns])
+        of = np.concatenate([blocks, at, at, at])
+        keep = (cut >= 0) & (cut < top[of])
+        cut, of = cut[keep], of[keep]
+        order = np.lexsort((cut, of))
+        cut, of = cut[order], of[order]
+        new = np.ones(cut.size, dtype=bool)
+        new[1:] = (cut[1:] != cut[:-1]) | (of[1:] != of[:-1])
+        lo, of = cut[new], of[new]
+        last = np.ones(lo.size, dtype=bool)
+        last[:-1] = of[1:] != of[:-1]
+        hi = np.where(last, top[of], np.roll(lo, -1)) - 1
+        row = row[of]
 
-    def norm_sq(self) -> float:
+        def below(x):
+            # how many of the block's head scales have n_i <= x, as the
+            # index of the first that does not
+            e = np.frexp(np.maximum(x, 1).astype(float))[1].astype(
+                np.int64) - 1
+            e -= np.left_shift(1, e) > x      # a rounded-up x
+            return self._start[of] + np.where(
+                x >= 1, np.clip(e - k_lo[of] + 1, 0, h[of]), 0)
+
+        return np.array([lo, hi, below(lo), below(lo + self.p[row] - 1),
+                         below(lo + self.q[row])]), of
+
+    def norm_sq(self):
         p, q, ks = self.p, self.q, self.ks
         gs = np.ldexp(self.params.weights.ratio(ks), -ks)
         gs[self.pads] = 0.0
         # above[i] = the sum of the g of i's block from i up, added from
-        # the top down
-        above = np.empty_like(gs)
-        for a, b in zip(np.append(0, self.pads[:-1] + 1), self.pads + 1):
-            above[a:b] = np.cumsum(gs[a:b][::-1])[::-1]
-        # the windows of each windowed piece, its scales win..top-1
-        _, _, _, win, top = self.head[:, self.head[3] < self.head[4]]
-        count = top - win
-        i = np.repeat(win - np.cumsum(count) + count, count) + \
-            np.arange(count.sum())
-        windows = [(count, gs[i], np.ldexp(1.0, ks[i]))]
-        if self.shared:
-            windows.append(([1], [1.0], [float(q)]))
+        # the top down: each block reversed into a row of its own
+        span = self.pads - self._start + 1
+        flip = (self.pads[self._group] - np.arange(ks.size))
+        above = np.zeros((span.size, span.max(initial=0)))
+        above[self._group, flip] = gs
+        above = np.cumsum(above, axis=1)[self._group, flip]
+        # the windows of each lattice piece: a windowed head piece's
+        # scales win..top-1, a shared window's one scale q
+        _, _, _, win, top = self.head
+        held = win < top
+        count = np.ones(self._lattice_row.size, dtype=np.int64)
+        first = np.full(count.size, -1)
+        count[self._lattice_at[:held.sum()]] = (top - win)[held]
+        first[self._lattice_at[:held.sum()]] = win[held]
+        i = np.arange(count.sum()) - (count.cumsum() - count).repeat(count)
+        shared = (first < 0).repeat(count)
+        i += first.repeat(count)
+        g = np.where(shared, 1.0, gs[i])
+        n = np.where(shared, q[self._lattice_row].repeat(count),
+                     np.ldexp(1.0, ks[i]))
         terms, z_half, z_three = lattice_terms(
-            p, q, self.lattice, *_columns(windows))
-        flat, held = self._head(self.head, ks, gs, above, z_half, z_three)
-        if self.shared:
-            held = [np.append(c, 0.0) for c in held]
-        sums = lattice_sums(terms, *held)
-        parts = _affine_sq(*flat).tolist()
-        if self.shared:
+            p, q, self.lattice, count, g, n, self._lattice_row)
+        (v, slope, *power), mid = self._head(gs, above, z_half, z_three)
+        at = self._lattice_at[:held.sum()]
+        # the windowed head pieces' sums read their own v, slope and mid
+        lv, ls, lm = (np.zeros(count.size) for _ in range(3))
+        lv[at], ls[at], lm[at] = v[held], slope[held], mid[held]
+        sums = lattice_sums(terms, lv, ls, lm)
+        parts = [(_affine_sq(v[~held], slope[~held],
+                             *(s[~held] for s in power)),
+                  self._head_row[~held]), (sums[1, at], self._head_row[held])]
+        i = np.flatnonzero(self.past)
+        if i.size:
             # scale k past its head: its window, its linear run and the
             # constant run [n_{k-1}, n_k - q) (from 0 for a block's first
             # scale), whose slope 0 leaves only the S0 term.  Their power
-            # sums, and the offset n_k - mid of a linear run, do not
-            # depend on k.
-            (sum_f, sum_ff), sums = sums[:, -1], sums[:, :-1]
-            _, *sums_w = map(float, _centred(-q, -p))
-            mid_l, *sums_l = map(float, _centred(1 - p, -1))
-            i = np.flatnonzero(self.past)
-            g, zg = gs[i], z_three * gs[i]
-            v = z_half * above[i + 1]
-            parts += (_affine_sq(v, 0.0, *sums_w) + 2.0 * g * (v * sum_f)
-                      + g * g * sum_ff).tolist()
-            if p > 1:
-                parts += _affine_sq(v + zg * -mid_l, -zg,
-                                    *sums_l).tolist()
+            # sums, and the offset n_k - mid of a linear run, depend on
+            # the row only.
+            row = self._row[i]
+            shared = self._lattice_at[held.sum():]
+            sum_f, sum_ff = np.zeros((2, p.size))
+            sum_f[self.shared], sum_ff[self.shared] = sums[:, shared]
+            cent = np.array([[*map(float, _centred(-b, -a)[1:]),
+                              *map(float, _centred(1 - a, -1))]
+                             for a, b in zip(p.tolist(), q.tolist())])
+            sums_w, mid_l, sums_l = cent[row, :3].T, cent[row, 3], \
+                cent[row, 4:].T
+            g, zg = gs[i], z_three[row] * gs[i]
+            v = z_half[row] * above[i + 1]
+            parts.append((_affine_sq(v, 0.0, *sums_w)
+                          + 2.0 * g * (v * sum_f[row])
+                          + g * g * sum_ff[row], row))
+            lin = p[row] > 1
+            parts.append((_affine_sq(v[lin] + zg[lin] * -mid_l[lin],
+                                     -zg[lin], *sums_l[:, lin]), row[lin]))
             n = np.ldexp(1.0, ks[i])
-            length = np.where(self.opens[i], n, n / 2) - q
-            const = z_half * above[i]
-            parts += (const * const * length)[length > 0].tolist()
-        parts += sums[1].tolist()
-        return math.fsum(parts)
+            length = np.where(self.opens[i], n, n / 2) - q[row]
+            const = z_half[row] * above[i]
+            parts.append(((const * const * length)[length > 0],
+                          row[length > 0]))
+        values, rows = (np.concatenate(c) for c in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        values = values[order].tolist()
+        at = np.searchsorted(rows[order], np.arange(p.size + 1)).tolist()
+        out = np.array([math.fsum(values[a:b])
+                        for a, b in zip(at[:-1], at[1:])])
+        return float(out[0]) if self.scalar else out
 
-    @staticmethod
-    def _head(head, ks, gs, above, z_half, z_three) -> tuple:
-        """The head pieces' columns: (v, slope, S0, S1, S2) of the affine
-        ones and (v, slope, mid) of those holding a window."""
-        lo, hi, lin, win, top = head
+    def _head(self, gs, above, z_half, z_three) -> tuple:
+        """The head pieces' columns (v, slope, S0, S1, S2) and their
+        midpoints."""
+        lo, hi, lin, win, top = self.head
         # the power sums of t = j - mid over each piece, as in _centred
         mid = (lo + hi) // 2
         b = (hi - mid).astype(float)
         odd = (lo + hi) & 1
         power = (hi - lo + 1.0, odd * b,
                  b * (b + 1.0) * (2.0 * b + 1.0) / 3.0 - odd * b * b)
-        # the scales lin <= i < win are linear, g_i Z3 (n_i - j) at lag j
-        i = np.arange(ks.size)
-        gl = np.where((lin[:, None] <= i) & (i < win[:, None]), gs, 0.0)
-        v = z_half * above[top] + z_three * (
-            gl * (np.ldexp(1.0, ks) - mid[:, None])).sum(axis=1)
-        slope = -z_three * gl.sum(axis=1)
-        held = win < top
-        return ((v[~held], slope[~held], *(s[~held] for s in power)),
-                (v[held], slope[held], mid[held]))
-
-def _columns(rows) -> list:
-    """Concatenate tuples of column arrays."""
-    return [np.concatenate(col) for col in zip(*rows)]
+        # the scales lin <= i < win are linear, g_i Z3 (n_i - j) at lag j;
+        # each row sums them over all its scales
+        s0, s1 = np.empty((2, lo.size))
+        ns = np.ldexp(1.0, self.ks)
+        for a, b, c, d in zip(self._ks_at[:-1].tolist(),
+                              self._ks_at[1:].tolist(),
+                              self._head_at[:-1].tolist(),
+                              self._head_at[1:].tolist()):
+            if c == d:
+                continue
+            i = np.arange(a, b)
+            gl = np.where((lin[c:d, None] <= i) & (i < win[c:d, None]),
+                          gs[a:b], 0.0)
+            s1[c:d] = (gl * (ns[a:b] - mid[c:d, None])).sum(axis=1)
+            s0[c:d] = gl.sum(axis=1)
+        row = self._head_row
+        v = z_half[row] * above[top] + z_three[row] * s1
+        return (v, -z_three[row] * s0, *power), mid
 
 
 # ---------------------------------------------------------------------------
@@ -803,22 +932,51 @@ class ExactMoments:
     def series_tail_norm(self, p: int, q: int) -> float:
         """Norm of sum_{N'=p..q} (conditional part at N') / N'^{3/2}.
 
-        Evaluated in segment form (``SeriesTail``) and memoized per
-        (p, q); a call whose work count exceeds the budget raises
-        ``WorkBudgetError`` before evaluating anything.
+        Evaluated in segment form (``SeriesTail``), as the batch of one
+        row, and memoized per (p, q); a call whose work count exceeds the
+        budget raises ``WorkBudgetError`` before evaluating anything.
         """
-        if not 1 <= p <= q:
-            raise ValueError("need 1 <= p <= q")
+        over = self._tails([(p, q)])
+        if over:
+            raise WorkBudgetError("series tail range too expensive",
+                                  estimated_ops=over[(p, q)],
+                                  budget=WORK_BUDGET)
+        return self._cache[("tail", p, q)]
 
-        def compute():
-            tail = SeriesTail(self.params, p, q)
-            if tail.work > WORK_BUDGET:
-                raise WorkBudgetError("series tail range too expensive",
-                                      estimated_ops=tail.work,
-                                      budget=WORK_BUDGET)
-            return math.sqrt(tail.norm_sq())
+    def _tails(self, pairs) -> dict:
+        """Memoize the series tail norms of the rows (p, q) in ``pairs``
+        that are not memoized yet, in batches of rows whose summed work
+        stays within ``TAIL_BATCH`` (a row beyond it is a batch alone).
 
-        return self._memo(("tail", p, q), compute)
+        Each row checks its own work against ``WORK_BUDGET`` first; the
+        rows over it are evaluated and memoized not at all, and come back
+        with their work counts.
+        """
+        todo = [pq for pq in dict.fromkeys(pairs)
+                if ("tail", *pq) not in self._cache]
+        for p, q in todo:
+            if not 1 <= p <= q:
+                raise ValueError("need 1 <= p <= q")
+        if not todo:
+            return {}
+        tail = SeriesTail(self.params, *map(list, zip(*todo)))
+        work = tail.work.tolist()
+        over = {pq: w for pq, w in zip(todo, work) if w > WORK_BUDGET}
+        batches, load = [], TAIL_BATCH
+        for pq, w in zip(todo, work):
+            if pq in over:
+                continue
+            if load + w > TAIL_BATCH:
+                batches.append([])
+                load = 0
+            batches[-1].append(pq)
+            load += w
+        for batch in batches:
+            if len(batch) < len(todo):
+                tail = SeriesTail(self.params, *map(list, zip(*batch)))
+            for (p, q), norm_sq in zip(batch, tail.norm_sq().tolist()):
+                self._cache[("tail", p, q)] = math.sqrt(norm_sq)
+        return over
 
     # -- per-horizon statistics --------------------------------------------
 
@@ -851,6 +1009,7 @@ class ExactMoments:
             raise ValueError("grid must be strictly increasing")
         rule = rule or DEFAULT_RULES[condition]
         if condition is Condition.TAIL_SERIES:
+            self._tails([(n, 2 * n) for n in grid])
             values = [self.series_tail_norm(n, 2 * n) for n in grid]
         elif condition is Condition.LOG_RATE:
             values = [self._rate5(n) for n in grid]
@@ -884,6 +1043,7 @@ class ExactMoments:
 
     def table_rows(self, grid) -> list[dict]:
         """Per-horizon summary used by the CSV emitter."""
+        self._tails([(n, 2 * n) for n in grid])
         rows = []
         for n in grid:
             b2 = self.normalizer_sq(_log2_floor(n))
@@ -897,10 +1057,9 @@ class ExactMoments:
                 "lemma5_ratio": (self.iid_approx_ratio(n)
                                  if b2 > 0 else math.inf),
             }
-            try:
-                row["tail_2prime"] = self.series_tail_norm(n, 2 * n)
-            except WorkBudgetError:
-                row["tail_2prime"] = math.nan
+            # NaN where the row's tail exceeds its work budget
+            row["tail_2prime"] = self._cache.get(("tail", n, 2 * n),
+                                                 math.nan)
             rows.append(row)
         return rows
 

@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the sample-batch
+budget that both a run and its validation check.
 
 Each carries its named context (e.g. the mass accumulated before a block
 construction ran out of indices, or an estimate against its budget) in
 ``details``; unset entries stay None.
 """
+
+#: most samples one batch may hold: 2 GiB of float64
+BATCH_BUDGET = 1 << 28
 
 
 class ParamsError(ValueError):
@@ -37,3 +41,12 @@ class TruncationError(RuntimeError):
         super().__init__(message)
         self.details = {"achieved_mass": achieved_mass,
                         "target_mass": target_mass}
+
+
+def check_batch_budget(count: int) -> None:
+    """Raise MemoryBudgetError if a batch of ``count`` samples exceeds
+    ``BATCH_BUDGET``."""
+    if count > BATCH_BUDGET:
+        raise MemoryBudgetError("sample batch exceeds the memory budget",
+                                estimated_bytes=8 * count,
+                                budget=8 * BATCH_BUDGET)

@@ -68,22 +68,35 @@ _EM_REACH = np.array([max((abs(row[-j] * (k - 0.5)) * 2.0 ** 64)
                       for j in range(1, 9)])
 
 
-def _zeta_em(s, b):
-    """zeta(s, b) less its leading term b^(1-s)/(s-1), for b >= 16.
+def _em_first(rows, *args) -> np.ndarray:
+    """Per row of the integer ``rows`` (broadcast against each argument
+    array in ``args``): the first of the eight Euler-Maclaurin terms,
+    counted from the highest, that its least argument keeps, so that a
+    row's values do not depend on the rows evaluated beside it."""
+    least = np.full(np.max(rows, initial=-1) + 1, np.inf)
+    for b in args:
+        np.minimum.at(least, np.broadcast_to(rows, b.shape), b)
+    return (8 - np.count_nonzero(_EM_REACH > least[:, None], axis=1)
+            ).astype(np.int8)
+
+
+def _zeta_em(s, b, first):
+    """zeta(s, b) less its leading term b^(1-s)/(s-1), for b >= 16, from
+    the Euler-Maclaurin terms ``first`` (broadcast) on.
 
     At b = 16 the eight Bernoulli terms leave a first omitted one below
     2e-21 of zeta(s, b) for s = 1/2 and 3/2, which F reads, and below
     2e-16 for s up to 13/2, which only its derivatives read; larger b
-    drop the terms that fall below 2^-64 (``_EM_REACH``).
+    drop the terms that fall below 2^-64 (``_EM_REACH``, ``_em_first``).
     """
     k = np.asarray(s).astype(int)            # s = k + 1/2
     inv = 1.0 / b
     inv2 = inv * inv
-    terms = np.count_nonzero(_EM_REACH > b.min(initial=np.inf))
-    coeffs = _EM_COEFFS[k, 8 - terms:]
     acc = 0.0
-    for j in range(terms):
-        acc = acc * inv2 + coeffs[..., j]
+    for j in range(np.min(first, initial=8), 8):
+        # 0.0 up to an argument's first term, which then gives exactly its
+        # coefficient, as a Horner sum from 0.0 over its terms does
+        acc = acc * inv2 + np.where(j >= first, _EM_COEFFS[k, j], 0.0)
     return np.sqrt(inv) * inv ** k * (0.5 + acc * inv)
 
 
@@ -96,10 +109,10 @@ def _zeta_head(s, a, n):
     return head
 
 
-def hurwitz_zeta(s, a) -> np.ndarray:
+def hurwitz_zeta(s, a, rows=0) -> np.ndarray:
     """zeta(s, a) = sum_{i >= 0} (a + i)^-s elementwise, continued
-    analytically to s = 1/2, for s among 1/2, 3/2, .., 15/2 and a >= 1
-    (broadcast).
+    analytically to s = 1/2, for s among 1/2, 3/2, .., 15/2 and 1-D
+    a >= 1 (broadcast), grouped in ``rows`` as ``_zeta_em`` reads them.
 
     Arguments below 16 are shifted up by direct terms, and Euler-Maclaurin
     with eight fixed Bernoulli constants gives the rest.
@@ -109,13 +122,15 @@ def hurwitz_zeta(s, a) -> np.ndarray:
     if a.min(initial=_ZETA_SHIFT) < _ZETA_SHIFT:
         n = np.maximum(np.ceil(_ZETA_SHIFT - a), 0.0)
         b, head = a + n, _zeta_head(s, a, n)
-    return head + (b ** (1.0 - s) / (s - 1.0) + _zeta_em(s, b))
+    return head + (b ** (1.0 - s) / (s - 1.0)
+                   + _zeta_em(s, b, _em_first(rows, b)[rows]))
 
 
-def zeta_diff(s: float, a, b) -> np.ndarray:
-    """zeta(s, a) - zeta(s, b) elementwise (broadcast), for s = 1/2 or 3/2
-    and 1 <= a <= b with b - a an integer wherever a < 16: the sum of
-    (a + i)^-s over a + i < b then.
+def zeta_diff(s: float, a, b, rows=0) -> np.ndarray:
+    """zeta(s, a) - zeta(s, b) elementwise (broadcast, at most 1-D), for
+    s = 1/2 or 3/2 and 1 <= a <= b with b - a an integer wherever a < 16:
+    the sum of (a + i)^-s over a + i < b then.  ``rows`` groups the
+    arguments as ``_zeta_em`` reads them.
 
     Direct terms lift a below 16 to 16 or to b, whichever comes first, so
     what is left is exactly 0 or has both arguments >= 16.  There the
@@ -132,17 +147,18 @@ def zeta_diff(s: float, a, b) -> np.ndarray:
     lead = 2.0 * (b - a2) / (ra + rb)
     if s != 0.5:
         lead /= ra * rb
-    # the rests of both arguments in one pass
-    rest = _zeta_em(s, np.concatenate([a2.ravel(), b.ravel()]))
-    rest = rest[:a2.size] - rest[a2.size:]
-    return head + (lead + rest.reshape(lead.shape))
+    # the rests of both arguments, which keep the terms of their row's
+    # least argument
+    first = _em_first(rows, a2, b)[rows]
+    return head + (lead + (_zeta_em(s, a2, first) - _zeta_em(s, b, first)))
 
 
 # ---------------------------------------------------------------------------
 # The window function F and its derivatives
 
-def tail_f(x, p: int, q: int) -> np.ndarray:
-    """F(x) elementwise on the smooth extension
+def tail_f(x, p, q, rows=0) -> np.ndarray:
+    """F(x) elementwise (p and q broadcast, ``rows`` grouping the points
+    as ``_zeta_em`` reads them) on the smooth extension
 
         F(x) = zeta(1/2, p) - zeta(1/2, x+1) + x (zeta(3/2, x+1)
                - zeta(3/2, q+1)),
@@ -153,24 +169,28 @@ def tail_f(x, p: int, q: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     a = x + 1.0
-    return zeta_diff(0.5, p, a) + x * zeta_diff(1.5, a, q + 1.0)
+    return (zeta_diff(0.5, p, a, rows)
+            + x * zeta_diff(1.5, a, np.add(q, 1.0), rows))
 
 
-def tail_df(x, q: int, top: int) -> np.ndarray:
+def tail_df(x, q, top: int, rows=None) -> np.ndarray:
     """F^(k)(x) for k = 1..top, one row each, in closed form: with
     c_k = prod_{i<=k} (2i+1)/2,
 
         F^(k)(x) = (-1)^k c_k [x zeta(k+3/2, x+1) - zeta(k+1/2, x+1)],
 
-    less zeta(3/2, q+1) for k = 1.
+    less zeta(3/2, q+1) for k = 1.  Point i reads q[rows[i]] of the
+    rows' upper ends q (one row by default).
     """
-    x = np.asarray(x, dtype=float)
+    x, q = np.asarray(x, dtype=float), np.atleast_1d(q)
+    rows = np.zeros(x.size, dtype=int) if rows is None else rows
     z = hurwitz_zeta(np.arange(1, top + 2)[:, None] + 0.5,
-                     np.append(x + 1.0, q + 1.0))
+                     np.append(x + 1.0, q + 1.0),
+                     np.append(rows, np.arange(q.size)))
     k = np.arange(1, top + 1)
     out = (np.cumprod(k + 0.5) * (-1.0) ** k)[:, None] * (
-        x * z[1:, :-1] - z[:-1, :-1])
-    out[0] -= z[0, -1]
+        x * z[1:, :x.size] - z[:-1, :x.size])
+    out[0] -= z[0, x.size + rows]
     return out
 
 
@@ -218,18 +238,23 @@ def lattice_rule(lo, hi, n) -> tuple:
     return e, np.where(summed, np.frexp(ratio - 1)[1], 0)
 
 
-def lattice_terms(p: int, q: int, lattice, count, g, n) -> tuple:
+def lattice_terms(p, q, lattice, count, g, n, rows=None) -> tuple:
     """The part of the lattice sums that the affine values do not
     enter, for the windowed pieces ``lattice`` = (lo, hi, least window
     scale, e, panels) holding ``count`` windows (g, n) each, in turn;
-    and Zh = F(q), Z3 = F(p) / p beside it.
+    and per row Zh = F(q), Z3 = F(p) / p beside it.
 
-    Each piece's points are its direct lags, its Gauss-Legendre nodes
-    and its halved Euler-Maclaurin ends.  At every point the window
-    terms sum g F(n - j), and at every end their derivatives in j
-    through the fifth, each in one batch.
+    Piece i belongs to the row ``rows[i]`` (one row by default), whose
+    window function F has the ends p and q there.  Each piece's points
+    are its direct lags, its Gauss-Legendre nodes and its halved
+    Euler-Maclaurin ends.  At every point the window terms sum
+    g F(n - j), and at every end their derivatives in j through the
+    fifth, each in one batch over all the rows; a row's values are those
+    it would have alone.
     """
     lo, hi, least, e, panels = lattice
+    p, q = np.atleast_1d(p), np.atleast_1d(q)
+    rows = np.zeros(lo.size, dtype=int) if rows is None else rows
     x_gl, w_gl = gauss_legendre()
     pieces = np.arange(lo.size)
     # the direct lags e+1..hi, weight 1
@@ -255,23 +280,26 @@ def lattice_terms(p: int, q: int, lattice, count, g, n) -> tuple:
                               (half[:, None] * w_gl).ravel(),
                               np.full(end_at.size, 0.5)])
     # each point once per window of its piece, its pairs in a row, so
-    # one reduceat adds them; then F(q) and F(p)
+    # one reduceat adds them; then every row's F(q) and F(p)
     per, w = _window_pairs(own, count)
-    x = np.concatenate([n[w] - js.repeat(per), (q, p)])
-    f = tail_f(x, p, q)
+    row = np.concatenate([rows[own].repeat(per), *[np.arange(p.size)] * 2])
+    x = np.concatenate([n[w] - js.repeat(per), q, p])
+    f = tail_f(x, p[row], q[row], row)
+    pairs = f.size - 2 * p.size
     start = per.cumsum() - per
-    terms = [own, js, weights, np.add.reduceat(g[w] * f[:-2], start)]
+    terms = [own, js, weights,
+             np.add.reduceat(g[w] * f[:pairs], start)]
     if end_at.size:
         # the ends' pairs close the list; their derivatives in j,
         # d/dj F(n - j) = -F'(n - j), through the fifth
         tail = per[-end_at.size:].sum()
-        d = tail_df(x[-2 - tail:-2], q, 5)
+        d = tail_df(x[pairs - tail:pairs], q, 5, row[pairs - tail:pairs])
         d[::2] *= -1.0
         start = start[-end_at.size:] - start[-end_at.size]
         terms += [end_at, end_j, np.tile([-1.0, 1.0], end_at.size // 2),
                   np.vstack([terms[3][-end_at.size:], np.add.reduceat(
                       g[w[-tail:]] * d, start, axis=1)])]
-    return terms, float(f[-2]), float(f[-1]) / p
+    return terms, f[pairs:pairs + q.size], f[pairs + q.size:] / p
 
 
 def lattice_sums(terms, v, slope, mid) -> np.ndarray:

@@ -75,11 +75,9 @@ import numpy as np
 from .blocks import BlockParity, SequenceParams
 from .engine import (BlockProfile, ExactMoments, block_var_over_n,
                      desk_horizon)
-from .errors import MemoryBudgetError, ParamsError
+from .errors import ParamsError, check_batch_budget
 
 CHUNK = 4096
-# most samples one batch may hold: 2 GiB of float64
-BATCH_BUDGET = 1 << 28
 GAUSSIANIZE_LOG2 = 40
 GAUSSIANIZE_HITS = float(1 << GAUSSIANIZE_LOG2)
 # a spike layer expecting at most 2^NEGLIGIBLE_LOG2 hits is taken as 0
@@ -370,15 +368,12 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
     horizon N = 2^log2_n.
 
     Identical arguments give byte-identical batches for any `workers`.
-    A count beyond ``BATCH_BUDGET`` raises MemoryBudgetError before
+    A count beyond ``errors.BATCH_BUDGET`` raises MemoryBudgetError before
     anything is planned or allocated.
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
-    if count > BATCH_BUDGET:
-        raise MemoryBudgetError("sample batch exceeds the memory budget",
-                                estimated_bytes=8 * count,
-                                budget=8 * BATCH_BUDGET)
+    check_batch_budget(count)
     kind = SampleKind(kind)
     plan = _build_plan(params, log2_n, kind, normalized,
                        moments or ExactMoments(params))

@@ -258,18 +258,73 @@ def test_spectral_budget_exits_3(capsys):
         "details": {"estimated_ops": 1 << 34, "budget": 1 << 27}}}
 
 
+HUGE_SAMPLES_ERROR = {"error": {
+    "type": "MemoryBudgetError",
+    "message": "sample batch exceeds the memory budget",
+    "details": {"estimated_bytes": 8 * 10 ** 15, "budget": 8 << 28}}}
+
+
 def test_huge_sample_count_exits_3(tmp_path, capsys):
     # a batch past the sampler's budget fails before it is allocated, and
-    # before any artifact is written
+    # before any artifact is written; validate rejects it the same way
     out = tmp_path / "run"
-    code, doc = run_main(["theorem1", "--samples", str(10 ** 15),
-                          "--no-timestamp", "--out", str(out)], capsys)
-    assert code == 3
-    assert doc == {"error": {
-        "type": "MemoryBudgetError",
-        "message": "sample batch exceeds the memory budget",
-        "details": {"estimated_bytes": 8 * 10 ** 15, "budget": 8 << 28}}}
-    assert not out.exists()
+    for command in (["theorem1"], ["validate", "--scenario", "theorem1"]):
+        code, doc = run_main([*command, "--samples", str(10 ** 15),
+                              "--no-timestamp", "--out", str(out)], capsys)
+        assert code == 3, command
+        assert doc == HUGE_SAMPLES_ERROR, command
+        assert not out.exists()
+
+
+def test_validate_checks_the_batch_budget_without_the_sampler():
+    # validate processes time the bench's set-up, so the check loads
+    # neither the sampler nor numpy.random
+    code = ("import sys\n"
+            "from cltlab.cli import main\n"
+            "assert main(sys.argv[1:]) == 3\n"
+            "loaded = [m for m in ('cltlab.simulate', 'numpy.random')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    proc = fresh_python(code, "validate", "--scenario", "theorem1",
+                        "--samples", str(10 ** 15))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == HUGE_SAMPLES_ERROR
+
+
+def cli_process(*args, cwd):
+    """Run ``python -m cltlab.cli`` on this checkout in a new process."""
+    src = str(Path(cltlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "cltlab.cli", *args],
+                          env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def test_module_entry_point_exits_with_mains_codes(tmp_path, capsys,
+                                                   monkeypatch):
+    # the __main__ block freezes the heap before it exits; codes, stdout
+    # and artifacts are those of an in-process main
+    args = ["conditions", "--kmax", "12", "--grid", "dyadic:4:8",
+            "--samples", "0", "--no-timestamp", "--out", "run"]
+    (tmp_path / "process").mkdir()
+    (tmp_path / "inproc").mkdir()
+    proc = cli_process(*args, cwd=tmp_path / "process")
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path / "inproc")
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out
+    files = sorted((tmp_path / "process" / "run").iterdir())
+    assert [p.name for p in files] == ["conditions.csv", "config.json",
+                                       "verdict.json"]
+    for path in files:
+        assert path.read_bytes() == \
+            (tmp_path / "inproc" / "run" / path.name).read_bytes()
+    proc = cli_process("conditions", "--grid", "dyadic:0:8", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "ParamsError"
+    proc = cli_process("theorem1", "--samples", str(10 ** 15), cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout) == HUGE_SAMPLES_ERROR
 
 
 def test_custom_run_writes_artifacts(tmp_path, capsys):

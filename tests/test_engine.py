@@ -229,7 +229,7 @@ def test_tail_norm_is_memoized(monkeypatch):
 
     class Counting(SeriesTail):
         def __init__(self, params, p, q):
-            built.append((p, q))
+            built.append(list(zip(p, q)))
             super().__init__(params, p, q)
 
     monkeypatch.setattr(engine, "SeriesTail", Counting)
@@ -237,7 +237,8 @@ def test_tail_norm_is_memoized(monkeypatch):
     grid = dyadic_grid(3, 6)
     rows = em.table_rows(grid)
     rep = em.check_condition(Condition.TAIL_SERIES, grid)
-    assert built == [(n, 2 * n) for n in grid]
+    # one batch of every row, and the condition reuses its memo
+    assert built == [[(n, 2 * n) for n in grid]]
     assert rep.values == [row["tail_2prime"] for row in rows]
     # budget failures are not cached: each call re-estimates and raises
     monkeypatch.setattr(engine, "WORK_BUDGET", 100)
@@ -446,6 +447,41 @@ def test_dyadic_grid():
     assert dyadic_grid(0, 0) == [1]
     with pytest.raises(ValueError):
         dyadic_grid(5, 3)
+
+
+@pytest.mark.parametrize("name", ["conditions", "theorem1", "theorem2",
+                                  "theorem3"])
+def test_batched_tails_equal_the_batch_of_one(name):
+    # a row's tail does not depend on the rows evaluated beside it
+    params, (lo, hi) = preset(name)
+    grid = dyadic_grid(lo, hi)
+    rows = ExactMoments(params).table_rows(grid)
+    for row, n in zip(rows, grid):
+        alone = ExactMoments(params).series_tail_norm(n, 2 * n)
+        assert row["tail_2prime"].hex() == alone.hex()
+        assert alone.hex() == math.sqrt(SeriesTail(params, n, 2 * n)
+                                        .norm_sq()).hex()
+
+
+def test_rows_over_the_work_budget_alone_are_nan(monkeypatch):
+    params, _ = preset("theorem3")
+    grid = dyadic_grid(4, 40)
+    want = ExactMoments(params).table_rows(grid)
+    work = SeriesTail(params, grid, [2 * n for n in grid]).work
+    budget = int(np.median(work))
+    monkeypatch.setattr(engine, "WORK_BUDGET", budget)
+    em = ExactMoments(params)
+    got = em.table_rows(grid)
+    assert 0 < sum(w > budget for w in work) < len(grid)
+    for a, b, w, n in zip(want, got, work, grid):
+        if w > budget:
+            assert math.isnan(b["tail_2prime"])
+            with pytest.raises(WorkBudgetError) as err:
+                em.series_tail_norm(n, 2 * n)
+            assert err.value.details == {"estimated_ops": w,
+                                         "budget": budget}
+        else:
+            assert b["tail_2prime"].hex() == a["tail_2prime"].hex()
 
 
 def test_table_rows_and_csv():
@@ -1062,6 +1098,21 @@ def test_table_rows_hold_one_horizons_profiles():
     assert kept == sorted(map(id, em.profiles(grid[-1])))
     _, short = held_by_table(preset("theorem3")[0], dyadic_grid(4, 20))
     assert abs(held - short) < 0.1e6
+
+
+def test_table_rows_peak_below_one_megabyte():
+    # the tails run in batches of bounded work, so the peak stays that of
+    # a few rows (0.47 MB when each row ran alone)
+    params = preset("theorem3")[0]
+    grid = dyadic_grid(4, 40)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ExactMoments(params).table_rows(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_streamed_rows_equal_one_horizon_at_a_time():

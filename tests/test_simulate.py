@@ -12,11 +12,12 @@ import cltlab.simulate as simulate
 from cltlab.blocks import (BlockParity, SequenceParams, default_params,
                            split_blocks)
 from cltlab.engine import DESK_N_CAP, ExactMoments, dyadic_grid
-from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from cltlab.errors import (BATCH_BUDGET, MemoryBudgetError, ParamsError,
+                           WorkBudgetError)
 from cltlab.laws import empirical_law, exact_law, ks_distance, ks_pass_bound
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
-from cltlab.simulate import (BATCH_BUDGET, GAUSSIANIZE_HITS, SampleKind,
+from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
                              _build_plan, _distinct_offsets, _draw_flat,
                              _draw_normal, _draw_poisson, _draw_pool,
                              _lane_key, _lane_stream, _rekey, _stream,
