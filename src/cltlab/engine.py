@@ -107,8 +107,10 @@ def _centred(lo: int, hi: int, top: int = 2) -> tuple:
 
 
 def _interleave(a: list, b: list) -> list:
-    """a[0], b[0], a[1], b[1], ..."""
-    return [x for pair in zip(a, b) for x in pair]
+    """a[0], b[0], a[1], b[1], ... of two lists of one length."""
+    out = a + b
+    out[::2], out[1::2] = a, b
+    return out
 
 
 def _affine_sq(v, s, s0, s1, s2):
@@ -233,6 +235,7 @@ class BlockProfile:
         ns = [1 << k for k in range(k_lo, min(k0, k_cut + 1))]
         cuts = sorted({N - 1, *([0] if kept else []), *[1 - n for n in ns],
                        *[N - n for n in ns]})
+        rows = []
         for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
             # 0 is a cut, so a segment lies in m <= -1 or in m >= 0; the
             # regimes hold on (mid, mid + 1), and the slope is that step.
@@ -250,9 +253,9 @@ class BlockProfile:
                 slope = -capped
                 v = (flat[j2] + (N - mid) * capped) / one
             segments.append((lo, hi, mid))
-            for col, x in zip(cols, (v, slope / one if hi > lo else 0.0,
-                                     *sums)):
-                col.append(x)
+            rows.append((v, slope / one if hi > lo else 0.0, *sums))
+        for col, x in zip(cols, zip(*rows)):
+            col.extend(x)
         # the split rows; zero if no segment starts at 0 (no scale is kept)
         n = len(segments)
         left = bisect_left(segments, (0,))     # the segments in m <= -1

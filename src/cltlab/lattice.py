@@ -143,34 +143,37 @@ def zeta_diff(s: float, a, b, rows=0) -> np.ndarray:
     if a.min(initial=_ZETA_SHIFT) < _ZETA_SHIFT:
         n = np.minimum(np.maximum(np.ceil(_ZETA_SHIFT - a), 0.0), b - a)
         a2, head = a + n, _zeta_head(s, a, n)
+    # the rests of both arguments, which keep the terms of their row's
+    # least argument
+    first = _em_first(rows, a2, b)[rows]
+    rest = _zeta_em(s, a2, first) - _zeta_em(s, b, first)
     ra, rb = np.sqrt(a2), np.sqrt(b)
     lead = 2.0 * (b - a2) / (ra + rb)
     if s != 0.5:
         lead /= ra * rb
-    # the rests of both arguments, which keep the terms of their row's
-    # least argument
-    first = _em_first(rows, a2, b)[rows]
-    return head + (lead + (_zeta_em(s, a2, first) - _zeta_em(s, b, first)))
+    return head + (lead + rest)
 
 
 # ---------------------------------------------------------------------------
 # The window function F and its derivatives
 
 def tail_f(x, p, q, rows=0) -> np.ndarray:
-    """F(x) elementwise (p and q broadcast, ``rows`` grouping the points
-    as ``_zeta_em`` reads them) on the smooth extension
+    """F(x) elementwise on the smooth extension
 
         F(x) = zeta(1/2, p) - zeta(1/2, x+1) + x (zeta(3/2, x+1)
                - zeta(3/2, q+1)),
 
     which at integers p <= x <= q is sum_{N'=p..q} min(N', x) / N'^{3/2}:
     the partial sum H(x) of N'^{-1/2} up to x plus x times the tail D of
-    N'^{-3/2} beyond it, each taken as one ``zeta_diff``.
+    N'^{-3/2} beyond it, each taken as one ``zeta_diff``.  Point i reads
+    the ends p and q of its row ``rows[i]``, one per row (one row by
+    default); the rows group the points as ``_zeta_em`` reads them.
     """
     x = np.asarray(x, dtype=float)
     a = x + 1.0
-    return (zeta_diff(0.5, p, a, rows)
-            + x * zeta_diff(1.5, a, np.add(q, 1.0), rows))
+    p, q = np.atleast_1d(p).astype(float), np.atleast_1d(q)
+    return (zeta_diff(0.5, p[rows], a, rows)
+            + x * zeta_diff(1.5, a, (q + 1.0)[rows], rows))
 
 
 def tail_df(x, q, top: int, rows=None) -> np.ndarray:
@@ -276,15 +279,15 @@ def lattice_terms(p, q, lattice, count, g, n, rows=None) -> tuple:
     own = np.concatenate([own, at.repeat(GL_ORDER), end_at])
     js = np.concatenate([js, ((a + half)[:, None]
                               + half[:, None] * x_gl).ravel(), end_j])
-    weights = np.concatenate([np.ones(direct.sum()),
-                              (half[:, None] * w_gl).ravel(),
-                              np.full(end_at.size, 0.5)])
     # each point once per window of its piece, its pairs in a row, so
     # one reduceat adds them; then every row's F(q) and F(p)
     per, w = _window_pairs(own, count)
     row = np.concatenate([rows[own].repeat(per), *[np.arange(p.size)] * 2])
     x = np.concatenate([n[w] - js.repeat(per), q, p])
-    f = tail_f(x, p[row], q[row], row)
+    f = tail_f(x, p, q, row)
+    weights = np.concatenate([np.ones(direct.sum()),
+                              (half[:, None] * w_gl).ravel(),
+                              np.full(end_at.size, 0.5)])
     pairs = f.size - 2 * p.size
     start = per.cumsum() - per
     terms = [own, js, weights,
