@@ -48,6 +48,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -66,7 +67,7 @@ DESK_N_CAP = 1 << 52
 WORK_BUDGET = 1 << 23
 
 #: most work one batch of series tails evaluates at once
-TAIL_BATCH = 1 << 13
+TAIL_BATCH = 1 << 12
 
 
 def _log2_floor(N: int) -> int:
@@ -442,7 +443,7 @@ def sigma_sq_over_n(params: SequenceParams, log2_n: int) -> float:
 
 class SeriesTail:
     """|| sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||^2 in segment form,
-    for one (p, q) or for a batch of rows (p, q given as int sequences).
+    for one (p, q) or for a batch of rows (p and q int sequences).
 
     At lag j >= 0, scale k contributes g_k * F(n_k - j), where
     g_k = a_k / (k n_k) and
@@ -472,15 +473,17 @@ class SeriesTail:
     Gauss-Legendre on dyadic panels (``lattice.lattice_rule``).  Each
     tail thus costs O(scales) at any horizon.
 
-    The rows of a batch are laid out one after another in the same
-    arrays: ``ks`` (each kept block's scales closed by a pad), ``head``
-    (int64 rows lo, hi, lin, win, top over the head pieces, scales
-    indexed into ``ks``) and ``lattice`` (each row's windowed head pieces,
-    then its shared window [p, q] if ``shared``), so that every step runs
-    once over all of them.  Only what a row reduces in one piece runs
-    row by row: its reversed cumulative sums over each block, its head
-    sums over all its scales and its ``math.fsum``; so a row's value is
-    bit for bit the one it has alone.
+    A batch lays its rows out one after another in the same arrays:
+    ``ks`` (each kept block's scales, closed by a pad), ``head`` (int64
+    rows lo, hi, lin, win, top over the head pieces, scales indexed into
+    ``ks``) and ``lattice`` (each row's windowed head pieces, then its
+    window [p, q] if it has a scale past its heads, ``shared``), so that
+    each step runs once over all of them.  The lattice sums run over
+    whole rows in turn, at most ``TAIL_BATCH`` work at a time (a row
+    beyond it alone).  Only what a row reduces at once runs row by row:
+    the head sums over all its scales and its ``math.fsum``, as do its
+    own Euler-Maclaurin terms (``lattice._em_first``); so each row's
+    value is bit for bit the one it has alone.
 
     ``work``, which the ``WORK_BUDGET`` gate reads, counts per row what
     ``norm_sq`` touches, laid out on construction: the pieces (three
@@ -527,43 +530,46 @@ class SeriesTail:
         # there; which scales are past their block's head or open a block
         span = g_size + 1
         self._start = np.cumsum(span) - span
-        self._group = np.arange(span.size).repeat(span)
-        pos = np.arange(span.sum()) - self._start[self._group]
-        size = g_size[self._group]
-        self.ks = g_lo[self._group] + np.minimum(pos, size - 1)
+        group = np.arange(span.size).repeat(span)
+        pos = np.arange(span.sum()) - self._start[group]
+        size = g_size[group]
+        self.ks = g_lo[group] + np.minimum(pos, size - 1)
         self.pads = self._start + g_size
-        self.past = (pos >= g_head[self._group]) & (pos < size)
+        self.past = (pos >= g_head[group]) & (pos < size)
         self.opens = pos == 0
-        self._row = g_row[self._group]
+        self._past_row = g_row[group[self.past]]
+        del group, pos, size
         self.head, head_group = self._cuts(g_row, g_lo, g_head)
         self._head_row = g_row[head_group]
-        # each row's ks and head pieces, as slices
-        self._ks_at = np.append(self._start, self.ks.size)[
-            np.searchsorted(g_row, np.arange(rows + 1))]
-        self._head_at = np.searchsorted(self._head_row, np.arange(rows + 1))
-        # the windowed pieces: the heads', then each row's window [p, q]
-        # at n = q, whose lattice sums all its whole windows past the
-        # heads share
-        lo, hi, _, win, top = self.head[:, self.head[3] < self.head[4]]
-        self.shared = np.bincount(self._row[self.past], minlength=rows) > 0
+        self.shared = np.bincount(self._past_row, minlength=rows) > 0
+        # the windowed pieces: each row's windowed head pieces, then its
+        # window [p, q] at n = q, whose lattice sums all its whole windows
+        # past the heads share; ``_from_head`` indexes the head piece of
+        # each, -1 for a shared window
+        held = np.flatnonzero(self.head[3] < self.head[4])
         own = np.flatnonzero(self.shared)
-        lat_row = np.concatenate([self._head_row[self.head[3] < self.head[4]],
-                                  own])
-        order = np.argsort(lat_row, kind="stable")
-        self._lattice_at = np.empty_like(order)
-        self._lattice_at[order] = np.arange(order.size)
-        self._lattice_row = lat_row[order]
-        lo = np.append(lo, np.zeros_like(own))[order]
-        hi = np.append(hi, self.q[own] - self.p[own])[order]
-        n = np.append(np.left_shift(1, self.ks[win]), self.q[own])[order]
+        row = np.concatenate([self._head_row[held], own])
+        order = np.argsort(row, kind="stable")
+        self._lattice_row = row[order]
+        self._from_head = np.append(held, np.full(own.size, -1))[order]
+        lo = np.append(self.head[0, held], np.zeros_like(own))[order]
+        hi = np.append(self.head[1, held], (self.q - self.p)[own])[order]
+        n = np.append(np.left_shift(1, self.ks[self.head[3, held]]),
+                      self.q[own])[order]
         self.lattice = (lo, hi, n, *lattice_rule(lo, hi, n))
         e, panels = self.lattice[3:]
-        work = (np.bincount(self._head_row, minlength=rows)
-                + 3 * np.bincount(self._row[self.past], minlength=rows)
-                + self.shared + np.bincount(
-                    self._lattice_row, GL_ORDER * panels + (hi - e),
-                    minlength=rows).astype(np.int64))
-        self.work = int(work[0]) if self.scalar else work
+        # each row's scales, head pieces and lattice pieces, as slices
+        self._ks_at = np.append(self._start, self.ks.size)[
+            np.searchsorted(g_row, np.arange(rows + 1))]
+        self._head_at, self._lattice_at = (
+            np.searchsorted(r, np.arange(rows + 1))
+            for r in (self._head_row, self._lattice_row))
+        self._work = (np.bincount(self._head_row, minlength=rows)
+                      + 3 * np.bincount(self._past_row, minlength=rows)
+                      + self.shared + np.bincount(
+                          self._lattice_row, GL_ORDER * panels + (hi - e),
+                          minlength=rows).astype(np.int64))
+        self.work = int(self._work[0]) if self.scalar else self._work
 
     def _cuts(self, row, k_lo, h) -> tuple:
         """The head's lag pieces below its top scale n, where windows
@@ -591,7 +597,7 @@ class SeriesTail:
         lo, of = cut[new], of[new]
         last = np.ones(lo.size, dtype=bool)
         last[:-1] = of[1:] != of[:-1]
-        hi = np.where(last, top[of], np.roll(lo, -1)) - 1
+        hi = np.where(last, top[of], np.append(lo[1:], 0)) - 1
         row = row[of]
 
         def below(x):
@@ -607,41 +613,77 @@ class SeriesTail:
                          below(lo + self.q[row])]), of
 
     def norm_sq(self):
-        p, q, ks = self.p, self.q, self.ks
+        ks = self.ks
         gs = np.ldexp(self.params.weights.ratio(ks), -ks)
         gs[self.pads] = 0.0
         # above[i] = the sum of the g of i's block from i up, added from
         # the top down: each block reversed into a row of its own
         span = self.pads - self._start + 1
-        flip = (self.pads[self._group] - np.arange(ks.size))
+        group = np.arange(span.size).repeat(span)
+        flip = self.pads[group] - np.arange(ks.size)
         above = np.zeros((span.size, span.max(initial=0)))
-        above[self._group, flip] = gs
-        above = np.cumsum(above, axis=1)[self._group, flip]
+        above[group, flip] = gs
+        above = np.cumsum(above, axis=1)[group, flip]
+        del group, flip
+        return self._fsums(gs, above, *self._lattice(gs, above))
+
+    def _lattice(self, gs, above) -> tuple:
+        """Each row's Zh and Z3, the head pieces' v and slope, and the
+        lattice sums of every windowed piece, over runs of whole rows."""
+        p, q, ks = self.p, self.q, self.ks
         # the windows of each lattice piece: a windowed head piece's
-        # scales win..top-1, a shared window's one scale q
-        _, _, _, win, top = self.head
-        held = win < top
-        count = np.ones(self._lattice_row.size, dtype=np.int64)
-        first = np.full(count.size, -1)
-        count[self._lattice_at[:held.sum()]] = (top - win)[held]
-        first[self._lattice_at[:held.sum()]] = win[held]
-        i = np.arange(count.sum()) - (count.cumsum() - count).repeat(count)
-        shared = (first < 0).repeat(count)
-        i += first.repeat(count)
+        # scales win..top-1, a shared window's one scale n = q
+        lo, hi, _, win, top = self.head
+        h = self._from_head
+        count = np.append(top - win, 1)[h]
+        i = np.arange(count.sum()) + (np.append(win, -1)[h]
+                                      - count.cumsum() + count).repeat(count)
+        shared = (h < 0).repeat(count)
         g = np.where(shared, 1.0, gs[i])
         n = np.where(shared, q[self._lattice_row].repeat(count),
                      np.ldexp(1.0, ks[i]))
-        terms, z_half, z_three = lattice_terms(
-            p, q, self.lattice, count, g, n, self._lattice_row)
-        (v, slope, *power), mid = self._head(gs, above, z_half, z_three)
-        at = self._lattice_at[:held.sum()]
-        # the windowed head pieces' sums read their own v, slope and mid
-        lv, ls, lm = (np.zeros(count.size) for _ in range(3))
-        lv[at], ls[at], lm[at] = v[held], slope[held], mid[held]
-        sums = lattice_sums(terms, lv, ls, lm)
-        parts = [(_affine_sq(v[~held], slope[~held],
-                             *(s[~held] for s in power)),
-                  self._head_row[~held]), (sums[1, at], self._head_row[held])]
+        at = np.append(0, count.cumsum())
+        del i, shared
+        # A head piece's v and slope read its row's Zh and Z3, which its
+        # run's lattice terms give; index -1 reads 0.0, a shared window's
+        # v, slope and mid.
+        s0, s1 = self._head_sums(gs)
+        z_half, z_three = np.empty((2, p.size))
+        v, slope = np.zeros((2, lo.size + 1))
+        mid = np.append((lo + hi) // 2, 0)
+        sums = np.empty((2, h.size))
+        for r0, r1 in self._runs():
+            a, b = self._lattice_at[[r0, r1]].tolist()
+            c, d = self._head_at[[r0, r1]].tolist()
+            wa, wb = at[[a, b]].tolist()
+            terms, z_half[r0:r1], z_three[r0:r1] = lattice_terms(
+                p[r0:r1], q[r0:r1], tuple(x[a:b] for x in self.lattice),
+                count[a:b], g[wa:wb], n[wa:wb], self._lattice_row[a:b] - r0)
+            row = self._head_row[c:d]
+            v[c:d] = z_half[row] * above[top[c:d]] + z_three[row] * s1[c:d]
+            slope[c:d] = -z_three[row] * s0[c:d]
+            sums[:, a:b] = lattice_sums(terms, v[h[a:b]], slope[h[a:b]],
+                                        mid[h[a:b]])
+            del terms           # before the next run's are built
+        return z_half, z_three, v[:-1], slope[:-1], sums
+
+    def _fsums(self, gs, above, z_half, z_three, v, slope, sums):
+        """Each row's squared norm, its parts in one ``math.fsum``, from
+        the head pieces' v and slope and the lattice sums."""
+        p, q, h = self.p, self.q, self._from_head
+        # the affine head pieces take the Faulhaber square, with the power
+        # sums of t = j - mid over each piece as in _centred
+        lo, hi, _, win, top = self.head
+        mid = (lo + hi) // 2
+        s = (hi - mid).astype(float)
+        odd = (lo + hi) & 1
+        power = (hi - lo + 1.0, odd * s,
+                 s * (s + 1.0) * (2.0 * s + 1.0) / 3.0 - odd * s * s)
+        affine = win >= top
+        parts = [(_affine_sq(v[affine], slope[affine],
+                             *(x[affine] for x in power)),
+                  self._head_row[affine]),
+                 (sums[1, h >= 0], self._lattice_row[h >= 0])]
         i = np.flatnonzero(self.past)
         if i.size:
             # scale k past its head: its window, its linear run and the
@@ -649,64 +691,65 @@ class SeriesTail:
             # scale), whose slope 0 leaves only the S0 term.  Their power
             # sums, and the offset n_k - mid of a linear run, depend on
             # the row only.
-            row = self._row[i]
-            shared = self._lattice_at[held.sum():]
+            row = self._past_row
             sum_f, sum_ff = np.zeros((2, p.size))
-            sum_f[self.shared], sum_ff[self.shared] = sums[:, shared]
-            cent = np.array([[*map(float, _centred(-b, -a)[1:]),
-                              *map(float, _centred(1 - a, -1))]
-                             for a, b in zip(p.tolist(), q.tolist())])
-            sums_w, mid_l, sums_l = cent[row, :3].T, cent[row, 3], \
-                cent[row, 4:].T
+            sum_f[self.shared], sum_ff[self.shared] = sums[:, h < 0]
+            cent = np.array([[*_centred(-y, -x)[1:], *_centred(1 - x, -1)]
+                             for x, y in zip(p.tolist(), q.tolist())],
+                            dtype=float).T
             g, zg = gs[i], z_three[row] * gs[i]
             v = z_half[row] * above[i + 1]
-            parts.append((_affine_sq(v, 0.0, *sums_w)
+            parts.append((_affine_sq(v, 0.0, *cent[:3, row])
                           + 2.0 * g * (v * sum_f[row])
                           + g * g * sum_ff[row], row))
             lin = p[row] > 1
-            parts.append((_affine_sq(v[lin] + zg[lin] * -mid_l[lin],
-                                     -zg[lin], *sums_l[:, lin]), row[lin]))
-            n = np.ldexp(1.0, ks[i])
+            row_l = row[lin]
+            parts.append((_affine_sq(v[lin] + zg[lin] * -cent[3, row_l],
+                                     -zg[lin], *cent[4:, row_l]), row_l))
+            n = np.ldexp(1.0, self.ks[i])
             length = np.where(self.opens[i], n, n / 2) - q[row]
             const = z_half[row] * above[i]
             parts.append(((const * const * length)[length > 0],
                           row[length > 0]))
-        values, rows = (np.concatenate(c) for c in zip(*parts))
-        order = np.argsort(rows, kind="stable")
-        values = values[order].tolist()
-        at = np.searchsorted(rows[order], np.arange(p.size + 1)).tolist()
-        out = np.array([math.fsum(values[a:b])
-                        for a, b in zip(at[:-1], at[1:])])
+        # every part comes in row order: a row's are a slice of each
+        rows = np.arange(p.size + 1)
+        parts = [(x, np.searchsorted(r, rows).tolist()) for x, r in parts]
+        out = np.array([math.fsum(chain.from_iterable(
+            x[at[r]:at[r + 1]].tolist() for x, at in parts))
+            for r in range(p.size)])
         return float(out[0]) if self.scalar else out
 
-    def _head(self, gs, above, z_half, z_three) -> tuple:
-        """The head pieces' columns (v, slope, S0, S1, S2) and their
-        midpoints."""
-        lo, hi, lin, win, top = self.head
-        # the power sums of t = j - mid over each piece, as in _centred
+    def _runs(self) -> list:
+        """(first, end) of each run of rows whose summed work stays
+        within ``TAIL_BATCH``, a row beyond it alone."""
+        cuts, load = [0], 0
+        for r, w in enumerate(self._work.tolist()):
+            if r > cuts[-1] and load + w > TAIL_BATCH:
+                cuts.append(r)
+                load = 0
+            load += w
+        cuts.append(self.p.size)
+        return list(zip(cuts[:-1], cuts[1:]))
+
+    def _head_sums(self, gs) -> tuple:
+        """Per head piece, the sums of g_i and of g_i (n_i - mid) over its
+        linear scales lin <= i < win, where g_i Z3 (n_i - j) is the term
+        at lag j; each row sums over all its scales, as alone."""
+        lo, hi, lin, win, _ = self.head
         mid = (lo + hi) // 2
-        b = (hi - mid).astype(float)
-        odd = (lo + hi) & 1
-        power = (hi - lo + 1.0, odd * b,
-                 b * (b + 1.0) * (2.0 * b + 1.0) / 3.0 - odd * b * b)
-        # the scales lin <= i < win are linear, g_i Z3 (n_i - j) at lag j;
-        # each row sums them over all its scales
-        s0, s1 = np.empty((2, lo.size))
         ns = np.ldexp(1.0, self.ks)
+        s0, s1 = np.empty((2, lo.size))
         for a, b, c, d in zip(self._ks_at[:-1].tolist(),
                               self._ks_at[1:].tolist(),
                               self._head_at[:-1].tolist(),
                               self._head_at[1:].tolist()):
-            if c == d:
-                continue
-            i = np.arange(a, b)
-            gl = np.where((lin[c:d, None] <= i) & (i < win[c:d, None]),
-                          gs[a:b], 0.0)
-            s1[c:d] = (gl * (ns[a:b] - mid[c:d, None])).sum(axis=1)
-            s0[c:d] = gl.sum(axis=1)
-        row = self._head_row
-        v = z_half[row] * above[top] + z_three[row] * s1
-        return (v, -z_three[row] * s0, *power), mid
+            if c < d:
+                i = np.arange(a, b)
+                gl = np.where((lin[c:d, None] <= i) & (i < win[c:d, None]),
+                              gs[a:b], 0.0)
+                s1[c:d] = (gl * (ns[a:b] - mid[c:d, None])).sum(axis=1)
+                s0[c:d] = gl.sum(axis=1)
+        return s0, s1
 
 
 # ---------------------------------------------------------------------------
@@ -948,8 +991,7 @@ class ExactMoments:
 
     def _tails(self, pairs) -> dict:
         """Memoize the series tail norms of the rows (p, q) in ``pairs``
-        that are not memoized yet, in batches of rows whose summed work
-        stays within ``TAIL_BATCH`` (a row beyond it is a batch alone).
+        that are not memoized yet, as one batch.
 
         Each row checks its own work against ``WORK_BUDGET`` first; the
         rows over it are evaluated and memoized not at all, and come back
@@ -963,21 +1005,14 @@ class ExactMoments:
         if not todo:
             return {}
         tail = SeriesTail(self.params, *map(list, zip(*todo)))
-        work = tail.work.tolist()
-        over = {pq: w for pq, w in zip(todo, work) if w > WORK_BUDGET}
-        batches, load = [], TAIL_BATCH
-        for pq, w in zip(todo, work):
-            if pq in over:
-                continue
-            if load + w > TAIL_BATCH:
-                batches.append([])
-                load = 0
-            batches[-1].append(pq)
-            load += w
-        for batch in batches:
-            if len(batch) < len(todo):
-                tail = SeriesTail(self.params, *map(list, zip(*batch)))
-            for (p, q), norm_sq in zip(batch, tail.norm_sq().tolist()):
+        over = {pq: w for pq, w in zip(todo, tail.work.tolist())
+                if w > WORK_BUDGET}
+        if over:
+            todo = [pq for pq in todo if pq not in over]
+            tail = SeriesTail(self.params, *map(list, zip(*todo))) \
+                if todo else None
+        if tail is not None:
+            for (p, q), norm_sq in zip(todo, tail.norm_sq().tolist()):
                 self._cache[("tail", p, q)] = math.sqrt(norm_sq)
         return over
 

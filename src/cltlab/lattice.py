@@ -92,12 +92,19 @@ def _zeta_em(s, b, first):
     k = np.asarray(s).astype(int)            # s = k + 1/2
     inv = 1.0 / b
     inv2 = inv * inv
-    acc = 0.0
+    acc = np.zeros(np.broadcast_shapes(k.shape, inv.shape))
+    last = np.max(first, initial=0)
     for j in range(np.min(first, initial=8), 8):
         # 0.0 up to an argument's first term, which then gives exactly its
         # coefficient, as a Horner sum from 0.0 over its terms does
-        acc = acc * inv2 + np.where(j >= first, _EM_COEFFS[k, j], 0.0)
-    return np.sqrt(inv) * inv ** k * (0.5 + acc * inv)
+        c = _EM_COEFFS[k, j]
+        acc *= inv2
+        acc += np.where(j >= first, c, 0.0) if j < last else c
+    # sqrt(inv) inv^k (0.5 + acc inv), in place
+    acc *= inv
+    acc += 0.5
+    acc *= np.sqrt(inv) * inv ** k
+    return acc
 
 
 def _zeta_head(s, a, n):
