@@ -9,7 +9,8 @@ where w_k is the trapezoidal pair count of the double sum over a horizon
 N.  C_l is piecewise linear in m with integer breakpoints, so all sums
 collapse to Faulhaber closed forms; no per-coordinate enumeration is
 needed.  ``BlockProfile`` finds each piece's value and slope from exact
-integer prefix sums over k, in O(1) per piece, and rounds each once.
+integer prefix sums over k, in O(1) per piece, and rounds each once;
+the pieces of the scales past the horizon are built a column at a time.
 It keeps each piece once, as a table row, and every sum of squares is
 one ``math.fsum`` over whole rows.
 
@@ -29,8 +30,9 @@ sums the affine pieces by the same Faulhaber forms.  The pieces that hold
 a window are lattice sums on the smooth extension of the window function,
 written with the Hurwitz zeta (``lattice``): short ones and their lags
 near r = 0 directly, the rest by Euler-Maclaurin with a Gauss-Legendre
-integral, so a tail costs O(scales) at any horizon.  ``WORK_BUDGET`` caps
-what each call touches.
+integral, so a tail costs O(scales) at any horizon.  One ``SeriesTail``
+evaluates a batch of (p, q) rows together, each bit for bit as alone, and
+``WORK_BUDGET`` caps what each row touches.
 
 Scale conventions: n_k = 2^k exactly; "log" is the dyadic logarithm;
 [log N] of an integer is ``N.bit_length() - 1``.
@@ -164,9 +166,13 @@ class BlockProfile:
     each regime holds a contiguous range of scales.  A segment's value
     and slope are then differences of two exact integer prefix sums over
     k (``ScaleSums``), read in O(1) and rounded once, so every value
-    and slope is correctly rounded.  ``ExactMoments`` passes one
-    ``ScaleSums`` per block to every horizon; built alone, a profile
-    makes its own.
+    and slope is correctly rounded.  A scale past the horizon
+    (n_{k-1} >= N) owns exactly two segments, which no other scale cuts:
+    its value and slope there are closed forms in the same sums, so those
+    rows, most of a deep profile's, are built as whole columns, and only
+    the cuts of the other scales go segment by segment.  ``ExactMoments``
+    passes one ``ScaleSums`` per block to every horizon; built alone, a
+    profile makes its own.
 
     ``segments`` holds each segment's exact (lo, hi, mid).  The table
     beside it has the columns v, slope, S0, S1, S2: C(m) = v + slope t
@@ -202,23 +208,49 @@ class BlockProfile:
         # segments: [1 - n_k, N - n_k - 1], where scale k is linear and
         # those above it are capped, and [N - n_k, -n_{k-1}] (to -1 for
         # the block's first scale), flat at N times the mass from k up.
-        # Their rows come first, deepest scale first, built as columns.
+        # The other scales cut at 1 - n_k and N - n_k, and 0 is a cut if
+        # any scale is kept.  The rows are built as columns: the deep
+        # scales' flat segments, deepest first, then the cuts' segments;
+        # the deep scales' linear segments go in last.
         k0 = max(k_lo, (N - 1).bit_length() + 1)
         deep = range(k_cut, k0 - 1, -1)
-        segments = [(N - (1 << k), -1 if k == k_lo else -(1 << k - 1))
-                    for k in deep]
-        # _centred's power sums, from b = hi - mid and the parity of hi - lo
-        b = [(hi - lo + 1) >> 1 for lo, hi in segments]
-        odd = [(hi - lo) & 1 for lo, hi in segments]
-        cols = [[N * (total - rise[k - k_lo]) / one for k in deep],
-                [0.0] * len(deep),
-                [2 * x + 1 - o for x, o in zip(b, odd)],
-                [x * o for x, o in zip(b, odd)],
-                [x * (x + 1) * (2 * x + 1) // 3 - x * x * o
-                 for x, o in zip(b, odd)]]
-        segments = [(lo, hi, hi - x) for (lo, hi), x in zip(segments, b)]
+        ns = [1 << k for k in range(k_lo, min(k0, k_cut + 1))]
+        cuts = sorted({N - 1, *([0] if kept else []), *[1 - n for n in ns],
+                       *[N - n for n in ns]})
+        bounds = [(N - (1 << k), -1 if k == k_lo else -(1 << k - 1))
+                  for k in deep]
+        bounds += zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1])
+        # _centred's midpoints and power sums, from b = hi - mid and the
+        # parity of hi - lo
+        b = [(hi - lo + 1) >> 1 for lo, hi in bounds]
+        odd = [(hi - lo) & 1 for lo, hi in bounds]
+        segments = [(lo, hi, hi - x) for (lo, hi), x in zip(bounds, b)]
+        # A cut's segment lies in m <= -1 or in m >= 0, as 0 is a cut; its
+        # regimes hold on (mid, mid + 1), and the slope is that step.
+        # Scales below j2 are not capped (w_k = N or N - m), those below
+        # j1 have w_k = 0.
+        cut = segments[len(deep):]
+        neg = bisect_left(cut, (0,))
+        j2 = [min(max((N - mid - 1).bit_length() - k_lo, 0), kept)
+              for _, _, mid in cut]
+        j1 = [min(max((-mid - 1).bit_length() - k_lo, 0), kept)
+              for _, _, mid in cut[:neg]]
+        slope = [rise[y] - rise[x] for x, y in zip(j1, j2)] + [
+            rise[y] - total for y in j2[neg:]]
+        cols = [
+            [N * (total - rise[k - k_lo]) / one for k in deep]
+            + [(mid * s + flat[y] - flat[x] + N * (total - rise[y])) / one
+               for (_, _, mid), s, x, y in zip(cut, slope, j1, j2)]
+            + [(flat[y] + (N - mid) * (total - rise[y])) / one
+               for (_, _, mid), y in zip(cut[neg:], j2[neg:])],
+            [0.0] * len(deep) + [s / one if hi > lo else 0.0
+                                 for s, (lo, hi, _) in zip(slope, cut)],
+            [2 * x + 1 - o for x, o in zip(b, odd)],
+            [x * o for x, o in zip(b, odd)],
+            [x * (x + 1) * (2 * x + 1) // 3 - x * x * o
+             for x, o in zip(b, odd)]]
         if N > 1:
-            # the linear segment of each scale precedes its flat one; its
+            # each deep scale's linear segment precedes its flat one; its
             # mid + n_k is N // 2 and its power sums are those of [1 - N, -1]
             c = [rise[k - k_lo + 1] - rise[k - k_lo] for k in deep]
             linear = [
@@ -226,37 +258,12 @@ class BlockProfile:
                  for k, ck in zip(deep, c)],
                 [ck / one if N > 2 else 0.0 for ck in c],
                 *([s] * len(c) for s in _centred(1 - N, -1)[1:])]
+            d = len(deep)
             segments = _interleave([(1 - (1 << k), N - (1 << k) - 1,
                                      N // 2 - (1 << k)) for k in deep],
-                                   segments)
-            cols = [_interleave(a, b) for a, b in zip(linear, cols)]
-
-        # The other scales cut at 1 - n_k and N - n_k, and 0 is a cut if
-        # any scale is kept.
-        ns = [1 << k for k in range(k_lo, min(k0, k_cut + 1))]
-        cuts = sorted({N - 1, *([0] if kept else []), *[1 - n for n in ns],
-                       *[N - n for n in ns]})
-        rows = []
-        for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [N - 1]):
-            # 0 is a cut, so a segment lies in m <= -1 or in m >= 0; the
-            # regimes hold on (mid, mid + 1), and the slope is that step.
-            # Scales below j2 are not capped, those below j1 have w_k = 0.
-            mid, *sums = _centred(lo, hi)
-            j2 = (N - mid - 1).bit_length() - k_lo
-            j2 = 0 if j2 < 0 else kept if j2 > kept else j2
-            capped = total - rise[j2]     # w_k = N (m < 0) or N - m
-            if mid < 0:
-                j1 = (-mid - 1).bit_length() - k_lo
-                j1 = 0 if j1 < 0 else kept if j1 > kept else j1
-                slope = rise[j2] - rise[j1]
-                v = (mid * slope + flat[j2] - flat[j1] + N * capped) / one
-            else:
-                slope = -capped
-                v = (flat[j2] + (N - mid) * capped) / one
-            segments.append((lo, hi, mid))
-            rows.append((v, slope / one if hi > lo else 0.0, *sums))
-        for col, x in zip(cols, zip(*rows)):
-            col.extend(x)
+                                   segments[:d]) + segments[d:]
+            cols = [_interleave(x, col[:d]) + col[d:]
+                    for x, col in zip(linear, cols)]
         # the split rows; zero if no segment starts at 0 (no scale is kept)
         n = len(segments)
         left = bisect_left(segments, (0,))     # the segments in m <= -1

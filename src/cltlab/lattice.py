@@ -13,8 +13,11 @@ which the Hurwitz zeta gives in closed form.  Short pieces, and the lags
 that read F below ``DIRECT``, are summed directly; the rest take
 Euler-Maclaurin through the fifth derivative, its integral by
 Gauss-Legendre on dyadic panels (``lattice_rule``).  All the points of
-one tail go through F in one batch (``lattice_terms``), before the
-affine values enter (``lattice_sums``).
+a batch of tails go through F at once (``lattice_terms``), before the
+affine values enter (``lattice_sums``); each tail is a row, and the
+only choice made over many points, how many Euler-Maclaurin terms an
+argument keeps, is made per row (``_em_first``), so a row's values do
+not depend on the rows beside it.
 
 The Hurwitz zeta zeta(s, a) = sum_{i >= 0} (a + i)^-s, continued
 analytically to s = 1/2, lifts arguments below 16 by direct terms; above,
@@ -71,8 +74,9 @@ _EM_REACH = np.array([max((abs(row[-j] * (k - 0.5)) * 2.0 ** 64)
 def _em_first(rows, *args) -> np.ndarray:
     """Per row of the integer ``rows`` (broadcast against each argument
     array in ``args``): the first of the eight Euler-Maclaurin terms,
-    counted from the highest, that its least argument keeps, so that a
-    row's values do not depend on the rows evaluated beside it."""
+    counted from the highest, that the row's least argument keeps.  A
+    batch of rows thus keeps each row's terms, and each row's values,
+    as if it were evaluated alone."""
     least = np.full(np.max(rows, initial=-1) + 1, np.inf)
     for b in args:
         np.minimum.at(least, np.broadcast_to(rows, b.shape), b)
@@ -118,8 +122,8 @@ def _zeta_head(s, a, n):
 
 def hurwitz_zeta(s, a, rows=0) -> np.ndarray:
     """zeta(s, a) = sum_{i >= 0} (a + i)^-s elementwise, continued
-    analytically to s = 1/2, for s among 1/2, 3/2, .., 15/2 and 1-D
-    a >= 1 (broadcast), grouped in ``rows`` as ``_zeta_em`` reads them.
+    analytically to s = 1/2, for s among 1/2, 3/2, .., 15/2 and a >= 1
+    (broadcast, a at most 1-D), in the rows ``rows`` (``_em_first``).
 
     Arguments below 16 are shifted up by direct terms, and Euler-Maclaurin
     with eight fixed Bernoulli constants gives the rest.
@@ -136,8 +140,8 @@ def hurwitz_zeta(s, a, rows=0) -> np.ndarray:
 def zeta_diff(s: float, a, b, rows=0) -> np.ndarray:
     """zeta(s, a) - zeta(s, b) elementwise (broadcast, at most 1-D), for
     s = 1/2 or 3/2 and 1 <= a <= b with b - a an integer wherever a < 16:
-    the sum of (a + i)^-s over a + i < b then.  ``rows`` groups the
-    arguments as ``_zeta_em`` reads them.
+    the sum of (a + i)^-s over a + i < b then, in the rows ``rows``
+    (``_em_first``).
 
     Direct terms lift a below 16 to 16 or to b, whichever comes first, so
     what is left is exactly 0 or has both arguments >= 16.  There the
@@ -172,9 +176,9 @@ def tail_f(x, p, q, rows=0) -> np.ndarray:
 
     which at integers p <= x <= q is sum_{N'=p..q} min(N', x) / N'^{3/2}:
     the partial sum H(x) of N'^{-1/2} up to x plus x times the tail D of
-    N'^{-3/2} beyond it, each taken as one ``zeta_diff``.  Point i reads
-    the ends p and q of its row ``rows[i]``, one per row (one row by
-    default); the rows group the points as ``_zeta_em`` reads them.
+    N'^{-3/2} beyond it, each taken as one ``zeta_diff``.  Point i is
+    in the row ``rows[i]`` (``_em_first``) and reads its ends p and q,
+    given one per row (one row by default).
     """
     x = np.asarray(x, dtype=float)
     a = x + 1.0
@@ -183,20 +187,20 @@ def tail_f(x, p, q, rows=0) -> np.ndarray:
             + x * zeta_diff(1.5, a, (q + 1.0)[rows], rows))
 
 
-def tail_df(x, q, top: int, rows=None) -> np.ndarray:
+def tail_df(x, q, top: int, rows=0) -> np.ndarray:
     """F^(k)(x) for k = 1..top, one row each, in closed form: with
     c_k = prod_{i<=k} (2i+1)/2,
 
         F^(k)(x) = (-1)^k c_k [x zeta(k+3/2, x+1) - zeta(k+1/2, x+1)],
 
-    less zeta(3/2, q+1) for k = 1.  Point i reads q[rows[i]] of the
-    rows' upper ends q (one row by default).
+    less zeta(3/2, q+1) for k = 1.  Point i is in the row ``rows[i]``
+    and reads its q, given one per row (one row by default).
     """
     x, q = np.asarray(x, dtype=float), np.atleast_1d(q)
-    rows = np.zeros(x.size, dtype=int) if rows is None else rows
     z = hurwitz_zeta(np.arange(1, top + 2)[:, None] + 0.5,
                      np.append(x + 1.0, q + 1.0),
-                     np.append(rows, np.arange(q.size)))
+                     np.append(np.broadcast_to(rows, x.shape),
+                               np.arange(q.size)))
     k = np.arange(1, top + 1)
     out = (np.cumprod(k + 0.5) * (-1.0) ** k)[:, None] * (
         x * z[1:, :x.size] - z[:-1, :x.size])
@@ -248,23 +252,22 @@ def lattice_rule(lo, hi, n) -> tuple:
     return e, np.where(summed, np.frexp(ratio - 1)[1], 0)
 
 
-def lattice_terms(p, q, lattice, count, g, n, rows=None) -> tuple:
+def lattice_terms(p, q, lattice, count, g, n, rows=0) -> tuple:
     """The part of the lattice sums that the affine values do not
     enter, for the windowed pieces ``lattice`` = (lo, hi, least window
     scale, e, panels) holding ``count`` windows (g, n) each, in turn;
     and per row Zh = F(q), Z3 = F(p) / p beside it.
 
-    Piece i belongs to the row ``rows[i]`` (one row by default), whose
-    window function F has the ends p and q there.  Each piece's points
-    are its direct lags, its Gauss-Legendre nodes and its halved
-    Euler-Maclaurin ends.  At every point the window terms sum
-    g F(n - j), and at every end their derivatives in j through the
-    fifth, each in one batch over all the rows; a row's values are those
-    it would have alone.
+    Piece i is in the row ``rows[i]``, whose F has the ends p and q given
+    one per row (one row by default).  Each piece's points are its direct
+    lags, its Gauss-Legendre nodes and its halved Euler-Maclaurin ends.
+    At every point the window terms sum g F(n - j), and at every end
+    their derivatives in j through the fifth, each in one batch over all
+    the rows; a row's values are those it has alone.
     """
     lo, hi, least, e, panels = lattice
     p, q = np.atleast_1d(p), np.atleast_1d(q)
-    rows = np.zeros(lo.size, dtype=int) if rows is None else rows
+    rows = np.broadcast_to(rows, lo.shape)
     x_gl, w_gl = gauss_legendre()
     pieces = np.arange(lo.size)
     # the direct lags e+1..hi, weight 1
@@ -297,8 +300,7 @@ def lattice_terms(p, q, lattice, count, g, n, rows=None) -> tuple:
                               np.full(end_at.size, 0.5)])
     pairs = f.size - 2 * p.size
     start = per.cumsum() - per
-    terms = [own, js, weights,
-             np.add.reduceat(g[w] * f[:pairs], start)]
+    terms = [own, js, weights, np.add.reduceat(g[w] * f[:pairs], start)]
     if end_at.size:
         # the ends' pairs close the list; their derivatives in j,
         # d/dj F(n - j) = -F'(n - j), through the fifth
