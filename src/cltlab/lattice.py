@@ -1,8 +1,8 @@
-"""Lattice sums of the series-tail window function, and the numpy-only
-Hurwitz zeta they rest on.
+"""Series tails in segment form (``SeriesTail``), the lattice sums of
+their window function, and the numpy-only Hurwitz zeta they rest on.
 
-``engine.SeriesTail`` writes the condition (2') series tail over lags
-whose scales read the window function
+``SeriesTail`` writes the condition (2') series tail over lags whose
+scales read the window function
 
     F(r) = sum_{N'=p..q} min(N', r) / N'^{3/2},
 
@@ -26,14 +26,57 @@ omitted term below 2e-16 relative for every s up to 13/2, and larger
 arguments drop the terms that fall below 2^-64.  ``zeta_diff`` takes the
 difference of two values so that it keeps its relative accuracy however
 small it is.
+
+The exact power sums of an integer range (``_centred``, ``_affine_sq``)
+and the scale guard ``K_GUARD`` and desk cap ``DESK_N_CAP`` live here
+too, since the engine's block profiles read them as well.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 
 import numpy as np
+
+from .blocks import SequenceParams
+from .errors import WorkBudgetError
+
+#: extra indices kept beyond the largest scale that can matter
+K_GUARD = 96
+
+#: largest horizon the integer-exact desk paths accept
+DESK_N_CAP = 1 << 52
+
+#: most work one batch of series tails evaluates at once
+TAIL_BATCH = 1 << 12
+
+
+# ---------------------------------------------------------------------------
+# Exact power sums of an integer range
+
+def _centred(lo: int, hi: int, top: int = 2) -> tuple:
+    """(mid, S0, .., S_top) of lo..hi, top 2 or 4: the exact integer
+    power sums of t = m - mid over [lo - mid, hi - mid], which is [-b, b]
+    or, without t = -b, [1 - b, b], with b = hi - mid."""
+    mid = (lo + hi) // 2
+    b = hi - mid
+    s2 = b * (b + 1) * (2 * b + 1) // 3     # twice 1^2 + .. + b^2
+    sums = [2 * b + 1, 0, s2]
+    if top == 4:
+        sums += [0, s2 * (3 * b * b + 3 * b - 1) // 5]   # twice 1^4 + ..
+    if (lo + hi) & 1:
+        sums = [s - (-b) ** p for p, s in enumerate(sums)]
+    return (mid, *sums)
+
+
+def _affine_sq(v, s, s0, s1, s2):
+    """Sum of (v + s t)^2 from the power sums S0, S1, S2 of t;
+    elementwise over arrays."""
+    return v * v * s0 + 2.0 * v * s * s1 + s * s * s2
+
+
 
 # ---------------------------------------------------------------------------
 # The Hurwitz zeta at half-integer s
@@ -344,3 +387,317 @@ def _window_pairs(own, count) -> tuple:
     per = count[own]
     first = (count.cumsum() - count)[own] - per.cumsum() + per
     return per, first.repeat(per) + np.arange(per.sum())
+
+
+# ---------------------------------------------------------------------------
+# Series tails in segment form
+
+class SeriesTail:
+    """|| sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||^2 in segment form,
+    for one (p, q) or for a batch of rows (p and q int sequences).
+
+    At lag j >= 0, scale k contributes g_k * F(n_k - j), where
+    g_k = a_k / (k n_k) and
+
+        F(r) = sum_{N'=p..q} min(N', r) / N'^{3/2}   for 1 <= r <= n_k.
+
+    With Zh and Z3 the sums of N'^{-1/2} and N'^{-3/2} over p..q, F is
+    linear below the window (r * Z3 for r < p), constant above it (Zh for
+    r > q) and nonlinear only on p <= r <= q.  Cutting each block's lag
+    range at n_k - q, n_k - p + 1 and n_k leaves pieces on which every
+    scale is affine except those whose window covers the piece.  Once
+    n_{k-1} >= q, scale k owns three pieces, laid out as arrays over k:
+    the constant run [n_{k-1}, n_k - q), its window [n_k - q, n_k - p]
+    and its linear run (n_k - p, n_k); only the lags below the first
+    n_k >= q are cut one by one (the head), as arrays over the pieces.
+    Affine pieces take the centred Faulhaber square, all in one array
+    expression.  On a whole window the other scales are constant, so it
+    adds the cross and square terms of g F from the sums of F and F^2
+    over [p, q].
+
+    Those two sums and every head piece that holds a window are lattice
+    sums of (v + s t + sum_i g_i F(n_i - j))^2 on the smooth extension
+    of F (``tail_f``), evaluated through the Hurwitz zeta, as are
+    Zh = F(q) and Z3 = F(p) / p.  Short pieces and the lags that read F
+    below ``DIRECT`` are summed directly; the rest take
+    Euler-Maclaurin through the fifth derivative, its integral by
+    Gauss-Legendre on dyadic panels (``lattice_rule``).  Each
+    tail thus costs O(scales) at any horizon.
+
+    A batch lays its rows out one after another in the same arrays:
+    ``ks`` (each kept block's scales, closed by a pad), ``head`` (int64
+    rows lo, hi, lin, win, top over the head pieces, scales indexed into
+    ``ks``) and ``lattice`` (each row's windowed head pieces, then its
+    window [p, q] if it has a scale past its heads, ``shared``), so that
+    each step runs once over all of them.  The lattice sums run over
+    whole rows in turn, at most ``TAIL_BATCH`` work at a time (a row
+    beyond it alone).  Only what a row reduces at once runs row by row:
+    the head sums over all its scales and its ``math.fsum``, as do its
+    own Euler-Maclaurin terms (``_em_first``); so each row's
+    value is bit for bit the one it has alone.
+
+    ``work``, which the ``WORK_BUDGET`` gate reads, counts per row what
+    ``norm_sq`` touches, laid out on construction: the pieces (three
+    per scale past the head), plus the quadrature nodes and direct lags
+    of every windowed head piece and of the shared window [p, q].
+    ``work`` and ``norm_sq()`` are scalars for scalar p and q.
+    """
+
+    def __init__(self, params: SequenceParams, p, q):
+        self.params, self.scalar = params, np.ndim(p) == 0
+        self.p, self.q = np.atleast_1d(p), np.atleast_1d(q)
+        if self.q.max(initial=0) > 2 * DESK_N_CAP:
+            # lags and scales must stay exact in a double and an int64
+            raise WorkBudgetError("series tail beyond the integer-exact cap",
+                                  estimated_ops=int(self.q.max()),
+                                  budget=2 * DESK_N_CAP)
+        rows = self.p.size
+        # (row, k_lo, scales, head scales) of each kept block of each row.
+        # At lag j the scales above any k add at most 2 Zh / max(n_k, j+1)
+        # (a_k / k <= 1, F <= Zh <= 2 sqrt(q)), so dropping those above
+        # k_top moves a block's squared norm by less than
+        # 2^(4 - K_GUARD) * (1 + M), M the block's kept mass.  The head is
+        # the scales below q and the first one at or above.
+        groups = []
+        for r, q in enumerate(self.q.tolist()):
+            k_top = q.bit_length() + K_GUARD
+            k_q = (q - 1).bit_length()       # the least k with n_k >= q
+            for b in params.blocks:
+                if b.k_lo > k_top:
+                    # Explicit zero: by the bound above the whole block
+                    # adds less than 2^(5 + log2 q - k_lo).  For the
+                    # astronomically deep blocks (k_lo in the thousands
+                    # or millions) that is under 2^-1074, the smallest
+                    # positive double, so 0.0 is the exact float value;
+                    # nothing beyond k_top is formed.
+                    continue
+                size = min(b.k_hi, k_top) - b.k_lo + 1
+                h = min(max(k_q - b.k_lo, 0), size)
+                groups.append((r, b.k_lo, size, min(h + 1, size) if h else 0))
+        g_row, g_lo, g_size, g_head = np.array(
+            groups, dtype=np.int64).reshape(-1, 4).T
+        # the kept blocks' scales, each block closed by a pad of weight 0
+        # so that the sums over a block's scales above an index stop
+        # there; which scales are past their block's head or open a block
+        span = g_size + 1
+        self._start = np.cumsum(span) - span
+        group = np.arange(span.size).repeat(span)
+        pos = np.arange(span.sum()) - self._start[group]
+        size = g_size[group]
+        self.ks = g_lo[group] + np.minimum(pos, size - 1)
+        self.pads = self._start + g_size
+        self.past = (pos >= g_head[group]) & (pos < size)
+        self.opens = pos == 0
+        self._past_row = g_row[group[self.past]]
+        del group, pos, size
+        self.head, head_group = self._cuts(g_row, g_lo, g_head)
+        self._head_row = g_row[head_group]
+        self.shared = np.bincount(self._past_row, minlength=rows) > 0
+        # the windowed pieces: each row's windowed head pieces, then its
+        # window [p, q] at n = q, whose lattice sums all its whole windows
+        # past the heads share; ``_from_head`` indexes the head piece of
+        # each, -1 for a shared window
+        held = np.flatnonzero(self.head[3] < self.head[4])
+        own = np.flatnonzero(self.shared)
+        row = np.concatenate([self._head_row[held], own])
+        order = np.argsort(row, kind="stable")
+        self._lattice_row = row[order]
+        self._from_head = np.append(held, np.full(own.size, -1))[order]
+        lo = np.append(self.head[0, held], np.zeros_like(own))[order]
+        hi = np.append(self.head[1, held], (self.q - self.p)[own])[order]
+        n = np.append(np.left_shift(1, self.ks[self.head[3, held]]),
+                      self.q[own])[order]
+        self.lattice = (lo, hi, n, *lattice_rule(lo, hi, n))
+        e, panels = self.lattice[3:]
+        # each row's scales, head pieces and lattice pieces, as slices
+        self._ks_at = np.append(self._start, self.ks.size)[
+            np.searchsorted(g_row, np.arange(rows + 1))]
+        self._head_at, self._lattice_at = (
+            np.searchsorted(r, np.arange(rows + 1))
+            for r in (self._head_row, self._lattice_row))
+        self._work = (np.bincount(self._head_row, minlength=rows)
+                      + 3 * np.bincount(self._past_row, minlength=rows)
+                      + self.shared + np.bincount(
+                          self._lattice_row, GL_ORDER * panels + (hi - e),
+                          minlength=rows).astype(np.int64))
+        self.work = int(self._work[0]) if self.scalar else self._work
+
+    def _cuts(self, row, k_lo, h) -> tuple:
+        """The head's lag pieces below its top scale n, where windows
+        overlap or are clipped at lag 0, cut one by one, for every block
+        of every row: rows lo, hi, lin, win, top, and each piece's block.
+        On lags lo..hi the scales i < lin are past their support,
+        lin <= i < win are linear, win <= i < top are in their window and
+        i >= top are constant."""
+        blocks = np.flatnonzero(h)
+        at = blocks.repeat(h[blocks])                    # per head scale
+        ns = np.left_shift(1, k_lo[at] + np.arange(at.size)
+                           - (np.cumsum(h[blocks]) - h[blocks]).repeat(
+                               h[blocks]))
+        top = np.zeros_like(h)
+        top[blocks] = ns[np.cumsum(h[blocks]) - 1]
+        p, q = self.p[row[at]], self.q[row[at]]
+        cut = np.concatenate([np.zeros_like(blocks), ns - q, ns - p + 1, ns])
+        of = np.concatenate([blocks, at, at, at])
+        keep = (cut >= 0) & (cut < top[of])
+        cut, of = cut[keep], of[keep]
+        order = np.lexsort((cut, of))
+        cut, of = cut[order], of[order]
+        new = np.ones(cut.size, dtype=bool)
+        new[1:] = (cut[1:] != cut[:-1]) | (of[1:] != of[:-1])
+        lo, of = cut[new], of[new]
+        last = np.ones(lo.size, dtype=bool)
+        last[:-1] = of[1:] != of[:-1]
+        hi = np.where(last, top[of], np.append(lo[1:], 0)) - 1
+        row = row[of]
+
+        def below(x):
+            # how many of the block's head scales have n_i <= x, as the
+            # index of the first that does not
+            e = np.frexp(np.maximum(x, 1).astype(float))[1].astype(
+                np.int64) - 1
+            e -= np.left_shift(1, e) > x      # a rounded-up x
+            return self._start[of] + np.where(
+                x >= 1, np.clip(e - k_lo[of] + 1, 0, h[of]), 0)
+
+        return np.array([lo, hi, below(lo), below(lo + self.p[row] - 1),
+                         below(lo + self.q[row])]), of
+
+    def norm_sq(self):
+        ks = self.ks
+        gs = np.ldexp(self.params.weights.ratio(ks), -ks)
+        gs[self.pads] = 0.0
+        # above[i] = the sum of the g of i's block from i up, added from
+        # the top down: each block reversed into a row of its own
+        span = self.pads - self._start + 1
+        group = np.arange(span.size).repeat(span)
+        flip = self.pads[group] - np.arange(ks.size)
+        above = np.zeros((span.size, span.max(initial=0)))
+        above[group, flip] = gs
+        above = np.cumsum(above, axis=1)[group, flip]
+        del group, flip
+        return self._fsums(gs, above, *self._lattice(gs, above))
+
+    def _lattice(self, gs, above) -> tuple:
+        """Each row's Zh and Z3, the head pieces' v and slope, and the
+        lattice sums of every windowed piece, over runs of whole rows."""
+        p, q, ks = self.p, self.q, self.ks
+        # the windows of each lattice piece: a windowed head piece's
+        # scales win..top-1, a shared window's one scale n = q
+        lo, hi, _, win, top = self.head
+        h = self._from_head
+        count = np.append(top - win, 1)[h]
+        i = np.arange(count.sum()) + (np.append(win, -1)[h]
+                                      - count.cumsum() + count).repeat(count)
+        shared = (h < 0).repeat(count)
+        g = np.where(shared, 1.0, gs[i])
+        n = np.where(shared, q[self._lattice_row].repeat(count),
+                     np.ldexp(1.0, ks[i]))
+        at = np.append(0, count.cumsum())
+        del i, shared
+        # A head piece's v and slope read its row's Zh and Z3, which its
+        # run's lattice terms give; index -1 reads 0.0, a shared window's
+        # v, slope and mid.
+        s0, s1 = self._head_sums(gs)
+        z_half, z_three = np.empty((2, p.size))
+        v, slope = np.zeros((2, lo.size + 1))
+        mid = np.append((lo + hi) // 2, 0)
+        sums = np.empty((2, h.size))
+        for r0, r1 in self._runs():
+            a, b = self._lattice_at[[r0, r1]].tolist()
+            c, d = self._head_at[[r0, r1]].tolist()
+            wa, wb = at[[a, b]].tolist()
+            terms, z_half[r0:r1], z_three[r0:r1] = lattice_terms(
+                p[r0:r1], q[r0:r1], tuple(x[a:b] for x in self.lattice),
+                count[a:b], g[wa:wb], n[wa:wb], self._lattice_row[a:b] - r0)
+            row = self._head_row[c:d]
+            v[c:d] = z_half[row] * above[top[c:d]] + z_three[row] * s1[c:d]
+            slope[c:d] = -z_three[row] * s0[c:d]
+            sums[:, a:b] = lattice_sums(terms, v[h[a:b]], slope[h[a:b]],
+                                        mid[h[a:b]])
+            del terms           # before the next run's are built
+        return z_half, z_three, v[:-1], slope[:-1], sums
+
+    def _fsums(self, gs, above, z_half, z_three, v, slope, sums):
+        """Each row's squared norm, its parts in one ``math.fsum``, from
+        the head pieces' v and slope and the lattice sums."""
+        p, q, h = self.p, self.q, self._from_head
+        # the affine head pieces take the Faulhaber square, with the power
+        # sums of t = j - mid over each piece as in _centred
+        lo, hi, _, win, top = self.head
+        mid = (lo + hi) // 2
+        s = (hi - mid).astype(float)
+        odd = (lo + hi) & 1
+        power = (hi - lo + 1.0, odd * s,
+                 s * (s + 1.0) * (2.0 * s + 1.0) / 3.0 - odd * s * s)
+        affine = win >= top
+        parts = [(_affine_sq(v[affine], slope[affine],
+                             *(x[affine] for x in power)),
+                  self._head_row[affine]),
+                 (sums[1, h >= 0], self._lattice_row[h >= 0])]
+        i = np.flatnonzero(self.past)
+        if i.size:
+            # scale k past its head: its window, its linear run and the
+            # constant run [n_{k-1}, n_k - q) (from 0 for a block's first
+            # scale), whose slope 0 leaves only the S0 term.  Their power
+            # sums, and the offset n_k - mid of a linear run, depend on
+            # the row only.
+            row = self._past_row
+            sum_f, sum_ff = np.zeros((2, p.size))
+            sum_f[self.shared], sum_ff[self.shared] = sums[:, h < 0]
+            cent = np.array([[*_centred(-y, -x)[1:], *_centred(1 - x, -1)]
+                             for x, y in zip(p.tolist(), q.tolist())],
+                            dtype=float).T
+            g, zg = gs[i], z_three[row] * gs[i]
+            v = z_half[row] * above[i + 1]
+            parts.append((_affine_sq(v, 0.0, *cent[:3, row])
+                          + 2.0 * g * (v * sum_f[row])
+                          + g * g * sum_ff[row], row))
+            lin = p[row] > 1
+            row_l = row[lin]
+            parts.append((_affine_sq(v[lin] + zg[lin] * -cent[3, row_l],
+                                     -zg[lin], *cent[4:, row_l]), row_l))
+            n = np.ldexp(1.0, self.ks[i])
+            length = np.where(self.opens[i], n, n / 2) - q[row]
+            const = z_half[row] * above[i]
+            parts.append(((const * const * length)[length > 0],
+                          row[length > 0]))
+        # every part comes in row order: a row's are a slice of each
+        rows = np.arange(p.size + 1)
+        parts = [(x, np.searchsorted(r, rows).tolist()) for x, r in parts]
+        out = np.array([math.fsum(chain.from_iterable(
+            x[at[r]:at[r + 1]].tolist() for x, at in parts))
+            for r in range(p.size)])
+        return float(out[0]) if self.scalar else out
+
+    def _runs(self) -> list:
+        """(first, end) of each run of rows whose summed work stays
+        within ``TAIL_BATCH``, a row beyond it alone."""
+        cuts, load = [0], 0
+        for r, w in enumerate(self._work.tolist()):
+            if r > cuts[-1] and load + w > TAIL_BATCH:
+                cuts.append(r)
+                load = 0
+            load += w
+        cuts.append(self.p.size)
+        return list(zip(cuts[:-1], cuts[1:]))
+
+    def _head_sums(self, gs) -> tuple:
+        """Per head piece, the sums of g_i and of g_i (n_i - mid) over its
+        linear scales lin <= i < win, where g_i Z3 (n_i - j) is the term
+        at lag j; each row sums over all its scales, as alone."""
+        lo, hi, lin, win, _ = self.head
+        mid = (lo + hi) // 2
+        ns = np.ldexp(1.0, self.ks)
+        s0, s1 = np.empty((2, lo.size))
+        for a, b, c, d in zip(self._ks_at[:-1].tolist(),
+                              self._ks_at[1:].tolist(),
+                              self._head_at[:-1].tolist(),
+                              self._head_at[1:].tolist()):
+            if c < d:
+                i = np.arange(a, b)
+                gl = np.where((lin[c:d, None] <= i) & (i < win[c:d, None]),
+                              gs[a:b], 0.0)
+                s1[c:d] = (gl * (ns[a:b] - mid[c:d, None])).sum(axis=1)
+                s0[c:d] = gl.sum(axis=1)
+        return s0, s1
