@@ -433,10 +433,10 @@ class SeriesTail:
     window [p, q] if it has a scale past its heads, ``shared``), so that
     each step runs once over all of them.  The lattice sums run over
     whole rows in turn, at most ``TAIL_BATCH`` work at a time (a row
-    beyond it alone).  Only what a row reduces at once runs row by row:
-    the head sums over all its scales and its ``math.fsum``, as do its
-    own Euler-Maclaurin terms (``_em_first``); so each row's
-    value is bit for bit the one it has alone.
+    beyond it alone).  What a row reduces as a whole stays per row: its
+    head sums over all its scales, its Euler-Maclaurin terms
+    (``_em_first``) and its ``math.fsum``; so each row's value is bit
+    for bit the one it has alone.
 
     ``work``, which the ``WORK_BUDGET`` gate reads, counts per row what
     ``norm_sq`` touches, laid out on construction: the pieces (three
