@@ -671,11 +671,11 @@ class ExactMoments:
                 if w > WORK_BUDGET}
         if over:
             todo = [pq for pq in todo if pq not in over]
-            tail = SeriesTail(self.params, *map(list, zip(*todo))) \
-                if todo else None
-        if tail is not None:
-            for (p, q), norm_sq in zip(todo, tail.norm_sq().tolist()):
-                self._cache[("tail", p, q)] = math.sqrt(norm_sq)
+            if not todo:
+                return over
+            tail = SeriesTail(self.params, *map(list, zip(*todo)))
+        for (p, q), norm_sq in zip(todo, tail.norm_sq().tolist()):
+            self._cache[("tail", p, q)] = math.sqrt(norm_sq)
         return over
 
     # -- per-horizon statistics --------------------------------------------

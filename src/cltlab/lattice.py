@@ -532,12 +532,13 @@ class SeriesTail:
         lin <= i < win are linear, win <= i < top are in their window and
         i >= top are constant."""
         blocks = np.flatnonzero(h)
-        at = blocks.repeat(h[blocks])                    # per head scale
+        size = h[blocks]
+        ends = np.cumsum(size)
+        at = blocks.repeat(size)                         # per head scale
         ns = np.left_shift(1, k_lo[at] + np.arange(at.size)
-                           - (np.cumsum(h[blocks]) - h[blocks]).repeat(
-                               h[blocks]))
+                           - (ends - size).repeat(size))
         top = np.zeros_like(h)
-        top[blocks] = ns[np.cumsum(h[blocks]) - 1]
+        top[blocks] = ns[ends - 1]
         p, q = self.p[row[at]], self.q[row[at]]
         cut = np.concatenate([np.zeros_like(blocks), ns - q, ns - p + 1, ns])
         of = np.concatenate([blocks, at, at, at])
