@@ -451,14 +451,19 @@ def test_dyadic_grid():
 
 @pytest.mark.parametrize("name", ["conditions", "theorem1", "theorem2",
                                   "theorem3"])
-def test_batched_tails_equal_the_batch_of_one(name):
-    # a row's tail does not depend on the rows evaluated beside it
+def test_batched_tails_equal_the_batch_of_one(name, monkeypatch):
+    # a row's tail does not depend on the rows evaluated beside it, in
+    # its run or in the batch: one run of every row, or a run per row
     params, (lo, hi) = preset(name)
     grid = dyadic_grid(lo, hi)
-    rows = ExactMoments(params).table_rows(grid)
-    for row, n in zip(rows, grid):
+    tables = []
+    for runs in (None, 10 ** 9, 1):
+        if runs is not None:
+            monkeypatch.setattr(lattice, "TAIL_BATCH", runs)
+        tables.append(ExactMoments(params).table_rows(grid))
+    for i, n in enumerate(grid):
         alone = ExactMoments(params).series_tail_norm(n, 2 * n)
-        assert row["tail_2prime"].hex() == alone.hex()
+        assert {t[i]["tail_2prime"].hex() for t in tables} == {alone.hex()}
         assert alone.hex() == math.sqrt(SeriesTail(params, n, 2 * n)
                                         .norm_sq()).hex()
 
@@ -897,6 +902,18 @@ def test_zeta_diff_matches_mpmath():
             want = [mpmath.zeta(s, x) - mpmath.zeta(s, y) for x, y in pairs]
         for g, w in zip(got, want):
             assert g == w == 0 or abs(float(g / w - 1)) <= 1e-15
+
+
+def test_zeta_diff_keeps_each_rows_terms():
+    # Beside a row whose least argument (16) needs all eight
+    # Euler-Maclaurin terms, a row keeps the terms of its own, and with
+    # them its bits; evaluated as one row, these differences move in the
+    # last place.
+    for s, x, y in ((0.5, 301702.0, 301704.0), (1.5, 143711.0, 143712.0)):
+        a, b = np.array([16.0, x]), np.array([17.0, y])
+        alone = zeta_diff(s, x, y).hex()
+        assert zeta_diff(s, a, b, np.array([0, 1]))[1].hex() == alone
+        assert zeta_diff(s, a, b)[1].hex() != alone
 
 
 def window_sums(p, q):
