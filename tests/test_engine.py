@@ -1118,8 +1118,8 @@ def test_table_rows_hold_one_horizons_profiles():
 
 
 def test_table_rows_peak_below_one_megabyte():
-    # the tails run in batches of bounded work, so the peak stays that of
-    # a few rows (0.47 MB when each row ran alone)
+    # the tails' lattice sums run over a few rows of bounded work at a
+    # time, so the peak does not grow with the grid's summed work
     params = preset("theorem3")[0]
     grid = dyadic_grid(4, 40)
     gc.collect()
