@@ -22,7 +22,6 @@ def main():
     ap.add_argument("--seed", type=int, default=745)
     ap.add_argument("--kmax", type=int, default=40_000_000)
     ap.add_argument("--rho", type=float, default=4.0)
-    ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
 
     params = default_params(kmax=args.kmax, rho=args.rho)
@@ -32,8 +31,7 @@ def main():
               % (b.index, b.parity.value, b.k_lo, b.k_hi,
                  "complete" if b.complete else "incomplete"))
 
-    rep = dichotomy_report(params, args.samples, args.seed,
-                           workers=args.workers)
+    rep = dichotomy_report(params, args.samples, args.seed)
     bound = ks_pass_bound(args.samples)
     print()
     print("%14s %12s %12s %12s %6s"

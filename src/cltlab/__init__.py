@@ -9,10 +9,9 @@ square-root membership question in ``spectral``; batch presets in
 ``cli``.  ``laws``, ``simulate`` and ``spectral`` load on first use
 from the package root, which re-exports their names: runs that draw no
 sample never import the first two, and only the spectral preset the
-third.  Neither sampling module loads ``numpy.random`` on import, nor a
-thread pool: the first Philox stream loads the one, and a run with more
-than one worker the other.  No runtime path imports scipy; only the
-test oracles in ``reference`` do.
+third.  Neither sampling module loads ``numpy.random`` on import: the
+first Philox stream does.  No runtime path imports scipy; only the test
+oracles in ``reference`` do.
 """
 
 import importlib
@@ -38,7 +37,7 @@ _LAZY = {
         ("laws", "DichotomyReport", "DichotomyRow", "DichotomyVerdict",
          "EmpiricalLaw", "ExactFiniteLaw", "NormalLaw", "SymPoissonLaw",
          "dichotomy_report", "empirical_law", "exact_law", "format_ks_csv",
-         "ks_distance", "ks_pass_bound", "tv_distance"), "laws"),
+         "ks_distance", "ks_pass_bound"), "laws"),
     **dict.fromkeys(
         ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
          "sample_batch"), "simulate"),

@@ -34,7 +34,7 @@ from .config import json_ready, load_params, params_to_dict, read_input
 from .engine import (DESK_N_CAP, Condition, ExactMoments, dyadic_grid,
                      format_csv)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
-                     WorkBudgetError, check_batch_budget)
+                     WorkBudgetError, check_batch_budget, check_seed)
 from .weights import WeightMode, weighted_prefix
 
 EXIT_OK = 0
@@ -148,8 +148,7 @@ class ExperimentConfig:
         if self.scenario is not Scenario.SPECTRAL:
             # a run draws each horizon's samples as one batch
             check_batch_budget(self.samples)
-        if self.seed < 0:
-            raise ParamsError("seed must be >= 0", seed=self.seed)
+        check_seed(self.seed)
         if not self.rho > 1.0:
             raise ParamsError("rho must exceed 1", rho=self.rho)
         if self.a_mode not in _MODE_BY_FLAG:

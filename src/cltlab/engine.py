@@ -515,8 +515,7 @@ class ExactMoments:
     (b^2, conditional norm, variance, Lemma 5 error, fourth cumulant),
     the series tails per (p, q), one ``ScaleSums`` per block, and the
     profiles of the last horizon asked for only.  The cache is not
-    locked: no two threads read one instance, since the worker threads
-    of ``sample_batch`` only run plan ops built beforehand.
+    locked: nothing in the package reads an instance from two threads.
     """
 
     def __init__(self, params: SequenceParams):

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the sample-batch
-budget that both a run and its validation check.
+budget and seed range that both a run and its validation check.
 
 Each carries its named context (e.g. the mass accumulated before a block
 construction ran out of indices, or an estimate against its budget) in
@@ -50,3 +50,10 @@ def check_batch_budget(count: int) -> None:
         raise MemoryBudgetError("sample batch exceeds the memory budget",
                                 estimated_bytes=8 * count,
                                 budget=8 * BATCH_BUDGET)
+
+
+def check_seed(seed: int) -> None:
+    """Raise ParamsError unless ``seed`` lies in [0, 2^64): the sampler's
+    streams key on 64 bits, so a wider seed would alias a smaller one."""
+    if not 0 <= seed < 1 << 64:
+        raise ParamsError("seed must lie in [0, 2^64)", seed=seed)

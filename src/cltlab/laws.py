@@ -26,8 +26,8 @@ fit the joint support budget (about 2^34 expected hits) raises
 TruncationError rather than degrade silently.
 
 Laws are immutable after construction; each realizes its table on
-first use and caches it, unlocked, since no law is shared across
-threads.
+first use and caches it, unlocked: nothing in the package reads a law
+from two threads.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .blocks import BlockParity, SequenceParams
 from .engine import ExactMoments, desk_horizon
-from .errors import ParamsError, TruncationError
+from .errors import ParamsError, TruncationError, check_seed
 from .simulate import (CHUNK, FlatRegime, SampleKind, derive_seed,
                        dichotomy_samples, flat_regime, sample_batch)
 
@@ -667,24 +667,6 @@ def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
     return float(d)
 
 
-def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:
-    """Total variation between two lattice laws sharing a common unit.
-
-    Support points are keyed by rounding value/unit to the nearest
-    integer, which tolerates float jitter well below the lattice spacing.
-    """
-    masses = {}
-    for law, sign in ((a, 1.0), (b, -1.0)):
-        table = law.lattice_table()
-        if table is None:
-            raise ParamsError("total variation needs purely discrete laws",
-                              law=type(law).__name__)
-        vals, pr = table
-        for key, p in zip(np.round(vals / unit).astype(np.int64), pr):
-            masses[int(key)] = masses.get(int(key), 0.0) + sign * float(p)
-    return 0.5 * math.fsum(abs(v) for v in masses.values())
-
-
 def ks_pass_bound(count: int) -> float:
     """1% one-sample KS critical value at the given sample count."""
     if count < 1:
@@ -755,7 +737,7 @@ def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
 
 
 def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
-                     margin: float = 0.05, workers: int = 1,
+                     margin: float = 0.05,
                      moments: ExactMoments | None = None) -> DichotomyReport:
     """Compare normalized sums against their limit candidates per parity.
 
@@ -772,6 +754,7 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
     scored and dropped before the next is drawn, so the report holds one
     batch, and work arrays of a sampler chunk or a KS block, at a time.
     """
+    check_seed(seed)
     moments = moments or ExactMoments(params)
     complete = params.complete_blocks()
     notes: list[str] = []
@@ -791,11 +774,11 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         e = blk.horizon_log2
         law = exact_law(params, e, moments)
         ks_vs_oracle, ks_vs_normal = _batch_ks(dichotomy_samples(
-            params, [e], count, seed, workers=workers,
-            moments=moments)[e].values, law, normal)
+            params, [e], count, seed, moments=moments)[e].values, law,
+            normal)
         ks_gate, = _batch_ks(sample_batch(
             params, e, count, derive_seed(seed, _GATE_SALT + blk.index),
-            SampleKind.APPROX_IID_SUM, normalized=True, workers=workers,
+            SampleKind.APPROX_IID_SUM, normalized=True,
             moments=moments).values, law)
         if blk.index == 1:
             residual = 0.0

@@ -14,6 +14,8 @@ materializes every coordinate coefficient of the horizon sum, and
 ``dense_series_tail_norm`` every lag of every block.  The sampler's
 oracle, ``site_sample_batch``, draws every site variable of every
 sample literally and sums it against the dense coefficients.
+Between two lattice laws, ``tv_distance`` sums their mass differences
+point by point.
 
 Model recap: site variable X(l, m) is standard normal for even block l
 and sqrt(N_l) * xi for odd l, where xi is +-1 with probability
@@ -37,6 +39,7 @@ from scipy.special import ndtri
 from .blocks import BlockParity, SequenceParams
 from .engine import BlockProfile, ExactMoments, desk_horizon
 from .errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from .laws import LawModel
 from .simulate import SampleBatch, SampleKind, _stream
 
 #: largest n_k and N the oracles will enumerate
@@ -354,3 +357,21 @@ def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
     return SampleBatch(seed=seed, log2_n=log2_n, count=count,
                        kind=SampleKind.FULL_SN, normalized=False,
                        values=values)
+
+
+def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:
+    """Total variation between two lattice laws sharing a common unit.
+
+    Support points are keyed by rounding value/unit to the nearest
+    integer, which tolerates float jitter well below the lattice spacing.
+    """
+    masses = {}
+    for law, sign in ((a, 1.0), (b, -1.0)):
+        table = law.lattice_table()
+        if table is None:
+            raise ParamsError("total variation needs purely discrete laws",
+                              law=type(law).__name__)
+        vals, pr = table
+        for key, p in zip(np.round(vals / unit).astype(np.int64), pr):
+            masses[int(key)] = masses.get(int(key), 0.0) + sign * float(p)
+    return 0.5 * math.fsum(abs(v) for v in masses.values())

@@ -44,28 +44,28 @@ scales, is ``reference.site_sample_batch``.
 Reproducibility: all randomness comes from counter-based Philox streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 one per plan op and fixed-size chunk, keyed by (seed, op's lane, chunk
-index).  A stream is its key and a counter from zero, so each chunk
-builds one Generator and re-keys it for every op: the bits of a fresh
-stream, without a fresh Generator per op.  numpy.random is first loaded
-by the first stream, and the thread pool only when one opens.  Each op
-takes exact draws from its stream through numpy's Generator:
-``standard_normal`` for a normal, ``binomial`` (BTPE or inversion,
-Kachitvichyanukul & Schmeiser 1988) and ``poisson`` for hit and sign
-counts, ``integers`` for a pool's hit offsets and signs.  The
-one departure from the exact laws is numpy's binomial inversion branch
-(means below 30), which redraws counts beyond ten standard deviations
-above the mean: under 4e-13 in total variation per count.  No stream
-is ever shared across chunks, so batches are byte-identical for any
-worker count.  Batches are written in place: each chunk sums its ops
-straight into its own slice of one preallocated array, so a batch
-holds 8 bytes per sample plus one chunk's work arrays and generator per
-thread.
+index).  A stream is its key and a counter from zero, so a batch builds
+one Generator and re-keys it for every op of every chunk: the bits of a
+fresh stream, without a fresh Generator per stream.  numpy.random is
+first loaded by the first stream.  Each op takes exact draws from its
+stream through numpy's Generator: ``standard_normal`` for a normal,
+``binomial`` (BTPE or inversion, Kachitvichyanukul & Schmeiser 1988)
+and ``poisson`` for hit and sign counts, ``integers`` for a pool's hit
+offsets and signs.  The one departure from the exact laws is numpy's
+binomial inversion branch (means below 30), which redraws counts
+beyond ten standard deviations above the mean: under 4e-13 in total
+variation per count.  No stream
+is ever shared across chunks, so a chunk's values depend only on its
+index and the arguments: the full chunks of a smaller batch are a byte
+prefix of a larger one.  Batches are written in place: each chunk sums
+its ops straight into its own slice of one preallocated array, so a
+batch holds 8 bytes per sample plus one chunk's work arrays and one
+generator.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -75,7 +75,7 @@ import numpy as np
 from .blocks import BlockParity, SequenceParams
 from .engine import (BlockProfile, ExactMoments, block_var_over_n,
                      desk_horizon)
-from .errors import ParamsError, check_batch_budget
+from .errors import ParamsError, check_batch_budget, check_seed
 
 CHUNK = 4096
 GAUSSIANIZE_LOG2 = 40
@@ -164,7 +164,7 @@ def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
     the op's own stream.
 
     An op's lane is its place in the plan, which depends only on
-    (params, horizon, kind), never on chunking or worker count.
+    (params, horizon, kind), never on the batch's count.
     """
     e = log2_n
     N = desk_horizon(e)
@@ -261,10 +261,6 @@ def _lane_key(seed: int, lane: int, chunk_idx: int) -> tuple[int, int]:
     return seed ^ _LANE_TAG, (lane << 32) | chunk_idx
 
 
-def _lane_stream(seed: int, lane: int, chunk_idx: int) -> np.random.Generator:
-    return _stream(*_lane_key(seed, lane, chunk_idx))
-
-
 def _distinct_offsets(rng: np.random.Generator, length: int,
                       hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, offset) pairs: hits[i] distinct offsets in [0, length)
@@ -340,63 +336,40 @@ def _draw_pool(rng, size, *, starts, affine, shift, hit_prob, coef):
     return coef * np.bincount(owner, weights=vals * signs, minlength=size)
 
 
-def _aggregate_chunk(plan, seed, values, chunk_idx):
-    """Sum the plan's draws for one chunk into its slice of ``values``.
-
-    The chunk's one generator is its own, so concurrent chunks never
-    share one; each op re-keys it to the op's lane stream."""
-    out = values[chunk_idx * CHUNK:(chunk_idx + 1) * CHUNK]
-    rng = _lane_stream(seed, 0, chunk_idx)
-    for lane, draw in enumerate(plan):
-        if lane:
-            _rekey(rng, *_lane_key(seed, lane, chunk_idx))
-        out += draw(rng, out.size)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, where the platform says."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
                  kind: SampleKind = SampleKind.FULL_SN, *,
-                 normalized: bool = False, workers: int = 1,
+                 normalized: bool = False,
                  moments: ExactMoments | None = None) -> SampleBatch:
     """Draw `count` values of the sum (or its flat-copy stand-in) at the
     horizon N = 2^log2_n.
 
-    Identical arguments give byte-identical batches for any `workers`.
-    A count beyond ``errors.BATCH_BUDGET`` raises MemoryBudgetError before
-    anything is planned or allocated.
+    Identical arguments give byte-identical batches, and each full chunk
+    of ``CHUNK`` values is the same in every batch that holds it.  A seed
+    outside [0, 2^64) raises ParamsError, and a count beyond
+    ``errors.BATCH_BUDGET`` MemoryBudgetError, before anything is planned
+    or allocated.
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
+    check_seed(seed)
     check_batch_budget(count)
     kind = SampleKind(kind)
     plan = _build_plan(params, log2_n, kind, normalized,
                        moments or ExactMoments(params))
     values = np.zeros(count)
-    job = partial(_aggregate_chunk, plan, seed, values)
-    chunks = range(-(-count // CHUNK))
-    # threads beyond the cores or the chunks only contend for them
-    threads = min(workers, len(chunks), _usable_cpus())
-    if threads > 1:
-        # imported here: one worker never pays for the pool's modules
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # chunks write disjoint slices; list() surfaces any exception
-            list(pool.map(job, chunks))
-    else:
-        for chunk_idx in chunks:
-            job(chunk_idx)
+    # one generator, re-keyed to each op's stream in each chunk
+    rng = _stream(0, 0)
+    for start in range(0, count, CHUNK):
+        out = values[start:start + CHUNK]
+        for lane, draw in enumerate(plan):
+            _rekey(rng, *_lane_key(seed, lane, start // CHUNK))
+            out += draw(rng, out.size)
     return SampleBatch(seed=seed, log2_n=log2_n, count=count, kind=kind,
                        normalized=normalized, values=values)
 
 
 def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
-                      seed: int, *, workers: int = 1,
+                      seed: int, *,
                       moments: ExactMoments | None = None) -> dict:
     """Normalized full-sum batches at complete-block horizons, given and
     keyed by their exponents.
@@ -406,6 +379,7 @@ def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
     batch plans from ``moments`` as ``sample_batch`` does; its values do
     not depend on what the engine has cached.
     """
+    check_seed(seed)
     complete = {b.horizon_log2: b for b in params.blocks if b.complete}
     out = {}
     for e in horizons_log2:
@@ -415,7 +389,6 @@ def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
                               horizon_log2=e)
         sub = derive_seed(seed, blk.index)
         out[e] = sample_batch(params, e, count, sub, SampleKind.FULL_SN,
-                              normalized=True, workers=workers,
-                              moments=moments)
+                              normalized=True, moments=moments)
     return out
 

@@ -19,7 +19,7 @@ from cltlab.engine import Condition, ExactMoments, dyadic_grid
 from cltlab.laws import (DichotomyVerdict, dichotomy_report, empirical_law,
                          exact_law, ks_distance, ks_pass_bound)
 from cltlab.reference import RationalMoments
-from cltlab.simulate import SampleKind, sample_batch
+from cltlab.simulate import CHUNK, SampleKind, sample_batch
 from cltlab.spectral import (binom_coeffs, random_circulant_toy,
                              rn_identity_check, rn_telescoping_check,
                              sqrt_apply)
@@ -189,31 +189,37 @@ def test_criterion_6_flat_copy_error_halves(capsys):
 
 
 def test_criterion_7_sample_variance_and_workers(capsys):
+    # the variance band, and reproducibility: a second call keeps its
+    # bytes, and so do its full chunks in a larger batch
     t0 = time.time()
     params = default_params(kmax=20, rho=4.0)
     em = ExactMoments(params)
     count = 100_000
+    head = (count // CHUNK) * CHUNK
     in_band = {}
-    identical = True
+    again = prefix = True
     for e in (8, 12):
         N = 1 << e
-        batches = [sample_batch(params, e, count, 745, workers=w,
-                                moments=em) for w in (1, 2, 8)]
-        identical = identical and all(
-            np.array_equal(batches[0].values, b.values)
-            for b in batches[1:])
+        batch = sample_batch(params, e, count, 745, moments=em)
+        again = again and batch.values.tobytes() == sample_batch(
+            params, e, count, 745, moments=em).values.tobytes()
+        larger = sample_batch(params, e, 110_000, 745, moments=em)
+        prefix = prefix and (batch.values[:head].tobytes()
+                             == larger.values[:head].tobytes())
         sig2 = em.sigma_sq(N)
         k4 = em.fourth_cumulant(N)
         half = 2.576 * math.sqrt((k4 + 2.0 * sig2 ** 2) / count)
-        sv = np.var(batches[0].values, ddof=1)
+        sv = np.var(batch.values, ddof=1)
         in_band[e] = abs(sv - sig2) < half
     dt = time.time() - t0
-    ok = all(in_band.values()) and identical and dt < 180.0
+    ok = all(in_band.values()) and again and prefix and dt < 180.0
     emit(capsys, 7, ok, "variance in 99%% band: 2^8 %s, 2^12 %s; "
-         "worker-count invariance %s, %.1fs" %
-         (in_band[8], in_band[12], identical, dt))
+         "same bytes again %s; first %d full chunks a prefix of a "
+         "110000-sample batch %s, %.1fs" %
+         (in_band[8], in_band[12], again, head // CHUNK, prefix, dt))
+    assert head // CHUNK == 24
     assert all(in_band.values())
-    assert identical
+    assert again and prefix
     assert dt < 180.0
 
 
@@ -239,7 +245,7 @@ def test_criterion_8_flat_copy_law_gate(capsys):
 def test_criterion_9_two_sided_dichotomy(capsys):
     t0 = time.time()
     params = default_params(kmax=40_000_000, rho=4.0)
-    rep = dichotomy_report(params, 100_000, 745, workers=2)
+    rep = dichotomy_report(params, 100_000, 745)
     dt = time.time() - t0
     gates = all(r.oracle_pass for r in rep.rows)
     ok = (rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS

@@ -167,6 +167,30 @@ def test_invalid_config_exits_2(capsys):
     assert "kmax" in doc["error"]["details"]
 
 
+def test_seed_past_64_bits_exits_2(tmp_path, capsys):
+    # the sampler keys its streams on 64 bits, so 2^64 would alias 0
+    for argv in (["validate", "--scenario", "theorem2"],
+                 ["theorem2", "--samples", "2000", "--out",
+                  str(tmp_path / "o")]):
+        code, doc = run_main(argv + ["--seed", str(1 << 64)], capsys)
+        assert code == 2
+        assert doc["error"] == {"type": "ParamsError",
+                                "message": "seed must lie in [0, 2^64)",
+                                "details": {"seed": 1 << 64}}
+    assert not (tmp_path / "o").exists()
+    rows = {}
+    for seed in (0, (1 << 64) - 1):
+        out = tmp_path / str(seed)
+        code, _ = run_main(["theorem2", "--samples", "2000", "--seed",
+                            str(seed), "--no-timestamp", "--out", str(out)],
+                           capsys)
+        assert code == 0
+        rows[seed] = [line for line in
+                      (out / "dichotomy.csv").read_text().splitlines()
+                      if not line.startswith("#")]
+    assert rows[0] != rows[(1 << 64) - 1]
+
+
 def test_grid_past_the_schedule_exits_2(tmp_path, capsys):
     # horizons up to 2^48 ask for weights a_41 .. a_48 of a kmax-40 schedule
     code, doc = run_main(["custom", "--kmax", "40", "--a-mode", "invlog",

@@ -13,7 +13,7 @@ DEMOS = {
     "demo_conditions": ["--kmax", "16", "--lo", "4", "--hi", "10"],
     "demo_schedule": ["--kmax", "2000"],
     "demo_spectral": ["--dim", "8", "--nmax", "1024"],
-    "demo_dichotomy": ["--samples", "2000", "--workers", "1"],
+    "demo_dichotomy": ["--samples", "2000"],
 }
 
 

@@ -137,8 +137,9 @@ def test_only_the_reference_oracles_import_scipy():
 
 
 def test_importing_the_sampler_loads_no_pool_or_random():
-    # one worker never opens a thread pool, and numpy.random loads with
-    # the first stream drawn, not with the modules that draw them
+    # the sampler runs on one thread, so no pool module loads, and
+    # numpy.random loads with the first stream drawn, not with the
+    # modules that draw them
     code = ("import sys\n"
             "import cltlab.cli, cltlab.laws, cltlab.simulate\n"
             "print(sorted(m for m in ('concurrent.futures', 'numpy.random')"

@@ -19,8 +19,8 @@ from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          LatticeAtom, NormalLaw, SymPoissonLaw,
                          dichotomy_report, empirical_law, exact_law,
-                         format_ks_csv, ks_distance, ks_pass_bound,
-                         tv_distance)
+                         format_ks_csv, ks_distance, ks_pass_bound)
+from cltlab.reference import tv_distance
 from cltlab.simulate import sample_batch
 from cltlab.weights import WeightMode, build_weights
 
@@ -598,7 +598,7 @@ def test_dichotomy_single_parity_failed_gate_is_inconclusive(monkeypatch):
 
 def test_dichotomy_astronomic_verdicts():
     params = default_params(kmax=40_000_000, rho=4.0)
-    rep = dichotomy_report(params, 2_000, 745, workers=2)
+    rep = dichotomy_report(params, 2_000, 745)
     assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
     assert rep.gap > 0.1
     odd = [r for r in rep.rows if r.parity is BlockParity.THREE_VALUED]
@@ -607,12 +607,11 @@ def test_dichotomy_astronomic_verdicts():
     assert all(r.oracle_pass for r in rep.rows)
     assert 0.0 < even[0].residual_fraction < 0.1
     # a margin just above the measured gap is inside sampling noise
-    tight = dichotomy_report(params, 2_000, 745, workers=2,
-                             margin=rep.gap + 0.01)
+    tight = dichotomy_report(params, 2_000, 745, margin=rep.gap + 0.01)
     assert tight.verdict is DichotomyVerdict.INCONCLUSIVE
     assert tight.required_count_estimate is not None
     # an unreachable margin far beyond noise is a clean rejection
-    wide = dichotomy_report(params, 2_000, 745, workers=2, margin=0.9)
+    wide = dichotomy_report(params, 2_000, 745, margin=0.9)
     assert wide.verdict is DichotomyVerdict.NO_DICHOTOMY
 
 

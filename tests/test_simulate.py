@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import math
 
@@ -14,13 +13,14 @@ from cltlab.blocks import (BlockParity, SequenceParams, default_params,
 from cltlab.engine import DESK_N_CAP, ExactMoments, dyadic_grid
 from cltlab.errors import (BATCH_BUDGET, MemoryBudgetError, ParamsError,
                            WorkBudgetError)
-from cltlab.laws import empirical_law, exact_law, ks_distance, ks_pass_bound
+from cltlab.laws import (dichotomy_report, empirical_law, exact_law,
+                         ks_distance, ks_pass_bound)
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
                              _build_plan, _distinct_offsets, _draw_flat,
                              _draw_normal, _draw_poisson, _draw_pool,
-                             _lane_key, _lane_stream, _rekey, _stream,
+                             _lane_key, _rekey, _stream,
                              derive_seed, dichotomy_samples, sample_batch)
 from cltlab.weights import WeightMode, build_weights
 from conftest import power_sums
@@ -42,33 +42,39 @@ def test_derive_seed_is_stable_and_spread():
     assert len(seen) == 128
 
 
-def test_worker_count_never_changes_bytes():
+def full_chunks(batch, chunks):
+    return batch.values[:chunks * simulate.CHUNK].tobytes()
+
+
+def test_smaller_batch_is_a_prefix_of_a_larger_one():
     params = desk_params()
-    for e, count in ((8, 10_000), (12, 20_000)):
-        base = sample_batch(params, e, count, 745, workers=1)
-        for workers in (2, 8):
-            again = sample_batch(params, e, count, 745, workers=workers)
-            assert np.array_equal(base.values, again.values)
-    # count straddling a chunk boundary, still identical
-    odd = sample_batch(params, 8, 4097, 9, workers=3)
-    one = sample_batch(params, 8, 4097, 9, workers=1)
-    assert np.array_equal(odd.values, one.values)
+    for e, small, large in ((8, 10_000, 20_000), (12, 20_000, 30_000)):
+        base = sample_batch(params, e, small, 745)
+        assert base.values.tobytes() == sample_batch(
+            params, e, small, 745).values.tobytes()
+        more = sample_batch(params, e, large, 745)
+        chunks = small // simulate.CHUNK
+        assert full_chunks(base, chunks) == full_chunks(more, chunks)
+    # count straddling a chunk boundary: its one full chunk is kept
+    odd = sample_batch(params, 8, 4097, 9)
+    one = sample_batch(params, 8, simulate.CHUNK, 9)
+    assert odd.values[:simulate.CHUNK].tobytes() == one.values.tobytes()
     assert odd.count == odd.values.size == 4097
 
 
-def test_worker_count_never_changes_bytes_over_many_chunks():
+def test_smaller_batch_is_a_prefix_over_many_chunks():
     # three full chunks and a short one, each written into its slice
     params = desk_params()
     count = 3 * simulate.CHUNK + 5
     for e in (8, 12):
-        base = sample_batch(params, e, count, 31, workers=1).values
-        assert base.size == count and np.all(base[-5:] != 0.0)
-        for workers in (2, 4):
-            again = sample_batch(params, e, count, 31, workers=workers)
-            assert again.values.tobytes() == base.tobytes()
+        base = sample_batch(params, e, count, 31)
+        assert base.values.size == count and np.all(base.values[-5:] != 0.0)
+        for more in (4 * simulate.CHUNK, 5 * simulate.CHUNK + 1):
+            again = sample_batch(params, e, more, 31)
+            assert full_chunks(again, 3) == full_chunks(base, 3)
 
 
-def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
+def test_smaller_batch_is_a_prefix_with_hitless_chunks(monkeypatch):
     params = desk_params()
     e, count, chunk, seed = 12, 3000, 1, 5
     monkeypatch.setattr(simulate, "CHUNK", chunk)
@@ -77,52 +83,41 @@ def test_worker_count_never_changes_bytes_with_hitless_chunks(monkeypatch):
              for lane, draw in enumerate(plan_of(params, e))
              if draw.func is _draw_pool]
     # a pool's hit counts are the first draw of its lane's stream
-    per_chunk = [[int(_lane_stream(seed, lane, ci).binomial(
+    per_chunk = [[int(_stream(*_lane_key(seed, lane, ci)).binomial(
                       op["starts"][-1], op["hit_prob"], chunk).sum())
                   for ci in range(count // chunk)]
                  for lane, op in pools]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
     base = sample_batch(params, e, count, seed)
-    for workers in (2, 8):
-        again = sample_batch(params, e, count, seed, workers=workers)
-        assert np.array_equal(base.values, again.values)
+    for more in (count + 1, 2 * count):
+        again = sample_batch(params, e, more, seed)
+        assert full_chunks(again, count) == full_chunks(base, count)
 
 
-def test_thread_count_capped_at_cores_and_chunks(monkeypatch):
-    opened = []
+@pytest.mark.parametrize("e", [8, 11, 12, 37605530])
+def test_full_chunks_keep_their_bytes_in_a_larger_batch(e):
+    # theorem1's parameters: two desk horizons, its spike block's
+    # horizon 2^11, and its Gaussian block's, beyond the desk cap
+    params = default_params(kmax=40_000_000, rho=4.0)
+    small = sample_batch(params, e, 2 * simulate.CHUNK + 7, 745,
+                         normalized=True)
+    large = sample_batch(params, e, 5 * simulate.CHUNK + 1, 745,
+                         normalized=True)
+    assert full_chunks(small, 2) == full_chunks(large, 2)
 
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers)
 
-    # sample_batch looks the pool up where it opens one
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_is_refused(seed):
+    # masked to 64 bits, -1 would alias 2^64 - 1 and 2^64 alias 0
     params = desk_params()
-
-    def threads_opened(chunk):
-        monkeypatch.setattr(simulate, "CHUNK", chunk)
-        base = sample_batch(params, 8, 1000, 745)
-        opened.clear()
-        batch = sample_batch(params, 8, 1000, 745, workers=8)
-        assert np.array_equal(batch.values, base.values)
-        return list(opened)
-
-    # 1000 draws: ten chunks of 100, or three of 400; the CPUs the
-    # process may run on bound the threads, not those of the machine
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
-    if hasattr(simulate.os, "sched_getaffinity"):
-        for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
-                                   (1, 100, [])):
-            monkeypatch.setattr(simulate.os, "sched_getaffinity",
-                                lambda pid: set(range(cores)))
-            assert threads_opened(chunk) == want
-        monkeypatch.delattr(simulate.os, "sched_getaffinity")
-    # where the platform cannot say, the machine's CPUs, or one
-    for cores, chunk, want in ((2, 100, [2]), (16, 400, [3]),
-                               (1, 100, []), (None, 100, [])):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
-        assert threads_opened(chunk) == want
+    with pytest.raises(ParamsError, match="seed"):
+        sample_batch(params, 8, 10, seed)
+    with pytest.raises(ParamsError, match="seed"):
+        dichotomy_samples(params, [params.blocks[0].horizon_log2], 10, seed)
+    with pytest.raises(ParamsError, match="seed"):
+        dichotomy_report(params, 10, seed)
+    top = sample_batch(params, 8, 10, (1 << 64) - 1).values
+    assert top.tobytes() != sample_batch(params, 8, 10, 0).values.tobytes()
 
 
 REKEYED_DRAWS = {
@@ -138,18 +133,18 @@ REKEYED_DRAWS = {
 @pytest.mark.parametrize("draw", REKEYED_DRAWS.values(),
                          ids=list(REKEYED_DRAWS))
 def test_rekeyed_generator_draws_a_fresh_streams_bits(draw):
-    rng = _lane_stream(745, 0, 2)
+    rng = _stream(*_lane_key(745, 0, 2))
     # three 32-bit draws leave half a word and a part-used buffer behind
     rng.integers(0, 1 << 32, size=3, dtype=np.uint32)
     state = rng.bit_generator.state
     assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
     for seed, lane, chunk in ((745, 3, 2), (-1, 0, 0), (1 << 64, 7, 9)):
         _rekey(rng, *_lane_key(seed, lane, chunk))
-        want = draw(_lane_stream(seed, lane, chunk))
+        want = draw(_stream(*_lane_key(seed, lane, chunk)))
         assert draw(rng).tobytes() == want.tobytes()
 
 
-def test_one_generator_per_chunk(monkeypatch):
+def test_one_generator_per_batch(monkeypatch):
     built = []
     generator = np.random.Generator
 
@@ -163,14 +158,14 @@ def test_one_generator_per_chunk(monkeypatch):
     lanes = len(plan_of(params, 12))
     assert lanes > 1
     base = sample_batch(params, 12, count, 31)
-    assert len(built) == 4
+    assert len(built) == 1
     monkeypatch.undo()
     # the lane streams, drawn one fresh Generator at a time
     want = np.zeros(count)
     for ci in range(4):
         out = want[ci * simulate.CHUNK:(ci + 1) * simulate.CHUNK]
         for lane, draw in enumerate(plan_of(params, 12)):
-            out += draw(_lane_stream(31, lane, ci), out.size)
+            out += draw(_stream(*_lane_key(31, lane, ci)), out.size)
     assert base.values.tobytes() == want.tobytes()
 
 
@@ -220,7 +215,7 @@ HIT_CASES = [(1, 0.3), (1000, 2.0 ** -7), ((1 << 40) - 1, 2.0 ** -37)]
 
 @pytest.mark.parametrize("length,hit_prob", HIT_CASES)
 def test_flat_hit_counts_are_binomial(length, hit_prob):
-    rng = _Recording(_lane_stream(745, 3, 0))
+    rng = _Recording(_stream(*_lane_key(745, 3, 0)))
     signed = _draw_flat(rng, 20_000, length=length, hit_prob=hit_prob,
                         coef=1.0)
     hits, pos = rng.binomials
@@ -234,7 +229,7 @@ def test_flat_hit_counts_are_binomial(length, hit_prob):
 def test_pool_hit_counts_are_binomial(length, hit_prob):
     # one sloped segment whose sites carry the values 1..length
     mid = (length - 1) // 2
-    rng = _Recording(_lane_stream(745, 4, 0))
+    rng = _Recording(_stream(*_lane_key(745, 4, 0)))
     _draw_pool(rng, 20_000, starts=np.array([0, length]),
                affine=np.array([[1.0 + mid, 1.0]]), shift=np.array([-mid]),
                hit_prob=hit_prob, coef=1.0)
@@ -504,8 +499,10 @@ def test_dichotomy_samples_stability():
     odd = params.blocks[0].horizon_log2
     assert params.blocks[0].complete
     one = dichotomy_samples(params, [odd], 2_000, 745)
-    with_more = dichotomy_samples(params, [odd], 2_000, 745, workers=4)
-    assert np.array_equal(one[odd].values, with_more[odd].values)
+    direct = sample_batch(params, odd, 2_000,
+                          derive_seed(745, params.blocks[0].index),
+                          normalized=True)
+    assert one[odd].values.tobytes() == direct.values.tobytes()
     with pytest.raises(ParamsError):
         dichotomy_samples(params, [odd + 1], 100, 745)
 
