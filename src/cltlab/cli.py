@@ -190,21 +190,26 @@ def _default_decay(kmax: int) -> np.ndarray:
     return np.ldexp(1.0, -np.arange(1, kmax + 1))
 
 
-def _resolve_decay(cfg: ExperimentConfig) -> np.ndarray | None:
-    if cfg.c_file is not None:
-        return _load_decay(cfg.c_file, cfg.kmax)
-    if _MODE_BY_FLAG[cfg.a_mode] is WeightMode.ADAPTED:
-        return _default_decay(cfg.kmax)
-    return None
-
-
-def _build_params(cfg: ExperimentConfig,
-                  decay: np.ndarray | None) -> SequenceParams:
-    if cfg.params_file is not None:
-        return load_params(cfg.params_file)
+def _build_params(cfg: ExperimentConfig
+                  ) -> tuple[SequenceParams, np.ndarray | None]:
+    """The run's parameters, and the decay its weighted checks read: the
+    ``--c-file`` sequence, else the schedule's own.  A preset refuses a
+    loaded schedule of another mode than the one it pins."""
     mode = _MODE_BY_FLAG[cfg.a_mode]
-    c = decay if mode is WeightMode.ADAPTED else None
-    return default_params(kmax=cfg.kmax, rho=cfg.rho, mode=mode, c=c)
+    decay = None if cfg.c_file is None else _load_decay(cfg.c_file,
+                                                          cfg.kmax)
+    if cfg.params_file is not None:
+        params = load_params(cfg.params_file)
+        if cfg.scenario in _FORCED_MODE and params.weights.mode is not mode:
+            raise ParamsError("this preset pins its weight mode",
+                              scenario=cfg.scenario.value, pinned=cfg.a_mode,
+                              loaded=params.weights.mode.value)
+        return params, params.weights.decay if decay is None else decay
+    if mode is WeightMode.ADAPTED and decay is None:
+        decay = _default_decay(cfg.kmax)
+    # only an ADAPTED schedule reads its decay
+    return default_params(kmax=cfg.kmax, rho=cfg.rho, mode=mode,
+                          c=decay), decay
 
 
 def _c_lookup(c: np.ndarray):
@@ -259,8 +264,7 @@ def _schedule_csv(params: SequenceParams, decay: np.ndarray) -> str:
 
 
 def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
-    decay = _resolve_decay(cfg)
-    params = _build_params(cfg, decay)
+    params, decay = _build_params(cfg)
     moments = ExactMoments(params)
     grid = dyadic_grid(*cfg.grid)
     artifacts = {
@@ -383,8 +387,7 @@ def validate_only(cfg: ExperimentConfig) -> int:
         toy = _build_toy(cfg)
         derived = {"dim": toy.dim, "tag": toy.tag.value}
     else:
-        decay = _resolve_decay(cfg)
-        params = _build_params(cfg, decay)
+        params, _ = _build_params(cfg)
         derived = {
             "kmax": params.kmax,
             "blocks": [{

@@ -480,6 +480,8 @@ DEFAULT_RULES = {
     Condition.NORM_SERIES: TrendRule(TrendKind.INCREASING),
     Condition.WEIGHTED_NORM_SERIES: TrendRule(TrendKind.PLATEAU),
     Condition.LOG_RATE: TrendRule(TrendKind.DECREASING),
+    # no bound_cap, so the cap is inf: BOUND_9 reads TREND_CONFIRMED on
+    # every finite trajectory and INCONCLUSIVE otherwise, and never fails
     Condition.GROWTH_BOUND: TrendRule(TrendKind.BOUNDED),
 }
 

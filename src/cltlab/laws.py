@@ -10,6 +10,8 @@ alone evaluates cdf, left-limit cdf, mean and variance from it.
 pure lattice tables; ``ExactFiniteLaw`` (the law of the flat-coefficient
 stand-in sum) is an independent Gaussian component plus the joint table
 of one signed-count lattice component per three-valued block.
+``exact_law`` builds it from ``simulate.flat_copy``, the very flat copy
+that the sampler draws.
 
 ``ExactFiniteLaw`` components are realized with certified error
 accounting.  A lattice component whose expected hit count reaches the
@@ -39,10 +41,11 @@ from enum import Enum
 import numpy as np
 
 from .blocks import BlockParity, SequenceParams
-from .engine import ExactMoments, desk_horizon
+from .engine import ExactMoments
 from .errors import ParamsError, TruncationError, check_seed
-from .simulate import (CHUNK, FlatRegime, SampleKind, derive_seed,
-                       dichotomy_samples, flat_regime, sample_batch)
+from .simulate import (CHUNK, FlatRegime, LatticeAtom, SampleKind,
+                       derive_seed, dichotomy_samples, flat_copy,
+                       flat_regime, sample_batch)
 
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
 GRID_POINTS = 2048           # continuous grid size per law in distances
@@ -307,30 +310,6 @@ class SymPoissonLaw(LawModel):
 # ---------------------------------------------------------------------------
 # Exact finite-horizon law
 
-@dataclass(frozen=True)
-class LatticeAtom:
-    """One three-valued block's signed-count component.
-
-    ``trials`` sites each spike with probability ``hit_prob`` and carry a
-    fair sign; each spike moves the sum by one ``lattice_scale`` step.
-    ``trials`` is None beyond the desk cap, where only ``log2_trials``
-    is kept.  ``lattice_scale`` and ``hit_prob`` may underflow to 0.0
-    (or overflow to inf) at extreme horizons; the log2 fields carry the
-    exact sizes and ``var_share`` the component's normalized variance.
-    """
-
-    lattice_scale: float
-    trials: int | None
-    hit_prob: float
-    log2_trials: float
-    log2_hit: int
-    var_share: float
-
-    @property
-    def log2_mean_hits(self) -> float:
-        return self.log2_trials + self.log2_hit
-
-
 def _window(trials: int | None, lam: float) -> tuple[int, int]:
     """Half-width W and transform size M of a signed-count table: 12
     standard deviations plus 40 steps, at most the trials if they are
@@ -473,41 +452,16 @@ class ExactFiniteLaw(LawModel):
 
 def exact_law(params: SequenceParams, log2_n: int,
               moments: ExactMoments | None = None) -> ExactFiniteLaw:
-    """Law of the normalized flat-coefficient stand-in sum at the horizon
-    N = 2^log2_n.
-
-    Gaussian blocks pool into the Gaussian component; each three-valued
-    block with sub-horizon mass contributes a lattice atom with
-    Binomial(N, hit probability) signed counts, whose trial count is
-    kept as an integer up to the desk cap only.
-    """
-    N = desk_horizon(log2_n)
-    moments = moments or ExactMoments(params)
-    b2 = moments.normalizer_sq(log2_n)
-    if b2 <= 0.0:
-        raise ParamsError("normalization needs sub-horizon scales",
-                          log2_n=log2_n)
-    b = math.sqrt(b2)
+    """Law of the normalized flat copy, ``simulate.flat_copy``, at the
+    horizon N = 2^log2_n: the shares of blocks without a lattice atom
+    pool into the Gaussian component, and each atom keeps its signed
+    count, whose trial count is an integer up to the desk cap only."""
+    copy = flat_copy(params, log2_n, moments or ExactMoments(params))
     gv = 0.0
-    atoms = []
-    for blk in params.blocks:
-        mass = moments.block_mass(blk, log2_n)
-        if mass <= 0.0:
-            continue
-        share = mass * mass / b2
-        if blk.parity is BlockParity.GAUSSIAN:
+    for share, atom in copy:
+        if atom is None:
             gv += share
-            continue
-        h = blk.horizon_log2
-        try:
-            scale = (mass / b) * 2.0 ** (0.5 * (h - log2_n))
-        except OverflowError:
-            scale = math.inf
-        atoms.append(LatticeAtom(lattice_scale=scale, trials=N,
-                                 hit_prob=math.ldexp(1.0, -h),
-                                 log2_trials=float(log2_n), log2_hit=-h,
-                                 var_share=share))
-    return ExactFiniteLaw(gauss_var=gv, atoms=tuple(atoms))
+    return ExactFiniteLaw(gv, tuple(a for _, a in copy if a is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +732,7 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
             normal)
         ks_gate, = _batch_ks(sample_batch(
             params, e, count, derive_seed(seed, _GATE_SALT + blk.index),
-            SampleKind.APPROX_IID_SUM, normalized=True,
-            moments=moments).values, law)
+            SampleKind.APPROX_IID_SUM, moments=moments).values, law)
         if blk.index == 1:
             residual = 0.0
         else:

@@ -13,7 +13,7 @@ structurally unlike the closed form it checks: ``sigma_sq_enumerated``
 materializes every coordinate coefficient of the horizon sum, and
 ``dense_series_tail_norm`` every lag of every block.  The sampler's
 oracle, ``site_sample_batch``, draws every site variable of every
-sample literally and sums it against the dense coefficients.
+sample literally and sums it against the dense coefficients, normalized.
 Between two lattice laws, ``tv_distance`` sums their mass differences
 point by point.
 
@@ -37,10 +37,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from .blocks import BlockParity, SequenceParams
-from .engine import BlockProfile, ExactMoments, desk_horizon
+from .engine import BlockProfile, ExactMoments
 from .errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from .laws import LawModel
-from .simulate import SampleBatch, SampleKind, _stream
+from .simulate import SampleBatch, SampleKind, _horizon, _stream
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
@@ -318,7 +318,7 @@ def _open_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
 def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
                       seed: int, *,
                       moments: ExactMoments | None = None) -> SampleBatch:
-    """`count` unnormalized values of the full horizon sum S_N,
+    """`count` values of the normalized horizon sum S_N / sqrt(b^2 N),
     N = 2^log2_n, from literal site draws.
 
     Sample i reads its own Philox stream, keyed by (seed, i), one site
@@ -330,10 +330,11 @@ def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
-    N = desk_horizon(log2_n)
+    em = moments or ExactMoments(params)
+    N, b_sq = _horizon(em, log2_n)
     if N is None:
         raise ParamsError("site mode needs full site resolution")
-    profs = (moments or ExactMoments(params)).profiles(N)
+    profs = em.profiles(N)
     coords = sum(p.segments[-1][1] - p.segments[0][0] + 1 for p in profs)
     if count * coords > SITE_DRAW_BUDGET:
         raise WorkBudgetError("site mode draw count too large",
@@ -354,9 +355,9 @@ def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
                              np.where(u >= 1.0 - eps_half, -1.0, 0.0))
                 total += float(np.dot(g, x))
         values[i] = total
+    values /= math.sqrt(b_sq * N)
     return SampleBatch(seed=seed, log2_n=log2_n, count=count,
-                       kind=SampleKind.FULL_SN, normalized=False,
-                       values=values)
+                       kind=SampleKind.FULL_SN, values=values)
 
 
 def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:

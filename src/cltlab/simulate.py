@@ -7,7 +7,7 @@ profile computed by the engine and the sqrt(N_l) factor applies to
 three-valued (spike) blocks only.  Spike sites take values -1/0/+1 with
 hit probability 1/N_l split evenly between signs; Gaussian-block sites
 are standard normal.  Either way each site contributes unit variance
-times C_l(m)^2, so the batch variance target is exactly sigma_sq(N).
+times C_l(m)^2, so the variance of S_N is exactly sigma_sq(N).
 
 The sampler aggregates, exactly in distribution.  A spike block's sites
 hit independently with one probability p = 1/N_l, so by superposition
@@ -27,19 +27,20 @@ Gaussian blocks, and the spike segments expecting more than
 exact variance; the Berry-Esseen error of that replacement is below
 0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
 
-The plan reads each block's source directly.  Every horizon is dyadic
-and passed as its exponent log2_n, and 2^log2_n is built only up to the
-desk cap.  There a full sum reads the block's ``ExactMoments.profiles``
-entry segment by segment; beyond it, one normal per block with the
-normalized ``block_var_over_n``, so values stay finite floats.  The
-flat copy (``APPROX_IID_SUM``, normalized only) gives every site of a
-block the block's sub-horizon mass: it is the stand-in sum whose law
-``laws.exact_law`` realizes, and both take a spike block's regime from
-``flat_regime`` of its expected hits: nothing up to 2^NEGLIGIBLE_LOG2,
-a signed count on exact_law's lattice step below 2^GAUSSIANIZE_LOG2
-(binomial on the desk, its Poisson limit beyond), one normal from there.
-The sampler's independent oracle, literal per-coordinate draws at small
-scales, is ``reference.site_sample_batch``.
+Every value is normalized, S_N / sqrt(b^2 N) with b^2 the engine's
+``normalizer_sq``.  The plan reads each block's source directly.  Every
+horizon is dyadic and passed as its exponent log2_n, and 2^log2_n is
+built only up to the desk cap.  There a full sum reads the block's
+``ExactMoments.profiles`` entry segment by segment; beyond it, one
+normal per block with the normalized ``block_var_over_n``, so values
+stay finite floats.  The flat copy (``APPROX_IID_SUM``, ``flat_copy``)
+gives every site of a block the block's sub-horizon mass: the sampler
+draws it and ``laws.exact_law`` realizes its law, and both take a spike
+block's regime from ``flat_regime`` of its expected hits: nothing up to
+2^NEGLIGIBLE_LOG2, a signed count on the atom's lattice step below
+2^GAUSSIANIZE_LOG2 (binomial on the desk, its Poisson limit beyond), one
+normal from there.  The sampler's independent oracle, literal
+per-coordinate draws at small scales, is ``reference.site_sample_batch``.
 
 Reproducibility: all randomness comes from counter-based Philox streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
@@ -132,7 +133,6 @@ class SampleBatch:
     log2_n: int
     count: int
     kind: SampleKind
-    normalized: bool
     values: np.ndarray
 
 
@@ -157,8 +157,68 @@ def flat_regime(log2_hits: float) -> FlatRegime:
     return FlatRegime.NORMAL
 
 
+@dataclass(frozen=True)
+class LatticeAtom:
+    """One three-valued block's signed-count component of the flat copy.
+
+    ``trials`` sites each spike with probability ``hit_prob`` and carry a
+    fair sign; each spike moves the sum by one ``lattice_scale`` step.
+    ``trials`` is None beyond the desk cap, where only ``log2_trials``
+    is kept.  ``lattice_scale`` and ``hit_prob`` may underflow to 0.0
+    (or overflow to inf) at extreme horizons; the log2 fields carry the
+    exact sizes and ``var_share`` the component's normalized variance.
+    """
+
+    lattice_scale: float
+    trials: int | None
+    hit_prob: float
+    log2_trials: float
+    log2_hit: int
+    var_share: float
+
+    @property
+    def log2_mean_hits(self) -> float:
+        return self.log2_trials + self.log2_hit
+
+
+def _horizon(moments: ExactMoments, log2_n: int) -> tuple[int | None, float]:
+    """``desk_horizon(log2_n)`` and b^2 there, which must be positive:
+    every plan and the flat-copy law refuse a horizon here."""
+    N = desk_horizon(log2_n)
+    b_sq = moments.normalizer_sq(log2_n)
+    if b_sq <= 0.0:
+        raise ParamsError("normalization needs a horizon with at least "
+                          "one sub-horizon scale", log2_n=log2_n)
+    return N, b_sq
+
+
+def flat_copy(params: SequenceParams, log2_n: int, moments: ExactMoments
+              ) -> list[tuple[float, LatticeAtom | None]]:
+    """The normalized flat copy at the horizon N = 2^log2_n, per block in
+    block order: its variance share and, for a three-valued block with
+    sub-horizon mass, its lattice atom (None otherwise): a signed
+    Binomial(N, 2^-h) count of steps mass / sqrt(b^2 2^(log2_n - h))."""
+    N, b_sq = _horizon(moments, log2_n)
+    b = math.sqrt(b_sq)
+    out = []
+    for blk in params.blocks:
+        mass = moments.block_mass(blk, log2_n)
+        share = mass * mass / b_sq
+        if blk.parity is BlockParity.GAUSSIAN or mass <= 0.0:
+            out.append((share, None))
+            continue
+        h = blk.horizon_log2
+        try:
+            scale = (mass / b) * 2.0 ** (0.5 * (h - log2_n))
+        except OverflowError:
+            scale = math.inf
+        out.append((share, LatticeAtom(scale, N, math.ldexp(1.0, -h),
+                                       float(log2_n), -h, share)))
+    return out
+
+
 def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
-                normalized: bool, moments: ExactMoments):
+                moments: ExactMoments):
     """Fixed op layout for the aggregate sampler: one draw function per
     op, bound to the values it reads, called as ``draw(rng, size)`` on
     the op's own stream.
@@ -166,49 +226,32 @@ def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
     An op's lane is its place in the plan, which depends only on
     (params, horizon, kind), never on the batch's count.
     """
-    e = log2_n
-    N = desk_horizon(e)
-    b_sq = moments.normalizer_sq(e)
-    if normalized and b_sq <= 0.0:
-        raise ParamsError("normalization needs a horizon with at least "
-                          "one sub-horizon scale", log2_n=e)
-    if not normalized and (N is None or kind is SampleKind.APPROX_IID_SUM):
-        raise ParamsError("raw values are drawn for full sums within the "
-                          "desk cap only; request normalized output")
     plan = []
-    for b in params.blocks:
-        h = b.horizon_log2
-        spike = b.parity is BlockParity.THREE_VALUED
-        if kind is SampleKind.APPROX_IID_SUM:
-            mass = moments.block_mass(b, e)
-            # a block without sub-horizon mass gives a normal of std 0,
-            # which draws nothing
-            regime = (flat_regime(e - h) if spike and mass > 0.0
-                      else FlatRegime.NORMAL)
+    if kind is SampleKind.APPROX_IID_SUM:
+        for share, atom in flat_copy(params, log2_n, moments):
+            # a block without mass draws a normal of std 0, which is 0
+            regime = (FlatRegime.NORMAL if atom is None
+                      else flat_regime(atom.log2_mean_hits))
             if regime is FlatRegime.NORMAL:
-                plan.append(partial(_draw_normal,
-                                    std=math.sqrt(mass * mass / b_sq)))
+                plan.append(partial(_draw_normal, std=math.sqrt(share)))
             elif regime is FlatRegime.COUNT:
-                # exact_law's lattice step; Binomial(N, 2^-h) hits on the
-                # desk, their Poisson limit beyond it
-                step = (mass / math.sqrt(b_sq)) * 2.0 ** (0.5 * (h - e))
+                # beyond the desk, the binomial count's Poisson limit
                 plan.append(
-                    partial(_draw_poisson, lam=2.0 ** (e - h), coef=step)
-                    if N is None else
-                    partial(_draw_flat, length=N,
-                            hit_prob=math.ldexp(1.0, -h), coef=step))
-        elif N is None:
-            var = block_var_over_n(params, b, e)
-            plan.append(partial(_draw_normal, std=math.sqrt(var / b_sq)))
-        elif spike:
+                    partial(_draw_poisson, lam=2.0 ** atom.log2_mean_hits,
+                            coef=atom.lattice_scale)
+                    if atom.trials is None else
+                    partial(_draw_flat, length=atom.trials,
+                            hit_prob=atom.hit_prob, coef=atom.lattice_scale))
+        return plan
+    N, b_sq = _horizon(moments, log2_n)
+    for b in params.blocks:
+        if N is not None and b.parity is BlockParity.THREE_VALUED:
             plan.extend(_spike_ops(moments.profiles(N)[b.index - 1],
-                                   1.0 / math.sqrt(b_sq * float(N))
-                                   if normalized else 1.0))
-        else:
-            var = moments.profiles(N)[b.index - 1].sum_pow(2) / N
-            plan.append(partial(_draw_normal,
-                                std=math.sqrt(var / b_sq) if normalized
-                                else math.sqrt(var * N)))
+                                   1.0 / math.sqrt(b_sq * float(N))))
+            continue
+        var = (block_var_over_n(params, b, log2_n) if N is None
+               else moments.profiles(N)[b.index - 1].sum_pow(2) / N)
+        plan.append(partial(_draw_normal, std=math.sqrt(var / b_sq)))
     return plan
 
 
@@ -338,24 +381,22 @@ def _draw_pool(rng, size, *, starts, affine, shift, hit_prob, coef):
 
 def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
                  kind: SampleKind = SampleKind.FULL_SN, *,
-                 normalized: bool = False,
                  moments: ExactMoments | None = None) -> SampleBatch:
-    """Draw `count` values of the sum (or its flat-copy stand-in) at the
-    horizon N = 2^log2_n.
+    """Draw `count` values of the normalized sum S_N / sqrt(b^2 N) (or
+    of its flat-copy stand-in) at the horizon N = 2^log2_n.
 
     Identical arguments give byte-identical batches, and each full chunk
     of ``CHUNK`` values is the same in every batch that holds it.  A seed
     outside [0, 2^64) raises ParamsError, and a count beyond
     ``errors.BATCH_BUDGET`` MemoryBudgetError, before anything is planned
-    or allocated.
+    or allocated; a horizon with b^2 = 0 raises ParamsError.
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
     check_seed(seed)
     check_batch_budget(count)
     kind = SampleKind(kind)
-    plan = _build_plan(params, log2_n, kind, normalized,
-                       moments or ExactMoments(params))
+    plan = _build_plan(params, log2_n, kind, moments or ExactMoments(params))
     values = np.zeros(count)
     # one generator, re-keyed to each op's stream in each chunk
     rng = _stream(0, 0)
@@ -365,7 +406,7 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
             _rekey(rng, *_lane_key(seed, lane, start // CHUNK))
             out += draw(rng, out.size)
     return SampleBatch(seed=seed, log2_n=log2_n, count=count, kind=kind,
-                       normalized=normalized, values=values)
+                       values=values)
 
 
 def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
@@ -389,6 +430,6 @@ def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
                               horizon_log2=e)
         sub = derive_seed(seed, blk.index)
         out[e] = sample_batch(params, e, count, sub, SampleKind.FULL_SN,
-                              normalized=True, moments=moments)
+                              moments=moments)
     return out
 

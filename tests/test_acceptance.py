@@ -206,8 +206,10 @@ def test_criterion_7_sample_variance_and_workers(capsys):
         larger = sample_batch(params, e, 110_000, 745, moments=em)
         prefix = prefix and (batch.values[:head].tobytes()
                              == larger.values[:head].tobytes())
-        sig2 = em.sigma_sq(N)
-        k4 = em.fourth_cumulant(N)
+        # the batch is S_N / sqrt(b^2 N)
+        unit = em.normalizer_sq(e) * N
+        sig2 = em.sigma_sq(N) / unit
+        k4 = em.fourth_cumulant(N) / unit ** 2
         half = 2.576 * math.sqrt((k4 + 2.0 * sig2 ** 2) / count)
         sv = np.var(batch.values, ddof=1)
         in_band[e] = abs(sv - sig2) < half
@@ -230,8 +232,7 @@ def test_criterion_8_flat_copy_law_gate(capsys):
     e = params.blocks[0].horizon_log2       # first three-valued horizon
     count = 100_000
     batch = sample_batch(params, e, count, 745,
-                         kind=SampleKind.APPROX_IID_SUM, normalized=True,
-                         moments=em)
+                         kind=SampleKind.APPROX_IID_SUM, moments=em)
     ks = ks_distance(empirical_law(batch.values), exact_law(params, e, em))
     bound = ks_pass_bound(count)
     dt = time.time() - t0

@@ -9,6 +9,7 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cltlab
@@ -16,8 +17,9 @@ import cltlab.cli as cli
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
                         config_from_args, main)
 from cltlab.config import save_params
-from cltlab.blocks import default_params
+from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.errors import ParamsError
+from cltlab.weights import WeightMode, build_weights
 
 
 def parse(argv):
@@ -585,6 +587,43 @@ def test_params_file_round(tmp_path, capsys):
     assert code == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["conditions"]["RATE_5"]["grid"] == [16, 32, 64, 128, 256]
+
+
+def test_preset_refuses_a_loaded_schedule_of_another_mode(tmp_path,
+                                                          capsys):
+    path = tmp_path / "params.json"
+    w = build_weights(WeightMode.INV_LOG, 64)
+    save_params(SequenceParams(w, split_blocks(w, [8, 64])), path)
+    out = tmp_path / "run"
+    for argv in (["validate", "--scenario", "theorem1"],
+                 ["theorem1", "--samples", "0", "--out", str(out)]):
+        code, doc = run_main(argv + ["--params-file", str(path)], capsys)
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParamsError",
+            "message": "this preset pins its weight mode",
+            "details": {"scenario": "THEOREM1", "pinned": "const",
+                        "loaded": "inv_log"}}
+    assert not out.exists()
+
+
+def test_loaded_schedule_keeps_its_own_decay(tmp_path, capsys):
+    # the file's decay is 2^(-k/2); the built-in one would be 2^-k
+    kmax = 64
+    decay = np.exp2(-0.5 * np.arange(1, kmax + 1))
+    path = tmp_path / "params.json"
+    save_params(default_params(kmax=kmax, mode=WeightMode.ADAPTED, c=decay),
+                path)
+    out = tmp_path / "run"
+    code, _ = run_main(["theorem2", "--params-file", str(path),
+                        "--samples", "0", "--grid", "dyadic:4:8",
+                        "--no-timestamp", "--out", str(out)], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(
+        line for line in (out / "schedule.csv").read_text().splitlines()
+        if not line.startswith("#")))
+    c = {int(row["k"]): float(row["c"]) for row in rows}
+    assert [c[k] for k in (1, 2, 4)] == [decay[0], decay[1], decay[3]]
 
 
 def test_spectral_toy_file(tmp_path, capsys):

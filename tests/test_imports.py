@@ -1,12 +1,14 @@
 """No module imports a name it never reads, the package defines no
-private module-level name that it never reads, and no package module but
-the ``reference`` oracles imports scipy.
+private module-level name that it never reads, nor any module-level name
+that nothing in the checkout reads, and no package module but the
+``reference`` oracles imports scipy.
 
 No linter is a dependency, so these are small AST scans: of the package,
 the tests and the demos for imports, of the package alone for private
-names and scipy.  The package ``__init__`` is exempt from the import
-scan: its imports are the public re-exports.  One subprocess checks
-what importing the sampling modules loads.
+names and scipy, and of the package, tests, demos and bench for the
+reads of every definition.  The package ``__init__`` is exempt from the
+import scan: its imports are the public re-exports.  One subprocess
+checks what importing the sampling modules loads.
 """
 
 import ast
@@ -59,37 +61,67 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _not_dunder(name: str) -> bool:
+    """Every name but a dunder, which the interpreter reads."""
+    return not (name.startswith("__") and name.endswith("__"))
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each module-level function, class and assigned
+    name; methods and nested definitions are out of scope."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out += [(n.id, node.lineno) for t in targets
+                    for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+def reads(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes, names it imports
+    from a module, and the strings of a module-level ``_LAZY`` table,
+    the package root's lazy re-exports."""
+    tree = ast.parse(source)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                         ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "_LAZY"):
+            out.update(n.value for n in ast.walk(node.value)
+                       if isinstance(n, ast.Constant)
+                       and isinstance(n.value, str))
+    return out
+
+
+def unread_definitions(defining: dict[str, str], reading, keep) -> list[str]:
+    """Module-level definitions of the ``defining`` sources, by module,
+    whose name passes ``keep`` and which none of the ``reading``
+    sources reads."""
+    read = set().union(*map(reads, reading))
+    return ["%s: %s (line %d)" % (module, name, line)
+            for module, source in sorted(defining.items())
+            for name, line in definitions(source)
+            if keep(name) and name not in read]
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_private`` definitions no module of the set reads.
 
     A read is a loaded name, an attribute or a ``from`` import of it;
     the import scan above makes sure every such import is read in turn.
     """
-    defined, read = [], set()
-    for module, source in sorted(sources.items()):
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined += [(module, name, node.lineno) for name in names
-                        if _is_private(name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx,
-                                                             ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    return ["%s: %s (line %d)" % item for item in defined
-            if item[1] not in read]
+    return unread_definitions(sources, sources.values(), _is_private)
 
 
 def test_scan_catches_unused_private_names():
@@ -108,6 +140,30 @@ def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in PACKAGE}
     assert unused_private_names(sources) == []
+
+
+def test_scan_catches_unread_definitions():
+    defining = {
+        "a": ("_LAZY = dict.fromkeys(('lazy',), 'a')\n__version__ = '1'\n"
+              "def lazy():\n    return _LAZY\n"
+              "def called():\n    pass\n"
+              "class Dead:\n    def method(self):\n        pass\n"),
+        "b": "SIZE: int = 4\nLIMIT = 5\n",
+    }
+    reading = [*defining.values(), "from a import called\nimport b\n"
+               "print(b.SIZE)\n"]
+    assert unread_definitions(defining, reading, _not_dunder) == [
+        "a: Dead (line 7)", "b: LIMIT (line 2)"]
+
+
+def test_every_definition_is_read():
+    # any reader counts: the package, the tests, the demos or the bench
+    reading = [path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "demos", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    defining = {path.stem: path.read_text(encoding="utf-8")
+                for path in PACKAGE}
+    assert unread_definitions(defining, reading, _not_dunder) == []
 
 
 def imported_roots(source: str) -> set[str]:

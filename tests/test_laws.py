@@ -21,7 +21,7 @@ from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          dichotomy_report, empirical_law, exact_law,
                          format_ks_csv, ks_distance, ks_pass_bound)
 from cltlab.reference import tv_distance
-from cltlab.simulate import sample_batch
+from cltlab.simulate import SampleKind, sample_batch
 from cltlab.weights import WeightMode, build_weights
 
 
@@ -561,12 +561,19 @@ def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
 
 
 def test_sampler_and_oracle_share_horizon_checks():
+    # a negative exponent, and 2^0, where b^2 = 0 and no sum normalizes
     params = default_params(kmax=20, rho=4.0)
-    for build in (lambda p, e: sample_batch(p, e, 1, 0), exact_law):
-        with pytest.raises(ParamsError) as info:
-            build(params, -1)
-        assert str(info.value) == "horizon exponent must be nonnegative"
-        assert info.value.details == {"log2_n": -1}
+    builds = [exact_law] + [
+        lambda p, e, kind=kind: sample_batch(p, e, 1, 0, kind)
+        for kind in SampleKind]
+    for e, message in ((-1, "horizon exponent must be nonnegative"),
+                       (0, "normalization needs a horizon with at least "
+                           "one sub-horizon scale")):
+        for build in builds:
+            with pytest.raises(ParamsError) as info:
+                build(params, e)
+            assert str(info.value) == message
+            assert info.value.details == {"log2_n": e}
 
 
 # -- dichotomy report ------------------------------------------------------

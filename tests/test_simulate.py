@@ -30,10 +30,8 @@ def desk_params():
     return default_params(kmax=14, rho=4.0)
 
 
-def plan_of(params, e, kind=SampleKind.FULL_SN, normalized=False,
-            moments=None):
-    return _build_plan(params, e, kind, normalized,
-                       moments or ExactMoments(params))
+def plan_of(params, e, kind=SampleKind.FULL_SN, moments=None):
+    return _build_plan(params, e, kind, moments or ExactMoments(params))
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -99,10 +97,8 @@ def test_full_chunks_keep_their_bytes_in_a_larger_batch(e):
     # theorem1's parameters: two desk horizons, its spike block's
     # horizon 2^11, and its Gaussian block's, beyond the desk cap
     params = default_params(kmax=40_000_000, rho=4.0)
-    small = sample_batch(params, e, 2 * simulate.CHUNK + 7, 745,
-                         normalized=True)
-    large = sample_batch(params, e, 5 * simulate.CHUNK + 1, 745,
-                         normalized=True)
+    small = sample_batch(params, e, 2 * simulate.CHUNK + 7, 745)
+    large = sample_batch(params, e, 5 * simulate.CHUNK + 1, 745)
     assert full_chunks(small, 2) == full_chunks(large, 2)
 
 
@@ -300,14 +296,20 @@ def test_distinct_offsets_are_uniform_subsets():
         assert chisquare(counts).pvalue > 1e-3
 
 
+def _normalized_moments(em, e):
+    """sigma_sq and the fourth cumulant of S_N / sqrt(b^2 N), N = 2^e:
+    the engine's over b^2 N and its square."""
+    unit = em.normalizer_sq(e) * (1 << e)
+    return em.sigma_sq(1 << e) / unit, em.fourth_cumulant(1 << e) / unit ** 2
+
+
 def _variance_within_band(params, e, n, seed):
     """The batch variance at the horizon N = 2^e lies within four
-    standard errors of sigma_sq; returns the batch and sigma_sq."""
+    standard errors of sigma_sq / (b^2 N); returns the batch and that
+    variance."""
     em = ExactMoments(params)
-    N = 1 << e
     batch = sample_batch(params, e, n, seed, moments=em)
-    sig2 = em.sigma_sq(N)
-    k4 = em.fourth_cumulant(N)
+    sig2, k4 = _normalized_moments(em, e)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
     assert abs(np.var(batch.values, ddof=1) - sig2) < band
     return batch, sig2
@@ -322,7 +324,7 @@ def test_full_sum_variance_matches_engine():
 def test_plan_pools_each_layers_sloped_segments():
     # theorem1's parameters at its first complete-block horizon
     params = default_params(kmax=40_000_000, rho=4.0)
-    plan = plan_of(params, 11, normalized=True)
+    plan = plan_of(params, 11)
     kinds = [draw.func for draw in plan]
     assert len(plan) == 5
     assert kinds.count(_draw_flat) == 3
@@ -359,7 +361,7 @@ def test_gaussianized_segments_join_their_layers_normal():
 def test_normalized_iid_sum_has_unit_variance():
     params = desk_params()
     batch = sample_batch(params, 8, 40_000, 7,
-                         kind=SampleKind.APPROX_IID_SUM, normalized=True)
+                         kind=SampleKind.APPROX_IID_SUM)
     # flat-copy sum: normalized variance is exactly 1, so only the
     # estimator noise is in play
     assert abs(np.var(batch.values, ddof=1) - 1.0) < 0.05
@@ -369,12 +371,11 @@ def test_normalized_iid_sum_has_unit_variance():
 def test_site_mode_agrees_with_aggregate_in_law():
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
-    N, n = 1 << 6, 10_000
+    n = 10_000
     agg = sample_batch(params, 6, n, 3, moments=em)
     site = site_sample_batch(params, 6, n, 3, moments=em)
     assert not np.array_equal(agg.values, site.values)
-    sig2 = em.sigma_sq(N)
-    k4 = em.fourth_cumulant(N)
+    sig2, k4 = _normalized_moments(em, 6)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
     for batch in (agg, site):
         assert abs(np.var(batch.values, ddof=1) - sig2) < band
@@ -405,7 +406,7 @@ def test_astronomic_horizon_sampling():
     params = default_params(kmax=40_000_000, rho=4.0)
     e = params.blocks[1].horizon_log2      # 2^e is far beyond float range
     assert e == 37_605_530
-    batch = sample_batch(params, e, 500, 5, normalized=True)
+    batch = sample_batch(params, e, 500, 5)
     assert batch.values.size == 500
     assert np.all(np.isfinite(batch.values))
     assert batch.log2_n == e
@@ -419,7 +420,7 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
     h = params.blocks[0].horizon_log2
     for shift in (0, 3, -7):
-        plan = plan_of(params, h + shift, SampleKind.APPROX_IID_SUM, True)
+        plan = plan_of(params, h + shift, SampleKind.APPROX_IID_SUM)
         assert [op.func for op in plan] == [_draw_poisson, _draw_normal]
         step = exact_law(params, h + shift).atoms[0].lattice_scale
         assert plan[0].keywords == {"lam": 2.0 ** shift, "coef": step}
@@ -427,7 +428,7 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     # keeps its normal
     params = default_params(kmax=40_000_000, rho=4.0)
     plan = plan_of(params, params.blocks[1].horizon_log2,
-                   SampleKind.APPROX_IID_SUM, True)
+                   SampleKind.APPROX_IID_SUM)
     assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
 
 
@@ -440,11 +441,10 @@ def test_flat_copy_beyond_the_cap_takes_the_oracles_regimes():
     want = {-51: [], -50: [], -49: [_draw_poisson], 39: [_draw_poisson],
             40: [_draw_normal]}
     for ll, tail in want.items():
-        plan = plan_of(params, 2000 + ll, SampleKind.APPROX_IID_SUM, True)
+        plan = plan_of(params, 2000 + ll, SampleKind.APPROX_IID_SUM)
         assert [op.func for op in plan] == [_draw_normal] * 2 + tail
     e, count = 1950, 100_000
-    batch = sample_batch(params, e, count, 1, SampleKind.APPROX_IID_SUM,
-                         normalized=True)
+    batch = sample_batch(params, e, count, 1, SampleKind.APPROX_IID_SUM)
     ks = ks_distance(empirical_law(batch.values), exact_law(params, e))
     assert ks <= ks_pass_bound(count)
 
@@ -453,7 +453,7 @@ def test_flat_copy_at_2_40_expected_hits_is_all_normals():
     # block 1 ends at 2^11, so at 2^51 its flat copy expects exactly 2^40
     # hits: exact_law folds it into its Gaussian part, and so does the plan
     params = default_params(kmax=20, rho=4.0)
-    plan = plan_of(params, 51, SampleKind.APPROX_IID_SUM, True)
+    plan = plan_of(params, 51, SampleKind.APPROX_IID_SUM)
     assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
     gauss_var, support, _, _ = exact_law(params, 51)._table()
     assert support.tolist() == [0.0]
@@ -489,7 +489,7 @@ def test_desk_horizon_under_a_deep_spike_block(kmax):
     em = ExactMoments(params)
     plan = plan_of(params, 20, moments=em)
     assert math.fsum(map(_op_variance, plan)) == pytest.approx(
-        em.sigma_sq(1 << 20), rel=1e-12)
+        _normalized_moments(em, 20)[0], rel=1e-12)
     batch = sample_batch(params, 20, 1000, 1, moments=em)
     assert np.all(np.isfinite(batch.values))
 
@@ -500,8 +500,7 @@ def test_dichotomy_samples_stability():
     assert params.blocks[0].complete
     one = dichotomy_samples(params, [odd], 2_000, 745)
     direct = sample_batch(params, odd, 2_000,
-                          derive_seed(745, params.blocks[0].index),
-                          normalized=True)
+                          derive_seed(745, params.blocks[0].index))
     assert one[odd].values.tobytes() == direct.values.tobytes()
     with pytest.raises(ParamsError):
         dichotomy_samples(params, [odd + 1], 100, 745)
@@ -562,7 +561,11 @@ def test_full_sum_fourth_cumulant_matches_engine(e):
     want = em.fourth_cumulant(1 << e)
     assert k[4] == pytest.approx(want, rel=1e-12)
     batch = sample_batch(params, e, n, 745, moments=em)
-    assert abs(kstat(batch.values, 4) - want) < 5.0 * _k4_statistic_sd(k, n)
+    # the batch is S_N / sqrt(b^2 N): k_4 and its spread scale by
+    # (b^2 N)^-2
+    unit = em.normalizer_sq(e) * (1 << e)
+    assert (abs(kstat(batch.values, 4) - want / unit ** 2)
+            < 5.0 * _k4_statistic_sd(k, n) / unit ** 2)
 
 
 @pytest.mark.parametrize("e", [4, 6])
