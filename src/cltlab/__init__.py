@@ -19,8 +19,8 @@ import importlib
 from .blocks import (BlockParity, BlockSpec, MassTarget, SequenceParams,
                      TargetKind, build_blocks, default_params, parity_of,
                      split_blocks)
-from .config import (load_params, params_from_json, params_from_text,
-                     params_to_json, params_to_text, save_params)
+from .config import (load_params, params_from_json, params_to_json,
+                     save_params)
 from .engine import (Condition, ConditionReport, ExactMoments, TrendKind,
                      TrendRule, Verdict, dyadic_grid, format_csv,
                      sigma_sq_over_n)

@@ -29,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import SequenceParams, default_params
+from .blocks import SequenceParams, TargetKind, default_params
 from .config import json_ready, load_params, params_to_dict, read_input
 from .engine import (DESK_N_CAP, Condition, ExactMoments, dyadic_grid,
                      format_csv)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError, check_batch_budget, check_seed)
-from .weights import WeightMode, weighted_prefix
+from .weights import WeightMode, check_decay, weighted_prefix
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,6 +57,7 @@ _MODE_BY_FLAG = {
     "invlog": WeightMode.INV_LOG,
     "theorem2": WeightMode.ADAPTED,
 }
+_FLAG_BY_MODE = {mode: flag for flag, mode in _MODE_BY_FLAG.items()}
 
 # Presets pin their weight mode; only the generic scenarios take --a-mode.
 _FORCED_MODE = {
@@ -104,13 +105,18 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 @dataclass
 class ExperimentConfig:
-    """One fully-specified run; serialized verbatim into every artifact."""
+    """One fully-specified run; serialized verbatim into every artifact.
+
+    A run with ``--params-file`` echoes the loaded schedule's ``kmax``,
+    ``a_mode`` and ``rho`` (None without a geometric target), not the
+    command line's; see ``_build_params``.
+    """
 
     scenario: Scenario
     kmax: int
     a_mode: str = "const"
     c_file: str | None = None
-    rho: float = 4.0
+    rho: float | None = 4.0
     samples: int = 100_000
     seed: int = 0
     grid: tuple[int, int] = (4, 16)
@@ -168,7 +174,8 @@ class ExperimentConfig:
 # Input construction
 
 def _load_decay(path: str, kmax: int) -> np.ndarray:
-    """Decay sequence file: floats separated by whitespace/commas; # comments."""
+    """The first ``kmax`` values of a decay sequence file, which must pass
+    ``check_decay``: floats separated by whitespace/commas; # comments."""
     text = read_input(path)
     body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     tokens = [t for t in re.split(r"[\s,]+", body) if t]
@@ -180,7 +187,7 @@ def _load_decay(path: str, kmax: int) -> np.ndarray:
     if values.size < kmax:
         raise ParamsError("decay file shorter than kmax",
                           path=str(path), have=int(values.size), need=kmax)
-    return values[:kmax]
+    return check_decay(values[:kmax], kmax)
 
 
 def _default_decay(kmax: int) -> np.ndarray:
@@ -190,26 +197,34 @@ def _default_decay(kmax: int) -> np.ndarray:
     return np.ldexp(1.0, -np.arange(1, kmax + 1))
 
 
-def _build_params(cfg: ExperimentConfig
-                  ) -> tuple[SequenceParams, np.ndarray | None]:
-    """The run's parameters, and the decay its weighted checks read: the
-    ``--c-file`` sequence, else the schedule's own.  A preset refuses a
-    loaded schedule of another mode than the one it pins."""
-    mode = _MODE_BY_FLAG[cfg.a_mode]
-    decay = None if cfg.c_file is None else _load_decay(cfg.c_file,
-                                                          cfg.kmax)
+def _build_params(cfg: ExperimentConfig) -> tuple[
+        ExperimentConfig, SequenceParams, np.ndarray | None]:
+    """The configuration as run, its parameters, and the decay its
+    weighted checks read: the ``--c-file`` sequence, else the schedule's
+    own.  A loaded schedule sets the configuration's ``kmax``, ``a_mode``
+    and ``rho``, and a preset refuses one of another mode than it pins."""
+    params = None
     if cfg.params_file is not None:
         params = load_params(cfg.params_file)
-        if cfg.scenario in _FORCED_MODE and params.weights.mode is not mode:
+        mode, target = params.weights.mode, params.mass_target
+        if cfg.scenario in _FORCED_MODE and _FLAG_BY_MODE[mode] != cfg.a_mode:
             raise ParamsError("this preset pins its weight mode",
                               scenario=cfg.scenario.value, pinned=cfg.a_mode,
-                              loaded=params.weights.mode.value)
-        return params, params.weights.decay if decay is None else decay
+                              loaded=mode.value)
+        geometric = target is not None and target.kind is TargetKind.GEOMETRIC
+        cfg = dataclasses.replace(cfg, kmax=params.kmax,
+                                  a_mode=_FLAG_BY_MODE[mode],
+                                  rho=target.rho if geometric else None)
+    decay = None if cfg.c_file is None else _load_decay(cfg.c_file,
+                                                          cfg.kmax)
+    if params is not None:
+        return cfg, params, params.weights.decay if decay is None else decay
+    mode = _MODE_BY_FLAG[cfg.a_mode]
     if mode is WeightMode.ADAPTED and decay is None:
         decay = _default_decay(cfg.kmax)
     # only an ADAPTED schedule reads its decay
-    return default_params(kmax=cfg.kmax, rho=cfg.rho, mode=mode,
-                          c=decay), decay
+    return cfg, default_params(kmax=cfg.kmax, rho=cfg.rho, mode=mode,
+                               c=decay), decay
 
 
 def _c_lookup(c: np.ndarray):
@@ -263,8 +278,8 @@ def _schedule_csv(params: SequenceParams, decay: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_sequence(cfg: ExperimentConfig, stamp: str | None):
-    params, decay = _build_params(cfg)
+def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
+                  decay: np.ndarray | None, stamp: str | None):
     moments = ExactMoments(params)
     grid = dyadic_grid(*cfg.grid)
     artifacts = {
@@ -357,7 +372,8 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.scenario is Scenario.SPECTRAL:
         artifacts, verdicts, code = _run_spectral(cfg, stamp)
     else:
-        artifacts, verdicts, code = _run_sequence(cfg, stamp)
+        cfg, params, decay = _build_params(cfg)
+        artifacts, verdicts, code = _run_sequence(cfg, params, decay, stamp)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,7 +403,7 @@ def validate_only(cfg: ExperimentConfig) -> int:
         toy = _build_toy(cfg)
         derived = {"dim": toy.dim, "tag": toy.tag.value}
     else:
-        params, _ = _build_params(cfg)
+        cfg, params, _ = _build_params(cfg)
         derived = {
             "kmax": params.kmax,
             "blocks": [{

@@ -1,13 +1,13 @@
-"""Parameter serialization: flat key=value text and JSON.
+"""Parameter serialization: one JSON format, read with exact types.
 
-Flat format, one ``key = value`` pair per line:
-
-* ``#`` starts a comment; blank lines are ignored.
-* integers are decimal and round-trip bit-exactly;
-* reals use Python's shortest round-tripping repr (<= 17 significant
-  digits), so save -> load -> save is byte-stable;
-* lists are comma-separated scalars; booleans are ``true``/``false``;
-* bare words are strings.
+``save_params`` and ``load_params`` write and read JSON whatever the
+file's suffix; text that is not JSON is refused with its line and
+column.  Reals are written as Python's shortest round-tripping repr, so
+save -> load -> save is byte-stable.  Each entry must hold its own JSON
+type and is never cast: an integer entry takes an integer (not
+``true``), a real a number (not NaN), a flag ``true`` or ``false``, and
+a list entry a list; anything else raises ``ParamsError`` naming the
+key.
 
 Only the defining data is stored (mode, kmax, c, targets, block ranges);
 derived quantities such as block masses and horizons are recomputed on
@@ -34,60 +34,6 @@ from .weights import WeightMode, build_weights
 SCHEMA_VERSION = 1
 
 
-def _scalar_to_text(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float, str)):
-        return repr(v) if isinstance(v, float) else str(v)
-    raise TypeError(f"unsupported scalar {type(v)!r}")
-
-
-def _scalar_from_text(s: str):
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
-
-
-def encode_flat(entries: dict) -> str:
-    lines = []
-    for key, v in entries.items():
-        if v is None:
-            continue
-        if isinstance(v, (list, tuple)):
-            body = ",".join(_scalar_to_text(x) for x in v)
-        else:
-            body = _scalar_to_text(v)
-        lines.append(f"{key} = {body}")
-    return "\n".join(lines) + "\n"
-
-
-def decode_flat(text: str) -> dict:
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParamsError("malformed config line", line=lineno, text=raw)
-        key, _, body = line.partition("=")
-        body = body.strip()
-        if "," in body:
-            out[key.strip()] = [_scalar_from_text(p.strip())
-                                for p in body.split(",")]
-        else:
-            out[key.strip()] = _scalar_from_text(body)
-    return out
-
-
 def params_to_dict(params: SequenceParams) -> dict:
     d = {
         "schema": SCHEMA_VERSION,
@@ -111,16 +57,32 @@ def params_to_dict(params: SequenceParams) -> dict:
     return d
 
 
-def _entry(d: dict, key: str, convert, *default):
-    """``convert(d[key])``, or ``default`` when given and the key is
-    absent; a missing or unreadable entry raises ``ParamsError``."""
+def _exact(*types):
+    # type(), not isinstance: JSON true is a Python int, and no integer
+    def read(v):
+        if type(v) not in types or v != v:        # NaN is no number
+            raise TypeError("entry of another JSON type")
+        return float(v) if float in types else v
+    return read
+
+
+def _list_of(read):
+    return lambda v: [read(x) for x in _exact(list)(v)]
+
+
+_integer, _real, _flag = _exact(int), _exact(int, float), _exact(bool)
+
+
+def _entry(d: dict, key: str, read, *default):
+    """``read(d[key])``, or ``default`` when given and the key is absent;
+    a missing entry, or one of another JSON type, raises ``ParamsError``."""
     if default and key not in d:
         return default[0]
     try:
-        return convert(d[key])
+        return read(d[key])
     except ParamsError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParamsError("params entry missing or malformed",
                           key=key) from exc
 
@@ -128,31 +90,27 @@ def _entry(d: dict, key: str, convert, *default):
 def params_from_dict(d: dict) -> SequenceParams:
     if not isinstance(d, dict):
         raise ParamsError("params must be a mapping of keys to values")
-    if d.get("schema") != SCHEMA_VERSION:
-        raise ParamsError("unknown config schema", schema=d.get("schema"))
-
-    def each(cast):
-        return lambda v: [cast(x) for x in (v if isinstance(v, list)
-                                            else [v])]
-
+    schema = d.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ParamsError("unknown config schema", schema=schema)
     mode = _entry(d, "weight_mode", WeightMode)
-    c = _entry(d, "c", each(float), None)
-    weights = build_weights(mode, _entry(d, "kmax", int), c=c)
+    c = _entry(d, "c", _list_of(_real), None)
+    weights = build_weights(mode, _entry(d, "kmax", _integer), c=c)
     target = None
     kind = _entry(d, "target_kind", TargetKind, None)
     if kind is not None:
-        tol = _entry(d, "target_tolerance", float, 1.0)
+        tol = _entry(d, "target_tolerance", _real, 1.0)
         if kind is TargetKind.GEOMETRIC:
-            target = MassTarget.geometric(_entry(d, "target_rho", float), tol)
+            target = MassTarget.geometric(_entry(d, "target_rho", _real), tol)
         elif kind is TargetKind.EXPLICIT:
             target = MassTarget.explicit_targets(
-                _entry(d, "target_explicit", each(float)), tol)
+                _entry(d, "target_explicit", _list_of(_real)), tol)
         else:
             target = MassTarget.double_exp(tol)
-    los = _entry(d, "block_k_lo", each(int))
-    his = _entry(d, "block_k_hi", each(int))
-    targets = _entry(d, "block_target", each(float))
-    completes = _entry(d, "block_complete", each(bool))
+    los = _entry(d, "block_k_lo", _list_of(_integer))
+    his = _entry(d, "block_k_hi", _list_of(_integer))
+    targets = _entry(d, "block_target", _list_of(_real))
+    completes = _entry(d, "block_complete", _list_of(_flag))
     if not len(los) == len(his) == len(targets) == len(completes):
         raise ParamsError("block arrays must share one length")
     blocks = []
@@ -161,14 +119,6 @@ def params_from_dict(d: dict) -> SequenceParams:
         blocks.append(BlockSpec(l, lo, hi, weights.mass(lo, hi),
                                 parity_of(l), targets[i], completes[i]))
     return SequenceParams(weights, tuple(blocks), mass_target=target)
-
-
-def params_to_text(params: SequenceParams) -> str:
-    return encode_flat(params_to_dict(params))
-
-
-def params_from_text(text: str) -> SequenceParams:
-    return params_from_dict(decode_flat(text))
 
 
 def params_to_json(params: SequenceParams) -> str:
@@ -185,10 +135,9 @@ def params_from_json(text: str) -> SequenceParams:
 
 
 def save_params(params: SequenceParams, path) -> None:
-    text = (params_to_json(params) if str(path).endswith(".json")
-            else params_to_text(params))
+    """Write ``params`` to ``path`` as JSON, whatever its suffix."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(params_to_json(params))
 
 
 def read_input(path) -> str:
@@ -202,10 +151,8 @@ def read_input(path) -> str:
 
 
 def load_params(path) -> SequenceParams:
-    text = read_input(path)
-    if str(path).endswith(".json"):
-        return params_from_json(text)
-    return params_from_text(text)
+    """Read a JSON parameter file, whatever its suffix."""
+    return params_from_json(read_input(path))
 
 
 def json_ready(obj):

@@ -492,7 +492,6 @@ class ConditionReport:
     grid: list
     values: list
     verdict: Verdict
-    rule: TrendRule
 
     @property
     def token(self) -> str:
@@ -737,8 +736,7 @@ class ExactMoments:
                 values.append(acc)
                 prev = n
         return ConditionReport(condition=condition, grid=grid,
-                               values=values, verdict=rule.apply(values),
-                               rule=rule)
+                               values=values, verdict=rule.apply(values))
 
     # -- tabulation --------------------------------------------------------
 

@@ -244,25 +244,36 @@ class WeightSchedule:
         return lo
 
 
+def check_decay(c, kmax: int) -> np.ndarray:
+    """The decay sequence c_1..c_kmax as a float array, checked to be
+    finite, positive and nonincreasing (rises below 1e-15 pass as
+    rounding); a constant sequence is valid."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (kmax,):
+        raise ParamsError("decay sequence must have length kmax",
+                          kmax=kmax)
+    # NaN fails every comparison, so it is caught as non-finite
+    bad = ~np.isfinite(c) | (c <= 0.0)
+    bad[1:] |= np.diff(c) > 1e-15
+    if bad.any():
+        raise ParamsError("decay sequence must be finite, positive and "
+                          "nonincreasing", k=int(np.argmax(bad)) + 1)
+    return c
+
+
 def adapted_schedule(c, kmax: int):
     """Slow weight schedule matched to a prescribed decay sequence.
 
-    ``c`` is a positive nonincreasing sequence over k = 1..kmax.  Segment
-    endpoints k_n are placed at the first index where c drops below 2^-n
-    and the segment is at least n long; the weight at each endpoint is
-    capped so that the endpoint-to-endpoint mass contribution is at most 1,
-    with a short linear ramp (n steps) joining consecutive levels.
+    ``c`` is a decay sequence over k = 1..kmax (see ``check_decay``).
+    Segment endpoints k_n are placed at the first index where c drops
+    below 2^-n and the segment is at least n long; the weight at each
+    endpoint is capped so that the endpoint-to-endpoint mass contribution
+    is at most 1, with a short linear ramp (n steps) joining consecutive
+    levels.
 
     Returns (values, anchors, truncated).
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (kmax,):
-        raise ParamsError("decay sequence must have length kmax")
-    if np.any(c <= 0.0):
-        raise ParamsError("decay sequence must be positive")
-    if np.any(np.diff(c) > 1e-15):
-        raise ParamsError("decay sequence must be nonincreasing")
-
+    c = check_decay(c, kmax)
     inv = np.concatenate([[0.0], np.cumsum(
         1.0 / np.arange(1, kmax + 1, dtype=np.longdouble))]).astype(float)
 
@@ -299,8 +310,7 @@ def build_weights(mode: WeightMode, kmax: int, c=None) -> WeightSchedule:
 
     CONST_ONE accepts any kmax >= 1 and stores no array.  INV_LOG uses
     a_1 = 1 and a_k = 1/log2(k) for k >= 2.  ADAPTED requires the decay
-    sequence ``c`` and checks, on the provided prefix, that it is positive,
-    nonincreasing and actually decays.
+    sequence ``c``, which must pass ``check_decay`` and actually decay.
     """
     mode = WeightMode(mode)
     if kmax < 1:
@@ -316,13 +326,11 @@ def build_weights(mode: WeightMode, kmax: int, c=None) -> WeightSchedule:
     if mode is WeightMode.ADAPTED:
         if c is None:
             raise ParamsError("ADAPTED schedules require a decay sequence")
+        values, anchors, truncated = adapted_schedule(c, kmax)
         c = np.asarray(c, dtype=float)
-        if c.shape != (kmax,):
-            raise ParamsError("decay sequence must have length kmax")
         if kmax >= 2 and not c[-1] < c[0]:
             raise ParamsError(
                 "decay sequence shows no decay over the provided prefix")
-        values, anchors, truncated = adapted_schedule(c, kmax)
         return WeightSchedule(mode=mode, kmax=kmax, values=values,
                               anchors=anchors, truncated=truncated,
                               decay=c)

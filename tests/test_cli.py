@@ -17,7 +17,8 @@ import cltlab.cli as cli
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
                         config_from_args, main)
 from cltlab.config import save_params
-from cltlab.blocks import SequenceParams, default_params, split_blocks
+from cltlab.blocks import (MassTarget, SequenceParams, default_params,
+                           split_blocks)
 from cltlab.errors import ParamsError
 from cltlab.weights import WeightMode, build_weights
 
@@ -219,7 +220,9 @@ def test_grid_beyond_the_desk_cap_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["truncated_toy", "toy_entry",
-                                  "weight_mode", "no_kmax"])
+                                  "weight_mode", "no_kmax", "string_flags",
+                                  "fractional_kmax", "boolean_kmax",
+                                  "flat_file"])
 def test_malformed_input_file_exits_2(case, tmp_path, capsys):
     path = tmp_path / "input.json"
     save_params(default_params(kmax=20), path)
@@ -236,10 +239,23 @@ def test_malformed_input_file_exits_2(case, tmp_path, capsys):
         params["weight_mode"] = "bogus"
         flag, text = "--params-file", json.dumps(params)
         want = {"key": "weight_mode"}
-    else:
+    elif case == "no_kmax":
         del params["kmax"]
         flag, text = "--params-file", json.dumps(params)
         want = {"key": "kmax"}
+    elif case == "string_flags":
+        # "false" is a string, and no string is a flag
+        params["block_complete"] = ["false", "false"]
+        flag, text = "--params-file", json.dumps(params)
+        want = {"key": "block_complete"}
+    elif case in ("fractional_kmax", "boolean_kmax"):
+        params["kmax"] = 20.9 if case == "fractional_kmax" else True
+        flag, text = "--params-file", json.dumps(params)
+        want = {"key": "kmax"}
+    else:
+        # flat key = value text is not JSON
+        flag, text = "--params-file", "schema = 1\nkmax = 20\n"
+        want = {"line": 1, "column": 1}
     path.write_text(text)
     scenario = "spectral" if flag == "--toy-file" else "custom"
     out = tmp_path / "out"
@@ -624,6 +640,103 @@ def test_loaded_schedule_keeps_its_own_decay(tmp_path, capsys):
         if not line.startswith("#")))
     c = {int(row["k"]): float(row["c"]) for row in rows}
     assert [c[k] for k in (1, 2, 4)] == [decay[0], decay[1], decay[3]]
+
+
+def _adapted_file(path):
+    """An adapted schedule with c_k = 2^(-k/4) saved to ``path``; its
+    kmax 1200 and rho 3 differ from the theorem2 preset's 1024 and 4."""
+    decay = np.exp2(-0.25 * np.arange(1, 1201))
+    save_params(default_params(kmax=1200, rho=3.0, mode=WeightMode.ADAPTED,
+                               c=decay), path)
+    return decay
+
+
+def test_loaded_schedule_sets_the_echoed_kmax(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    _adapted_file(path)
+    out = tmp_path / "run"
+    code, _ = run_main(["theorem2", "--params-file", str(path),
+                        "--samples", "0", "--grid", "dyadic:4:8",
+                        "--no-timestamp", "--out", str(out)], capsys)
+    assert code == 0
+    echo = json.loads((out / "config.json").read_text())["config"]
+    assert (echo["kmax"], echo["a_mode"], echo["rho"]) == \
+        (1200, "theorem2", 3.0)
+    for name in ("conditions.csv", "schedule.csv"):
+        header = (out / name).read_text().splitlines()[0]
+        assert header == "# config: " + json.dumps(echo, sort_keys=True)
+    # validate echoes the same values as the run
+    code, doc = run_main(["validate", "--scenario", "theorem2",
+                          "--params-file", str(path), "--samples", "0",
+                          "--grid", "dyadic:4:8", "--no-timestamp",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    assert doc["config"] == echo
+
+
+def test_loaded_schedule_sets_the_echoed_mode_and_rho(tmp_path, capsys):
+    # an inverse-log schedule with explicit targets has no rho
+    path = tmp_path / "params.json"
+    w = build_weights(WeightMode.INV_LOG, 64)
+    save_params(SequenceParams(w, split_blocks(w, [8, 64]),
+                               mass_target=MassTarget.explicit_targets(
+                                   [2.0, 3.0])), path)
+    out = tmp_path / "run"
+    argv = ["--params-file", str(path), "--samples", "0", "--grid",
+            "dyadic:4:8", "--no-timestamp", "--out", str(out)]
+    code, _ = run_main(["custom"] + argv, capsys)
+    assert code == 0
+    echo = json.loads((out / "config.json").read_text())["config"]
+    assert (echo["kmax"], echo["a_mode"], echo["rho"]) == \
+        (64, "invlog", None)
+    code, doc = run_main(["validate", "--scenario", "custom"] + argv,
+                         capsys)
+    assert code == 0
+    assert doc["config"] == echo
+
+
+def test_c_file_covers_the_loaded_kmax(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    decay = _adapted_file(path)
+    c_file = tmp_path / "c.txt"
+    out = tmp_path / "run"
+    argv = ["--params-file", str(path), "--c-file", str(c_file),
+            "--samples", "0", "--grid", "dyadic:4:8", "--no-timestamp",
+            "--out", str(out)]
+    # 1200 values cover the loaded schedule, not just the preset's 1024
+    c_file.write_text("\n".join(repr(float(x)) for x in decay))
+    code, _ = run_main(["theorem2"] + argv, capsys)
+    assert code == 0
+    c_file.write_text("\n".join(repr(float(x)) for x in decay[:1100]))
+    for head in (["validate", "--scenario", "theorem2"], ["theorem2"]):
+        code, doc = run_main(head + argv, capsys)
+        assert code == 2
+        assert doc["error"]["message"] == "decay file shorter than kmax"
+        assert doc["error"]["details"] == {"path": str(c_file),
+                                           "have": 1100, "need": 1200}
+
+
+@pytest.mark.parametrize("scenario,values,k", [
+    # NaN at k = 6 would turn weighted_partial_mass into nan from k = 7
+    ("theorem2", [2.0 ** -k if k != 6 else math.nan
+                  for k in range(1, 1025)], 6),
+    # _c_lookup extends a nonincreasing sequence by its last value
+    ("conditions", list(range(1, 25)), 2),
+])
+def test_bad_decay_file_exits_2(scenario, values, k, tmp_path, capsys):
+    c_file = tmp_path / "c.txt"
+    c_file.write_text(", ".join(repr(float(x)) for x in values))
+    out = tmp_path / "run"
+    for head in (["validate", "--scenario", scenario], [scenario]):
+        code, doc = run_main(head + ["--c-file", str(c_file), "--samples",
+                                     "0", "--out", str(out)], capsys)
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParamsError",
+            "message": "decay sequence must be finite, positive and "
+                       "nonincreasing",
+            "details": {"k": k}}
+    assert not out.exists()
 
 
 def test_spectral_toy_file(tmp_path, capsys):

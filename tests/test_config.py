@@ -4,9 +4,8 @@ import pytest
 
 from cltlab.blocks import MassTarget, SequenceParams, default_params, \
     split_blocks
-from cltlab.config import (decode_flat, encode_flat, load_params,
-                           params_from_json, params_from_text,
-                           params_to_json, params_to_text, save_params)
+from cltlab.config import (load_params, params_from_dict, params_from_json,
+                           params_to_dict, params_to_json, save_params)
 from cltlab.errors import ParamsError
 from cltlab.weights import WeightMode, build_weights
 
@@ -14,7 +13,16 @@ import numpy as np
 
 
 def roundtrip(params):
-    return params_from_text(params_to_text(params))
+    return params_from_json(params_to_json(params))
+
+
+def all_modes():
+    return [
+        default_params(kmax=20, rho=4.0),
+        default_params(kmax=64, rho=3.0, mode=WeightMode.INV_LOG),
+        default_params(kmax=40, rho=2.0, mode=WeightMode.ADAPTED,
+                       c=np.ldexp(1.0, -np.arange(1, 41))),
+    ]
 
 
 def assert_same(a, b):
@@ -29,31 +37,27 @@ def assert_same(a, b):
         assert np.array_equal(a.weights.values, b.weights.values)
 
 
-def test_flat_roundtrip_is_byte_stable():
-    params = default_params(kmax=20, rho=4.0)
-    text = params_to_text(params)
-    again = params_to_text(params_from_text(text))
-    assert text == again
-    assert_same(params, roundtrip(params))
+def test_json_roundtrip_is_byte_stable(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for params in all_modes():
+        save_params(params, first)
+        back = load_params(first)
+        save_params(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert_same(params, back)
 
 
 def test_roundtrip_all_modes():
-    cases = [
-        default_params(kmax=20, rho=4.0),
-        default_params(kmax=64, rho=3.0, mode=WeightMode.INV_LOG),
-        default_params(kmax=40, rho=2.0, mode=WeightMode.ADAPTED,
-                       c=np.ldexp(1.0, -np.arange(1, 41))),
-    ]
-    for params in cases:
+    for params in all_modes():
         assert_same(params, roundtrip(params))
-        assert_same(params, params_from_json(params_to_json(params)))
+        assert_same(params, params_from_dict(params_to_dict(params)))
 
 
 def test_astronomic_params_stay_small_on_disk():
     params = default_params(kmax=40_000_000, rho=4.0)
-    text = params_to_text(params)
+    text = params_to_json(params)
     assert len(text) < 1000
-    back = params_from_text(text)
+    back = params_from_json(text)
     assert_same(params, back)
     assert back.blocks[1].k_hi == 37_605_530
 
@@ -68,30 +72,43 @@ def test_explicit_target_roundtrip():
 
 
 def test_save_load_files(tmp_path):
+    # the suffix chooses no codec: p.txt holds JSON as well
     params = default_params(kmax=64, rho=3.0, mode=WeightMode.INV_LOG)
     for name in ("p.txt", "p.json"):
         path = tmp_path / name
         save_params(params, path)
+        json.loads(path.read_text())      # valid strict json
         assert_same(params, load_params(path))
-    body = (tmp_path / "p.json").read_text()
-    json.loads(body)                      # valid strict json
-
-
-def test_flat_scalar_coercion():
-    d = decode_flat("a = 3\nb = 2.5\nc = true\nd = false\n"
-                    "e = hello\nf = 1,2,3\n# comment\n\n")
-    assert d == {"a": 3, "b": 2.5, "c": True, "d": False,
-                 "e": "hello", "f": [1, 2, 3]}
-    assert encode_flat({"x": [1.5, 2]}) == "x = 1.5,2\n"
-
-
-def test_flat_malformed_line():
-    with pytest.raises(ParamsError):
-        decode_flat("just words without equals\n")
+    assert (tmp_path / "p.txt").read_bytes() == \
+        (tmp_path / "p.json").read_bytes()
 
 
 def test_unknown_schema_rejected():
-    params = default_params(kmax=12, rho=2.0)
-    text = params_to_text(params).replace("schema = 1", "schema = 99")
-    with pytest.raises(ParamsError):
-        params_from_text(text)
+    d = params_to_dict(default_params(kmax=12, rho=2.0))
+    # true == 1 in Python, but it is no JSON integer
+    for schema in (99, True, 1.0):
+        with pytest.raises(ParamsError, match="unknown config schema"):
+            params_from_json(json.dumps(dict(d, schema=schema)))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("kmax", 20.9), ("kmax", True), ("kmax", "20"),
+    ("block_complete", ["false", "false"]), ("block_complete", [1, 0]),
+    ("block_k_lo", 1), ("block_k_hi", [11.0, 20]), ("block_target", "4"),
+    ("target_rho", True), ("target_tolerance", float("nan")),
+])
+def test_entries_keep_their_json_types(key, value):
+    d = params_to_dict(default_params(kmax=20))
+    d[key] = value
+    with pytest.raises(ParamsError) as info:
+        params_from_json(json.dumps(d))
+    assert info.value.args[0] == "params entry missing or malformed"
+    assert info.value.details == {"key": key}
+
+
+def test_reals_take_json_integers():
+    d = params_to_dict(default_params(kmax=20, rho=4.0))
+    d.update(target_rho=4, target_tolerance=1, block_target=[4, 16])
+    assert_same(default_params(kmax=20, rho=4.0),
+                params_from_json(json.dumps(d)))
+

@@ -12,7 +12,7 @@ from cltlab.blocks import default_params
 from cltlab.errors import ParamsError
 from cltlab.weights import (MAX_ARRAY_KMAX, WeightMode, WeightSchedule,
                             _inv_log_em, adapted_schedule, build_weights,
-                            harmonic, weighted_prefix)
+                            check_decay, harmonic, weighted_prefix)
 
 
 def test_harmonic_matches_exact_fractions():
@@ -162,6 +162,21 @@ def test_adapted_schedule_truncation_flag():
     values, anchors, truncated = adapted_schedule(c, kmax)
     assert truncated
     assert np.all(values[anchors[-1]:] == values[anchors[-1] - 1])
+
+
+def test_adapted_schedule_refuses_a_nan_decay():
+    # NaN passes both c <= 0 and diff > 1e-15; every later mass would be NaN
+    kmax = 40
+    for k, value in ((6, np.nan), (1, np.inf)):
+        c = np.ldexp(1.0, -np.arange(1, kmax + 1))
+        c[k - 1] = value
+        with pytest.raises(ParamsError, match="finite") as info:
+            adapted_schedule(c, kmax)
+        assert info.value.details == {"k": k}
+        with pytest.raises(ParamsError, match="finite"):
+            build_weights(WeightMode.ADAPTED, kmax, c=c)
+    # a constant sequence is a valid decay sequence, just not an adapted one
+    assert np.array_equal(check_decay(np.ones(kmax), kmax), np.ones(kmax))
 
 
 def test_adapted_validation():
