@@ -36,7 +36,7 @@ def main():
     for cond in (Condition.TAIL_SERIES, Condition.NORM_SERIES,
                  Condition.LOG_RATE, Condition.GROWTH_BOUND):
         rep = em.check_condition(cond, grid)
-        print("  %-14s %s" % (rep.token, rep.verdict.value))
+        print("  %-14s %s" % (rep.condition.value, rep.verdict.value))
 
     # the slow schedule pushes the log-rate statistic toward zero, which
     # flat weights never do -- the heart of the rate separation

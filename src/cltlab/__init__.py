@@ -21,9 +21,8 @@ from .blocks import (BlockParity, BlockSpec, MassTarget, SequenceParams,
                      split_blocks)
 from .config import (load_params, params_from_json, params_to_json,
                      save_params)
-from .engine import (Condition, ConditionReport, ExactMoments, TrendKind,
-                     TrendRule, Verdict, dyadic_grid, format_csv,
-                     sigma_sq_over_n)
+from .engine import (Condition, ConditionReport, ExactMoments, Verdict,
+                     dyadic_grid, format_csv, judge, sigma_sq_over_n)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
 from .weights import (WeightMode, WeightSchedule, build_weights, harmonic,

@@ -227,17 +227,6 @@ def _build_params(cfg: ExperimentConfig) -> tuple[
                                c=decay), decay
 
 
-def _c_lookup(c: np.ndarray):
-    """Index the decay sequence by step count, extending by its last value.
-
-    The sequence is nonincreasing, so constant extension only overstates
-    the weighted series -- a conservative reading for plateau checks.
-    """
-    def fn(n):
-        return float(c[min(int(n), c.size) - 1])
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # Output plumbing
 
@@ -288,22 +277,18 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
     }
     checks = {}
     for cond in _SCENARIO_CONDITIONS[cfg.scenario]:
+        if cond is Condition.WEIGHTED_NORM_SERIES and decay is None:
+            checks[cond.value] = {"verdict": "SKIPPED",
+                                  "note": "no decay sequence supplied"}
+            continue
         try:
-            if cond is Condition.WEIGHTED_NORM_SERIES:
-                if decay is None:
-                    checks[cond.value] = {"verdict": "SKIPPED",
-                                          "note": "no decay sequence supplied"}
-                    continue
-                rep = moments.check_condition(cond, grid,
-                                              c=_c_lookup(decay))
-            else:
-                rep = moments.check_condition(cond, grid)
+            rep = moments.check_condition(cond, grid, c=decay)
         except WorkBudgetError as exc:
             checks[cond.value] = {"verdict": "BUDGET_EXCEEDED",
                                   "note": str(exc)}
             continue
-        checks[rep.token] = {"verdict": rep.verdict.value,
-                             "grid": rep.grid, "values": rep.values}
+        checks[rep.condition.value] = {"verdict": rep.verdict.value,
+                                       "grid": rep.grid, "values": rep.values}
     verdicts = {"conditions": checks}
     code = EXIT_OK
     if cfg.samples > 0:

@@ -7,7 +7,9 @@ save -> load -> save is byte-stable.  Each entry must hold its own JSON
 type and is never cast: an integer entry takes an integer (not
 ``true``), a real a number (not NaN), a flag ``true`` or ``false``, and
 a list entry a list; anything else raises ``ParamsError`` naming the
-key.
+key.  So does an entry the file does not read: an unknown key, a decay
+``c`` outside the ADAPTED mode, or a ``target_*`` entry that the file's
+``target_kind`` does not read (any of them without a ``target_kind``).
 
 Only the defining data is stored (mode, kmax, c, targets, block ranges);
 derived quantities such as block masses and horizons are recomputed on
@@ -74,12 +76,13 @@ _integer, _real, _flag = _exact(int), _exact(int, float), _exact(bool)
 
 
 def _entry(d: dict, key: str, read, *default):
-    """``read(d[key])``, or ``default`` when given and the key is absent;
-    a missing entry, or one of another JSON type, raises ``ParamsError``."""
+    """``read`` of the entry popped from ``d``, or ``default`` when given
+    and the key is absent; a missing entry, or one of another JSON type,
+    raises ``ParamsError``."""
     if default and key not in d:
         return default[0]
     try:
-        return read(d[key])
+        return read(d.pop(key))
     except ParamsError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -90,11 +93,14 @@ def _entry(d: dict, key: str, read, *default):
 def params_from_dict(d: dict) -> SequenceParams:
     if not isinstance(d, dict):
         raise ParamsError("params must be a mapping of keys to values")
-    schema = d.get("schema")
+    d = dict(d)         # each entry is popped as it is read
+    schema = d.pop("schema", None)
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ParamsError("unknown config schema", schema=schema)
     mode = _entry(d, "weight_mode", WeightMode)
-    c = _entry(d, "c", _list_of(_real), None)
+    # only an ADAPTED schedule reads its decay
+    c = (_entry(d, "c", _list_of(_real), None)
+         if mode is WeightMode.ADAPTED else None)
     weights = build_weights(mode, _entry(d, "kmax", _integer), c=c)
     target = None
     kind = _entry(d, "target_kind", TargetKind, None)
@@ -113,6 +119,9 @@ def params_from_dict(d: dict) -> SequenceParams:
     completes = _entry(d, "block_complete", _list_of(_flag))
     if not len(los) == len(his) == len(targets) == len(completes):
         raise ParamsError("block arrays must share one length")
+    if d:
+        raise ParamsError("params entry unknown or not read by this "
+                          "schedule", key=next(iter(d)))
     blocks = []
     for i, (lo, hi) in enumerate(zip(los, his)):
         l = i + 1

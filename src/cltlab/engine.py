@@ -430,60 +430,40 @@ class Condition(Enum):
     GROWTH_BOUND = "BOUND_9"
 
 
-class TrendKind(Enum):
-    DECREASING = "decreasing"
-    INCREASING = "increasing"
-    PLATEAU = "plateau"
-    BOUNDED = "bounded"
-
-
 class Verdict(Enum):
     TREND_CONFIRMED = "TREND_CONFIRMED"
     TREND_VIOLATED = "TREND_VIOLATED"
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class TrendRule:
-    """Expected qualitative behavior of a statistic along a grid."""
-
-    kind: TrendKind
-    rel_slack: float = 0.0       # tolerated counter-movement, relative
-    plateau_eps: float = 1e-3    # allowed late increase for PLATEAU
-    bound_cap: float | None = None
-
-    def apply(self, values) -> Verdict:
-        v = np.asarray(values, dtype=float)
-        if v.size < 3 or not np.all(np.isfinite(v)):
-            return Verdict.INCONCLUSIVE
-        scale = float(np.max(np.abs(v))) or 1.0
-        slack = self.rel_slack * scale
-        d = np.diff(v)
-        if self.kind is TrendKind.DECREASING:
-            return (Verdict.TREND_CONFIRMED if np.all(d <= slack)
-                    and v[-1] < v[0] else Verdict.TREND_VIOLATED)
-        if self.kind is TrendKind.INCREASING:
-            return (Verdict.TREND_CONFIRMED if np.all(d >= -slack)
-                    and v[-1] > v[0] else Verdict.TREND_VIOLATED)
-        if self.kind is TrendKind.PLATEAU:
-            half = v[v.size // 2:]
-            rise = float(half[-1] - half[0])
-            return (Verdict.TREND_CONFIRMED if rise <= self.plateau_eps
-                    else Verdict.TREND_VIOLATED)
-        cap = self.bound_cap if self.bound_cap is not None else math.inf
-        return (Verdict.TREND_CONFIRMED if float(np.max(v)) <= cap
-                else Verdict.TREND_VIOLATED)
+#: how far WEIGHTED_4's partial sums may still rise over the grid's second
+#: half and read as a plateau
+PLATEAU_EPS = 1e-3
 
 
-DEFAULT_RULES = {
-    Condition.TAIL_SERIES: TrendRule(TrendKind.DECREASING),
-    Condition.NORM_SERIES: TrendRule(TrendKind.INCREASING),
-    Condition.WEIGHTED_NORM_SERIES: TrendRule(TrendKind.PLATEAU),
-    Condition.LOG_RATE: TrendRule(TrendKind.DECREASING),
-    # no bound_cap, so the cap is inf: BOUND_9 reads TREND_CONFIRMED on
-    # every finite trajectory and INCONCLUSIVE otherwise, and never fails
-    Condition.GROWTH_BOUND: TrendRule(TrendKind.BOUNDED),
-}
+def judge(condition: Condition, values) -> Verdict:
+    """The verdict of a condition's fixed trend on its values along a grid.
+
+    SERIES_2PRIME and RATE_5 decrease (no step up, last below first),
+    MW_3PRIME increases (no step down, last above first), WEIGHTED_4 rises
+    by at most ``PLATEAU_EPS`` over the grid's second half, and BOUND_9
+    holds on every finite trajectory.  Fewer than three values, or a
+    non-finite one, are INCONCLUSIVE.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size < 3 or not np.all(np.isfinite(v)):
+        return Verdict.INCONCLUSIVE
+    d = np.diff(v)
+    if condition in (Condition.TAIL_SERIES, Condition.LOG_RATE):
+        held = np.all(d <= 0.0) and v[-1] < v[0]
+    elif condition is Condition.NORM_SERIES:
+        held = np.all(d >= 0.0) and v[-1] > v[0]
+    elif condition is Condition.WEIGHTED_NORM_SERIES:
+        half = v[v.size // 2:]
+        held = float(half[-1] - half[0]) <= PLATEAU_EPS
+    else:
+        held = True
+    return Verdict.TREND_CONFIRMED if held else Verdict.TREND_VIOLATED
 
 
 @dataclass
@@ -492,10 +472,6 @@ class ConditionReport:
     grid: list
     values: list
     verdict: Verdict
-
-    @property
-    def token(self) -> str:
-        return self.condition.value
 
 
 # ---------------------------------------------------------------------------
@@ -693,21 +669,23 @@ class ExactMoments:
 
     # -- condition sweeps --------------------------------------------------
 
-    def check_condition(self, condition: Condition, grid, c=None,
-                        rule: TrendRule | None = None) -> ConditionReport:
+    def check_condition(self, condition: Condition, grid,
+                        c=None) -> ConditionReport:
         """Evaluate one statistic along an increasing grid of horizons.
 
         Per-horizon statistics are the ones ``table_rows`` tabulates.
         Partial-sum statistics accumulate over the grid itself, each
         point weighted by the gap to its predecessor; on a grid of
         consecutive integers this is the exact series partial sum, on
-        coarser grids a lower Riemann rendering of it.
+        coarser grids a lower Riemann rendering of it.  WEIGHTED_4 weights
+        the point n by c_n of its decay c = (c_1, c_2, ...), read as its
+        last value past its end: c is nonincreasing, so that only
+        overstates the series, a conservative reading for the plateau.
         """
         condition = Condition(condition)
         grid = [int(n) for n in grid]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        rule = rule or DEFAULT_RULES[condition]
         if condition is Condition.TAIL_SERIES:
             self._tails([(n, 2 * n) for n in grid])
             values = [self.series_tail_norm(n, 2 * n) for n in grid]
@@ -718,25 +696,24 @@ class ExactMoments:
         else:
             # MW_3PRIME is WEIGHTED_4 with c = 1: gap * 1.0 == float(gap)
             if condition is Condition.NORM_SERIES:
-                c = [1.0] * len(grid)
+                c = [1.0]
             elif c is None:
-                raise ValueError("weighted series needs its c sequence")
-            elif callable(c):
-                c = [float(c(n)) for n in grid]
-            else:
-                c = [float(x) for x in c]
-            if len(c) != len(grid):
-                raise ValueError("need one c value per grid point")
+                raise ValueError("weighted series needs its decay sequence")
+            c = np.asarray(c, dtype=float)
+            if c.ndim != 1 or c.size == 0:
+                raise ValueError("decay sequence must be a nonempty vector")
             values = []
             acc = 0.0
             prev = 0
-            for weight, n in zip(c, grid):
+            for n in grid:
+                weight = float(c[min(n, c.size) - 1])
                 cn = math.sqrt(self.cond_norm_sq(n))
                 acc += (n - prev) * weight * cn / n ** 1.5
                 values.append(acc)
                 prev = n
         return ConditionReport(condition=condition, grid=grid,
-                               values=values, verdict=rule.apply(values))
+                               values=values,
+                               verdict=judge(condition, values))
 
     # -- tabulation --------------------------------------------------------
 

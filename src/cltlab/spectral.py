@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config import _real
 from .errors import ParamsError, WorkBudgetError
 
 SPECTRAL_WORK_BUDGET = 1 << 27   # eigenvalue-times-step ceiling
@@ -120,9 +121,10 @@ def toy_from_json(text: str) -> SpectralToy:
 
     Accepts either {"kernel_row": [...], "observable": [...]} or
     {"eigenvalues": [...], "observable": [...]}; complex entries are
-    written as [re, im] pairs, real entries as numbers.  An optional
-    "dim" field is checked against the vector lengths.  A spec that is
-    not JSON, or an entry that is not a number, raises ``ParamsError``.
+    written as numbers or [re, im] pairs, real entries as numbers.  An
+    optional integer "dim" is checked against the vector lengths.  A spec
+    that is not JSON, a vector that is not a list, or an entry of another
+    JSON type (a string or a bool among them) raises ``ParamsError``.
     """
     try:
         spec = json.loads(text)
@@ -138,22 +140,29 @@ def toy_from_json(text: str) -> SpectralToy:
         toy = explicit_toy(_parse_list(spec, "eigenvalues", complex), obs)
     else:
         raise ParamsError("toy spec needs kernel_row or eigenvalues")
-    if "dim" in spec and _parse_list(spec, "dim", int).tolist() != [toy.dim]:
+    dim = spec.get("dim", toy.dim)
+    if type(dim) is not int:     # not isinstance: JSON true is a Python int
+        raise ParamsError("toy spec entry is not an integer", key="dim")
+    if dim != toy.dim:
         raise ParamsError("declared dimension does not match the vectors",
-                          declared=spec["dim"], found=toy.dim)
+                          declared=dim, found=toy.dim)
     return toy
 
 
 def _parse_list(spec: dict, key: str, kind) -> np.ndarray:
-    """spec[key] as a vector of ``kind`` (a complex entry may be an
-    [re, im] pair); a bad entry raises ``ParamsError`` naming it."""
-    values = spec[key] if isinstance(spec[key], list) else [spec[key]]
+    """spec[key], a JSON list of numbers, as a vector of ``kind``; a
+    complex entry may also be an [re, im] pair of numbers.  Each number is
+    read as a parameter file's reals are, never cast: a string, a bool,
+    NaN or any other entry raises ``ParamsError`` naming it."""
+    values = spec[key]
+    if type(values) is not list:
+        raise ParamsError("toy spec entry is not a list", key=key)
     out = np.empty(len(values), dtype=kind)
     for i, v in enumerate(values):
-        pair = kind is complex and isinstance(v, list) and len(v) == 2
+        pair = kind is complex and type(v) is list and len(v) == 2
         try:
-            out[i] = complex(*v) if pair else kind(v)
-        except (TypeError, ValueError) as exc:
+            out[i] = complex(*map(_real, v)) if pair else _real(v)
+        except (TypeError, OverflowError) as exc:
             raise ParamsError("toy spec entry is not a number", key=key,
                               index=i) from exc
     return out

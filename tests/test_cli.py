@@ -222,7 +222,10 @@ def test_grid_beyond_the_desk_cap_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["truncated_toy", "toy_entry",
                                   "weight_mode", "no_kmax", "string_flags",
                                   "fractional_kmax", "boolean_kmax",
-                                  "flat_file"])
+                                  "flat_file", "unknown_key",
+                                  "decay_outside_adapted",
+                                  "unread_target_entry", "toy_string_number",
+                                  "toy_fractional_dim", "toy_boolean_entry"])
 def test_malformed_input_file_exits_2(case, tmp_path, capsys):
     path = tmp_path / "input.json"
     save_params(default_params(kmax=20), path)
@@ -252,6 +255,28 @@ def test_malformed_input_file_exits_2(case, tmp_path, capsys):
         params["kmax"] = 20.9 if case == "fractional_kmax" else True
         flag, text = "--params-file", json.dumps(params)
         want = {"key": "kmax"}
+    elif case in ("unknown_key", "decay_outside_adapted",
+                  "unread_target_entry"):
+        # a const_one schedule with a geometric target reads none of these
+        key, value = {
+            "unknown_key": ("bogus_key", 1),
+            "decay_outside_adapted": ("c", [2.0 ** -k for k in range(1, 21)]),
+            "unread_target_entry": ("target_explicit", [4.0, 16.0])}[case]
+        params[key] = value
+        flag, text = "--params-file", json.dumps(params)
+        want = {"key": key}
+    elif case == "toy_string_number":
+        toy["kernel_row"][0] = "0.5"
+        flag, text = "--toy-file", json.dumps(toy)
+        want = {"key": "kernel_row", "index": 0}
+    elif case == "toy_fractional_dim":
+        toy["dim"] = 3.9
+        flag, text = "--toy-file", json.dumps(toy)
+        want = {"key": "dim"}
+    elif case == "toy_boolean_entry":
+        toy["observable"][1] = True
+        flag, text = "--toy-file", json.dumps(toy)
+        want = {"key": "observable", "index": 1}
     else:
         # flat key = value text is not JSON
         flag, text = "--params-file", "schema = 1\nkmax = 20\n"
@@ -720,7 +745,7 @@ def test_c_file_covers_the_loaded_kmax(tmp_path, capsys):
     # NaN at k = 6 would turn weighted_partial_mass into nan from k = 7
     ("theorem2", [2.0 ** -k if k != 6 else math.nan
                   for k in range(1, 1025)], 6),
-    # _c_lookup extends a nonincreasing sequence by its last value
+    # a weighted check extends a nonincreasing sequence by its last value
     ("conditions", list(range(1, 25)), 2),
 ])
 def test_bad_decay_file_exits_2(scenario, values, k, tmp_path, capsys):

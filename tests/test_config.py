@@ -112,3 +112,18 @@ def test_reals_take_json_integers():
     assert_same(default_params(kmax=20, rho=4.0),
                 params_from_json(json.dumps(d)))
 
+
+@pytest.mark.parametrize("drop,key", [
+    (("target_kind",), "target_tolerance"),
+    (("target_kind", "target_tolerance"), "target_rho"),
+])
+def test_target_entries_need_their_kind(drop, key):
+    # without a target_kind no target entry is read, so each is refused
+    d = params_to_dict(default_params(kmax=20))
+    for k in drop:
+        del d[k]
+    with pytest.raises(ParamsError) as info:
+        params_from_json(json.dumps(d))
+    assert info.value.args[0] == ("params entry unknown or not read by "
+                                  "this schedule")
+    assert info.value.details == {"key": key}

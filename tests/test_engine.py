@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.engine import (DESK_N_CAP, WORK_BUDGET, BlockProfile, Condition,
-                           ExactMoments, SeriesTail, TrendKind, TrendRule,
-                           Verdict, dyadic_grid, format_csv, sigma_sq_over_n)
+                           ExactMoments, SeriesTail, Verdict, dyadic_grid,
+                           format_csv, judge, sigma_sq_over_n)
 from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab import lattice
 from cltlab.lattice import hurwitz_zeta, zeta_diff
@@ -374,15 +374,14 @@ def test_log_rate_halving_separates_weight_modes():
     rep = slow.check_condition(Condition.LOG_RATE, grid)
     assert rep.verdict is Verdict.TREND_CONFIRMED
     assert rep.values[-1] < 0.5 * rep.values[0]
-    assert rep.token == "RATE_5"
+    assert rep.condition.value == "RATE_5"
 
 
 def test_growth_bound_holds_on_desk():
     em = ExactMoments(desk_params(kmax=16))
-    rep = em.check_condition(Condition.GROWTH_BOUND, dyadic_grid(4, 14),
-                             rule=TrendRule(TrendKind.BOUNDED, bound_cap=50.0))
+    rep = em.check_condition(Condition.GROWTH_BOUND, dyadic_grid(4, 14))
     assert rep.verdict is Verdict.TREND_CONFIRMED
-    assert max(rep.values) > 0.0
+    assert 0.0 < max(rep.values) <= 50.0
 
 
 def test_growth_bound_is_zero_at_horizon_one():
@@ -397,13 +396,26 @@ def test_weighted_series_plateaus_with_fast_decay():
     em = ExactMoments(desk_params(kmax=16))
     grid = dyadic_grid(2, 13)
     rep = em.check_condition(Condition.WEIGHTED_NORM_SERIES, grid,
-                             c=lambda n: 1.0 / n)
+                             c=1.0 / np.arange(1, 2**13 + 1))
     assert rep.verdict is Verdict.TREND_CONFIRMED
     assert rep.values == sorted(rep.values)
     with pytest.raises(ValueError):
         em.check_condition(Condition.WEIGHTED_NORM_SERIES, grid)
-    with pytest.raises(ValueError):
-        em.check_condition(Condition.WEIGHTED_NORM_SERIES, grid, c=[1.0])
+
+
+def test_weighted_series_extends_decay_by_its_last_value():
+    # c_n past the sequence's end reads as c_8
+    em = ExactMoments(desk_params(kmax=16))
+    grid = dyadic_grid(2, 13)
+    c = 1.0 / np.arange(1, 9)
+    rep = em.check_condition(Condition.WEIGHTED_NORM_SERIES, grid, c=c)
+    want, acc, prev = [], 0.0, 0
+    for n in grid:
+        weight = float(c[min(n, 8) - 1])
+        acc += (n - prev) * weight * math.sqrt(em.cond_norm_sq(n)) / n ** 1.5
+        want.append(acc)
+        prev = n
+    assert rep.values == want
 
 
 def test_norm_series_partial_sums_increase():
@@ -422,22 +434,23 @@ def test_check_condition_rejects_bad_grid():
 # -- trend rule unit behavior ----------------------------------------------
 
 def test_trend_rule_basics():
-    dec = TrendRule(TrendKind.DECREASING)
-    assert dec.apply([3.0, 2.0, 1.0]) is Verdict.TREND_CONFIRMED
-    assert dec.apply([1.0, 2.0, 3.0]) is Verdict.TREND_VIOLATED
-    assert dec.apply([1.0, 2.0]) is Verdict.INCONCLUSIVE
-    assert dec.apply([1.0, math.nan, 0.5]) is Verdict.INCONCLUSIVE
-    assert dec.apply([1.0, math.inf, 0.5]) is Verdict.INCONCLUSIVE
-    inc = TrendRule(TrendKind.INCREASING)
-    assert inc.apply([1.0, 2.0, 3.0]) is Verdict.TREND_CONFIRMED
-    plat = TrendRule(TrendKind.PLATEAU, plateau_eps=1e-3)
-    assert plat.apply([0.0, 0.9, 1.0, 1.0, 1.0]) is Verdict.TREND_CONFIRMED
-    assert plat.apply([0.0, 0.9, 1.0, 1.1, 1.2]) is Verdict.TREND_VIOLATED
-    bnd = TrendRule(TrendKind.BOUNDED, bound_cap=2.0)
-    assert bnd.apply([0.5, 1.9, 1.0]) is Verdict.TREND_CONFIRMED
-    assert bnd.apply([0.5, 2.1, 1.0]) is Verdict.TREND_VIOLATED
-    slack = TrendRule(TrendKind.DECREASING, rel_slack=0.05)
-    assert slack.apply([10.0, 10.2, 6.0]) is Verdict.TREND_CONFIRMED
+    dec = Condition.TAIL_SERIES
+    assert judge(dec, [3.0, 2.0, 1.0]) is Verdict.TREND_CONFIRMED
+    assert judge(dec, [1.0, 2.0, 3.0]) is Verdict.TREND_VIOLATED
+    assert judge(dec, [1.0, 2.0]) is Verdict.INCONCLUSIVE
+    assert judge(dec, [1.0, math.nan, 0.5]) is Verdict.INCONCLUSIVE
+    assert judge(dec, [1.0, math.inf, 0.5]) is Verdict.INCONCLUSIVE
+    inc = Condition.NORM_SERIES
+    assert judge(inc, [1.0, 2.0, 3.0]) is Verdict.TREND_CONFIRMED
+    plat = Condition.WEIGHTED_NORM_SERIES
+    assert judge(plat, [0.0, 0.9, 1.0, 1.0, 1.0]) is Verdict.TREND_CONFIRMED
+    assert judge(plat, [0.0, 0.9, 1.0, 1.1, 1.2]) is Verdict.TREND_VIOLATED
+    # BOUND_9 confirms any finite trajectory
+    bnd = Condition.GROWTH_BOUND
+    assert judge(bnd, [0.5, 1.9, 1.0]) is Verdict.TREND_CONFIRMED
+    assert judge(bnd, [0.5, 2.1e300, 1.0]) is Verdict.TREND_CONFIRMED
+    # any rise in a decreasing condition violates it
+    assert judge(dec, [10.0, 10.2, 6.0]) is Verdict.TREND_VIOLATED
 
 
 # -- misc ------------------------------------------------------------------

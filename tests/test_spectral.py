@@ -122,6 +122,20 @@ def test_toy_from_json_routes():
             {"kernel_row": [0.6, 0.4], "observable": [0.0, 1.0], "dim": 3}))
 
 
+@pytest.mark.parametrize("key,value,details", [
+    ("kernel_row", [True, 0.0], {"key": "kernel_row", "index": 0}),
+    ("kernel_row", 1.0, {"key": "kernel_row"}),        # no scalar wrapping
+    ("observable", [0.0, [True, False]], {"key": "observable", "index": 1}),
+    ("dim", 2.0, {"key": "dim"}),
+    ("dim", True, {"key": "dim"}),
+])
+def test_toy_spec_entries_are_not_cast(key, value, details):
+    spec = {"kernel_row": [0.6, 0.4], "observable": [0.0, 1.0], key: value}
+    with pytest.raises(ParamsError) as info:
+        toy_from_json(json.dumps(spec))
+    assert info.value.details == details
+
+
 # -- square-root application -----------------------------------------------
 
 def test_sqrt_apply_nilpotent_is_exact():
