@@ -41,10 +41,9 @@ _LAZY = {
         ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
          "sample_batch"), "simulate"),
     **dict.fromkeys(
-        ("spectral", "SpectralTag", "SpectralToy", "binom_coeffs",
-         "circulant_toy", "evaluate_conditions", "explicit_toy",
-         "random_circulant_toy", "rn_identity_check", "rn_telescoping_check",
-         "sqrt_apply", "toy_from_json"), "spectral"),
+        ("spectral", "SpectralToy", "binom_coeffs", "circulant_toy",
+         "evaluate_conditions", "random_circulant_toy", "rn_identity_check",
+         "rn_telescoping_check", "sqrt_apply", "toy_from_json"), "spectral"),
 }
 
 

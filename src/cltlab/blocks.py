@@ -78,14 +78,13 @@ class BlockSpec:
 
     The block horizon is n_{k_hi} = 2^horizon_log2.  Callers carry the
     exponent alone: theorem1's second horizon, 2^37605530, would be a
-    4.7 MB integer.
+    4.7 MB integer.  The parity follows the position ``index``.
     """
 
     index: int
     k_lo: int
     k_hi: int
     mass: float
-    parity: BlockParity
     target: float
     complete: bool
 
@@ -93,6 +92,10 @@ class BlockSpec:
         if self.k_lo < 1 or self.k_hi < self.k_lo:
             raise ParamsError("block index range is empty or inverted",
                               k_lo=self.k_lo, k_hi=self.k_hi)
+
+    @property
+    def parity(self) -> BlockParity:
+        return parity_of(self.index)
 
     @property
     def horizon_log2(self) -> int:
@@ -120,12 +123,11 @@ def build_blocks(weights: WeightSchedule, mass_target: MassTarget):
                 raise ParamsError(
                     "index budget too small for even one block",
                     achieved_mass=mass, target=target)
-            blocks.append(BlockSpec(l, k, weights.kmax, mass,
-                                    parity_of(l), target, complete=False))
+            blocks.append(BlockSpec(l, k, weights.kmax, mass, target,
+                                    complete=False))
             break
         mass = weights.mass(k, k_hi)
-        blocks.append(BlockSpec(l, k, k_hi, mass,
-                                parity_of(l), target, complete=True))
+        blocks.append(BlockSpec(l, k, k_hi, mass, target, complete=True))
         k = k_hi + 1
         l += 1
     return tuple(blocks)
@@ -148,8 +150,7 @@ def split_blocks(weights: WeightSchedule, boundaries):
     k = 1
     for l, k_hi in enumerate(bounds, start=1):
         mass = weights.mass(k, k_hi)
-        blocks.append(BlockSpec(l, k, k_hi, mass,
-                                parity_of(l), mass, complete=True))
+        blocks.append(BlockSpec(l, k, k_hi, mass, mass, complete=True))
         k = k_hi + 1
     return tuple(blocks)
 
@@ -174,9 +175,6 @@ class SequenceParams:
             if b.k_lo != k:
                 raise ParamsError("blocks must partition the index range",
                                   block=l, k_lo=b.k_lo, expected=k)
-            if b.parity is not parity_of(l):
-                raise ParamsError("block parity must follow its position",
-                                  block=l)
             k = b.k_hi + 1
         if k != self.weights.kmax + 1:
             raise ParamsError("blocks must cover 1..kmax exactly",

@@ -114,16 +114,16 @@ class ExperimentConfig:
 
     scenario: Scenario
     kmax: int
-    a_mode: str = "const"
-    c_file: str | None = None
-    rho: float | None = 4.0
-    samples: int = 100_000
-    seed: int = 0
-    grid: tuple[int, int] = (4, 16)
-    out: str = "cltlab-out"
-    no_timestamp: bool = False
-    params_file: str | None = None
-    toy_file: str | None = None
+    a_mode: str
+    c_file: str | None
+    rho: float | None
+    samples: int
+    seed: int
+    grid: tuple[int, int]
+    out: str
+    no_timestamp: bool
+    params_file: str | None
+    toy_file: str | None
 
     def to_dict(self) -> dict:
         d = {
@@ -386,7 +386,8 @@ def validate_only(cfg: ExperimentConfig) -> int:
     cfg.validate()
     if cfg.scenario is Scenario.SPECTRAL:
         toy = _build_toy(cfg)
-        derived = {"dim": toy.dim, "tag": toy.tag.value}
+        kind = "explicit" if toy.kernel_row is None else "circulant"
+        derived = {"dim": toy.dim, "tag": kind}
     else:
         cfg, params, _ = _build_params(cfg)
         derived = {

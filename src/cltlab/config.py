@@ -28,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import (BlockSpec, MassTarget, SequenceParams, TargetKind,
-                     parity_of)
+from .blocks import BlockSpec, MassTarget, SequenceParams, TargetKind
 from .errors import ParamsError
 from .weights import WeightMode, build_weights
 
@@ -122,11 +121,8 @@ def params_from_dict(d: dict) -> SequenceParams:
     if d:
         raise ParamsError("params entry unknown or not read by this "
                           "schedule", key=next(iter(d)))
-    blocks = []
-    for i, (lo, hi) in enumerate(zip(los, his)):
-        l = i + 1
-        blocks.append(BlockSpec(l, lo, hi, weights.mass(lo, hi),
-                                parity_of(l), targets[i], completes[i]))
+    blocks = map(BlockSpec, range(1, len(los) + 1), los, his,
+                 map(weights.mass, los, his), targets, completes)
     return SequenceParams(weights, tuple(blocks), mass_target=target)
 
 

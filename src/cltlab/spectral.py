@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,22 +30,19 @@ _EIG_ONE_TOL = 1e-14             # |lambda - 1| below this counts as 1
 _CHUNK_ROWS = 1 << 14            # power-accumulation chunk length
 
 
-class SpectralTag(Enum):
-    EXPLICIT = "explicit"
-    CIRCULANT = "circulant"
-
-
 @dataclass(eq=False)
 class SpectralToy:
     """Normal operator surrogate: eigenvalues plus observable coefficients.
 
     The mean-zero constraint appears as: wherever an eigenvalue equals 1
-    the observable coefficient must vanish.
+    the observable coefficient must vanish.  An explicit toy is
+    ``SpectralToy(eigenvalues, observable)``; a circulant toy also keeps
+    the ``kernel_row`` its eigenvalues came from, and only it has a
+    matrix.
     """
 
     eigenvalues: np.ndarray
     observable: np.ndarray
-    tag: SpectralTag = SpectralTag.EXPLICIT
     kernel_row: np.ndarray | None = None
 
     def __post_init__(self):
@@ -71,17 +67,12 @@ class SpectralToy:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix realization (circulant toys only)."""
-        if self.tag is not SpectralTag.CIRCULANT or self.kernel_row is None:
+        if self.kernel_row is None:
             raise ParamsError("only circulant toys have a canonical matrix")
         row = self.kernel_row
         n = row.size
         idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
         return row[idx]
-
-
-def explicit_toy(eigenvalues, observable) -> SpectralToy:
-    return SpectralToy(np.asarray(eigenvalues, dtype=complex),
-                       np.asarray(observable, dtype=complex))
 
 
 def circulant_toy(kernel_row, observable) -> SpectralToy:
@@ -93,8 +84,7 @@ def circulant_toy(kernel_row, observable) -> SpectralToy:
         raise ParamsError("kernel row must be a probability vector",
                           total=float(row.sum()))
     lam = np.fft.fft(row)
-    return SpectralToy(lam, np.asarray(observable, dtype=complex),
-                       tag=SpectralTag.CIRCULANT, kernel_row=row)
+    return SpectralToy(lam, observable, kernel_row=row)
 
 
 def random_circulant_toy(dim: int, seed: int,
@@ -123,8 +113,10 @@ def toy_from_json(text: str) -> SpectralToy:
     {"eigenvalues": [...], "observable": [...]}; complex entries are
     written as numbers or [re, im] pairs, real entries as numbers.  An
     optional integer "dim" is checked against the vector lengths.  A spec
-    that is not JSON, a vector that is not a list, or an entry of another
-    JSON type (a string or a bool among them) raises ``ParamsError``.
+    that is not JSON, a vector that is not a list, an entry of another
+    JSON type (a string or a bool among them), or an entry the spec does
+    not read (an unknown key, or "eigenvalues" beside "kernel_row") raises
+    ``ParamsError`` naming it.
     """
     try:
         spec = json.loads(text)
@@ -137,24 +129,27 @@ def toy_from_json(text: str) -> SpectralToy:
     if "kernel_row" in spec:
         toy = circulant_toy(_parse_list(spec, "kernel_row", float), obs)
     elif "eigenvalues" in spec:
-        toy = explicit_toy(_parse_list(spec, "eigenvalues", complex), obs)
+        toy = SpectralToy(_parse_list(spec, "eigenvalues", complex), obs)
     else:
         raise ParamsError("toy spec needs kernel_row or eigenvalues")
-    dim = spec.get("dim", toy.dim)
+    dim = spec.pop("dim", toy.dim)
     if type(dim) is not int:     # not isinstance: JSON true is a Python int
         raise ParamsError("toy spec entry is not an integer", key="dim")
     if dim != toy.dim:
         raise ParamsError("declared dimension does not match the vectors",
                           declared=dim, found=toy.dim)
+    if spec:
+        raise ParamsError("toy spec entry unknown or not read",
+                          key=next(iter(spec)))
     return toy
 
 
 def _parse_list(spec: dict, key: str, kind) -> np.ndarray:
-    """spec[key], a JSON list of numbers, as a vector of ``kind``; a
+    """spec.pop(key), a JSON list of numbers, as a vector of ``kind``; a
     complex entry may also be an [re, im] pair of numbers.  Each number is
     read as a parameter file's reals are, never cast: a string, a bool,
     NaN or any other entry raises ``ParamsError`` naming it."""
-    values = spec[key]
+    values = spec.pop(key)
     if type(values) is not list:
         raise ParamsError("toy spec entry is not a list", key=key)
     out = np.empty(len(values), dtype=kind)

@@ -103,21 +103,22 @@ class WeightSchedule:
     it, so kmax may be astronomically large.  INV_LOG computes
     a_k = 1/log2 k on demand; its prefix is an extended-precision cumsum
     over k <= 2^12, kept once, plus an Euler-Maclaurin tail beyond.
-    ADAPTED keeps its ``values`` array and sums a_j/j in extended
-    precision, but stores the running prefix only at every multiple of
-    2^12; a lookup rebuilds the one chunk it needs from its checkpoint.
-    ``mass`` and ``first_k_reaching`` read the prefix the same way in
-    every mode.  For ADAPTED schedules ``anchors`` records
-    the segment endpoints that were actually placed and ``truncated``
-    whether the decay sequence ran out before the last segment closed.
+    ADAPTED is built from its ``decay`` alone, which it requires and no
+    other mode takes: ``values``, ``anchors`` (the segment endpoints that
+    were actually placed) and ``truncated`` (whether the decay ran out
+    before the last segment closed) are ``adapted_schedule(decay, kmax)``.
+    It sums a_j/j in extended precision, but stores the running prefix
+    only at every multiple of 2^12; a lookup rebuilds the one chunk it
+    needs from its checkpoint.  ``mass`` and ``first_k_reaching`` read
+    the prefix the same way in every mode.
     """
 
     mode: WeightMode
     kmax: int
-    values: np.ndarray | None = None
-    anchors: tuple[int, ...] | None = None
-    truncated: bool = False
     decay: np.ndarray | None = None
+    values: np.ndarray | None = field(default=None, init=False)
+    anchors: tuple[int, ...] | None = field(default=None, init=False)
+    truncated: bool = field(default=False, init=False)
     _checkpoints: np.ndarray | None = field(default=None, init=False,
                                             repr=False)
     _head: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -130,18 +131,16 @@ class WeightSchedule:
         except OverflowError:
             raise ParamsError("kmax too large for a float",
                               kmax=self.kmax) from None
-        if (self.values is not None) != (self.mode is WeightMode.ADAPTED):
-            raise ParamsError("only ADAPTED schedules take values, "
-                              "and they need them", mode=self.mode.value)
-        if self.values is not None:
-            v = np.asarray(self.values, dtype=float)
-            if v.shape != (self.kmax,):
-                raise ParamsError("values must have length kmax")
-            if np.any(v < 0.0) or np.any(v > 1.0):
-                raise ParamsError("weights must lie in [0, 1]")
-            if np.any(np.diff(v) > 1e-15):
-                raise ParamsError("weights must be nonincreasing")
-            self.values = v
+        if (self.decay is not None) != (self.mode is WeightMode.ADAPTED):
+            raise ParamsError("only ADAPTED schedules take a decay, "
+                              "and they need one", mode=self.mode.value)
+        if self.decay is not None:
+            self.values, self.anchors, self.truncated = adapted_schedule(
+                self.decay, self.kmax)
+            self.decay = np.asarray(self.decay, dtype=float)
+            if self.kmax >= 2 and not self.decay[-1] < self.decay[0]:
+                raise ParamsError(
+                    "decay sequence shows no decay over the provided prefix")
 
     # -- accessors ---------------------------------------------------------
 
@@ -309,32 +308,17 @@ def build_weights(mode: WeightMode, kmax: int, c=None) -> WeightSchedule:
     """Construct a weight schedule of the given mode.
 
     CONST_ONE accepts any kmax >= 1 and stores no array.  INV_LOG uses
-    a_1 = 1 and a_k = 1/log2(k) for k >= 2.  ADAPTED requires the decay
-    sequence ``c``, which must pass ``check_decay`` and actually decay.
+    a_1 = 1 and a_k = 1/log2(k) for k >= 2.  ADAPTED is built from the
+    decay sequence ``c``, which must pass ``check_decay`` and actually
+    decay; the other modes ignore ``c``.
     """
     mode = WeightMode(mode)
-    if kmax < 1:
-        raise ParamsError("kmax must be >= 1", kmax=kmax)
-    if mode is WeightMode.CONST_ONE:
-        return WeightSchedule(mode=mode, kmax=kmax)
-    if kmax > MAX_ARRAY_KMAX:
+    if mode is not WeightMode.CONST_ONE and kmax > MAX_ARRAY_KMAX:
         raise ParamsError(
             "kmax exceeds the array budget for non-constant schedules",
             kmax=kmax, budget=MAX_ARRAY_KMAX)
-    if mode is WeightMode.INV_LOG:
-        return WeightSchedule(mode=mode, kmax=kmax)
-    if mode is WeightMode.ADAPTED:
-        if c is None:
-            raise ParamsError("ADAPTED schedules require a decay sequence")
-        values, anchors, truncated = adapted_schedule(c, kmax)
-        c = np.asarray(c, dtype=float)
-        if kmax >= 2 and not c[-1] < c[0]:
-            raise ParamsError(
-                "decay sequence shows no decay over the provided prefix")
-        return WeightSchedule(mode=mode, kmax=kmax, values=values,
-                              anchors=anchors, truncated=truncated,
-                              decay=c)
-    raise ParamsError(f"unknown weight mode {mode!r}")
+    return WeightSchedule(mode, kmax,
+                          decay=c if mode is WeightMode.ADAPTED else None)
 
 
 def weighted_prefix(schedule: WeightSchedule, c, ks) -> np.ndarray:

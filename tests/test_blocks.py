@@ -94,17 +94,10 @@ def test_sequence_params_rejects_bad_partitions():
     good = split_blocks(w, [4, 10])
     # gap between blocks
     broken = (good[0], good[1].__class__(
-        index=2, k_lo=6, k_hi=10, mass=1.0, parity=BlockParity.GAUSSIAN,
-        target=good[1].target, complete=True))
+        index=2, k_lo=6, k_hi=10, mass=1.0, target=good[1].target,
+        complete=True))
     with pytest.raises(ParamsError):
         SequenceParams(w, broken)
-    # wrong parity for the index
-    flipped = (good[0].__class__(
-        index=1, k_lo=1, k_hi=4, mass=good[0].mass,
-        parity=BlockParity.GAUSSIAN, target=good[0].target, complete=True),
-        good[1])
-    with pytest.raises(ParamsError):
-        SequenceParams(w, flipped)
 
 
 @given(st.integers(8, 400), st.floats(1.5, 8.0))

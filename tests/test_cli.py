@@ -14,6 +14,7 @@ import pytest
 
 import cltlab
 import cltlab.cli as cli
+import cltlab.engine as engine
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
                         config_from_args, main)
 from cltlab.config import save_params
@@ -163,11 +164,29 @@ def test_validate_subcommand(capsys):
     assert blocks[1]["complete"] is False
 
 
-def test_invalid_config_exits_2(capsys):
-    code, doc = run_main(["custom", "--kmax", "0"], capsys)
-    assert code == 2
-    assert doc["error"]["type"] == "ParamsError"
-    assert "kmax" in doc["error"]["details"]
+def test_invalid_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    for flag, value in (("--kmax", "0"), ("--samples", "-1"), ("--rho", "1")):
+        for head in (["validate", "--scenario", "custom"],
+                     ["custom", "--out", str(out)]):
+            code, doc = run_main(head + [flag, value], capsys)
+            assert code == 2
+            assert doc["error"]["type"] == "ParamsError"
+            assert doc["error"]["details"] == {flag[2:]: float(value)}
+    assert not out.exists()
+
+
+def test_tail_over_its_budget_is_reported_not_raised(tmp_path, capsys,
+                                                     monkeypatch):
+    # every series tail row touches more than 10 terms
+    monkeypatch.setattr(engine, "WORK_BUDGET", 10)
+    out = tmp_path / "o"
+    code, _ = run_main(["conditions", "--samples", "0", "--no-timestamp",
+                        "--out", str(out)], capsys)
+    assert code == 0
+    checks = json.loads((out / "verdict.json").read_text())["conditions"]
+    assert checks["SERIES_2PRIME"]["verdict"] == "BUDGET_EXCEEDED"
+    assert checks["MW_3PRIME"]["verdict"] == "TREND_CONFIRMED"
 
 
 def test_seed_past_64_bits_exits_2(tmp_path, capsys):
@@ -225,7 +244,8 @@ def test_grid_beyond_the_desk_cap_exits_2(tmp_path, capsys):
                                   "flat_file", "unknown_key",
                                   "decay_outside_adapted",
                                   "unread_target_entry", "toy_string_number",
-                                  "toy_fractional_dim", "toy_boolean_entry"])
+                                  "toy_fractional_dim", "toy_boolean_entry",
+                                  "toy_unknown_key", "toy_both_vectors"])
 def test_malformed_input_file_exits_2(case, tmp_path, capsys):
     path = tmp_path / "input.json"
     save_params(default_params(kmax=20), path)
@@ -277,6 +297,14 @@ def test_malformed_input_file_exits_2(case, tmp_path, capsys):
         toy["observable"][1] = True
         flag, text = "--toy-file", json.dumps(toy)
         want = {"key": "observable", "index": 1}
+    elif case in ("toy_unknown_key", "toy_both_vectors"):
+        # a circulant spec reads neither entry
+        key, value = {
+            "toy_unknown_key": ("bogus", 1),
+            "toy_both_vectors": ("eigenvalues", [1.0, 0.5, 0.5])}[case]
+        toy[key] = value
+        flag, text = "--toy-file", json.dumps(toy)
+        want = {"key": key}
     else:
         # flat key = value text is not JSON
         flag, text = "--params-file", "schema = 1\nkmax = 20\n"
@@ -762,6 +790,26 @@ def test_bad_decay_file_exits_2(scenario, values, k, tmp_path, capsys):
                        "nonincreasing",
             "details": {"k": k}}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message,details", [
+    (["--c-file", "c.txt"], "decay file holds a non-numeric token",
+     {"path": "c.txt"}),
+    # 2^-1075 rounds to zero, so the built-in decay ends at k = 1074
+    (["--kmax", "1100"], "built-in halving decay underflows past k=1074; "
+                         "supply --c-file", {"kmax": 1100}),
+])
+def test_unusable_decay_exits_2(argv, message, details, tmp_path, capsys,
+                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("c.txt").write_text("0.5, abc\n")
+    for head in (["validate", "--scenario", "theorem2"],
+                 ["theorem2", "--samples", "0", "--out", "o"]):
+        code, doc = run_main(head + argv, capsys)
+        assert code == 2
+        assert doc["error"] == {"type": "ParamsError", "message": message,
+                                "details": details}
+    assert not Path("o").exists()
 
 
 def test_spectral_toy_file(tmp_path, capsys):
