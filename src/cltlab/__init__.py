@@ -34,9 +34,9 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         ("laws", "DichotomyReport", "DichotomyRow", "DichotomyVerdict",
-         "EmpiricalLaw", "ExactFiniteLaw", "NormalLaw", "SymPoissonLaw",
-         "dichotomy_report", "empirical_law", "exact_law", "format_ks_csv",
-         "ks_distance", "ks_pass_bound"), "laws"),
+         "ExactFiniteLaw", "NormalLaw", "SymPoissonLaw", "dichotomy_report",
+         "exact_law", "format_ks_csv", "ks_distance", "ks_pass_bound"),
+        "laws"),
     **dict.fromkeys(
         ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
          "sample_batch"), "simulate"),

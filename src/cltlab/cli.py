@@ -305,7 +305,8 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
             "margin": rep.margin,
             "required_count_estimate": rep.required_count_estimate,
             "notes": list(rep.notes),
-            "rows": [dataclasses.asdict(r) for r in rep.rows],
+            "rows": [dict(dataclasses.asdict(r), parity=r.parity)
+                     for r in rep.rows],
         }
         if rep.verdict is DichotomyVerdict.INCONCLUSIVE:
             code = EXIT_INCONCLUSIVE

@@ -1,13 +1,13 @@
-"""Reference laws for the horizon sums and distances between them.
+"""Reference laws for the horizon sums, and the distance from a sample
+batch to one.
 
 Every law here has one shape: a Gaussian component convolved with a
 weighted lattice table.  A law class only realizes its table (Gaussian
 variance, sorted support, weights, total weight), lazily; ``LawModel``
 alone evaluates cdf, left-limit cdf, mean and variance from it.
 ``NormalLaw`` is one atom at its mean plus its variance;
-``SymPoissonLaw`` (difference of two independent Poisson variables) and
-``EmpiricalLaw`` (a sorted sample batch, one unit weight per draw) are
-pure lattice tables; ``ExactFiniteLaw`` (the law of the flat-coefficient
+``SymPoissonLaw`` (difference of two independent Poisson variables) is
+a pure lattice table; ``ExactFiniteLaw`` (the law of the flat-coefficient
 stand-in sum) is an independent Gaussian component plus the joint table
 of one signed-count lattice component per three-valued block.
 ``exact_law`` builds it from ``simulate.flat_copy``, the very flat copy
@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import BlockParity, SequenceParams
+from .blocks import BlockParity, SequenceParams, parity_of
 from .engine import ExactMoments
 from .errors import ParamsError, TruncationError, check_seed
 from .simulate import (CHUNK, FlatRegime, LatticeAtom, SampleKind,
@@ -48,8 +48,6 @@ from .simulate import (CHUNK, FlatRegime, LatticeAtom, SampleKind,
                        flat_regime, sample_batch)
 
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
-GRID_POINTS = 2048           # continuous grid size per law in distances
-GRID_SPAN = 8.0              # grid half-width in standard deviations
 PRODUCT_BUDGET = 1 << 22     # joint support budget across components
 SUPPORT_BUDGET = 1 << 26     # single-law support budget
 KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
@@ -178,9 +176,8 @@ class LawModel:
     """The one evaluator, over a law's Gaussian-plus-lattice table.
 
     ``_realize`` returns (gauss_var, support, weights, total): the
-    support sorted, the weights aligned with it, or None for one unit
-    weight per point (a sample), and total their sum.  The table is
-    realized on first use.
+    support sorted, the weights aligned with it, and total their sum.
+    The table is realized on first use.
     """
 
     _plan: tuple | None = None
@@ -201,7 +198,7 @@ class LawModel:
         return self._cdf(x, "left")
 
     def _cdf(self, x, side: str) -> np.ndarray:
-        gv, support, weights, total = self._table()
+        gv, support, weights, _ = self._table()
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if gv > 0.0:
             sd = math.sqrt(gv)
@@ -214,10 +211,8 @@ class LawModel:
                 out[i:i + step] = (_norm_cdf(z) * weights).sum(axis=1)
             return out
         idx = np.searchsorted(support, x, side=side)
-        if weights is None:
-            return idx / total
-        # weighted tables are read as they are: their mass is 1 up to
-        # the truncation they account for
+        # tables are read as they are: their mass is 1 up to the
+        # truncation they account for
         return np.concatenate([[0.0], np.cumsum(weights)])[idx]
 
     def mean(self) -> float:
@@ -239,12 +234,9 @@ class LawModel:
 
     def lattice_table(self):
         """(support, probs) for purely discrete laws, else None."""
-        gv, support, weights, total = self._table()
+        gv, support, weights, _ = self._table()
         if gv > 0.0:
             return None
-        if weights is None:
-            support, counts = np.unique(support, return_counts=True)
-            return support, counts / total
         return support, weights
 
 
@@ -465,94 +457,35 @@ def exact_law(params: SequenceParams, log2_n: int,
 
 
 # ---------------------------------------------------------------------------
-# Empirical
-
-@dataclass(eq=False)
-class EmpiricalLaw(LawModel):
-    """The empirical measure of a finite sample: its sorted draws, one
-    unit weight each, so the cdf is a count over the sample size.
-
-    The law owns the float array it is given and sorts it in place;
-    ``empirical_law`` hands it a copy."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.size == 0:
-            raise ParamsError("empirical law needs at least one sample")
-        self.samples.sort()
-
-    def _realize(self):
-        return 0.0, self.samples, None, self.samples.size
-
-    # the sample's own moments and jump points, not a tally of its ties
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    def variance(self) -> float:
-        return float(self.samples.var())
-
-    def discontinuities(self) -> np.ndarray:
-        return np.unique(self.samples)
-
-
-def empirical_law(values) -> EmpiricalLaw:
-    """The empirical law of a copy of ``values``; they stay as given."""
-    return EmpiricalLaw(np.array(values, dtype=float))
-
-
-# ---------------------------------------------------------------------------
 # Distances
 
-def ks_distance(a: LawModel, b: LawModel) -> float:
-    """Sup-norm distance between two CDFs.
+def ks_distance(samples, law: LawModel) -> float:
+    """Sup-norm distance from the empirical cdf F_n of a float sample
+    batch to the cdf F of ``law``; the batch stays as given.
 
-    Float jitter below ``KS_SNAP`` times the standard deviation (at
-    least 1) of the law whose jumps are matched is forgiven: lattice
-    points that rounding landed on slightly different representations
-    still line up, and no sample batch sets how leniently it is scored.
+    Float jitter below ``KS_SNAP`` times the law's standard deviation (at
+    least 1) is forgiven: samples within it of one of F's jumps are
+    snapped onto it, so lattice points that rounding landed on slightly
+    different representations still line up, and no sample batch sets
+    how leniently it is scored.
 
-    Against an empirical law F_n, with F the other law, the distance is
-    exact and takes one pass.  Samples within F's tolerance of one of
-    its jumps are snapped onto it.  F_n is a step function and F is
-    right-continuous and monotone, so the supremum is reached at a
-    sample value or at a jump of F, from the right or from the left:
-    the max of |F_n - F| and of the left-limit difference there, each
-    cdf evaluated once per point (Dimitrova, Kaishev and Tan, J. Stat.
-    Softw. 2020).  For a continuous F this is the textbook
-    max(i/n - F(x_(i)), F(x_(i)) - (i - 1)/n).
-
-    Between two other laws the tolerance takes the larger standard
-    deviation.  The candidates are both laws' discontinuities plus a
-    dense grid spanning 8 standard deviations around each mean, and both
-    cdfs are evaluated a hair below and above every candidate rather
-    than at it.
+    The distance is exact and takes one pass over a sorted copy.  F_n is
+    a step function and F is right-continuous and monotone, so the
+    supremum is reached at a sample value or at a jump of F, from the
+    right or from the left: the max of |F_n - F| and of the left-limit
+    difference there, each cdf evaluated once per point (Dimitrova,
+    Kaishev and Tan, J. Stat. Softw. 2020).  For a continuous F this is
+    the textbook max(i/n - F(x_(i)), F(x_(i)) - (i - 1)/n).
     """
-    if isinstance(a, EmpiricalLaw) or isinstance(b, EmpiricalLaw):
-        emp, law = (a, b) if isinstance(a, EmpiricalLaw) else (b, a)
-        return _ks_empirical(emp.samples, law, _snap(law.std()))
-    sd_a, sd_b = a.std(), b.std()
-    delta = _snap(sd_a, sd_b)
-    pts = [np.asarray(a.discontinuities(), dtype=float),
-           np.asarray(b.discontinuities(), dtype=float)]
-    for law, sd in ((a, sd_a), (b, sd_b)):
-        if sd > 0.0 and math.isfinite(sd):
-            mu = law.mean()
-            pts.append(np.linspace(mu - GRID_SPAN * sd, mu + GRID_SPAN * sd,
-                                   GRID_POINTS))
-    x = np.unique(np.concatenate([p for p in pts if p.size]))
-    if x.size == 0:
-        return 0.0
-    hi = np.abs(a.cdf(x + delta) - b.cdf(x + delta)).max()
-    lo = np.abs(a.cdf(x - delta) - b.cdf(x - delta)).max()
-    return float(max(hi, lo))
+    x = np.array(samples, dtype=float)
+    x.sort()
+    return _ks_empirical(x, law, _snap(law.std()))
 
 
-def _snap(*sds: float) -> float:
-    """The snap tolerance: ``KS_SNAP`` times the largest finite standard
-    deviation given, or times 1 if that is larger."""
-    return KS_SNAP * max([1.0, *(sd for sd in sds if math.isfinite(sd))])
+def _snap(sd: float) -> float:
+    """The snap tolerance: ``KS_SNAP`` times a finite standard deviation,
+    or times 1 if that is larger."""
+    return KS_SNAP * (max(1.0, sd) if math.isfinite(sd) else 1.0)
 
 
 def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
@@ -566,6 +499,8 @@ def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
     pass them, each jump once, in O(count + support) in total.
     """
     n = samples.size
+    if n == 0:
+        raise ParamsError("a KS distance needs at least one sample")
     jumps = np.asarray(law.discontinuities(), dtype=float)
     # snap onto the nearest jump (the one whose midpoint interval holds
     # the sample) within delta; the nearest-point map is monotone, so
@@ -641,7 +576,6 @@ class DichotomyVerdict(Enum):
 class DichotomyRow:
     horizon_log2: int
     block_index: int
-    parity: BlockParity
     count: int
     ks_vs_oracle: float        # full-sum empirical vs exact law
     ks_vs_normal: float        # full-sum empirical vs NORMAL(0, 1)
@@ -650,6 +584,10 @@ class DichotomyRow:
     residual_fraction: float
     oracle_pass: bool
     note: str = ""
+
+    @property
+    def parity(self) -> BlockParity:
+        return parity_of(self.block_index)
 
 
 @dataclass
@@ -674,17 +612,16 @@ def _same_table(a: LawModel, b: LawModel) -> bool:
 
 
 def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
-    """KS distances from the empirical law of a float batch nothing else
-    reads to each of ``others``, each distinct law table scored once.
-    The law takes the batch as it is and sorts it in place, so no copy
-    is made, and it is dropped on return."""
-    emp = EmpiricalLaw(values)
+    """KS distances from a float batch nothing else reads to each of
+    ``others``, each distinct law table scored once.  The batch is
+    sorted in place, so no copy is made."""
+    values.sort()
     scored: list[tuple[LawModel, float]] = []
     out = []
     for law in others:
         d = next((d for seen, d in scored if _same_table(seen, law)), None)
         if d is None:
-            d = ks_distance(emp, law)
+            d = _ks_empirical(values, law, _snap(law.std()))
             scored.append((law, d))
         out.append(d)
     return out
@@ -743,8 +680,7 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         if law.cdf_error_bound > 1e-6:
             note = "oracle error bound %.3g" % law.cdf_error_bound
         rows.append(DichotomyRow(
-            horizon_log2=e, block_index=blk.index,
-            parity=blk.parity, count=count,
+            horizon_log2=e, block_index=blk.index, count=count,
             ks_vs_oracle=ks_vs_oracle,
             ks_vs_normal=ks_vs_normal,
             ks_gate=ks_gate,

@@ -38,7 +38,8 @@ class SpectralToy:
     the observable coefficient must vanish.  An explicit toy is
     ``SpectralToy(eigenvalues, observable)``; a circulant toy also keeps
     the ``kernel_row`` its eigenvalues came from, and only it has a
-    matrix.
+    matrix.  The row must be a nonempty probability vector whose DFT is
+    exactly the eigenvalues, so that the matrix has them.
     """
 
     eigenvalues: np.ndarray
@@ -51,6 +52,15 @@ class SpectralToy:
         if lam.shape != obs.shape or lam.ndim != 1 or lam.size == 0:
             raise ParamsError("eigenvalues and observable must be equal "
                               "length nonempty vectors")
+        if self.kernel_row is not None:
+            row = np.atleast_1d(np.asarray(self.kernel_row, dtype=float))
+            if np.any(row < 0.0) or abs(row.sum() - 1.0) > 1e-12:
+                raise ParamsError("kernel row must be a probability vector",
+                                  total=float(row.sum()))
+            if not np.array_equal(np.fft.fft(row), lam):
+                raise ParamsError("eigenvalues must be the DFT of the "
+                                  "kernel row")
+            self.kernel_row = row
         if np.any(np.abs(lam) > 1.0 + 1e-12):
             raise ParamsError("eigenvalues must lie in the closed unit "
                               "disk", max_abs=float(np.abs(lam).max()))
@@ -78,12 +88,8 @@ class SpectralToy:
 def circulant_toy(kernel_row, observable) -> SpectralToy:
     """Toy from a probability kernel row; eigenvalues are its DFT."""
     row = np.atleast_1d(np.asarray(kernel_row, dtype=float))
-    if row.ndim != 1 or row.size == 0:
-        raise ParamsError("kernel row must be a nonempty vector")
-    if np.any(row < 0.0) or abs(row.sum() - 1.0) > 1e-12:
-        raise ParamsError("kernel row must be a probability vector",
-                          total=float(row.sum()))
-    lam = np.fft.fft(row)
+    # an empty row has no DFT; the toy refuses it as an empty vector
+    lam = np.fft.fft(row) if row.size else row
     return SpectralToy(lam, observable, kernel_row=row)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.engine import Condition, ExactMoments, dyadic_grid
-from cltlab.laws import (DichotomyVerdict, dichotomy_report, empirical_law,
-                         exact_law, ks_distance, ks_pass_bound)
+from cltlab.laws import (DichotomyVerdict, dichotomy_report, exact_law,
+                         ks_distance, ks_pass_bound)
 from cltlab.reference import RationalMoments
 from cltlab.simulate import CHUNK, SampleKind, sample_batch
 from cltlab.spectral import (binom_coeffs, random_circulant_toy,
@@ -233,7 +233,7 @@ def test_criterion_8_flat_copy_law_gate(capsys):
     count = 100_000
     batch = sample_batch(params, e, count, 745,
                          kind=SampleKind.APPROX_IID_SUM, moments=em)
-    ks = ks_distance(empirical_law(batch.values), exact_law(params, e, em))
+    ks = ks_distance(batch.values, exact_law(params, e, em))
     bound = ks_pass_bound(count)
     dt = time.time() - t0
     ok = ks <= bound and dt < 120.0

@@ -18,8 +18,8 @@ from cltlab.engine import ExactMoments, dyadic_grid
 from cltlab.errors import ParamsError, TruncationError
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          LatticeAtom, NormalLaw, SymPoissonLaw,
-                         dichotomy_report, empirical_law, exact_law,
-                         format_ks_csv, ks_distance, ks_pass_bound)
+                         dichotomy_report, exact_law, format_ks_csv,
+                         ks_distance, ks_pass_bound)
 from cltlab.reference import tv_distance
 from cltlab.simulate import SampleKind, sample_batch
 from cltlab.weights import WeightMode, build_weights
@@ -52,8 +52,6 @@ def single_odd_block(k):
 SHARED_CASES = {
     "point_normal": lambda: NormalLaw(0.25, 0.0),
     "sym_poisson_zero": lambda: SymPoissonLaw(0.0),
-    "empirical_ties": lambda: empirical_law(
-        [0.5, -1.0, 0.5, 2.0, 0.5, -1.0, 3.25]),
     # one expected hit of a 0.7-step lattice on top of a Gaussian part
     "gauss_and_atom": lambda: ExactFiniteLaw(0.5, (LatticeAtom(
         lattice_scale=0.7, trials=64, hit_prob=2.0 ** -6, log2_trials=6.0,
@@ -136,11 +134,6 @@ def test_sym_poisson_table_takes_one_pass():
         assert total >= 1.0 - laws.ATOM_MASS_TOL
 
 
-def test_sym_poisson_vs_normal_frozen():
-    got = ks_distance(SymPoissonLaw(0.5), NormalLaw(0.0, 1.0))
-    assert got == pytest.approx(0.2328798034, abs=1e-8)
-
-
 # -- normal law ------------------------------------------------------------
 
 def test_normal_law_basics():
@@ -150,8 +143,6 @@ def test_normal_law_basics():
     assert nl.discontinuities().size == 0
     assert nl.lattice_table() is None
     assert (nl.mean(), nl.variance()) == (0.0, 1.0)
-    point = NormalLaw(0.0, 0.0)
-    assert ks_distance(point, nl) == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(ParamsError):
         NormalLaw(0.0, -1.0)
 
@@ -160,8 +151,7 @@ def test_normal_law_basics():
 
 def test_pure_gaussian_reduces_to_normal():
     law = ExactFiniteLaw(gauss_var=1.0, atoms=())
-    assert ks_distance(law, NormalLaw(0.0, 1.0)) == pytest.approx(0.0,
-                                                                  abs=1e-12)
+    assert laws._same_table(law, NormalLaw(0.0, 1.0))
     assert law.variance() == pytest.approx(1.0)
     assert law.discontinuities().size == 0
 
@@ -344,22 +334,6 @@ def test_exact_law_validation():
 
 # -- distances -------------------------------------------------------------
 
-def test_ks_is_symmetric_and_zero_on_self():
-    a = SymPoissonLaw(0.5)
-    b = NormalLaw(0.1, 1.1)
-    assert ks_distance(a, b) == ks_distance(b, a)
-    assert ks_distance(a, a) == 0.0
-    assert ks_distance(b, b) == 0.0
-
-
-def test_ks_normal_shift_analytic():
-    # sup_x |Phi(x - mu) - Phi(x)| = 2 Phi(|mu| / 2) - 1
-    for mu in (0.08, 0.5, 1.7):
-        want = 2.0 * norm.cdf(mu / 2.0) - 1.0
-        got = ks_distance(NormalLaw(mu, 1.0), NormalLaw(0.0, 1.0))
-        assert got == pytest.approx(want, abs=2e-5)
-
-
 def test_tv_needs_lattices():
     with pytest.raises(ParamsError):
         tv_distance(NormalLaw(0.0, 1.0), SymPoissonLaw(1.0))
@@ -371,24 +345,11 @@ def test_ks_pass_bound():
     assert math.isinf(ks_pass_bound(0))
 
 
-# -- empirical law ---------------------------------------------------------
-
-def test_empirical_law_cdf_and_moments():
-    vals = np.array([3.0, -1.0, 2.0, 2.0, 0.0])
-    emp = empirical_law(vals)
-    assert emp.cdf([-2.0])[0] == 0.0
-    assert emp.cdf([2.0])[0] == pytest.approx(0.8)
-    assert emp.cdf_left([2.0])[0] == pytest.approx(0.4)
-    assert emp.cdf([5.0])[0] == 1.0
-    assert emp.mean() == pytest.approx(vals.mean())
-    assert emp.variance() == pytest.approx(vals.var())
-    assert ks_distance(emp, emp) == 0.0
-
+# -- sample batch against a law --------------------------------------------
 
 def test_empirical_vs_exact_ks_sane():
     rng = np.random.default_rng(4)
-    emp = empirical_law(rng.standard_normal(20_000))
-    d = ks_distance(emp, NormalLaw(0.0, 1.0))
+    d = ks_distance(rng.standard_normal(20_000), NormalLaw(0.0, 1.0))
     assert d < ks_pass_bound(20_000)
 
 
@@ -408,8 +369,9 @@ def test_one_pass_ks_against_normal_is_the_textbook_formula():
     f = law.cdf(x)
     i = np.arange(1, x.size + 1)
     want = float(max((i / x.size - f).max(), (f - (i - 1) / x.size).max()))
-    assert ks_distance(empirical_law(x), law) == want
-    assert ks_distance(law, empirical_law(x[::-1])) == want
+    assert ks_distance(x, law) == want
+    # an unsorted copy scores the same
+    assert ks_distance(x[::-1], law) == want
     assert brute_ks(x, law, x) == want
 
 
@@ -418,16 +380,14 @@ def test_one_pass_ks_against_a_lattice_law_is_brute_force():
     support, probs = law.lattice_table()
     rng = np.random.default_rng(3)
     x = rng.choice(support, size=20_000, p=probs / probs.sum())
-    emp = empirical_law(x)
-    got = ks_distance(emp, law)
+    got = ks_distance(x, law)
     # every point where either cdf jumps, and points between them
     points = np.union1d(support, (support[1:] + support[:-1]) / 2)
     assert got == brute_ks(x, law, points) > 0.0
     # jitter of a few ulps is snapped back onto the lattice: the distance
     # is the integer-count value
     signs = rng.choice([-1.0, 1.0], size=x.size)
-    assert ks_distance(empirical_law(x * (1.0 + signs * 2.0 ** -50)),
-                       law) == got
+    assert ks_distance(x * (1.0 + signs * 2.0 ** -50), law) == got
 
 
 KS_LAWS = {
@@ -483,7 +443,7 @@ def test_snap_tolerance_is_the_law_scale():
     rng = np.random.default_rng(1)
     x = rng.choice(support, size=100_000, p=probs / probs.sum()) + 2e-4
     x[:10] = 1e8
-    got = ks_distance(empirical_law(x), law)
+    got = ks_distance(x, law)
     assert got > ks_pass_bound(x.size)
     # the dense brute force, snapping each distinct value on its own
     delta = laws.KS_SNAP * max(1.0, law.std())
@@ -493,34 +453,20 @@ def test_snap_tolerance_is_the_law_scale():
     assert got == brute_ks(snapped, law, np.union1d(snapped, jumps))
 
 
-def test_empirical_law_leaves_its_input_untouched():
+def test_ks_distance_leaves_its_input_untouched():
     x = np.random.default_rng(5).standard_normal(1000)
+    law = NormalLaw(0.0, 1.0)
+    want = ks_distance(np.sort(x), law)
     for values in (x, x[::-1]):
         kept = values.copy()
-        emp = empirical_law(values)
+        assert ks_distance(values, law) == want
         assert np.array_equal(values, kept)
-        assert emp.samples is not values
-        assert np.array_equal(emp.samples, np.sort(kept))
-    # the law itself owns its float array and sorts it in place
+    # a batch nothing else reads is sorted in place, not copied
     values = x[::-1].copy()
-    emp = laws.EmpiricalLaw(values)
-    assert emp.samples is values
+    assert laws._batch_ks(values, law) == [want]
     assert np.array_equal(values, np.sort(x))
-
-
-def test_law_against_law_ks_is_unchanged():
-    # grid-path values, frozen bit for bit
-    params = default_params(kmax=20, rho=4.0)
-    law = exact_law(params, 11, ExactMoments(params))
-    mixed = ExactFiniteLaw(0.5, (LatticeAtom(
-        lattice_scale=0.25, trials=64, hit_prob=1 / 64, log2_trials=6.0,
-        log2_hit=-6.0, var_share=0.0625),))
-    normal = NormalLaw(0.0, 1.0)
-    assert ks_distance(SymPoissonLaw(0.5), normal) == 0.23287980339787795
-    assert ks_distance(NormalLaw(0.5, 1.0), normal) == 0.19741126574522527
-    assert ks_distance(law, normal) == 0.23284222460176762
-    assert ks_distance(law, SymPoissonLaw(0.5)) == 3.7578796110437906e-05
-    assert ks_distance(mixed, normal) == 0.06932980801005151
+    with pytest.raises(ParamsError):
+        ks_distance(np.empty(0), law)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -675,22 +621,6 @@ def test_report_plans_from_its_own_engine(monkeypatch):
     assert sorted(built) == [b.k_lo for b in params.blocks]
 
 
-def test_batch_ks_takes_no_variance_of_the_batch(monkeypatch):
-    # the snap tolerance is the law's scale, so no distance reads the
-    # batch's moments
-    values = np.random.default_rng(7).standard_normal(5_000) * 3.0
-    wide, normal = NormalLaw(0.0, 9.0), NormalLaw(0.0, 1.0)
-    lattice = exact_law(single_odd_block(6), 6)
-    others = (wide, normal, lattice)
-    expect = [ks_distance(empirical_law(values), law) for law in others]
-
-    def forbidden(self):
-        raise AssertionError("the batch's variance was taken")
-
-    monkeypatch.setattr(laws.EmpiricalLaw, "variance", forbidden)
-    assert laws._batch_ks(values.copy(), *others) == expect
-
-
 def test_batch_ks_scores_each_table_once(monkeypatch):
     # the exact law at theorem1's top horizon is NORMAL(0, 1)'s table:
     # one KS pass serves both; a law one ulp away is scored on its own
@@ -699,32 +629,34 @@ def test_batch_ks_scores_each_table_once(monkeypatch):
                     ExactMoments(params))
     values = np.random.default_rng(11).standard_normal(3_000)
     normal, near = NormalLaw(0.0, 1.0), NormalLaw(0.0, 1.0 + 2.0 ** -52)
-    others = (top, normal, near, NormalLaw(0.0, 1.0), empirical_law(values))
-    expect = [ks_distance(empirical_law(values), law) for law in others]
+    others = (top, normal, near, NormalLaw(0.0, 1.0))
+    expect = [ks_distance(values, law) for law in others]
     scored = []
+    one_pass = laws._ks_empirical
 
-    def counting(a, b):
-        scored.append(b)
-        return ks_distance(a, b)
+    def counting(samples, law, delta):
+        scored.append(law)
+        return one_pass(samples, law, delta)
 
-    monkeypatch.setattr(laws, "ks_distance", counting)
+    monkeypatch.setattr(laws, "_ks_empirical", counting)
     got = laws._batch_ks(values.copy(), *others)
     assert got == expect
-    assert scored == [top, near, others[-1]]
+    assert scored == [top, near]
     assert got[0] == got[1] == got[3]
 
 
 def test_format_ks_csv_huge_horizon():
-    row = DichotomyRow(horizon_log2=100, block_index=2,
-                       parity=BlockParity.GAUSSIAN, count=10,
+    row = DichotomyRow(horizon_log2=100, block_index=2, count=10,
                        ks_vs_oracle=0.1, ks_vs_normal=0.2, ks_gate=0.01,
                        gate_bound=0.5, residual_fraction=0.0,
                        oracle_pass=True)
-    small = DichotomyRow(horizon_log2=11, block_index=1,
-                         parity=BlockParity.THREE_VALUED, count=10,
+    small = DichotomyRow(horizon_log2=11, block_index=1, count=10,
                          ks_vs_oracle=0.3, ks_vs_normal=0.4, ks_gate=0.01,
                          gate_bound=0.5, residual_fraction=0.0,
                          oracle_pass=True)
+    # a row's parity is its block's
+    assert row.parity is BlockParity.GAUSSIAN
+    assert small.parity is BlockParity.THREE_VALUED
     rep = laws.DichotomyReport([small, row], 0.05, 0.1,
                                DichotomyVerdict.DIFFERENT_LIMITS, None, [])
     text = format_ks_csv(rep)

@@ -13,8 +13,8 @@ from cltlab.blocks import (BlockParity, SequenceParams, default_params,
 from cltlab.engine import DESK_N_CAP, ExactMoments, dyadic_grid
 from cltlab.errors import (BATCH_BUDGET, MemoryBudgetError, ParamsError,
                            WorkBudgetError)
-from cltlab.laws import (dichotomy_report, empirical_law, exact_law,
-                         ks_distance, ks_pass_bound)
+from cltlab.laws import (dichotomy_report, exact_law, ks_distance,
+                         ks_pass_bound)
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
@@ -445,7 +445,7 @@ def test_flat_copy_beyond_the_cap_takes_the_oracles_regimes():
         assert [op.func for op in plan] == [_draw_normal] * 2 + tail
     e, count = 1950, 100_000
     batch = sample_batch(params, e, count, 1, SampleKind.APPROX_IID_SUM)
-    ks = ks_distance(empirical_law(batch.values), exact_law(params, e))
+    ks = ks_distance(batch.values, exact_law(params, e))
     assert ks <= ks_pass_bound(count)
 
 

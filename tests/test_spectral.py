@@ -93,6 +93,18 @@ def test_circulant_toy_eigenvalues_and_matrix():
         circulant_toy([-0.1, 1.1], [1.0, 1.0])
 
 
+def test_kernel_row_must_give_the_eigenvalues():
+    # the matrix is built from the row alone: a row whose DFT is not the
+    # eigenvalues would give a matrix with other eigenvalues, or of
+    # another dimension
+    for row in ([0.6, 0.4], [0.6, 0.4, 0.0], [], [0.7, 0.2]):
+        with pytest.raises(ParamsError):
+            SpectralToy([0.5, 0.1], [0.0, 1.0], kernel_row=np.array(row))
+    toy = SpectralToy(np.fft.fft([0.6, 0.4]), [0.0, 1.0], [0.6, 0.4])
+    got = np.sort_complex(np.linalg.eigvals(toy.matrix()))
+    assert np.allclose(got, np.sort_complex(toy.eigenvalues), atol=1e-15)
+
+
 def test_random_circulant_gap_certificate():
     for seed in range(6):
         toy = random_circulant_toy(16, seed, uniform_mix=0.2)
