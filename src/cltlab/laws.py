@@ -501,6 +501,9 @@ def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
     n = samples.size
     if n == 0:
         raise ParamsError("a KS distance needs at least one sample")
+    # NaN sorts last, and no comparison would ever count it
+    if math.isnan(samples[-1]):
+        raise ParamsError("a KS distance needs samples that are not NaN")
     jumps = np.asarray(law.discontinuities(), dtype=float)
     # snap onto the nearest jump (the one whose midpoint interval holds
     # the sample) within delta; the nearest-point map is monotone, so

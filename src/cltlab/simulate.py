@@ -10,29 +10,41 @@ are standard normal.  Either way each site contributes unit variance
 times C_l(m)^2, so the variance of S_N is exactly sigma_sq(N).
 
 The sampler aggregates, exactly in distribution.  A spike block's sites
-hit independently with one probability p = 1/N_l, so by superposition
-the hits over any L of them are Binomial(L, p), on a uniform subset of
-the L.  Each spike layer thus draws its light sloped segments as one
-pool: one hit count over their total length, distinct offsets into the
-concatenated sites, each offset's segment by ``searchsorted``, then the
-affine value and a fair sign, summed per sample by ``bincount``.  Light
-flat segments keep their signed count (hits, then Binomial(hits, 1/2)
-positive ones), O(1) per sample where a positional draw costs O(hits):
-at kmax 48, rho 2 and N = 2^31 one flat segment expects 2^30 hits.
-A flat segment past numpy's 2^63 - 1 binomial trials draws a Poisson
-count instead (the limit of its binomial count, within its hit
-probability, below 2^-62, in total variation).
-Gaussian blocks, and the spike segments expecting more than
-``GAUSSIANIZE_HITS`` hits, give one scaled normal per layer with the
-exact variance; the Berry-Esseen error of that replacement is below
-0.6/sqrt(2^40) < 6e-7, far under every sampling tolerance used here.
+hit independently with one probability p = 2^-h <= 1/2, so by
+superposition the hits over any M of them are Binomial(M, p), on a
+uniform subset of the M.  Each spike layer thus draws its light sites
+as one pool per chunk: its sloped segments and every flat segment
+shorter than the block horizon 2^h (``length >> h == 0``: under one hit
+per sample expected).  Over the chunk's rows x L (row, site) pairs the
+pool draws one hit count, then distinct uniform keys row * L + site,
+and a fair sign per hit; each site's segment comes by ``searchsorted``
+and its affine value is summed per row by ``bincount``.  A repeated key
+is redrawn, later slot first: which slots are redrawn depends only on
+which draws are equal, never on their values, so the procedure commutes
+with every permutation of the keys and the key set is a uniform subset
+of its size.  A count and a uniform subset of that size are exactly iid
+Bernoulli(p) sites.  The rows go in blocks within numpy's 2^63 - 1
+binomial trials, one block unless L reaches 2^51, all from the chunk's
+stream.  A flat segment expecting a hit or more keeps its signed count
+(hits, then Binomial(hits, 1/2) positive ones), O(1) per sample where a
+positional draw costs O(hits): at kmax 48, rho 2 and N = 2^31 one flat
+segment expects 2^30 hits.  So does a short flat segment that would
+take a pool row past 2^63 - 1 sites (from kmax 63 on), and one past
+2^63 - 1 sites draws a Poisson count instead (the limit of its binomial
+count, within its hit probability, below 2^-62, in total variation).
+A plan's independent centred normals, its Gaussian blocks, the spike
+segments expecting more than ``GAUSSIANIZE_HITS`` hits and the flat
+copy's NORMAL atoms, sum to one normal, drawn last, with the exact
+summed variance; the Berry-Esseen error of a spike segment's
+replacement is below 0.6/sqrt(2^40) < 6e-7, far under every sampling
+tolerance used here.
 
 Every value is normalized, S_N / sqrt(b^2 N) with b^2 the engine's
 ``normalizer_sq``.  The plan reads each block's source directly.  Every
 horizon is dyadic and passed as its exponent log2_n, and 2^log2_n is
 built only up to the desk cap.  There a full sum reads the block's
-``ExactMoments.profiles`` entry segment by segment; beyond it, one
-normal per block with the normalized ``block_var_over_n``, so values
+``ExactMoments.profiles`` entry segment by segment; beyond it, each
+block's normalized ``block_var_over_n`` joins the one normal, so values
 stay finite floats.  The flat copy (``APPROX_IID_SUM``, ``flat_copy``)
 gives every site of a block the block's sub-horizon mass: the sampler
 draws it and ``laws.exact_law`` realizes its law, and both take a spike
@@ -52,7 +64,7 @@ first loaded by the first stream.  Each op takes exact draws from its
 stream through numpy's Generator: ``standard_normal`` for a normal,
 ``binomial`` (BTPE or inversion, Kachitvichyanukul & Schmeiser 1988)
 and ``poisson`` for hit and sign counts, ``integers`` for a pool's hit
-offsets and signs.  The one departure from the exact laws is numpy's
+keys and signs.  The one departure from the exact laws is numpy's
 binomial inversion branch (means below 30), which redraws counts
 beyond ten standard deviations above the mean: under 4e-13 in total
 variation per count.  No stream
@@ -221,19 +233,20 @@ def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
                 moments: ExactMoments):
     """Fixed op layout for the aggregate sampler: one draw function per
     op, bound to the values it reads, called as ``draw(rng, size)`` on
-    the op's own stream.
+    the op's own stream.  The plan's independent centred normals (its
+    Gaussian blocks, the layers too heavy to count and the flat copy's
+    NORMAL atoms) are one normal, drawn last, of the summed variance.
 
     An op's lane is its place in the plan, which depends only on
     (params, horizon, kind), never on the batch's count.
     """
-    plan = []
+    plan, variances = [], []
     if kind is SampleKind.APPROX_IID_SUM:
         for share, atom in flat_copy(params, log2_n, moments):
-            # a block without mass draws a normal of std 0, which is 0
             regime = (FlatRegime.NORMAL if atom is None
                       else flat_regime(atom.log2_mean_hits))
             if regime is FlatRegime.NORMAL:
-                plan.append(partial(_draw_normal, std=math.sqrt(share)))
+                variances.append(share)
             elif regime is FlatRegime.COUNT:
                 # beyond the desk, the binomial count's Poisson limit
                 plan.append(
@@ -242,61 +255,78 @@ def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
                     if atom.trials is None else
                     partial(_draw_flat, length=atom.trials,
                             hit_prob=atom.hit_prob, coef=atom.lattice_scale))
-        return plan
-    N, b_sq = _horizon(moments, log2_n)
-    for b in params.blocks:
-        if N is not None and b.parity is BlockParity.THREE_VALUED:
-            plan.extend(_spike_ops(moments.profiles(N)[b.index - 1],
-                                   1.0 / math.sqrt(b_sq * float(N))))
-            continue
-        var = (block_var_over_n(params, b, log2_n) if N is None
-               else moments.profiles(N)[b.index - 1].sum_pow(2) / N)
-        plan.append(partial(_draw_normal, std=math.sqrt(var / b_sq)))
+    else:
+        N, b_sq = _horizon(moments, log2_n)
+        for b in params.blocks:
+            if N is not None and b.parity is BlockParity.THREE_VALUED:
+                ops, heavy_var = _spike_ops(moments.profiles(N)[b.index - 1],
+                                            1.0 / math.sqrt(b_sq * float(N)))
+                plan.extend(ops)
+                variances.append(heavy_var)
+                continue
+            var = (block_var_over_n(params, b, log2_n) if N is None
+                   else moments.profiles(N)[b.index - 1].sum_pow(2) / N)
+            variances.append(var / b_sq)
+    plan.append(partial(_draw_normal, std=math.sqrt(math.fsum(variances))))
     return plan
 
 
-def _spike_ops(prof: BlockProfile, inv_unit: float) -> list:
-    """A spike block's ops at a desk horizon: signed counts for its
-    light flat segments, one pool for its light sloped ones, one normal
-    for those too heavy to count; values in units of 1/inv_unit."""
+def _spike_ops(prof: BlockProfile, inv_unit: float) -> tuple[list, float]:
+    """A spike block's ops at a desk horizon, in units of 1/inv_unit, and
+    the normalized variance of its segments too heavy to count.
+
+    One pool holds the light sloped segments and the flat ones shorter
+    than the block horizon 2^h (each expecting under one hit); a flat
+    segment that expects a hit or more keeps its signed count."""
     h = prof.block.horizon_log2
     hit_prob = math.ldexp(1.0, -h)
     if hit_prob == 0.0:
         # The hit probability underflowed (horizon exponent beyond
         # 1074): no feasible batch ever sees a spike from this block,
         # so it contributes exactly zero to every sample.
-        return []
+        return [], 0.0
     # sqrt(2^h), finite for every h with a nonzero hit probability
     scale = math.ldexp(math.sqrt(2.0) if h & 1 else 1.0, h // 2) * inv_unit
-    ops, heavy, sloped = [], [], []
-    for i, ((lo, hi, _), v, slope) in enumerate(zip(
-            prof.segments, prof.v.tolist(), prof.slope.tolist())):
-        length = hi - lo + 1
-        if length * hit_prob > GAUSSIANIZE_HITS:
+    lengths = [hi - lo + 1 for lo, hi, _ in prof.segments]
+    slopes = prof.slope.tolist()
+    heavy, pooled, flat = [], [], []
+    for i, (n, slope) in enumerate(zip(lengths, slopes)):
+        if n * hit_prob > GAUSSIANIZE_HITS:
             heavy.append(i)
-        elif slope == 0.0 and length >> 63:
+        elif slope != 0.0:
+            pooled.append(i)
+        else:
+            flat.append(i)
+    # a row of the pool stays within numpy's 2^63 - 1 binomial trials: a
+    # short flat segment that would pass them (from kmax 63 on) keeps its
+    # own count
+    room = (1 << 63) - 1 - sum(lengths[i] for i in pooled)
+    ops = []
+    for i in flat:
+        n, coef = lengths[i], scale * float(prof.v[i])
+        if n >> h == 0 and n <= room:
+            pooled.append(i)
+            room -= n
+        elif n >> 63:
             # past numpy's 2^63 - 1 trials the hit probability is below
             # 2^-62, and the Poisson count is within it in total variation
-            ops.append(partial(_draw_poisson, lam=length * hit_prob,
-                               coef=scale * v))
-        elif slope == 0.0:
-            ops.append(partial(_draw_flat, length=length, hit_prob=hit_prob,
-                               coef=scale * v))
+            ops.append(partial(_draw_poisson, lam=n * hit_prob, coef=coef))
         else:
-            sloped.append(i)
-    if sloped:
-        # lengths and offsets only: a far-left segment's ends may pass
-        # int64
-        segs = [prof.segments[i] for i in sloped]
-        starts = np.cumsum([0] + [hi - lo + 1 for lo, hi, _ in segs])
+            ops.append(partial(_draw_flat, length=n, hit_prob=hit_prob,
+                               coef=coef))
+    if pooled:
+        pooled.sort()
+        starts = np.cumsum([0] + [lengths[i] for i in pooled])
+        # a flat segment's value is its level, whatever its offset; a
+        # far-left flat segment's ends may pass int64
+        shift = [prof.segments[i][0] - prof.segments[i][2] - start
+                 if slopes[i] != 0.0 else 0
+                 for i, start in zip(pooled, starts.tolist())]
         ops.append(partial(
             _draw_pool, starts=starts, hit_prob=hit_prob, coef=scale,
-            affine=np.column_stack([prof.v[sloped], prof.slope[sloped]]),
-            shift=np.array([lo - mid for lo, _, mid in segs]) - starts[:-1]))
-    if heavy:
-        ops.append(partial(_draw_normal,
-                           std=math.sqrt(prof.sum_pow(2, heavy)) * inv_unit))
-    return ops
+            affine=np.column_stack([prof.v[pooled], prof.slope[pooled]]),
+            shift=np.array(shift, dtype=np.int64)))
+    return ops, prof.sum_pow(2, heavy) * inv_unit * inv_unit
 
 
 def _lane_key(seed: int, lane: int, chunk_idx: int) -> tuple[int, int]:
@@ -304,46 +334,28 @@ def _lane_key(seed: int, lane: int, chunk_idx: int) -> tuple[int, int]:
     return seed ^ _LANE_TAG, (lane << 32) | chunk_idx
 
 
-def _distinct_offsets(rng: np.random.Generator, length: int,
-                      hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, offset) pairs: hits[i] distinct offsets in [0, length)
-    for every sample i, drawn in bulk from one stream.
-
-    A sample with more than half the segment hit draws the offsets it
-    leaves out instead, so each draw set fills at most half the segment.
-    Duplicates within a sample are redrawn, later slot first, until none
-    are left.  Which slots are redrawn depends only on which draws are
-    equal and on slot order, never on the values, so each sample's set
-    is a uniform subset of its size and the samples are independent.
-    """
-    comp = 2 * hits > length
-    want = np.where(comp, length - hits, hits)
-    owner = np.repeat(np.arange(hits.size), want)
-    # (owner, offset) as one key: below 2^64 for a chunk of at most 2^12
-    # samples on a desk horizon of at most 2^52 sites
-    row = owner.astype(np.uint64) * np.uint64(length)
-    offs = rng.integers(0, length, size=owner.size)
+def _distinct_keys(rng: np.random.Generator, bound: int,
+                   count: int) -> np.ndarray:
+    """``count`` distinct uniform int64 keys below ``bound``, drawn in
+    bulk from one stream: a repeated key is redrawn, later slot first,
+    until none is left, which keeps the key set a uniform subset (see
+    the module docstring)."""
+    keys = rng.integers(0, bound, size=count)
     while True:
-        key = row + offs.astype(np.uint64)
-        # a stable sort keeps equal draws of a sample in slot order
-        order = np.argsort(key, kind="stable")
-        a, b = order[:-1], order[1:]
-        redo = np.sort(b[key[b] == key[a]])
-        if not redo.size:
-            break
-        offs[redo] = rng.integers(0, length, size=redo.size)
-    # complement samples: keep every offset their draws left out
-    rows = np.flatnonzero(comp)
-    keep = np.ones((rows.size, length), dtype=bool)
-    drawn = comp[owner]
-    keep[np.searchsorted(rows, owner[drawn]), offs[drawn]] = False
-    r, c = np.nonzero(keep)
-    return (np.concatenate([owner[~drawn], rows[r]]),
-            np.concatenate([offs[~drawn], c]))
+        s = np.sort(keys)
+        same = s[1:] == s[:-1]
+        if not same.any():
+            return keys
+        # every slot holding a repeated key, in slot order, less the
+        # first slot of each key
+        slots = np.flatnonzero(np.isin(keys, s[1:][same]))
+        _, first = np.unique(keys[slots], return_index=True)
+        redo = np.delete(slots, first)
+        keys[redo] = rng.integers(0, bound, size=redo.size)
 
 
 def _draw_normal(rng, size, *, std):
-    """A Gaussian block, or a layer's segments too heavy to count."""
+    """The plan's one normal: its Gaussian blocks and heavy segments."""
     if std == 0.0:
         return 0.0
     return std * rng.standard_normal(size)
@@ -357,26 +369,42 @@ def _draw_flat(rng, size, *, length, hit_prob, coef):
 
 
 def _draw_poisson(rng, size, *, lam, coef):
-    """A beyond-cap spike layer's flat copy: Poisson(lam) hits, the limit
-    of its binomial count, each with a fair sign."""
+    """A beyond-cap spike layer's flat copy, or a spike segment past
+    numpy's 2^63 - 1 binomial trials: Poisson(lam) hits, the limit of its
+    binomial count, each with a fair sign."""
     hits = rng.poisson(lam, size)
     pos = rng.binomial(hits, 0.5)
     return coef * (2.0 * pos - hits)
 
 
 def _draw_pool(rng, size, *, starts, affine, shift, hit_prob, coef):
-    """A layer's light sloped spike segments as one pool: hit counts,
-    then hit offsets into their concatenated sites and signs, in bulk.
+    """A layer's light spike segments as one pool over the chunk's
+    ``size`` rows of L = starts[-1] sites: per block of rows whose pairs
+    stay within numpy's 2^63 - 1 binomial trials (the whole chunk unless
+    L reaches 2^51), one Binomial(rows * L, hit_prob) count, distinct
+    keys row * L + site below rows * L, and a fair sign per hit.
     Segment j holds the sites starts[j] <= i < starts[j + 1], with the
     value affine[j, 0] + affine[j, 1] * (i + shift[j])."""
-    hits = rng.binomial(starts[-1], hit_prob, size)
-    if not hits.any():
+    length = int(starts[-1])
+    block = ((1 << 63) - 1) // length
+    owners, weights = [], []
+    for first in range(0, size, block):
+        rows = min(block, size - first)
+        hits = rng.binomial(rows * length, hit_prob)
+        if not hits:
+            continue
+        row, site = np.divmod(_distinct_keys(rng, rows * length, hits),
+                              length)
+        signs = 2.0 * rng.integers(0, 2, size=hits) - 1.0
+        j = np.searchsorted(starts, site, side="right") - 1
+        vals = affine[j, 0] + affine[j, 1] * (site + shift[j])
+        owners.append(row + first)
+        weights.append(vals * signs)
+    if not owners:
         return 0.0
-    owner, offs = _distinct_offsets(rng, starts[-1], hits)
-    signs = 2.0 * rng.integers(0, 2, size=owner.size) - 1.0
-    j = np.searchsorted(starts, offs, side="right") - 1
-    vals = affine[j, 0] + affine[j, 1] * (offs + shift[j])
-    return coef * np.bincount(owner, weights=vals * signs, minlength=size)
+    return coef * np.bincount(np.concatenate(owners),
+                              weights=np.concatenate(weights),
+                              minlength=size)
 
 
 def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,

@@ -469,6 +469,20 @@ def test_ks_distance_leaves_its_input_untouched():
         ks_distance(np.empty(0), law)
 
 
+def test_ks_distance_refuses_a_nan_sample():
+    # NaN sorts last and no cdf comparison counts it: an all-NaN batch
+    # read 0.0, and NaNs appended to a batch hid its distance
+    law = NormalLaw(0.0, 1.0)
+    x = np.random.default_rng(5).standard_normal(1000)
+    assert ks_distance(x, law) > 0.01
+    for bad in (np.full(5, np.nan), np.concatenate([x, np.full(1000, np.nan)]),
+                np.insert(x, 17, np.nan)):
+        with pytest.raises(ParamsError, match="NaN"):
+            ks_distance(bad, law)
+        with pytest.raises(ParamsError, match="NaN"):
+            laws._batch_ks(bad.copy(), law, NormalLaw(0.0, 2.0))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_theorem1_oracle_gates_pass(seed):
     params = theorem1_params()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -18,7 +19,7 @@ from cltlab.laws import (dichotomy_report, exact_law, ks_distance,
 from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
-                             _build_plan, _distinct_offsets, _draw_flat,
+                             _build_plan, _distinct_keys, _draw_flat,
                              _draw_normal, _draw_poisson, _draw_pool,
                              _lane_key, _rekey, _stream,
                              derive_seed, dichotomy_samples, sample_batch)
@@ -100,6 +101,28 @@ def test_full_chunks_keep_their_bytes_in_a_larger_batch(e):
     small = sample_batch(params, e, 2 * simulate.CHUNK + 7, 745)
     large = sample_batch(params, e, 5 * simulate.CHUNK + 1, 745)
     assert full_chunks(small, 2) == full_chunks(large, 2)
+
+
+def test_sampler_batches_are_pinned():
+    # sha256 over batches of both kinds at desk horizons of kmax 12
+    # (below, at and past its spike block's 2^11), theorem1's Gaussian
+    # horizon and theorem3's spike horizon, each a single sample and two
+    # full chunks and a short one, at two seeds.  A change that moves a
+    # sampled byte on purpose updates this pin and names the change.
+    points = [(default_params(kmax=12, rho=4.0), (4, 11, 12)),
+              (default_params(kmax=40_000_000, rho=4.0), (37_605_530,)),
+              (default_params(kmax=1 << 22, mode=WeightMode.INV_LOG),
+               (3264,))]
+    digest = hashlib.sha256()
+    for params, horizons in points:
+        em = ExactMoments(params)
+        for e, kind, count, seed in itertools.product(
+                horizons, SampleKind, (1, 2 * simulate.CHUNK + 7),
+                (0, 745)):
+            batch = sample_batch(params, e, count, seed, kind, moments=em)
+            digest.update(batch.values.tobytes())
+    assert digest.hexdigest() == ("c97914c40c8178be962ccea0c9c2c24f"
+                                  "6b27d584902cf110bc4c7e25cc5869f9")
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
@@ -221,79 +244,147 @@ def test_flat_hit_counts_are_binomial(length, hit_prob):
     np.testing.assert_array_equal(signed, 2 * pos - hits)
 
 
+class _PlusSigns:
+    """A Generator whose fair signs all come out positive, so a pool of
+    unit values sums to each sample's hit count."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def integers(self, low, high, size):
+        if (low, high) == (0, 2):
+            return np.ones(size, dtype=np.int64)
+        return self.rng.integers(low, high, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 @pytest.mark.parametrize("length,hit_prob", HIT_CASES)
 def test_pool_hit_counts_are_binomial(length, hit_prob):
-    # one sloped segment whose sites carry the values 1..length
-    mid = (length - 1) // 2
-    rng = _Recording(_stream(*_lane_key(745, 4, 0)))
-    _draw_pool(rng, 20_000, starts=np.array([0, length]),
-               affine=np.array([[1.0 + mid, 1.0]]), shift=np.array([-mid]),
-               hit_prob=hit_prob, coef=1.0)
-    hits, = rng.binomials
-    assert _chisquare_vs_binom(hits, length, hit_prob) > 1e-3
+    # one flat segment of unit value, every sign positive: the pool's
+    # output is each sample's hit count
+    hits = _draw_pool(_PlusSigns(_stream(*_lane_key(745, 4, 0))), 20_000,
+                      starts=np.array([0, length]),
+                      affine=np.array([[1.0, 0.0]]), shift=np.array([0]),
+                      hit_prob=hit_prob, coef=1.0)
+    assert np.array_equal(hits, np.round(hits)) and hits.min() >= 0
+    assert _chisquare_vs_binom(hits.astype(np.int64), length, hit_prob) > 1e-3
 
 
 # ---------------------------------------------------------------------------
-# Distinct hit offsets
+# Distinct hit keys
 
-@given(st.integers(1, 12), st.lists(st.integers(0, 12), max_size=8),
+@given(st.integers(1, 60), st.integers(0, 60),
        st.integers(0, (1 << 64) - 1))
-@example(5, [5, 0, 5], 1)              # every offset hit
-@example(7, [4, 6, 1, 7], 2)           # more than half hit
-@example(1000, [999, 0, 998, 3], 3)    # near-full long segments
-def test_distinct_offsets_are_distinct_and_deterministic(length, raw, key):
-    hits = np.minimum(np.array(raw, dtype=np.int64), length)
-    owner, offs = _distinct_offsets(_stream(key, 1), length, hits)
-    assert np.array_equal(np.bincount(owner, minlength=hits.size), hits)
-    for i, h in enumerate(hits):
-        mine = offs[owner == i]
-        assert np.unique(mine).size == h
-        assert np.all((0 <= mine) & (mine < length))
-    owner2, offs2 = _distinct_offsets(_stream(key, 1), length, hits)
-    assert np.array_equal(owner, owner2) and np.array_equal(offs, offs2)
+@example(5, 5, 1)                      # every key drawn
+@example(7, 6, 2)                      # most keys drawn
+@example(1000, 999, 3)                 # near-full long range
+def test_distinct_keys_are_distinct_and_deterministic(bound, count, key):
+    count = min(count, bound)
+    keys = _distinct_keys(_stream(key, 1), bound, count)
+    assert keys.size == np.unique(keys).size == count
+    assert np.all((0 <= keys) & (keys < bound))
+    again = _distinct_keys(_stream(key, 1), bound, count)
+    assert np.array_equal(keys, again)
 
 
-def _redrawn_by_two_key_sort(rng, length, owner):
-    """The redraw loop over a lexsort of (owner, offset): the reference
-    for the one-key sort in ``_distinct_offsets``."""
-    offs = rng.integers(0, length, size=owner.size)
-    while True:
-        order = np.lexsort((offs, owner))
-        a, b = order[:-1], order[1:]
-        redo = np.sort(b[(owner[b] == owner[a]) & (offs[b] == offs[a])])
-        if not redo.size:
-            return offs
-        offs[redo] = rng.integers(0, length, size=redo.size)
+def _balanced_ternary_digits(x, places):
+    """The digits in {-1, 0, 1} of the integers x, lowest first."""
+    x = np.rint(x).astype(np.int64)
+    out = []
+    for _ in range(places):
+        d = (x + 1) % 3 - 1
+        out.append(d)
+        x = (x - d) // 3
+    assert not x.any()
+    return np.column_stack(out)
 
 
-@pytest.mark.parametrize("length", [50, DESK_N_CAP])
-def test_distinct_offsets_match_the_two_key_sort(length):
-    # a full chunk; fewer than half of 50 sites hit, so nothing takes
-    # the complement path, and at 50 sites many draws collide
-    hits = _stream(9, 2).integers(0, 25, size=simulate.CHUNK)
-    owner = np.repeat(np.arange(hits.size), hits)
-    want = _redrawn_by_two_key_sort(_stream(9, 1), length, owner)
-    got_owner, got = _distinct_offsets(_stream(9, 1), length, hits)
-    assert np.array_equal(got_owner, owner) and np.array_equal(got, want)
-
-
-def test_distinct_offsets_are_uniform_subsets():
-    # length 5: h = 2 takes the redraw path, h = 3 the complement path;
-    # interleaved owners share one stream
-    length, reps = 5, 10_000
-    hits = np.tile(np.array([2, 3], dtype=np.int64), reps)
-    owner, offs = _distinct_offsets(_stream(745, 1), length, hits)
-    order = np.lexsort((offs, owner))
-    owner, offs = owner[order], offs[order]
+def test_pool_hits_uniform_subsets():
+    # five one-site segments of values 3^j: each sample's signed sum is a
+    # balanced-ternary numeral whose nonzero digits are the sites hit and
+    # their signs; half the sites are hit, so keys collide often
+    length, n = 5, 20_000
+    out = _draw_pool(_stream(745, 1), n, starts=np.arange(length + 1),
+                     affine=np.column_stack([3.0 ** np.arange(length),
+                                             np.zeros(length)]),
+                     shift=np.zeros(length, dtype=np.int64), hit_prob=0.5,
+                     coef=1.0)
+    digits = _balanced_ternary_digits(out, length)
+    hit = digits != 0
     for h in (2, 3):
         subsets = list(itertools.combinations(range(length), h))
         index = {s: j for j, s in enumerate(subsets)}
         counts = np.zeros(len(subsets))
-        for i in np.flatnonzero(hits == h):
-            lo, hi = np.searchsorted(owner, [i, i + 1])
-            counts[index[tuple(offs[lo:hi])]] += 1
-        assert len(subsets) == 10
+        for row in hit[hit.sum(axis=1) == h]:
+            counts[index[tuple(np.flatnonzero(row))]] += 1
+        assert len(subsets) == 10 and counts.sum() > 5_000
         assert chisquare(counts).pvalue > 1e-3
+    signs = np.bincount(digits[hit] > 0, minlength=2)
+    assert chisquare(signs).pvalue > 1e-3
+
+
+def _pool_by_pairs(rng, size, length, hit_prob, value):
+    """``_draw_pool``'s draws, as (row, site) pairs of Python ints: per
+    block of rows within 2^63 - 1 binomial trials, a hit count, keys whose
+    repeats are redrawn (later slot first) until none are left, and a sign
+    per hit.  Returns the per-row sums of sign times ``value(site)`` and
+    the pairs."""
+    block = ((1 << 63) - 1) // length
+    out, pairs = np.zeros(size), []
+    for first in range(0, size, block):
+        rows = min(block, size - first)
+        hits = int(rng.binomial(rows * length, hit_prob))
+        if not hits:
+            continue
+        keys = rng.integers(0, rows * length, size=hits).tolist()
+        while True:
+            seen, redo = set(), []
+            for i, k in enumerate(keys):
+                if k in seen:
+                    redo.append(i)
+                seen.add(k)
+            if not redo:
+                break
+            new = rng.integers(0, rows * length, size=len(redo)).tolist()
+            for i, k in zip(redo, new):
+                keys[i] = k
+        signs = (2.0 * rng.integers(0, 2, size=hits) - 1.0).tolist()
+        for k, sign in zip(keys, signs):
+            row, site = first + k // length, k % length
+            pairs.append((row, site))
+            out[row] += sign * value(site)
+    return out, pairs
+
+
+@pytest.mark.parametrize("length", [50, DESK_N_CAP])
+def test_pool_matches_a_pairwise_reference(length):
+    # a full chunk of a sloped half and a flat half: at 50 sites keys
+    # collide often, and a DESK_N_CAP-long pool's 2^64 pairs pass numpy's
+    # binomial trials, so its rows go in blocks of 2047
+    half = length // 2
+    starts = np.array([0, half, length])
+    affine = np.array([[1.0, 1.0 / length], [-1.0, 0.0]])
+    shift = np.array([-half // 2, 0])
+    hit_prob = 0.25 if length == 50 else 2.0 ** -50
+
+    def value(site):
+        j = int(site >= half)
+        return affine[j, 0] + affine[j, 1] * float(site + shift[j])
+
+    got = _draw_pool(_stream(9, 1), simulate.CHUNK, starts=starts,
+                     affine=affine, shift=shift, hit_prob=hit_prob,
+                     coef=1.0)
+    want, pairs = _pool_by_pairs(_stream(9, 1), simulate.CHUNK, length,
+                                 hit_prob, value)
+    assert len(set(pairs)) == len(pairs) > simulate.CHUNK
+    assert all(0 <= r < simulate.CHUNK and 0 <= s < length
+               for r, s in pairs)
+    if length == DESK_N_CAP:
+        assert simulate.CHUNK * length >> 63
+        assert max(r for r, _ in pairs) >= 2 * (((1 << 63) - 1) // length)
+    np.testing.assert_array_equal(got, want)
 
 
 def _normalized_moments(em, e):
@@ -324,12 +415,11 @@ def test_full_sum_variance_matches_engine():
 def test_plan_pools_each_layers_sloped_segments():
     # theorem1's parameters at its first complete-block horizon
     params = default_params(kmax=40_000_000, rho=4.0)
+    # and its three one-site flat segments, expecting 2^-11 hits each;
+    # the Gaussian block is the plan's one normal
     plan = plan_of(params, 11)
-    kinds = [draw.func for draw in plan]
-    assert len(plan) == 5
-    assert kinds.count(_draw_flat) == 3
-    assert kinds.count(_draw_pool) == 1
-    assert kinds.count(_draw_normal) == 1
+    assert [draw.func for draw in plan] == [_draw_pool, _draw_normal]
+    assert plan[0].keywords["starts"][-1] == 2 * (2048 - 2) + 3
 
 
 def test_heavy_flat_segment_keeps_its_signed_count():
@@ -348,13 +438,21 @@ def test_gaussianized_segments_join_their_layers_normal():
     profs = ExactMoments(params).profiles(1 << 45)
     spikes = [p for p in profs
               if p.block.parity is BlockParity.THREE_VALUED]
-    heavy = [p for p in spikes
-             if any((hi - lo + 1)
-                    * math.ldexp(1.0, -p.block.horizon_log2)
-                    > GAUSSIANIZE_HITS for lo, hi, _ in p.segments)]
-    assert heavy
-    normals = sum(draw.func is _draw_normal for draw in plan_of(params, 45))
-    assert normals == len(profs) - len(spikes) + len(heavy)
+    heavy = [(p, [i for i, (lo, hi, _) in enumerate(p.segments)
+                  if (hi - lo + 1) * math.ldexp(1.0, -p.block.horizon_log2)
+                  > GAUSSIANIZE_HITS])
+             for p in spikes]
+    assert any(segs for _, segs in heavy)
+    # the Gaussian blocks and the heavy segments are one normal
+    normals = [draw for draw in plan_of(params, 45)
+               if draw.func is _draw_normal]
+    assert len(normals) == 1
+    var = math.fsum([p.sum_pow(2) for p in profs
+                     if p.block.parity is BlockParity.GAUSSIAN]
+                    + [p.sum_pow(2, segs) for p, segs in heavy if segs])
+    unit = ExactMoments(params).normalizer_sq(45) * (1 << 45)
+    assert normals[0].keywords["std"] ** 2 == pytest.approx(var / unit,
+                                                            rel=1e-12)
     _variance_within_band(params, 45, 40_000, 745)
 
 
@@ -429,20 +527,20 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     params = default_params(kmax=40_000_000, rho=4.0)
     plan = plan_of(params, params.blocks[1].horizon_log2,
                    SampleKind.APPROX_IID_SUM)
-    assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
+    assert [op.func for op in plan] == [_draw_normal]
 
 
 def test_flat_copy_beyond_the_cap_takes_the_oracles_regimes():
     # spike block 3 ends at 2^2000; at N = 2^(2000 + ll) its flat copy
-    # expects 2^ll hits: none up to 2^-50, a count below 2^40, a normal
-    # from there, as exact_law has it
+    # expects 2^ll hits: none up to 2^-50, a count below 2^40, a share of
+    # the plan's one normal from there, as exact_law has it
     w = build_weights(WeightMode.CONST_ONE, 2000)
     params = SequenceParams(w, split_blocks(w, [1, 100, 2000]))
     want = {-51: [], -50: [], -49: [_draw_poisson], 39: [_draw_poisson],
-            40: [_draw_normal]}
+            40: []}
     for ll, tail in want.items():
         plan = plan_of(params, 2000 + ll, SampleKind.APPROX_IID_SUM)
-        assert [op.func for op in plan] == [_draw_normal] * 2 + tail
+        assert [op.func for op in plan] == tail + [_draw_normal]
     e, count = 1950, 100_000
     batch = sample_batch(params, e, count, 1, SampleKind.APPROX_IID_SUM)
     ks = ks_distance(batch.values, exact_law(params, e))
@@ -454,16 +552,19 @@ def test_flat_copy_at_2_40_expected_hits_is_all_normals():
     # hits: exact_law folds it into its Gaussian part, and so does the plan
     params = default_params(kmax=20, rho=4.0)
     plan = plan_of(params, 51, SampleKind.APPROX_IID_SUM)
-    assert [op.func for op in plan] == [_draw_normal] * len(params.blocks)
+    assert [op.func for op in plan] == [_draw_normal]
     gauss_var, support, _, _ = exact_law(params, 51)._table()
     assert support.tolist() == [0.0]
-    assert math.fsum(op.keywords["std"] ** 2 for op in plan) == \
-        pytest.approx(gauss_var, rel=1e-12)
+    assert plan[0].keywords["std"] ** 2 == pytest.approx(gauss_var,
+                                                         rel=1e-12)
 
 
 def _op_variance(op):
-    """Variance of one spike op's draw: hits times coefficient squared."""
+    """Variance of one op's draw: a normal's, or for a spike op hits
+    times coefficient squared."""
     kw = op.keywords
+    if op.func is _draw_normal:
+        return kw["std"] ** 2
     if op.func is _draw_poisson:
         return (kw["coef"] * math.sqrt(kw["lam"])) ** 2
     unit = (kw["coef"] * math.sqrt(kw["hit_prob"])) ** 2
@@ -580,5 +681,23 @@ def test_aggregate_and_site_modes_agree_two_sample_ks(e):
     site = site_sample_batch(params, e, n, 745, moments=em)
     # the samplers key their streams differently, so the samples are
     # independent; alpha = 1e-3 asymptotic two-sample critical value
+    crit = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
+    assert ks_2samp(agg.values, site.values).statistic < crit
+
+
+def test_aggregate_and_site_modes_agree_beside_a_one_hit_count():
+    # at 2^12 the spike block (horizon 2^11) has a 2,048-site flat segment
+    # expecting one hit: it keeps its signed count beside the pool
+    params = default_params(kmax=12, rho=4.0)
+    em = ExactMoments(params)
+    e, n = 12, 4_000
+    plan = plan_of(params, e, moments=em)
+    assert [op.func for op in plan] == [_draw_flat, _draw_pool, _draw_normal]
+    assert plan[0].keywords["length"] * plan[0].keywords["hit_prob"] == 1.0
+    coords = sum(p.segments[-1][1] - p.segments[0][0] + 1
+                 for p in em.profiles(1 << e))
+    assert n * coords <= SITE_DRAW_BUDGET
+    agg = sample_batch(params, e, n, 745, moments=em)
+    site = site_sample_batch(params, e, n, 745, moments=em)
     crit = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
     assert ks_2samp(agg.values, site.values).statistic < crit
