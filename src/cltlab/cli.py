@@ -299,15 +299,10 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
                                moments=moments)
         artifacts["dichotomy.csv"] = _with_header(cfg, format_ks_csv(rep),
                                                   stamp)
-        verdicts["dichotomy"] = {
-            "verdict": rep.verdict.value,
-            "gap": rep.gap,
-            "margin": rep.margin,
-            "required_count_estimate": rep.required_count_estimate,
-            "notes": list(rep.notes),
-            "rows": [dict(dataclasses.asdict(r), parity=r.parity)
-                     for r in rep.rows],
-        }
+        verdicts["dichotomy"] = dict(dataclasses.asdict(rep), rows=[
+            dict(dataclasses.asdict(r), parity=r.parity,
+                 gate_bound=r.gate_bound, oracle_pass=r.oracle_pass)
+            for r in rep.rows])
         if rep.verdict is DichotomyVerdict.INCONCLUSIVE:
             code = EXIT_INCONCLUSIVE
     if cfg.scenario is Scenario.THEOREM2 and decay is not None:

@@ -477,15 +477,33 @@ def ks_distance(samples, law: LawModel) -> float:
     Kaishev and Tan, J. Stat. Softw. 2020).  For a continuous F this is
     the textbook max(i/n - F(x_(i)), F(x_(i)) - (i - 1)/n).
     """
-    x = np.array(samples, dtype=float)
-    x.sort()
-    return _ks_empirical(x, law, _snap(law.std()))
+    return _batch_ks(np.array(samples, dtype=float), law)[0]
 
 
-def _snap(sd: float) -> float:
-    """The snap tolerance: ``KS_SNAP`` times a finite standard deviation,
-    or times 1 if that is larger."""
-    return KS_SNAP * (max(1.0, sd) if math.isfinite(sd) else 1.0)
+def _same_table(a: LawModel, b: LawModel) -> bool:
+    """Whether every distance reads ``a`` and ``b`` alike: their tables
+    are equal."""
+    (ga, sa, wa, ta), (gb, sb, wb, tb) = a._table(), b._table()
+    return (ga == gb and ta == tb and np.array_equal(sa, sb)
+            and np.array_equal(wa, wb))
+
+
+def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
+    """KS distances from a float batch nothing else reads to each of
+    ``others``, each distinct law table scored once.  The batch is
+    sorted in place, so no copy is made."""
+    values.sort()
+    scored: list[tuple[LawModel, float]] = []
+    out = []
+    for law in others:
+        d = next((d for seen, d in scored if _same_table(seen, law)), None)
+        if d is None:
+            sd = law.std()
+            d = _ks_empirical(values, law, KS_SNAP * (
+                max(1.0, sd) if math.isfinite(sd) else 1.0))
+            scored.append((law, d))
+        out.append(d)
+    return out
 
 
 def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
@@ -583,14 +601,20 @@ class DichotomyRow:
     ks_vs_oracle: float        # full-sum empirical vs exact law
     ks_vs_normal: float        # full-sum empirical vs NORMAL(0, 1)
     ks_gate: float             # flat-copy empirical vs exact law
-    gate_bound: float
     residual_fraction: float
-    oracle_pass: bool
     note: str = ""
 
     @property
     def parity(self) -> BlockParity:
         return parity_of(self.block_index)
+
+    @property
+    def gate_bound(self) -> float:
+        return ks_pass_bound(self.count)
+
+    @property
+    def oracle_pass(self) -> bool:
+        return self.ks_gate <= self.gate_bound
 
 
 @dataclass
@@ -603,31 +627,46 @@ class DichotomyReport:
     notes: list[str]
 
 
+def _check_margin(margin: float) -> None:
+    """Raise ParamsError unless ``margin`` is positive and finite."""
+    if not 0.0 < margin < math.inf:
+        raise ParamsError("margin must be positive and finite", margin=margin)
+
+
+def decide(rows: list[DichotomyRow], margin: float) -> DichotomyReport:
+    """The verdict on scored rows, drawing nothing: INCONCLUSIVE on a
+    failed gate, or a gap short of ``margin`` within twice the loosest
+    row's 1% KS bound; else DIFFERENT_LIMITS if the gap reaches it."""
+    _check_margin(margin)
+    odd = [r for r in rows if r.parity is BlockParity.THREE_VALUED]
+    even = [r for r in rows if r.parity is BlockParity.GAUSSIAN]
+    bad = [r.horizon_log2 for r in rows if not r.oracle_pass]
+    notes = []
+    gap = math.nan
+    if odd and even:
+        gap = float(min(r.ks_vs_normal for r in odd)
+                    - max(r.ks_vs_normal for r in even))
+    else:
+        notes.append("both parities need a complete horizon")
+    req = None
+    if bad:
+        # a failed gate voids the comparison, with one parity or two
+        notes.append("oracle gate failed at log2 horizons %s" % bad)
+        verdict = DichotomyVerdict.INCONCLUSIVE
+    elif math.isnan(gap):
+        verdict = DichotomyVerdict.NO_DICHOTOMY
+    elif gap >= margin:
+        verdict = DichotomyVerdict.DIFFERENT_LIMITS
+    elif margin - gap <= 2.0 * max(r.gate_bound for r in rows):
+        req = math.ceil((2.0 * KS_ONE_PCT_COEF / (margin - gap)) ** 2)
+        notes.append("gap within sampling noise of the margin")
+        verdict = DichotomyVerdict.INCONCLUSIVE
+    else:
+        verdict = DichotomyVerdict.NO_DICHOTOMY
+    return DichotomyReport(rows, margin, gap, verdict, req, notes)
+
+
 _GATE_SALT = 1 << 20
-
-
-def _same_table(a: LawModel, b: LawModel) -> bool:
-    """Whether every distance reads ``a`` and ``b`` alike: their tables
-    are equal."""
-    (ga, sa, wa, ta), (gb, sb, wb, tb) = a._table(), b._table()
-    return (ga == gb and ta == tb and np.array_equal(sa, sb)
-            and np.array_equal(wa, wb))
-
-
-def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
-    """KS distances from a float batch nothing else reads to each of
-    ``others``, each distinct law table scored once.  The batch is
-    sorted in place, so no copy is made."""
-    values.sort()
-    scored: list[tuple[LawModel, float]] = []
-    out = []
-    for law in others:
-        d = next((d for seen, d in scored if _same_table(seen, law)), None)
-        if d is None:
-            d = _ks_empirical(values, law, _snap(law.std()))
-            scored.append((law, d))
-        out.append(d)
-    return out
 
 
 def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
@@ -639,30 +678,24 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
     against the exact flat-copy law and against NORMAL(0,1); the oracle
     gate draws an independent flat-copy batch and requires its distance
     to the exact law to pass the 1% KS bound, which validates the whole
-    sampling/oracle chain at that horizon.  The verdict compares the
-    smallest three-valued-horizon normal distance against the largest
-    Gaussian-horizon one; a failed gate at any horizon makes it
-    INCONCLUSIVE, with one parity complete or both.
+    sampling/oracle chain at that horizon.  ``decide`` judges the rows;
+    a count below 1 or a bad margin raises ParamsError before any draw.
 
     Horizons are taken one at a time, and each batch is sorted in place,
     scored and dropped before the next is drawn, so the report holds one
     batch, and work arrays of a sampler chunk or a KS block, at a time.
     """
     check_seed(seed)
+    if count < 1:
+        raise ParamsError("count must be positive", count=count)
+    _check_margin(margin)
     moments = moments or ExactMoments(params)
     complete = params.complete_blocks()
-    notes: list[str] = []
-    if count < 1:
-        req = math.ceil((2.0 * KS_ONE_PCT_COEF / margin) ** 2)
-        return DichotomyReport([], margin, math.nan,
-                               DichotomyVerdict.INCONCLUSIVE, req,
-                               ["no samples drawn"])
     if not complete:
         return DichotomyReport([], margin, math.nan,
                                DichotomyVerdict.NO_DICHOTOMY, None,
                                ["no complete block horizons"])
     normal = NormalLaw(0.0, 1.0)
-    bound = ks_pass_bound(count)
     rows = []
     for blk in complete:
         e = blk.horizon_log2
@@ -684,38 +717,9 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
             note = "oracle error bound %.3g" % law.cdf_error_bound
         rows.append(DichotomyRow(
             horizon_log2=e, block_index=blk.index, count=count,
-            ks_vs_oracle=ks_vs_oracle,
-            ks_vs_normal=ks_vs_normal,
-            ks_gate=ks_gate,
-            gate_bound=bound,
-            residual_fraction=residual,
-            oracle_pass=ks_gate <= bound,
-            note=note))
-    odd = [r for r in rows if r.parity is BlockParity.THREE_VALUED]
-    even = [r for r in rows if r.parity is BlockParity.GAUSSIAN]
-    bad = [r.horizon_log2 for r in rows if not r.oracle_pass]
-    gap = math.nan
-    if odd and even:
-        gap = float(min(r.ks_vs_normal for r in odd)
-                    - max(r.ks_vs_normal for r in even))
-    else:
-        notes.append("both parities need a complete horizon")
-    req = None
-    if bad:
-        # a failed gate voids the comparison, with one parity or two
-        notes.append("oracle gate failed at log2 horizons %s" % bad)
-        verdict = DichotomyVerdict.INCONCLUSIVE
-    elif math.isnan(gap):
-        verdict = DichotomyVerdict.NO_DICHOTOMY
-    elif gap >= margin:
-        verdict = DichotomyVerdict.DIFFERENT_LIMITS
-    elif margin - gap <= 2.0 * bound:
-        req = math.ceil((2.0 * KS_ONE_PCT_COEF / (margin - gap)) ** 2)
-        notes.append("gap within sampling noise of the margin")
-        verdict = DichotomyVerdict.INCONCLUSIVE
-    else:
-        verdict = DichotomyVerdict.NO_DICHOTOMY
-    return DichotomyReport(rows, margin, gap, verdict, req, notes)
+            ks_vs_oracle=ks_vs_oracle, ks_vs_normal=ks_vs_normal,
+            ks_gate=ks_gate, residual_fraction=residual, note=note))
+    return decide(rows, margin)
 
 
 KS_CSV_COLUMNS = ("horizon", "ks_vs_oracle", "ks_vs_normal",

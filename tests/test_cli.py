@@ -15,6 +15,7 @@ import pytest
 import cltlab
 import cltlab.cli as cli
 import cltlab.engine as engine
+import cltlab.laws as laws
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
                         config_from_args, main)
 from cltlab.config import save_params
@@ -633,8 +634,18 @@ def test_theorem2_schedule_artifact(tmp_path, capsys):
         "TREND_CONFIRMED"
 
 
-def test_inconclusive_dichotomy_exits_4(tmp_path, capsys):
-    # a seed whose 25 samples put the gap within noise of the margin
+def test_inconclusive_dichotomy_exits_4(tmp_path, capsys, monkeypatch):
+    # fixed rows, no sampled bytes: equal normal distances leave the gap
+    # 0, within twice the 1% bound at 25 samples of the 0.05 margin
+    rows = [laws.DichotomyRow(horizon_log2=11 * i, block_index=i, count=25,
+                              ks_vs_oracle=0.0, ks_vs_normal=0.125,
+                              ks_gate=0.0, residual_fraction=0.0)
+            for i in (1, 2)]
+
+    def fixed(params, count, seed, *, margin=0.05, moments=None):
+        return laws.decide(rows, margin)
+
+    monkeypatch.setattr(laws, "dichotomy_report", fixed)
     out = tmp_path / "inc"
     code, doc = run_main(["theorem1", "--samples", "25", "--seed", "3",
                           "--grid", "dyadic:4:8", "--no-timestamp",
@@ -643,8 +654,10 @@ def test_inconclusive_dichotomy_exits_4(tmp_path, capsys):
     verdict = json.loads((out / "verdict.json").read_text())
     d = verdict["dichotomy"]
     assert d["verdict"] == "INCONCLUSIVE"
-    assert d["required_count_estimate"] == 3407
+    assert d["required_count_estimate"] == 4252      # (2 * 1.63 / 0.05)^2
     assert d["notes"] == ["gap within sampling noise of the margin"]
+    assert [(r["oracle_pass"], r["gate_bound"]) for r in d["rows"]] == \
+        [(True, laws.ks_pass_bound(25))] * 2
 
 
 def test_params_file_round(tmp_path, capsys):

@@ -16,8 +16,9 @@ from cltlab.blocks import BlockParity, SequenceParams, default_params, \
     split_blocks
 from cltlab.engine import ExactMoments, dyadic_grid
 from cltlab.errors import ParamsError, TruncationError
+import cltlab.simulate as simulate
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
-                         LatticeAtom, NormalLaw, SymPoissonLaw,
+                         LatticeAtom, NormalLaw, SymPoissonLaw, decide,
                          dichotomy_report, exact_law, format_ks_csv,
                          ks_distance, ks_pass_bound)
 from cltlab.reference import tv_distance
@@ -538,11 +539,120 @@ def test_sampler_and_oracle_share_horizon_checks():
 
 # -- dichotomy report ------------------------------------------------------
 
-def test_dichotomy_report_zero_count():
-    rep = dichotomy_report(default_params(kmax=20, rho=4.0), 0, 1)
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Every sample batch and every exact law becomes an error."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be drawn or built here")
+
+    for module, name in ((simulate, "sample_batch"), (laws, "sample_batch"),
+                         (laws, "exact_law")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def hand_row(block_index, ks_vs_normal, count=400, ks_gate=0.0):
+    """A hand-built row at horizon 2^(10 * block_index)."""
+    return DichotomyRow(horizon_log2=10 * block_index,
+                        block_index=block_index, count=count,
+                        ks_vs_oracle=0.0, ks_vs_normal=ks_vs_normal,
+                        ks_gate=ks_gate, residual_fraction=0.0)
+
+
+def test_dichotomy_report_zero_count(no_draws):
+    # refused with sample_batch's own error, before any law is built
+    for count in (0, -1):
+        with pytest.raises(ParamsError, match="count must be positive") \
+                as info:
+            dichotomy_report(default_params(kmax=20, rho=4.0), count, 1)
+        assert info.value.details == {"count": count}
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_margin_is_refused_before_sampling(no_draws, margin):
+    # a NaN or infinite margin read NO_DICHOTOMY, and one at or below 0
+    # DIFFERENT_LIMITS, whatever the gap
+    for judge in (lambda: dichotomy_report(theorem1_params(), 2_000, 745,
+                                           margin=margin),
+                  lambda: decide([hand_row(1, 0.25), hand_row(2, 0.0)],
+                                 margin)):
+        with pytest.raises(ParamsError,
+                           match="margin must be positive and finite"):
+            judge()
+
+
+def test_row_gate_follows_count_and_distance():
+    r = hand_row(1, 0.0, count=10, ks_gate=0.5)
+    assert r.gate_bound == ks_pass_bound(10) == pytest.approx(0.5155,
+                                                              abs=1e-4)
+    assert r.oracle_pass
+    r.count = 16
+    assert r.gate_bound == ks_pass_bound(16) < 0.5
+    assert not r.oracle_pass
+    r.ks_gate = ks_pass_bound(16)
+    assert r.oracle_pass
+
+
+def test_decide_different_limits(no_draws):
+    rows = [hand_row(1, 0.5), hand_row(2, 0.0625), hand_row(3, 0.375),
+            hand_row(4, 0.125)]
+    for margin in (0.05, 0.25):         # gap == margin is enough
+        rep = decide(rows, margin)
+        assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
+        assert (rep.gap, rep.margin) == (0.25, margin)
+        assert rep.required_count_estimate is None
+        assert rep.notes == []
+        assert rep.rows is rows
+
+
+def test_decide_no_dichotomy(no_draws):
+    one = decide([hand_row(1, 0.5), hand_row(3, 0.375)], 0.05)
+    assert one.verdict is DichotomyVerdict.NO_DICHOTOMY
+    assert math.isnan(one.gap)
+    assert one.required_count_estimate is None
+    assert one.notes == ["both parities need a complete horizon"]
+    # short of the margin by 0.25, far beyond twice the 1% bound 0.0016
+    far = decide([hand_row(1, 0.125, count=10**6),
+                  hand_row(2, 0.125, count=10**6)], 0.25)
+    assert far.verdict is DichotomyVerdict.NO_DICHOTOMY
+    assert far.gap == 0.0
+    assert far.required_count_estimate is None
+    assert far.notes == []
+
+
+def test_decide_failed_gate_is_inconclusive(no_draws):
+    one = decide([hand_row(1, 0.5, ks_gate=0.5)], 0.05)
+    assert one.verdict is DichotomyVerdict.INCONCLUSIVE
+    assert one.required_count_estimate is None
+    assert one.notes == ["both parities need a complete horizon",
+                         "oracle gate failed at log2 horizons [10]"]
+    # a gap past the margin counts for nothing once a gate fails
+    two = decide([hand_row(1, 0.5), hand_row(2, 0.0, ks_gate=0.5),
+                  hand_row(4, 0.0, ks_gate=0.5)], 0.05)
+    assert two.verdict is DichotomyVerdict.INCONCLUSIVE
+    assert two.gap == 0.5
+    assert two.required_count_estimate is None
+    assert two.notes == ["oracle gate failed at log2 horizons [20, 40]"]
+
+
+def test_decide_within_noise_is_inconclusive(no_draws):
+    notes = ["gap within sampling noise of the margin"]
+    rep = decide([hand_row(1, 0.15625), hand_row(2, 0.125)], 0.0625)
     assert rep.verdict is DichotomyVerdict.INCONCLUSIVE
-    assert rep.required_count_estimate is not None
-    assert rep.notes == ["no samples drawn"]
+    assert rep.gap == 0.03125
+    assert rep.required_count_estimate == 10883   # (2 * 1.63 / 0.03125)^2
+    assert rep.notes == notes
+    # margin - gap == 2 * bound exactly: the count drawn would just do;
+    # a row at a smaller count sets the bound
+    noise = 2.0 * ks_pass_bound(400)
+    rows = [hand_row(1, 0.125, count=10**6), hand_row(2, 0.125)]
+    rep = decide(rows, noise)
+    assert rep.verdict is DichotomyVerdict.INCONCLUSIVE
+    assert rep.gap == 0.0
+    assert rep.required_count_estimate == 400
+    assert rep.notes == notes
+    rep = decide(rows, float(np.nextafter(noise, 1.0)))
+    assert rep.verdict is DichotomyVerdict.NO_DICHOTOMY
+    assert rep.notes == []
 
 
 def test_dichotomy_single_parity_is_no_dichotomy():
@@ -662,12 +772,10 @@ def test_batch_ks_scores_each_table_once(monkeypatch):
 def test_format_ks_csv_huge_horizon():
     row = DichotomyRow(horizon_log2=100, block_index=2, count=10,
                        ks_vs_oracle=0.1, ks_vs_normal=0.2, ks_gate=0.01,
-                       gate_bound=0.5, residual_fraction=0.0,
-                       oracle_pass=True)
+                       residual_fraction=0.0)
     small = DichotomyRow(horizon_log2=11, block_index=1, count=10,
                          ks_vs_oracle=0.3, ks_vs_normal=0.4, ks_gate=0.01,
-                         gate_bound=0.5, residual_fraction=0.0,
-                         oracle_pass=True)
+                         residual_fraction=0.0)
     # a row's parity is its block's
     assert row.parity is BlockParity.GAUSSIAN
     assert small.parity is BlockParity.THREE_VALUED
