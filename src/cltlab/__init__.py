@@ -10,8 +10,8 @@ square-root membership question in ``spectral``; batch presets in
 from the package root, which re-exports their names: runs that draw no
 sample never import the first two, and only the spectral preset the
 third.  Neither sampling module loads ``numpy.random`` on import: the
-first Philox stream does.  No runtime path imports scipy; only the test
-oracles in ``reference`` do.
+first Philox stream does.  No package module imports scipy; only the
+tests and their oracles in ``tests/cltlab_reference.py`` do.
 """
 
 import importlib

@@ -20,8 +20,8 @@ Three independent routes to the variance exist:
 * ``sigma_sq_paircov``  — per-pair covariance closed forms, normalized by
   the horizon so it stays finite for dyadic horizons of astronomically
   large exponent (see ``sigma_sq_over_n``);
-* ``reference.sigma_sq_enumerated`` — dense numpy evaluation, capped,
-  kept beside the other test oracles.
+* ``sigma_sq_enumerated`` — dense numpy evaluation, capped, kept in
+  ``tests/cltlab_reference.py`` beside the other test oracles.
 
 The condition (2') series tail || sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||
 has the same shape in the lag variable: each scale's term is linear,

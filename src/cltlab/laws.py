@@ -427,20 +427,6 @@ class ExactFiniteLaw(LawModel):
         self._table()                   # realizing sets _error
         return self._error + ATOM_MASS_TOL
 
-    def _parameters(self) -> dict:
-        return {
-            "gauss_var": self.gauss_var,
-            "realized_gauss_var": self._table()[0],
-            "cdf_error_bound": self.cdf_error_bound,
-            "atoms": [
-                {"lattice_scale": a.lattice_scale,
-                 "log2_trials": a.log2_trials,
-                 "log2_hit": a.log2_hit,
-                 "var_share": a.var_share}
-                for a in self.atoms
-            ],
-        }
-
 
 def exact_law(params: SequenceParams, log2_n: int,
               moments: ExactMoments | None = None) -> ExactFiniteLaw:

@@ -52,7 +52,7 @@ block's regime from ``flat_regime`` of its expected hits: nothing up to
 2^NEGLIGIBLE_LOG2, a signed count on the atom's lattice step below
 2^GAUSSIANIZE_LOG2 (binomial on the desk, its Poisson limit beyond), one
 normal from there.  The sampler's independent oracle, literal
-per-coordinate draws at small scales, is ``reference.site_sample_batch``.
+per-coordinate draws at small scales, is the tests' ``site_sample_batch``.
 
 Reproducibility: all randomness comes from counter-based Philox streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),

@@ -36,11 +36,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtri
 
-from .blocks import BlockParity, SequenceParams
-from .engine import BlockProfile, ExactMoments
-from .errors import MemoryBudgetError, ParamsError, WorkBudgetError
-from .laws import LawModel
-from .simulate import SampleBatch, SampleKind, _horizon, _stream
+from cltlab.blocks import BlockParity, SequenceParams
+from cltlab.engine import BlockProfile, ExactMoments
+from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from cltlab.laws import LawModel
+from cltlab.simulate import SampleBatch, SampleKind, _horizon, _stream
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11

@@ -36,7 +36,7 @@ def run_main(argv, capsys):
 
 
 # scipy.stats costs about 0.7 s of every process start and scipy.special
-# about 0.3 s; the slow oracles in cltlab.reference belong to the tests
+# about 0.3 s; the test oracles' old cltlab.reference must not come back
 _STARTUP_BANNED = ("scipy.special", "scipy.stats", "cltlab.reference")
 
 

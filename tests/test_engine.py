@@ -21,9 +21,9 @@ from cltlab.engine import (DESK_N_CAP, WORK_BUDGET, BlockProfile, Condition,
 from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab import lattice
 from cltlab.lattice import hurwitz_zeta, zeta_diff
-from cltlab.reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
-                              dense_series_tail_norm, sigma_sq_enumerated)
 from cltlab.weights import WeightMode, build_weights
+from cltlab_reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
+                              dense_series_tail_norm, sigma_sq_enumerated)
 from conftest import power_sums
 
 

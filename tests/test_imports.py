@@ -1,14 +1,15 @@
 """No module imports a name it never reads, the package defines no
 private module-level name that it never reads, nor any module-level name
-that nothing in the checkout reads, and no package module but the
-``reference`` oracles imports scipy.
+that nothing in the checkout reads, and no package module imports
+scipy, which is only a test extra.
 
 No linter is a dependency, so these are small AST scans: of the package,
 the tests and the demos for imports, of the package alone for private
 names and scipy, and of the package, tests, demos and bench for the
 reads of every definition.  The package ``__init__`` is exempt from the
-import scan: its imports are the public re-exports.  One subprocess
-checks what importing the sampling modules loads.
+import scan: its imports are the public re-exports.  Subprocesses check
+that every package module imports without scipy, and what importing the
+sampling modules loads.
 """
 
 import ast
@@ -184,12 +185,36 @@ def test_scan_catches_scipy_imports():
     assert imported_roots("import scipy.stats as st\n") == {"scipy"}
 
 
-def test_only_the_reference_oracles_import_scipy():
+def test_no_package_module_imports_scipy():
     # the runtime ports its few special functions; scipy stays the
-    # independent oracle of reference.py and the tests
+    # independent oracle of the tests and their cltlab_reference
     users = [path.name for path in PACKAGE
              if "scipy" in imported_roots(path.read_text(encoding="utf-8"))]
-    assert users == ["reference.py"]
+    assert users == []
+
+
+def _run_package(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that finds the
+    package source first."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    return out.stdout.strip()
+
+
+def test_every_package_module_imports_without_scipy():
+    # a numpy-only install: a None entry makes every scipy import fail
+    names = ["cltlab"] + ["cltlab." + path.stem for path in PACKAGE
+                          if path.name != "__init__.py"]
+    code = ("import importlib, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "for name in %r:\n"
+            "    try:\n"
+            "        importlib.import_module(name)\n"
+            "    except ImportError as exc:\n"
+            "        print(name + ': ' + str(exc))\n" % names)
+    assert _run_package(code) == ""
 
 
 def test_importing_the_sampler_loads_no_pool_or_random():
@@ -200,8 +225,4 @@ def test_importing_the_sampler_loads_no_pool_or_random():
             "import cltlab.cli, cltlab.laws, cltlab.simulate\n"
             "print(sorted(m for m in ('concurrent.futures', 'numpy.random')"
             " if m in sys.modules))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _run_package(code) == "[]"

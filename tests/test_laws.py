@@ -21,9 +21,9 @@ from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
                          LatticeAtom, NormalLaw, SymPoissonLaw, decide,
                          dichotomy_report, exact_law, format_ks_csv,
                          ks_distance, ks_pass_bound)
-from cltlab.reference import tv_distance
 from cltlab.simulate import SampleKind, sample_batch
 from cltlab.weights import WeightMode, build_weights
+from cltlab_reference import tv_distance
 
 
 def table_moments(table):

@@ -6,9 +6,9 @@ from scipy.special import ndtri
 
 from cltlab.blocks import SequenceParams, split_blocks
 from cltlab.errors import WorkBudgetError
-from cltlab.reference import (RationalMoments, _open_uniforms, cond_weight,
-                              count_pairs, exact_fraction)
 from cltlab.weights import WeightMode, build_weights
+from cltlab_reference import (RationalMoments, _open_uniforms, cond_weight,
+                              count_pairs, exact_fraction)
 
 
 def tiny_params(kmax=3, ends=(1, 3)):

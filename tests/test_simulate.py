@@ -16,14 +16,14 @@ from cltlab.errors import (BATCH_BUDGET, MemoryBudgetError, ParamsError,
                            WorkBudgetError)
 from cltlab.laws import (dichotomy_report, exact_law, ks_distance,
                          ks_pass_bound)
-from cltlab.reference import (SITE_DRAW_BUDGET, dense_coefficients,
-                              site_sample_batch)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
                              _build_plan, _distinct_keys, _draw_flat,
                              _draw_normal, _draw_poisson, _draw_pool,
                              _lane_key, _rekey, _stream,
                              derive_seed, dichotomy_samples, sample_batch)
 from cltlab.weights import WeightMode, build_weights
+from cltlab_reference import (SITE_DRAW_BUDGET, dense_coefficients,
+                              site_sample_batch)
 from conftest import power_sums
 
 
