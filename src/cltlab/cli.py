@@ -381,7 +381,9 @@ def validate_only(cfg: ExperimentConfig) -> int:
     """Check the configuration and its derived inputs without running."""
     cfg.validate()
     if cfg.scenario is Scenario.SPECTRAL:
+        from .spectral import check_sweep_budget
         toy = _build_toy(cfg)
+        check_sweep_budget(toy, 1 << cfg.grid[1])
         kind = "explicit" if toy.kernel_row is None else "circulant"
         derived = {"dim": toy.dim, "tag": kind}
     else:

@@ -249,8 +249,9 @@ class NormalLaw(LawModel):
     var: float = 1.0
 
     def __post_init__(self):
-        if self.var < 0.0:
-            raise ParamsError("variance must be nonnegative", var=self.var)
+        if not (math.isfinite(self.mu) and 0.0 <= self.var < math.inf):
+            raise ParamsError("mean must be finite and variance in [0, inf)",
+                              mu=self.mu, var=self.var)
 
     def _realize(self):
         return self.var, np.array([self.mu], dtype=float), np.ones(1), 1.0
@@ -271,8 +272,8 @@ class SymPoissonLaw(LawModel):
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ParamsError("rate must be nonnegative", lam=self.lam)
+        if not 0.0 <= self.lam < math.inf:
+            raise ParamsError("rate must lie in [0, inf)", lam=self.lam)
 
     def _realize(self):
         if self.lam == 0.0:
@@ -387,6 +388,11 @@ class ExactFiniteLaw(LawModel):
     gauss_var: float
     atoms: tuple[LatticeAtom, ...] = ()
 
+    def __post_init__(self):
+        if not 0.0 <= self.gauss_var < math.inf:
+            raise ParamsError("variance must lie in [0, inf)",
+                              gauss_var=self.gauss_var)
+
     def _realize(self):
         gv = self.gauss_var
         err = 0.0
@@ -457,9 +463,9 @@ def ks_distance(samples, law: LawModel) -> float:
 
     The distance is exact and takes one pass over a sorted copy.  F_n is
     a step function and F is right-continuous and monotone, so the
-    supremum is reached at a sample value or at a jump of F, from the
-    right or from the left: the max of |F_n - F| and of the left-limit
-    difference there, each cdf evaluated once per point (Dimitrova,
+    supremum is the max of |F_n - F| and of the left-limit difference at
+    the distinct sample values, and of |1 - F| at F's last jump (F_n is
+    flat between samples), each cdf read once per point (Dimitrova,
     Kaishev and Tan, J. Stat. Softw. 2020).  For a continuous F this is
     the textbook max(i/n - F(x_(i)), F(x_(i)) - (i - 1)/n).
     """
@@ -498,9 +504,7 @@ def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
     One pass in blocks of ``_KS_BLOCK`` samples, so the work arrays stay
     block-sized at any sample count.  Each block is snapped with one
     look-ahead sample, which tells whether its last run of equal values
-    ends there; the count before the current run is carried across
-    blocks.  The sample counts at F's jumps are filled in as the blocks
-    pass them, each jump once, in O(count + support) in total.
+    ends there; the count before the run is carried across blocks.
     """
     n = samples.size
     if n == 0:
@@ -513,10 +517,6 @@ def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
     # the sample) within delta; the nearest-point map is monotone, so
     # the samples stay sorted
     mids = 0.5 * (jumps[1:] + jumps[:-1])
-    # samples below and up to each jump; a jump no block reaches has all
-    below = np.full(jumps.size, n)
-    upto = np.full(jumps.size, n)
-    n_below = n_upto = 0            # jumps whose counts are final
     before = 0                      # samples before the current run
     d = 0.0
     for start in range(0, n, _KS_BLOCK):
@@ -544,22 +544,9 @@ def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
             np.divide(left, n, out=gap)
             gap -= f
             d = max(d, np.abs(gap, out=gap).max())
-        if jumps.size:
-            # a jump's count below it is final at the first block that
-            # reaches it, and its count up to it at the first that passes
-            # it: every earlier sample counts, plus the block's own
-            x = x[:stop - start]
-            top = np.searchsorted(jumps, x[-1], side="right")
-            below[n_below:top] = start + np.searchsorted(
-                x, jumps[n_below:top], side="left")
-            n_below = top
-            top = np.searchsorted(jumps, x[-1], side="left")
-            upto[n_upto:top] = start + np.searchsorted(
-                x, jumps[n_upto:top], side="right")
-            n_upto = top
     if jumps.size:
-        for f_n, cdf in ((upto, law.cdf), (below, law.cdf_left)):
-            d = max(d, np.abs(f_n / n - cdf(jumps)).max())
+        # past the greatest sample F_n is 1, and F climbs to its total
+        d = max(d, abs(1.0 - law.cdf(jumps[-1:])[0]))
     return float(d)
 
 

@@ -260,6 +260,14 @@ def _eigen_terms(toy: SpectralToy):
     return at_one, np.where(at_one, 0.0, toy.observable / den)
 
 
+def check_sweep_budget(toy: SpectralToy, n_max: int) -> None:
+    """Raise WorkBudgetError if a sweep of n_max steps is too large."""
+    if n_max * toy.dim > SPECTRAL_WORK_BUDGET:
+        raise WorkBudgetError("condition sweep too large",
+                              estimated_ops=n_max * toy.dim,
+                              budget=SPECTRAL_WORK_BUDGET)
+
+
 def evaluate_conditions(toy: SpectralToy, n_max: int,
                         q: float = 2.0) -> SpectralConditionReport:
     """Accumulate all condition statistics up to n_max steps.
@@ -270,10 +278,7 @@ def evaluate_conditions(toy: SpectralToy, n_max: int,
     """
     if n_max < 2:
         raise ParamsError("need at least two steps", n_max=n_max)
-    if n_max * toy.dim > SPECTRAL_WORK_BUDGET:
-        raise WorkBudgetError("condition sweep too large",
-                              estimated_ops=n_max * toy.dim,
-                              budget=SPECTRAL_WORK_BUDGET)
+    check_sweep_budget(toy, n_max)
     lam = toy.eigenvalues
     g = toy.observable
     at_one, gden = _eigen_terms(toy)

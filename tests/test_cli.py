@@ -354,6 +354,19 @@ def test_spectral_budget_exits_3(capsys):
         "details": {"estimated_ops": 1 << 34, "budget": 1 << 27}}}
 
 
+def test_validate_checks_the_spectral_sweep_budget(tmp_path, capsys):
+    # validate refuses the sweep the run refuses, with the same error
+    out = tmp_path / "run"
+    for command in (["spectral"], ["validate", "--scenario", "spectral"]):
+        code, doc = run_main([*command, "--grid", "dyadic:1:30",
+                              "--out", str(out)], capsys)
+        assert code == 3, command
+        assert doc == {"error": {
+            "type": "WorkBudgetError", "message": "condition sweep too large",
+            "details": {"estimated_ops": 1 << 33, "budget": 1 << 27}}}
+        assert not out.exists()
+
+
 HUGE_SAMPLES_ERROR = {"error": {
     "type": "MemoryBudgetError",
     "message": "sample batch exceeds the memory budget",

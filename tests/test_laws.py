@@ -120,8 +120,11 @@ def test_sym_poisson_moments_and_table():
     assert np.all(np.diff(support) == 1.0)
     zero = SymPoissonLaw(0.0)
     assert zero.cdf([-0.5, 0.0, 0.5]).tolist() == [0.0, 1.0, 1.0]
-    with pytest.raises(ParamsError):
-        SymPoissonLaw(-1.0)
+    # refused when built: a NaN or infinite rate would otherwise fail
+    # only when the table is first realized, and not as ParamsError
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParamsError):
+            SymPoissonLaw(lam)
 
 
 def test_sym_poisson_table_takes_one_pass():
@@ -144,8 +147,12 @@ def test_normal_law_basics():
     assert nl.discontinuities().size == 0
     assert nl.lattice_table() is None
     assert (nl.mean(), nl.variance()) == (0.0, 1.0)
-    with pytest.raises(ParamsError):
-        NormalLaw(0.0, -1.0)
+    # a NaN mean would make every F value NaN, which the KS maximum
+    # skips, and a NaN variance would score as a point mass
+    for mu, var in ((0.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                    (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ParamsError):
+            NormalLaw(mu, var)
 
 
 # -- exact finite-horizon law ----------------------------------------------
@@ -155,6 +162,9 @@ def test_pure_gaussian_reduces_to_normal():
     assert laws._same_table(law, NormalLaw(0.0, 1.0))
     assert law.variance() == pytest.approx(1.0)
     assert law.discontinuities().size == 0
+    for gauss_var in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParamsError):
+            ExactFiniteLaw(gauss_var)
 
 
 def test_single_block_law_approaches_sym_poisson():
@@ -391,7 +401,17 @@ def test_one_pass_ks_against_a_lattice_law_is_brute_force():
     assert ks_distance(x * (1.0 + signs * 2.0 ** -50), law) == got
 
 
+class TableLaw(laws.LawModel):
+    """A pure lattice law read from a given table, as it is."""
+
+    def __init__(self, support, weights):
+        support, weights = np.asarray(support, float), np.asarray(weights)
+        self._plan = (0.0, support, weights, float(weights.sum()))
+
+
 KS_LAWS = {
+    # weights that sum above 1, as a truncated table's rounding can
+    "overweight": lambda: TableLaw([0.0, 1.0], [1.0, 1e-3]),
     "sym_poisson": lambda: SymPoissonLaw(0.7),
     "lattice": lambda: exact_law(single_odd_block(4), 4),
     "mixture": lambda: ExactFiniteLaw(0.5, (LatticeAtom(
@@ -432,6 +452,32 @@ def test_blocked_ks_is_the_dense_brute_force(data, name, block, delta):
     want = brute_ks(snapped, law, np.union1d(snapped, jumps))
     with mock.patch.object(laws, "_KS_BLOCK", block):
         assert laws._ks_empirical(x, law, delta) == want
+
+
+def test_ks_past_the_greatest_sample_reads_the_last_jump():
+    # F_n is 1 from the samples at 0 on, and F climbs past 1 at the last
+    # jump: only that jump sees the table's excess mass
+    law = KS_LAWS["overweight"]()
+    x = np.zeros(5)
+    got = ks_distance(x, law)
+    assert got == brute_ks(x, law, np.union1d(x, law.discontinuities()))
+    assert got == abs(1.0 - (1.0 + 1e-3)) > 0.0
+
+
+def test_ks_reads_the_law_only_at_the_samples():
+    law = SymPoissonLaw(100.0)
+    assert law.discontinuities().size == 399
+    x = np.random.default_rng(4).integers(-15, 16, 10).astype(float)
+    read = []
+    cdf = laws.LawModel._cdf
+
+    def counted(self, points, side):
+        read.append(np.atleast_1d(points).size)
+        return cdf(self, points, side)
+
+    with mock.patch.object(laws.LawModel, "_cdf", counted):
+        ks_distance(x, law)
+    assert sum(read) <= 2 * np.unique(x).size + 1
 
 
 def test_snap_tolerance_is_the_law_scale():
