@@ -38,8 +38,8 @@ _LAZY = {
          "exact_law", "format_ks_csv", "ks_distance", "ks_pass_bound"),
         "laws"),
     **dict.fromkeys(
-        ("simulate", "SampleBatch", "SampleKind", "dichotomy_samples",
-         "sample_batch"), "simulate"),
+        ("simulate", "SampleBatch", "SampleKind", "sample_batch"),
+        "simulate"),
     **dict.fromkeys(
         ("spectral", "SpectralToy", "binom_coeffs", "circulant_toy",
          "evaluate_conditions", "random_circulant_toy", "rn_identity_check",

@@ -311,11 +311,27 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
     return artifacts, verdicts, code
 
 
+# the n of the spectral preset's two identity checks, which read 2n and
+# 2n + 1 partial-sum rows
+_IDENTITY_N = 64
+
+
 def _build_toy(cfg: ExperimentConfig):
-    from .spectral import random_circulant_toy, toy_from_json
+    """The spectral preset's toy, once its dimension passes every work
+    budget the run checks, in the run's order: the sweep to 2^hi steps,
+    then the identity checks' rows.  A random toy is checked before it
+    is built."""
+    from .spectral import check_work, random_circulant_toy, toy_from_json
+    toy = None
     if cfg.toy_file is not None:
-        return toy_from_json(read_input(cfg.toy_file))
-    return random_circulant_toy(max(2, cfg.kmax), cfg.seed)
+        toy = toy_from_json(read_input(cfg.toy_file))
+    dim = max(2, cfg.kmax) if toy is None else toy.dim
+    check_work((1 << cfg.grid[1]) * dim, "condition sweep")
+    for rows in (2 * _IDENTITY_N, 2 * _IDENTITY_N + 1):
+        check_work(rows * dim, "identity check")
+    if toy is None:
+        toy = random_circulant_toy(dim, cfg.seed)
+    return toy
 
 
 def _run_spectral(cfg: ExperimentConfig, stamp: str | None):
@@ -329,8 +345,8 @@ def _run_spectral(cfg: ExperimentConfig, stamp: str | None):
         "dim": toy.dim,
         "q": rep.q,
         "correspondence": rep.correspondence,
-        "identity_residual_n64": rn_identity_check(toy, 64),
-        "telescoping_residual_n64": rn_telescoping_check(toy, 64),
+        "identity_residual_n64": rn_identity_check(toy, _IDENTITY_N),
+        "telescoping_residual_n64": rn_telescoping_check(toy, _IDENTITY_N),
         "sqrt_series_error_m1024": probe.error,
     }}
     artifacts = {"spectral.csv": _with_header(cfg, rep.to_csv(), stamp)}
@@ -381,9 +397,7 @@ def validate_only(cfg: ExperimentConfig) -> int:
     """Check the configuration and its derived inputs without running."""
     cfg.validate()
     if cfg.scenario is Scenario.SPECTRAL:
-        from .spectral import check_sweep_budget
         toy = _build_toy(cfg)
-        check_sweep_budget(toy, 1 << cfg.grid[1])
         kind = "explicit" if toy.kernel_row is None else "circulant"
         derived = {"dim": toy.dim, "tag": kind}
     else:

@@ -42,13 +42,16 @@ import numpy as np
 
 from .blocks import BlockParity, SequenceParams, parity_of
 from .engine import ExactMoments
-from .errors import ParamsError, TruncationError, check_seed
+from .errors import ParamsError, TruncationError, WorkBudgetError, check_seed
 from .simulate import (CHUNK, FlatRegime, LatticeAtom, SampleKind,
-                       derive_seed, dichotomy_samples, flat_copy,
-                       flat_regime, sample_batch)
+                       derive_seed, flat_copy, flat_regime, sample_batch)
 
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
 PRODUCT_BUDGET = 1 << 22     # joint support budget across components
+# normal cdfs one KS pass may read against a law with a Gaussian part:
+# each sample reads one per support point, about 0.1 us each, so a pass
+# at the budget takes about 14 s
+KS_WORK_BUDGET = 1 << 27
 SUPPORT_BUDGET = 1 << 26     # single-law support budget
 KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
 KS_SNAP = 1e-9               # evaluation nudge around candidate points
@@ -647,12 +650,15 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
                      moments: ExactMoments | None = None) -> DichotomyReport:
     """Compare normalized sums against their limit candidates per parity.
 
-    At every complete-block horizon the full-sum empirical law is scored
-    against the exact flat-copy law and against NORMAL(0,1); the oracle
-    gate draws an independent flat-copy batch and requires its distance
+    At the horizon of complete block i the full sum, drawn at
+    ``derive_seed(seed, i)``, is scored against the exact flat-copy law and
+    against NORMAL(0,1); the oracle gate draws an independent flat-copy
+    batch at ``derive_seed(seed, _GATE_SALT + i)`` and requires its distance
     to the exact law to pass the 1% KS bound, which validates the whole
-    sampling/oracle chain at that horizon.  ``decide`` judges the rows;
-    a count below 1 or a bad margin raises ParamsError before any draw.
+    sampling/oracle chain at that horizon.  ``decide`` judges the rows.
+    Before any draw, a count below 1 or a bad margin raises ParamsError, and
+    a law with a Gaussian part that a KS pass would read at more than
+    ``KS_WORK_BUDGET`` points (count times its support) WorkBudgetError.
 
     Horizons are taken one at a time, and each batch is sorted in place,
     scored and dropped before the next is drawn, so the report holds one
@@ -668,14 +674,20 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         return DichotomyReport([], margin, math.nan,
                                DichotomyVerdict.NO_DICHOTOMY, None,
                                ["no complete block horizons"])
+    laws = [exact_law(params, blk.horizon_log2, moments) for blk in complete]
+    for law in laws:
+        gv, support, _, _ = law._table()
+        if gv > 0.0 and count * support.size > KS_WORK_BUDGET:
+            raise WorkBudgetError("KS pass too large",
+                                  estimated_ops=count * support.size,
+                                  budget=KS_WORK_BUDGET)
     normal = NormalLaw(0.0, 1.0)
     rows = []
-    for blk in complete:
+    for blk, law in zip(complete, laws):
         e = blk.horizon_log2
-        law = exact_law(params, e, moments)
-        ks_vs_oracle, ks_vs_normal = _batch_ks(dichotomy_samples(
-            params, [e], count, seed, moments=moments)[e].values, law,
-            normal)
+        ks_vs_oracle, ks_vs_normal = _batch_ks(sample_batch(
+            params, e, count, derive_seed(seed, blk.index),
+            moments=moments).values, law, normal)
         ks_gate, = _batch_ks(sample_batch(
             params, e, count, derive_seed(seed, _GATE_SALT + blk.index),
             SampleKind.APPROX_IID_SUM, moments=moments).values, law)

@@ -436,28 +436,3 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
     return SampleBatch(seed=seed, log2_n=log2_n, count=count, kind=kind,
                        values=values)
 
-
-def dichotomy_samples(params: SequenceParams, horizons_log2, count: int,
-                      seed: int, *,
-                      moments: ExactMoments | None = None) -> dict:
-    """Normalized full-sum batches at complete-block horizons, given and
-    keyed by their exponents.
-
-    Per-horizon seeds are derived from the shared seed and the block
-    index, so adding horizons never perturbs existing batches.  Each
-    batch plans from ``moments`` as ``sample_batch`` does; its values do
-    not depend on what the engine has cached.
-    """
-    check_seed(seed)
-    complete = {b.horizon_log2: b for b in params.blocks if b.complete}
-    out = {}
-    for e in horizons_log2:
-        blk = complete.get(e)
-        if blk is None:
-            raise ParamsError("horizon is not a complete block endpoint",
-                              horizon_log2=e)
-        sub = derive_seed(seed, blk.index)
-        out[e] = sample_batch(params, e, count, sub, SampleKind.FULL_SN,
-                              moments=moments)
-    return out
-

@@ -26,6 +26,7 @@ from .config import _real
 from .errors import ParamsError, WorkBudgetError
 
 SPECTRAL_WORK_BUDGET = 1 << 27   # eigenvalue-times-step ceiling
+RATE6_Q = 2.0                    # the log power q of rate6_q
 _EIG_ONE_TOL = 1e-14             # |lambda - 1| below this counts as 1
 _CHUNK_ROWS = 1 << 14            # power-accumulation chunk length
 
@@ -239,8 +240,8 @@ class SpectralConditionReport:
     rate6_q: np.ndarray
     remark7_partial: np.ndarray
     kronecker: np.ndarray
-    q: float
     correspondence: float
+    q = RATE6_Q                  # a class constant, not a field
 
     def to_csv(self) -> str:
         lines = ["n,norm_Sn,sum3_partial,rate5,rate6_q,remark7_partial"]
@@ -260,16 +261,16 @@ def _eigen_terms(toy: SpectralToy):
     return at_one, np.where(at_one, 0.0, toy.observable / den)
 
 
-def check_sweep_budget(toy: SpectralToy, n_max: int) -> None:
-    """Raise WorkBudgetError if a sweep of n_max steps is too large."""
-    if n_max * toy.dim > SPECTRAL_WORK_BUDGET:
-        raise WorkBudgetError("condition sweep too large",
-                              estimated_ops=n_max * toy.dim,
+def check_work(ops: int, what: str) -> None:
+    """Raise WorkBudgetError, "<what> too large", if ``ops``
+    eigenvalue-steps pass ``SPECTRAL_WORK_BUDGET``."""
+    if ops > SPECTRAL_WORK_BUDGET:
+        raise WorkBudgetError(what + " too large", estimated_ops=ops,
                               budget=SPECTRAL_WORK_BUDGET)
 
 
-def evaluate_conditions(toy: SpectralToy, n_max: int,
-                        q: float = 2.0) -> SpectralConditionReport:
+def evaluate_conditions(toy: SpectralToy,
+                        n_max: int) -> SpectralConditionReport:
     """Accumulate all condition statistics up to n_max steps.
 
     Work grows as n_max times the dimension and is budget-guarded.
@@ -278,7 +279,7 @@ def evaluate_conditions(toy: SpectralToy, n_max: int,
     """
     if n_max < 2:
         raise ParamsError("need at least two steps", n_max=n_max)
-    check_sweep_budget(toy, n_max)
+    check_work(n_max * toy.dim, "condition sweep")
     lam = toy.eigenvalues
     g = toy.observable
     at_one, gden = _eigen_terms(toy)
@@ -317,7 +318,7 @@ def evaluate_conditions(toy: SpectralToy, n_max: int,
         rows["s2"].append(float(np.linalg.norm(acc2)))
         rows["s3"].append(acc3)
         rows["r5"].append(norm_n * k / math.sqrt(n_hi))
-        rows["r6"].append(norm_n * k ** q / math.sqrt(n_hi))
+        rows["r6"].append(norm_n * k ** RATE6_Q / math.sqrt(n_hi))
         rows["r7"].append(acc7)
         rows["kron"].append(float(np.linalg.norm(acck))
                             / math.sqrt(n_hi))
@@ -327,8 +328,7 @@ def evaluate_conditions(toy: SpectralToy, n_max: int,
         sum3_partial=np.asarray(rows["s3"]),
         rate5=np.asarray(rows["r5"]), rate6_q=np.asarray(rows["r6"]),
         remark7_partial=np.asarray(rows["r7"]),
-        kronecker=np.asarray(rows["kron"]), q=q,
-        correspondence=correspondence)
+        kronecker=np.asarray(rows["kron"]), correspondence=correspondence)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +336,7 @@ def evaluate_conditions(toy: SpectralToy, n_max: int,
 
 def _partial_sums(toy: SpectralToy, n_hi: int) -> np.ndarray:
     """Rows k = 0..n_hi of the operator partial sums S_k per eigenvalue."""
-    if (n_hi + 1) * toy.dim > SPECTRAL_WORK_BUDGET:
-        raise WorkBudgetError("identity check too large",
-                              estimated_ops=(n_hi + 1) * toy.dim,
-                              budget=SPECTRAL_WORK_BUDGET)
+    check_work((n_hi + 1) * toy.dim, "identity check")
     lam = toy.eigenvalues
     gden = _eigen_terms(toy)[1]
     pw = np.empty((n_hi + 1, toy.dim), dtype=complex)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import cltlab
 import cltlab.cli as cli
 import cltlab.engine as engine
 import cltlab.laws as laws
+import cltlab.spectral as spectral
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
                         config_from_args, main)
 from cltlab.config import save_params
@@ -367,6 +369,30 @@ def test_validate_checks_the_spectral_sweep_budget(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("kmax, rows", [(1_100_000, 128), (1 << 20, 129),
+                                        (4_000_000, 128)])
+def test_validate_checks_the_spectral_identity_budget(kmax, rows, tmp_path,
+                                                      capsys, monkeypatch):
+    # the sweep fits, but the n = 64 identity checks' 128 or 129
+    # partial-sum rows do not: both commands refuse the toy's dimension
+    # at once, with the same error, and neither builds the toy
+    def refuse(*args):
+        raise AssertionError("the toy was built")
+
+    monkeypatch.setattr(spectral, "random_circulant_toy", refuse)
+    out = tmp_path / "run"
+    for command in (["spectral"], ["validate", "--scenario", "spectral"]):
+        start = time.perf_counter()
+        code, doc = run_main([*command, "--kmax", str(kmax), "--grid",
+                              "dyadic:1:2", "--out", str(out)], capsys)
+        assert time.perf_counter() - start < 1.0, command
+        assert code == 3, command
+        assert doc == {"error": {
+            "type": "WorkBudgetError", "message": "identity check too large",
+            "details": {"estimated_ops": rows * kmax, "budget": 1 << 27}}}
+        assert not out.exists()
+
+
 HUGE_SAMPLES_ERROR = {"error": {
     "type": "MemoryBudgetError",
     "message": "sample batch exceeds the memory budget",
@@ -434,6 +460,40 @@ def test_module_entry_point_exits_with_mains_codes(tmp_path, capsys,
     proc = cli_process("theorem1", "--samples", str(10 ** 15), cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout) == HUGE_SAMPLES_ERROR
+
+
+def test_unaffordable_ks_pass_exits_3_before_drawing(tmp_path, capsys,
+                                                    monkeypatch):
+    # at kmax 40 and rho 2 the horizon-2^31 law has a Gaussian part and
+    # 527,165 support points, and each sample reads a normal cdf at each
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(laws, "sample_batch", None)
+        start = time.perf_counter()
+        code, doc = run_main(["custom", "--kmax", "40", "--rho", "2",
+                              "--out", "run"], capsys)
+        assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert doc == {"error": {
+        "type": "WorkBudgetError", "message": "KS pass too large",
+        "details": {"estimated_ops": 100_000 * 527_165, "budget": 1 << 27}}}
+    assert not (tmp_path / "run").exists()
+    # 20 samples fit the budget, and keep their exit code and bytes
+    assert main(["custom", "--kmax", "40", "--rho", "2", "--samples", "20",
+                 "--no-timestamp", "--out", "run"]) == 4
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted((tmp_path / "run").iterdir())}
+    assert got == {
+        "conditions.csv": "21a278d1a13985ee93b47349653d67d9"
+                          "c2929aa6902ebb18e206efe5633e8f1d",
+        "config.json": "733eb62943a4792c118c892340ad28e4"
+                       "1afb5490ee97211fbe27c15236919c6e",
+        "dichotomy.csv": "31154becc8c00afe6716d4aa6e3c161a"
+                         "2deccc2925506dfcda82c5e3c4e83ae9",
+        "verdict.json": "2b3b40b757fe3012a1f1878bae476062"
+                        "8ece4bb443f7d1972f1c378aa9f20d77",
+    }
 
 
 def test_custom_run_writes_artifacts(tmp_path, capsys):

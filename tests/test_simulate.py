@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import binom, chisquare, kstat, ks_2samp
 
+import cltlab.laws as laws
 import cltlab.simulate as simulate
 from cltlab.blocks import (BlockParity, SequenceParams, default_params,
                            split_blocks)
@@ -20,7 +21,7 @@ from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
                              _build_plan, _distinct_keys, _draw_flat,
                              _draw_normal, _draw_poisson, _draw_pool,
                              _lane_key, _rekey, _stream,
-                             derive_seed, dichotomy_samples, sample_batch)
+                             derive_seed, sample_batch)
 from cltlab.weights import WeightMode, build_weights
 from cltlab_reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
@@ -131,8 +132,6 @@ def test_seed_outside_64_bits_is_refused(seed):
     params = desk_params()
     with pytest.raises(ParamsError, match="seed"):
         sample_batch(params, 8, 10, seed)
-    with pytest.raises(ParamsError, match="seed"):
-        dichotomy_samples(params, [params.blocks[0].horizon_log2], 10, seed)
     with pytest.raises(ParamsError, match="seed"):
         dichotomy_report(params, 10, seed)
     top = sample_batch(params, 8, 10, (1 << 64) - 1).values
@@ -595,29 +594,43 @@ def test_desk_horizon_under_a_deep_spike_block(kmax):
     assert np.all(np.isfinite(batch.values))
 
 
-def test_dichotomy_samples_stability():
-    params = default_params(kmax=20, rho=4.0)
-    odd = params.blocks[0].horizon_log2
-    assert params.blocks[0].complete
-    one = dichotomy_samples(params, [odd], 2_000, 745)
-    direct = sample_batch(params, odd, 2_000,
-                          derive_seed(745, params.blocks[0].index))
-    assert one[odd].values.tobytes() == direct.values.tobytes()
-    with pytest.raises(ParamsError):
-        dichotomy_samples(params, [odd + 1], 100, 745)
+def test_report_scores_the_batches_of_its_seed_rule(monkeypatch):
+    # theorem1's two horizons: block i's full sum is drawn at
+    # derive_seed(seed, i) and its gate at derive_seed(seed, salt + i),
+    # byte for byte, before the scorer sorts them
+    params = default_params(kmax=40_000_000, rho=4.0)
+    complete = params.complete_blocks()
+    assert [b.horizon_log2 for b in complete] == [11, 37605530]
+    scored = []
+    batch_ks = laws._batch_ks
+
+    def capture(values, *others):
+        scored.append(values.tobytes())
+        return batch_ks(values, *others)
+
+    monkeypatch.setattr(laws, "_batch_ks", capture)
+    dichotomy_report(params, 2_000, 745)
+    want = []
+    for b in complete:
+        for salt, kind in ((0, SampleKind.FULL_SN),
+                           (laws._GATE_SALT, SampleKind.APPROX_IID_SUM)):
+            want.append(sample_batch(params, b.horizon_log2, 2_000,
+                                     derive_seed(745, salt + b.index),
+                                     kind).values.tobytes())
+    assert scored == want
 
 
-def test_dichotomy_samples_on_a_shared_engine_keep_their_bits():
+def test_batches_on_a_shared_engine_keep_their_bits():
     # an engine warm with a grid's scalars, prefix tables and last
     # profiles plans the same batches as a fresh one
     params = default_params(kmax=40_000_000, rho=4.0)
     horizons = [b.horizon_log2 for b in params.complete_blocks()]
     em = ExactMoments(params)
     em.table_rows(dyadic_grid(4, 16))
-    shared = dichotomy_samples(params, horizons, 2_000, 745, moments=em)
-    fresh = dichotomy_samples(params, horizons, 2_000, 745)
     for e in horizons:
-        assert shared[e].values.tobytes() == fresh[e].values.tobytes()
+        shared = sample_batch(params, e, 2_000, 745, moments=em)
+        fresh = sample_batch(params, e, 2_000, 745)
+        assert shared.values.tobytes() == fresh.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
