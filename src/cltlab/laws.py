@@ -235,13 +235,6 @@ class LawModel:
         gv, support, _, _ = self._table()
         return np.empty(0) if gv > 0.0 else support
 
-    def lattice_table(self):
-        """(support, probs) for purely discrete laws, else None."""
-        gv, support, weights, _ = self._table()
-        if gv > 0.0:
-            return None
-        return support, weights
-
 
 # ---------------------------------------------------------------------------
 # Normal

@@ -28,7 +28,7 @@ from .errors import ParamsError, WorkBudgetError
 SPECTRAL_WORK_BUDGET = 1 << 27   # eigenvalue-times-step ceiling
 RATE6_Q = 2.0                    # the log power q of rate6_q
 _EIG_ONE_TOL = 1e-14             # |lambda - 1| below this counts as 1
-_CHUNK_ROWS = 1 << 14            # power-accumulation chunk length
+_TILE = 1 << 17                  # complex elements per work array, 2 MB
 
 
 @dataclass(eq=False)
@@ -295,10 +295,11 @@ def evaluate_conditions(toy: SpectralToy,
     rows = {"n": [], "norm": [], "s2": [], "s3": [], "r5": [], "r6": [],
             "r7": [], "kron": []}
     lam_prev = np.ones_like(lam)     # lambda^(n-1) entering the chunk
+    step = max(1, _TILE // toy.dim)
     n0 = 1
     for n_hi in grid:
-        for lo in range(n0, n_hi + 1, _CHUNK_ROWS):
-            hi = min(n_hi, lo + _CHUNK_ROWS - 1)
+        for lo in range(n0, n_hi + 1, step):
+            hi = min(n_hi, lo + step - 1)
             cnt = hi - lo + 1
             pw = np.cumprod(np.tile(lam, (cnt, 1)), axis=0) * lam_prev
             lam_prev = pw[-1].copy()
@@ -334,16 +335,28 @@ def evaluate_conditions(toy: SpectralToy,
 # ---------------------------------------------------------------------------
 # Algebraic identity checks
 
-def _partial_sums(toy: SpectralToy, n_hi: int) -> np.ndarray:
-    """Rows k = 0..n_hi of the operator partial sums S_k per eigenvalue."""
+def _tiled_residual(toy: SpectralToy, n_hi: int, sides) -> float:
+    """max |difference| / max(1, max |side|) over all eigenvalues, where
+    ``sides(lam, s)`` gives (difference, *sides) for a slice ``lam`` of
+    them and its partial sums S_k, k = 0..n_hi.  Columns are independent,
+    so slices of at most ``_TILE`` elements (two columns at least) give
+    the whole toy's bits."""
     check_work((n_hi + 1) * toy.dim, "identity check")
-    lam = toy.eigenvalues
     gden = _eigen_terms(toy)[1]
-    pw = np.empty((n_hi + 1, toy.dim), dtype=complex)
-    pw[0] = 1.0
-    if n_hi >= 1:
+    width = max(2, _TILE // (n_hi + 1))
+    maxima = []
+    for lo in range(0, toy.dim, width):
+        # one column would sum its rows pairwise, not in order as two or
+        # more do, so a last lone column takes its neighbour along
+        cols = slice(max(0, min(lo, toy.dim - 2)), lo + width)
+        lam = toy.eigenvalues[cols]
+        pw = np.empty((n_hi + 1, lam.size), dtype=complex)
+        pw[0] = 1.0
         pw[1:] = np.cumprod(np.tile(lam, (n_hi, 1)), axis=0)
-    return gden * (1.0 - pw)
+        parts = sides(lam, gden[cols] * (1.0 - pw))
+        maxima.append([np.abs(part).max() for part in parts])
+    worst, *scale = np.max(maxima, axis=0)
+    return float(worst) / max(1.0, *map(float, scale))
 
 
 def rn_identity_check(toy: SpectralToy, n: int) -> float:
@@ -355,16 +368,16 @@ def rn_identity_check(toy: SpectralToy, n: int) -> float:
     """
     if n < 2:
         raise ParamsError("need n >= 2", n=n)
-    s = _partial_sums(toy, 2 * n - 1)
     k_blk = np.arange(n, 2 * n, dtype=float)[:, None]
-    lhs = (s[n: 2 * n] / k_blk ** 1.5).sum(axis=0)
-    t1 = s[n] * float((k_blk ** -1.5).sum())
     k_pre = np.arange(1, n, dtype=float)[:, None]
-    inner = (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
-    t2 = toy.eigenvalues ** n * inner
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(t1).max()),
-                float(np.abs(t2).max()))
-    return float(np.abs(lhs - t1 - t2).max()) / scale
+
+    def sides(lam, s):
+        lhs = (s[n: 2 * n] / k_blk ** 1.5).sum(axis=0)
+        t1 = s[n] * float((k_blk ** -1.5).sum())
+        t2 = lam ** n * (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
+        return lhs - t1 - t2, lhs, t1, t2
+
+    return _tiled_residual(toy, 2 * n - 1, sides)
 
 
 def rn_telescoping_check(toy: SpectralToy, n: int,
@@ -379,19 +392,18 @@ def rn_telescoping_check(toy: SpectralToy, n: int,
     n_tail = 2 * n if n_tail is None else n_tail
     if n_tail < n:
         raise ParamsError("tail horizon must cover n", n_tail=n_tail)
-    s = _partial_sums(toy, n_tail)
     k_all = np.arange(1, n_tail + 1, dtype=float)[:, None]
-    terms = s[1:] / k_all ** 1.5
-    # R[k] = sum_{j=k}^{n_tail} S_j/j^{3/2}, suffix sums with R[n_tail+1]=0
-    suffix = np.zeros((n_tail + 2, toy.dim), dtype=complex)
-    suffix[1:-1] = np.cumsum(terms[::-1], axis=0)[::-1]
     k_pre = np.arange(1, n, dtype=float)[:, None]
-    lhs = (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
     ks = np.arange(2, n, dtype=float)[:, None]
     jump = (ks ** 1.5 / (n + ks) ** 1.5
             - (ks - 1.0) ** 1.5 / (n + ks - 1.0) ** 1.5)
-    rhs = (suffix[2: n] * jump).sum(axis=0)
-    rhs = rhs + suffix[1] / (n + 1.0) ** 1.5
-    rhs = rhs - suffix[n] * (n - 1.0) ** 1.5 / (2.0 * n - 1.0) ** 1.5
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return float(np.abs(lhs - rhs).max()) / scale
+
+    def sides(lam, s):
+        # r[k - 1] = R_k = sum_{j=k}^{n_tail} S_j/j^{3/2}
+        r = np.cumsum((s[1:] / k_all ** 1.5)[::-1], axis=0)[::-1]
+        lhs = (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
+        rhs = ((r[1: n - 1] * jump).sum(axis=0) + r[0] / (n + 1.0) ** 1.5
+               - r[n - 1] * (n - 1.0) ** 1.5 / (2.0 * n - 1.0) ** 1.5)
+        return lhs - rhs, lhs, rhs
+
+    return _tiled_residual(toy, n_tail, sides)

@@ -15,7 +15,9 @@ materializes every coordinate coefficient of the horizon sum, and
 oracle, ``site_sample_batch``, draws every site variable of every
 sample literally and sums it against the dense coefficients, normalized.
 Between two lattice laws, ``tv_distance`` sums their mass differences
-point by point.
+point by point.  The spectral identity checks ``rn_identity_check`` and
+``rn_telescoping_check`` hold every partial sum of every eigenvalue at
+once, in one matrix from ``_partial_sums``.
 
 Model recap: site variable X(l, m) is standard normal for even block l
 and sqrt(N_l) * xi for odd l, where xi is +-1 with probability
@@ -41,6 +43,7 @@ from cltlab.engine import BlockProfile, ExactMoments
 from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab.laws import LawModel
 from cltlab.simulate import SampleBatch, SampleKind, _horizon, _stream
+from cltlab.spectral import SpectralToy, _eigen_terms, check_work
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
@@ -368,11 +371,73 @@ def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:
     """
     masses = {}
     for law, sign in ((a, 1.0), (b, -1.0)):
-        table = law.lattice_table()
-        if table is None:
+        gv, vals, pr, _ = law._table()
+        if gv > 0.0:
             raise ParamsError("total variation needs purely discrete laws",
                               law=type(law).__name__)
-        vals, pr = table
         for key, p in zip(np.round(vals / unit).astype(np.int64), pr):
             masses[int(key)] = masses.get(int(key), 0.0) + sign * float(p)
     return 0.5 * math.fsum(abs(v) for v in masses.values())
+
+
+def _partial_sums(toy: SpectralToy, n_hi: int) -> np.ndarray:
+    """Rows k = 0..n_hi of the operator partial sums S_k per eigenvalue."""
+    check_work((n_hi + 1) * toy.dim, "identity check")
+    lam = toy.eigenvalues
+    gden = _eigen_terms(toy)[1]
+    pw = np.empty((n_hi + 1, toy.dim), dtype=complex)
+    pw[0] = 1.0
+    if n_hi >= 1:
+        pw[1:] = np.cumprod(np.tile(lam, (n_hi, 1)), axis=0)
+    return gden * (1.0 - pw)
+
+
+def rn_identity_check(toy: SpectralToy, n: int) -> float:
+    """Residual of the blocked tail identity, relative to its terms.
+
+    The sum of S_k/k^{3/2} over one dyadic block equals S_n times the
+    block's scalar weight plus the n-step operator power applied to the
+    shifted-weight sum of the earlier partial sums.
+    """
+    if n < 2:
+        raise ParamsError("need n >= 2", n=n)
+    s = _partial_sums(toy, 2 * n - 1)
+    k_blk = np.arange(n, 2 * n, dtype=float)[:, None]
+    lhs = (s[n: 2 * n] / k_blk ** 1.5).sum(axis=0)
+    t1 = s[n] * float((k_blk ** -1.5).sum())
+    k_pre = np.arange(1, n, dtype=float)[:, None]
+    inner = (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
+    t2 = toy.eigenvalues ** n * inner
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(t1).max()),
+                float(np.abs(t2).max()))
+    return float(np.abs(lhs - t1 - t2).max()) / scale
+
+
+def rn_telescoping_check(toy: SpectralToy, n: int,
+                         n_tail: int | None = None) -> float:
+    """Residual of the summation-by-parts rewrite of the shifted sum.
+
+    Both sides truncate the tail sums R_k at the same n_tail (default
+    2n), which keeps the rewrite an exact identity.
+    """
+    if n < 3:
+        raise ParamsError("need n >= 3", n=n)
+    n_tail = 2 * n if n_tail is None else n_tail
+    if n_tail < n:
+        raise ParamsError("tail horizon must cover n", n_tail=n_tail)
+    s = _partial_sums(toy, n_tail)
+    k_all = np.arange(1, n_tail + 1, dtype=float)[:, None]
+    terms = s[1:] / k_all ** 1.5
+    # R[k] = sum_{j=k}^{n_tail} S_j/j^{3/2}, suffix sums with R[n_tail+1]=0
+    suffix = np.zeros((n_tail + 2, toy.dim), dtype=complex)
+    suffix[1:-1] = np.cumsum(terms[::-1], axis=0)[::-1]
+    k_pre = np.arange(1, n, dtype=float)[:, None]
+    lhs = (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
+    ks = np.arange(2, n, dtype=float)[:, None]
+    jump = (ks ** 1.5 / (n + ks) ** 1.5
+            - (ks - 1.0) ** 1.5 / (n + ks - 1.0) ** 1.5)
+    rhs = (suffix[2: n] * jump).sum(axis=0)
+    rhs = rhs + suffix[1] / (n + 1.0) ** 1.5
+    rhs = rhs - suffix[n] * (n - 1.0) ** 1.5 / (2.0 * n - 1.0) ** 1.5
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max()) / scale

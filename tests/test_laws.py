@@ -72,7 +72,7 @@ def test_shared_evaluator_on_every_variant(case):
     np.testing.assert_array_equal(left[away], cdf[away])
     assert np.all(np.diff(cdf) >= 0.0)
     assert cdf.min() >= 0.0 and cdf.max() <= 1.0
-    table = law.lattice_table()
+    table = law._table()[1:3]
     if disc.size:
         assert table[1].sum() == pytest.approx(law.cdf(np.inf)[0],
                                                abs=1e-12)
@@ -80,7 +80,6 @@ def test_shared_evaluator_on_every_variant(case):
         assert math.isclose(law.variance(), table_moments(table)[1],
                             rel_tol=1e-12, abs_tol=0.0)
     else:
-        assert table is None
         # the Gaussian 0.5 plus one expected hit of the 0.7 step
         assert law.variance() == pytest.approx(0.5 + 0.49, rel=1e-9)
 
@@ -109,10 +108,10 @@ def test_sym_poisson_moments_and_table():
     sp = SymPoissonLaw(0.5)
     assert sp.mean() == pytest.approx(0.0, abs=1e-12)
     assert sp.variance() == pytest.approx(1.0, rel=1e-10)
-    _, var, excess = table_moments(sp.lattice_table())
+    _, var, excess = table_moments(sp._table()[1:3])
     assert var == pytest.approx(1.0, rel=1e-10)
     assert excess == pytest.approx(1.0, rel=1e-9)
-    support, probs = sp.lattice_table()
+    _, support, probs, _ = sp._table()
     # symmetric about 0
     np.testing.assert_array_equal(support, -support[::-1])
     np.testing.assert_array_equal(probs, probs[::-1])
@@ -145,7 +144,6 @@ def test_normal_law_basics():
     x = np.linspace(-3, 3, 13)
     assert np.allclose(nl.cdf(x), norm.cdf(x), atol=1e-14)
     assert nl.discontinuities().size == 0
-    assert nl.lattice_table() is None
     assert (nl.mean(), nl.variance()) == (0.0, 1.0)
     # a NaN mean would make every F value NaN, which the KS maximum
     # skips, and a NaN variance would score as a point mass
@@ -185,7 +183,7 @@ def test_exact_law_variance_and_kurtosis_desk():
     em = ExactMoments(params)
     law = exact_law(params, 11, em)
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
-    _, var, excess = table_moments(law.lattice_table())
+    _, var, excess = table_moments(law._table()[1:3])
     assert var == pytest.approx(1.0, rel=1e-12)
     assert excess == pytest.approx(0.9985351562500018, rel=1e-12)
     assert law.cdf_error_bound < 1e-9
@@ -388,7 +386,7 @@ def test_one_pass_ks_against_normal_is_the_textbook_formula():
 
 def test_one_pass_ks_against_a_lattice_law_is_brute_force():
     law = exact_law(single_odd_block(6), 6)
-    support, probs = law.lattice_table()
+    _, support, probs, _ = law._table()
     rng = np.random.default_rng(3)
     x = rng.choice(support, size=20_000, p=probs / probs.sum())
     got = ks_distance(x, law)
@@ -486,7 +484,7 @@ def test_snap_tolerance_is_the_law_scale():
     # off the lattice onto it, scoring 0.00099.  The law's is 1e-9, so
     # the shifted batch fails the 1% gate
     law = SymPoissonLaw(0.5)
-    support, probs = law.lattice_table()
+    _, support, probs, _ = law._table()
     rng = np.random.default_rng(1)
     x = rng.choice(support, size=100_000, p=probs / probs.sum()) + 2e-4
     x[:10] = 1e8

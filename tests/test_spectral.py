@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cltlab.spectral import (SpectralToy, binom_coeffs, circulant_toy,
                              evaluate_conditions, random_circulant_toy,
                              rn_identity_check, rn_telescoping_check,
                              sqrt_apply, toy_from_json)
+import cltlab_reference as ref
 
 
 def gap_toy(seed=0, dim=24):
@@ -175,34 +177,37 @@ def test_sqrt_apply_accuracy_at_gap():
 # -- condition sweeps ------------------------------------------------------
 
 def test_evaluate_conditions_against_loop():
-    toy = gap_toy(3, dim=6)
-    n_max = 64
-    rep = evaluate_conditions(toy, n_max)
-    lam, g = toy.eigenvalues, toy.observable
-    gden = np.where(np.abs(lam - 1.0) <= 1e-14, 0.0,
-                    g / np.where(np.abs(lam - 1.0) <= 1e-14, 1.0, 1.0 - lam))
-    acc2 = np.zeros_like(lam)
-    acck = np.zeros_like(lam)
-    acc3 = 0.0
-    acc7 = 0.0
-    at = {}
-    for n in range(1, n_max + 1):
-        sn = gden * (1.0 - lam ** n)
-        acc2 += sn / n ** 1.5
-        acck += g * lam ** n / math.sqrt(n)
-        acc3 += float(np.linalg.norm(sn)) / n ** 1.5
-        acc7 += float(np.linalg.norm(sn)) ** 2 / n ** 2
-        if n & (n - 1) == 0 and n > 1:
-            at[n] = (np.linalg.norm(sn), np.linalg.norm(acc2), acc3,
-                     acc7, np.linalg.norm(acck) / math.sqrt(n))
-    for i, n in enumerate(rep.ns):
-        norm, s2, s3, r7, kron = at[int(n)]
-        assert rep.norm_sn[i] == pytest.approx(norm, rel=1e-10)
-        assert rep.sum2_partial[i] == pytest.approx(s2, rel=1e-10)
-        assert rep.sum3_partial[i] == pytest.approx(s3, rel=1e-10)
-        assert rep.remark7_partial[i] == pytest.approx(r7, rel=1e-10)
-        assert rep.kronecker[i] == pytest.approx(kron, rel=1e-9,
-                                                 abs=1e-12)
+    # at dimension 4097 a chunk holds 31 steps, less than a dyadic block
+    for dim in (6, 4097):
+        toy = gap_toy(3, dim=dim)
+        n_max = 64
+        rep = evaluate_conditions(toy, n_max)
+        lam, g = toy.eigenvalues, toy.observable
+        gden = np.where(np.abs(lam - 1.0) <= 1e-14, 0.0,
+                        g / np.where(np.abs(lam - 1.0) <= 1e-14, 1.0,
+                                     1.0 - lam))
+        acc2 = np.zeros_like(lam)
+        acck = np.zeros_like(lam)
+        acc3 = 0.0
+        acc7 = 0.0
+        at = {}
+        for n in range(1, n_max + 1):
+            sn = gden * (1.0 - lam ** n)
+            acc2 += sn / n ** 1.5
+            acck += g * lam ** n / math.sqrt(n)
+            acc3 += float(np.linalg.norm(sn)) / n ** 1.5
+            acc7 += float(np.linalg.norm(sn)) ** 2 / n ** 2
+            if n & (n - 1) == 0 and n > 1:
+                at[n] = (np.linalg.norm(sn), np.linalg.norm(acc2), acc3,
+                         acc7, np.linalg.norm(acck) / math.sqrt(n))
+        for i, n in enumerate(rep.ns):
+            norm, s2, s3, r7, kron = at[int(n)]
+            assert rep.norm_sn[i] == pytest.approx(norm, rel=1e-10)
+            assert rep.sum2_partial[i] == pytest.approx(s2, rel=1e-10)
+            assert rep.sum3_partial[i] == pytest.approx(s3, rel=1e-10)
+            assert rep.remark7_partial[i] == pytest.approx(r7, rel=1e-10)
+            assert rep.kronecker[i] == pytest.approx(kron, rel=1e-9,
+                                                     abs=1e-12)
 
 
 def test_conditions_converge_for_gap_toy():
@@ -227,6 +232,25 @@ def test_conditions_converge_for_gap_toy():
     assert len(body.strip().split("\n")) == rep.ns.size + 1
 
 
+def test_work_arrays_stay_within_one_tile():
+    # the sweep's chunks and the identity checks' column slices hold at
+    # most 2^17 complex elements (2 MB) each, so every peak stays a few
+    # MB whatever the dimension: against 112, 385 and 515 MB when the
+    # sweep took whole dyadic blocks and the checks held every partial
+    # sum at once
+    small, wide = gap_toy(0, dim=1024), gap_toy(0, dim=1 << 16)
+    for run in (lambda: evaluate_conditions(small, 1 << 12),
+                lambda: rn_identity_check(wide, 64),
+                lambda: rn_telescoping_check(wide, 64)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
+
+
 def test_evaluate_conditions_guards():
     toy = gap_toy(1, dim=64)
     with pytest.raises(WorkBudgetError):
@@ -249,6 +273,24 @@ def test_identities_with_explicit_tail():
     toy = gap_toy(11)
     assert rn_telescoping_check(toy, 12, n_tail=300) <= 1e-10
     assert rn_telescoping_check(toy, 12, n_tail=12) <= 1e-10
+
+
+# at n = 64 the identity check's last column slice of 1025 and 8193
+# eigenvalues holds one column, as the telescoping check's does at 1017
+@pytest.mark.parametrize("dim,n", [(2, 17), (24, 3), (24, 17), (1017, 64),
+                                   (1025, 64), (8193, 64)])
+def test_sliced_identity_checks_keep_the_whole_matrix_bits(dim, n):
+    # the explicit toy's last eigenvalue carries every maximum, so a
+    # changed rounding in its column moves the residual
+    rng = np.random.default_rng(dim + n)
+    lam = 0.9 * np.exp(2j * np.pi * rng.random(dim))
+    obs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    obs[-1] *= 1e3
+    for toy in (SpectralToy(lam, obs), random_circulant_toy(dim, n)):
+        assert rn_identity_check(toy, n) == ref.rn_identity_check(toy, n)
+        for n_tail in (None, 300, n):
+            assert (rn_telescoping_check(toy, n, n_tail)
+                    == ref.rn_telescoping_check(toy, n, n_tail))
 
 
 def test_identity_validation():
