@@ -31,10 +31,9 @@ import numpy as np
 
 from .blocks import SequenceParams, TargetKind, default_params
 from .config import json_ready, load_params, params_to_dict, read_input
-from .engine import (DESK_N_CAP, Condition, ExactMoments, dyadic_grid,
-                     format_csv)
-from .errors import (MemoryBudgetError, ParamsError, TruncationError,
-                     WorkBudgetError, check_batch_budget, check_seed)
+from .engine import Condition, ExactMoments, dyadic_grid, format_csv
+from .errors import (DESK_N_CAP, MemoryBudgetError, ParamsError,
+                     TruncationError, WorkBudgetError, charge, check_seed)
 from .weights import WeightMode, check_decay, weighted_prefix
 
 EXIT_OK = 0
@@ -152,8 +151,8 @@ class ExperimentConfig:
         if self.samples < 0:
             raise ParamsError("samples must be >= 0", samples=self.samples)
         if self.scenario is not Scenario.SPECTRAL:
-            # a run draws each horizon's samples as one batch
-            check_batch_budget(self.samples)
+            # a run draws each horizon's samples as one float64 batch
+            charge("sample_batch", 8 * self.samples)
         check_seed(self.seed)
         if not self.rho > 1.0:
             raise ParamsError("rho must exceed 1", rho=self.rho)
@@ -321,14 +320,14 @@ def _build_toy(cfg: ExperimentConfig):
     budget the run checks, in the run's order: the sweep to 2^hi steps,
     then the identity checks' rows.  A random toy is checked before it
     is built."""
-    from .spectral import check_work, random_circulant_toy, toy_from_json
+    from .spectral import random_circulant_toy, toy_from_json
     toy = None
     if cfg.toy_file is not None:
         toy = toy_from_json(read_input(cfg.toy_file))
     dim = max(2, cfg.kmax) if toy is None else toy.dim
-    check_work((1 << cfg.grid[1]) * dim, "condition sweep")
+    charge("condition_sweep", (1 << cfg.grid[1]) * dim)
     for rows in (2 * _IDENTITY_N, 2 * _IDENTITY_N + 1):
-        check_work(rows * dim, "identity check")
+        charge("identity_check", rows * dim)
     if toy is None:
         toy = random_circulant_toy(dim, cfg.seed)
     return toy

@@ -32,7 +32,7 @@ extension of the window function, written with the Hurwitz zeta: short
 ones and their lags near r = 0 directly, the rest by Euler-Maclaurin with
 a Gauss-Legendre integral, so a tail costs O(scales) at any horizon.  One
 ``SeriesTail`` evaluates a batch of (p, q) rows together, each bit for
-bit as alone, and ``WORK_BUDGET`` caps what each row touches.
+bit as alone, and the ``series_tail`` budget caps what each row touches.
 
 Scale conventions: n_k = 2^k exactly; "log" is the dyadic logarithm;
 [log N] of an integer is ``N.bit_length() - 1``.
@@ -54,12 +54,8 @@ from enum import Enum
 import numpy as np
 
 from .blocks import BlockParity, BlockSpec, SequenceParams
-from .errors import ParamsError, WorkBudgetError
-from .lattice import DESK_N_CAP, K_GUARD, SeriesTail, _affine_sq, _centred
-
-#: default budget for one series tail, in the pieces, quadrature nodes and
-#: directly summed lags its evaluation touches (``SeriesTail.work``)
-WORK_BUDGET = 1 << 23
+from .errors import BUDGETS, DESK_N_CAP, ParamsError, charge
+from .lattice import K_GUARD, SeriesTail, _affine_sq, _centred
 
 
 def _log2_floor(N: int) -> int:
@@ -155,9 +151,7 @@ class BlockProfile:
 
     def __init__(self, params: SequenceParams, block: BlockSpec, N: int,
                  sums: ScaleSums | None = None):
-        if N > DESK_N_CAP:
-            raise WorkBudgetError("horizon exceeds the integer-exact cap",
-                                  estimated_ops=N, budget=DESK_N_CAP)
+        charge("profile_horizon", N)
         self.block = block
         self.N = N
         # Scales more than K_GUARD doublings above the horizon carry a
@@ -620,20 +614,16 @@ class ExactMoments:
         row, and memoized per (p, q); a call whose work count exceeds the
         budget raises ``WorkBudgetError`` before evaluating anything.
         """
-        over = self._tails([(p, q)])
-        if over:
-            raise WorkBudgetError("series tail range too expensive",
-                                  estimated_ops=over[(p, q)],
-                                  budget=WORK_BUDGET)
+        charge("series_tail", self._tails([(p, q)]).get((p, q), 0))
         return self._cache[("tail", p, q)]
 
     def _tails(self, pairs) -> dict:
         """Memoize the series tail norms of the rows (p, q) in ``pairs``
         that are not memoized yet, as one batch.
 
-        Each row checks its own work against ``WORK_BUDGET`` first; the
-        rows over it are evaluated and memoized not at all, and come back
-        with their work counts.
+        Each row checks its own work against the ``series_tail`` budget
+        first; the rows over it are evaluated and memoized not at all, and
+        come back with their work counts.
         """
         todo = [pq for pq in dict.fromkeys(pairs)
                 if ("tail", *pq) not in self._cache]
@@ -644,7 +634,7 @@ class ExactMoments:
             return {}
         tail = SeriesTail(self.params, *map(list, zip(*todo)))
         over = {pq: w for pq, w in zip(todo, tail.work.tolist())
-                if w > WORK_BUDGET}
+                if w > BUDGETS["series_tail"].limit}
         if over:
             todo = [pq for pq in todo if pq not in over]
             if not todo:

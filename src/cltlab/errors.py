@@ -1,13 +1,15 @@
-"""Exception types shared across the package, and the sample-batch
-budget and seed range that both a run and its validation check.
+"""Exception types shared across the package, the seed range, and the
+table of every work and memory budget with its one check, ``charge``.
 
-Each carries its named context (e.g. the mass accumulated before a block
-construction ran out of indices, or an estimate against its budget) in
-``details``; unset entries stay None.
+Each error carries its named context (e.g. the mass accumulated before a
+block construction ran out of indices, or an estimate against its budget)
+in ``details``; unset entries stay None.
 """
 
-#: most samples one batch may hold: 2 GiB of float64
-BATCH_BUDGET = 1 << 28
+from typing import NamedTuple
+
+#: largest horizon the integer-exact desk paths accept
+DESK_N_CAP = 1 << 52
 
 
 class ParamsError(ValueError):
@@ -43,13 +45,38 @@ class TruncationError(RuntimeError):
                         "target_mass": target_mass}
 
 
-def check_batch_budget(count: int) -> None:
-    """Raise MemoryBudgetError if a batch of ``count`` samples exceeds
-    ``BATCH_BUDGET``."""
-    if count > BATCH_BUDGET:
-        raise MemoryBudgetError("sample batch exceeds the memory budget",
-                                estimated_bytes=8 * count,
-                                budget=8 * BATCH_BUDGET)
+#: a check's largest estimate, in ``unit``, and what it raises past it
+Budget = NamedTuple("Budget", [("limit", int), ("unit", str),
+                               ("error", type), ("message", str)])
+
+#: every budget a run and its validation check before the work it bounds
+BUDGETS = {
+    # one batch of 2^28 float64 samples
+    "sample_batch": Budget(8 << 28, "bytes", MemoryBudgetError,
+                           "sample batch exceeds the memory budget"),
+    # what one series tail row touches, as ``lattice.SeriesTail.work`` counts
+    "series_tail": Budget(1 << 23, "work", WorkBudgetError,
+                          "series tail range too expensive"),
+    "condition_sweep": Budget(1 << 27, "eigenvalue-steps", WorkBudgetError,
+                              "condition sweep too large"),
+    "identity_check": Budget(1 << 27, "eigenvalue-steps", WorkBudgetError,
+                             "identity check too large"),
+    # a normal cdf takes about 0.1 us, so a pass at the limit about 14 s
+    "ks_pass": Budget(1 << 27, "cdf reads", WorkBudgetError,
+                      "KS pass too large"),
+    # a profile's horizon N and a tail's last lag q, kept exact in a double
+    "profile_horizon": Budget(DESK_N_CAP, "horizon", WorkBudgetError,
+                              "horizon exceeds the integer-exact cap"),
+    "tail_lag": Budget(2 * DESK_N_CAP, "lag", WorkBudgetError,
+                       "series tail beyond the integer-exact cap"),
+}
+
+
+def charge(name: str, estimate: int) -> None:
+    """Raise budget ``name``'s error if ``estimate`` passes its limit."""
+    limit, _, error, message = BUDGETS[name]
+    if estimate > limit:
+        raise error(message, estimate, limit)
 
 
 def check_seed(seed: int) -> None:

@@ -28,8 +28,8 @@ difference of two values so that it keeps its relative accuracy however
 small it is.
 
 The exact power sums of an integer range (``_centred``, ``_affine_sq``)
-and the scale guard ``K_GUARD`` and desk cap ``DESK_N_CAP`` live here
-too, since the engine's block profiles read them as well.
+and the scale guard ``K_GUARD`` live here too, since the engine's block
+profiles read them as well.
 """
 
 from __future__ import annotations
@@ -41,13 +41,10 @@ from itertools import chain
 import numpy as np
 
 from .blocks import SequenceParams
-from .errors import WorkBudgetError
+from .errors import charge
 
 #: extra indices kept beyond the largest scale that can matter
 K_GUARD = 96
-
-#: largest horizon the integer-exact desk paths accept
-DESK_N_CAP = 1 << 52
 
 #: most work one run of a batch of series tails evaluates at once: the
 #: peak of theorem3's 37-row grid stays under 0.9 MB
@@ -438,7 +435,7 @@ class SeriesTail:
     (``_em_first``) and its ``math.fsum``; so each row's value is bit
     for bit the one it has alone.
 
-    ``work``, which the ``WORK_BUDGET`` gate reads, counts per row what
+    ``work``, which the ``series_tail`` budget reads, counts per row what
     ``norm_sq`` touches, laid out on construction: the pieces (three
     per scale past the head), plus the quadrature nodes and direct lags
     of every windowed head piece and of the shared window [p, q].
@@ -448,11 +445,7 @@ class SeriesTail:
     def __init__(self, params: SequenceParams, p, q):
         self.params, self.scalar = params, np.ndim(p) == 0
         self.p, self.q = np.atleast_1d(p), np.atleast_1d(q)
-        if self.q.max(initial=0) > 2 * DESK_N_CAP:
-            # lags and scales must stay exact in a double and an int64
-            raise WorkBudgetError("series tail beyond the integer-exact cap",
-                                  estimated_ops=int(self.q.max()),
-                                  budget=2 * DESK_N_CAP)
+        charge("tail_lag", int(self.q.max(initial=0)))
         rows = self.p.size
         # (row, k_lo, scales, head scales) of each kept block of each row.
         # At lag j the scales above any k add at most 2 Zh / max(n_k, j+1)

@@ -42,16 +42,12 @@ import numpy as np
 
 from .blocks import BlockParity, SequenceParams, parity_of
 from .engine import ExactMoments
-from .errors import ParamsError, TruncationError, WorkBudgetError, check_seed
+from .errors import ParamsError, TruncationError, charge, check_seed
 from .simulate import (CHUNK, FlatRegime, LatticeAtom, SampleKind,
                        derive_seed, flat_copy, flat_regime, sample_batch)
 
 ATOM_MASS_TOL = 1e-12        # lattice pmf truncation mass per law
 PRODUCT_BUDGET = 1 << 22     # joint support budget across components
-# normal cdfs one KS pass may read against a law with a Gaussian part:
-# each sample reads one per support point, about 0.1 us each, so a pass
-# at the budget takes about 14 s
-KS_WORK_BUDGET = 1 << 27
 SUPPORT_BUDGET = 1 << 26     # single-law support budget
 KS_ONE_PCT_COEF = 1.63       # asymptotic one-sample 1% KS coefficient
 KS_SNAP = 1e-9               # evaluation nudge around candidate points
@@ -650,8 +646,8 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
     to the exact law to pass the 1% KS bound, which validates the whole
     sampling/oracle chain at that horizon.  ``decide`` judges the rows.
     Before any draw, a count below 1 or a bad margin raises ParamsError, and
-    a law with a Gaussian part that a KS pass would read at more than
-    ``KS_WORK_BUDGET`` points (count times its support) WorkBudgetError.
+    a law with a Gaussian part whose KS pass would read more cdfs (count
+    times its support) than the ``ks_pass`` budget allows WorkBudgetError.
 
     Horizons are taken one at a time, and each batch is sorted in place,
     scored and dropped before the next is drawn, so the report holds one
@@ -670,10 +666,8 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
     laws = [exact_law(params, blk.horizon_log2, moments) for blk in complete]
     for law in laws:
         gv, support, _, _ = law._table()
-        if gv > 0.0 and count * support.size > KS_WORK_BUDGET:
-            raise WorkBudgetError("KS pass too large",
-                                  estimated_ops=count * support.size,
-                                  budget=KS_WORK_BUDGET)
+        if gv > 0.0:
+            charge("ks_pass", count * support.size)
     normal = NormalLaw(0.0, 1.0)
     rows = []
     for blk, law in zip(complete, laws):

@@ -88,7 +88,7 @@ import numpy as np
 from .blocks import BlockParity, SequenceParams
 from .engine import (BlockProfile, ExactMoments, block_var_over_n,
                      desk_horizon)
-from .errors import ParamsError, check_batch_budget, check_seed
+from .errors import ParamsError, charge, check_seed
 
 CHUNK = 4096
 GAUSSIANIZE_LOG2 = 40
@@ -415,14 +415,14 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
 
     Identical arguments give byte-identical batches, and each full chunk
     of ``CHUNK`` values is the same in every batch that holds it.  A seed
-    outside [0, 2^64) raises ParamsError, and a count beyond
-    ``errors.BATCH_BUDGET`` MemoryBudgetError, before anything is planned
+    outside [0, 2^64) raises ParamsError, and a batch past the
+    ``sample_batch`` budget MemoryBudgetError, before anything is planned
     or allocated; a horizon with b^2 = 0 raises ParamsError.
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
     check_seed(seed)
-    check_batch_budget(count)
+    charge("sample_batch", 8 * count)      # float64 values
     kind = SampleKind(kind)
     plan = _build_plan(params, log2_n, kind, moments or ExactMoments(params))
     values = np.zeros(count)

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _real
-from .errors import ParamsError, WorkBudgetError
+from .errors import ParamsError, charge
 
-SPECTRAL_WORK_BUDGET = 1 << 27   # eigenvalue-times-step ceiling
 RATE6_Q = 2.0                    # the log power q of rate6_q
 _EIG_ONE_TOL = 1e-14             # |lambda - 1| below this counts as 1
 _TILE = 1 << 17                  # complex elements per work array, 2 MB
@@ -207,7 +206,8 @@ def sqrt_apply(toy: SpectralToy, m: int) -> SqrtApplyResult:
     lam = toy.eigenvalues
     acc = np.zeros_like(lam)
     for j in range(m - 1, -1, -1):
-        acc = (acc + a[j]) * lam
+        acc += a[j]
+        acc *= lam
     series = toy.observable * (1.0 - acc)
     direct = toy.observable * np.sqrt(1.0 - lam)
     return SqrtApplyResult(series, direct,
@@ -261,14 +261,6 @@ def _eigen_terms(toy: SpectralToy):
     return at_one, np.where(at_one, 0.0, toy.observable / den)
 
 
-def check_work(ops: int, what: str) -> None:
-    """Raise WorkBudgetError, "<what> too large", if ``ops``
-    eigenvalue-steps pass ``SPECTRAL_WORK_BUDGET``."""
-    if ops > SPECTRAL_WORK_BUDGET:
-        raise WorkBudgetError(what + " too large", estimated_ops=ops,
-                              budget=SPECTRAL_WORK_BUDGET)
-
-
 def evaluate_conditions(toy: SpectralToy,
                         n_max: int) -> SpectralConditionReport:
     """Accumulate all condition statistics up to n_max steps.
@@ -279,7 +271,7 @@ def evaluate_conditions(toy: SpectralToy,
     """
     if n_max < 2:
         raise ParamsError("need at least two steps", n_max=n_max)
-    check_work(n_max * toy.dim, "condition sweep")
+    charge("condition_sweep", n_max * toy.dim)
     lam = toy.eigenvalues
     g = toy.observable
     at_one, gden = _eigen_terms(toy)
@@ -341,7 +333,7 @@ def _tiled_residual(toy: SpectralToy, n_hi: int, sides) -> float:
     them and its partial sums S_k, k = 0..n_hi.  Columns are independent,
     so slices of at most ``_TILE`` elements (two columns at least) give
     the whole toy's bits."""
-    check_work((n_hi + 1) * toy.dim, "identity check")
+    charge("identity_check", (n_hi + 1) * toy.dim)
     gden = _eigen_terms(toy)[1]
     width = max(2, _TILE // (n_hi + 1))
     maxima = []

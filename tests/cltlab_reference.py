@@ -40,10 +40,11 @@ from scipy.special import ndtri
 
 from cltlab.blocks import BlockParity, SequenceParams
 from cltlab.engine import BlockProfile, ExactMoments
-from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from cltlab.errors import (MemoryBudgetError, ParamsError, WorkBudgetError,
+                           charge)
 from cltlab.laws import LawModel
 from cltlab.simulate import SampleBatch, SampleKind, _horizon, _stream
-from cltlab.spectral import SpectralToy, _eigen_terms, check_work
+from cltlab.spectral import SpectralToy, _eigen_terms
 
 #: largest n_k and N the oracles will enumerate
 ORACLE_SCALE_CAP = 1 << 11
@@ -382,7 +383,7 @@ def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:
 
 def _partial_sums(toy: SpectralToy, n_hi: int) -> np.ndarray:
     """Rows k = 0..n_hi of the operator partial sums S_k per eigenvalue."""
-    check_work((n_hi + 1) * toy.dim, "identity check")
+    charge("identity_check", (n_hi + 1) * toy.dim)
     lam = toy.eigenvalues
     gden = _eigen_terms(toy)[1]
     pw = np.empty((n_hi + 1, toy.dim), dtype=complex)

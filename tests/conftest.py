@@ -1,5 +1,7 @@
 from hypothesis import HealthCheck, settings
 
+from cltlab.errors import BUDGETS
+
 settings.register_profile(
     "ci",
     max_examples=50,
@@ -19,6 +21,11 @@ _FAULHABER = (
     lambda x: (x * (x + 1) // 2) ** 2,
     lambda x: x * (x + 1) * (2 * x + 1) * (3 * x * x + 3 * x - 1) // 30,
 )
+
+
+def set_limit(monkeypatch, name, limit):
+    """Give budget ``name`` the limit ``limit`` for one test."""
+    monkeypatch.setitem(BUDGETS, name, BUDGETS[name]._replace(limit=limit))
 
 
 def power_sums(lo, hi, top=4):

@@ -15,7 +15,6 @@ import pytest
 
 import cltlab
 import cltlab.cli as cli
-import cltlab.engine as engine
 import cltlab.laws as laws
 import cltlab.spectral as spectral
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
@@ -25,6 +24,7 @@ from cltlab.blocks import (MassTarget, SequenceParams, default_params,
                            split_blocks)
 from cltlab.errors import ParamsError
 from cltlab.weights import WeightMode, build_weights
+from conftest import set_limit
 
 
 def parse(argv):
@@ -182,7 +182,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 def test_tail_over_its_budget_is_reported_not_raised(tmp_path, capsys,
                                                      monkeypatch):
     # every series tail row touches more than 10 terms
-    monkeypatch.setattr(engine, "WORK_BUDGET", 10)
+    set_limit(monkeypatch, "series_tail", 10)
     out = tmp_path / "o"
     code, _ = run_main(["conditions", "--samples", "0", "--no-timestamp",
                         "--out", str(out)], capsys)
@@ -390,6 +390,30 @@ def test_validate_checks_the_spectral_identity_budget(kmax, rows, tmp_path,
         assert doc == {"error": {
             "type": "WorkBudgetError", "message": "identity check too large",
             "details": {"estimated_ops": rows * kmax, "budget": 1 << 27}}}
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["theorem1", "--samples", "268435457"],
+     '{"error": {"details": {"budget": 2147483648, "estimated_bytes": '
+     '2147483656}, "message": "sample batch exceeds the memory budget", '
+     '"type": "MemoryBudgetError"}}'),
+    (["spectral", "--grid", "dyadic:1:25"],
+     '{"error": {"details": {"budget": 134217728, "estimated_ops": '
+     '268435456}, "message": "condition sweep too large", '
+     '"type": "WorkBudgetError"}}'),
+    (["spectral", "--kmax", "1100000", "--grid", "dyadic:1:2"],
+     '{"error": {"details": {"budget": 134217728, "estimated_ops": '
+     '140800000}, "message": "identity check too large", '
+     '"type": "WorkBudgetError"}}'),
+], ids=["batch", "sweep", "identity"])
+def test_validate_and_the_run_print_the_same_budget_error(argv, line,
+                                                          tmp_path, capsys):
+    # both charge the same budget with the same estimate before any work
+    out = tmp_path / "run"
+    for command in ([argv[0]], ["validate", "--scenario", argv[0]]):
+        assert main([*command, *argv[1:], "--out", str(out)]) == 3, command
+        assert capsys.readouterr().out == line + "\n", command
         assert not out.exists()
 
 

@@ -15,16 +15,17 @@ from hypothesis import strategies as st
 
 from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
-from cltlab.engine import (DESK_N_CAP, WORK_BUDGET, BlockProfile, Condition,
+from cltlab.engine import (DESK_N_CAP, BlockProfile, Condition,
                            ExactMoments, SeriesTail, Verdict, dyadic_grid,
                            format_csv, judge, sigma_sq_over_n)
-from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
+from cltlab.errors import (BUDGETS, MemoryBudgetError, ParamsError,
+                           WorkBudgetError)
 from cltlab import lattice
 from cltlab.lattice import hurwitz_zeta, zeta_diff
 from cltlab.weights import WeightMode, build_weights
 from cltlab_reference import (DENSE_SIGMA_CAP, RationalMoments, count_pairs,
                               dense_series_tail_norm, sigma_sq_enumerated)
-from conftest import power_sums
+from conftest import power_sums, set_limit
 
 
 def tiny_params(kmax=3, ends=(1, 3)):
@@ -241,7 +242,7 @@ def test_tail_norm_is_memoized(monkeypatch):
     assert built == [[(n, 2 * n) for n in grid]]
     assert rep.values == [row["tail_2prime"] for row in rows]
     # budget failures are not cached: each call re-estimates and raises
-    monkeypatch.setattr(engine, "WORK_BUDGET", 100)
+    set_limit(monkeypatch, "series_tail", 100)
     tight = ExactMoments(desk_params(kmax=12))
     for _ in range(2):
         with pytest.raises(WorkBudgetError):
@@ -487,7 +488,7 @@ def test_rows_over_the_work_budget_alone_are_nan(monkeypatch):
     want = ExactMoments(params).table_rows(grid)
     work = SeriesTail(params, grid, [2 * n for n in grid]).work
     budget = int(np.median(work))
-    monkeypatch.setattr(engine, "WORK_BUDGET", budget)
+    set_limit(monkeypatch, "series_tail", budget)
     em = ExactMoments(params)
     got = em.table_rows(grid)
     assert 0 < sum(w > budget for w in work) < len(grid)
@@ -853,7 +854,7 @@ def test_work_gate_keeps_the_preset_rows(name):
     # through 2^40 on every preset, 2^10 times over
     params, _ = preset(name)
     assert max(SeriesTail(params, 1 << e, 2 << e).work
-               for e in range(4, 41)) <= WORK_BUDGET >> 10
+               for e in range(4, 41)) <= BUDGETS["series_tail"].limit >> 10
     if name == "theorem3":
         rows = ExactMoments(params).table_rows(dyadic_grid(4, 40))
         tails = [row["tail_2prime"] for row in rows]

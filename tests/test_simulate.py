@@ -13,8 +13,7 @@ import cltlab.simulate as simulate
 from cltlab.blocks import (BlockParity, SequenceParams, default_params,
                            split_blocks)
 from cltlab.engine import DESK_N_CAP, ExactMoments, dyadic_grid
-from cltlab.errors import (BATCH_BUDGET, MemoryBudgetError, ParamsError,
-                           WorkBudgetError)
+from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab.laws import (dichotomy_report, exact_law, ks_distance,
                          ks_pass_bound)
 from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
@@ -494,9 +493,9 @@ def test_batch_budget_fails_before_planning(monkeypatch):
 
     monkeypatch.setattr(simulate, "_build_plan", forbidden)
     with pytest.raises(MemoryBudgetError) as err:
-        sample_batch(desk_params(), 8, BATCH_BUDGET + 1, 1)
-    assert err.value.details == {"estimated_bytes": 8 * (BATCH_BUDGET + 1),
-                                 "budget": 8 * BATCH_BUDGET}
+        sample_batch(desk_params(), 8, (1 << 28) + 1, 1)
+    assert err.value.details == {"estimated_bytes": 8 * ((1 << 28) + 1),
+                                 "budget": 8 << 28}
 
 
 def test_astronomic_horizon_sampling():

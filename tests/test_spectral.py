@@ -166,6 +166,18 @@ def test_sqrt_apply_error_decreases_dyadically():
     assert np.allclose(sqrt_apply(toy, 8).direct[1], math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("dim", [8, 1000])
+def test_sqrt_apply_series_matches_the_out_of_place_loop(dim):
+    # the in-place Horner step does the same operations in the same order
+    toy = random_circulant_toy(dim, 3)
+    a = binom_coeffs(1024)
+    acc = np.zeros_like(toy.eigenvalues)
+    for j in range(1023, -1, -1):
+        acc = (acc + a[j]) * toy.eigenvalues
+    want = toy.observable * (1.0 - acc)
+    assert sqrt_apply(toy, 1024).series.tobytes() == want.tobytes()
+
+
 def test_sqrt_apply_accuracy_at_gap():
     # min |1 - lambda| = 0.1: series converges like (0.9)^m / sqrt(m)
     toy = SpectralToy([0.9, 0.5, -0.9], [1.0, 2.0, 1.0])
