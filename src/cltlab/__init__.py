@@ -34,8 +34,9 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         ("laws", "DichotomyReport", "DichotomyRow", "DichotomyVerdict",
-         "ExactFiniteLaw", "NormalLaw", "SymPoissonLaw", "dichotomy_report",
-         "exact_law", "format_ks_csv", "ks_distance", "ks_pass_bound"),
+         "Law", "dichotomy_report", "exact_law", "finite_law",
+         "format_ks_csv", "ks_distance", "ks_pass_bound", "normal_law",
+         "sym_poisson_law"),
         "laws"),
     **dict.fromkeys(
         ("simulate", "SampleBatch", "SampleKind", "sample_batch"),

@@ -61,6 +61,8 @@ BUDGETS = {
                               "condition sweep too large"),
     "identity_check": Budget(1 << 27, "eigenvalue-steps", WorkBudgetError,
                              "identity check too large"),
+    "sqrt_series": Budget(1 << 27, "eigenvalue-steps", WorkBudgetError,
+                          "square-root series too large"),
     # a normal cdf takes about 0.1 us, so a pass at the limit about 14 s
     "ks_pass": Budget(1 << 27, "cdf reads", WorkBudgetError,
                       "KS pass too large"),

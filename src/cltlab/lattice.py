@@ -393,7 +393,7 @@ def _window_pairs(own, count) -> tuple:
 
 class SeriesTail:
     """|| sum_{N'=p..q} E(S_N' | past) / N'^{3/2} ||^2 in segment form,
-    for one (p, q) or for a batch of rows (p and q int sequences).
+    for a batch of rows (p and q int sequences).
 
     At lag j >= 0, scale k contributes g_k * F(n_k - j), where
     g_k = a_k / (k n_k) and
@@ -439,12 +439,11 @@ class SeriesTail:
     ``norm_sq`` touches, laid out on construction: the pieces (three
     per scale past the head), plus the quadrature nodes and direct lags
     of every windowed head piece and of the shared window [p, q].
-    ``work`` and ``norm_sq()`` are scalars for scalar p and q.
     """
 
     def __init__(self, params: SequenceParams, p, q):
-        self.params, self.scalar = params, np.ndim(p) == 0
-        self.p, self.q = np.atleast_1d(p), np.atleast_1d(q)
+        self.params = params
+        self.p, self.q = np.asarray(p), np.asarray(q)
         charge("tail_lag", int(self.q.max(initial=0)))
         rows = self.p.size
         # (row, k_lo, scales, head scales) of each kept block of each row.
@@ -510,12 +509,11 @@ class SeriesTail:
         self._head_at, self._lattice_at = (
             np.searchsorted(r, np.arange(rows + 1))
             for r in (self._head_row, self._lattice_row))
-        self._work = (np.bincount(self._head_row, minlength=rows)
-                      + 3 * np.bincount(self._past_row, minlength=rows)
-                      + self.shared + np.bincount(
-                          self._lattice_row, GL_ORDER * panels + (hi - e),
-                          minlength=rows).astype(np.int64))
-        self.work = int(self._work[0]) if self.scalar else self._work
+        self.work = (np.bincount(self._head_row, minlength=rows)
+                     + 3 * np.bincount(self._past_row, minlength=rows)
+                     + self.shared + np.bincount(
+                         self._lattice_row, GL_ORDER * panels + (hi - e),
+                         minlength=rows).astype(np.int64))
 
     def _cuts(self, row, k_lo, h) -> tuple:
         """The head's lag pieces below its top scale n, where windows
@@ -661,16 +659,15 @@ class SeriesTail:
         # every part comes in row order: a row's are a slice of each
         rows = np.arange(p.size + 1)
         parts = [(x, np.searchsorted(r, rows).tolist()) for x, r in parts]
-        out = np.array([math.fsum(chain.from_iterable(
+        return np.array([math.fsum(chain.from_iterable(
             x[at[r]:at[r + 1]].tolist() for x, at in parts))
             for r in range(p.size)])
-        return float(out[0]) if self.scalar else out
 
     def _runs(self) -> list:
         """(first, end) of each run of rows whose summed work stays
         within ``TAIL_BATCH``, a row beyond it alone."""
         cuts, load = [0], 0
-        for r, w in enumerate(self._work.tolist()):
+        for r, w in enumerate(self.work.tolist()):
             if r > cuts[-1] and load + w > TAIL_BATCH:
                 cuts.append(r)
                 load = 0

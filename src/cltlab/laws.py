@@ -1,19 +1,20 @@
 """Reference laws for the horizon sums, and the distance from a sample
 batch to one.
 
-Every law here has one shape: a Gaussian component convolved with a
-weighted lattice table.  A law class only realizes its table (Gaussian
-variance, sorted support, weights, total weight), lazily; ``LawModel``
-alone evaluates cdf, left-limit cdf, mean and variance from it.
-``NormalLaw`` is one atom at its mean plus its variance;
-``SymPoissonLaw`` (difference of two independent Poisson variables) is
-a pure lattice table; ``ExactFiniteLaw`` (the law of the flat-coefficient
-stand-in sum) is an independent Gaussian component plus the joint table
-of one signed-count lattice component per three-valued block.
-``exact_law`` builds it from ``simulate.flat_copy``, the very flat copy
-that the sampler draws.
+Every law here is one immutable table, ``Law``: the variance of a
+Gaussian component, the sorted support and weights of the lattice table
+it is convolved with, and the table's certified sup-CDF error.  ``Law``
+alone evaluates cdf, left-limit cdf, mean and variance from it.  Plain
+functions build each law's table when they are called:
+``normal_law`` is one atom at its mean plus its variance;
+``sym_poisson_law`` (difference of two independent Poisson variables)
+is a pure lattice table; ``finite_law`` is an independent Gaussian
+component plus the joint table of one signed-count lattice component
+per three-valued block, and ``exact_law`` builds it for the
+flat-coefficient stand-in sum from ``simulate.flat_copy``, the very
+flat copy that the sampler draws.
 
-``ExactFiniteLaw`` components are realized with certified error
+``finite_law`` realizes its components with certified error
 accounting.  A lattice component whose expected hit count reaches the
 sampler's gaussianization threshold is folded into the Gaussian part;
 the induced sup-CDF error is bounded by 0.56/sqrt(expected hits) and
@@ -26,10 +27,6 @@ one inverse FFT of the signed count's characteristic function, with
 every mass the table misses counted; a component whose table would not
 fit the joint support budget (about 2^34 expected hits) raises
 TruncationError rather than degrade silently.
-
-Laws are immutable after construction; each realizes its table on
-first use and caches it, unlocked: nothing in the package reads a law
-from two threads.
 """
 
 from __future__ import annotations
@@ -169,25 +166,33 @@ def _sym_poisson_half(n_hi: int, lam: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Base interface
+# The law type
 
-class LawModel:
-    """The one evaluator, over a law's Gaussian-plus-lattice table.
+def _check_var(gauss_var: float) -> None:
+    """Raise ParamsError unless ``gauss_var`` lies in [0, inf)."""
+    if not 0.0 <= gauss_var < math.inf:
+        raise ParamsError("variance must lie in [0, inf)",
+                          gauss_var=gauss_var)
 
-    ``_realize`` returns (gauss_var, support, weights, total): the
-    support sorted, the weights aligned with it, and total their sum.
-    The table is realized on first use.
+
+@dataclass(frozen=True, eq=False)
+class Law:
+    """A Gaussian part of variance ``gauss_var`` convolved with a lattice
+    table: ``support`` sorted, ``weights`` aligned with it, read as they
+    are (their mass is 1 up to the truncation the table accounts for).
+    ``cdf_error_bound`` is the certified sup-CDF error of the table
+    against the law it stands for.  The one evaluator reads every cdf,
+    left-limit cdf, mean and variance off the table.
     """
 
-    _plan: tuple | None = None
+    gauss_var: float
+    support: np.ndarray
+    weights: np.ndarray
+    cdf_error_bound: float
 
-    def _realize(self) -> tuple:
-        raise NotImplementedError
-
-    def _table(self) -> tuple:
-        if self._plan is None:
-            self._plan = self._realize()
-        return self._plan
+    def __post_init__(self):
+        _check_var(self.gauss_var)
+        self.support.flags.writeable = self.weights.flags.writeable = False
 
     def cdf(self, x) -> np.ndarray:
         return self._cdf(x, "right")
@@ -197,10 +202,10 @@ class LawModel:
         return self._cdf(x, "left")
 
     def _cdf(self, x, side: str) -> np.ndarray:
-        gv, support, weights, _ = self._table()
+        support, weights = self.support, self.weights
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if gv > 0.0:
-            sd = math.sqrt(gv)
+        if self.gauss_var > 0.0:
+            sd = math.sqrt(self.gauss_var)
             out = np.empty(x.size)
             step = max(1, _EVAL_CHUNK // support.size)
             for i in range(0, x.size, step):
@@ -210,86 +215,60 @@ class LawModel:
                 out[i:i + step] = (_norm_cdf(z) * weights).sum(axis=1)
             return out
         idx = np.searchsorted(support, x, side=side)
-        # tables are read as they are: their mass is 1 up to the
-        # truncation they account for
         return np.concatenate([[0.0], np.cumsum(weights)])[idx]
 
     def mean(self) -> float:
-        _, support, weights, total = self._table()
-        return float(weights @ support) / total if total > 0 else 0.0
+        total = float(self.weights.sum())
+        return float(self.weights @ self.support) / total if total > 0 else 0.0
 
     def variance(self) -> float:
-        gv, support, weights, total = self._table()
+        total = float(self.weights.sum())
         if total <= 0.0:
-            return gv
-        return gv + float(weights @ (support - self.mean()) ** 2) / total
+            return self.gauss_var
+        return self.gauss_var + float(
+            self.weights @ (self.support - self.mean()) ** 2) / total
 
     def std(self) -> float:
         return math.sqrt(max(self.variance(), 0.0))
 
     def discontinuities(self) -> np.ndarray:
-        gv, support, _, _ = self._table()
-        return np.empty(0) if gv > 0.0 else support
+        return np.empty(0) if self.gauss_var > 0.0 else self.support
 
 
-# ---------------------------------------------------------------------------
-# Normal
-
-@dataclass(eq=False)
-class NormalLaw(LawModel):
-    mu: float = 0.0
-    var: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0.0 <= self.var < math.inf):
-            raise ParamsError("mean must be finite and variance in [0, inf)",
-                              mu=self.mu, var=self.var)
-
-    def _realize(self):
-        return self.var, np.array([self.mu], dtype=float), np.ones(1), 1.0
+def normal_law(mu: float, var: float) -> Law:
+    """NORMAL(mu, var): one atom at its mean plus its variance."""
+    if not math.isfinite(mu):
+        raise ParamsError("mean must be finite", mu=mu)
+    return Law(var, np.array([mu], dtype=float), np.ones(1), 0.0)
 
 
-# ---------------------------------------------------------------------------
-# Symmetrized Poisson
-
-@dataclass(eq=False)
-class SymPoissonLaw(LawModel):
+def sym_poisson_law(lam: float) -> Law:
     """Difference of two independent Poisson(lam) counts.
 
     pmf p(n) = e^{-2 lam} I_{|n|}(2 lam) on the integers, from Miller's
     recurrence (``_sym_poisson_half``); the truncated table keeps total
-    mass within 1e-12 of 1 and is left unnormalized.
+    mass within ``ATOM_MASS_TOL`` of 1 and is left unnormalized.
     """
-
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
-            raise ParamsError("rate must lie in [0, inf)", lam=self.lam)
-
-    def _realize(self):
-        if self.lam == 0.0:
-            return 0.0, np.zeros(1), np.ones(1), 1.0
-        # 12 standard deviations plus 30: by Bernstein at most 2 e^-45 of
-        # the mass lies beyond n_max, so one pass reaches 1 - ATOM_MASS_TOL
-        n_max = int(12.0 * math.sqrt(2.0 * self.lam)) + 30
-        if n_max > SUPPORT_BUDGET:
-            raise TruncationError(
-                "symmetrized-Poisson support exceeds the budget",
-                target_mass=1.0 - ATOM_MASS_TOL)
-        half = _sym_poisson_half(n_max, self.lam)
-        mass = half[0] + 2.0 * half[1:].sum()
-        if mass < 1.0 - ATOM_MASS_TOL:
-            raise TruncationError(
-                "symmetrized-Poisson truncation fell short",
-                achieved_mass=float(mass), target_mass=1.0 - ATOM_MASS_TOL)
-        probs = np.concatenate([half[:0:-1], half])
-        return (0.0, np.arange(-n_max, n_max + 1, dtype=float), probs,
-                float(probs.sum()))
-
-    def pmf(self, n) -> np.ndarray:
-        n = np.abs(np.atleast_1d(np.asarray(n, dtype=np.int64)))
-        return _sym_poisson_half(int(n.max(initial=0)), self.lam)[n]
+    if not 0.0 <= lam < math.inf:
+        raise ParamsError("rate must lie in [0, inf)", lam=lam)
+    if lam == 0.0:
+        return Law(0.0, np.zeros(1), np.ones(1), 0.0)
+    # 12 standard deviations plus 30: by Bernstein at most 2 e^-45 of
+    # the mass lies beyond n_max, so one pass reaches 1 - ATOM_MASS_TOL
+    n_max = int(12.0 * math.sqrt(2.0 * lam)) + 30
+    if n_max > SUPPORT_BUDGET:
+        raise TruncationError(
+            "symmetrized-Poisson support exceeds the budget",
+            target_mass=1.0 - ATOM_MASS_TOL)
+    half = _sym_poisson_half(n_max, lam)
+    mass = half[0] + 2.0 * half[1:].sum()
+    if mass < 1.0 - ATOM_MASS_TOL:
+        raise TruncationError(
+            "symmetrized-Poisson truncation fell short",
+            achieved_mass=float(mass), target_mass=1.0 - ATOM_MASS_TOL)
+    probs = np.concatenate([half[:0:-1], half])
+    return Law(0.0, np.arange(-n_max, n_max + 1, dtype=float), probs,
+               ATOM_MASS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -362,72 +341,58 @@ def _atom_pmf(atom: LatticeAtom):
     # Poisson(lam) hits with fair signs: two independent Poisson(lam / 2)
     # counts of opposite sign; Miller's recurrence keeps its far tails
     # to relative precision, which a transform's noise floor cannot
-    _, support, probs, mass = SymPoissonLaw(0.5 * lam)._table()
+    table = sym_poisson_law(0.5 * lam)
+    support, probs = table.support, table.weights
+    mass = float(probs.sum())
     tv = math.ldexp(1.0, atom.log2_hit)
     # the table's mass misses 1 by |1 - mass|, up to the rounding of its
     # sum: at most n u for n nonnegative terms summing to about 1
     return support, probs, tv, abs(1.0 - mass) + probs.size * 2.0 ** -53
 
 
-@dataclass(eq=False)
-class ExactFiniteLaw(LawModel):
-    """Gaussian component plus independent signed-count lattice atoms.
+def finite_law(gauss_var: float, atoms: tuple[LatticeAtom, ...]) -> Law:
+    """A Gaussian part plus independent signed-count lattice atoms.
 
-    With an empty atom list this is exactly NORMAL(0, gauss_var); with
-    gauss_var = 0 and one atom it is a pure signed-binomial lattice law.
+    With no atoms this is exactly NORMAL(0, gauss_var); with gauss_var = 0
+    and one atom it is a pure signed-binomial lattice law.  The table's
+    ``cdf_error_bound`` sums the gaussianized and Poisson-swapped
+    components' charges, the trimmed mass and ``ATOM_MASS_TOL``.
     """
-
-    gauss_var: float
-    atoms: tuple[LatticeAtom, ...] = ()
-
-    def __post_init__(self):
-        if not 0.0 <= self.gauss_var < math.inf:
-            raise ParamsError("variance must lie in [0, inf)",
-                              gauss_var=self.gauss_var)
-
-    def _realize(self):
-        gv = self.gauss_var
-        err = 0.0
-        lost = 0.0
-        vals = np.zeros(1)
-        pr = np.ones(1)
-        for atom in self.atoms:
-            ll = atom.log2_mean_hits
-            regime = flat_regime(ll)
-            if regime is FlatRegime.ZERO:
-                # P(any hit) <= expected hits; the component is a
-                # point mass at 0 up to that much total variation.
-                err += 2.0 ** max(ll, -1074.0)
-                continue
-            if regime is FlatRegime.NORMAL:
-                gv += atom.var_share
-                err += 0.56 * 2.0 ** (-0.5 * ll)
-                continue
-            support, probs, tv, lo = _atom_pmf(atom)
-            err += tv
-            lost += lo
-            if vals.size * support.size > PRODUCT_BUDGET:
-                raise TruncationError(
-                    "joint lattice support exceeds the budget",
-                    achieved_mass=float(pr.sum()) - lost,
-                    target_mass=1.0 - ATOM_MASS_TOL)
-            vals = np.add.outer(vals, atom.lattice_scale * support).ravel()
-            pr = np.multiply.outer(pr, probs).ravel()
-        order = np.argsort(vals, kind="stable")
-        pr = pr[order]
-        self._error = err + lost
-        return gv, vals[order], pr, float(pr.sum())
-
-    @property
-    def cdf_error_bound(self) -> float:
-        """Certified sup-CDF error of the realization (gaussianized and
-        Poisson-swapped components plus trimmed mass)."""
-        self._table()                   # realizing sets _error
-        return self._error + ATOM_MASS_TOL
+    # checked before gaussianized atoms add their shares to it
+    _check_var(gauss_var)
+    gv = gauss_var
+    err = 0.0
+    lost = 0.0
+    vals = np.zeros(1)
+    pr = np.ones(1)
+    for atom in atoms:
+        ll = atom.log2_mean_hits
+        regime = flat_regime(ll)
+        if regime is FlatRegime.ZERO:
+            # P(any hit) <= expected hits; the component is a
+            # point mass at 0 up to that much total variation.
+            err += 2.0 ** max(ll, -1074.0)
+            continue
+        if regime is FlatRegime.NORMAL:
+            gv += atom.var_share
+            err += 0.56 * 2.0 ** (-0.5 * ll)
+            continue
+        support, probs, tv, lo = _atom_pmf(atom)
+        err += tv
+        lost += lo
+        if vals.size * support.size > PRODUCT_BUDGET:
+            raise TruncationError(
+                "joint lattice support exceeds the budget",
+                achieved_mass=float(pr.sum()) - lost,
+                target_mass=1.0 - ATOM_MASS_TOL)
+        vals = np.add.outer(vals, atom.lattice_scale * support).ravel()
+        pr = np.multiply.outer(pr, probs).ravel()
+    order = np.argsort(vals, kind="stable")
+    return Law(gv, vals[order], pr[order], err + lost + ATOM_MASS_TOL)
 
 
 def exact_law(params: SequenceParams, log2_n: int,
-              moments: ExactMoments | None = None) -> ExactFiniteLaw:
+              moments: ExactMoments | None = None) -> Law:
     """Law of the normalized flat copy, ``simulate.flat_copy``, at the
     horizon N = 2^log2_n: the shares of blocks without a lattice atom
     pool into the Gaussian component, and each atom keeps its signed
@@ -437,13 +402,13 @@ def exact_law(params: SequenceParams, log2_n: int,
     for share, atom in copy:
         if atom is None:
             gv += share
-    return ExactFiniteLaw(gv, tuple(a for _, a in copy if a is not None))
+    return finite_law(gv, tuple(a for _, a in copy if a is not None))
 
 
 # ---------------------------------------------------------------------------
 # Distances
 
-def ks_distance(samples, law: LawModel) -> float:
+def ks_distance(samples, law: Law) -> float:
     """Sup-norm distance from the empirical cdf F_n of a float sample
     batch to the cdf F of ``law``; the batch stays as given.
 
@@ -464,20 +429,20 @@ def ks_distance(samples, law: LawModel) -> float:
     return _batch_ks(np.array(samples, dtype=float), law)[0]
 
 
-def _same_table(a: LawModel, b: LawModel) -> bool:
+def _same_table(a: Law, b: Law) -> bool:
     """Whether every distance reads ``a`` and ``b`` alike: their tables
     are equal."""
-    (ga, sa, wa, ta), (gb, sb, wb, tb) = a._table(), b._table()
-    return (ga == gb and ta == tb and np.array_equal(sa, sb)
-            and np.array_equal(wa, wb))
+    return (a.gauss_var == b.gauss_var
+            and np.array_equal(a.support, b.support)
+            and np.array_equal(a.weights, b.weights))
 
 
-def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
+def _batch_ks(values: np.ndarray, *others: Law) -> list[float]:
     """KS distances from a float batch nothing else reads to each of
     ``others``, each distinct law table scored once.  The batch is
     sorted in place, so no copy is made."""
     values.sort()
-    scored: list[tuple[LawModel, float]] = []
+    scored: list[tuple[Law, float]] = []
     out = []
     for law in others:
         d = next((d for seen, d in scored if _same_table(seen, law)), None)
@@ -490,7 +455,7 @@ def _batch_ks(values: np.ndarray, *others: LawModel) -> list[float]:
     return out
 
 
-def _ks_empirical(samples: np.ndarray, law: LawModel, delta: float) -> float:
+def _ks_empirical(samples: np.ndarray, law: Law, delta: float) -> float:
     """sup |F_n - F| for the sorted ``samples`` against ``law``.
 
     One pass in blocks of ``_KS_BLOCK`` samples, so the work arrays stay
@@ -663,12 +628,13 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
         return DichotomyReport([], margin, math.nan,
                                DichotomyVerdict.NO_DICHOTOMY, None,
                                ["no complete block horizons"])
-    laws = [exact_law(params, blk.horizon_log2, moments) for blk in complete]
-    for law in laws:
-        gv, support, _, _ = law._table()
-        if gv > 0.0:
-            charge("ks_pass", count * support.size)
-    normal = NormalLaw(0.0, 1.0)
+    laws = []
+    for blk in complete:
+        law = exact_law(params, blk.horizon_log2, moments)
+        if law.gauss_var > 0.0:
+            charge("ks_pass", count * law.support.size)
+        laws.append(law)
+    normal = normal_law(0.0, 1.0)
     rows = []
     for blk, law in zip(complete, laws):
         e = blk.horizon_log2

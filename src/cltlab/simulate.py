@@ -161,7 +161,7 @@ class FlatRegime(Enum):
 
 def flat_regime(log2_hits: float) -> FlatRegime:
     """The regime of a flat copy expecting 2^log2_hits hits, shared by
-    the sampler and ``laws.ExactFiniteLaw``."""
+    the sampler and ``laws.finite_law``."""
     if log2_hits <= NEGLIGIBLE_LOG2:
         return FlatRegime.ZERO
     if log2_hits < GAUSSIANIZE_LOG2:

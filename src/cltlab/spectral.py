@@ -200,8 +200,10 @@ def sqrt_apply(toy: SpectralToy, m: int) -> SqrtApplyResult:
     The series route truncates sqrt(1-x) after m terms (evaluated by
     Horner per eigenvalue); the direct route takes the principal square
     root of (1 - lambda).  The reported error is the largest coefficient
-    difference.
+    difference.  Its m steps per eigenvalue are charged to the
+    ``sqrt_series`` budget first.
     """
+    charge("sqrt_series", m * toy.dim)
     a = binom_coeffs(m)
     lam = toy.eigenvalues
     acc = np.zeros_like(lam)

@@ -42,7 +42,7 @@ from cltlab.blocks import BlockParity, SequenceParams
 from cltlab.engine import BlockProfile, ExactMoments
 from cltlab.errors import (MemoryBudgetError, ParamsError, WorkBudgetError,
                            charge)
-from cltlab.laws import LawModel
+from cltlab.laws import Law
 from cltlab.simulate import SampleBatch, SampleKind, _horizon, _stream
 from cltlab.spectral import SpectralToy, _eigen_terms
 
@@ -364,7 +364,7 @@ def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
                        kind=SampleKind.FULL_SN, values=values)
 
 
-def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:
+def tv_distance(a: Law, b: Law, unit: float = 1.0) -> float:
     """Total variation between two lattice laws sharing a common unit.
 
     Support points are keyed by rounding value/unit to the nearest
@@ -372,11 +372,11 @@ def tv_distance(a: LawModel, b: LawModel, unit: float = 1.0) -> float:
     """
     masses = {}
     for law, sign in ((a, 1.0), (b, -1.0)):
-        gv, vals, pr, _ = law._table()
-        if gv > 0.0:
+        if law.gauss_var > 0.0:
             raise ParamsError("total variation needs purely discrete laws",
-                              law=type(law).__name__)
-        for key, p in zip(np.round(vals / unit).astype(np.int64), pr):
+                              gauss_var=law.gauss_var)
+        for key, p in zip(np.round(law.support / unit).astype(np.int64),
+                          law.weights):
             masses[int(key)] = masses.get(int(key), 0.0) + sign * float(p)
     return 0.5 * math.fsum(abs(v) for v in masses.values())
 

@@ -393,6 +393,36 @@ def test_validate_checks_the_spectral_identity_budget(kmax, rows, tmp_path,
         assert not out.exists()
 
 
+def test_validate_checks_the_sqrt_series_budget(tmp_path, capsys,
+                                                monkeypatch):
+    # the sweep and the identity rows fit at 131,073 dimensions, but the
+    # probe's 1024 series steps per eigenvalue do not: both commands
+    # refuse at once, with one error each, and neither builds the toy
+    def refuse(*args):
+        raise AssertionError("the toy was built")
+
+    out = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "random_circulant_toy", refuse)
+        for command in (["spectral"], ["validate", "--scenario", "spectral"]):
+            start = time.perf_counter()
+            code = main([*command, "--kmax", "131073", "--grid",
+                         "dyadic:1:2", "--out", str(out)])
+            assert time.perf_counter() - start < 1.0, command
+            assert code == 3, command
+            lines = capsys.readouterr().out.splitlines()
+            assert [json.loads(line) for line in lines] == [{"error": {
+                "type": "WorkBudgetError",
+                "message": "square-root series too large",
+                "details": {"estimated_ops": 1024 * 131_073,
+                            "budget": 1 << 27}}}], command
+            assert not out.exists()
+    # 1024 steps at 131,072 dimensions are exactly the budget
+    code, doc = run_main(["validate", "--scenario", "spectral", "--kmax",
+                          "131072", "--grid", "dyadic:1:2"], capsys)
+    assert code == 0 and doc["derived"]["dim"] == 131_072
+
+
 @pytest.mark.parametrize("argv, line", [
     (["theorem1", "--samples", "268435457"],
      '{"error": {"details": {"budget": 2147483648, "estimated_bytes": '

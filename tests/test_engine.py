@@ -478,8 +478,8 @@ def test_batched_tails_equal_the_batch_of_one(name, monkeypatch):
     for i, n in enumerate(grid):
         alone = ExactMoments(params).series_tail_norm(n, 2 * n)
         assert {t[i]["tail_2prime"].hex() for t in tables} == {alone.hex()}
-        assert alone.hex() == math.sqrt(SeriesTail(params, n, 2 * n)
-                                        .norm_sq()).hex()
+        assert alone.hex() == math.sqrt(SeriesTail(params, [n], [2 * n])
+                                        .norm_sq()[0]).hex()
 
 
 def test_rows_over_the_work_budget_alone_are_nan(monkeypatch):
@@ -841,11 +841,11 @@ def test_tail_work_closed_form_is_the_piece_sum(name):
     params, _ = preset(name)
     for e in range(4, 41):
         p = 1 << e
-        assert SeriesTail(params, p, 2 * p).work == tail_work(params, p,
-                                                               2 * p)
+        assert SeriesTail(params, [p], [2 * p]).work[0] == tail_work(
+            params, p, 2 * p)
     for p, gap in ((1, 0), (3, 1), (5, 5000), (700, 3), (1 << 20, 1 << 30)):
-        assert SeriesTail(params, p, p + gap).work == tail_work(params, p,
-                                                                 p + gap)
+        assert SeriesTail(params, [p], [p + gap]).work[0] == tail_work(
+            params, p, p + gap)
 
 
 @pytest.mark.parametrize("name", ["theorem1", "theorem2", "theorem3"])
@@ -853,7 +853,7 @@ def test_work_gate_keeps_the_preset_rows(name):
     # each row costs O(scales): the budget admits every dyadic row
     # through 2^40 on every preset, 2^10 times over
     params, _ = preset(name)
-    assert max(SeriesTail(params, 1 << e, 2 << e).work
+    assert max(SeriesTail(params, [1 << e], [2 << e]).work[0]
                for e in range(4, 41)) <= BUDGETS["series_tail"].limit >> 10
     if name == "theorem3":
         rows = ExactMoments(params).table_rows(dyadic_grid(4, 40))
@@ -867,7 +867,7 @@ def test_tail_norm_equals_the_piece_loop(name):
     params, _ = preset(name)
     for e in range(4, 17):
         p = 1 << e
-        got = SeriesTail(params, p, 2 * p).norm_sq()
+        got = SeriesTail(params, [p], [2 * p]).norm_sq()[0]
         want = scalar_tail_norm_sq(params, p, 2 * p)
         assert abs(got - want) <= 1e-14 * want
 
@@ -885,7 +885,7 @@ def test_tail_norm_matches_the_piece_loop_off_the_grid(name, p, gap):
     params = tiny_params(kmax=5, ends=(2, 5)) if name == "tiny" else \
         preset(name)[0]
     want = scalar_tail_norm_sq(params, p, p + gap)
-    assert abs(SeriesTail(params, p, p + gap).norm_sq() - want) <= \
+    assert abs(SeriesTail(params, [p], [p + gap]).norm_sq()[0] - want) <= \
         1e-14 * want
 
 
@@ -1001,7 +1001,7 @@ def test_em_remainder_is_below_1e16():
     worst = 0.0
     for e in range(4, 41):
         p, q = 1 << e, 2 << e
-        tail = SeriesTail(params, p, q)
+        tail = SeriesTail(params, [p], [q])
         z_half, z_three = (float(zeta_diff(s, p, q + 1.0))
                            for s in (0.5, 1.5))
         gs = np.ldexp(params.weights.ratio(tail.ks), -tail.ks)

@@ -28,6 +28,8 @@ TABLE = {
                         "condition sweep too large", "estimated_ops"),
     "identity_check": (1 << 27, "eigenvalue-steps", WorkBudgetError,
                        "identity check too large", "estimated_ops"),
+    "sqrt_series": (1 << 27, "eigenvalue-steps", WorkBudgetError,
+                    "square-root series too large", "estimated_ops"),
     "ks_pass": (1 << 27, "cdf reads", WorkBudgetError, "KS pass too large",
                 "estimated_ops"),
     "profile_horizon": (1 << 52, "horizon", WorkBudgetError,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom, norm, poisson, skellam
 
+import cltlab.cli as cli
 import cltlab.engine as engine
 import cltlab.laws as laws
 from cltlab.blocks import BlockParity, SequenceParams, default_params, \
@@ -17,18 +18,19 @@ from cltlab.blocks import BlockParity, SequenceParams, default_params, \
 from cltlab.engine import ExactMoments, dyadic_grid
 from cltlab.errors import ParamsError, TruncationError
 import cltlab.simulate as simulate
-from cltlab.laws import (DichotomyRow, DichotomyVerdict, ExactFiniteLaw,
-                         LatticeAtom, NormalLaw, SymPoissonLaw, decide,
-                         dichotomy_report, exact_law, format_ks_csv,
-                         ks_distance, ks_pass_bound)
-from cltlab.simulate import SampleKind, sample_batch
+from cltlab.laws import (DichotomyRow, DichotomyVerdict, LatticeAtom, Law,
+                         decide, dichotomy_report, exact_law, finite_law,
+                         format_ks_csv, ks_distance, ks_pass_bound,
+                         normal_law, sym_poisson_law)
+from cltlab.simulate import (FlatRegime, SampleKind, flat_copy, flat_regime,
+                             sample_batch)
 from cltlab.weights import WeightMode, build_weights
 from cltlab_reference import tv_distance
 
 
-def table_moments(table):
-    """Mean, variance and excess kurtosis of a (support, probs) table."""
-    support, probs = table
+def table_moments(law):
+    """Mean, variance and excess kurtosis of a law's lattice table."""
+    support, probs = law.support, law.weights
     tot = probs.sum()
     mean = probs @ support / tot
     d = support - mean
@@ -51,10 +53,10 @@ def single_odd_block(k):
 # -- the shared evaluator --------------------------------------------------
 
 SHARED_CASES = {
-    "point_normal": lambda: NormalLaw(0.25, 0.0),
-    "sym_poisson_zero": lambda: SymPoissonLaw(0.0),
+    "point_normal": lambda: normal_law(0.25, 0.0),
+    "sym_poisson_zero": lambda: sym_poisson_law(0.0),
     # one expected hit of a 0.7-step lattice on top of a Gaussian part
-    "gauss_and_atom": lambda: ExactFiniteLaw(0.5, (LatticeAtom(
+    "gauss_and_atom": lambda: finite_law(0.5, (LatticeAtom(
         lattice_scale=0.7, trials=64, hit_prob=2.0 ** -6, log2_trials=6.0,
         log2_hit=-6, var_share=0.49),)),
 }
@@ -72,12 +74,11 @@ def test_shared_evaluator_on_every_variant(case):
     np.testing.assert_array_equal(left[away], cdf[away])
     assert np.all(np.diff(cdf) >= 0.0)
     assert cdf.min() >= 0.0 and cdf.max() <= 1.0
-    table = law._table()[1:3]
     if disc.size:
-        assert table[1].sum() == pytest.approx(law.cdf(np.inf)[0],
-                                               abs=1e-12)
+        assert law.weights.sum() == pytest.approx(law.cdf(np.inf)[0],
+                                                  abs=1e-12)
         assert np.all(left[~away] < cdf[~away])
-        assert math.isclose(law.variance(), table_moments(table)[1],
+        assert math.isclose(law.variance(), table_moments(law)[1],
                             rel_tol=1e-12, abs_tol=0.0)
     else:
         # the Gaussian 0.5 plus one expected hit of the 0.7 step
@@ -86,44 +87,51 @@ def test_shared_evaluator_on_every_variant(case):
 
 # -- symmetrized Poisson ---------------------------------------------------
 
+def sym_poisson_pmf(lam, n):
+    """The symmetrized-Poisson table's weights at the integers n."""
+    law = sym_poisson_law(lam)
+    at = np.searchsorted(law.support, n)
+    assert np.array_equal(law.support[at], n)
+    return law.weights[at]
+
+
 def test_sym_poisson_pmf_against_skellam():
     for lam in (0.5, 2.0, 17.5):
-        sp = SymPoissonLaw(lam)
         n = np.arange(-40, 41)
         want = skellam(lam, lam).pmf(n)
-        assert np.allclose(sp.pmf(n), want, rtol=1e-12, atol=1e-300)
+        assert np.allclose(sym_poisson_pmf(lam, n), want, rtol=1e-12,
+                           atol=1e-300)
 
 
 def test_sym_poisson_pmf_by_double_sum():
     lam = 0.5
-    sp = SymPoissonLaw(lam)
+    pmf = sym_poisson_pmf(lam, np.arange(4))
     for n in range(4):
         want = sum(poisson(lam).pmf(j + n) * poisson(lam).pmf(j)
                    for j in range(80))
-        assert sp.pmf(n)[0] == pytest.approx(want, rel=1e-12)
-    assert sp.pmf(0)[0] == pytest.approx(0.4657596075936404, abs=1e-15)
+        assert pmf[n] == pytest.approx(want, rel=1e-12)
+    assert pmf[0] == pytest.approx(0.4657596075936404, abs=1e-15)
 
 
 def test_sym_poisson_moments_and_table():
-    sp = SymPoissonLaw(0.5)
+    sp = sym_poisson_law(0.5)
     assert sp.mean() == pytest.approx(0.0, abs=1e-12)
     assert sp.variance() == pytest.approx(1.0, rel=1e-10)
-    _, var, excess = table_moments(sp._table()[1:3])
+    _, var, excess = table_moments(sp)
     assert var == pytest.approx(1.0, rel=1e-10)
     assert excess == pytest.approx(1.0, rel=1e-9)
-    _, support, probs, _ = sp._table()
+    support, probs = sp.support, sp.weights
     # symmetric about 0
     np.testing.assert_array_equal(support, -support[::-1])
     np.testing.assert_array_equal(probs, probs[::-1])
     assert probs.sum() == pytest.approx(1.0, abs=1e-11)
     assert np.all(np.diff(support) == 1.0)
-    zero = SymPoissonLaw(0.0)
+    zero = sym_poisson_law(0.0)
     assert zero.cdf([-0.5, 0.0, 0.5]).tolist() == [0.0, 1.0, 1.0]
-    # refused when built: a NaN or infinite rate would otherwise fail
-    # only when the table is first realized, and not as ParamsError
+    # refused as ParamsError, before any table is built
     for lam in (-1.0, math.nan, math.inf):
         with pytest.raises(ParamsError):
-            SymPoissonLaw(lam)
+            sym_poisson_law(lam)
 
 
 def test_sym_poisson_table_takes_one_pass():
@@ -132,15 +140,15 @@ def test_sym_poisson_table_takes_one_pass():
     # a lattice atom can ask for
     for e in range(-51, 31):
         lam = 2.0 ** e
-        _, support, probs, total = SymPoissonLaw(lam)._table()
-        assert support[-1] == int(12.0 * math.sqrt(2.0 * lam)) + 30
-        assert total >= 1.0 - laws.ATOM_MASS_TOL
+        law = sym_poisson_law(lam)
+        assert law.support[-1] == int(12.0 * math.sqrt(2.0 * lam)) + 30
+        assert law.weights.sum() >= 1.0 - laws.ATOM_MASS_TOL
 
 
 # -- normal law ------------------------------------------------------------
 
 def test_normal_law_basics():
-    nl = NormalLaw(0.0, 1.0)
+    nl = normal_law(0.0, 1.0)
     x = np.linspace(-3, 3, 13)
     assert np.allclose(nl.cdf(x), norm.cdf(x), atol=1e-14)
     assert nl.discontinuities().size == 0
@@ -150,19 +158,28 @@ def test_normal_law_basics():
     for mu, var in ((0.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
                     (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
         with pytest.raises(ParamsError):
-            NormalLaw(mu, var)
+            normal_law(mu, var)
 
 
 # -- exact finite-horizon law ----------------------------------------------
 
 def test_pure_gaussian_reduces_to_normal():
-    law = ExactFiniteLaw(gauss_var=1.0, atoms=())
-    assert laws._same_table(law, NormalLaw(0.0, 1.0))
+    law = finite_law(gauss_var=1.0, atoms=())
+    assert laws._same_table(law, normal_law(0.0, 1.0))
     assert law.variance() == pytest.approx(1.0)
     assert law.discontinuities().size == 0
+    # a gaussianized atom's share must not make a negative part valid
+    merged = LatticeAtom(lattice_scale=2.0 ** -20, trials=1 << 52,
+                         hit_prob=2.0 ** -4, log2_trials=52.0, log2_hit=-4,
+                         var_share=2.0)
     for gauss_var in (-1.0, math.nan, math.inf):
         with pytest.raises(ParamsError):
-            ExactFiniteLaw(gauss_var)
+            finite_law(gauss_var, ())
+        with pytest.raises(ParamsError):
+            finite_law(gauss_var, (merged,))
+        with pytest.raises(ParamsError):
+            Law(gauss_var, np.zeros(1), np.ones(1), 0.0)
+    assert finite_law(0.5, (merged,)).gauss_var == 2.5
 
 
 def test_single_block_law_approaches_sym_poisson():
@@ -172,7 +189,7 @@ def test_single_block_law_approaches_sym_poisson():
     got = {}
     for k, w in want.items():
         law = exact_law(single_odd_block(k), k)
-        got[k] = tv_distance(law, SymPoissonLaw(0.5))
+        got[k] = tv_distance(law, sym_poisson_law(0.5))
         assert got[k] == pytest.approx(w, rel=1e-6)
     vals = [got[k] for k in sorted(got)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -183,7 +200,7 @@ def test_exact_law_variance_and_kurtosis_desk():
     em = ExactMoments(params)
     law = exact_law(params, 11, em)
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
-    _, var, excess = table_moments(law._table()[1:3])
+    _, var, excess = table_moments(law)
     assert var == pytest.approx(1.0, rel=1e-12)
     assert excess == pytest.approx(0.9985351562500018, rel=1e-12)
     assert law.cdf_error_bound < 1e-9
@@ -290,15 +307,13 @@ def test_gauss_merge_certificate_astronomic():
 
 def test_truncation_gap_raises():
     # atom count rate 2^36: its window does not fit the support budget,
-    # and it is too light to merge; the failure surfaces on first use of
-    # the law
+    # and it is too light to merge; the law is refused when it is built
     params = default_params(kmax=20, rho=4.0)
-    law = exact_law(params, 47)
     with pytest.raises(TruncationError):
-        law.cdf([0.0])
+        exact_law(params, 47)
     # rate 2^23 is enumerated exactly, within its certified bound
     law = exact_law(params, 34)
-    mass = law._table()[3]
+    mass = law.weights.sum()
     assert abs(mass - 1.0) <= law.cdf_error_bound < 1e-11
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
 
@@ -310,7 +325,7 @@ def test_signed_count_pmf_counts_what_it_loses():
     assert abs(probs.sum() - 1.0) <= lost <= laws.ATOM_MASS_TOL
     assert support.size > 1 << 15
     law = exact_law(default_params(kmax=48, rho=4.0), 33)
-    assert abs(law._table()[3] - 1.0) <= law.cdf_error_bound
+    assert abs(law.weights.sum() - 1.0) <= law.cdf_error_bound
 
 
 def test_poisson_atom_counts_its_rounding_as_lost():
@@ -329,7 +344,8 @@ def test_hit_probability_at_horizon_exponent_1074_is_not_zero():
     # sampler and the oracle take a block's hit probability as 0
     w = build_weights(WeightMode.CONST_ONE, 1074)
     params = SequenceParams(w, split_blocks(w, [1074]))
-    atom = exact_law(params, 20).atoms[0]
+    atom = next(a for _, a in flat_copy(params, 20, ExactMoments(params))
+                if a is not None)
     assert atom.hit_prob == math.ldexp(1.0, -1074) > 0.0
     assert laws._atom_pmf(atom)[2] == 0.0
 
@@ -341,12 +357,43 @@ def test_exact_law_validation():
         exact_law(params, 0)
 
 
+# preset -> (log2 horizon, gauss_var, support size, cdf_error_bound, how
+# its lattice atom is drawn) of the law at each complete horizon
+PRESET_LAWS = {
+    "theorem1": [(11, 0.0, 33, 1.0000140586056052e-12, "binomial"),
+                 (37_605_530, 1.0, 1, 1e-12, "gaussianized")],
+    "theorem2": [(11, 0.0, 33, 1.0000140586056052e-12, "binomial")],
+    "theorem3": [(3264, 0.0, 85, 1.0094368957093138e-12, "poisson")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_LAWS))
+def test_preset_laws_are_pinned(name):
+    # every law a preset's dichotomy scores against, from its parameters
+    # as the CLI builds them (theorem2 with the halving decay)
+    cfg = cli.config_from_args(cli.build_parser().parse_args([name]))
+    _, params, _ = cli._build_params(cfg)
+    em = ExactMoments(params)
+    got = []
+    for blk in params.complete_blocks():
+        e = blk.horizon_log2
+        law = exact_law(params, e, em)
+        atom, = (a for _, a in flat_copy(params, e, em) if a is not None)
+        drawn = ("gaussianized"
+                 if flat_regime(atom.log2_mean_hits) is FlatRegime.NORMAL
+                 else "binomial" if atom.trials is not None else "poisson")
+        got.append((e, law.gauss_var, law.support.size,
+                    law.cdf_error_bound, drawn))
+        assert law.variance() == pytest.approx(1.0, rel=1e-12)
+    assert got == PRESET_LAWS[name]
+
+
 # -- distances -------------------------------------------------------------
 
 def test_tv_needs_lattices():
     with pytest.raises(ParamsError):
-        tv_distance(NormalLaw(0.0, 1.0), SymPoissonLaw(1.0))
-    assert tv_distance(SymPoissonLaw(0.5), SymPoissonLaw(0.5)) == 0.0
+        tv_distance(normal_law(0.0, 1.0), sym_poisson_law(1.0))
+    assert tv_distance(sym_poisson_law(0.5), sym_poisson_law(0.5)) == 0.0
 
 
 def test_ks_pass_bound():
@@ -358,7 +405,7 @@ def test_ks_pass_bound():
 
 def test_empirical_vs_exact_ks_sane():
     rng = np.random.default_rng(4)
-    d = ks_distance(rng.standard_normal(20_000), NormalLaw(0.0, 1.0))
+    d = ks_distance(rng.standard_normal(20_000), normal_law(0.0, 1.0))
     assert d < ks_pass_bound(20_000)
 
 
@@ -374,7 +421,7 @@ def brute_ks(samples, law, points):
 def test_one_pass_ks_against_normal_is_the_textbook_formula():
     rng = np.random.default_rng(7)
     x = np.sort(rng.normal(0.1, 1.0, 20_000))
-    law = NormalLaw(0.0, 1.0)
+    law = normal_law(0.0, 1.0)
     f = law.cdf(x)
     i = np.arange(1, x.size + 1)
     want = float(max((i / x.size - f).max(), (f - (i - 1) / x.size).max()))
@@ -386,7 +433,7 @@ def test_one_pass_ks_against_normal_is_the_textbook_formula():
 
 def test_one_pass_ks_against_a_lattice_law_is_brute_force():
     law = exact_law(single_odd_block(6), 6)
-    _, support, probs, _ = law._table()
+    support, probs = law.support, law.weights
     rng = np.random.default_rng(3)
     x = rng.choice(support, size=20_000, p=probs / probs.sum())
     got = ks_distance(x, law)
@@ -399,23 +446,16 @@ def test_one_pass_ks_against_a_lattice_law_is_brute_force():
     assert ks_distance(x * (1.0 + signs * 2.0 ** -50), law) == got
 
 
-class TableLaw(laws.LawModel):
-    """A pure lattice law read from a given table, as it is."""
-
-    def __init__(self, support, weights):
-        support, weights = np.asarray(support, float), np.asarray(weights)
-        self._plan = (0.0, support, weights, float(weights.sum()))
-
-
 KS_LAWS = {
     # weights that sum above 1, as a truncated table's rounding can
-    "overweight": lambda: TableLaw([0.0, 1.0], [1.0, 1e-3]),
-    "sym_poisson": lambda: SymPoissonLaw(0.7),
+    "overweight": lambda: Law(0.0, np.array([0.0, 1.0]),
+                              np.array([1.0, 1e-3]), 0.0),
+    "sym_poisson": lambda: sym_poisson_law(0.7),
     "lattice": lambda: exact_law(single_odd_block(4), 4),
-    "mixture": lambda: ExactFiniteLaw(0.5, (LatticeAtom(
+    "mixture": lambda: finite_law(0.5, (LatticeAtom(
         lattice_scale=0.25, trials=64, hit_prob=1 / 64, log2_trials=6.0,
         log2_hit=-6.0, var_share=0.0625),)),
-    "normal": lambda: NormalLaw(0.1, 1.3),
+    "normal": lambda: normal_law(0.1, 1.3),
 }
 
 
@@ -435,7 +475,7 @@ def snap_each(x, jumps, delta):
        delta=st.sampled_from([laws.KS_SNAP, 1e-3]))
 def test_blocked_ks_is_the_dense_brute_force(data, name, block, delta):
     law = KS_LAWS[name]()
-    support = law._table()[1]
+    support = law.support
     # ties (repeated anchors), samples within delta of a jump and just
     # beyond it, and values off every anchor
     offset = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5])
@@ -463,17 +503,17 @@ def test_ks_past_the_greatest_sample_reads_the_last_jump():
 
 
 def test_ks_reads_the_law_only_at_the_samples():
-    law = SymPoissonLaw(100.0)
+    law = sym_poisson_law(100.0)
     assert law.discontinuities().size == 399
     x = np.random.default_rng(4).integers(-15, 16, 10).astype(float)
     read = []
-    cdf = laws.LawModel._cdf
+    cdf = Law._cdf
 
     def counted(self, points, side):
         read.append(np.atleast_1d(points).size)
         return cdf(self, points, side)
 
-    with mock.patch.object(laws.LawModel, "_cdf", counted):
+    with mock.patch.object(Law, "_cdf", counted):
         ks_distance(x, law)
     assert sum(read) <= 2 * np.unique(x).size + 1
 
@@ -483,8 +523,8 @@ def test_snap_tolerance_is_the_law_scale():
     # tolerance on the batch's scale (about 1e-3) would snap a batch 2e-4
     # off the lattice onto it, scoring 0.00099.  The law's is 1e-9, so
     # the shifted batch fails the 1% gate
-    law = SymPoissonLaw(0.5)
-    _, support, probs, _ = law._table()
+    law = sym_poisson_law(0.5)
+    support, probs = law.support, law.weights
     rng = np.random.default_rng(1)
     x = rng.choice(support, size=100_000, p=probs / probs.sum()) + 2e-4
     x[:10] = 1e8
@@ -500,7 +540,7 @@ def test_snap_tolerance_is_the_law_scale():
 
 def test_ks_distance_leaves_its_input_untouched():
     x = np.random.default_rng(5).standard_normal(1000)
-    law = NormalLaw(0.0, 1.0)
+    law = normal_law(0.0, 1.0)
     want = ks_distance(np.sort(x), law)
     for values in (x, x[::-1]):
         kept = values.copy()
@@ -517,7 +557,7 @@ def test_ks_distance_leaves_its_input_untouched():
 def test_ks_distance_refuses_a_nan_sample():
     # NaN sorts last and no cdf comparison counts it: an all-NaN batch
     # read 0.0, and NaNs appended to a batch hid its distance
-    law = NormalLaw(0.0, 1.0)
+    law = normal_law(0.0, 1.0)
     x = np.random.default_rng(5).standard_normal(1000)
     assert ks_distance(x, law) > 0.01
     for bad in (np.full(5, np.nan), np.concatenate([x, np.full(1000, np.nan)]),
@@ -525,7 +565,7 @@ def test_ks_distance_refuses_a_nan_sample():
         with pytest.raises(ParamsError, match="NaN"):
             ks_distance(bad, law)
         with pytest.raises(ParamsError, match="NaN"):
-            laws._batch_ks(bad.copy(), law, NormalLaw(0.0, 2.0))
+            laws._batch_ks(bad.copy(), law, normal_law(0.0, 2.0))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -553,11 +593,11 @@ def test_gaussian_mixture_cdf_does_not_depend_on_the_batch():
     # 2^-4 hit probability over 1,134,595 trials: 4,591 signed counts,
     # every one with positive weight, on top of a Gaussian part
     trials, log2_hit, scale = 1_134_595, -4, 0.01
-    law = ExactFiniteLaw(0.5, (LatticeAtom(
+    law = finite_law(0.5, (LatticeAtom(
         lattice_scale=scale, trials=trials, hit_prob=2.0 ** log2_hit,
         log2_trials=math.log2(trials), log2_hit=log2_hit,
         var_share=scale * scale * trials * 2.0 ** log2_hit),))
-    gv, support, weights, _ = law._table()
+    gv, support, weights = law.gauss_var, law.support, law.weights
     assert gv == 0.5 and support.size == 4591 and np.all(weights > 0.0)
     xs = np.linspace(-1.5, 1.5, 601) * support[-1]
     whole = law.cdf(xs)
@@ -796,8 +836,8 @@ def test_batch_ks_scores_each_table_once(monkeypatch):
     top = exact_law(params, params.complete_blocks()[-1].horizon_log2,
                     ExactMoments(params))
     values = np.random.default_rng(11).standard_normal(3_000)
-    normal, near = NormalLaw(0.0, 1.0), NormalLaw(0.0, 1.0 + 2.0 ** -52)
-    others = (top, normal, near, NormalLaw(0.0, 1.0))
+    normal, near = normal_law(0.0, 1.0), normal_law(0.0, 1.0 + 2.0 ** -52)
+    others = (top, normal, near, normal_law(0.0, 1.0))
     expect = [ks_distance(values, law) for law in others]
     scored = []
     one_pass = laws._ks_empirical

@@ -20,7 +20,7 @@ from cltlab.simulate import (GAUSSIANIZE_HITS, SampleKind,
                              _build_plan, _distinct_keys, _draw_flat,
                              _draw_normal, _draw_poisson, _draw_pool,
                              _lane_key, _rekey, _stream,
-                             derive_seed, sample_batch)
+                             derive_seed, flat_copy, sample_batch)
 from cltlab.weights import WeightMode, build_weights
 from cltlab_reference import (SITE_DRAW_BUDGET, dense_coefficients,
                               site_sample_batch)
@@ -518,7 +518,9 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     for shift in (0, 3, -7):
         plan = plan_of(params, h + shift, SampleKind.APPROX_IID_SUM)
         assert [op.func for op in plan] == [_draw_poisson, _draw_normal]
-        step = exact_law(params, h + shift).atoms[0].lattice_scale
+        step = next(a for _, a in flat_copy(params, h + shift,
+                                            ExactMoments(params))
+                    if a is not None).lattice_scale
         assert plan[0].keywords == {"lam": 2.0 ** shift, "coef": step}
     # theorem1's spike block expects 2^37605519 hits at 2^37605530 and
     # keeps its normal
@@ -551,9 +553,9 @@ def test_flat_copy_at_2_40_expected_hits_is_all_normals():
     params = default_params(kmax=20, rho=4.0)
     plan = plan_of(params, 51, SampleKind.APPROX_IID_SUM)
     assert [op.func for op in plan] == [_draw_normal]
-    gauss_var, support, _, _ = exact_law(params, 51)._table()
-    assert support.tolist() == [0.0]
-    assert plan[0].keywords["std"] ** 2 == pytest.approx(gauss_var,
+    law = exact_law(params, 51)
+    assert law.support.tolist() == [0.0]
+    assert plan[0].keywords["std"] ** 2 == pytest.approx(law.gauss_var,
                                                          rel=1e-12)
 
 
