@@ -167,6 +167,12 @@ class ExperimentConfig:
             v = getattr(self, key)
             if v is not None and not Path(v).is_file():
                 raise ParamsError("input file not found", **{key: str(v)})
+        # the run makes --out with its parents, which needs the nearest
+        # existing one to be a directory
+        out = Path(self.out)
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ParamsError("--out must be a directory or a path under "
+                              "one", out=self.out)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +262,7 @@ def _schedule_csv(params: SequenceParams, decay: np.ndarray) -> str:
         e += 1
     ks = sorted(ks)
     arr = np.asarray(ks, dtype=np.int64)
-    a_vals = np.atleast_1d(w.a(arr))
+    a_vals = w.a(arr)
     weighted = weighted_prefix(w, decay, arr)
     lines = ["k,c,a,weighted_partial_mass,partial_mass"]
     for i, k in enumerate(ks):

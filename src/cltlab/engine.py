@@ -106,10 +106,11 @@ class ScaleSums:
     def upto(self, k_cut: int) -> tuple:
         """(F, rise, flat) covering at least the scales k_lo..k_cut."""
         F, rise, flat = self.sums
-        new = [(k, *float(self.weights.ratio(k)).as_integer_ratio())
-               for k in range(self.k_lo + len(rise) - 1, k_cut + 1)]
-        if not new:
+        k0 = self.k_lo + len(rise) - 1
+        if k0 > k_cut:
             return self.sums
+        new = [(k, *r.as_integer_ratio()) for k, r in enumerate(
+            self.weights.ratio(np.arange(k0, k_cut + 1)).tolist(), k0)]
         top = max(F, *(k + den.bit_length() - 1 for k, _, den in new))
         rise = [x << (top - F) for x in rise]
         flat = [x << (top - F) for x in flat]

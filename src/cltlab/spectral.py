@@ -30,6 +30,18 @@ _EIG_ONE_TOL = 1e-14             # |lambda - 1| below this counts as 1
 _TILE = 1 << 17                  # complex elements per work array, 2 MB
 
 
+def _finite_vector(key: str, values, kind) -> np.ndarray:
+    """``values`` as an array of ``kind``, at least 1-d; a non-finite
+    entry raises ``ParamsError`` naming the vector and the entry's index
+    before any arithmetic reads it."""
+    v = np.atleast_1d(np.asarray(values, dtype=kind))
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ParamsError("toy vector entry is not finite", key=key,
+                          index=int(bad[0]))
+    return v
+
+
 @dataclass(eq=False)
 class SpectralToy:
     """Normal operator surrogate: eigenvalues plus observable coefficients.
@@ -39,7 +51,8 @@ class SpectralToy:
     ``SpectralToy(eigenvalues, observable)``; a circulant toy also keeps
     the ``kernel_row`` its eigenvalues came from, and only it has a
     matrix.  The row must be a nonempty probability vector whose DFT is
-    exactly the eigenvalues, so that the matrix has them.
+    exactly the eigenvalues, so that the matrix has them.  Every entry of
+    the three vectors must be finite.
     """
 
     eigenvalues: np.ndarray
@@ -47,13 +60,13 @@ class SpectralToy:
     kernel_row: np.ndarray | None = None
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.eigenvalues, dtype=complex))
-        obs = np.atleast_1d(np.asarray(self.observable, dtype=complex))
+        lam = _finite_vector("eigenvalues", self.eigenvalues, complex)
+        obs = _finite_vector("observable", self.observable, complex)
         if lam.shape != obs.shape or lam.ndim != 1 or lam.size == 0:
             raise ParamsError("eigenvalues and observable must be equal "
                               "length nonempty vectors")
         if self.kernel_row is not None:
-            row = np.atleast_1d(np.asarray(self.kernel_row, dtype=float))
+            row = _finite_vector("kernel_row", self.kernel_row, float)
             if np.any(row < 0.0) or abs(row.sum() - 1.0) > 1e-12:
                 raise ParamsError("kernel row must be a probability vector",
                                   total=float(row.sum()))
@@ -87,7 +100,7 @@ class SpectralToy:
 
 def circulant_toy(kernel_row, observable) -> SpectralToy:
     """Toy from a probability kernel row; eigenvalues are its DFT."""
-    row = np.atleast_1d(np.asarray(kernel_row, dtype=float))
+    row = _finite_vector("kernel_row", kernel_row, float)
     # an empty row has no DFT; the toy refuses it as an empty vector
     lam = np.fft.fft(row) if row.size else row
     return SpectralToy(lam, observable, kernel_row=row)

@@ -88,6 +88,10 @@ def harmonic(n) -> float:
     return (math.log(x) - 0.5 / x - y * z) + _EULER
 
 
+def _read(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
 class WeightMode(Enum):
     CONST_ONE = "const_one"
     INV_LOG = "inv_log"
@@ -145,38 +149,27 @@ class WeightSchedule:
     # -- accessors ---------------------------------------------------------
 
     def a(self, k):
-        """Weight a_k; accepts integers or integer arrays."""
-        scalar = isinstance(k, (int, np.integer))
-        if self.mode is WeightMode.CONST_ONE:
-            return 1.0 if scalar else np.ones(np.shape(k))
-        if scalar:
-            # the engine reads single weights ~10^4 times a run, so plain
-            # integers skip numpy dispatch; np.log2, not math.log2, keeps
-            # the array path's bits
-            k = int(k)
-            self._check_range(k, k)
-            if self.values is not None:
-                return float(self.values[k - 1])
-            return 1.0 / float(np.log2(float(max(k, 2))))
+        """Weight a_k by one path for an integer or an integer array k: an
+        integer is read as a 0-d array and handed out as a float."""
+        return _read(self._a(np.asarray(k)))
+
+    def ratio(self, k):
+        """a_k / k, the mass carried by index k."""
         k = np.asarray(k)
+        return _read(self._a(k) / k.astype(float))
+
+    def _a(self, k: np.ndarray):
+        if self.mode is WeightMode.CONST_ONE:
+            return np.ones(k.shape)
         if k.size:
-            self._check_range(int(k.min()), int(k.max()))
+            lo, hi = int(k.min()), int(k.max())
+            if lo < 1 or hi > self.kmax:
+                raise ParamsError("scale index outside the schedule",
+                                  k=lo if lo < 1 else hi, kmax=self.kmax)
         if self.values is not None:
             return self.values[k - 1]
         # a_1 = 1 = 1/log2(2)
         return 1.0 / np.log2(np.maximum(k, 2).astype(float))
-
-    def _check_range(self, k_min: int, k_max: int):
-        if k_min < 1 or k_max > self.kmax:
-            raise ParamsError("scale index outside the schedule",
-                              k=k_min if k_min < 1 else k_max,
-                              kmax=self.kmax)
-
-    def ratio(self, k):
-        """a_k / k, the mass carried by index k."""
-        if isinstance(k, (int, np.integer)):
-            return self.a(k) / float(k)
-        return self.a(k) / np.asarray(k, dtype=float)
 
     # -- prefix sums ---------------------------------------------------------
     # np.cumsum adds strictly in sequence, so seeding a chunk's cumsum with

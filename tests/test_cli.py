@@ -248,7 +248,8 @@ def test_grid_beyond_the_desk_cap_exits_2(tmp_path, capsys):
                                   "decay_outside_adapted",
                                   "unread_target_entry", "toy_string_number",
                                   "toy_fractional_dim", "toy_boolean_entry",
-                                  "toy_unknown_key", "toy_both_vectors"])
+                                  "toy_unknown_key", "toy_both_vectors",
+                                  "toy_infinite_entry"])
 def test_malformed_input_file_exits_2(case, tmp_path, capsys):
     path = tmp_path / "input.json"
     save_params(default_params(kmax=20), path)
@@ -300,6 +301,11 @@ def test_malformed_input_file_exits_2(case, tmp_path, capsys):
         toy["observable"][1] = True
         flag, text = "--toy-file", json.dumps(toy)
         want = {"key": "observable", "index": 1}
+    elif case == "toy_infinite_entry":
+        # JSON's Infinity parses as a float; the toy refuses it
+        toy["observable"][1] = math.inf
+        flag, text = "--toy-file", json.dumps(toy)
+        want = {"key": "observable", "index": 1}
     elif case in ("toy_unknown_key", "toy_both_vectors"):
         # a circulant spec reads neither entry
         key, value = {
@@ -322,6 +328,24 @@ def test_malformed_input_file_exits_2(case, tmp_path, capsys):
         assert doc["error"]["type"] == "ParamsError"
         assert doc["error"]["details"] == want
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_under_a_file_exits_2(under, tmp_path, capsys):
+    # the run would make --out only after computing every table
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under else blocker
+    for argv in (["validate", "--scenario", "conditions"], ["conditions"]):
+        code, doc = run_main(argv + ["--samples", "0", "--out", str(out)],
+                             capsys)
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParamsError",
+            "message": "--out must be a directory or a path under one",
+            "details": {"out": str(out)}}
+    assert blocker.read_text() == "keep\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize("flag,scenario", [("--c-file", "theorem2"),

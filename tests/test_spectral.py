@@ -76,6 +76,26 @@ def test_spectral_toy_validation():
         toy.matrix()                            # explicit has no matrix
 
 
+def test_toy_vectors_must_be_finite():
+    # |nan| > 1 is false, so only an explicit check keeps NaN out; each is
+    # refused before any arithmetic, the kernel row's DFT included
+    cases = [(lambda: SpectralToy([math.nan, 0.5], [0.0, 1.0]),
+              "eigenvalues", 0),
+             (lambda: SpectralToy([0.5, 0.1], [0.0, complex(1, math.inf)]),
+              "observable", 1),
+             (lambda: circulant_toy([0.5, math.nan, 0.5], [0.0, 1.0, 2.0]),
+              "kernel_row", 1),
+             (lambda: circulant_toy([0.5, 0.25, 0.25], [0.0, math.inf, 2.0]),
+              "observable", 1),
+             (lambda: SpectralToy([1.0, 0.0], [0.0, 1.0],
+                                  kernel_row=[0.5, math.inf]),
+              "kernel_row", 1)]
+    for build, key, index in cases:
+        with pytest.raises(ParamsError) as exc:
+            build()
+        assert exc.value.details == {"key": key, "index": index}
+
+
 def test_circulant_toy_eigenvalues_and_matrix():
     row = np.array([0.5, 0.3, 0.2])
     toy = circulant_toy(row, [0.0, 1.0, 1.0])

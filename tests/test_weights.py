@@ -286,8 +286,8 @@ def test_first_k_reaching_rejects_k_lo_below_one():
 # -- scalar reads --------------------------------------------------------------
 
 def _log2_disagreements(kmax):
-    # indices where math.log2 and np.log2 round differently, the reason
-    # the scalar path keeps np.log2
+    # indices where math.log2 and np.log2 round differently: an integer
+    # read must not take a math.log2 shortcut past the array path
     out = []
     for s in range(2, kmax + 1, 1 << 18):
         k = np.arange(s, min(s + (1 << 18), kmax + 1), dtype=float)
@@ -312,6 +312,23 @@ def test_scalar_reads_match_the_array_path_bitwise():
             for cast in (int, np.int64):
                 got = np.array([read(cast(k)) for k in mine.tolist()])
                 assert np.array_equal(got.view(np.uint64), want), read
+
+
+def test_integer_reads_return_floats():
+    # CONST_ONE's array path gives a 0-d array for an integer; every mode
+    # hands an integer read out as a float with the array read's bits
+    c = np.exp2(-np.arange(1, 65) / 4.0)
+    for w in (build_weights(WeightMode.CONST_ONE, 64),
+              build_weights(WeightMode.INV_LOG, 64),
+              build_weights(WeightMode.ADAPTED, 64, c=c)):
+        for read in (w.a, w.ratio):
+            want = read(np.arange(1, 65))
+            for k in range(1, 65):
+                for cast in (int, np.int64):
+                    got = read(cast(k))
+                    assert type(got) is float, (w.mode, read, cast)
+                    assert (np.float64(got).view(np.uint64)
+                            == want[k - 1].view(np.uint64))
 
 
 def test_inv_log_blocks_at_2_22_read_only_the_head():
