@@ -43,8 +43,8 @@ _LAZY = {
         "simulate"),
     **dict.fromkeys(
         ("spectral", "SpectralToy", "binom_coeffs", "circulant_toy",
-         "evaluate_conditions", "random_circulant_toy", "rn_identity_check",
-         "rn_telescoping_check", "sqrt_apply", "toy_from_json"), "spectral"),
+         "evaluate_conditions", "random_circulant_toy", "sqrt_apply",
+         "toy_from_json"), "spectral"),
 }
 
 

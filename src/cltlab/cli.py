@@ -316,25 +316,21 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
     return artifacts, verdicts, code
 
 
-# the n of the spectral preset's two identity checks, which read 2n and
-# 2n + 1 partial-sum rows, and the terms of its square-root series probe
-_IDENTITY_N = 64
+# the terms of the spectral preset's square-root series probe
 _SQRT_TERMS = 1024
 
 
 def _build_toy(cfg: ExperimentConfig):
     """The spectral preset's toy, once its dimension passes every work
     budget the run checks, in the run's order: the sweep to 2^hi steps,
-    the identity checks' rows, then the square-root series probe.  A
-    random toy is checked before it is built."""
+    then the square-root series probe.  A random toy is checked before
+    it is built."""
     from .spectral import random_circulant_toy, toy_from_json
     toy = None
     if cfg.toy_file is not None:
         toy = toy_from_json(read_input(cfg.toy_file))
     dim = max(2, cfg.kmax) if toy is None else toy.dim
     charge("condition_sweep", (1 << cfg.grid[1]) * dim)
-    for rows in (2 * _IDENTITY_N, 2 * _IDENTITY_N + 1):
-        charge("identity_check", rows * dim)
     charge("sqrt_series", _SQRT_TERMS * dim)
     if toy is None:
         toy = random_circulant_toy(dim, cfg.seed)
@@ -343,16 +339,13 @@ def _build_toy(cfg: ExperimentConfig):
 
 def _run_spectral(cfg: ExperimentConfig, stamp: str | None):
     # only the spectral preset loads the spectral toys
-    from .spectral import (evaluate_conditions, rn_identity_check,
-                           rn_telescoping_check, sqrt_apply)
+    from .spectral import evaluate_conditions, sqrt_apply
     toy = _build_toy(cfg)
     rep = evaluate_conditions(toy, 1 << cfg.grid[1])
     verdicts = {"spectral": {
         "dim": toy.dim,
         "q": rep.q,
         "correspondence": rep.correspondence,
-        "identity_residual_n64": rn_identity_check(toy, _IDENTITY_N),
-        "telescoping_residual_n64": rn_telescoping_check(toy, _IDENTITY_N),
         "sqrt_series_error_m1024": sqrt_apply(toy, _SQRT_TERMS).error,
     }}
     artifacts = {"spectral.csv": _with_header(cfg, rep.to_csv(), stamp)}

@@ -59,8 +59,6 @@ BUDGETS = {
                           "series tail range too expensive"),
     "condition_sweep": Budget(1 << 27, "eigenvalue-steps", WorkBudgetError,
                               "condition sweep too large"),
-    "identity_check": Budget(1 << 27, "eigenvalue-steps", WorkBudgetError,
-                             "identity check too large"),
     "sqrt_series": Budget(1 << 27, "eigenvalue-steps", WorkBudgetError,
                           "square-root series too large"),
     # a normal cdf takes about 0.1 us, so a pass at the limit about 14 s

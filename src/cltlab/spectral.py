@@ -4,9 +4,8 @@ A toy operator is a finite normal operator given by its eigenvalues
 inside the closed unit disk together with the coefficients of an
 observable in the same eigenbasis.  Everything else is scalar calculus
 per eigenvalue: the square-root series of the operator versus the direct
-spectral square root, growth statistics of the partial-sum norms
-``norm_Sn`` under several summability conditions, and two algebraic
-identities used to pass between tail sums and blocked sums.
+spectral square root, and growth statistics of the partial-sum norms
+``norm_Sn`` under several summability conditions.
 
 Circulant toys realize the operator as an honest doubly-stochastic
 matrix (a random walk on the cycle), whose eigenvalues are the DFT of
@@ -337,80 +336,3 @@ def evaluate_conditions(toy: SpectralToy,
         rate5=np.asarray(rows["r5"]), rate6_q=np.asarray(rows["r6"]),
         remark7_partial=np.asarray(rows["r7"]),
         kronecker=np.asarray(rows["kron"]), correspondence=correspondence)
-
-
-# ---------------------------------------------------------------------------
-# Algebraic identity checks
-
-def _tiled_residual(toy: SpectralToy, n_hi: int, sides) -> float:
-    """max |difference| / max(1, max |side|) over all eigenvalues, where
-    ``sides(lam, s)`` gives (difference, *sides) for a slice ``lam`` of
-    them and its partial sums S_k, k = 0..n_hi.  Columns are independent,
-    so slices of at most ``_TILE`` elements (two columns at least) give
-    the whole toy's bits."""
-    charge("identity_check", (n_hi + 1) * toy.dim)
-    gden = _eigen_terms(toy)[1]
-    width = max(2, _TILE // (n_hi + 1))
-    maxima = []
-    for lo in range(0, toy.dim, width):
-        # one column would sum its rows pairwise, not in order as two or
-        # more do, so a last lone column takes its neighbour along
-        cols = slice(max(0, min(lo, toy.dim - 2)), lo + width)
-        lam = toy.eigenvalues[cols]
-        pw = np.empty((n_hi + 1, lam.size), dtype=complex)
-        pw[0] = 1.0
-        pw[1:] = np.cumprod(np.tile(lam, (n_hi, 1)), axis=0)
-        parts = sides(lam, gden[cols] * (1.0 - pw))
-        maxima.append([np.abs(part).max() for part in parts])
-    worst, *scale = np.max(maxima, axis=0)
-    return float(worst) / max(1.0, *map(float, scale))
-
-
-def rn_identity_check(toy: SpectralToy, n: int) -> float:
-    """Residual of the blocked tail identity, relative to its terms.
-
-    The sum of S_k/k^{3/2} over one dyadic block equals S_n times the
-    block's scalar weight plus the n-step operator power applied to the
-    shifted-weight sum of the earlier partial sums.
-    """
-    if n < 2:
-        raise ParamsError("need n >= 2", n=n)
-    k_blk = np.arange(n, 2 * n, dtype=float)[:, None]
-    k_pre = np.arange(1, n, dtype=float)[:, None]
-
-    def sides(lam, s):
-        lhs = (s[n: 2 * n] / k_blk ** 1.5).sum(axis=0)
-        t1 = s[n] * float((k_blk ** -1.5).sum())
-        t2 = lam ** n * (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
-        return lhs - t1 - t2, lhs, t1, t2
-
-    return _tiled_residual(toy, 2 * n - 1, sides)
-
-
-def rn_telescoping_check(toy: SpectralToy, n: int,
-                         n_tail: int | None = None) -> float:
-    """Residual of the summation-by-parts rewrite of the shifted sum.
-
-    Both sides truncate the tail sums R_k at the same n_tail (default
-    2n), which keeps the rewrite an exact identity.
-    """
-    if n < 3:
-        raise ParamsError("need n >= 3", n=n)
-    n_tail = 2 * n if n_tail is None else n_tail
-    if n_tail < n:
-        raise ParamsError("tail horizon must cover n", n_tail=n_tail)
-    k_all = np.arange(1, n_tail + 1, dtype=float)[:, None]
-    k_pre = np.arange(1, n, dtype=float)[:, None]
-    ks = np.arange(2, n, dtype=float)[:, None]
-    jump = (ks ** 1.5 / (n + ks) ** 1.5
-            - (ks - 1.0) ** 1.5 / (n + ks - 1.0) ** 1.5)
-
-    def sides(lam, s):
-        # r[k - 1] = R_k = sum_{j=k}^{n_tail} S_j/j^{3/2}
-        r = np.cumsum((s[1:] / k_all ** 1.5)[::-1], axis=0)[::-1]
-        lhs = (s[1: n] / (n + k_pre) ** 1.5).sum(axis=0)
-        rhs = ((r[1: n - 1] * jump).sum(axis=0) + r[0] / (n + 1.0) ** 1.5
-               - r[n - 1] * (n - 1.0) ** 1.5 / (2.0 * n - 1.0) ** 1.5)
-        return lhs - rhs, lhs, rhs
-
-    return _tiled_residual(toy, n_tail, sides)

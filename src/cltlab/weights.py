@@ -159,13 +159,15 @@ class WeightSchedule:
         return _read(self._a(k) / k.astype(float))
 
     def _a(self, k: np.ndarray):
-        if self.mode is WeightMode.CONST_ONE:
-            return np.ones(k.shape)
+        const = self.mode is WeightMode.CONST_ONE
         if k.size:
+            # const weights go on past kmax: BOUND_9 reads a_[log N] there
             lo, hi = int(k.min()), int(k.max())
-            if lo < 1 or hi > self.kmax:
+            if lo < 1 or (hi > self.kmax and not const):
                 raise ParamsError("scale index outside the schedule",
                                   k=lo if lo < 1 else hi, kmax=self.kmax)
+        if const:
+            return np.ones(k.shape)
         if self.values is not None:
             return self.values[k - 1]
         # a_1 = 1 = 1/log2(2)

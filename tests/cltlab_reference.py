@@ -16,8 +16,10 @@ oracle, ``site_sample_batch``, draws every site variable of every
 sample literally and sums it against the dense coefficients, normalized.
 Between two lattice laws, ``tv_distance`` sums their mass differences
 point by point.  The spectral identity checks ``rn_identity_check`` and
-``rn_telescoping_check`` hold every partial sum of every eigenvalue at
-once, in one matrix from ``_partial_sums``.
+``rn_telescoping_check`` are the only copy of the two algebraic
+identities that pass between tail sums and blocked sums; they hold every
+partial sum of every eigenvalue at once, in one matrix from
+``_partial_sums``, so they are meant for small toys only.
 
 Model recap: site variable X(l, m) is standard normal for even block l
 and sqrt(N_l) * xi for odd l, where xi is +-1 with probability
@@ -40,8 +42,7 @@ from scipy.special import ndtri
 
 from cltlab.blocks import BlockParity, SequenceParams
 from cltlab.engine import BlockProfile, ExactMoments
-from cltlab.errors import (MemoryBudgetError, ParamsError, WorkBudgetError,
-                           charge)
+from cltlab.errors import MemoryBudgetError, ParamsError, WorkBudgetError
 from cltlab.laws import Law
 from cltlab.simulate import SampleBatch, SampleKind, _horizon, _stream
 from cltlab.spectral import SpectralToy, _eigen_terms
@@ -383,7 +384,6 @@ def tv_distance(a: Law, b: Law, unit: float = 1.0) -> float:
 
 def _partial_sums(toy: SpectralToy, n_hi: int) -> np.ndarray:
     """Rows k = 0..n_hi of the operator partial sums S_k per eigenvalue."""
-    charge("identity_check", (n_hi + 1) * toy.dim)
     lam = toy.eigenvalues
     gden = _eigen_terms(toy)[1]
     pw = np.empty((n_hi + 1, toy.dim), dtype=complex)

@@ -19,11 +19,10 @@ from cltlab.engine import Condition, ExactMoments, dyadic_grid
 from cltlab.laws import (DichotomyVerdict, dichotomy_report, exact_law,
                          ks_distance, ks_pass_bound)
 from cltlab.simulate import CHUNK, SampleKind, sample_batch
-from cltlab.spectral import (binom_coeffs, random_circulant_toy,
-                             rn_identity_check, rn_telescoping_check,
-                             sqrt_apply)
+from cltlab.spectral import binom_coeffs, random_circulant_toy, sqrt_apply
 from cltlab.weights import WeightMode, build_weights, weighted_prefix
-from cltlab_reference import RationalMoments
+from cltlab_reference import (RationalMoments, rn_identity_check,
+                              rn_telescoping_check)
 
 
 def emit(capsys, num, ok, detail):

@@ -393,54 +393,32 @@ def test_validate_checks_the_spectral_sweep_budget(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("kmax, rows", [(1_100_000, 128), (1 << 20, 129),
-                                        (4_000_000, 128)])
-def test_validate_checks_the_spectral_identity_budget(kmax, rows, tmp_path,
-                                                      capsys, monkeypatch):
-    # the sweep fits, but the n = 64 identity checks' 128 or 129
-    # partial-sum rows do not: both commands refuse the toy's dimension
-    # at once, with the same error, and neither builds the toy
-    def refuse(*args):
-        raise AssertionError("the toy was built")
-
-    monkeypatch.setattr(spectral, "random_circulant_toy", refuse)
-    out = tmp_path / "run"
-    for command in (["spectral"], ["validate", "--scenario", "spectral"]):
-        start = time.perf_counter()
-        code, doc = run_main([*command, "--kmax", str(kmax), "--grid",
-                              "dyadic:1:2", "--out", str(out)], capsys)
-        assert time.perf_counter() - start < 1.0, command
-        assert code == 3, command
-        assert doc == {"error": {
-            "type": "WorkBudgetError", "message": "identity check too large",
-            "details": {"estimated_ops": rows * kmax, "budget": 1 << 27}}}
-        assert not out.exists()
-
-
 def test_validate_checks_the_sqrt_series_budget(tmp_path, capsys,
                                                 monkeypatch):
-    # the sweep and the identity rows fit at 131,073 dimensions, but the
-    # probe's 1024 series steps per eigenvalue do not: both commands
-    # refuse at once, with one error each, and neither builds the toy
+    # the sweep fits from 131,073 dimensions up, but the probe's 1024
+    # series steps per eigenvalue do not: both commands refuse at once,
+    # with one error each, and neither builds the toy
     def refuse(*args):
         raise AssertionError("the toy was built")
 
     out = tmp_path / "run"
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "random_circulant_toy", refuse)
-        for command in (["spectral"], ["validate", "--scenario", "spectral"]):
-            start = time.perf_counter()
-            code = main([*command, "--kmax", "131073", "--grid",
-                         "dyadic:1:2", "--out", str(out)])
-            assert time.perf_counter() - start < 1.0, command
-            assert code == 3, command
-            lines = capsys.readouterr().out.splitlines()
-            assert [json.loads(line) for line in lines] == [{"error": {
-                "type": "WorkBudgetError",
-                "message": "square-root series too large",
-                "details": {"estimated_ops": 1024 * 131_073,
-                            "budget": 1 << 27}}}], command
-            assert not out.exists()
+        for kmax in (131_073, 1_100_000, 1 << 20, 4_000_000):
+            for command in (["spectral"],
+                            ["validate", "--scenario", "spectral"]):
+                start = time.perf_counter()
+                code = main([*command, "--kmax", str(kmax), "--grid",
+                             "dyadic:1:2", "--out", str(out)])
+                assert time.perf_counter() - start < 1.0, (kmax, command)
+                assert code == 3, (kmax, command)
+                lines = capsys.readouterr().out.splitlines()
+                assert [json.loads(line) for line in lines] == [{"error": {
+                    "type": "WorkBudgetError",
+                    "message": "square-root series too large",
+                    "details": {"estimated_ops": 1024 * kmax,
+                                "budget": 1 << 27}}}], (kmax, command)
+                assert not out.exists()
     # 1024 steps at 131,072 dimensions are exactly the budget
     code, doc = run_main(["validate", "--scenario", "spectral", "--kmax",
                           "131072", "--grid", "dyadic:1:2"], capsys)
@@ -458,7 +436,7 @@ def test_validate_checks_the_sqrt_series_budget(tmp_path, capsys,
      '"type": "WorkBudgetError"}}'),
     (["spectral", "--kmax", "1100000", "--grid", "dyadic:1:2"],
      '{"error": {"details": {"budget": 134217728, "estimated_ops": '
-     '140800000}, "message": "identity check too large", '
+     '1126400000}, "message": "square-root series too large", '
      '"type": "WorkBudgetError"}}'),
 ], ids=["batch", "sweep", "identity"])
 def test_validate_and_the_run_print_the_same_budget_error(argv, line,
@@ -684,6 +662,15 @@ PINNED_ARTIFACTS = {
                        "707fc342f6158223e09f4a5de28eb46f",
         "verdict.json": "27f997c9b7282b5da4ca2c630f918fb5"
                         "aa17291368f1472d198b05f3efb22254",
+    },
+    # the spectral sweep and its probe at d = 8
+    ("spectral",): {
+        "config.json": "38bafc8b31084a705dd08b8599783c11"
+                       "feed679265d8290485686f6dbb138b4d",
+        "spectral.csv": "e736b4f79265a4e252c955570e1a1173"
+                        "b2ea6805d06b91ffec450d0623644e4f",
+        "verdict.json": "1228919d65316e8dc3b1a760a7959d20"
+                        "9b08c8cf9ed03ccd8fe78f1523fc3cb4",
     },
     # the desk flat copy: the oracle gate at 2^11
     ("theorem1", "--samples", "2000"): {
@@ -990,8 +977,8 @@ def test_spectral_toy_file(tmp_path, capsys):
     verdict = json.loads((out / "verdict.json").read_text())
     sp = verdict["spectral"]
     assert sp["dim"] == 3
-    assert sp["identity_residual_n64"] <= 1e-10
-    assert sp["telescoping_residual_n64"] <= 1e-10
+    assert set(sp) == {"correspondence", "dim", "q",
+                       "sqrt_series_error_m1024"}
     assert sp["sqrt_series_error_m1024"] < 1e-3
     assert (out / "spectral.csv").exists()
 

@@ -2,8 +2,10 @@
 its error and its message, and ``charge`` as the one check that raises
 past a limit.
 
-A source scan, in the style of ``test_imports``, keeps it the one check:
-no package module but ``errors`` raises a budget error itself.
+Two source scans, in the style of ``test_imports``, keep it the one
+check: no package module but ``errors`` raises a budget error itself, and
+the names the package charges are exactly the table's, so a dead entry
+or a misspelt name fails here rather than mid-run.
 """
 
 import ast
@@ -26,8 +28,6 @@ TABLE = {
                     "series tail range too expensive", "estimated_ops"),
     "condition_sweep": (1 << 27, "eigenvalue-steps", WorkBudgetError,
                         "condition sweep too large", "estimated_ops"),
-    "identity_check": (1 << 27, "eigenvalue-steps", WorkBudgetError,
-                       "identity check too large", "estimated_ops"),
     "sqrt_series": (1 << 27, "eigenvalue-steps", WorkBudgetError,
                     "square-root series too large", "estimated_ops"),
     "ks_pass": (1 << 27, "cdf reads", WorkBudgetError, "KS pass too large",
@@ -84,3 +84,32 @@ def test_only_the_table_raises_budget_errors():
     raisers = {path.name: budget_raises(path.read_text(encoding="utf-8"))
                for path in PACKAGE if path.name != "errors.py"}
     assert {name: lines for name, lines in raisers.items() if lines} == {}
+
+
+def charged_names(source: str) -> list:
+    """The first argument of each ``charge(...)`` call, a string where it
+    is a literal and the call's line number where it is not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) == "charge":
+            arg = node.args[0] if node.args else None
+            literal = (isinstance(arg, ast.Constant)
+                       and isinstance(arg.value, str))
+            out.append(arg.value if literal else node.lineno)
+    return out
+
+
+def test_scan_catches_charged_names():
+    source = ("def f(n, name):\n"
+              "    charge('sqrt_series', n)\n"
+              "    errors.charge(name, n)\n"
+              "    other('ks_pass', n)\n")
+    assert charged_names(source) == ["sqrt_series", 3]
+
+
+def test_every_budget_is_charged_by_name():
+    names = [name for path in PACKAGE
+             for name in charged_names(path.read_text(encoding="utf-8"))]
+    assert [n for n in names if not isinstance(n, str)] == []
+    assert set(names) == set(BUDGETS)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -238,14 +239,18 @@ def _bounded_schedules():
 
 @pytest.mark.parametrize("k", [0, -3, 41, 1000])
 def test_weight_index_outside_schedule_raises(k):
-    for w in _bounded_schedules():
-        for probe in (k, np.int64(k), np.array([1, 5, k, 40])):
+    # the constant schedule is bounded below only: a_0 is no weight, and
+    # ratio(0) would divide by zero
+    schedules = list(_bounded_schedules())
+    if k < 1:
+        schedules.append(build_weights(WeightMode.CONST_ONE, 40))
+    for w in schedules:
+        for read, probe in itertools.product(
+                (w.a, w.ratio), (k, np.int64(k), np.array([1, 5, k, 40]))):
             with pytest.raises(ParamsError, match="outside the schedule") \
                     as exc:
-                w.a(probe)
+                read(probe)
             assert exc.value.details == {"k": k, "kmax": 40}
-        with pytest.raises(ParamsError, match="outside the schedule"):
-            w.ratio(k)
 
 
 def test_weight_index_bounds_are_inclusive():
@@ -255,7 +260,8 @@ def test_weight_index_bounds_are_inclusive():
         assert w.a(np.arange(1, 41)).shape == (40,)
         assert w.a(np.array([], dtype=np.int64)).shape == (0,)
     # the constant schedule has no array behind it and stays unbounded
-    assert build_weights(WeightMode.CONST_ONE, 40).a(41) == 1.0
+    const = build_weights(WeightMode.CONST_ONE, 40)
+    assert const.a(41) == const.a(40 + 5) == 1.0
 
 
 def test_first_k_reaching_stays_at_or_above_k_lo():
