@@ -395,34 +395,59 @@ def test_validate_checks_the_spectral_sweep_budget(tmp_path, capsys):
 
 def test_validate_checks_the_sqrt_series_budget(tmp_path, capsys,
                                                 monkeypatch):
-    # the sweep fits from 131,073 dimensions up, but the probe's 1024
-    # series steps per eigenvalue do not: both commands refuse at once,
-    # with one error each, and neither builds the toy
+    # the sweep fits at 131,073 dimensions, but the probe's 1024 series
+    # steps per eigenvalue do not: both commands refuse at once, with one
+    # error each, and neither builds the toy
     def refuse(*args):
         raise AssertionError("the toy was built")
 
     out = tmp_path / "run"
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "random_circulant_toy", refuse)
-        for kmax in (131_073, 1_100_000, 1 << 20, 4_000_000):
-            for command in (["spectral"],
-                            ["validate", "--scenario", "spectral"]):
-                start = time.perf_counter()
-                code = main([*command, "--kmax", str(kmax), "--grid",
-                             "dyadic:1:2", "--out", str(out)])
-                assert time.perf_counter() - start < 1.0, (kmax, command)
-                assert code == 3, (kmax, command)
-                lines = capsys.readouterr().out.splitlines()
-                assert [json.loads(line) for line in lines] == [{"error": {
-                    "type": "WorkBudgetError",
-                    "message": "square-root series too large",
-                    "details": {"estimated_ops": 1024 * kmax,
-                                "budget": 1 << 27}}}], (kmax, command)
-                assert not out.exists()
+        for command in (["spectral"], ["validate", "--scenario", "spectral"]):
+            start = time.perf_counter()
+            code = main([*command, "--kmax", "131073", "--grid", "dyadic:1:2",
+                         "--out", str(out)])
+            assert time.perf_counter() - start < 1.0, command
+            assert code == 3, command
+            lines = capsys.readouterr().out.splitlines()
+            assert [json.loads(line) for line in lines] == [{"error": {
+                "type": "WorkBudgetError",
+                "message": "square-root series too large",
+                "details": {"estimated_ops": 1024 * 131_073,
+                            "budget": 1 << 27}}}], command
+            assert not out.exists()
     # 1024 steps at 131,072 dimensions are exactly the budget
     code, doc = run_main(["validate", "--scenario", "spectral", "--kmax",
                           "131072", "--grid", "dyadic:1:2"], capsys)
     assert code == 0 and doc["derived"]["dim"] == 131_072
+
+
+@pytest.mark.parametrize("kmax, rows", [(1_100_000, 128), (1 << 20, 129),
+                                        (4_000_000, 128)])
+def test_validate_checks_the_spectral_identity_budget(kmax, rows, tmp_path,
+                                                      capsys, monkeypatch):
+    # the n = 64 identity checks' 128 or 129 partial-sum rows per dimension
+    # once refused these toys; the run no longer computes those rows, and
+    # the square-root probe's 1024 steps per dimension refuse them first:
+    # both commands at once, with the same error, and neither builds the toy
+    def refuse(*args):
+        raise AssertionError("the toy was built")
+
+    assert rows * kmax > 1 << 27
+    monkeypatch.setattr(spectral, "random_circulant_toy", refuse)
+    out = tmp_path / "run"
+    for command in (["spectral"], ["validate", "--scenario", "spectral"]):
+        start = time.perf_counter()
+        code, doc = run_main([*command, "--kmax", str(kmax), "--grid",
+                              "dyadic:1:2", "--out", str(out)], capsys)
+        assert time.perf_counter() - start < 1.0, command
+        assert code == 3, command
+        assert doc == {"error": {
+            "type": "WorkBudgetError",
+            "message": "square-root series too large",
+            "details": {"estimated_ops": 1024 * kmax, "budget": 1 << 27}}}
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, line", [
