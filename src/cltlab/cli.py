@@ -222,14 +222,21 @@ def _build_params(cfg: ExperimentConfig) -> tuple[
                                   rho=target.rho if geometric else None)
     decay = None if cfg.c_file is None else _load_decay(cfg.c_file,
                                                           cfg.kmax)
-    if params is not None:
-        return cfg, params, params.weights.decay if decay is None else decay
-    mode = _MODE_BY_FLAG[cfg.a_mode]
-    if mode is WeightMode.ADAPTED and decay is None:
-        decay = _default_decay(cfg.kmax)
-    # only an ADAPTED schedule reads its decay
-    return cfg, default_params(kmax=cfg.kmax, rho=cfg.rho, mode=mode,
-                               c=decay), decay
+    if params is None:
+        mode = _MODE_BY_FLAG[cfg.a_mode]
+        if mode is WeightMode.ADAPTED and decay is None:
+            decay = _default_decay(cfg.kmax)
+        # only an ADAPTED schedule reads its decay
+        params = default_params(kmax=cfg.kmax, rho=cfg.rho, mode=mode,
+                                c=decay)
+    elif decay is None:
+        decay = params.weights.decay
+    # BOUND_9 reads a_e at each horizon 2^e, which only CONST_ONE weights
+    # give past kmax: the first such read refuses the grid, in validate too
+    first_past = max(cfg.grid[0], params.kmax + 1)
+    if first_past <= cfg.grid[1]:
+        params.weights.a(first_past)
+    return cfg, params, decay
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +336,7 @@ def _build_toy(cfg: ExperimentConfig):
     toy = None
     if cfg.toy_file is not None:
         toy = toy_from_json(read_input(cfg.toy_file))
-    dim = max(2, cfg.kmax) if toy is None else toy.dim
+    dim = cfg.kmax if toy is None else toy.dim
     charge("condition_sweep", (1 << cfg.grid[1]) * dim)
     charge("sqrt_series", _SQRT_TERMS * dim)
     if toy is None:

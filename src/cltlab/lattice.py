@@ -14,18 +14,16 @@ that read F below ``DIRECT``, are summed directly; the rest take
 Euler-Maclaurin through the fifth derivative, its integral by
 Gauss-Legendre on dyadic panels (``lattice_rule``).  All the points of
 a batch of tails go through F at once (``lattice_terms``), before the
-affine values enter (``lattice_sums``); each tail is a row, and the
-only choice made over many points, how many Euler-Maclaurin terms an
-argument keeps, is made per row (``_em_first``), so a row's values do
-not depend on the rows beside it.
+affine values enter (``lattice_sums``); each tail is a row, and since
+every point is evaluated on its own, with nothing chosen across points,
+a row's values do not depend on the rows beside it.
 
 The Hurwitz zeta zeta(s, a) = sum_{i >= 0} (a + i)^-s, continued
 analytically to s = 1/2, lifts arguments below 16 by direct terms; above,
-Euler-Maclaurin with eight fixed Bernoulli constants leaves a first
-omitted term below 2e-16 relative for every s up to 13/2, and larger
-arguments drop the terms that fall below 2^-64.  ``zeta_diff`` takes the
-difference of two values so that it keeps its relative accuracy however
-small it is.
+every argument keeps all eight Euler-Maclaurin terms, whose fixed
+Bernoulli constants leave a first omitted term below 2e-16 relative for
+every s up to 13/2.  ``zeta_diff`` takes the difference of two values so
+that it keeps its relative accuracy however small it is.
 
 The exact power sums of an integer range (``_centred``, ``_affine_sq``)
 and the scale guard ``K_GUARD`` live here too, since the engine's block
@@ -103,48 +101,22 @@ def _em_coeffs(s: float) -> list:
 # sixth
 _EM_COEFFS = np.array([_em_coeffs(k + 0.5) for k in range(8)])
 
-# Term j (from 1) of the series is below 2^-64 of the leading term
-# b^(1-s)/(s-1) for every s of the table once b exceeds _EM_REACH[j - 1].
-# The bounds fall with j, so a larger b needs fewer terms.
-_EM_REACH = np.array([max((abs(row[-j] * (k - 0.5)) * 2.0 ** 64)
-                          ** (0.5 / j)
-                          for k, row in enumerate(_EM_COEFFS.tolist()))
-                      for j in range(1, 9)])
 
-
-def _em_first(rows, *args) -> np.ndarray:
-    """Per row of the integer ``rows`` (broadcast against each argument
-    array in ``args``): the first of the eight Euler-Maclaurin terms,
-    counted from the highest, that the row's least argument keeps.  A
-    batch of rows thus keeps each row's terms, and each row's values,
-    as if it were evaluated alone."""
-    least = np.full(np.max(rows, initial=-1) + 1, np.inf)
-    for b in args:
-        np.minimum.at(least, np.broadcast_to(rows, b.shape), b)
-    return (8 - np.count_nonzero(_EM_REACH > least[:, None], axis=1)
-            ).astype(np.int8)
-
-
-def _zeta_em(s, b, first):
+def _zeta_em(s, b):
     """zeta(s, b) less its leading term b^(1-s)/(s-1), for b >= 16, from
-    the Euler-Maclaurin terms ``first`` (broadcast) on.
+    all eight Euler-Maclaurin terms.
 
-    At b = 16 the eight Bernoulli terms leave a first omitted one below
-    2e-21 of zeta(s, b) for s = 1/2 and 3/2, which F reads, and below
-    2e-16 for s up to 13/2, which only its derivatives read; larger b
-    drop the terms that fall below 2^-64 (``_EM_REACH``, ``_em_first``).
+    At b = 16 they leave a first omitted term below 2e-21 of zeta(s, b)
+    for s = 1/2 and 3/2, which F reads, and below 2e-16 for s up to 13/2,
+    which only its derivatives read; at larger b it is smaller still.
     """
     k = np.asarray(s).astype(int)            # s = k + 1/2
     inv = 1.0 / b
     inv2 = inv * inv
     acc = np.zeros(np.broadcast_shapes(k.shape, inv.shape))
-    last = np.max(first, initial=0)
-    for j in range(np.min(first, initial=8), 8):
-        # 0.0 up to an argument's first term, which then gives exactly its
-        # coefficient, as a Horner sum from 0.0 over its terms does
-        c = _EM_COEFFS[k, j]
+    for j in range(8):
         acc *= inv2
-        acc += np.where(j >= first, c, 0.0) if j < last else c
+        acc += _EM_COEFFS[k, j]
     # sqrt(inv) inv^k (0.5 + acc inv), in place
     del inv2
     acc *= inv
@@ -162,10 +134,10 @@ def _zeta_head(s, a, n):
     return head
 
 
-def hurwitz_zeta(s, a, rows=0) -> np.ndarray:
+def hurwitz_zeta(s, a) -> np.ndarray:
     """zeta(s, a) = sum_{i >= 0} (a + i)^-s elementwise, continued
     analytically to s = 1/2, for s among 1/2, 3/2, .., 15/2 and a >= 1
-    (broadcast, a at most 1-D), in the rows ``rows`` (``_em_first``).
+    (broadcast, a at most 1-D).
 
     Arguments below 16 are shifted up by direct terms, and Euler-Maclaurin
     with eight fixed Bernoulli constants gives the rest.
@@ -175,15 +147,13 @@ def hurwitz_zeta(s, a, rows=0) -> np.ndarray:
     if a.min(initial=_ZETA_SHIFT) < _ZETA_SHIFT:
         n = np.maximum(np.ceil(_ZETA_SHIFT - a), 0.0)
         b, head = a + n, _zeta_head(s, a, n)
-    return head + (b ** (1.0 - s) / (s - 1.0)
-                   + _zeta_em(s, b, _em_first(rows, b)[rows]))
+    return head + (b ** (1.0 - s) / (s - 1.0) + _zeta_em(s, b))
 
 
-def zeta_diff(s: float, a, b, rows=0) -> np.ndarray:
+def zeta_diff(s: float, a, b) -> np.ndarray:
     """zeta(s, a) - zeta(s, b) elementwise (broadcast, at most 1-D), for
     s = 1/2 or 3/2 and 1 <= a <= b with b - a an integer wherever a < 16:
-    the sum of (a + i)^-s over a + i < b then, in the rows ``rows``
-    (``_em_first``).
+    the sum of (a + i)^-s over a + i < b then.
 
     Direct terms lift a below 16 to 16 or to b, whichever comes first, so
     what is left is exactly 0 or has both arguments >= 16.  There the
@@ -196,10 +166,7 @@ def zeta_diff(s: float, a, b, rows=0) -> np.ndarray:
     if a.min(initial=_ZETA_SHIFT) < _ZETA_SHIFT:
         n = np.minimum(np.maximum(np.ceil(_ZETA_SHIFT - a), 0.0), b - a)
         a2, head = a + n, _zeta_head(s, a, n)
-    # the rests of both arguments, which keep the terms of their row's
-    # least argument
-    first = _em_first(rows, a2, b)[rows]
-    rest = _zeta_em(s, a2, first) - _zeta_em(s, b, first)
+    rest = _zeta_em(s, a2) - _zeta_em(s, b)
     ra, rb = np.sqrt(a2), np.sqrt(b)
     lead = 2.0 * (b - a2) / (ra + rb)
     if s != 0.5:
@@ -219,14 +186,14 @@ def tail_f(x, p, q, rows=0) -> np.ndarray:
     which at integers p <= x <= q is sum_{N'=p..q} min(N', x) / N'^{3/2}:
     the partial sum H(x) of N'^{-1/2} up to x plus x times the tail D of
     N'^{-3/2} beyond it, each taken as one ``zeta_diff``.  Point i is
-    in the row ``rows[i]`` (``_em_first``) and reads its ends p and q,
-    given one per row (one row by default).
+    in the row ``rows[i]`` and reads its ends p and q, given one per row
+    (one row by default).
     """
     x = np.asarray(x, dtype=float)
     a = x + 1.0
     p, q = np.atleast_1d(p).astype(float), np.atleast_1d(q)
-    return (zeta_diff(0.5, p[rows], a, rows)
-            + x * zeta_diff(1.5, a, (q + 1.0)[rows], rows))
+    return (zeta_diff(0.5, p[rows], a)
+            + x * zeta_diff(1.5, a, (q + 1.0)[rows]))
 
 
 def tail_df(x, q, top: int, rows=0) -> np.ndarray:
@@ -240,9 +207,7 @@ def tail_df(x, q, top: int, rows=0) -> np.ndarray:
     """
     x, q = np.asarray(x, dtype=float), np.atleast_1d(q)
     z = hurwitz_zeta(np.arange(1, top + 2)[:, None] + 0.5,
-                     np.append(x + 1.0, q + 1.0),
-                     np.append(np.broadcast_to(rows, x.shape),
-                               np.arange(q.size)))
+                     np.append(x + 1.0, q + 1.0))
     k = np.arange(1, top + 1)
     out = (np.cumprod(k + 0.5) * (-1.0) ** k)[:, None] * (
         x * z[1:, :x.size] - z[:-1, :x.size])
@@ -305,7 +270,8 @@ def lattice_terms(p, q, lattice, count, g, n, rows=0) -> tuple:
     lags, its Gauss-Legendre nodes and its halved Euler-Maclaurin ends.
     At every point the window terms sum g F(n - j), and at every end
     their derivatives in j through the fifth, each in one batch over all
-    the rows; a row's values are those it has alone.
+    the rows; every point is evaluated on its own, so a row's values are
+    those it has alone.
     """
     lo, hi, least, e, panels = lattice
     p, q = np.atleast_1d(p), np.atleast_1d(q)
@@ -430,10 +396,10 @@ class SeriesTail:
     window [p, q] if it has a scale past its heads, ``shared``), so that
     each step runs once over all of them.  The lattice sums run over
     whole rows in turn, at most ``TAIL_BATCH`` work at a time (a row
-    beyond it alone).  What a row reduces as a whole stays per row: its
-    head sums over all its scales, its Euler-Maclaurin terms
-    (``_em_first``) and its ``math.fsum``; so each row's value is bit
-    for bit the one it has alone.
+    beyond it alone).  Every point of F is evaluated on its own, with
+    nothing chosen across points, and what a row reduces as a whole stays
+    per row: its head sums over all its scales and its ``math.fsum``; so
+    each row's value is bit for bit the one it has alone.
 
     ``work``, which the ``series_tail`` budget reads, counts per row what
     ``norm_sq`` touches, laid out on construction: the pieces (three

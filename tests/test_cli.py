@@ -217,15 +217,30 @@ def test_seed_past_64_bits_exits_2(tmp_path, capsys):
 
 
 def test_grid_past_the_schedule_exits_2(tmp_path, capsys):
-    # horizons up to 2^48 ask for weights a_41 .. a_48 of a kmax-40 schedule
-    code, doc = run_main(["custom", "--kmax", "40", "--a-mode", "invlog",
-                          "--rho", "1.5", "--grid", "dyadic:4:48",
-                          "--samples", "0", "--out", str(tmp_path / "o")],
-                         capsys)
-    assert code == 2
-    assert doc["error"] == {"type": "ParamsError",
-                            "message": "scale index outside the schedule",
-                            "details": {"k": 41, "kmax": 40}}
+    # horizons up to 2^48 ask for weights a_41 .. a_48 of a kmax-40
+    # schedule; validate refuses them as the run does, before any work
+    for argv in (["validate", "--scenario", "custom"],
+                 ["custom", "--out", str(tmp_path / "o")]):
+        code, doc = run_main(argv + ["--kmax", "40", "--a-mode", "invlog",
+                                     "--rho", "1.5", "--grid", "dyadic:4:48",
+                                     "--samples", "0"], capsys)
+        assert code == 2
+        assert doc["error"] == {"type": "ParamsError",
+                                "message": "scale index outside the schedule",
+                                "details": {"k": 41, "kmax": 40}}
+    assert not (tmp_path / "o").exists()
+
+
+def test_spectral_dimension_below_2_exits_2(tmp_path, capsys):
+    # --kmax is the random toy's dimension: 1 is refused, not raised to 2
+    for argv in (["validate", "--scenario", "spectral"],
+                 ["spectral", "--out", str(tmp_path / "o")]):
+        code, doc = run_main(argv + ["--kmax", "1"], capsys)
+        assert code == 2
+        assert doc["error"] == {"type": "ParamsError",
+                                "message": "dimension must be at least 2",
+                                "details": {"dim": 1}}
+    assert not (tmp_path / "o").exists()
 
 
 def test_grid_beyond_the_desk_cap_exits_2(tmp_path, capsys):
@@ -745,7 +760,9 @@ PINNED_ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("args", sorted(PINNED_ARTIFACTS))
+@pytest.mark.parametrize("args", sorted(PINNED_ARTIFACTS),
+                         ids=lambda args: "-".join(a.lstrip("-")
+                                                   for a in args))
 def test_preset_artifact_bytes_are_pinned(args, tmp_path, capsys,
                                           monkeypatch):
     monkeypatch.chdir(tmp_path)

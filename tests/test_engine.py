@@ -918,16 +918,18 @@ def test_zeta_diff_matches_mpmath():
             assert g == w == 0 or abs(float(g / w - 1)) <= 1e-15
 
 
-def test_zeta_diff_keeps_each_rows_terms():
-    # Beside a row whose least argument (16) needs all eight
-    # Euler-Maclaurin terms, a row keeps the terms of its own, and with
-    # them its bits; evaluated as one row, these differences move in the
-    # last place.
+def test_batched_zeta_equals_each_value_alone():
+    # Every argument keeps all eight Euler-Maclaurin terms, so an element
+    # of a batch has the bits it has alone.  The two large pairs would
+    # move in the last place if a batch chose its terms by its least
+    # argument, 16 here.
     for s, x, y in ((0.5, 301702.0, 301704.0), (1.5, 143711.0, 143712.0)):
-        a, b = np.array([16.0, x]), np.array([17.0, y])
-        alone = zeta_diff(s, x, y).hex()
-        assert zeta_diff(s, a, b, np.array([0, 1]))[1].hex() == alone
-        assert zeta_diff(s, a, b)[1].hex() != alone
+        a, b = np.array([16.0, x, 3.5]), np.array([17.0, y, 20.5])
+        for i, got in enumerate(zeta_diff(s, a, b).tolist()):
+            assert got.hex() == float(zeta_diff(s, a[i], b[i])).hex()
+        args = np.append(a, b)
+        for i, got in enumerate(hurwitz_zeta(s, args).tolist()):
+            assert got.hex() == float(hurwitz_zeta(s, args[i])).hex()
 
 
 def window_sums(p, q):
