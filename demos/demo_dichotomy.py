@@ -5,7 +5,9 @@ three-valued (spike) blocks whose normalized sums settle on the
 symmetrized-Poisson-like lattice law, and Gaussian blocks that go
 normal.  This draws normalized full sums at both kinds of horizon,
 scores each against NORMAL(0,1) and against the exact flat-copy law,
-and prints the verdict.
+and prints the verdict.  The report takes the process as one
+``ExactMoments``: its sums, its laws and its normalizers all read that
+engine's parameters and memoized moments.
 
 The even horizon sits at an astronomically large power of two; sampling
 works there because only sub-horizon coefficient masses matter.
@@ -13,7 +15,8 @@ works there because only sub-horizon coefficient masses matter.
 
 import argparse
 
-from cltlab import default_params, dichotomy_report, ks_pass_bound
+from cltlab import (ExactMoments, default_params, dichotomy_report,
+                    ks_pass_bound)
 
 
 def main():
@@ -31,7 +34,7 @@ def main():
               % (b.index, b.parity.value, b.k_lo, b.k_hi,
                  "complete" if b.complete else "incomplete"))
 
-    rep = dichotomy_report(params, args.samples, args.seed)
+    rep = dichotomy_report(ExactMoments(params), args.samples, args.seed)
     bound = ks_pass_bound(args.samples)
     print()
     print("%14s %12s %12s %12s %6s"

@@ -108,7 +108,8 @@ class ExperimentConfig:
 
     A run with ``--params-file`` echoes the loaded schedule's ``kmax``,
     ``a_mode`` and ``rho`` (None without a geometric target), not the
-    command line's; see ``_build_params``.
+    command line's (``_build_params``), and one with ``--toy-file`` the
+    toy's dimension as ``kmax`` (``_build_toy``).
     """
 
     scenario: Scenario
@@ -163,8 +164,13 @@ class ExperimentConfig:
             raise ParamsError("this preset pins its weight mode",
                               scenario=self.scenario.value, pinned=forced,
                               requested=self.a_mode)
+        # spectral reads only a toy file, the other scenarios never one
+        spectral = self.scenario is Scenario.SPECTRAL
         for key in ("c_file", "params_file", "toy_file"):
             v = getattr(self, key)
+            if v is not None and spectral != (key == "toy_file"):
+                raise ParamsError("input file not read by this scenario",
+                                  **{key: str(v)})
             if v is not None and not Path(v).is_file():
                 raise ParamsError("input file not found", **{key: str(v)})
         # the run makes --out with its parents, which needs the nearest
@@ -307,8 +313,7 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
         # laws, and numpy.random with the first stream drawn, load
         # only in runs that sample
         from .laws import DichotomyVerdict, dichotomy_report, format_ks_csv
-        rep = dichotomy_report(params, cfg.samples, cfg.seed,
-                               moments=moments)
+        rep = dichotomy_report(moments, cfg.samples, cfg.seed)
         artifacts["dichotomy.csv"] = _with_header(cfg, format_ks_csv(rep),
                                                   stamp)
         verdicts["dichotomy"] = dict(dataclasses.asdict(rep), rows=[
@@ -328,10 +333,10 @@ _SQRT_TERMS = 1024
 
 
 def _build_toy(cfg: ExperimentConfig):
-    """The spectral preset's toy, once its dimension passes every work
-    budget the run checks, in the run's order: the sweep to 2^hi steps,
-    then the square-root series probe.  A random toy is checked before
-    it is built."""
+    """The configuration as run, with the toy's dimension as ``kmax``, and
+    the spectral preset's toy, once that passes every work budget the run
+    checks, in the run's order: the sweep to 2^hi steps, then the
+    square-root series probe.  A random toy is checked before it is built."""
     from .spectral import random_circulant_toy, toy_from_json
     toy = None
     if cfg.toy_file is not None:
@@ -341,13 +346,12 @@ def _build_toy(cfg: ExperimentConfig):
     charge("sqrt_series", _SQRT_TERMS * dim)
     if toy is None:
         toy = random_circulant_toy(dim, cfg.seed)
-    return toy
+    return dataclasses.replace(cfg, kmax=dim), toy
 
 
-def _run_spectral(cfg: ExperimentConfig, stamp: str | None):
+def _run_spectral(cfg: ExperimentConfig, toy, stamp: str | None):
     # only the spectral preset loads the spectral toys
     from .spectral import evaluate_conditions, sqrt_apply
-    toy = _build_toy(cfg)
     rep = evaluate_conditions(toy, 1 << cfg.grid[1])
     verdicts = {"spectral": {
         "dim": toy.dim,
@@ -373,7 +377,8 @@ def run(cfg: ExperimentConfig) -> int:
              datetime.now(timezone.utc).isoformat(timespec="seconds"))
     cfg.validate()
     if cfg.scenario is Scenario.SPECTRAL:
-        artifacts, verdicts, code = _run_spectral(cfg, stamp)
+        cfg, toy = _build_toy(cfg)
+        artifacts, verdicts, code = _run_spectral(cfg, toy, stamp)
     else:
         cfg, params, decay = _build_params(cfg)
         artifacts, verdicts, code = _run_sequence(cfg, params, decay, stamp)
@@ -403,7 +408,7 @@ def validate_only(cfg: ExperimentConfig) -> int:
     """Check the configuration and its derived inputs without running."""
     cfg.validate()
     if cfg.scenario is Scenario.SPECTRAL:
-        toy = _build_toy(cfg)
+        cfg, toy = _build_toy(cfg)
         kind = "explicit" if toy.kernel_row is None else "circulant"
         derived = {"dim": toy.dim, "tag": kind}
     else:

@@ -485,9 +485,9 @@ class ExactMoments:
     profiles' rows of all sites, ``past`` and ``future``.  What it keeps
     does not grow with the grid: the per-horizon scalars
     (b^2, conditional norm, variance, Lemma 5 error, fourth cumulant),
-    the series tails per (p, q), one ``ScaleSums`` per block, and the
-    profiles of the last horizon asked for only.  The cache is not
-    locked: nothing in the package reads an instance from two threads.
+    the series tails with their work per (p, q), one ``ScaleSums`` per
+    block, and the profiles of the last horizon asked for only.  The cache
+    is not locked: nothing in the package reads an instance from two threads.
     """
 
     def __init__(self, params: SequenceParams):
@@ -612,19 +612,19 @@ class ExactMoments:
         """Norm of sum_{N'=p..q} (conditional part at N') / N'^{3/2}.
 
         Evaluated in segment form (``SeriesTail``), as the batch of one
-        row, and memoized per (p, q); a call whose work count exceeds the
-        budget raises ``WorkBudgetError`` before evaluating anything.
+        row, and memoized per (p, q) with its work count; a call whose
+        work count exceeds the budget raises ``WorkBudgetError``.
         """
-        charge("series_tail", self._tails([(p, q)]).get((p, q), 0))
-        return self._cache[("tail", p, q)]
+        self._tails([(p, q)])
+        work, norm = self._cache[("tail", p, q)]
+        charge("series_tail", work)
+        return norm
 
-    def _tails(self, pairs) -> dict:
-        """Memoize the series tail norms of the rows (p, q) in ``pairs``
-        that are not memoized yet, as one batch.
-
-        Each row checks its own work against the ``series_tail`` budget
-        first; the rows over it are evaluated and memoized not at all, and
-        come back with their work counts.
+    def _tails(self, pairs) -> None:
+        """Memoize the work count and series tail norm of each row (p, q)
+        in ``pairs`` not memoized yet, as one batch.  A row whose work
+        exceeds the ``series_tail`` budget is never evaluated: its norm
+        is NaN, and the other rows make a batch of their own.
         """
         todo = [pq for pq in dict.fromkeys(pairs)
                 if ("tail", *pq) not in self._cache]
@@ -632,18 +632,16 @@ class ExactMoments:
             if not 1 <= p <= q:
                 raise ValueError("need 1 <= p <= q")
         if not todo:
-            return {}
+            return
         tail = SeriesTail(self.params, *map(list, zip(*todo)))
-        over = {pq: w for pq, w in zip(todo, tail.work.tolist())
+        work = tail.work.tolist()
+        over = {("tail", *pq): (w, math.nan) for pq, w in zip(todo, work)
                 if w > BUDGETS["series_tail"].limit}
         if over:
-            todo = [pq for pq in todo if pq not in over]
-            if not todo:
-                return over
-            tail = SeriesTail(self.params, *map(list, zip(*todo)))
-        for (p, q), norm_sq in zip(todo, tail.norm_sq().tolist()):
-            self._cache[("tail", p, q)] = math.sqrt(norm_sq)
-        return over
+            self._cache.update(over)
+            return self._tails(todo)
+        for pq, w, norm_sq in zip(todo, work, tail.norm_sq().tolist()):
+            self._cache[("tail", *pq)] = (w, math.sqrt(norm_sq))
 
     # -- per-horizon statistics --------------------------------------------
 
@@ -725,8 +723,7 @@ class ExactMoments:
                                  if b2 > 0 else math.inf),
             }
             # NaN where the row's tail exceeds its work budget
-            row["tail_2prime"] = self._cache.get(("tail", n, 2 * n),
-                                                 math.nan)
+            row["tail_2prime"] = self._cache[("tail", n, 2 * n)][1]
             rows.append(row)
         return rows
 

@@ -12,7 +12,7 @@ is a pure lattice table; ``finite_law`` is an independent Gaussian
 component plus the joint table of one signed-count lattice component
 per three-valued block, and ``exact_law`` builds it for the
 flat-coefficient stand-in sum from ``simulate.flat_copy``, the very
-flat copy that the sampler draws.
+flat copy that the sampler draws, off the same ``ExactMoments``.
 
 ``finite_law`` realizes its components with certified error
 accounting.  A lattice component whose expected hit count reaches the
@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import BlockParity, SequenceParams, parity_of
+from .blocks import BlockParity, parity_of
 from .engine import ExactMoments
 from .errors import ParamsError, TruncationError, charge, check_seed
 from .simulate import (CHUNK, FlatRegime, LatticeAtom, SampleKind,
@@ -391,13 +391,12 @@ def finite_law(gauss_var: float, atoms: tuple[LatticeAtom, ...]) -> Law:
     return Law(gv, vals[order], pr[order], err + lost + ATOM_MASS_TOL)
 
 
-def exact_law(params: SequenceParams, log2_n: int,
-              moments: ExactMoments | None = None) -> Law:
+def exact_law(moments: ExactMoments, log2_n: int) -> Law:
     """Law of the normalized flat copy, ``simulate.flat_copy``, at the
     horizon N = 2^log2_n: the shares of blocks without a lattice atom
     pool into the Gaussian component, and each atom keeps its signed
     count, whose trial count is an integer up to the desk cap only."""
-    copy = flat_copy(params, log2_n, moments or ExactMoments(params))
+    copy = flat_copy(moments, log2_n)
     gv = 0.0
     for share, atom in copy:
         if atom is None:
@@ -599,9 +598,8 @@ def decide(rows: list[DichotomyRow], margin: float) -> DichotomyReport:
 _GATE_SALT = 1 << 20
 
 
-def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
-                     margin: float = 0.05,
-                     moments: ExactMoments | None = None) -> DichotomyReport:
+def dichotomy_report(moments: ExactMoments, count: int, seed: int, *,
+                     margin: float = 0.05) -> DichotomyReport:
     """Compare normalized sums against their limit candidates per parity.
 
     At the horizon of complete block i the full sum, drawn at
@@ -622,15 +620,14 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
     if count < 1:
         raise ParamsError("count must be positive", count=count)
     _check_margin(margin)
-    moments = moments or ExactMoments(params)
-    complete = params.complete_blocks()
+    complete = moments.params.complete_blocks()
     if not complete:
         return DichotomyReport([], margin, math.nan,
                                DichotomyVerdict.NO_DICHOTOMY, None,
                                ["no complete block horizons"])
     laws = []
     for blk in complete:
-        law = exact_law(params, blk.horizon_log2, moments)
+        law = exact_law(moments, blk.horizon_log2)
         if law.gauss_var > 0.0:
             charge("ks_pass", count * law.support.size)
         laws.append(law)
@@ -639,15 +636,15 @@ def dichotomy_report(params: SequenceParams, count: int, seed: int, *,
     for blk, law in zip(complete, laws):
         e = blk.horizon_log2
         ks_vs_oracle, ks_vs_normal = _batch_ks(sample_batch(
-            params, e, count, derive_seed(seed, blk.index),
-            moments=moments).values, law, normal)
+            moments, e, count, derive_seed(seed, blk.index)).values,
+            law, normal)
         ks_gate, = _batch_ks(sample_batch(
-            params, e, count, derive_seed(seed, _GATE_SALT + blk.index),
-            SampleKind.APPROX_IID_SUM, moments=moments).values, law)
+            moments, e, count, derive_seed(seed, _GATE_SALT + blk.index),
+            SampleKind.APPROX_IID_SUM).values, law)
         if blk.index == 1:
             residual = 0.0
         else:
-            prev = params.blocks[blk.index - 2]
+            prev = moments.params.blocks[blk.index - 2]
             residual = (moments.normalizer_sq(prev.horizon_log2)
                         / moments.normalizer_sq(e))
         note = ""

@@ -40,19 +40,21 @@ replacement is below 0.6/sqrt(2^40) < 6e-7, far under every sampling
 tolerance used here.
 
 Every value is normalized, S_N / sqrt(b^2 N) with b^2 the engine's
-``normalizer_sq``.  The plan reads each block's source directly.  Every
-horizon is dyadic and passed as its exponent log2_n, and 2^log2_n is
-built only up to the desk cap.  There a full sum reads the block's
-``ExactMoments.profiles`` entry segment by segment; beyond it, each
-block's normalized ``block_var_over_n`` joins the one normal, so values
-stay finite floats.  The flat copy (``APPROX_IID_SUM``, ``flat_copy``)
-gives every site of a block the block's sub-horizon mass: the sampler
-draws it and ``laws.exact_law`` realizes its law, and both take a spike
-block's regime from ``flat_regime`` of its expected hits: nothing up to
-2^NEGLIGIBLE_LOG2, a signed count on the atom's lattice step below
-2^GAUSSIANIZE_LOG2 (binomial on the desk, its Poisson limit beyond), one
-normal from there.  The sampler's independent oracle, literal
-per-coordinate draws at small scales, is the tests' ``site_sample_batch``.
+``normalizer_sq``: each entry point takes one ``ExactMoments`` and reads
+the parameters as ``moments.params``.  The plan reads each block's
+source directly.  Every horizon is dyadic and passed as its exponent
+log2_n, and 2^log2_n is built only up to the desk cap.  There a full
+sum reads the block's ``ExactMoments.profiles`` entry segment by
+segment; beyond it, each block's normalized ``block_var_over_n`` joins
+the one normal, so values stay finite floats.  The flat copy
+(``APPROX_IID_SUM``, ``flat_copy``) gives every site of a block the
+block's sub-horizon mass: the sampler draws it and ``laws.exact_law``
+realizes its law, and both take a spike block's regime from
+``flat_regime`` of its expected hits: nothing up to 2^NEGLIGIBLE_LOG2, a
+signed count on the atom's lattice step below 2^GAUSSIANIZE_LOG2
+(binomial on the desk, its Poisson limit beyond), one normal from
+there.  The sampler's independent oracle, literal per-coordinate draws
+at small scales, is the tests' ``site_sample_batch``.
 
 Reproducibility: all randomness comes from counter-based Philox streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
@@ -85,7 +87,7 @@ from functools import partial
 
 import numpy as np
 
-from .blocks import BlockParity, SequenceParams
+from .blocks import BlockParity
 from .engine import (BlockProfile, ExactMoments, block_var_over_n,
                      desk_horizon)
 from .errors import ParamsError, charge, check_seed
@@ -204,7 +206,7 @@ def _horizon(moments: ExactMoments, log2_n: int) -> tuple[int | None, float]:
     return N, b_sq
 
 
-def flat_copy(params: SequenceParams, log2_n: int, moments: ExactMoments
+def flat_copy(moments: ExactMoments, log2_n: int
               ) -> list[tuple[float, LatticeAtom | None]]:
     """The normalized flat copy at the horizon N = 2^log2_n, per block in
     block order: its variance share and, for a three-valued block with
@@ -213,7 +215,7 @@ def flat_copy(params: SequenceParams, log2_n: int, moments: ExactMoments
     N, b_sq = _horizon(moments, log2_n)
     b = math.sqrt(b_sq)
     out = []
-    for blk in params.blocks:
+    for blk in moments.params.blocks:
         mass = moments.block_mass(blk, log2_n)
         share = mass * mass / b_sq
         if blk.parity is BlockParity.GAUSSIAN or mass <= 0.0:
@@ -229,8 +231,7 @@ def flat_copy(params: SequenceParams, log2_n: int, moments: ExactMoments
     return out
 
 
-def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
-                moments: ExactMoments):
+def _build_plan(moments: ExactMoments, log2_n: int, kind: SampleKind):
     """Fixed op layout for the aggregate sampler: one draw function per
     op, bound to the values it reads, called as ``draw(rng, size)`` on
     the op's own stream.  The plan's independent centred normals (its
@@ -238,11 +239,11 @@ def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
     NORMAL atoms) are one normal, drawn last, of the summed variance.
 
     An op's lane is its place in the plan, which depends only on
-    (params, horizon, kind), never on the batch's count.
+    (parameters, horizon, kind), never on the batch's count.
     """
     plan, variances = [], []
     if kind is SampleKind.APPROX_IID_SUM:
-        for share, atom in flat_copy(params, log2_n, moments):
+        for share, atom in flat_copy(moments, log2_n):
             regime = (FlatRegime.NORMAL if atom is None
                       else flat_regime(atom.log2_mean_hits))
             if regime is FlatRegime.NORMAL:
@@ -257,14 +258,14 @@ def _build_plan(params: SequenceParams, log2_n: int, kind: SampleKind,
                             hit_prob=atom.hit_prob, coef=atom.lattice_scale))
     else:
         N, b_sq = _horizon(moments, log2_n)
-        for b in params.blocks:
+        for b in moments.params.blocks:
             if N is not None and b.parity is BlockParity.THREE_VALUED:
                 ops, heavy_var = _spike_ops(moments.profiles(N)[b.index - 1],
                                             1.0 / math.sqrt(b_sq * float(N)))
                 plan.extend(ops)
                 variances.append(heavy_var)
                 continue
-            var = (block_var_over_n(params, b, log2_n) if N is None
+            var = (block_var_over_n(moments.params, b, log2_n) if N is None
                    else moments.profiles(N)[b.index - 1].sum_pow(2) / N)
             variances.append(var / b_sq)
     plan.append(partial(_draw_normal, std=math.sqrt(math.fsum(variances))))
@@ -407,9 +408,8 @@ def _draw_pool(rng, size, *, starts, affine, shift, hit_prob, coef):
                               minlength=size)
 
 
-def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
-                 kind: SampleKind = SampleKind.FULL_SN, *,
-                 moments: ExactMoments | None = None) -> SampleBatch:
+def sample_batch(moments: ExactMoments, log2_n: int, count: int, seed: int,
+                 kind: SampleKind = SampleKind.FULL_SN) -> SampleBatch:
     """Draw `count` values of the normalized sum S_N / sqrt(b^2 N) (or
     of its flat-copy stand-in) at the horizon N = 2^log2_n.
 
@@ -424,7 +424,7 @@ def sample_batch(params: SequenceParams, log2_n: int, count: int, seed: int,
     check_seed(seed)
     charge("sample_batch", 8 * count)      # float64 values
     kind = SampleKind(kind)
-    plan = _build_plan(params, log2_n, kind, moments or ExactMoments(params))
+    plan = _build_plan(moments, log2_n, kind)
     values = np.zeros(count)
     # one generator, re-keyed to each op's stream in each chunk
     rng = _stream(0, 0)

@@ -320,11 +320,10 @@ def _open_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.minimum(rng.random(size) + 2.0 ** -54, 1.0 - 2.0 ** -53)
 
 
-def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
-                      seed: int, *,
-                      moments: ExactMoments | None = None) -> SampleBatch:
-    """`count` values of the normalized horizon sum S_N / sqrt(b^2 N),
-    N = 2^log2_n, from literal site draws.
+def site_sample_batch(moments: ExactMoments, log2_n: int, count: int,
+                      seed: int) -> SampleBatch:
+    """`count` values of the normalized horizon sum S_N / sqrt(b^2 N) of
+    ``moments.params``, N = 2^log2_n, from literal site draws.
 
     Sample i reads its own Philox stream, keyed by (seed, i), one site
     variable per coefficient: standard normal in Gaussian blocks, by
@@ -335,11 +334,10 @@ def site_sample_batch(params: SequenceParams, log2_n: int, count: int,
     """
     if count < 1:
         raise ParamsError("count must be positive", count=count)
-    em = moments or ExactMoments(params)
-    N, b_sq = _horizon(em, log2_n)
+    N, b_sq = _horizon(moments, log2_n)
     if N is None:
         raise ParamsError("site mode needs full site resolution")
-    profs = em.profiles(N)
+    profs = moments.profiles(N)
     coords = sum(p.segments[-1][1] - p.segments[0][0] + 1 for p in profs)
     if count * coords > SITE_DRAW_BUDGET:
         raise WorkBudgetError("site mode draw count too large",

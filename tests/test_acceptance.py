@@ -199,10 +199,10 @@ def test_criterion_7_sample_variance_and_workers(capsys):
     again = prefix = True
     for e in (8, 12):
         N = 1 << e
-        batch = sample_batch(params, e, count, 745, moments=em)
+        batch = sample_batch(em, e, count, 745)
         again = again and batch.values.tobytes() == sample_batch(
-            params, e, count, 745, moments=em).values.tobytes()
-        larger = sample_batch(params, e, 110_000, 745, moments=em)
+            em, e, count, 745).values.tobytes()
+        larger = sample_batch(em, e, 110_000, 745)
         prefix = prefix and (batch.values[:head].tobytes()
                              == larger.values[:head].tobytes())
         # the batch is S_N / sqrt(b^2 N)
@@ -230,9 +230,9 @@ def test_criterion_8_flat_copy_law_gate(capsys):
     em = ExactMoments(params)
     e = params.blocks[0].horizon_log2       # first three-valued horizon
     count = 100_000
-    batch = sample_batch(params, e, count, 745,
-                         kind=SampleKind.APPROX_IID_SUM, moments=em)
-    ks = ks_distance(batch.values, exact_law(params, e, em))
+    batch = sample_batch(em, e, count, 745,
+                         kind=SampleKind.APPROX_IID_SUM)
+    ks = ks_distance(batch.values, exact_law(em, e))
     bound = ks_pass_bound(count)
     dt = time.time() - t0
     ok = ks <= bound and dt < 120.0
@@ -245,7 +245,7 @@ def test_criterion_8_flat_copy_law_gate(capsys):
 def test_criterion_9_two_sided_dichotomy(capsys):
     t0 = time.time()
     params = default_params(kmax=40_000_000, rho=4.0)
-    rep = dichotomy_report(params, 100_000, 745)
+    rep = dichotomy_report(ExactMoments(params), 100_000, 745)
     dt = time.time() - t0
     gates = all(r.oracle_pass for r in rep.rows)
     ok = (rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS

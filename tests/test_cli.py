@@ -243,6 +243,34 @@ def test_spectral_dimension_below_2_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scenario, files, key", [
+    ("conditions", {"--toy-file": "toy.json"}, "toy_file"),
+    ("conditions", {"--toy-file": "missing.json"}, "toy_file"),
+    ("spectral", {"--params-file": "junk.json"}, "params_file"),
+    ("spectral", {"--params-file": "junk.json", "--c-file": "junk.json"},
+     "c_file"),
+], ids=["conditions-toy-file", "conditions-missing-toy-file",
+        "spectral-params-file", "spectral-params-and-c-file"])
+def test_input_file_the_scenario_does_not_read_exits_2(tmp_path, capsys,
+                                                       scenario, files, key):
+    # the run would read none of these files, yet echo them as read; a
+    # refused file need not exist
+    (tmp_path / "toy.json").write_text(json.dumps(TOY_SPEC))
+    (tmp_path / "junk.json").write_text("{}")
+    flags = [x for flag, name in files.items()
+             for x in (flag, str(tmp_path / name))]
+    path = str(tmp_path / files["--" + key.replace("_", "-")])
+    for head in (["validate", "--scenario", scenario],
+                 [scenario, "--out", str(tmp_path / "o")]):
+        code, doc = run_main(head + ["--samples", "0"] + flags, capsys)
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParamsError",
+            "message": "input file not read by this scenario",
+            "details": {key: path}}
+    assert not (tmp_path / "o").exists()
+
+
 def test_grid_beyond_the_desk_cap_exits_2(tmp_path, capsys):
     # no budget can run a horizon past 2^52, so the grid itself is invalid
     for argv in (["validate", "--scenario", "custom"],
@@ -822,7 +850,7 @@ def test_inconclusive_dichotomy_exits_4(tmp_path, capsys, monkeypatch):
                               ks_gate=0.0, residual_fraction=0.0)
             for i in (1, 2)]
 
-    def fixed(params, count, seed, *, margin=0.05, moments=None):
+    def fixed(moments, count, seed, *, margin=0.05):
         return laws.decide(rows, margin)
 
     monkeypatch.setattr(laws, "dichotomy_report", fixed)
@@ -1006,17 +1034,26 @@ def test_unusable_decay_exits_2(argv, message, details, tmp_path, capsys,
     assert not Path("o").exists()
 
 
-def test_spectral_toy_file(tmp_path, capsys):
-    spec = {"kernel_row": [0.5, 0.25, 0.25],
+TOY_SPEC = {"kernel_row": [0.5, 0.25, 0.25],
             "observable": [0.0, 1.0, [0.0, -1.0]]}
+
+
+def test_spectral_toy_file(tmp_path, capsys):
     path = tmp_path / "toy.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(TOY_SPEC))
     out = tmp_path / "sp"
-    code, doc = run_main(["spectral", "--toy-file", str(path),
+    # the toy sets the dimension, and the configuration echoes it as kmax
+    code, doc = run_main(["spectral", "--toy-file", str(path), "--kmax", "5",
                           "--grid", "dyadic:1:10", "--no-timestamp",
                           "--out", str(out)], capsys)
     assert code == 0
     verdict = json.loads((out / "verdict.json").read_text())
+    assert json.loads((out / "config.json").read_text())["config"][
+        "kmax"] == verdict["config"]["kmax"] == 3
+    code, doc = run_main(["validate", "--scenario", "spectral", "--toy-file",
+                          str(path), "--kmax", "5"], capsys)
+    assert code == 0
+    assert doc["config"]["kmax"] == doc["derived"]["dim"] == 3
     sp = verdict["spectral"]
     assert sp["dim"] == 3
     assert set(sp) == {"correspondence", "dim", "q",

@@ -241,13 +241,28 @@ def test_tail_norm_is_memoized(monkeypatch):
     # one batch of every row, and the condition reuses its memo
     assert built == [[(n, 2 * n) for n in grid]]
     assert rep.values == [row["tail_2prime"] for row in rows]
-    # budget failures are not cached: each call re-estimates and raises
+    # a row over the budget is memoized with its work and never
+    # evaluated: each call raises, and the row is built once
     set_limit(monkeypatch, "series_tail", 100)
+    built.clear()
     tight = ExactMoments(desk_params(kmax=12))
     for _ in range(2):
         with pytest.raises(WorkBudgetError):
             tight.series_tail_norm(64, 128)
-    assert ("tail", 64, 128) not in tight._cache
+    assert built == [[(64, 128)]]
+    # with the conditions grid's budget at its median row work, the table
+    # and the condition build one batch of every row, then one of the
+    # rows within the budget, and nothing more
+    params, (lo, hi) = preset("conditions")
+    grid = dyadic_grid(lo, hi)
+    work = SeriesTail(params, grid, [2 * n for n in grid]).work
+    set_limit(monkeypatch, "series_tail", int(np.median(work)))
+    built.clear()
+    em = ExactMoments(params)
+    em.table_rows(grid)
+    with pytest.raises(WorkBudgetError):
+        em.check_condition(Condition.TAIL_SERIES, grid)
+    assert [len(rows) for rows in built] == [13, 7]
 
 
 def test_tail_blocks_beyond_float_range_add_zero():

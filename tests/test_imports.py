@@ -1,12 +1,13 @@
 """No module imports a name it never reads, the package defines no
 private module-level name that it never reads, nor any module-level name
-that nothing in the checkout reads, and no package module imports
-scipy, which is only a test extra.
+that nothing in the checkout reads, no package module imports scipy,
+which is only a test extra, and no package function takes both the
+parameters and an ``ExactMoments``, which already holds them.
 
 No linter is a dependency, so these are small AST scans: of the package,
 the tests and the demos for imports, of the package alone for private
-names and scipy, and of the package, tests, demos and bench for the
-reads of every definition.  The package ``__init__`` is exempt from the
+names, scipy and the engine's arguments, and of the package, tests,
+demos and bench for the reads of every definition.  The package ``__init__`` is exempt from the
 import scan: its imports are the public re-exports.  Subprocesses check
 that every package module imports without scipy, and what importing the
 sampling modules loads.
@@ -191,6 +192,37 @@ def test_no_package_module_imports_scipy():
     users = [path.name for path in PACKAGE
              if "scipy" in imported_roots(path.read_text(encoding="utf-8"))]
     assert users == []
+
+
+def params_beside_moments(source: str) -> list[str]:
+    """Each function or lambda, as "name (line n)", that takes both a
+    ``params`` and a ``moments`` argument."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            if {"params", "moments"} <= names:
+                out.append("%s (line %d)" % (getattr(node, "name", "lambda"),
+                                             node.lineno))
+    return out
+
+
+def test_scan_catches_params_beside_moments():
+    source = ("def plan(params, e, moments=None):\n    pass\n"
+              "def law(moments, e):\n    pass\n"
+              "class A:\n    def draw(self, params, *, moments):\n"
+              "        return lambda params, moments: 0\n")
+    assert params_beside_moments(source) == [
+        "plan (line 1)", "draw (line 6)", "lambda (line 7)"]
+
+
+def test_no_package_function_takes_params_beside_moments():
+    # the sampler, the flat copy, its law and the report read the
+    # parameters off their one engine, so no pair can disagree
+    found = {path.name: params_beside_moments(path.read_text(
+                 encoding="utf-8")) for path in PACKAGE}
+    assert {name: defs for name, defs in found.items() if defs} == {}
 
 
 def _run_package(code: str) -> str:

@@ -188,7 +188,7 @@ def test_single_block_law_approaches_sym_poisson():
             10: 0.0001702682384, 12: 4.255379727e-05}
     got = {}
     for k, w in want.items():
-        law = exact_law(single_odd_block(k), k)
+        law = exact_law(ExactMoments(single_odd_block(k)), k)
         got[k] = tv_distance(law, sym_poisson_law(0.5))
         assert got[k] == pytest.approx(w, rel=1e-6)
     vals = [got[k] for k in sorted(got)]
@@ -198,7 +198,7 @@ def test_single_block_law_approaches_sym_poisson():
 def test_exact_law_variance_and_kurtosis_desk():
     params = default_params(kmax=20, rho=4.0)
     em = ExactMoments(params)
-    law = exact_law(params, 11, em)
+    law = exact_law(em, 11)
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
     _, var, excess = table_moments(law)
     assert var == pytest.approx(1.0, rel=1e-12)
@@ -297,7 +297,7 @@ def test_count_pmfs_match_scipy_stats():
 
 def test_gauss_merge_certificate_astronomic():
     params = default_params(kmax=40_000_000, rho=4.0)
-    law = exact_law(params, params.blocks[1].horizon_log2)
+    law = exact_law(ExactMoments(params), params.blocks[1].horizon_log2)
     # the odd-block atom merges into the Gaussian with a tiny certified
     # Berry-Esseen charge; nothing else survives
     assert law.discontinuities().size == 0
@@ -310,9 +310,9 @@ def test_truncation_gap_raises():
     # and it is too light to merge; the law is refused when it is built
     params = default_params(kmax=20, rho=4.0)
     with pytest.raises(TruncationError):
-        exact_law(params, 47)
+        exact_law(ExactMoments(params), 47)
     # rate 2^23 is enumerated exactly, within its certified bound
-    law = exact_law(params, 34)
+    law = exact_law(ExactMoments(params), 34)
     mass = law.weights.sum()
     assert abs(mass - 1.0) <= law.cdf_error_bound < 1e-11
     assert law.variance() == pytest.approx(1.0, rel=1e-12)
@@ -324,7 +324,7 @@ def test_signed_count_pmf_counts_what_it_loses():
     support, probs, lost = laws._signed_count_pmf(1 << 52, 2.0 ** -30)
     assert abs(probs.sum() - 1.0) <= lost <= laws.ATOM_MASS_TOL
     assert support.size > 1 << 15
-    law = exact_law(default_params(kmax=48, rho=4.0), 33)
+    law = exact_law(ExactMoments(default_params(kmax=48, rho=4.0)), 33)
     assert abs(law.weights.sum() - 1.0) <= law.cdf_error_bound
 
 
@@ -344,7 +344,7 @@ def test_hit_probability_at_horizon_exponent_1074_is_not_zero():
     # sampler and the oracle take a block's hit probability as 0
     w = build_weights(WeightMode.CONST_ONE, 1074)
     params = SequenceParams(w, split_blocks(w, [1074]))
-    atom = next(a for _, a in flat_copy(params, 20, ExactMoments(params))
+    atom = next(a for _, a in flat_copy(ExactMoments(params), 20)
                 if a is not None)
     assert atom.hit_prob == math.ldexp(1.0, -1074) > 0.0
     assert laws._atom_pmf(atom)[2] == 0.0
@@ -354,7 +354,7 @@ def test_exact_law_validation():
     params = default_params(kmax=20, rho=4.0)
     # the horizon 2^0 keeps no scale to normalize by
     with pytest.raises(ParamsError):
-        exact_law(params, 0)
+        exact_law(ExactMoments(params), 0)
 
 
 # preset -> (log2 horizon, gauss_var, support size, cdf_error_bound, how
@@ -377,8 +377,8 @@ def test_preset_laws_are_pinned(name):
     got = []
     for blk in params.complete_blocks():
         e = blk.horizon_log2
-        law = exact_law(params, e, em)
-        atom, = (a for _, a in flat_copy(params, e, em) if a is not None)
+        law = exact_law(em, e)
+        atom, = (a for _, a in flat_copy(em, e) if a is not None)
         drawn = ("gaussianized"
                  if flat_regime(atom.log2_mean_hits) is FlatRegime.NORMAL
                  else "binomial" if atom.trials is not None else "poisson")
@@ -432,7 +432,7 @@ def test_one_pass_ks_against_normal_is_the_textbook_formula():
 
 
 def test_one_pass_ks_against_a_lattice_law_is_brute_force():
-    law = exact_law(single_odd_block(6), 6)
+    law = exact_law(ExactMoments(single_odd_block(6)), 6)
     support, probs = law.support, law.weights
     rng = np.random.default_rng(3)
     x = rng.choice(support, size=20_000, p=probs / probs.sum())
@@ -451,7 +451,7 @@ KS_LAWS = {
     "overweight": lambda: Law(0.0, np.array([0.0, 1.0]),
                               np.array([1.0, 1e-3]), 0.0),
     "sym_poisson": lambda: sym_poisson_law(0.7),
-    "lattice": lambda: exact_law(single_odd_block(4), 4),
+    "lattice": lambda: exact_law(ExactMoments(single_odd_block(4)), 4),
     "mixture": lambda: finite_law(0.5, (LatticeAtom(
         lattice_scale=0.25, trials=64, hit_prob=1 / 64, log2_trials=6.0,
         log2_hit=-6.0, var_share=0.0625),)),
@@ -571,8 +571,7 @@ def test_ks_distance_refuses_a_nan_sample():
 @pytest.mark.parametrize("seed", range(6))
 def test_theorem1_oracle_gates_pass(seed):
     params = theorem1_params()
-    rep = dichotomy_report(params, 100_000, seed,
-                           moments=ExactMoments(params))
+    rep = dichotomy_report(ExactMoments(params), 100_000, seed)
     assert [r.oracle_pass for r in rep.rows] == [True, True]
     assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
 
@@ -582,8 +581,7 @@ def test_theorem3_oracle_gate_passes(seed):
     # the one complete block ends at 2^3264 with about one expected hit;
     # a normal stand-in for its flat copy misses the exact law by 0.23
     params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
-    rep = dichotomy_report(params, 20_000, seed,
-                           moments=ExactMoments(params))
+    rep = dichotomy_report(ExactMoments(params), 20_000, seed)
     assert [(r.horizon_log2, r.oracle_pass) for r in rep.rows] == [(3264,
                                                                     True)]
     assert rep.verdict is DichotomyVerdict.NO_DICHOTOMY
@@ -609,14 +607,14 @@ def test_sampler_and_oracle_share_horizon_checks():
     # a negative exponent, and 2^0, where b^2 = 0 and no sum normalizes
     params = default_params(kmax=20, rho=4.0)
     builds = [exact_law] + [
-        lambda p, e, kind=kind: sample_batch(p, e, 1, 0, kind)
+        lambda m, e, kind=kind: sample_batch(m, e, 1, 0, kind)
         for kind in SampleKind]
     for e, message in ((-1, "horizon exponent must be nonnegative"),
                        (0, "normalization needs a horizon with at least "
                            "one sub-horizon scale")):
         for build in builds:
             with pytest.raises(ParamsError) as info:
-                build(params, e)
+                build(ExactMoments(params), e)
             assert str(info.value) == message
             assert info.value.details == {"log2_n": e}
 
@@ -647,7 +645,8 @@ def test_dichotomy_report_zero_count(no_draws):
     for count in (0, -1):
         with pytest.raises(ParamsError, match="count must be positive") \
                 as info:
-            dichotomy_report(default_params(kmax=20, rho=4.0), count, 1)
+            dichotomy_report(ExactMoments(default_params(kmax=20, rho=4.0)),
+                             count, 1)
         assert info.value.details == {"count": count}
 
 
@@ -655,8 +654,8 @@ def test_dichotomy_report_zero_count(no_draws):
 def test_bad_margin_is_refused_before_sampling(no_draws, margin):
     # a NaN or infinite margin read NO_DICHOTOMY, and one at or below 0
     # DIFFERENT_LIMITS, whatever the gap
-    for judge in (lambda: dichotomy_report(theorem1_params(), 2_000, 745,
-                                           margin=margin),
+    for judge in (lambda: dichotomy_report(ExactMoments(theorem1_params()),
+                                           2_000, 745, margin=margin),
                   lambda: decide([hand_row(1, 0.25), hand_row(2, 0.0)],
                                  margin)):
         with pytest.raises(ParamsError,
@@ -741,7 +740,8 @@ def test_decide_within_noise_is_inconclusive(no_draws):
 
 def test_dichotomy_single_parity_is_no_dichotomy():
     # kmax 20 leaves the Gaussian block incomplete: nothing to compare
-    rep = dichotomy_report(default_params(kmax=20, rho=4.0), 400, 3)
+    rep = dichotomy_report(ExactMoments(default_params(kmax=20, rho=4.0)),
+                           400, 3)
     assert rep.verdict is DichotomyVerdict.NO_DICHOTOMY
     assert len(rep.rows) == 1
     assert rep.rows[0].parity is BlockParity.THREE_VALUED
@@ -749,7 +749,8 @@ def test_dichotomy_single_parity_is_no_dichotomy():
 
 def test_dichotomy_single_parity_failed_gate_is_inconclusive(monkeypatch):
     monkeypatch.setattr(laws, "ks_pass_bound", lambda count: 0.0)
-    rep = dichotomy_report(default_params(kmax=20, rho=4.0), 400, 3)
+    rep = dichotomy_report(ExactMoments(default_params(kmax=20, rho=4.0)),
+                           400, 3)
     assert [r.oracle_pass for r in rep.rows] == [False]
     assert rep.verdict is DichotomyVerdict.INCONCLUSIVE
     assert rep.notes == ["both parities need a complete horizon",
@@ -759,7 +760,7 @@ def test_dichotomy_single_parity_failed_gate_is_inconclusive(monkeypatch):
 
 def test_dichotomy_astronomic_verdicts():
     params = default_params(kmax=40_000_000, rho=4.0)
-    rep = dichotomy_report(params, 2_000, 745)
+    rep = dichotomy_report(ExactMoments(params), 2_000, 745)
     assert rep.verdict is DichotomyVerdict.DIFFERENT_LIMITS
     assert rep.gap > 0.1
     odd = [r for r in rep.rows if r.parity is BlockParity.THREE_VALUED]
@@ -768,11 +769,12 @@ def test_dichotomy_astronomic_verdicts():
     assert all(r.oracle_pass for r in rep.rows)
     assert 0.0 < even[0].residual_fraction < 0.1
     # a margin just above the measured gap is inside sampling noise
-    tight = dichotomy_report(params, 2_000, 745, margin=rep.gap + 0.01)
+    tight = dichotomy_report(ExactMoments(params), 2_000, 745,
+                             margin=rep.gap + 0.01)
     assert tight.verdict is DichotomyVerdict.INCONCLUSIVE
     assert tight.required_count_estimate is not None
     # an unreachable margin far beyond noise is a clean rejection
-    wide = dichotomy_report(params, 2_000, 745, margin=0.9)
+    wide = dichotomy_report(ExactMoments(params), 2_000, 745, margin=0.9)
     assert wide.verdict is DichotomyVerdict.NO_DICHOTOMY
 
 
@@ -782,7 +784,7 @@ def test_astronomic_report_builds_no_horizon_integer():
     params = theorem1_params()
     tracemalloc.start()
     try:
-        rep = dichotomy_report(params, 1000, 1)
+        rep = dichotomy_report(ExactMoments(params), 1000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -802,7 +804,7 @@ def test_report_holds_one_batch_at_a_time():
     count = 200_000
     tracemalloc.start()
     try:
-        rep = dichotomy_report(params, count, 0, moments=moments)
+        rep = dichotomy_report(moments, count, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -824,7 +826,7 @@ def test_report_plans_from_its_own_engine(monkeypatch):
     params = theorem1_params()
     moments = ExactMoments(params)
     moments.table_rows(dyadic_grid(4, 16))
-    rep = dichotomy_report(params, 1_000, 0, moments=moments)
+    rep = dichotomy_report(moments, 1_000, 0)
     assert len(rep.rows) == 2
     assert sorted(built) == [b.k_lo for b in params.blocks]
 
@@ -833,8 +835,8 @@ def test_batch_ks_scores_each_table_once(monkeypatch):
     # the exact law at theorem1's top horizon is NORMAL(0, 1)'s table:
     # one KS pass serves both; a law one ulp away is scored on its own
     params = theorem1_params()
-    top = exact_law(params, params.complete_blocks()[-1].horizon_log2,
-                    ExactMoments(params))
+    top = exact_law(ExactMoments(params),
+                    params.complete_blocks()[-1].horizon_log2)
     values = np.random.default_rng(11).standard_normal(3_000)
     normal, near = normal_law(0.0, 1.0), normal_law(0.0, 1.0 + 2.0 ** -52)
     others = (top, normal, near, normal_law(0.0, 1.0))

@@ -31,8 +31,8 @@ def desk_params():
     return default_params(kmax=14, rho=4.0)
 
 
-def plan_of(params, e, kind=SampleKind.FULL_SN, moments=None):
-    return _build_plan(params, e, kind, moments or ExactMoments(params))
+def plan_of(moments, e, kind=SampleKind.FULL_SN):
+    return _build_plan(moments, e, kind)
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -48,15 +48,15 @@ def full_chunks(batch, chunks):
 def test_smaller_batch_is_a_prefix_of_a_larger_one():
     params = desk_params()
     for e, small, large in ((8, 10_000, 20_000), (12, 20_000, 30_000)):
-        base = sample_batch(params, e, small, 745)
+        base = sample_batch(ExactMoments(params), e, small, 745)
         assert base.values.tobytes() == sample_batch(
-            params, e, small, 745).values.tobytes()
-        more = sample_batch(params, e, large, 745)
+            ExactMoments(params), e, small, 745).values.tobytes()
+        more = sample_batch(ExactMoments(params), e, large, 745)
         chunks = small // simulate.CHUNK
         assert full_chunks(base, chunks) == full_chunks(more, chunks)
     # count straddling a chunk boundary: its one full chunk is kept
-    odd = sample_batch(params, 8, 4097, 9)
-    one = sample_batch(params, 8, simulate.CHUNK, 9)
+    odd = sample_batch(ExactMoments(params), 8, 4097, 9)
+    one = sample_batch(ExactMoments(params), 8, simulate.CHUNK, 9)
     assert odd.values[:simulate.CHUNK].tobytes() == one.values.tobytes()
     assert odd.count == odd.values.size == 4097
 
@@ -66,10 +66,10 @@ def test_smaller_batch_is_a_prefix_over_many_chunks():
     params = desk_params()
     count = 3 * simulate.CHUNK + 5
     for e in (8, 12):
-        base = sample_batch(params, e, count, 31)
+        base = sample_batch(ExactMoments(params), e, count, 31)
         assert base.values.size == count and np.all(base.values[-5:] != 0.0)
         for more in (4 * simulate.CHUNK, 5 * simulate.CHUNK + 1):
-            again = sample_batch(params, e, more, 31)
+            again = sample_batch(ExactMoments(params), e, more, 31)
             assert full_chunks(again, 3) == full_chunks(base, 3)
 
 
@@ -79,7 +79,7 @@ def test_smaller_batch_is_a_prefix_with_hitless_chunks(monkeypatch):
     monkeypatch.setattr(simulate, "CHUNK", chunk)
     # some pooled op has chunks with hits and chunks without
     pools = [(lane, draw.keywords)
-             for lane, draw in enumerate(plan_of(params, e))
+             for lane, draw in enumerate(plan_of(ExactMoments(params), e))
              if draw.func is _draw_pool]
     # a pool's hit counts are the first draw of its lane's stream
     per_chunk = [[int(_stream(*_lane_key(seed, lane, ci)).binomial(
@@ -87,9 +87,9 @@ def test_smaller_batch_is_a_prefix_with_hitless_chunks(monkeypatch):
                   for ci in range(count // chunk)]
                  for lane, op in pools]
     assert any(0 in hits and max(hits) > 1 for hits in per_chunk)
-    base = sample_batch(params, e, count, seed)
+    base = sample_batch(ExactMoments(params), e, count, seed)
     for more in (count + 1, 2 * count):
-        again = sample_batch(params, e, more, seed)
+        again = sample_batch(ExactMoments(params), e, more, seed)
         assert full_chunks(again, count) == full_chunks(base, count)
 
 
@@ -98,8 +98,8 @@ def test_full_chunks_keep_their_bytes_in_a_larger_batch(e):
     # theorem1's parameters: two desk horizons, its spike block's
     # horizon 2^11, and its Gaussian block's, beyond the desk cap
     params = default_params(kmax=40_000_000, rho=4.0)
-    small = sample_batch(params, e, 2 * simulate.CHUNK + 7, 745)
-    large = sample_batch(params, e, 5 * simulate.CHUNK + 1, 745)
+    small = sample_batch(ExactMoments(params), e, 2 * simulate.CHUNK + 7, 745)
+    large = sample_batch(ExactMoments(params), e, 5 * simulate.CHUNK + 1, 745)
     assert full_chunks(small, 2) == full_chunks(large, 2)
 
 
@@ -119,7 +119,7 @@ def test_sampler_batches_are_pinned():
         for e, kind, count, seed in itertools.product(
                 horizons, SampleKind, (1, 2 * simulate.CHUNK + 7),
                 (0, 745)):
-            batch = sample_batch(params, e, count, seed, kind, moments=em)
+            batch = sample_batch(em, e, count, seed, kind)
             digest.update(batch.values.tobytes())
     assert digest.hexdigest() == ("c97914c40c8178be962ccea0c9c2c24f"
                                   "6b27d584902cf110bc4c7e25cc5869f9")
@@ -130,11 +130,12 @@ def test_seed_outside_64_bits_is_refused(seed):
     # masked to 64 bits, -1 would alias 2^64 - 1 and 2^64 alias 0
     params = desk_params()
     with pytest.raises(ParamsError, match="seed"):
-        sample_batch(params, 8, 10, seed)
+        sample_batch(ExactMoments(params), 8, 10, seed)
     with pytest.raises(ParamsError, match="seed"):
-        dichotomy_report(params, 10, seed)
-    top = sample_batch(params, 8, 10, (1 << 64) - 1).values
-    assert top.tobytes() != sample_batch(params, 8, 10, 0).values.tobytes()
+        dichotomy_report(ExactMoments(params), 10, seed)
+    top = sample_batch(ExactMoments(params), 8, 10, (1 << 64) - 1).values
+    assert top.tobytes() != sample_batch(ExactMoments(params), 8, 10,
+                                         0).values.tobytes()
 
 
 REKEYED_DRAWS = {
@@ -172,16 +173,16 @@ def test_one_generator_per_batch(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", counting)
     params = desk_params()
     count = 3 * simulate.CHUNK + 5
-    lanes = len(plan_of(params, 12))
+    lanes = len(plan_of(ExactMoments(params), 12))
     assert lanes > 1
-    base = sample_batch(params, 12, count, 31)
+    base = sample_batch(ExactMoments(params), 12, count, 31)
     assert len(built) == 1
     monkeypatch.undo()
     # the lane streams, drawn one fresh Generator at a time
     want = np.zeros(count)
     for ci in range(4):
         out = want[ci * simulate.CHUNK:(ci + 1) * simulate.CHUNK]
-        for lane, draw in enumerate(plan_of(params, 12)):
+        for lane, draw in enumerate(plan_of(ExactMoments(params), 12)):
             out += draw(_stream(*_lane_key(31, lane, ci)), out.size)
     assert base.values.tobytes() == want.tobytes()
 
@@ -397,7 +398,7 @@ def _variance_within_band(params, e, n, seed):
     standard errors of sigma_sq / (b^2 N); returns the batch and that
     variance."""
     em = ExactMoments(params)
-    batch = sample_batch(params, e, n, seed, moments=em)
+    batch = sample_batch(em, e, n, seed)
     sig2, k4 = _normalized_moments(em, e)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
     assert abs(np.var(batch.values, ddof=1) - sig2) < band
@@ -415,7 +416,7 @@ def test_plan_pools_each_layers_sloped_segments():
     params = default_params(kmax=40_000_000, rho=4.0)
     # and its three one-site flat segments, expecting 2^-11 hits each;
     # the Gaussian block is the plan's one normal
-    plan = plan_of(params, 11)
+    plan = plan_of(ExactMoments(params), 11)
     assert [draw.func for draw in plan] == [_draw_pool, _draw_normal]
     assert plan[0].keywords["starts"][-1] == 2 * (2048 - 2) + 3
 
@@ -424,7 +425,7 @@ def test_heavy_flat_segment_keeps_its_signed_count():
     # block 1's central flat segment expects 2^30 hits per sample: a
     # positional draw would cost that much, the signed count O(1)
     params = default_params(kmax=48, rho=2.0)
-    plan = plan_of(params, 31)
+    plan = plan_of(ExactMoments(params), 31)
     expect = [op.keywords["length"] * op.keywords["hit_prob"]
               for op in plan if op.func is _draw_flat]
     assert max(expect) == pytest.approx(2.0 ** 30, rel=1e-6)
@@ -442,7 +443,7 @@ def test_gaussianized_segments_join_their_layers_normal():
              for p in spikes]
     assert any(segs for _, segs in heavy)
     # the Gaussian blocks and the heavy segments are one normal
-    normals = [draw for draw in plan_of(params, 45)
+    normals = [draw for draw in plan_of(ExactMoments(params), 45)
                if draw.func is _draw_normal]
     assert len(normals) == 1
     var = math.fsum([p.sum_pow(2) for p in profs
@@ -456,7 +457,7 @@ def test_gaussianized_segments_join_their_layers_normal():
 
 def test_normalized_iid_sum_has_unit_variance():
     params = desk_params()
-    batch = sample_batch(params, 8, 40_000, 7,
+    batch = sample_batch(ExactMoments(params), 8, 40_000, 7,
                          kind=SampleKind.APPROX_IID_SUM)
     # flat-copy sum: normalized variance is exactly 1, so only the
     # estimator noise is in play
@@ -468,8 +469,8 @@ def test_site_mode_agrees_with_aggregate_in_law():
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
     n = 10_000
-    agg = sample_batch(params, 6, n, 3, moments=em)
-    site = site_sample_batch(params, 6, n, 3, moments=em)
+    agg = sample_batch(em, 6, n, 3)
+    site = site_sample_batch(em, 6, n, 3)
     assert not np.array_equal(agg.values, site.values)
     sig2, k4 = _normalized_moments(em, 6)
     band = 4.0 * math.sqrt((k4 + 2.0 * sig2 ** 2) / n)
@@ -480,9 +481,9 @@ def test_site_mode_agrees_with_aggregate_in_law():
 def test_site_mode_budget_and_validation():
     params = desk_params()
     with pytest.raises(WorkBudgetError):
-        site_sample_batch(params, 8, 1 << 14, 1)
+        site_sample_batch(ExactMoments(params), 8, 1 << 14, 1)
     with pytest.raises(ParamsError):
-        sample_batch(params, 8, 0, 1)
+        sample_batch(ExactMoments(params), 8, 0, 1)
 
 
 def test_batch_budget_fails_before_planning(monkeypatch):
@@ -493,7 +494,7 @@ def test_batch_budget_fails_before_planning(monkeypatch):
 
     monkeypatch.setattr(simulate, "_build_plan", forbidden)
     with pytest.raises(MemoryBudgetError) as err:
-        sample_batch(desk_params(), 8, (1 << 28) + 1, 1)
+        sample_batch(ExactMoments(desk_params()), 8, (1 << 28) + 1, 1)
     assert err.value.details == {"estimated_bytes": 8 * ((1 << 28) + 1),
                                  "budget": 8 << 28}
 
@@ -502,12 +503,12 @@ def test_astronomic_horizon_sampling():
     params = default_params(kmax=40_000_000, rho=4.0)
     e = params.blocks[1].horizon_log2      # 2^e is far beyond float range
     assert e == 37_605_530
-    batch = sample_batch(params, e, 500, 5)
+    batch = sample_batch(ExactMoments(params), e, 500, 5)
     assert batch.values.size == 500
     assert np.all(np.isfinite(batch.values))
     assert batch.log2_n == e
     with pytest.raises(ParamsError):
-        site_sample_batch(params, e, 10, 5)
+        site_sample_batch(ExactMoments(params), e, 10, 5)
 
 
 def test_flat_copy_beyond_the_cap_counts_its_hits():
@@ -516,16 +517,16 @@ def test_flat_copy_beyond_the_cap_counts_its_hits():
     params = default_params(kmax=1 << 22, mode=WeightMode.INV_LOG)
     h = params.blocks[0].horizon_log2
     for shift in (0, 3, -7):
-        plan = plan_of(params, h + shift, SampleKind.APPROX_IID_SUM)
+        plan = plan_of(ExactMoments(params), h + shift,
+                       SampleKind.APPROX_IID_SUM)
         assert [op.func for op in plan] == [_draw_poisson, _draw_normal]
-        step = next(a for _, a in flat_copy(params, h + shift,
-                                            ExactMoments(params))
+        step = next(a for _, a in flat_copy(ExactMoments(params), h + shift)
                     if a is not None).lattice_scale
         assert plan[0].keywords == {"lam": 2.0 ** shift, "coef": step}
     # theorem1's spike block expects 2^37605519 hits at 2^37605530 and
     # keeps its normal
     params = default_params(kmax=40_000_000, rho=4.0)
-    plan = plan_of(params, params.blocks[1].horizon_log2,
+    plan = plan_of(ExactMoments(params), params.blocks[1].horizon_log2,
                    SampleKind.APPROX_IID_SUM)
     assert [op.func for op in plan] == [_draw_normal]
 
@@ -539,11 +540,13 @@ def test_flat_copy_beyond_the_cap_takes_the_oracles_regimes():
     want = {-51: [], -50: [], -49: [_draw_poisson], 39: [_draw_poisson],
             40: []}
     for ll, tail in want.items():
-        plan = plan_of(params, 2000 + ll, SampleKind.APPROX_IID_SUM)
+        plan = plan_of(ExactMoments(params), 2000 + ll,
+                       SampleKind.APPROX_IID_SUM)
         assert [op.func for op in plan] == tail + [_draw_normal]
     e, count = 1950, 100_000
-    batch = sample_batch(params, e, count, 1, SampleKind.APPROX_IID_SUM)
-    ks = ks_distance(batch.values, exact_law(params, e))
+    batch = sample_batch(ExactMoments(params), e, count, 1,
+                         SampleKind.APPROX_IID_SUM)
+    ks = ks_distance(batch.values, exact_law(ExactMoments(params), e))
     assert ks <= ks_pass_bound(count)
 
 
@@ -551,9 +554,9 @@ def test_flat_copy_at_2_40_expected_hits_is_all_normals():
     # block 1 ends at 2^11, so at 2^51 its flat copy expects exactly 2^40
     # hits: exact_law folds it into its Gaussian part, and so does the plan
     params = default_params(kmax=20, rho=4.0)
-    plan = plan_of(params, 51, SampleKind.APPROX_IID_SUM)
+    plan = plan_of(ExactMoments(params), 51, SampleKind.APPROX_IID_SUM)
     assert [op.func for op in plan] == [_draw_normal]
-    law = exact_law(params, 51)
+    law = exact_law(ExactMoments(params), 51)
     assert law.support.tolist() == [0.0]
     assert plan[0].keywords["std"] ** 2 == pytest.approx(law.gauss_var,
                                                          rel=1e-12)
@@ -588,10 +591,10 @@ def test_desk_horizon_under_a_deep_spike_block(kmax):
     w = build_weights(WeightMode.CONST_ONE, kmax)
     params = SequenceParams(w, split_blocks(w, [kmax]))
     em = ExactMoments(params)
-    plan = plan_of(params, 20, moments=em)
+    plan = plan_of(em, 20)
     assert math.fsum(map(_op_variance, plan)) == pytest.approx(
         _normalized_moments(em, 20)[0], rel=1e-12)
-    batch = sample_batch(params, 20, 1000, 1, moments=em)
+    batch = sample_batch(em, 20, 1000, 1)
     assert np.all(np.isfinite(batch.values))
 
 
@@ -610,13 +613,13 @@ def test_report_scores_the_batches_of_its_seed_rule(monkeypatch):
         return batch_ks(values, *others)
 
     monkeypatch.setattr(laws, "_batch_ks", capture)
-    dichotomy_report(params, 2_000, 745)
+    dichotomy_report(ExactMoments(params), 2_000, 745)
     want = []
     for b in complete:
         for salt, kind in ((0, SampleKind.FULL_SN),
                            (laws._GATE_SALT, SampleKind.APPROX_IID_SUM)):
-            want.append(sample_batch(params, b.horizon_log2, 2_000,
-                                     derive_seed(745, salt + b.index),
+            want.append(sample_batch(ExactMoments(params), b.horizon_log2,
+                                     2_000, derive_seed(745, salt + b.index),
                                      kind).values.tobytes())
     assert scored == want
 
@@ -629,8 +632,8 @@ def test_batches_on_a_shared_engine_keep_their_bits():
     em = ExactMoments(params)
     em.table_rows(dyadic_grid(4, 16))
     for e in horizons:
-        shared = sample_batch(params, e, 2_000, 745, moments=em)
-        fresh = sample_batch(params, e, 2_000, 745)
+        shared = sample_batch(em, e, 2_000, 745)
+        fresh = sample_batch(ExactMoments(params), e, 2_000, 745)
         assert shared.values.tobytes() == fresh.values.tobytes()
 
 
@@ -675,7 +678,7 @@ def test_full_sum_fourth_cumulant_matches_engine(e):
     k = _exact_cumulants(em.profiles(1 << e))
     want = em.fourth_cumulant(1 << e)
     assert k[4] == pytest.approx(want, rel=1e-12)
-    batch = sample_batch(params, e, n, 745, moments=em)
+    batch = sample_batch(em, e, n, 745)
     # the batch is S_N / sqrt(b^2 N): k_4 and its spread scale by
     # (b^2 N)^-2
     unit = em.normalizer_sq(e) * (1 << e)
@@ -691,8 +694,8 @@ def test_aggregate_and_site_modes_agree_two_sample_ks(e):
     coords = sum(p.segments[-1][1] - p.segments[0][0] + 1
                  for p in em.profiles(1 << e))
     assert n * coords <= SITE_DRAW_BUDGET
-    agg = sample_batch(params, e, n, 745, moments=em)
-    site = site_sample_batch(params, e, n, 745, moments=em)
+    agg = sample_batch(em, e, n, 745)
+    site = site_sample_batch(em, e, n, 745)
     # the samplers key their streams differently, so the samples are
     # independent; alpha = 1e-3 asymptotic two-sample critical value
     crit = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
@@ -705,13 +708,13 @@ def test_aggregate_and_site_modes_agree_beside_a_one_hit_count():
     params = default_params(kmax=12, rho=4.0)
     em = ExactMoments(params)
     e, n = 12, 4_000
-    plan = plan_of(params, e, moments=em)
+    plan = plan_of(em, e)
     assert [op.func for op in plan] == [_draw_flat, _draw_pool, _draw_normal]
     assert plan[0].keywords["length"] * plan[0].keywords["hit_prob"] == 1.0
     coords = sum(p.segments[-1][1] - p.segments[0][0] + 1
                  for p in em.profiles(1 << e))
     assert n * coords <= SITE_DRAW_BUDGET
-    agg = sample_batch(params, e, n, 745, moments=em)
-    site = site_sample_batch(params, e, n, 745, moments=em)
+    agg = sample_batch(em, e, n, 745)
+    site = site_sample_batch(em, e, n, 745)
     crit = math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt(2.0 / n)
     assert ks_2samp(agg.values, site.values).statistic < crit
