@@ -22,7 +22,7 @@ from .blocks import (BlockParity, BlockSpec, MassTarget, SequenceParams,
 from .config import (load_params, params_from_json, params_to_json,
                      save_params)
 from .engine import (Condition, ConditionReport, ExactMoments, Verdict,
-                     dyadic_grid, format_csv, judge, sigma_sq_over_n)
+                     dyadic_grid, judge, sigma_sq_over_n)
 from .errors import (MemoryBudgetError, ParamsError, TruncationError,
                      WorkBudgetError)
 from .weights import (WeightMode, WeightSchedule, build_weights, harmonic,
@@ -35,8 +35,7 @@ _LAZY = {
     **dict.fromkeys(
         ("laws", "DichotomyReport", "DichotomyRow", "DichotomyVerdict",
          "Law", "dichotomy_report", "exact_law", "finite_law",
-         "format_ks_csv", "ks_distance", "ks_pass_bound", "normal_law",
-         "sym_poisson_law"),
+         "ks_distance", "ks_pass_bound", "normal_law", "sym_poisson_law"),
         "laws"),
     **dict.fromkeys(
         ("simulate", "SampleBatch", "SampleKind", "sample_batch"),

@@ -6,7 +6,9 @@ dichotomy reports, spectral sweeps -- and writes their CSV/JSON output
 under one directory.  The runner adds no numerics of its own: every row
 of every artifact comes from a library call, and identical
 configurations produce byte-identical artifacts (the timestamp header
-is suppressible with --no-timestamp).
+is suppressible with --no-timestamp).  The library returns rows; one
+writer here, ``_csv``, names each table's columns at its call site and
+formats every cell by one rule.
 
 Exit codes: 0 success; 2 invalid configuration (machine-readable error
 JSON on stdout); 3 a work/memory budget or law-realization limit was
@@ -31,7 +33,7 @@ import numpy as np
 
 from .blocks import SequenceParams, TargetKind, default_params
 from .config import json_ready, load_params, params_to_dict, read_input
-from .engine import Condition, ExactMoments, dyadic_grid, format_csv
+from .engine import Condition, ExactMoments, dyadic_grid
 from .errors import (DESK_N_CAP, MemoryBudgetError, ParamsError,
                      TruncationError, WorkBudgetError, charge, check_seed)
 from .weights import WeightMode, check_decay, weighted_prefix
@@ -143,9 +145,6 @@ class ExperimentConfig:
                 d[key] = str(v)
         return d
 
-    def header_line(self) -> str:
-        return "# config: " + json.dumps(self.to_dict(), sort_keys=True)
-
     def validate(self) -> None:
         if self.kmax < 1:
             raise ParamsError("kmax must be >= 1", kmax=self.kmax)
@@ -164,11 +163,15 @@ class ExperimentConfig:
             raise ParamsError("this preset pins its weight mode",
                               scenario=self.scenario.value, pinned=forced,
                               requested=self.a_mode)
-        # spectral reads only a toy file, the other scenarios never one
+        # spectral reads only a toy file, the other scenarios never one,
+        # and a decay is read only where the weighted series check runs
         spectral = self.scenario is Scenario.SPECTRAL
-        for key in ("c_file", "params_file", "toy_file"):
+        reads = {"c_file": Condition.WEIGHTED_NORM_SERIES
+                 in _SCENARIO_CONDITIONS.get(self.scenario, ()),
+                 "params_file": not spectral, "toy_file": spectral}
+        for key, read in reads.items():
             v = getattr(self, key)
-            if v is not None and spectral != (key == "toy_file"):
+            if v is not None and not read:
                 raise ParamsError("input file not read by this scenario",
                                   **{key: str(v)})
             if v is not None and not Path(v).is_file():
@@ -254,18 +257,29 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(payload, sort_keys=True, default=str))
 
 
-def _with_header(cfg: ExperimentConfig, body: str, stamp: str | None) -> str:
-    lines = [cfg.header_line()]
+def _csv(cfg: ExperimentConfig, stamp: str | None, columns, rows) -> str:
+    """One artifact table: the config header, the stamp if the run has
+    one, the column line and a line per row.  A ``str`` cell is written as
+    is, an integer as its digits and any other cell to 17 significant
+    digits, which round-trip a float64."""
+    lines = ["# config: " + json.dumps(cfg.to_dict(), sort_keys=True)]
     if stamp is not None:
         lines.append("# generated: " + stamp)
-    return "\n".join(lines) + "\n" + body
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(
+            v if isinstance(v, str)
+            else str(v) if isinstance(v, (int, np.integer))
+            else f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Scenario bodies
 
-def _schedule_csv(params: SequenceParams, decay: np.ndarray) -> str:
-    """Per-scale table of the slow schedule and both mass partial sums."""
+def _schedule_rows(params: SequenceParams, decay: np.ndarray) -> list:
+    """Rows (k, c_k, a_k, weighted partial mass, partial mass) of the slow
+    schedule at k = 1, its anchors, the powers of two and kmax."""
     w = params.weights
     ks = {1, w.kmax}
     ks.update(int(a) for a in (w.anchors or ()))
@@ -275,24 +289,20 @@ def _schedule_csv(params: SequenceParams, decay: np.ndarray) -> str:
         e += 1
     ks = sorted(ks)
     arr = np.asarray(ks, dtype=np.int64)
-    a_vals = w.a(arr)
-    weighted = weighted_prefix(w, decay, arr)
-    lines = ["k,c,a,weighted_partial_mass,partial_mass"]
-    for i, k in enumerate(ks):
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g"
-                     % (k, decay[k - 1], a_vals[i], weighted[i],
-                        w.mass(1, k)))
-    return "\n".join(lines) + "\n"
+    return [(k, decay[k - 1], a, weighted, w.mass(1, k))
+            for k, a, weighted in zip(ks, w.a(arr),
+                                      weighted_prefix(w, decay, arr))]
 
 
 def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
                   decay: np.ndarray | None, stamp: str | None):
     moments = ExactMoments(params)
     grid = dyadic_grid(*cfg.grid)
-    artifacts = {
-        "conditions.csv": _with_header(
-            cfg, format_csv(moments.table_rows(grid)), stamp),
-    }
+    columns = ("N", "b", "cond_norm", "sigma", "ratio_bound9",
+               "ratio_rate5", "lemma5_ratio", "tail_2prime")
+    artifacts = {"conditions.csv": _csv(
+        cfg, stamp, columns,
+        ([row[c] for c in columns] for row in moments.table_rows(grid)))}
     checks = {}
     for cond in _SCENARIO_CONDITIONS[cfg.scenario]:
         if cond is Condition.WEIGHTED_NORM_SERIES and decay is None:
@@ -312,10 +322,15 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
     if cfg.samples > 0:
         # laws, and numpy.random with the first stream drawn, load
         # only in runs that sample
-        from .laws import DichotomyVerdict, dichotomy_report, format_ks_csv
+        from .laws import DichotomyVerdict, dichotomy_report
         rep = dichotomy_report(moments, cfg.samples, cfg.seed)
-        artifacts["dichotomy.csv"] = _with_header(cfg, format_ks_csv(rep),
-                                                  stamp)
+        # past 62 bits a horizon is written 2^e, which bounds the cell
+        artifacts["dichotomy.csv"] = _csv(
+            cfg, stamp, ("horizon", "ks_vs_oracle", "ks_vs_normal",
+                         "residual_fraction", "verdict"),
+            [(1 << r.horizon_log2 if r.horizon_log2 <= 62
+              else "2^%d" % r.horizon_log2, r.ks_vs_oracle, r.ks_vs_normal,
+              r.residual_fraction, rep.verdict.value) for r in rep.rows])
         verdicts["dichotomy"] = dict(dataclasses.asdict(rep), rows=[
             dict(dataclasses.asdict(r), parity=r.parity,
                  gate_bound=r.gate_bound, oracle_pass=r.oracle_pass)
@@ -323,8 +338,9 @@ def _run_sequence(cfg: ExperimentConfig, params: SequenceParams,
         if rep.verdict is DichotomyVerdict.INCONCLUSIVE:
             code = EXIT_INCONCLUSIVE
     if cfg.scenario is Scenario.THEOREM2 and decay is not None:
-        artifacts["schedule.csv"] = _with_header(
-            cfg, _schedule_csv(params, decay), stamp)
+        artifacts["schedule.csv"] = _csv(
+            cfg, stamp, ("k", "c", "a", "weighted_partial_mass",
+                         "partial_mass"), _schedule_rows(params, decay))
     return artifacts, verdicts, code
 
 
@@ -359,7 +375,13 @@ def _run_spectral(cfg: ExperimentConfig, toy, stamp: str | None):
         "correspondence": rep.correspondence,
         "sqrt_series_error_m1024": sqrt_apply(toy, _SQRT_TERMS).error,
     }}
-    artifacts = {"spectral.csv": _with_header(cfg, rep.to_csv(), stamp)}
+    # the sweep steps from n = 1, but rows start at the grid's 2^lo
+    rows = [row for row in zip(rep.ns, rep.norm_sn, rep.sum3_partial,
+                               rep.rate5, rep.rate6_q, rep.remark7_partial)
+            if row[0] >= 1 << cfg.grid[0]]
+    artifacts = {"spectral.csv": _csv(
+        cfg, stamp, ("n", "norm_Sn", "sum3_partial", "rate5", "rate6_q",
+                     "remark7_partial"), rows)}
     return artifacts, verdicts, EXIT_OK
 
 

@@ -707,7 +707,7 @@ class ExactMoments:
     # -- tabulation --------------------------------------------------------
 
     def table_rows(self, grid) -> list[dict]:
-        """Per-horizon summary used by the CSV emitter."""
+        """One dict per horizon: the columns of ``conditions.csv``."""
         self._tails([(n, 2 * n) for n in grid])
         rows = []
         for n in grid:
@@ -726,19 +726,3 @@ class ExactMoments:
             row["tail_2prime"] = self._cache[("tail", n, 2 * n)][1]
             rows.append(row)
         return rows
-
-
-CSV_COLUMNS = ("N", "b", "cond_norm", "sigma", "ratio_bound9",
-               "ratio_rate5", "lemma5_ratio", "tail_2prime")
-
-
-def format_csv(rows) -> str:
-    """Deterministic CSV body: 17 significant digits for reals."""
-    out = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = row.get(col, math.nan)
-            cells.append(str(v) if isinstance(v, int) else f"{v:.17g}")
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"

@@ -655,23 +655,3 @@ def dichotomy_report(moments: ExactMoments, count: int, seed: int, *,
             ks_vs_oracle=ks_vs_oracle, ks_vs_normal=ks_vs_normal,
             ks_gate=ks_gate, residual_fraction=residual, note=note))
     return decide(rows, margin)
-
-
-KS_CSV_COLUMNS = ("horizon", "ks_vs_oracle", "ks_vs_normal",
-                  "residual_fraction", "verdict")
-
-
-def format_ks_csv(report: DichotomyReport) -> str:
-    """CSV body for a dichotomy report, one row per horizon.
-
-    Horizons beyond 63 bits are written as 2^e to keep the cell width
-    (and the int-to-string conversion) bounded.
-    """
-    lines = [",".join(KS_CSV_COLUMNS)]
-    for r in report.rows:
-        cell = (str(1 << r.horizon_log2) if r.horizon_log2 <= 62
-                else "2^%d" % r.horizon_log2)
-        lines.append("%s,%.17g,%.17g,%.17g,%s"
-                     % (cell, r.ks_vs_oracle, r.ks_vs_normal,
-                        r.residual_fraction, report.verdict.value))
-    return "\n".join(lines) + "\n"

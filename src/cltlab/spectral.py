@@ -257,15 +257,6 @@ class SpectralConditionReport:
     correspondence: float
     q = RATE6_Q                  # a class constant, not a field
 
-    def to_csv(self) -> str:
-        lines = ["n,norm_Sn,sum3_partial,rate5,rate6_q,remark7_partial"]
-        for i, n in enumerate(self.ns):
-            lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-                         % (n, self.norm_sn[i], self.sum3_partial[i],
-                            self.rate5[i], self.rate6_q[i],
-                            self.remark7_partial[i]))
-        return "\n".join(lines) + "\n"
-
 
 def _eigen_terms(toy: SpectralToy):
     """(at_one, g / (1 - lambda)) per eigenvalue, 0 where lambda is 1."""

@@ -20,8 +20,8 @@ import cltlab.spectral as spectral
 from cltlab.cli import (Scenario, _parse_grid, build_parser,
                         config_from_args, main)
 from cltlab.config import save_params
-from cltlab.blocks import (MassTarget, SequenceParams, default_params,
-                           split_blocks)
+from cltlab.blocks import (BlockParity, MassTarget, SequenceParams,
+                           default_params, split_blocks)
 from cltlab.errors import ParamsError
 from cltlab.weights import WeightMode, build_weights
 from conftest import set_limit
@@ -249,8 +249,12 @@ def test_spectral_dimension_below_2_exits_2(tmp_path, capsys):
     ("spectral", {"--params-file": "junk.json"}, "params_file"),
     ("spectral", {"--params-file": "junk.json", "--c-file": "junk.json"},
      "c_file"),
+    # only the weighted series check reads a decay
+    ("theorem1", {"--c-file": "junk.json"}, "c_file"),
+    ("theorem3", {"--c-file": "missing.txt"}, "c_file"),
 ], ids=["conditions-toy-file", "conditions-missing-toy-file",
-        "spectral-params-file", "spectral-params-and-c-file"])
+        "spectral-params-file", "spectral-params-and-c-file",
+        "theorem1-c-file", "theorem3-missing-c-file"])
 def test_input_file_the_scenario_does_not_read_exits_2(tmp_path, capsys,
                                                        scenario, files, key):
     # the run would read none of these files, yet echo them as read; a
@@ -866,6 +870,90 @@ def test_inconclusive_dichotomy_exits_4(tmp_path, capsys, monkeypatch):
     assert d["notes"] == ["gap within sampling noise of the margin"]
     assert [(r["oracle_pass"], r["gate_bound"]) for r in d["rows"]] == \
         [(True, laws.ks_pass_bound(25))] * 2
+
+
+def table(path):
+    """A CSV artifact's header lines and its column-and-row lines."""
+    lines = path.read_text().splitlines()
+    return ([line for line in lines if line.startswith("#")],
+            [line for line in lines if not line.startswith("#")])
+
+
+def test_csv_writer_cells():
+    cfg = parse(["custom", "--samples", "0"])
+    header = "# config: " + json.dumps(cfg.to_dict(), sort_keys=True)
+    rows = [("2^100", 2 ** 60 + 1, np.int64(2 ** 62 + 1), math.nan, 0.1),
+            ("x", 8, np.int64(-3), math.inf, -0.0)]
+    text = cli._csv(cfg, "2000-01-01T00:00:00+00:00",
+                    ("a", "b", "c", "d", "e"), rows)
+    assert text.split("\n") == [
+        header, "# generated: 2000-01-01T00:00:00+00:00", "a,b,c,d,e",
+        # integers in full digits, which .17g would round
+        "2^100,1152921504606846977,4611686018427387905,nan,"
+        "0.10000000000000001",
+        "x,8,-3,inf,-0", ""]
+    # no stamp, no generated line
+    assert cli._csv(cfg, None, ("a",), [(1,)]) == header + "\na\n1\n"
+
+
+def test_conditions_csv_columns_and_rows(tmp_path, capsys):
+    path = tmp_path / "run" / "conditions.csv"
+    argv = ["custom", "--kmax", "12", "--grid", "dyadic:3:6", "--samples",
+            "0", "--no-timestamp", "--out", str(path.parent)]
+    assert run_main(argv, capsys)[0] == 0
+    body = path.read_bytes()
+    heads, lines = table(path)
+    assert len(heads) == 1 and heads[0].startswith("# config: {")
+    assert lines[0] == ("N,b,cond_norm,sigma,ratio_bound9,"
+                        "ratio_rate5,lemma5_ratio,tail_2prime")
+    assert len(lines) == 5
+    assert lines[1].startswith("8,")
+    assert run_main(argv, capsys)[0] == 0
+    assert path.read_bytes() == body  # deterministic
+
+
+def test_dichotomy_csv_huge_horizon(tmp_path, capsys, monkeypatch):
+    row = laws.DichotomyRow(horizon_log2=100, block_index=2, count=10,
+                            ks_vs_oracle=0.1, ks_vs_normal=0.2,
+                            ks_gate=0.01, residual_fraction=0.0)
+    small = laws.DichotomyRow(horizon_log2=11, block_index=1, count=10,
+                              ks_vs_oracle=0.3, ks_vs_normal=0.4,
+                              ks_gate=0.01, residual_fraction=0.0)
+    # a row's parity is its block's
+    assert row.parity is BlockParity.GAUSSIAN
+    assert small.parity is BlockParity.THREE_VALUED
+    rep = laws.DichotomyReport([small, row], 0.05, 0.1,
+                               laws.DichotomyVerdict.DIFFERENT_LIMITS, None,
+                               [])
+    monkeypatch.setattr(laws, "dichotomy_report",
+                        lambda moments, count, seed: rep)
+    out = tmp_path / "d"
+    code, _ = run_main(["custom", "--samples", "10", "--grid", "dyadic:4:8",
+                        "--no-timestamp", "--out", str(out)], capsys)
+    assert code == 0
+    _, lines = table(out / "dichotomy.csv")
+    assert lines[0] == "horizon,ks_vs_oracle,ks_vs_normal," \
+                       "residual_fraction,verdict"
+    assert lines[1].startswith("2048,")
+    assert lines[2].startswith("2^100,")
+    assert all(line.endswith(",DIFFERENT_LIMITS") for line in lines[1:])
+    assert len(lines) == 3
+
+
+def test_spectral_rows_start_at_the_grid(tmp_path, capsys):
+    # the sweep steps from n = 1, but the table holds the grid's rows
+    for grid, ns in (("dyadic:5:8", [32, 64, 128, 256]),
+                     ("dyadic:1:8", [1 << e for e in range(1, 9)])):
+        out = tmp_path / grid.replace(":", "-")
+        code, _ = run_main(["spectral", "--grid", grid, "--no-timestamp",
+                            "--out", str(out)], capsys)
+        assert code == 0
+        heads, lines = table(out / "spectral.csv")
+        assert len(heads) == 1
+        assert lines[0] == ("n,norm_Sn,sum3_partial,rate5,rate6_q,"
+                            "remark7_partial")
+        assert len(lines) == len(ns) + 1
+        assert [int(line.split(",")[0]) for line in lines[1:]] == ns
 
 
 def test_params_file_round(tmp_path, capsys):

@@ -17,7 +17,7 @@ from cltlab import engine
 from cltlab.blocks import SequenceParams, default_params, split_blocks
 from cltlab.engine import (DESK_N_CAP, BlockProfile, Condition,
                            ExactMoments, SeriesTail, Verdict, dyadic_grid,
-                           format_csv, judge, sigma_sq_over_n)
+                           judge, sigma_sq_over_n)
 from cltlab.errors import (BUDGETS, MemoryBudgetError, ParamsError,
                            WorkBudgetError)
 from cltlab import lattice
@@ -516,20 +516,6 @@ def test_rows_over_the_work_budget_alone_are_nan(monkeypatch):
                                          "budget": budget}
         else:
             assert b["tail_2prime"].hex() == a["tail_2prime"].hex()
-
-
-def test_table_rows_and_csv():
-    em = ExactMoments(desk_params(kmax=12))
-    rows = em.table_rows(dyadic_grid(3, 6))
-    body = format_csv(rows)
-    lines = body.strip().split("\n")
-    assert lines[0] == ("N,b,cond_norm,sigma,ratio_bound9,"
-                        "ratio_rate5,lemma5_ratio,tail_2prime")
-    assert len(lines) == 5
-    assert lines[1].startswith("8,")
-    assert format_csv(rows) == body  # deterministic
-    nan_row = [{"N": 2, "b": math.nan}]
-    assert "nan" in format_csv(nan_row)
 
 
 def scalar_sweep():

@@ -1,16 +1,18 @@
 """No module imports a name it never reads, the package defines no
 private module-level name that it never reads, nor any module-level name
 that nothing in the checkout reads, no package module imports scipy,
-which is only a test extra, and no package function takes both the
-parameters and an ``ExactMoments``, which already holds them.
+which is only a test extra, no package function takes both the
+parameters and an ``ExactMoments``, which already holds them, and only
+the runner spells out the artifact tables' cell rule and header.
 
 No linter is a dependency, so these are small AST scans: of the package,
 the tests and the demos for imports, of the package alone for private
 names, scipy and the engine's arguments, and of the package, tests,
-demos and bench for the reads of every definition.  The package ``__init__`` is exempt from the
-import scan: its imports are the public re-exports.  Subprocesses check
-that every package module imports without scipy, and what importing the
-sampling modules loads.
+demos and bench for the reads of every definition.  A text scan of the
+package finds the artifact format.  The package ``__init__`` is exempt
+from the import scan: its imports are the public re-exports.
+Subprocesses check that every package module imports without scipy, and
+what importing the sampling modules loads.
 """
 
 import ast
@@ -223,6 +225,32 @@ def test_no_package_function_takes_params_beside_moments():
     found = {path.name: params_beside_moments(path.read_text(
                  encoding="utf-8")) for path in PACKAGE}
     assert {name: defs for name, defs in found.items() if defs} == {}
+
+
+
+# the cell rule of every artifact table and its config header line
+_FORMAT_TOKENS = (".17g", "# config:")
+
+
+def format_tokens(source: str) -> list[str]:
+    """The artifact-format tokens a source spells out."""
+    return [token for token in _FORMAT_TOKENS if token in source]
+
+
+def test_scan_catches_format_tokens():
+    source = ('def f(v):\n    return "%d,%.17g" % (1, v)\n'
+              'HEADER = "# config: " + "{}"\n')
+    assert format_tokens(source) == [".17g", "# config:"]
+    assert format_tokens('line = f"{v:.17g}"\n') == [".17g"]
+    assert format_tokens('note = "%.3g" % bound\n# configured\n') == []
+
+
+def test_the_artifact_format_lives_in_the_runner_alone():
+    # one writer in cli formats every CSV table; the library returns rows
+    found = {path.name: format_tokens(path.read_text(encoding="utf-8"))
+             for path in PACKAGE}
+    assert {name: tokens for name, tokens in found.items() if tokens} == {
+        "cli.py": [".17g", "# config:"]}
 
 
 def _run_package(code: str) -> str:

@@ -20,8 +20,8 @@ from cltlab.errors import ParamsError, TruncationError
 import cltlab.simulate as simulate
 from cltlab.laws import (DichotomyRow, DichotomyVerdict, LatticeAtom, Law,
                          decide, dichotomy_report, exact_law, finite_law,
-                         format_ks_csv, ks_distance, ks_pass_bound,
-                         normal_law, sym_poisson_law)
+                         ks_distance, ks_pass_bound, normal_law,
+                         sym_poisson_law)
 from cltlab.simulate import (FlatRegime, SampleKind, flat_copy, flat_regime,
                              sample_batch)
 from cltlab.weights import WeightMode, build_weights
@@ -854,23 +854,3 @@ def test_batch_ks_scores_each_table_once(monkeypatch):
     assert scored == [top, near]
     assert got[0] == got[1] == got[3]
 
-
-def test_format_ks_csv_huge_horizon():
-    row = DichotomyRow(horizon_log2=100, block_index=2, count=10,
-                       ks_vs_oracle=0.1, ks_vs_normal=0.2, ks_gate=0.01,
-                       residual_fraction=0.0)
-    small = DichotomyRow(horizon_log2=11, block_index=1, count=10,
-                         ks_vs_oracle=0.3, ks_vs_normal=0.4, ks_gate=0.01,
-                         residual_fraction=0.0)
-    # a row's parity is its block's
-    assert row.parity is BlockParity.GAUSSIAN
-    assert small.parity is BlockParity.THREE_VALUED
-    rep = laws.DichotomyReport([small, row], 0.05, 0.1,
-                               DichotomyVerdict.DIFFERENT_LIMITS, None, [])
-    text = format_ks_csv(rep)
-    lines = text.strip().split("\n")
-    assert lines[0] == "horizon,ks_vs_oracle,ks_vs_normal," \
-                       "residual_fraction,verdict"
-    assert lines[1].startswith("2048,")
-    assert lines[2].startswith("2^100,")
-    assert lines[2].endswith("DIFFERENT_LIMITS")
